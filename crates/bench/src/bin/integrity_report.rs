@@ -296,11 +296,7 @@ fn measure_overhead() -> Overhead {
         .expect("register model")
         .handle();
     service.prefill_models();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while service.registry().stats().streams_ready < WARM_JOBS {
-        assert!(Instant::now() < deadline, "stock never filled");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    assert_eq!(service.registry().stats().streams_ready, WARM_JOBS);
 
     let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
     let mut ready = Histogram::default();

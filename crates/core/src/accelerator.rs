@@ -6,6 +6,8 @@
 //! MAC results. Cycle counts come from walking the compiled [`Schedule`]
 //! slot by slot.
 
+use std::sync::Arc;
+
 use max_crypto::{Block, FixedKeyHash, Tweak};
 use max_fpga::{Clock, MemorySystem, PcieLink};
 use max_gc::{evaluate_and_batch, garble_and_batch, Delta, GarbledTable};
@@ -109,7 +111,7 @@ pub struct AcceleratorReport {
     pub last_job_ii: f64,
     /// Core utilization of the last pipelined job.
     pub last_job_utilization: f64,
-    /// Fresh labels drawn from the ring-oscillator generator.
+    /// Fresh labels drawn from the label generator.
     pub labels_generated: u64,
     /// Energy saved by label-generator power gating (fraction of worst case).
     pub label_energy_saving: f64,
@@ -140,16 +142,12 @@ impl AcceleratorReport {
 /// The simulated accelerator (server side).
 pub struct Maxelerator {
     config: AcceleratorConfig,
-    mac: MacCircuit,
+    mac: Arc<MacCircuit>,
     cores: usize,
     hash: FixedKeyHash,
     /// Seed all per-element label streams derive from.
     base_seed: u64,
     labels: LabelGenerator,
-    /// RNG activity of label generators retired by earlier elements
-    /// (`begin_element` reseeds, which resets the generator's counters).
-    rng_active_base: u64,
-    rng_worst_base: u64,
     delta: Delta,
     clock: Clock,
     memory: MemorySystem,
@@ -183,8 +181,8 @@ impl std::fmt::Debug for Maxelerator {
 }
 
 impl Maxelerator {
-    /// Builds an accelerator for `config`, seeding the ring-oscillator
-    /// label generator with `seed`.
+    /// Builds an accelerator for `config`, seeding the label generator with
+    /// `seed`.
     pub fn new(config: AcceleratorConfig, seed: u64) -> Self {
         let mac = config.mac_circuit();
         let cores = TimingModel {
@@ -217,12 +215,10 @@ impl Maxelerator {
             memory: MemorySystem::new(cores, 1 << 20),
             pcie: PcieLink::new(256, 16),
             clock: Clock::new(config.freq_mhz),
-            mac,
+            mac: Arc::new(mac),
             cores,
             base_seed: seed,
             labels,
-            rng_active_base: 0,
-            rng_worst_base: 0,
             delta,
             config,
             carried_zero: None,
@@ -257,28 +253,13 @@ impl Maxelerator {
     /// order elements are processed — the invariant the multi-unit pipeline
     /// relies on for transcript parity with a single-unit server.
     pub fn begin_element(&mut self, elem: u32) {
-        let retiring = self.labels.report();
-        self.rng_active_base += retiring.active_rng_cycles;
-        self.rng_worst_base += retiring.worst_case_rng_cycles;
-        self.labels = LabelGenerator::new(
-            element_label_seed(self.base_seed, elem),
-            self.config.bit_width.max(4),
-        );
+        self.labels.reseed(element_label_seed(self.base_seed, elem));
         self.delta = Delta::from_block(self.labels.next_label());
         self.label_pool.clear();
         self.elem = elem;
         self.round = 0;
         self.carried_zero = None;
         self.eval_pairs.clear();
-    }
-
-    /// Cumulative RNG activity across all per-element generators.
-    fn rng_totals(&self) -> (u64, u64) {
-        let current = self.labels.report();
-        (
-            self.rng_active_base + current.active_rng_cycles,
-            self.rng_worst_base + current.worst_case_rng_cycles,
-        )
     }
 
     /// Garbles one MAC round for server input `a`.
@@ -329,13 +310,9 @@ impl Maxelerator {
     ) -> Result<Vec<RoundMessage>, AcceleratorError> {
         assert!(!a_elems.is_empty(), "job needs at least one round");
         let rounds = a_elems.len();
-        let schedule = Schedule::compile(
-            self.mac.netlist(),
-            self.cores,
-            rounds,
-            self.config.state_range(),
-        );
-        let netlist = self.mac.netlist().clone();
+        let mac = Arc::clone(&self.mac);
+        let netlist = mac.netlist();
+        let schedule = Schedule::shared(&self.config, self.cores, rounds);
         let n_wires = netlist.wire_count();
         let b = self.config.bit_width;
         let first_round_abs = self.round;
@@ -465,7 +442,7 @@ impl Maxelerator {
                 let r = slot.round as usize;
                 let gate = netlist.gates()[slot.gate as usize];
                 let a0 = self.resolve_for_batch(
-                    &netlist,
+                    netlist,
                     &mut zero,
                     &mut pending,
                     &mut tables,
@@ -473,7 +450,7 @@ impl Maxelerator {
                     gate.a.index(),
                 )?;
                 let b0 = self.resolve_for_batch(
-                    &netlist,
+                    netlist,
                     &mut zero,
                     &mut pending,
                     &mut tables,
@@ -507,7 +484,7 @@ impl Maxelerator {
         let outputs: Vec<usize> = netlist.outputs().iter().map(|w| w.index()).collect();
         let out_zero: Vec<Block> = outputs
             .iter()
-            .map(|&w| self.resolve(&netlist, &mut zero, rounds - 1, w))
+            .map(|&w| self.resolve(netlist, &mut zero, rounds - 1, w))
             .collect::<Result<_, _>>()?;
         let decode: Vec<bool> = out_zero.iter().map(|z| z.lsb()).collect();
         self.carried_zero = Some(out_zero);
@@ -535,12 +512,8 @@ impl Maxelerator {
         self.report.cycles = self.clock.cycles();
         self.report.last_job_ii = schedule.stats().steady_state_ii;
         self.report.last_job_utilization = schedule.stats().utilization;
-        let (rng_active, rng_worst) = self.rng_totals();
-        self.report.label_energy_saving = if rng_worst == 0 {
-            0.0
-        } else {
-            1.0 - rng_active as f64 / rng_worst as f64
-        };
+        let rng = self.labels.report();
+        self.report.label_energy_saving = rng.energy_saving();
         self.report.pcie_pushed_bytes = self.pcie.pushed_bytes();
         self.report.pcie_delivered_bytes = self.pcie.delivered_bytes();
         self.report.pcie_peak_backlog = self.pcie.peak_queue_bytes();
@@ -550,7 +523,7 @@ impl Maxelerator {
         // power-gated generator.
         self.report.energy = max_fpga::EnergyMeter {
             aes_ops: self.report.tables * 4,
-            rng_cycles: rng_active,
+            rng_cycles: rng.active_rng_cycles,
             shifts: self.report.tables,
             bram_writes: self.report.tables,
             pcie_bytes: self.report.pcie_pushed_bytes,
@@ -601,7 +574,7 @@ impl Maxelerator {
             zero[slot.round][slot.out_wire] = Some(c0);
             let ordinal = self.and_ordinal[slot.gate as usize].expect("AND gate");
             tables[slot.round][ordinal as usize] = Some(table);
-            if !self.memory.write(slot.core, table.to_bytes().to_vec()) {
+            if !self.memory.write(slot.core, GarbledTable::WIRE_BYTES) {
                 self.report.bram_would_stall += 1;
             }
             self.report.tables += 1;
@@ -625,7 +598,7 @@ impl Maxelerator {
     fn tick_io(&mut self) {
         for _ in 0..4 {
             match self.memory.read_one() {
-                Some((_, record)) => self.pcie.push(record.len()),
+                Some((_, record_bytes)) => self.pcie.push(record_bytes),
                 None => break,
             }
         }
@@ -977,10 +950,15 @@ mod tests {
         let mut accel = Maxelerator::new(config.clone(), 5);
         let mut client = ScheduledEvaluator::new(&config);
         let mut msg = accel.garble_round(3, true);
-        msg.tables[0] = GarbledTable {
-            tg: Block::new(1),
-            te: Block::new(2),
-        };
+        // Every table, not one: evaluation reads a table's `tg`/`te` only
+        // when the matching active label's permute bit is set, so a single
+        // tampered table goes unread for one seed in four.
+        for table in &mut msg.tables {
+            *table = GarbledTable {
+                tg: Block::new(1),
+                te: Block::new(2),
+            };
+        }
         let labels = accel.ot_pairs_for_client(&config.encode_x(3));
         let got = client.evaluate_round(&msg, &labels).unwrap();
         assert_ne!(got, Some(9));
@@ -1174,6 +1152,59 @@ mod tests {
         let m1 = accel.garble_round(3, true);
         assert_ne!(m0.a_labels, m1.a_labels, "element streams must differ");
         assert_ne!(m0.tables, m1.tables);
+    }
+
+    #[test]
+    fn element_seeds_name_disjoint_label_streams() {
+        let first_64 = |base: u64, elem: u32| -> Vec<Block> {
+            let mut labels = LabelGenerator::new(element_label_seed(base, elem), 8);
+            (0..16).flat_map(|_| labels.clock(4)).collect()
+        };
+        let streams: Vec<Vec<Block>> = [(5u64, 0u32), (5, 1), (5, 2), (6, 0), (6, 1)]
+            .iter()
+            .map(|&(base, elem)| first_64(base, elem))
+            .collect();
+        for (i, a) in streams.iter().enumerate() {
+            for b in &streams[i + 1..] {
+                assert!(a.iter().all(|label| !b.contains(label)));
+            }
+        }
+    }
+
+    #[test]
+    fn fabric_counts_are_pinned() {
+        // Literals recorded from the ring-oscillator-clocked generator this
+        // label source replaced (commit a0ef722): how labels are *sourced*
+        // must never move what the fabric model *counts*.
+        let weights: Vec<Vec<i64>> = (0..4i64)
+            .map(|r| (0..8i64).map(|c| (r * 8 + c) * 7 % 256 - 128).collect())
+            .collect();
+        let mut accel = Maxelerator::new(AcceleratorConfig::new(8), 0x5eed);
+        for (elem, row) in weights.iter().enumerate() {
+            accel.begin_element(elem as u32);
+            accel.garble_job(row, true);
+        }
+        let report = accel.report();
+        assert_eq!(report.cycles, 2028);
+        assert_eq!(report.labels_generated, 1104);
+        assert_eq!(report.tables, 5824);
+        assert_eq!(report.rounds, 32);
+        assert_eq!(
+            report.energy,
+            max_fpga::EnergyMeter {
+                aes_ops: 23296,
+                rng_cycles: 141_952,
+                shifts: 5824,
+                bram_writes: 5824,
+                pcie_bytes: 186_368,
+                cycles: 2028,
+            }
+        );
+        assert_eq!(report.label_energy_saving.to_bits(), 0x3fe9_0d6e_7579_af69);
+        assert_eq!(report.pcie_delivered_bytes, 186_368);
+        assert_eq!(report.pcie_peak_backlog, 128);
+        assert_eq!(report.bram_would_stall, 0);
+        assert_eq!(report.last_job_ii, 22.75);
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! MAC in steady state), pipeline latency, utilization and idle-core counts
 //! that §4.3 of the paper derives analytically.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use max_netlist::{GateKind, Netlist};
 use serde::{Deserialize, Serialize};
+
+use crate::config::AcceleratorConfig;
 
 /// Gate-selection policy of the list scheduler — ablated by the
 /// `ablation_policy` bench.
@@ -91,6 +94,20 @@ pub struct Schedule {
     stats: ScheduleStats,
     segments: Vec<Segment>,
 }
+
+/// Key of [`Schedule::shared`] — everything [`Schedule::compile`] reads for
+/// a MAC circuit: (operand width, accumulator width, signed, cores, rounds).
+type ScheduleKey = (usize, usize, bool, usize, usize);
+
+/// Most schedules [`Schedule::shared`] keeps.
+const SHARED_SCHEDULES: usize = 32;
+/// Most slot assignments it keeps across all of them (24 bytes each).
+const SHARED_SLOTS: usize = 1 << 20;
+
+/// Insertion-ordered, oldest first; small enough to scan.
+type SharedSchedules = VecDeque<(ScheduleKey, Arc<Schedule>)>;
+
+static SHARED: Mutex<SharedSchedules> = Mutex::new(VecDeque::new());
 
 /// Dependency graph over the AND gates of one round.
 struct GateGraph {
@@ -529,6 +546,53 @@ impl Schedule {
         }
     }
 
+    /// The schedule of `rounds` MAC rounds of `config.mac_circuit()` on
+    /// `cores` cores, compiled once per process and shared: the gate order
+    /// is a compile-time artifact the fabric merely streams. Round counts
+    /// follow model shapes a peer can choose, so the map is bounded
+    /// ([`SHARED_SCHEDULES`] entries, [`SHARED_SLOTS`] slots in total,
+    /// oldest evicted first); a schedule too large to keep is not cached.
+    pub(crate) fn shared(config: &AcceleratorConfig, cores: usize, rounds: usize) -> Arc<Schedule> {
+        let key: ScheduleKey = (
+            config.bit_width,
+            config.acc_width,
+            config.signed,
+            cores,
+            rounds,
+        );
+        let lookup = |map: &SharedSchedules| {
+            map.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, schedule)| Arc::clone(schedule))
+        };
+        if let Some(hit) = lookup(&SHARED.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return hit;
+        }
+        // Compile outside the lock; if another thread won the race, adopt
+        // its schedule so every holder of one key shares one allocation.
+        let compiled = Arc::new(Schedule::compile(
+            config.mac_circuit().netlist(),
+            cores,
+            rounds,
+            config.state_range(),
+        ));
+        let mut map = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = lookup(&map) {
+            return hit;
+        }
+        if compiled.assignments.len() <= SHARED_SLOTS {
+            map.push_back((key, Arc::clone(&compiled)));
+            let mut slots: usize = map.iter().map(|(_, s)| s.assignments.len()).sum();
+            while map.len() > SHARED_SCHEDULES || slots > SHARED_SLOTS {
+                let Some((_, evicted)) = map.pop_front() else {
+                    break;
+                };
+                slots -= evicted.assignments.len();
+            }
+        }
+        compiled
+    }
+
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.cores
@@ -757,6 +821,92 @@ mod tests {
         for pair in comps.windows(2) {
             assert!(pair[0] <= pair[1]);
         }
+    }
+
+    fn shared_for(b: usize, rounds: usize) -> Arc<Schedule> {
+        let cores = TimingModel::paper(b).cores();
+        Schedule::shared(&AcceleratorConfig::new(b), cores, rounds)
+    }
+
+    #[test]
+    fn shared_schedule_equals_a_fresh_compile() {
+        for b in [8usize, 16] {
+            for rounds in [1usize, 3, 8] {
+                let shared = shared_for(b, rounds);
+                let fresh = compile_for(b, rounds);
+                assert_eq!(
+                    shared.assignments(),
+                    fresh.assignments(),
+                    "b={b} r={rounds}"
+                );
+                assert_eq!(shared.stats(), fresh.stats(), "b={b} r={rounds}");
+                assert_eq!(shared.round_completion(), fresh.round_completion());
+            }
+        }
+    }
+
+    #[test]
+    fn shared_schedule_key_covers_the_whole_config() {
+        // Same (b, rounds), different circuit: must not alias.
+        let signed = AcceleratorConfig::new(8);
+        let unsigned = AcceleratorConfig::new(8).unsigned();
+        let wide = AcceleratorConfig::new(8).with_acc_width(32);
+        let cores = TimingModel::paper(8).cores();
+        for config in [signed, unsigned, wide] {
+            let mac = config.mac_circuit();
+            let shared = Schedule::shared(&config, cores, 2);
+            let fresh = Schedule::compile(mac.netlist(), cores, 2, config.state_range());
+            assert_eq!(shared.assignments(), fresh.assignments(), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn racing_threads_share_one_allocation() {
+        // 5 rounds: a key no other test in this binary asks for, so both
+        // threads start from a miss.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let ask = || {
+                barrier.wait();
+                shared_for(8, 5)
+            };
+            let first = scope.spawn(ask);
+            let second = scope.spawn(ask);
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &shared_for(8, 5)));
+    }
+
+    #[test]
+    fn shared_map_is_bounded_and_evicts_oldest() {
+        // More distinct round counts than the map keeps (other tests'
+        // entries only add to the pressure).
+        for rounds in 100..100 + SHARED_SCHEDULES + 8 {
+            let shared = shared_for(4, rounds);
+            assert_eq!(shared.stats().rounds, rounds);
+            let map = SHARED.lock().unwrap();
+            assert!(map.len() <= SHARED_SCHEDULES, "{} entries", map.len());
+            let slots: usize = map.iter().map(|(_, s)| s.assignments.len()).sum();
+            assert!(slots <= SHARED_SLOTS);
+        }
+        // An evicted key recompiles to the same schedule.
+        let again = shared_for(4, 100);
+        let fresh = compile_for(4, 100);
+        assert_eq!(again.assignments(), fresh.assignments());
+        assert_eq!(again.stats(), fresh.stats());
+    }
+
+    #[test]
+    fn oversized_schedule_is_served_but_not_kept() {
+        let config = AcceleratorConfig::new(4);
+        let mac = config.mac_circuit();
+        let rounds = SHARED_SLOTS / mac.netlist().stats().and_gates + 1;
+        let cores = TimingModel::paper(4).cores();
+        let big = Schedule::shared(&config, cores, rounds);
+        assert!(big.assignments().len() > SHARED_SLOTS);
+        let map = SHARED.lock().unwrap();
+        assert!(map.iter().all(|(key, _)| key.4 != rounds));
     }
 
     #[test]

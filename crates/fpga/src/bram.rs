@@ -2,11 +2,11 @@
 //! port; a single shared read port drains everything to the PCIe bridge.
 
 /// One BRAM block: bounded FIFO with a single write port (one write per
-/// cycle, enforced by [`MemorySystem`]).
+/// cycle, enforced by [`MemorySystem`]) of records, each held as its length.
 #[derive(Clone, Debug)]
 pub struct BramBlock {
     capacity_bytes: usize,
-    queue: std::collections::VecDeque<Vec<u8>>,
+    queue: std::collections::VecDeque<usize>,
     occupied_bytes: usize,
     writes: u64,
     overflows: u64,
@@ -26,22 +26,22 @@ impl BramBlock {
 
     /// Writes one record; returns false (and counts an overflow) when the
     /// block is full — in hardware this would stall the core.
-    pub fn write(&mut self, record: Vec<u8>) -> bool {
-        if self.occupied_bytes + record.len() > self.capacity_bytes {
+    pub fn write(&mut self, record_bytes: usize) -> bool {
+        if self.occupied_bytes + record_bytes > self.capacity_bytes {
             self.overflows += 1;
             return false;
         }
-        self.occupied_bytes += record.len();
-        self.queue.push_back(record);
+        self.occupied_bytes += record_bytes;
+        self.queue.push_back(record_bytes);
         self.writes += 1;
         true
     }
 
-    /// Pops the oldest record.
-    pub fn read(&mut self) -> Option<Vec<u8>> {
-        let record = self.queue.pop_front()?;
-        self.occupied_bytes -= record.len();
-        Some(record)
+    /// Pops the oldest record, returning its length.
+    pub fn read(&mut self) -> Option<usize> {
+        let record_bytes = self.queue.pop_front()?;
+        self.occupied_bytes -= record_bytes;
+        Some(record_bytes)
     }
 
     /// Bytes currently stored.
@@ -95,25 +95,25 @@ impl MemorySystem {
         self.blocks.len()
     }
 
-    /// Writes a record through core `core`'s private port.
+    /// Writes a record of `record_bytes` through core `core`'s private port.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range or the core already wrote this
     /// cycle (a scheduling bug: each port accepts one write per cycle).
-    pub fn write(&mut self, core: usize, record: Vec<u8>) -> bool {
+    pub fn write(&mut self, core: usize, record_bytes: usize) -> bool {
         assert!(core < self.blocks.len(), "core {core} out of range");
         assert!(
             !self.written_this_cycle[core],
             "core {core} wrote twice in one cycle"
         );
         self.written_this_cycle[core] = true;
-        self.blocks[core].write(record)
+        self.blocks[core].write(record_bytes)
     }
 
     /// Reads one record through the shared output port (round-robin over
-    /// non-empty blocks). Returns `None` when everything is drained.
-    pub fn read_one(&mut self) -> Option<(usize, Vec<u8>)> {
+    /// non-empty blocks) as (block, length); `None` when all is drained.
+    pub fn read_one(&mut self) -> Option<(usize, usize)> {
         for offset in 0..self.blocks.len() {
             let idx = (self.read_cursor + offset) % self.blocks.len();
             if let Some(record) = self.blocks[idx].read() {
@@ -152,18 +152,18 @@ mod tests {
     #[test]
     fn block_fifo_order() {
         let mut block = BramBlock::new(1024);
-        block.write(vec![1]);
-        block.write(vec![2]);
-        assert_eq!(block.read(), Some(vec![1]));
-        assert_eq!(block.read(), Some(vec![2]));
+        block.write(1);
+        block.write(2);
+        assert_eq!(block.read(), Some(1));
+        assert_eq!(block.read(), Some(2));
         assert_eq!(block.read(), None);
     }
 
     #[test]
     fn block_overflow_counts() {
         let mut block = BramBlock::new(3);
-        assert!(block.write(vec![0; 2]));
-        assert!(!block.write(vec![0; 2]));
+        assert!(block.write(2));
+        assert!(!block.write(2));
         assert_eq!(block.overflows(), 1);
         assert_eq!(block.writes(), 1);
         assert_eq!(block.occupied_bytes(), 2);
@@ -172,10 +172,10 @@ mod tests {
     #[test]
     fn one_write_per_core_per_cycle() {
         let mut mem = MemorySystem::new(2, 64);
-        mem.write(0, vec![1]);
-        mem.write(1, vec![2]);
+        mem.write(0, 1);
+        mem.write(1, 1);
         mem.end_cycle();
-        mem.write(0, vec![3]);
+        mem.write(0, 1);
         assert_eq!(mem.occupied_bytes(), 3);
     }
 
@@ -183,15 +183,15 @@ mod tests {
     #[should_panic(expected = "wrote twice")]
     fn double_write_panics() {
         let mut mem = MemorySystem::new(2, 64);
-        mem.write(0, vec![1]);
-        mem.write(0, vec![2]);
+        mem.write(0, 1);
+        mem.write(0, 1);
     }
 
     #[test]
     fn shared_read_port_round_robins() {
         let mut mem = MemorySystem::new(3, 64);
         for core in 0..3 {
-            mem.write(core, vec![core as u8]);
+            mem.write(core, 1);
         }
         mem.end_cycle();
         let mut origins = Vec::new();
@@ -205,9 +205,9 @@ mod tests {
     #[test]
     fn read_skips_empty_blocks() {
         let mut mem = MemorySystem::new(3, 64);
-        mem.write(2, vec![9]);
+        mem.write(2, 9);
         mem.end_cycle();
-        assert_eq!(mem.read_one(), Some((2, vec![9])));
+        assert_eq!(mem.read_one(), Some((2, 9)));
         assert_eq!(mem.read_one(), None);
     }
 }

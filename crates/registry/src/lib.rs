@@ -51,7 +51,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use maxelerator::remote::{
     derive_seed, encode_round_burst, MaterializedElement, MaterializedJob, ModelStatus,
@@ -233,6 +233,14 @@ pub struct FillReport {
     pub evicted: Vec<Eviction>,
 }
 
+impl FillReport {
+    /// Whether the step stocked its stream without the budget pushing back
+    /// (no eviction, no trim): filling on would add stock, not recycle it.
+    pub fn clean(&self) -> bool {
+        self.deposited && self.evicted.is_empty() && self.streams_trimmed == 0
+    }
+}
+
 /// Aggregated registry counters for `metrics_json` and loadgen summaries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
@@ -332,6 +340,8 @@ struct Inner {
     /// one, so model seeds never collide across a model's lifetimes.
     epoch: u64,
     stock_bytes: u64,
+    /// Fill steps claimed and not yet deposited (their models may be gone).
+    fills_in_flight: usize,
     counters: Counters,
 }
 
@@ -350,6 +360,8 @@ pub struct ModelRegistry {
     reg: RegistryConfig,
     registry_seed: u64,
     inner: Mutex<Inner>,
+    /// Signalled whenever a fill step deposits.
+    fill_done: Condvar,
 }
 
 impl std::fmt::Debug for ModelRegistry {
@@ -378,8 +390,10 @@ impl ModelRegistry {
                 lru: VecDeque::new(),
                 epoch: 0,
                 stock_bytes: 0,
+                fills_in_flight: 0,
                 counters: Counters::default(),
             }),
+            fill_done: Condvar::new(),
         }
     }
 
@@ -611,13 +625,15 @@ impl ModelRegistry {
         entry.filling += 1;
         let generation = entry.generation;
         entry.generation += 1;
-        Some(FillTicket {
+        let ticket = FillTicket {
             model_id,
             epoch: entry.epoch,
             generation,
             seed: derive_seed(entry.model_seed, generation),
             weights: entry.weights.clone(),
-        })
+        };
+        inner.fills_in_flight += 1;
+        Some(ticket)
     }
 
     fn deposit(
@@ -632,6 +648,8 @@ impl ModelRegistry {
             Err(_) => [0u8; 16],
         };
         let mut inner = self.lock();
+        inner.fills_in_flight -= 1;
+        self.fill_done.notify_all();
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
             entry.filling = entry.filling.saturating_sub(1);
         }
@@ -724,7 +742,8 @@ impl ModelRegistry {
         (evicted, trimmed)
     }
 
-    /// Fills synchronously until every model is at target stock or the
+    /// Fills synchronously, handing every step's report to `on_fill`, until
+    /// each model is at target stock *and that stock has arrived*, or the
     /// byte budget pushes back (the first non-deposit, trim, or eviction
     /// stops the loop — continuing would just recycle streams). Returns
     /// the number of streams deposited.
@@ -732,16 +751,41 @@ impl ModelRegistry {
     /// # Errors
     ///
     /// See [`ModelRegistry::fill_step`].
-    pub fn prefill(&self) -> Result<usize, AcceleratorError> {
+    pub fn prefill(&self, mut on_fill: impl FnMut(&FillReport)) -> Result<usize, AcceleratorError> {
         let mut deposited = 0usize;
-        while let Some(step) = self.fill_step() {
-            let report = step?;
-            if !report.deposited || report.streams_trimmed > 0 || !report.evicted.is_empty() {
-                break;
+        loop {
+            let budget_bound = match self.fill_step() {
+                Some(step) => {
+                    let report = step?;
+                    on_fill(&report);
+                    if report.clean() {
+                        deposited += 1;
+                        continue;
+                    }
+                    true
+                }
+                None => false,
+            };
+            // Fills other threads have in flight count toward the targets
+            // before they deposit (and evict); with nothing to claim, look
+            // again once they are done — one may yet be discarded (its
+            // model re-PUT meanwhile).
+            if !self.wait_for_fills() || budget_bound {
+                return Ok(deposited);
             }
-            deposited += 1;
         }
-        Ok(deposited)
+    }
+
+    /// Blocks until no fill step is in flight: every claimed stream has
+    /// been deposited (or discarded) and its budget evictions applied.
+    /// Returns whether it had to wait.
+    fn wait_for_fills(&self) -> bool {
+        let inner = self.lock();
+        let waited = inner.fills_in_flight > 0;
+        let _settled = self
+            .fill_done
+            .wait_while(inner, |inner| inner.fills_in_flight > 0);
+        waited
     }
 
     /// Records that an acquired prepared stream failed its at-serve digest
@@ -935,7 +979,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(7, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         let x = [2i64, 6, -1];
         for _ in 0..2 {
             match reg.acquire(7, 1).unwrap() {
@@ -955,7 +999,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(1, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         let first = match reg.acquire(1, 1).unwrap() {
             Acquired::Prepared(s) => s,
             Acquired::Starved(_) => panic!("stock was prefilled"),
@@ -980,7 +1024,7 @@ mod tests {
         // evaluation only; fabric cycles are spent at fill time.
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 1);
         reg.register(9, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         let spent = reg.stats().fabric_cycles_spent;
         assert!(spent > 0, "fill must account its garbling cost");
         let _ = reg.acquire(9, 1).unwrap();
@@ -1007,7 +1051,7 @@ mod tests {
             plain_matvec(&demo_weights(), &x)
         );
         // Matmul requests fall back even with stock.
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         assert!(matches!(reg.acquire(3, 2).unwrap(), Acquired::Starved(_)));
         let stats = reg.stats();
         assert_eq!(stats.served_fallback, 2);
@@ -1033,7 +1077,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(5, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         assert_eq!(reg.stats().streams_ready, 2);
         // Rot the first stocked stream in place: one flipped label bit,
         // the kind of damage a DRAM fault or disk rot would inflict.
@@ -1109,7 +1153,7 @@ mod tests {
     fn reregistration_rotates_the_seed_epoch_and_drops_stock() {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(4, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         assert!(reg.status(4).unwrap().stock > 0);
         let first_ticket = match reg.acquire(4, 2).unwrap() {
             Acquired::Starved(t) => t,
@@ -1211,7 +1255,7 @@ mod tests {
     fn explicit_eviction_returns_final_status_and_record() {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(6, demo_weights()).unwrap();
-        reg.prefill().unwrap();
+        reg.prefill(|_| {}).unwrap();
         let _ = reg.acquire(6, 1);
         let (status, eviction) = reg.evict(6).unwrap();
         assert_eq!(status.served_prepared, 1);
@@ -1225,7 +1269,7 @@ mod tests {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(1, demo_weights()).unwrap();
         reg.register(2, vec![vec![1i64, 2], vec![3, 4]]).unwrap();
-        let deposited = reg.prefill().unwrap();
+        let deposited = reg.prefill(|_| {}).unwrap();
         assert_eq!(deposited, 4, "two models × target stock 2");
         let stats = reg.stats();
         assert_eq!(stats.models, 2);

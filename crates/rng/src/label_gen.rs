@@ -1,9 +1,12 @@
 //! The accelerator's label generator (§5.2): a power-gated bank of RO-RNGs
 //! wide enough for the worst-case demand of `k × (b/2)` bits per cycle.
+//!
+//! The bank's *entropy source* is modelled and validated offline
+//! ([`crate::RoRng`], [`crate::nist`]); the served label stream is a seeded
+//! AES-CTR expansion, and the FSM's power gating is closed form: a clock at
+//! demand `d` powers `d × LABEL_BITS` of the `(b/2) × LABEL_BITS` RNGs.
 
-use max_crypto::Block;
-
-use crate::wold_tan::RngBank;
+use max_crypto::{AesPrg, Block};
 
 /// Security parameter: wire-label width in bits.
 pub const LABEL_BITS: usize = 128;
@@ -23,8 +26,9 @@ pub const LABEL_BITS: usize = 128;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LabelGenerator {
-    bank: RngBank,
+    stream: AesPrg,
     max_labels: usize,
+    cycles: u64,
     labels_produced: u64,
 }
 
@@ -39,12 +43,18 @@ impl LabelGenerator {
             bit_width > 0 && bit_width.is_multiple_of(2),
             "bit width must be even and positive"
         );
-        let max_labels = bit_width / 2;
         LabelGenerator {
-            bank: RngBank::new(seed, LABEL_BITS * max_labels),
-            max_labels,
+            stream: AesPrg::new(Block::new(u128::from(seed))),
+            max_labels: bit_width / 2,
+            cycles: 0,
             labels_produced: 0,
         }
+    }
+
+    /// Switches to the label stream of `seed` (the next output element's);
+    /// the bank keeps running, so the cycle and energy accounts carry on.
+    pub fn reseed(&mut self, seed: u64) {
+        self.stream = AesPrg::new(Block::new(u128::from(seed)));
     }
 
     /// Worst-case labels per cycle the generator can sustain.
@@ -64,20 +74,10 @@ impl LabelGenerator {
             "demand {demand} exceeds generator width {}",
             self.max_labels
         );
-        self.bank.set_active(demand * LABEL_BITS);
-        let bits = self.bank.clock();
-        debug_assert_eq!(bits.len(), demand * LABEL_BITS);
-        let mut labels = Vec::with_capacity(demand);
-        for label_bits in bits.chunks(LABEL_BITS) {
-            let mut value = 0u128;
-            for (i, &bit) in label_bits.iter().enumerate() {
-                value |= (bit as u128) << i;
-            }
-            labels.push(Block::new(value));
-        }
+        self.cycles += 1;
         self.labels_produced += demand as u64;
         max_telemetry::counter_add("rng.labels", demand as u64);
-        labels
+        self.stream.blocks(demand)
     }
 
     /// Produces one label immediately (one clock at demand 1).
@@ -93,11 +93,12 @@ impl LabelGenerator {
 
     /// Report for the energy/utilization accounting of §5.2.
     pub fn report(&self) -> LabelGeneratorReport {
+        let bank_width = (LABEL_BITS * self.max_labels) as u64;
         LabelGeneratorReport {
-            cycles: self.bank.total_cycles(),
+            cycles: self.cycles,
             labels_produced: self.labels_produced,
-            active_rng_cycles: self.bank.active_rng_cycles(),
-            worst_case_rng_cycles: self.bank.total_cycles() * self.bank.width() as u64,
+            active_rng_cycles: self.labels_produced * LABEL_BITS as u64,
+            worst_case_rng_cycles: self.cycles * bank_width,
         }
     }
 }
@@ -170,6 +171,45 @@ mod tests {
     }
 
     #[test]
+    fn bank_emits_one_bit_per_enabled_rng() {
+        // Demand d enables d × LABEL_BITS RNGs: d labels out, d × LABEL_BITS
+        // RNG-cycles powered, whatever the previous cycle's gating was.
+        let mut lg = LabelGenerator::new(7, 8);
+        let mut powered = 0;
+        for demand in [4usize, 3, 0, 1] {
+            assert_eq!(lg.clock(demand).len(), demand);
+            powered += (demand * LABEL_BITS) as u64;
+            assert_eq!(lg.report().active_rng_cycles, powered);
+        }
+    }
+
+    #[test]
+    fn power_gating_reduces_energy() {
+        let mut full = LabelGenerator::new(7, 8);
+        let mut gated = LabelGenerator::new(7, 8);
+        for _ in 0..100 {
+            full.clock(4);
+            gated.clock(1);
+        }
+        let (full, gated) = (full.report(), gated.report());
+        assert_eq!(full.active_rng_cycles, 100 * 4 * LABEL_BITS as u64);
+        assert_eq!(gated.active_rng_cycles, 100 * LABEL_BITS as u64);
+        assert_eq!(full.worst_case_rng_cycles, gated.worst_case_rng_cycles);
+        assert!(full.energy_saving().abs() < 1e-12);
+        assert!((gated.energy_saving() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reseed_switches_stream_and_keeps_accounts() {
+        let mut lg = LabelGenerator::new(1, 8);
+        lg.clock(3);
+        lg.reseed(2);
+        assert_eq!(lg.clock(4), LabelGenerator::new(2, 8).clock(4));
+        let report = lg.report();
+        assert_eq!((report.cycles, report.labels_produced), (2, 7));
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds generator width")]
     fn over_demand_panics() {
         LabelGenerator::new(5, 8).clock(5);
@@ -189,5 +229,63 @@ mod tests {
         let total = 256 * 128;
         let ratio = ones as f64 / total as f64;
         assert!((ratio - 0.5).abs() < 0.03, "bit balance {ratio}");
+    }
+
+    #[test]
+    fn label_stream_passes_the_nist_battery() {
+        let mut lg = LabelGenerator::new(8, 8);
+        let bits: Vec<bool> = (0..40)
+            .flat_map(|_| lg.clock(4))
+            .flat_map(|label| (0..LABEL_BITS).map(move |i| (label.bits() >> i) & 1 == 1))
+            .collect();
+        assert_eq!(bits.len(), 20_480);
+        let report = crate::nist::run_battery(&bits);
+        assert!(report.all_passed(), "{report}");
+    }
+
+    #[test]
+    fn distinct_seeds_give_disjoint_streams() {
+        let first_64 = |seed: u64| -> Vec<Block> {
+            let mut lg = LabelGenerator::new(seed, 8);
+            (0..16).flat_map(|_| lg.clock(4)).collect()
+        };
+        let a = first_64(0x5eed);
+        assert_eq!(a, first_64(0x5eed), "a seed names one stream");
+        for other in [0x5eed + 1, 0x5eed ^ (1 << 63), 0] {
+            let b = first_64(other);
+            assert!(a.iter().all(|label| !b.contains(label)), "seed {other:#x}");
+        }
+    }
+
+    mod gating_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The gating accounts are the closed form of the demand
+            /// sequence, and Δ always carries the permute bit.
+            #[test]
+            fn report_is_closed_form_of_demands(
+                seed in any::<u64>(),
+                half_width in 1usize..=16,
+                raw_demands in prop::collection::vec(any::<u64>(), 0..60),
+            ) {
+                let mut lg = LabelGenerator::new(seed, 2 * half_width);
+                prop_assert!(lg.delta().lsb());
+                let (mut cycles, mut labels) = (1u64, 1u64);
+                for raw in raw_demands {
+                    let demand = (raw % (half_width as u64 + 1)) as usize;
+                    prop_assert_eq!(lg.clock(demand).len(), demand);
+                    cycles += 1;
+                    labels += demand as u64;
+                }
+                prop_assert_eq!(lg.report(), LabelGeneratorReport {
+                    cycles,
+                    labels_produced: labels,
+                    active_rng_cycles: labels * LABEL_BITS as u64,
+                    worst_case_rng_cycles: cycles * (LABEL_BITS * half_width) as u64,
+                });
+            }
+        }
     }
 }

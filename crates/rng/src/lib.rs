@@ -38,5 +38,5 @@ mod wold_tan;
 pub use health::{HealthMonitor, PROPORTION_CUTOFF, PROPORTION_WINDOW, REPETITION_CUTOFF};
 pub use label_gen::{LabelGenerator, LabelGeneratorReport};
 pub use oscillator::RingOscillator;
-pub use wold_tan::{RngBank, RoRng};
+pub use wold_tan::RoRng;
 pub use wold_tan::{INVERTERS_PER_RING, RINGS_PER_RNG};

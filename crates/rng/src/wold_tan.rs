@@ -1,4 +1,4 @@
-//! The Wold–Tan RO-RNG: XOR of 16 sampled rings, and banks thereof.
+//! The Wold–Tan RO-RNG: XOR of 16 sampled rings.
 
 use crate::oscillator::RingOscillator;
 
@@ -24,7 +24,7 @@ pub const INVERTERS_PER_RING: usize = 3;
 #[derive(Clone, Debug)]
 pub struct RoRng {
     rings: Vec<RingOscillator>,
-    /// Clock cycles elapsed (for energy accounting by the bank).
+    /// Clock cycles elapsed.
     cycles: u64,
 }
 
@@ -62,87 +62,6 @@ impl RoRng {
     }
 }
 
-/// A bank of `width` RO-RNGs producing `width` bits per clock, with per-RNG
-/// power gating controlled by the scheduling FSM.
-///
-/// The paper provisions `k × (b/2)` RNGs for the worst case but notes the
-/// average demand is only `k` bits/cycle, so the FSM "fully or partially
-/// turns off the operation of the RNGs to conserve energy". The bank tracks
-/// active-RNG-cycles so that saving is measurable.
-#[derive(Clone, Debug)]
-pub struct RngBank {
-    rngs: Vec<RoRng>,
-    enabled: Vec<bool>,
-    active_rng_cycles: u64,
-    total_cycles: u64,
-}
-
-impl RngBank {
-    /// Creates a bank of `width` independent RNGs.
-    pub fn new(seed: u64, width: usize) -> Self {
-        RngBank {
-            rngs: (0..width)
-                .map(|i| RoRng::with_index(seed, i as u64))
-                .collect(),
-            enabled: vec![true; width],
-            active_rng_cycles: 0,
-            total_cycles: 0,
-        }
-    }
-
-    /// Number of RNGs in the bank.
-    pub fn width(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Power-gates the bank so that only the first `active` RNGs run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active > self.width()`.
-    pub fn set_active(&mut self, active: usize) {
-        assert!(
-            active <= self.rngs.len(),
-            "cannot enable more RNGs than exist"
-        );
-        for (i, gate) in self.enabled.iter_mut().enumerate() {
-            *gate = i < active;
-        }
-    }
-
-    /// Advances one clock; returns one bit per *enabled* RNG (disabled RNGs
-    /// contribute nothing and consume no energy).
-    pub fn clock(&mut self) -> Vec<bool> {
-        self.total_cycles += 1;
-        let mut out = Vec::new();
-        for (rng, &enabled) in self.rngs.iter_mut().zip(&self.enabled) {
-            if enabled {
-                self.active_rng_cycles += 1;
-                out.push(rng.next_bit());
-            }
-        }
-        out
-    }
-
-    /// Total RNG-cycles spent active (the energy proxy).
-    pub fn active_rng_cycles(&self) -> u64 {
-        self.active_rng_cycles
-    }
-
-    /// Clock cycles the bank has been driven for.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// Fraction of worst-case energy actually consumed (1.0 = no gating).
-    pub fn energy_utilization(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.active_rng_cycles as f64 / (self.total_cycles * self.rngs.len() as u64) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,37 +92,6 @@ mod tests {
         let agree = xa.iter().zip(&xb).filter(|(p, q)| p == q).count();
         let rate = agree as f64 / xa.len() as f64;
         assert!((rate - 0.5).abs() < 0.03, "cross agreement {rate}");
-    }
-
-    #[test]
-    fn bank_emits_one_bit_per_enabled_rng() {
-        let mut bank = RngBank::new(7, 8);
-        assert_eq!(bank.clock().len(), 8);
-        bank.set_active(3);
-        assert_eq!(bank.clock().len(), 3);
-        bank.set_active(0);
-        assert_eq!(bank.clock().len(), 0);
-    }
-
-    #[test]
-    fn power_gating_reduces_energy() {
-        let mut full = RngBank::new(7, 8);
-        let mut gated = RngBank::new(7, 8);
-        gated.set_active(2);
-        for _ in 0..100 {
-            full.clock();
-            gated.clock();
-        }
-        assert_eq!(full.active_rng_cycles(), 800);
-        assert_eq!(gated.active_rng_cycles(), 200);
-        assert!((full.energy_utilization() - 1.0).abs() < 1e-12);
-        assert!((gated.energy_utilization() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot enable more RNGs")]
-    fn over_enable_panics() {
-        RngBank::new(1, 4).set_active(5);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use max_gc::channel::Duplex;
 use max_gc::{FramedTcp, Transport};
-use max_registry::{ModelRegistry, RegisterError, RegistryConfig, RegistryStats};
+use max_registry::{FillReport, ModelRegistry, RegisterError, RegistryConfig, RegistryStats};
 use max_rng::HealthMonitor;
 use max_telemetry::report::JsonValue;
 use max_telemetry::{FlightRecorder, Recorder};
@@ -370,23 +370,25 @@ impl ServiceShared {
     }
 }
 
+/// Journals the tombstones of the models a fill step's deposit evicted.
+fn journal_evictions(journal: Option<&Journal>, report: &FillReport) {
+    if let Some(journal) = journal {
+        for eviction in &report.evicted {
+            let _ = journal.append_model_remove(eviction.model_id);
+        }
+    }
+}
+
 /// One idle-time precompute step: advance the registry's most starved
-/// model by one stream, journaling any budget-eviction tombstones it
-/// caused. Returns whether the unit should immediately poll again (`false`
-/// = nothing to do, or the cache is saturated at its budget and more
-/// production would just ping-pong evictions).
+/// model by one stream. Returns whether the unit should immediately poll
+/// again (`false` = nothing to do, or the cache is saturated at its budget
+/// and more production would just ping-pong evictions).
 fn fill_once(registry: &ModelRegistry, journal: Option<&Journal>) -> bool {
     match registry.fill_step() {
         None => false,
         Some(Ok(report)) => {
-            for eviction in &report.evicted {
-                if let Some(journal) = journal {
-                    let _ = journal.append_model_remove(eviction.model_id);
-                }
-            }
-            // A deposit that evicted or trimmed means the budget is the
-            // binding constraint: stop producing until demand frees space.
-            report.deposited && report.evicted.is_empty() && report.streams_trimmed == 0
+            journal_evictions(journal, &report);
+            report.clean()
         }
         Some(Err(_)) => {
             // Garbling failed (host-level accelerator misconfiguration for
@@ -396,6 +398,17 @@ fn fill_once(registry: &ModelRegistry, journal: Option<&Journal>) -> bool {
             false
         }
     }
+}
+
+/// The offline phase run eagerly; returns the streams it deposited (0 when
+/// garbling failed — counted, like an idle step's failure).
+fn prefill(registry: &ModelRegistry, journal: Option<&Journal>) -> usize {
+    registry
+        .prefill(|report| journal_evictions(journal, report))
+        .unwrap_or_else(|_| {
+            max_telemetry::counter_add("serve.registry.fill_failed", 1);
+            0
+        })
 }
 
 /// The multi-session GC-MAC service. Cheap to clone (shared handle).
@@ -497,7 +510,7 @@ impl GcService {
             // Run the offline phase eagerly so the very first model job is
             // a warm serve. Stops at saturation or on garbling failure —
             // either way the idle-fill hook keeps the stocks topped up.
-            while fill_once(&registry, journal.as_deref()) {}
+            prefill(&registry, journal.as_deref());
         }
 
         GcService {
@@ -687,14 +700,11 @@ impl GcService {
 
     /// Synchronously fills every model's stock to target (the offline
     /// phase run eagerly), journaling tombstones for any budget evictions.
-    /// Returns the number of clean fill steps taken; stops at saturation
-    /// or on a garbling failure (both observable via counters/stats).
+    /// Returns the streams deposited, once no fill is in flight anywhere;
+    /// stops early at saturation or on a garbling failure (both observable
+    /// via counters/stats).
     pub fn prefill_models(&self) -> usize {
-        let mut steps = 0usize;
-        while fill_once(&self.shared.registry, self.shared.journal.as_deref()) {
-            steps += 1;
-        }
-        steps
+        prefill(&self.shared.registry, self.shared.journal.as_deref())
     }
 
     /// What journal replay found at boot (all-zero when no journal).

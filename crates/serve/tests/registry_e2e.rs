@@ -234,16 +234,8 @@ fn rotted_prepared_stream_is_rejected_and_healed() {
         .put_model(61, weights.clone())
         .expect("register")
         .handle();
-    // `prefill_models` can race the idle-fill worker (a model mid-fill is
-    // skipped), so poll until both streams are stocked.
-    for _ in 0..100 {
-        service.prefill_models();
-        if service.registry().stats().streams_ready >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(service.registry().stats().streams_ready >= 2);
+    service.prefill_models();
+    assert_eq!(service.registry().stats().streams_ready, 2);
     assert!(
         service.registry().rot_first_stream_for_tests(61),
         "a stocked stream must exist to rot"

@@ -187,8 +187,10 @@ fn overload_returns_typed_busy_and_recovers() {
             other => panic!("expected Busy, got {other:?}"),
         }
 
-        // After resuming the units, a retry on the same session succeeds.
+        // After resuming the units, a retry on the same session succeeds
+        // (once the woken unit has taken a job off the full queue).
         service_ref.resume_workers();
+        wait_until("a queue slot to free", || service_ref.queue_depth() < 2);
         let (y, _) = third.secure_matvec(&x).expect("retry after busy");
         assert_eq!(y, plain_matvec(weights_ref, &x));
         third.goodbye();
