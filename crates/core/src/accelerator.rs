@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
 use max_fpga::{Clock, MemorySystem, PcieLink};
-use max_gc::{evaluate_and_batch, garble_and_batch, Delta, GarbledTable};
+use max_gc::{evaluate_levels, garble_and_batch, BatchScratch, Delta, GarbledTable};
 use max_netlist::{decode_signed, decode_unsigned, GateKind, MacCircuit};
 use max_rng::LabelGenerator;
 
@@ -34,28 +34,6 @@ struct PendingSlot {
     out_wire: usize,
     gate: u32,
     core: usize,
-}
-
-/// Decrypts every queued AND gate of the scheduled evaluator with one
-/// batched AES sweep.
-fn flush_eval_pending(
-    hash: &FixedKeyHash,
-    pending: &mut Vec<(GarbledTable, Block, Block, Tweak, usize)>,
-    wire_pending: &mut [bool],
-    active: &mut [Option<Block>],
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let gates: Vec<(GarbledTable, Block, Block, Tweak)> = pending
-        .iter()
-        .map(|&(t, a, b, tw, _)| (t, a, b, tw))
-        .collect();
-    for (&(_, _, _, _, out), label) in pending.iter().zip(evaluate_and_batch(hash, &gates)) {
-        active[out] = Some(label);
-        wire_pending[out] = false;
-    }
-    pending.clear();
 }
 
 /// Derives the label-stream seed of one output element from the server's
@@ -688,26 +666,36 @@ impl Maxelerator {
     }
 }
 
-/// The client: evaluates the accelerator's round messages in netlist order
-/// with the matching tweaks, carrying the accumulator between rounds.
+/// The client: evaluates the accelerator's round messages level by level
+/// (see [`max_netlist::Netlist::levels`]) with the matching tweaks, carrying
+/// the accumulator between rounds.
 #[derive(Debug)]
 pub struct ScheduledEvaluator {
     config: AcceleratorConfig,
-    netlist: max_netlist::Netlist,
+    mac: MacCircuit,
+    and_gates: usize,
     hash: FixedKeyHash,
     carried: Option<Vec<Block>>,
     elem: u32,
+    /// Active label per wire, reused across rounds: every wire is an input
+    /// (rewritten each round) or a gate output (written before it is read).
+    active: Vec<Block>,
+    scratch: BatchScratch,
 }
 
 impl ScheduledEvaluator {
     /// Creates a client evaluator for the same configuration as the server.
     pub fn new(config: &AcceleratorConfig) -> Self {
+        let mac = config.mac_circuit();
         ScheduledEvaluator {
-            netlist: config.mac_circuit().netlist().clone(),
+            and_gates: mac.netlist().stats().and_gates,
+            active: vec![Block::ZERO; mac.netlist().wire_count()],
+            mac,
             config: config.clone(),
             hash: FixedKeyHash::new(),
             carried: None,
             elem: 0,
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -730,8 +718,10 @@ impl ScheduledEvaluator {
         msg: &RoundMessage,
         x_labels: &[Block],
     ) -> Result<Option<i64>, AcceleratorError> {
+        let netlist = self.mac.netlist();
+        let state = self.config.state_range();
         let b = self.config.bit_width;
-        let consts = self.netlist.constants().len();
+        let consts = netlist.constants().len();
         if msg.a_labels.len() != b + consts {
             return Err(AcceleratorError::ALabelCount {
                 expected: b + consts,
@@ -744,90 +734,67 @@ impl ScheduledEvaluator {
                 got: x_labels.len(),
             });
         }
-        let n_ands = self.netlist.stats().and_gates;
-        if msg.tables.len() != n_ands {
+        if msg.tables.len() != self.and_gates {
             return Err(AcceleratorError::TableCount {
-                expected: n_ands,
+                expected: self.and_gates,
                 got: msg.tables.len(),
             });
         }
-        let acc_width = self.netlist.garbler_inputs()[self.config.state_range()].len();
-        let acc_active: Vec<Block> = match (&self.carried, &msg.init_acc_labels) {
+        let acc_wires = &netlist.garbler_inputs()[state.clone()];
+        let acc_active: &[Block] = match (&self.carried, &msg.init_acc_labels) {
             (_, Some(init)) => {
-                if init.len() != acc_width {
+                if init.len() != acc_wires.len() {
                     return Err(AcceleratorError::AccLabelCount {
-                        expected: acc_width,
+                        expected: acc_wires.len(),
                         got: init.len(),
                     });
                 }
-                init.clone()
+                init
             }
-            (Some(carried), None) => carried.clone(),
+            (Some(carried), None) => carried,
             (None, None) => return Err(AcceleratorError::MissingAccumulator { round: msg.round }),
         };
         if let Some(decode) = &msg.decode {
-            if decode.len() != self.netlist.outputs().len() {
+            if decode.len() != netlist.outputs().len() {
                 return Err(AcceleratorError::DecodeCount {
-                    expected: self.netlist.outputs().len(),
+                    expected: netlist.outputs().len(),
                     got: decode.len(),
                 });
             }
         }
 
-        let mut active: Vec<Option<Block>> = vec![None; self.netlist.wire_count()];
-        let mut sent = msg.a_labels.iter();
-        for (pos, wire) in self.netlist.garbler_inputs().iter().enumerate() {
-            if self.config.state_range().contains(&pos) {
-                continue;
-            }
-            active[wire.index()] = Some(*sent.next().expect("checked count"));
-        }
-        for (offset, wire) in self.netlist.garbler_inputs()[self.config.state_range()]
+        // `a_labels` covers the non-state garbler inputs, then the constants
+        // (counts checked above).
+        let active = &mut self.active;
+        let fresh_wires = netlist
+            .garbler_inputs()
             .iter()
             .enumerate()
-        {
-            active[wire.index()] = Some(acc_active[offset]);
+            .filter(|(pos, _)| !state.contains(pos))
+            .map(|(_, wire)| wire)
+            .chain(netlist.constants().iter().map(|(wire, _)| wire));
+        for (wire, &label) in fresh_wires.zip(&msg.a_labels) {
+            active[wire.index()] = label;
         }
-        for &(wire, _) in self.netlist.constants() {
-            active[wire.index()] = Some(*sent.next().expect("constant label"));
+        for (wire, &label) in acc_wires.iter().zip(acc_active) {
+            active[wire.index()] = label;
         }
-        for (wire, &label) in self.netlist.evaluator_inputs().iter().zip(x_labels) {
-            active[wire.index()] = Some(label);
+        for (wire, &label) in netlist.evaluator_inputs().iter().zip(x_labels) {
+            active[wire.index()] = label;
         }
 
-        // Pending-AND batch, mirroring the garbler: independent AND gates
-        // decrypt with one wide AES sweep, flushing whenever a gate reads an
-        // unflushed AND output.
-        let mut and_ordinal = 0usize;
-        let mut pending: Vec<(GarbledTable, Block, Block, Tweak, usize)> = Vec::new();
-        let mut wire_pending = vec![false; self.netlist.wire_count()];
-        for (gate_idx, gate) in self.netlist.gates().iter().enumerate() {
-            if wire_pending[gate.a.index()] || wire_pending[gate.b.index()] {
-                flush_eval_pending(&self.hash, &mut pending, &mut wire_pending, &mut active);
-            }
-            let a = active[gate.a.index()].expect("topological order");
-            let bb = active[gate.b.index()].expect("topological order");
-            match gate.kind {
-                GateKind::And => {
-                    let table = msg.tables[and_ordinal];
-                    and_ordinal += 1;
-                    let tweak = table_tweak(self.elem, msg.round, gate_idx as u32);
-                    pending.push((table, a, bb, tweak, gate.out.index()));
-                    wire_pending[gate.out.index()] = true;
-                }
-                GateKind::Xor => active[gate.out.index()] = Some(a ^ bb),
-                GateKind::Not => active[gate.out.index()] = Some(a),
-            }
-        }
-        flush_eval_pending(&self.hash, &mut pending, &mut wire_pending, &mut active);
+        evaluate_levels(
+            &self.hash,
+            netlist,
+            &msg.tables,
+            |and| table_tweak(self.elem, msg.round, and.gate),
+            active,
+            &mut self.scratch,
+        );
 
-        let outputs: Vec<Block> = self
-            .netlist
-            .outputs()
-            .iter()
-            .map(|w| active[w.index()].expect("outputs driven"))
-            .collect();
-        self.carried = Some(outputs.clone());
+        let outputs = self.carried.get_or_insert_with(Vec::new);
+        outputs.clear();
+        outputs.extend(netlist.outputs().iter().map(|w| active[w.index()]));
 
         Ok(msg.decode.as_ref().map(|decode| {
             let bits: Vec<bool> = outputs
@@ -983,6 +950,99 @@ mod tests {
             out = client.evaluate_round(msg, &labels).unwrap();
         }
         assert_eq!(out, Some(200 * 250 + 100 * 3));
+    }
+
+    /// Gate-at-a-time reference for one round: `evaluate_and` per AND gate in
+    /// netlist order, with the accelerator's per-gate tweaks.
+    fn reference_round(
+        config: &AcceleratorConfig,
+        elem: u32,
+        msg: &RoundMessage,
+        acc: &[Block],
+        x_labels: &[Block],
+    ) -> Vec<Block> {
+        let mac = config.mac_circuit();
+        let netlist = mac.netlist();
+        let hash = FixedKeyHash::new();
+        let mut active = vec![Block::ZERO; netlist.wire_count()];
+        let mut sent = msg.a_labels.iter();
+        for (pos, wire) in netlist.garbler_inputs().iter().enumerate() {
+            active[wire.index()] = match pos.checked_sub(config.state_range().start) {
+                Some(offset) if offset < acc.len() => acc[offset],
+                _ => *sent.next().unwrap(),
+            };
+        }
+        for &(wire, _) in netlist.constants() {
+            active[wire.index()] = *sent.next().unwrap();
+        }
+        for (wire, &label) in netlist.evaluator_inputs().iter().zip(x_labels) {
+            active[wire.index()] = label;
+        }
+        let mut tables = msg.tables.iter();
+        for (gate_idx, gate) in netlist.gates().iter().enumerate() {
+            let (a, b) = (active[gate.a.index()], active[gate.b.index()]);
+            active[gate.out.index()] = match gate.kind {
+                GateKind::And => max_gc::evaluate_and(
+                    &hash,
+                    *tables.next().unwrap(),
+                    a,
+                    b,
+                    table_tweak(elem, msg.round, gate_idx as u32),
+                ),
+                GateKind::Xor => a ^ b,
+                GateKind::Not => a,
+            };
+        }
+        netlist
+            .outputs()
+            .iter()
+            .map(|w| active[w.index()])
+            .collect()
+    }
+
+    #[test]
+    fn levelized_rounds_match_a_gate_at_a_time_reference() {
+        for b in [4usize, 8, 16] {
+            for signed in [true, false] {
+                for rounds in [1usize, 3, 8] {
+                    let config = if signed {
+                        AcceleratorConfig::new(b)
+                    } else {
+                        AcceleratorConfig::new(b).unsigned()
+                    };
+                    let elem = (b + rounds) as u32;
+                    let mut accel = Maxelerator::new(config.clone(), 40 + b as u64);
+                    let mut client = ScheduledEvaluator::new(&config);
+                    accel.begin_element(elem);
+                    client.begin_element(elem);
+                    let a: Vec<i64> = (0..rounds as i64).map(|i| (i * 5 + 3) % 7).collect();
+                    let messages = accel.garble_job(&a, true);
+                    let mut acc = messages[0].init_acc_labels.clone().unwrap();
+                    let mut expected = 0i64;
+                    let mut decoded = None;
+                    for (msg, &ai) in messages.iter().zip(&a) {
+                        let x = (i64::from(msg.round) * 3 + 1) % 7;
+                        expected += ai * x;
+                        let labels: Vec<Block> = accel
+                            .ot_pairs(msg.round)
+                            .unwrap()
+                            .iter()
+                            .zip(config.encode_x(x))
+                            .map(|(&(m0, m1), bit)| if bit { m1 } else { m0 })
+                            .collect();
+                        acc = reference_round(&config, elem, msg, &acc, &labels);
+                        decoded = client.evaluate_round(msg, &labels).unwrap();
+                        assert_eq!(
+                            client.carried.as_deref(),
+                            Some(&acc[..]),
+                            "b={b} signed={signed} round {}",
+                            msg.round
+                        );
+                    }
+                    assert_eq!(decoded, Some(expected), "b={b} signed={signed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * [`TranscriptDigest`] — a rolling Matyas–Meyer–Oseas digest over the
 //!   fixed-key AES permutation, used by protocol v6 to detect accidental
 //!   transcript corruption end to end.
+//! * [`crc32`] — the one CRC32 (IEEE, slice-by-16) sealing every wire frame
+//!   and guarding every journal record.
 //!
 //! # Security
 //!
@@ -51,6 +53,7 @@ mod aes;
 mod aesni;
 mod backend;
 mod block;
+mod crc;
 mod digest;
 mod hash;
 mod prg;
@@ -58,6 +61,7 @@ mod prg;
 pub use aes::Aes128;
 pub use backend::AesBackend;
 pub use block::Block;
+pub use crc::crc32;
 pub use digest::TranscriptDigest;
 pub use hash::{FixedKeyHash, Tweak};
 pub use prg::AesPrg;

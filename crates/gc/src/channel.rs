@@ -475,38 +475,9 @@ pub fn decode_bits(mut frame: Bytes) -> Result<Vec<bool>, TransportError> {
 /// Bytes the seal prefix occupies ahead of a sealed payload.
 pub const SEAL_BYTES: usize = 4;
 
-/// CRC32 lookup table (IEEE 802.3 polynomial, reflected), built at compile
-/// time so the hot path is one table lookup per byte.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) over `bytes` — the per-frame checksum of the sealed wire
-/// format. Identical polynomial and check value to the journal's record
-/// CRC: `crc32(b"123456789") == 0xCBF4_3926`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
+/// The per-frame checksum of the sealed wire format — the same CRC32 (IEEE,
+/// check value `0xCBF4_3926`) that guards the journal's records.
+pub use max_crypto::crc32;
 
 /// Seals a frame payload: prepends the payload's big-endian CRC32.
 pub fn seal_frame(payload: Bytes) -> Bytes {

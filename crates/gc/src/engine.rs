@@ -7,6 +7,7 @@
 //! simulated hardware emits *real* garbled tables.
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
+use max_netlist::LevelAnd;
 
 use crate::label::Delta;
 
@@ -167,42 +168,62 @@ pub fn evaluate_and(
     wg
 }
 
-/// Evaluates a batch of independent garbled AND gates with one wide AES
-/// sweep.
+/// Reusable buffers of [`evaluate_and_batch`]; a caller that keeps one
+/// across batches allocates nothing per batch.
+#[derive(Clone, Debug, Default)]
+pub struct BatchScratch {
+    masked: Vec<Block>,
+    hashed: Vec<Block>,
+}
+
+/// Evaluates a batch of independent garbled AND gates — one level of
+/// [`Netlist::levels`](max_netlist::Netlist::levels) — with one wide AES
+/// sweep, reading the active input labels from `active` and writing the
+/// outputs back.
 ///
-/// Each entry is `(table, a, b, tweak)` with `a`, `b` the active input
-/// labels; results match [`evaluate_and`] bit for bit in input order.
+/// `tables` is indexed by AND ordinal and `tweak` names each gate's tweak;
+/// every output matches [`evaluate_and`] bit for bit.
+///
+/// # Panics
+///
+/// Panics if a gate's ordinal or wires fall outside `tables` / `active` —
+/// callers check peer-supplied counts against the netlist first.
 pub fn evaluate_and_batch(
     hash: &FixedKeyHash,
-    gates: &[(GarbledTable, Block, Block, Tweak)],
-) -> Vec<Block> {
-    let mut inputs = Vec::with_capacity(gates.len() * 2);
-    for &(_, a, b, tweak) in gates {
-        inputs.push((a, tweak));
-        inputs.push((b, tweak.sibling()));
+    ands: &[LevelAnd],
+    tables: &[GarbledTable],
+    tweak: impl Fn(&LevelAnd) -> Tweak,
+    active: &mut [Block],
+    scratch: &mut BatchScratch,
+) {
+    hash.hash_into(
+        ands.iter().flat_map(|and| {
+            let t = tweak(and);
+            [
+                (active[and.a.index()], t),
+                (active[and.b.index()], t.sibling()),
+            ]
+        }),
+        &mut scratch.masked,
+        &mut scratch.hashed,
+    );
+    for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(2)) {
+        let table = tables[and.ordinal as usize];
+        let a = active[and.a.index()];
+        let mut wg = h[0];
+        if a.lsb() {
+            wg ^= table.tg;
+        }
+        let mut we = h[1];
+        if active[and.b.index()].lsb() {
+            we ^= table.te ^ a;
+        }
+        active[and.out.index()] = wg ^ we;
     }
-    let hashes = hash.hash_slice(&inputs);
-    let out = gates
-        .iter()
-        .enumerate()
-        .map(|(i, &(table, a, b, _))| {
-            let mut wg = hashes[2 * i];
-            if a.lsb() {
-                wg ^= table.tg;
-            }
-            let mut we = hashes[2 * i + 1];
-            if b.lsb() {
-                we ^= table.te ^ a;
-            }
-            wg ^ we
-        })
-        .collect();
 
-    let n = gates.len() as u64;
+    let n = ands.len() as u64;
     max_telemetry::counter_add("gc.gates.and_eval", n);
     max_telemetry::counter_add("gc.aes.evaluate", 2 * n);
-
-    out
 }
 
 #[cfg(test)]
@@ -280,20 +301,39 @@ mod tests {
 
     #[test]
     fn batch_evaluate_matches_scalar() {
+        use max_netlist::WireId;
         let (hash, delta, mut prg) = setup();
-        let mut jobs = Vec::new();
+        // Gate `i` reads wires 2i, 2i + 1 and writes wire 26 + i.
+        let mut active = vec![Block::ZERO; 39];
+        let mut ands = Vec::new();
+        let mut tables = Vec::new();
         let mut expected = Vec::new();
-        for i in 0..13u64 {
+        let tweak = |and: &LevelAnd| Tweak::from_gate_index(2000 + u64::from(and.gate));
+        for i in 0..13u32 {
+            let and = LevelAnd {
+                a: WireId(2 * i),
+                b: WireId(2 * i + 1),
+                out: WireId(26 + i),
+                gate: 7 * i,
+                ordinal: i,
+            };
             let a0 = prg.next_block();
             let b0 = prg.next_block();
-            let tweak = Tweak::from_gate_index(2000 + i);
-            let (_, table) = garble_and(&hash, delta, a0, b0, tweak);
+            let (_, table) = garble_and(&hash, delta, a0, b0, tweak(&and));
             let a = if i % 2 == 0 { a0 } else { delta.one_label(a0) };
             let b = if i % 3 == 0 { b0 } else { delta.one_label(b0) };
-            expected.push(evaluate_and(&hash, table, a, b, tweak));
-            jobs.push((table, a, b, tweak));
+            expected.push(evaluate_and(&hash, table, a, b, tweak(&and)));
+            active[and.a.index()] = a;
+            active[and.b.index()] = b;
+            ands.push(and);
+            tables.push(table);
         }
-        assert_eq!(evaluate_and_batch(&hash, &jobs), expected);
+        let mut scratch = BatchScratch::default();
+        evaluate_and_batch(&hash, &ands, &tables, tweak, &mut active, &mut scratch);
+        assert_eq!(&active[26..], &expected[..]);
+        // An empty batch is a no-op, and the scratch is reusable.
+        evaluate_and_batch(&hash, &[], &tables, tweak, &mut active, &mut scratch);
+        assert_eq!(&active[26..], &expected[..]);
     }
 
     #[test]

@@ -1,34 +1,42 @@
 //! Whole-netlist evaluation with active labels.
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_netlist::{GateKind, Netlist};
+use max_netlist::{GateKind, LevelAnd, Netlist};
 
-use crate::engine::{evaluate_and_batch, GarbledTable};
+use crate::engine::{evaluate_and_batch, BatchScratch, GarbledTable};
 use crate::garbler::Material;
 
-/// Decrypts every queued AND gate with one batched AES sweep and writes the
-/// active output labels back.
-fn flush_pending_ands(
+/// Evaluates `netlist` over `active` (one label per wire, inputs already
+/// set) level by level: each level's free gates, then all of its AND gates
+/// with one [`evaluate_and_batch`] sweep. `tables` is indexed by AND ordinal
+/// and `tweak` names each AND gate's tweak, so every wire gets the label a
+/// gate-at-a-time walk in netlist order would give it.
+///
+/// # Panics
+///
+/// Panics if `tables` is shorter than the netlist's AND count or `active`
+/// than its wire count — callers check peer-supplied counts first.
+pub fn evaluate_levels(
     hash: &FixedKeyHash,
-    pending: &mut Vec<(GarbledTable, Block, Block, Tweak, usize)>,
-    wire_pending: &mut [bool],
+    netlist: &Netlist,
+    tables: &[GarbledTable],
+    tweak: impl Fn(&LevelAnd) -> Tweak,
     active: &mut [Block],
+    scratch: &mut BatchScratch,
 ) {
-    if pending.is_empty() {
-        return;
+    for level in netlist.levels() {
+        for gate in &level.free {
+            let a = active[gate.a.index()];
+            active[gate.out.index()] = match gate.kind {
+                GateKind::Not => a,
+                _ => a ^ active[gate.b.index()],
+            };
+        }
+        evaluate_and_batch(hash, &level.ands, tables, &tweak, active, scratch);
     }
-    let gates: Vec<(GarbledTable, Block, Block, Tweak)> = pending
-        .iter()
-        .map(|&(table, a, b, t, _)| (table, a, b, t))
-        .collect();
-    for (&(_, _, _, _, out), label) in pending.iter().zip(evaluate_and_batch(hash, &gates)) {
-        active[out] = label;
-        wire_pending[out] = false;
-    }
-    pending.clear();
 }
 
-/// Evaluates garbled netlists gate by gate.
+/// Evaluates garbled netlists level by level.
 ///
 /// The evaluator holds one *active* label per wire and never learns the
 /// cleartext values: AND gates are decrypted with the garbled tables, XOR
@@ -98,35 +106,15 @@ impl Evaluator {
             active[wire.index()] = label;
         }
 
-        // Mirror of the garbler's pending-AND batch: independent AND gates
-        // decrypt with one wide AES sweep, flushing whenever a gate reads an
-        // unflushed AND output. Bit-identical to gate-at-a-time evaluation.
-        let mut and_index = 0u64;
-        let mut pending: Vec<(GarbledTable, Block, Block, Tweak, usize)> = Vec::new();
-        let mut wire_pending = vec![false; netlist.wire_count()];
-        for gate in netlist.gates() {
-            if wire_pending[gate.a.index()] || wire_pending[gate.b.index()] {
-                flush_pending_ands(&self.hash, &mut pending, &mut wire_pending, &mut active);
-            }
-            let a = active[gate.a.index()];
-            let b = active[gate.b.index()];
-            match gate.kind {
-                GateKind::And => {
-                    let table = material.tables[and_index as usize];
-                    let tweak = Tweak::from_gate_index(tweak_base + and_index);
-                    and_index += 1;
-                    pending.push((table, a, b, tweak, gate.out.index()));
-                    wire_pending[gate.out.index()] = true;
-                }
-                GateKind::Xor => active[gate.out.index()] = a ^ b,
-                GateKind::Not => active[gate.out.index()] = a,
-            }
-        }
-        flush_pending_ands(&self.hash, &mut pending, &mut wire_pending, &mut active);
-        assert_eq!(
-            and_index as usize,
-            material.tables.len(),
-            "table count mismatch"
+        let and_gates: usize = netlist.levels().iter().map(|l| l.ands.len()).sum();
+        assert_eq!(and_gates, material.tables.len(), "table count mismatch");
+        evaluate_levels(
+            &self.hash,
+            netlist,
+            &material.tables,
+            |and| Tweak::from_gate_index(tweak_base + u64::from(and.ordinal)),
+            &mut active,
+            &mut BatchScratch::default(),
         );
         netlist
             .outputs()

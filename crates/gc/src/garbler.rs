@@ -6,30 +6,6 @@ use max_netlist::{GateKind, Netlist};
 use crate::engine::{garble_and_batch, GarbledTable};
 use crate::label::{Delta, LabelSource};
 
-/// Garbles every gate queued in `pending` with one batched AES sweep, then
-/// writes the output labels back and clears the pending markers.
-fn flush_pending_ands(
-    hash: &FixedKeyHash,
-    delta: Delta,
-    pending: &mut Vec<(Block, Block, Tweak, usize)>,
-    wire_pending: &mut [bool],
-    zero_labels: &mut [Block],
-    tables: &mut Vec<GarbledTable>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let gates: Vec<(Block, Block, Tweak)> =
-        pending.iter().map(|&(a0, b0, t, _)| (a0, b0, t)).collect();
-    for (&(_, _, _, out), (c0, table)) in pending.iter().zip(garble_and_batch(hash, delta, &gates))
-    {
-        zero_labels[out] = c0;
-        wire_pending[out] = false;
-        tables.push(table);
-    }
-    pending.clear();
-}
-
 /// The public garbled material sent to the evaluator: tables plus output
 /// decoding bits. (Input labels travel separately — garbler labels directly,
 /// evaluator labels via OT.)
@@ -129,51 +105,48 @@ impl<'a, S: LabelSource> Garbler<'a, S> {
             zero_labels[wire.index()] = label;
         }
 
-        // AND gates accumulate into a pending batch that is garbled with one
-        // wide AES sweep; the batch flushes whenever a gate reads a wire an
-        // unflushed AND produces, so results are bit-identical to gate-at-a-
-        // time garbling. Independent ANDs (e.g. a multiplier's partial
-        // products) coalesce into large batches.
-        let mut tables = Vec::new();
-        let mut and_index = 0u64;
-        let mut pending: Vec<(Block, Block, Tweak, usize)> = Vec::new();
-        let mut wire_pending = vec![false; netlist.wire_count()];
-        for gate in netlist.gates() {
-            if wire_pending[gate.a.index()] || wire_pending[gate.b.index()] {
-                flush_pending_ands(
-                    &self.hash,
-                    self.delta,
-                    &mut pending,
-                    &mut wire_pending,
-                    &mut zero_labels,
-                    &mut tables,
-                );
+        // Level by level (see `Netlist::levels`): a level's free gates, then
+        // all of its AND gates with one wide AES sweep. Tables land at their
+        // netlist AND ordinal, so the material is bit-identical to gate-at-a-
+        // time garbling.
+        let and_gates: usize = netlist.levels().iter().map(|l| l.ands.len()).sum();
+        let mut tables = vec![
+            GarbledTable {
+                tg: Block::ZERO,
+                te: Block::ZERO,
+            };
+            and_gates
+        ];
+        let mut batch: Vec<(Block, Block, Tweak)> = Vec::new();
+        for level in netlist.levels() {
+            for gate in &level.free {
+                let a0 = zero_labels[gate.a.index()];
+                zero_labels[gate.out.index()] = match gate.kind {
+                    // NOT swaps label roles: zero-label of out = one-label of in.
+                    GateKind::Not => a0 ^ self.delta.block(),
+                    _ => {
+                        max_telemetry::counter_add("gc.gates.xor", 1);
+                        a0 ^ zero_labels[gate.b.index()]
+                    }
+                };
             }
-            let a0 = zero_labels[gate.a.index()];
-            let b0 = zero_labels[gate.b.index()];
-            match gate.kind {
-                GateKind::And => {
-                    let tweak = Tweak::from_gate_index(tweak_base + and_index);
-                    and_index += 1;
-                    pending.push((a0, b0, tweak, gate.out.index()));
-                    wire_pending[gate.out.index()] = true;
-                }
-                GateKind::Xor => {
-                    max_telemetry::counter_add("gc.gates.xor", 1);
-                    zero_labels[gate.out.index()] = a0 ^ b0;
-                }
-                // NOT swaps label roles: zero-label of out = one-label of in.
-                GateKind::Not => zero_labels[gate.out.index()] = a0 ^ self.delta.block(),
+            batch.clear();
+            batch.extend(level.ands.iter().map(|and| {
+                (
+                    zero_labels[and.a.index()],
+                    zero_labels[and.b.index()],
+                    Tweak::from_gate_index(tweak_base + u64::from(and.ordinal)),
+                )
+            }));
+            for (and, (c0, table)) in level
+                .ands
+                .iter()
+                .zip(garble_and_batch(&self.hash, self.delta, &batch))
+            {
+                zero_labels[and.out.index()] = c0;
+                tables[and.ordinal as usize] = table;
             }
         }
-        flush_pending_ands(
-            &self.hash,
-            self.delta,
-            &mut pending,
-            &mut wire_pending,
-            &mut zero_labels,
-            &mut tables,
-        );
 
         let output_decode = netlist
             .outputs()

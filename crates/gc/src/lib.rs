@@ -65,8 +65,10 @@ mod sequential;
 pub mod transport;
 pub mod wire_format;
 
-pub use engine::{evaluate_and, evaluate_and_batch, garble_and, garble_and_batch, GarbledTable};
-pub use evaluator::Evaluator;
+pub use engine::{
+    evaluate_and, evaluate_and_batch, garble_and, garble_and_batch, BatchScratch, GarbledTable,
+};
+pub use evaluator::{evaluate_levels, Evaluator};
 pub use fault::{FaultSpec, FaultStats, FaultTransport};
 pub use garbler::{GarbledCircuit, Garbler, Material};
 pub use label::{Delta, LabelSource, PrgLabelSource};

@@ -178,6 +178,11 @@ impl Transport for Duplex {
 /// Wire header: one kind byte plus a big-endian u32 payload length.
 const HEADER_BYTES: usize = 5;
 
+/// Most a receive buffer reserves on the strength of a header's declared
+/// length alone (covers a ROUNDS burst in one allocation); beyond it the
+/// buffer grows only as payload bytes actually arrive.
+const RECV_PREALLOC_BYTES: usize = 64 * 1024;
+
 /// Length-prefixed framed transport over a blocking [`TcpStream`].
 ///
 /// One instance owns one direction-pair of a socket (TCP is full-duplex, so
@@ -273,8 +278,15 @@ impl Transport for FramedTcp {
                 max: MAX_FRAME_BYTES as u64,
             });
         }
-        let mut payload = vec![0u8; len];
-        self.stream.read_exact(&mut payload)?;
+        // The buffer grows with the bytes that arrive, not with what the
+        // header declares: a 5-byte header commits at most the cap below.
+        let mut payload = Vec::with_capacity(len.min(RECV_PREALLOC_BYTES));
+        let got = Read::by_ref(&mut self.stream)
+            .take(u64::from(wire_len))
+            .read_to_end(&mut payload)?;
+        if got != len {
+            return Err(TransportError::Disconnected);
+        }
         self.received.record(kind, len);
         Ok(Bytes::from(payload))
     }
@@ -405,6 +417,40 @@ mod tests {
         let mut server = FramedTcp::from_stream(server_stream);
         truncator.join().unwrap();
         assert_eq!(server.recv_frame(), Err(TransportError::Disconnected));
+    }
+
+    #[test]
+    fn declared_maximum_with_three_bytes_is_a_disconnect() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let truncator = std::thread::spawn(move || {
+            let mut raw = TcpStream::connect(addr).unwrap();
+            // Declare the largest legal frame, send 3 bytes, hang up.
+            let mut header = vec![0u8];
+            header.extend_from_slice(&(MAX_FRAME_BYTES as u32).to_be_bytes());
+            raw.write_all(&header).unwrap();
+            raw.write_all(&[1, 2, 3]).unwrap();
+        });
+        let (server_stream, _) = listener.accept().unwrap();
+        let mut server = FramedTcp::from_stream(server_stream);
+        truncator.join().unwrap();
+        assert_eq!(server.recv_frame(), Err(TransportError::Disconnected));
+    }
+
+    #[test]
+    fn frame_larger_than_the_preallocation_round_trips() {
+        let (mut server, mut client) = loopback_pair();
+        let payload: Vec<u8> = (0..4 << 20).map(|i| (i % 251) as u8).collect();
+        assert!(payload.len() > RECV_PREALLOC_BYTES);
+        let expected = Bytes::from(payload.clone());
+        let sender = std::thread::spawn(move || {
+            client
+                .send_frame(FrameKind::Raw, Bytes::from(payload))
+                .unwrap();
+            client
+        });
+        assert_eq!(server.recv_frame().unwrap(), expected);
+        let _client = sender.join().unwrap();
     }
 
     #[test]

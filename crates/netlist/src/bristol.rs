@@ -388,6 +388,7 @@ impl RawEmitter {
             constants: Vec::new(),
             gates: self.gates,
             outputs,
+            levels: Default::default(),
         };
         debug_assert!(
             netlist.validate().is_ok(),

@@ -273,6 +273,7 @@ impl Builder {
             constants: self.constants,
             gates: self.gates,
             outputs,
+            levels: Default::default(),
         };
         if let Err(e) = netlist.validate() {
             panic!("builder produced invalid netlist: {e}");
@@ -421,6 +422,7 @@ mod tests {
                 out: WireId(0),
             }],
             outputs: vec![WireId(0)],
+            levels: Default::default(),
         };
         assert!(netlist.validate().is_err());
     }

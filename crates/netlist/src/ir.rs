@@ -1,8 +1,11 @@
 //! The netlist intermediate representation.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
+
+use crate::levels::{levelize, Level};
 
 /// Identifier of one wire in a [`Netlist`].
 ///
@@ -55,7 +58,7 @@ pub struct Gate {
 /// Built by [`crate::Builder`]; gates are stored in topological order.
 /// `constants` are wires whose value is fixed and public to the garbler
 /// (they are garbled as garbler-known inputs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Netlist {
     pub(crate) wire_count: u32,
     pub(crate) garbler_inputs: Vec<WireId>,
@@ -63,6 +66,21 @@ pub struct Netlist {
     pub(crate) constants: Vec<(WireId, bool)>,
     pub(crate) gates: Vec<Gate>,
     pub(crate) outputs: Vec<WireId>,
+    /// [`Netlist::levels`], computed on first use. A pure function of the
+    /// fields above, so it takes no part in equality.
+    #[serde(skip)]
+    pub(crate) levels: OnceLock<Vec<Level>>,
+}
+
+impl PartialEq for Netlist {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire_count == other.wire_count
+            && self.garbler_inputs == other.garbler_inputs
+            && self.evaluator_inputs == other.evaluator_inputs
+            && self.constants == other.constants
+            && self.gates == other.gates
+            && self.outputs == other.outputs
+    }
 }
 
 impl Netlist {
@@ -95,6 +113,14 @@ impl Netlist {
     /// Output wires in declaration order.
     pub fn outputs(&self) -> &[WireId] {
         &self.outputs
+    }
+
+    /// The gates regrouped by AND-depth (see [`Level`]): walking the levels
+    /// in order, each level's free gates and then its AND gates as one
+    /// batch, computes the same wires as walking [`Netlist::gates`].
+    /// Computed once per netlist.
+    pub fn levels(&self) -> &[Level] {
+        self.levels.get_or_init(|| levelize(self))
     }
 
     /// Evaluates the circuit in plaintext.

@@ -41,6 +41,7 @@ pub mod bristol;
 mod builder;
 mod encoding;
 mod ir;
+mod levels;
 mod mac;
 mod mult;
 mod ops;
@@ -51,6 +52,7 @@ pub use encoding::{
     decode_signed, decode_unsigned, encode_signed, encode_unsigned, signed_fits, unsigned_fits,
 };
 pub use ir::{Gate, GateKind, Netlist, NetlistStats, WireId};
+pub use levels::{Level, LevelAnd};
 pub use mac::{MacCircuit, MacPorts, Sign};
 pub use mult::MultiplierKind;
 pub use opt::OptStats;

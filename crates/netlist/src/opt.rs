@@ -82,6 +82,7 @@ impl Netlist {
             constants: self.constants.clone(),
             gates,
             outputs,
+            levels: Default::default(),
         }
         .densify()
     }
@@ -116,6 +117,7 @@ impl Netlist {
             constants: self.constants.clone(),
             gates,
             outputs: self.outputs.clone(),
+            levels: Default::default(),
         }
         .densify()
     }
@@ -176,6 +178,7 @@ impl Netlist {
             constants,
             gates,
             outputs,
+            levels: Default::default(),
         };
         debug_assert!(netlist.validate().is_ok(), "densify broke the netlist");
         netlist

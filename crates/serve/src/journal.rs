@@ -50,6 +50,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
+use max_crypto::crc32;
+
 use crate::resume::{
     decode_checkpoint, encode_checkpoint, CheckpointCodecError, SessionCheckpoint,
 };
@@ -152,37 +154,6 @@ fn decode_model_payload(bytes: &[u8]) -> Result<(u64, Vec<Vec<i64>>), Checkpoint
         })
         .collect();
     Ok((model_id, weights))
-}
-
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time so
-/// the journal needs no external checksum crate.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding every journal record.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[usize::from((crc ^ u32::from(b)) as u8)];
-    }
-    !crc
 }
 
 /// How a [`Journal`] behaves on disk.

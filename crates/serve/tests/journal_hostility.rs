@@ -9,8 +9,8 @@
 
 use std::path::{Path, PathBuf};
 
+use max_crypto::crc32;
 use max_ot::iknp;
-use max_serve::journal::crc32;
 use max_serve::resume::{decode_checkpoint, encode_checkpoint, CheckpointCodecError};
 use max_serve::{Journal, JournalConfig, SessionCheckpoint};
 use maxelerator::remote::derive_seed;
