@@ -278,14 +278,20 @@ impl Transport for FramedTcp {
                 max: MAX_FRAME_BYTES as u64,
             });
         }
-        // The buffer grows with the bytes that arrive, not with what the
-        // header declares: a 5-byte header commits at most the cap below.
-        let mut payload = Vec::with_capacity(len.min(RECV_PREALLOC_BYTES));
-        let got = Read::by_ref(&mut self.stream)
-            .take(u64::from(wire_len))
-            .read_to_end(&mut payload)?;
-        if got != len {
-            return Err(TransportError::Disconnected);
+        // A 5-byte header commits at most the cap below, read in one piece
+        // (`read_to_end` alone would take a ROUNDS burst in three reads);
+        // past it the buffer grows with the bytes that arrive, not with
+        // what the header declares.
+        let mut payload = vec![0u8; len.min(RECV_PREALLOC_BYTES)];
+        self.stream.read_exact(&mut payload)?;
+        let rest = len - payload.len();
+        if rest > 0 {
+            let got = Read::by_ref(&mut self.stream)
+                .take(rest as u64)
+                .read_to_end(&mut payload)?;
+            if got != rest {
+                return Err(TransportError::Disconnected);
+            }
         }
         self.received.record(kind, len);
         Ok(Bytes::from(payload))
