@@ -669,7 +669,7 @@ impl Maxelerator {
 /// The client: evaluates the accelerator's round messages level by level
 /// (see [`max_netlist::Netlist::levels`]) with the matching tweaks, carrying
 /// the accumulator between rounds.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ScheduledEvaluator {
     config: AcceleratorConfig,
     mac: MacCircuit,

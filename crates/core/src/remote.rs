@@ -83,18 +83,30 @@
 //! repository's in-process trusted-dealer base-OT shortcut — the base phase
 //! is modeled, the extension is real.
 //!
-//! **Integrity (v6).** Every protocol frame is sealed with a CRC32 prefix
-//! ([`max_gc::channel::seal_frame`]), so a bit flipped in transit dies at
-//! framing as a typed [`TransportError::Checksum`](max_gc::channel::TransportError)
-//! instead of reaching GC state. Above the per-frame check, both sides fold
-//! each job's GC-critical bytes — EXT bodies, CIPHER frames, ROUNDS frames
-//! — into a rolling [`TranscriptDigest`]; the client piggy-backs its
-//! running value as a 16-byte EXT trailer and the server echoes its own in
-//! STATS, so any divergence (a corrupted cache entry, journal bit rot, a
-//! frame the CRC happened to miss) surfaces as `REJECT(INTEGRITY)` /
-//! [`AcceleratorError::Integrity`] within one element. Both checks detect
-//! **accidental** corruption only: the digest key is fixed and public, so
-//! an active adversary can tamper and re-seal — the honest-but-curious
+//! **Integrity (v6, folded once per byte since v7).** Every protocol frame
+//! is sealed with a CRC32 prefix ([`max_gc::channel::seal_frame`]), so a
+//! bit flipped in transit dies at framing as a typed
+//! [`TransportError::Checksum`](max_gc::channel::TransportError) instead of
+//! reaching GC state. Above the per-frame check, both sides keep a rolling
+//! [`TranscriptDigest`] per job; the client piggy-backs its running value
+//! as a 16-byte EXT trailer and the server echoes its own in STATS, so any
+//! divergence — a replaced, reordered, duplicated, dropped or stale frame,
+//! a corrupted cache entry, journal bit rot — surfaces as
+//! `REJECT(INTEGRITY)` / [`AcceleratorError::Integrity`] within one
+//! element. What is folded: an **EXT body by its bytes** (1 KB, and its own
+//! mark trails it in the same frame), a **CIPHER or ROUNDS frame by its
+//! 8-byte seal mark** ([`max_gc::channel::seal_mark`]: the CRC32 it was
+//! sealed with ‖ its length) — the sender folds the mark of the frame it
+//! just sealed, the receiver the mark of the frame `open_frame` just
+//! verified, so a job's bulk bytes are walked by the CRC and by nothing
+//! else. v6 folded those payloads byte by byte on both sides; the digest
+//! *values* in EXT and STATS therefore differ, which is why this is v7 and
+//! a v6 peer is turned away at HELLO with `REJECT(VERSION)` rather than at
+//! its first EXT with `REJECT(INTEGRITY)`. Per-frame strength is the CRC's
+//! 32 bits plus the length; the digest chains the marks, it does not add
+//! bits to any one of them. All of it detects **accidental** corruption
+//! only: the CRC is unkeyed and the digest key is fixed and public, so an
+//! active adversary can tamper and re-seal — the honest-but-curious
 //! boundary of the stack is unchanged.
 
 // Protocol paths must never panic on peer input; unwraps are confined to
@@ -103,7 +115,9 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::{decode_blocks, encode_block_pairs, open_frame, seal_frame, FrameKind};
+use max_gc::channel::{
+    decode_blocks, encode_block_pairs, open_frame, seal_frame, seal_mark, FrameKind,
+};
 use max_gc::Transport;
 use max_ot::iknp::{self, CipherMsg, ExtendMsg, OtExtReceiver, OtExtSender, KAPPA};
 use max_telemetry::TraceContext;
@@ -137,7 +151,13 @@ use crate::wire::{decode_round_message, encode_round_message};
 /// with `REJECT(INTEGRITY)`. Frame *counts* are once more unchanged (the
 /// seal and the trailer ride inside existing frames), so resume offsets and
 /// fault-injection cut arithmetic carry over from v3.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// v7 changed what the digest folds, not a byte of any frame's layout: a
+/// CIPHER or ROUNDS frame enters it as its 8-byte
+/// [`seal_mark`](max_gc::channel::seal_mark) instead of its payload bytes
+/// (EXT bodies are still folded by bytes). The digest values riding in EXT
+/// trailers and STATS differ from v6's, so the version moved and a v6 peer
+/// is refused at HELLO.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Largest METRICS reply body the decoder will allocate (1 MiB of JSON is
 /// far beyond any honest snapshot; a hostile length dies here, not in the
@@ -794,6 +814,17 @@ pub fn recv_control<T: Transport + ?Sized>(
     ControlMsg::decode(open_frame(transport.recv_frame()?)?)
 }
 
+/// Receives and checksum-verifies one bulk data frame (CIPHER, ROUNDS),
+/// returning its payload and the [`seal_mark`] the transcript digest folds
+/// in place of the payload's bytes (v7).
+fn recv_marked<T: Transport + ?Sized>(
+    transport: &mut T,
+) -> Result<(Bytes, [u8; 8]), AcceleratorError> {
+    let sealed = transport.recv_frame()?;
+    let mark = seal_mark(&sealed);
+    Ok((open_frame(sealed)?, mark))
+}
+
 /// Splitmix-style seed derivation: one base seed, many independent
 /// per-session / per-job seeds.
 pub fn derive_seed(base: u64, tweak: u64) -> u64 {
@@ -1049,7 +1080,9 @@ impl MaterializedJob {
 pub const STREAM_DIGEST_MISMATCH: &str = "prepared stream digest mismatch";
 
 /// Digest of a materialized stream's GC-critical bytes — every element's
-/// pre-encoded ROUNDS frame and OT label pairs, folded in serve order.
+/// pre-encoded ROUNDS frame and OT label pairs, each folded in serve order
+/// as one [`TranscriptDigest::fold_wide`] message (eight interleaved AES
+/// lanes: the re-hash behind READY is throughput-, not latency-bound).
 /// Computed once when the stream is garbled and re-verified before the
 /// stream is served, so material that rots while cached (DRAM fault, disk
 /// rot) is detected before it reaches a wire. Accidental-corruption
@@ -1057,16 +1090,13 @@ pub const STREAM_DIGEST_MISMATCH: &str = "prepared stream digest mismatch";
 /// digest beside it.
 pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
     let mut digest = TranscriptDigest::new();
-    let mut pair_bytes = Vec::new();
     for elem in &job.elements {
-        digest.fold(&elem.rounds_frame);
-        pair_bytes.clear();
-        pair_bytes.reserve(elem.pairs.len() * 32);
-        for (zero, one) in &elem.pairs {
-            pair_bytes.extend_from_slice(&zero.to_bytes());
-            pair_bytes.extend_from_slice(&one.to_bytes());
-        }
-        digest.fold(&pair_bytes);
+        digest.fold_wide([&elem.rounds_frame[..]]);
+        digest.fold_wide(
+            elem.pairs
+                .iter()
+                .flat_map(|(zero, one)| [zero.to_bytes(), one.to_bytes()]),
+        );
     }
     digest.value()
 }
@@ -1244,12 +1274,15 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         }
         transcript.ot_upload_bytes += ext.columns.iter().map(|c| c.len() as u64 * 8).sum::<u64>();
         let cipher = ot_sender.send(&ext, &elem.pairs);
-        let cipher_frame = encode_block_pairs(&cipher.pairs);
-        // The digest covers this element's CIPHER/ROUNDS bytes *before*
-        // the checkpoint hook fires, so a snapshot at boundary `idx + 1`
-        // matches the client's digest checkpoint at the same boundary.
-        digest.fold(&cipher_frame);
-        digest.fold(&elem.rounds_frame);
+        // Seal first, fold the seals: the CRC pass that frames each of the
+        // element's two bulk frames is also its contribution to the digest
+        // (v7), and it lands *before* the checkpoint hook fires, so a
+        // snapshot at boundary `idx + 1` matches the client's digest
+        // checkpoint at the same boundary.
+        let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
+        let rounds_frame = seal_frame(elem.rounds_frame.clone());
+        digest.fold(&seal_mark(&cipher_frame));
+        digest.fold(&seal_mark(&rounds_frame));
         // Checkpoint *before* delivering this element's CIPHER/ROUNDS frames:
         // a durable journal hooked in here then always covers at least as much
         // progress as the client has observed, so a crash between the journal
@@ -1258,14 +1291,14 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         // would force a REJECT on resume).
         on_element(idx + 1, ot_sender, digest);
         transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
-        transport.send_frame(FrameKind::Blocks, seal_frame(cipher_frame))?;
+        transport.send_frame(FrameKind::Blocks, cipher_frame)?;
         transcript.material_bytes += elem.material_bytes;
         transcript.tables += elem.tables;
         transcript.rounds += elem.rounds;
         // One burst frame per element instead of one frame per round: the
         // per-frame overhead (and per-frame fault-injection surface) no
         // longer scales with model width.
-        transport.send_frame(FrameKind::Raw, seal_frame(elem.rounds_frame.clone()))?;
+        transport.send_frame(FrameKind::Raw, rounds_frame)?;
     }
     send_control(
         transport,
@@ -1312,6 +1345,9 @@ pub struct SessionState {
     rows: usize,
     cols: usize,
     ot_receiver: OtExtReceiver,
+    /// Built once from `config`; every job's elements reset it with
+    /// `begin_element`.
+    evaluator: ScheduledEvaluator,
 }
 
 impl std::fmt::Debug for SessionState {
@@ -1517,6 +1553,7 @@ impl<T: Transport> RemoteClient<T> {
                         session_id,
                         resume_token,
                         trace,
+                        evaluator: ScheduledEvaluator::new(&config),
                         config,
                         rows: rows as usize,
                         cols: cols as usize,
@@ -1920,14 +1957,13 @@ impl<T: Transport> RemoteClient<T> {
     pub fn run_job(&mut self, progress: &mut JobProgress) -> Result<(), AcceleratorError> {
         let b = self.state.config.bit_width;
         let rows = progress.rows;
-        let mut evaluator = ScheduledEvaluator::new(&self.state.config);
         for e in progress.elements_done..progress.total_elements {
             progress.receiver_checkpoint = self.state.ot_receiver.clone();
             progress.transcript_checkpoint = progress.transcript;
             progress.digest_checkpoint = progress.digest.clone();
             let pass = e / rows;
             let column = &progress.x_columns[pass];
-            evaluator.begin_element(e as u32);
+            self.state.evaluator.begin_element(e as u32);
             let mut choices = Vec::with_capacity(column.len() * b);
             for &xl in column {
                 choices.extend(self.state.config.encode_x(xl));
@@ -1945,7 +1981,7 @@ impl<T: Transport> RemoteClient<T> {
             ext_frame.put_slice(&progress.digest.value());
             self.transport
                 .send_frame(FrameKind::Bits, seal_frame(ext_frame.freeze()))?;
-            let cipher_frame = open_frame(self.transport.recv_frame()?)?;
+            let (cipher_frame, cipher_mark) = recv_marked(&mut self.transport)?;
             // A server that spotted a digest divergence answers the EXT
             // with a sealed REJECT instead of CIPHER blocks. The shapes
             // cannot collide: an honest CIPHER frame is 4 + 32·pairs bytes
@@ -1965,7 +2001,7 @@ impl<T: Transport> RemoteClient<T> {
                     });
                 }
             }
-            progress.digest.fold(&cipher_frame);
+            progress.digest.fold(&cipher_mark);
             let flat = decode_blocks(cipher_frame)?;
             if flat.len() != choices.len() * 2 {
                 return Err(AcceleratorError::Protocol {
@@ -1977,15 +2013,18 @@ impl<T: Transport> RemoteClient<T> {
                 pairs: flat.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
             };
             let labels = self.state.ot_receiver.receive(&cipher, &keys, &choices);
-            let rounds_frame = open_frame(self.transport.recv_frame()?)?;
-            progress.digest.fold(&rounds_frame);
+            let (rounds_frame, rounds_mark) = recv_marked(&mut self.transport)?;
+            progress.digest.fold(&rounds_mark);
             let msgs = decode_round_burst(rounds_frame, column.len())?;
             let mut decoded = None;
             for (i, msg) in msgs.iter().enumerate() {
                 progress.transcript.material_bytes += msg.wire_bytes() as u64;
                 progress.transcript.tables += msg.tables.len() as u64;
                 progress.transcript.rounds += 1;
-                decoded = evaluator.evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
+                decoded = self
+                    .state
+                    .evaluator
+                    .evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
             }
             progress.y[pass].push(decoded.ok_or(AcceleratorError::Protocol {
                 what: "final round carried no decode bits",
@@ -2224,33 +2263,34 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let config = AcceleratorConfig::new(8);
-        let w = vec![vec![1i64]];
-        let (server_end, mut client_end) = Duplex::pair();
-        let server = {
-            let config = config.clone();
-            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 1, 0))
-        };
-        // Speak a bogus future version by hand.
-        send_control(
-            &mut client_end,
-            &ControlMsg::Hello {
-                version: 999,
-                bit_width: 8,
-                trace: TraceContext::none(),
-            },
-        )
-        .unwrap();
-        match recv_control(&mut client_end).unwrap() {
-            ControlMsg::Reject { code, detail } => {
-                assert_eq!(code, REJECT_VERSION);
-                assert_eq!(detail, u32::from(PROTOCOL_VERSION));
-                assert_eq!(reject_reason(code), "protocol version mismatch");
+        // The previous version (whose digests fold different things, so it
+        // must never get as far as an EXT check) and a bogus future one,
+        // both spoken by hand.
+        for version in [PROTOCOL_VERSION - 1, 999] {
+            let config = AcceleratorConfig::new(8);
+            let w = vec![vec![1i64]];
+            let (server_end, mut client_end) = Duplex::pair();
+            let server =
+                std::thread::spawn(move || serve_one_session(server_end, &config, &w, 1, 0));
+            send_control(
+                &mut client_end,
+                &ControlMsg::Hello {
+                    version,
+                    bit_width: 8,
+                    trace: TraceContext::none(),
+                },
+            )
+            .unwrap();
+            match recv_control(&mut client_end).unwrap() {
+                ControlMsg::Reject { code, detail } => {
+                    assert_eq!(code, REJECT_VERSION);
+                    assert_eq!(detail, u32::from(PROTOCOL_VERSION));
+                    assert_eq!(reject_reason(code), "protocol version mismatch");
+                }
+                other => panic!("expected REJECT, got {other:?}"),
             }
-            other => panic!("expected REJECT, got {other:?}"),
+            server.join().unwrap().unwrap();
         }
-        server.join().unwrap().unwrap();
-        let _ = server_end;
     }
 
     #[test]
@@ -2548,6 +2588,88 @@ mod tests {
             assert_eq!(elem.rounds_frame, encode_round_burst(&row.messages));
             assert_eq!(elem.pairs, row.pairs);
             assert_eq!(elem.rounds, row.messages.len() as u64);
+        }
+    }
+
+    /// A small prepared stream: 2 columns × 2 rows × 3 rounds at b = 8.
+    fn small_stream() -> MaterializedJob {
+        static STREAM: std::sync::OnceLock<MaterializedJob> = std::sync::OnceLock::new();
+        STREAM
+            .get_or_init(|| {
+                let config = AcceleratorConfig::new(8);
+                let w = vec![vec![3i64, -1, 4], vec![1, 5, -9]];
+                materialize_job(&garble_matvec_job(&config, &w, 0xf00d, 2).unwrap())
+            })
+            .clone()
+    }
+
+    #[test]
+    fn stream_digest_value_is_pinned() {
+        // Recorded once. `cargo test` under `MAX_AES_BACKEND=software`
+        // (CI's `simd` job) must read the same value: what one server
+        // digests at fill another build may re-verify from its journal.
+        assert_eq!(
+            u128::from_be_bytes(stream_digest(&small_stream())),
+            0xc7dc_f5ef_0318_d9f2_87bb_8f01_3456_f9e6
+        );
+    }
+
+    #[test]
+    fn stream_digest_sees_swaps_and_truncations() {
+        let job = small_stream();
+        let clean = stream_digest(&job);
+        assert_eq!(clean, stream_digest(&job.clone()));
+        for (a, b) in [(0, 1), (1, 2), (0, 3)] {
+            let mut swapped = job.clone();
+            swapped.elements.swap(a, b);
+            assert_ne!(
+                stream_digest(&swapped),
+                clean,
+                "elements {a} and {b} swapped"
+            );
+        }
+        let mut short = job.clone();
+        short.elements.pop();
+        assert_ne!(stream_digest(&short), clean, "last element dropped");
+        for idx in 0..job.elements.len() {
+            let mut cut = job.clone();
+            let frame = &cut.elements[idx].rounds_frame;
+            cut.elements[idx].rounds_frame = Bytes::from(frame[..frame.len() - 1].to_vec());
+            assert_ne!(stream_digest(&cut), clean, "element {idx} frame truncated");
+            let mut cut = job.clone();
+            cut.elements[idx].pairs.pop();
+            assert_ne!(stream_digest(&cut), clean, "element {idx} pair dropped");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stream_digest_sees_any_single_bit_flip(
+            elem in 0usize..4,
+            in_frame in proptest::prelude::any::<bool>(),
+            at in proptest::prelude::any::<usize>(),
+            bit in 0u32..128,
+        ) {
+            let job = small_stream();
+            let mut rotted = job.clone();
+            let target = &mut rotted.elements[elem];
+            if in_frame {
+                let mut frame = target.rounds_frame.to_vec();
+                let at = at % frame.len();
+                frame[at] ^= 1 << (bit % 8);
+                target.rounds_frame = Bytes::from(frame);
+            } else {
+                let at = at % target.pairs.len();
+                let pair = &mut target.pairs[at];
+                if bit % 2 == 0 {
+                    pair.0 = Block::new(pair.0.bits() ^ (1 << bit));
+                } else {
+                    pair.1 = Block::new(pair.1.bits() ^ (1 << bit));
+                }
+            }
+            proptest::prop_assert_ne!(stream_digest(&rotted), stream_digest(&job));
         }
     }
 

@@ -16,8 +16,9 @@
 //! * [`AesPrg`] — an AES-CTR pseudo-random generator used wherever the
 //!   protocol needs expanded randomness (e.g. IKNP OT extension).
 //! * [`TranscriptDigest`] — a rolling Matyas–Meyer–Oseas digest over the
-//!   fixed-key AES permutation, used by protocol v6 to detect accidental
-//!   transcript corruption end to end.
+//!   fixed-key AES permutation, used by the session protocol to detect
+//!   accidental transcript corruption end to end (a serial `fold` for
+//!   marks and small bodies, an eight-lane `fold_wide` for bulk material).
 //! * [`crc32`] — the one CRC32 (IEEE, slice-by-16) sealing every wire frame
 //!   and guarding every journal record.
 //!

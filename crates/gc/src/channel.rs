@@ -487,6 +487,25 @@ pub fn seal_frame(payload: Bytes) -> Bytes {
     buf.freeze()
 }
 
+/// The 8-byte mark of a sealed frame: its CRC32 prefix ‖ its sealed length
+/// (big-endian `u32`; a frame never exceeds [`MAX_FRAME_BYTES`]).
+///
+/// This is what the session protocol folds into its rolling transcript
+/// digest for a bulk frame instead of re-reading the payload: the sender
+/// takes it from the frame [`seal_frame`] just built, the receiver from the
+/// frame [`open_frame`] just verified, so both name the same bytes and a
+/// substituted, reordered or stale frame shows as a different mark. It
+/// reads a frame too short to carry a seal as zero-prefixed rather than
+/// panicking; `open_frame` is what rejects such a frame.
+pub fn seal_mark(sealed: &[u8]) -> [u8; 8] {
+    let mut mark = [0u8; 8];
+    let prefix = sealed.len().min(SEAL_BYTES);
+    mark[..prefix].copy_from_slice(&sealed[..prefix]);
+    let len = u32::try_from(sealed.len()).unwrap_or(u32::MAX);
+    mark[SEAL_BYTES..].copy_from_slice(&len.to_be_bytes());
+    mark
+}
+
 /// Opens a sealed frame: verifies the CRC32 prefix and returns the payload.
 ///
 /// # Errors
@@ -854,6 +873,24 @@ mod tests {
             Err(TransportError::Malformed("sealed frame header"))
         );
         assert!(!is_sealed(&[1u8, 2, 3]));
+    }
+
+    #[test]
+    fn seal_mark_is_the_crc_prefix_and_the_sealed_length() {
+        let payload = Bytes::from(b"one element's ROUNDS burst".to_vec());
+        let sealed = seal_frame(payload.clone());
+        let mut expected = crc32(&payload).to_be_bytes().to_vec();
+        expected.extend_from_slice(&(sealed.len() as u32).to_be_bytes());
+        assert_eq!(&seal_mark(&sealed)[..], &expected[..]);
+        // Another frame of the same length, and the same bytes at another
+        // length, both read as different marks.
+        let other = seal_frame(Bytes::from(b"the previous ROUNDS burst!".to_vec()));
+        assert_eq!(other.len(), sealed.len());
+        assert_ne!(seal_mark(&other), seal_mark(&sealed));
+        assert_ne!(seal_mark(&sealed[..sealed.len() - 1]), seal_mark(&sealed));
+        // Too short to carry a seal: no panic (`open_frame` rejects it).
+        assert_eq!(seal_mark(&[9, 8]), [9, 8, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(seal_mark(&[]), [0; 8]);
     }
 
     #[test]

@@ -3,12 +3,17 @@
 //! outcome is *detected* (a typed checksum/digest error healed by a
 //! bounded retry) or *harmless*. It is never a silently wrong plaintext.
 //!
-//! This is the end-to-end proof of the v6 integrity ladder: the CRC seal
+//! This is the end-to-end proof of the v7 integrity ladder: the CRC seal
 //! catches the flip at framing, the transcript digest catches anything
 //! that slips past framing into GC state, and the resilient client turns
 //! either detection into a rewind + retry. The property quantifies over
 //! the whole frame space, so it also covers the handshake and control
 //! frames the chaos soak only samples.
+//!
+//! Since v7 the digest folds a CIPHER/ROUNDS frame by its seal, not its
+//! bytes, so the second test here swaps in a *different, validly sealed*
+//! frame of the same length — the case a bit flip cannot reach — and
+//! insists it still never yields a result.
 
 use std::time::Duration;
 
@@ -16,7 +21,9 @@ use bytes::Bytes;
 use max_gc::channel::{ChannelStats, FrameKind, TransportError};
 use max_gc::Transport;
 use max_serve::{demo_vector, demo_weights, plain_matvec, GcService, ServeConfig};
-use maxelerator::{AcceleratorConfig, ResilientClient, RetryPolicy};
+use maxelerator::{
+    AcceleratorConfig, AcceleratorError, RemoteClient, ResilientClient, RetryPolicy,
+};
 use proptest::prelude::*;
 
 const WIDTH: usize = 8;
@@ -167,5 +174,87 @@ fn anchor_flips_heal_in_both_directions() {
     for (outbound, target) in [(true, 0), (false, 0), (true, 2), (false, 2), (false, 3)] {
         run_flip(outbound, target, 9, 0);
         run_flip(outbound, target, 4, 7);
+    }
+}
+
+/// Replaces one inbound ROUNDS frame with the previous element's — a frame
+/// the server really sealed, of the same length, in the wrong place.
+struct ReplayRounds<T> {
+    inner: T,
+    /// Output element whose ROUNDS frame is replaced (≥ 1).
+    element: usize,
+    received: usize,
+    previous: Option<Bytes>,
+}
+
+impl<T: Transport> Transport for ReplayRounds<T> {
+    fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
+        self.inner.send_frame(kind, frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        let frame = self.inner.recv_frame()?;
+        // Inbound: ACCEPT, READY, then CIPHER + ROUNDS per element.
+        let index = self.received;
+        self.received += 1;
+        if index < 2 || index.is_multiple_of(2) {
+            return Ok(frame);
+        }
+        let element = (index - 3) / 2;
+        if element + 1 == self.element {
+            self.previous = Some(frame.clone());
+        } else if element == self.element {
+            let stale = self.previous.take().expect("saw the previous element");
+            assert!(max_gc::channel::is_sealed(&stale));
+            assert_eq!(stale.len(), frame.len());
+            assert_ne!(stale, frame);
+            return Ok(stale);
+        }
+        Ok(frame)
+    }
+
+    fn sent_stats(&self) -> ChannelStats {
+        self.inner.sent_stats()
+    }
+
+    fn received_stats(&self) -> ChannelStats {
+        self.inner.received_stats()
+    }
+
+    fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
+        self.inner.set_idle_timeout(timeout)
+    }
+}
+
+/// A substituted frame passes the CRC, so only the transcript digest can
+/// see it: mid-job the server's check of the next EXT mark refuses it,
+/// on the last element the client's check of the STATS digest does.
+/// Either way the job ends typed `Integrity`, never in a result.
+#[test]
+fn validly_sealed_substituted_rounds_frame_never_yields_a_result() {
+    for (element, caught_by_server) in [(1, true), (ROWS - 1, false)] {
+        let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+        let cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
+        let service = GcService::start(cfg);
+        let wire = ReplayRounds {
+            inner: service.connect(),
+            element,
+            received: 0,
+            previous: None,
+        };
+        let mut client = RemoteClient::connect(wire, WIDTH).expect("handshake");
+        let outcome = client.secure_matvec(&demo_vector(COLS, WIDTH, SEED ^ 7));
+        assert!(
+            matches!(outcome, Err(AcceleratorError::Integrity { .. })),
+            "element {element}: expected a typed integrity error, got {outcome:?}"
+        );
+        drop(client);
+        let stats = service.shutdown();
+        assert_eq!(
+            stats.integrity_rejects,
+            u64::from(caught_by_server),
+            "element {element}"
+        );
+        assert_eq!(stats.jobs_completed, u64::from(!caught_by_server));
     }
 }

@@ -10,7 +10,9 @@ use max_gc::{FramedTcp, Transport};
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, RecordingTransport, ServeConfig,
 };
-use maxelerator::remote::{recv_control, send_control, ControlMsg, PROTOCOL_VERSION};
+use maxelerator::remote::{
+    recv_control, send_control, ControlMsg, PROTOCOL_VERSION, REJECT_VERSION,
+};
 use maxelerator::{AcceleratorConfig, AcceleratorError, RemoteClient};
 
 const WIDTH: usize = 8;
@@ -280,6 +282,35 @@ fn hostile_frames_do_not_kill_the_service() {
     // truncated pre-handshake stream is a clean disconnect.
     assert_eq!(stats.sessions_errored, 2);
     assert_eq!(stats.jobs_completed, 1);
+}
+
+/// A peer one protocol version behind folds different things into its
+/// transcript digest; it must be turned away at HELLO with the server's
+/// version in the detail, not let in to fail an integrity check later.
+#[test]
+fn previous_protocol_version_is_rejected_at_hello() {
+    let service = demo_service(|_| {});
+    let mut wire = service.connect();
+    send_control(
+        &mut wire,
+        &ControlMsg::Hello {
+            version: PROTOCOL_VERSION - 1,
+            bit_width: WIDTH as u32,
+            trace: max_telemetry::TraceContext::none(),
+        },
+    )
+    .expect("hello");
+    assert_eq!(
+        recv_control(&mut wire).expect("reply"),
+        ControlMsg::Reject {
+            code: REJECT_VERSION,
+            detail: u32::from(PROTOCOL_VERSION),
+        }
+    );
+    drop(wire);
+    let stats = service.shutdown();
+    assert_eq!(stats.integrity_rejects, 0);
+    assert_eq!(stats.jobs_completed, 0);
 }
 
 #[test]
