@@ -38,11 +38,10 @@ use max_gc::channel::{
 };
 use max_gc::Transport;
 use max_ot::iknp::KAPPA;
-use max_serve::{
-    demo_vector, demo_weights, garble_stream, plain_matvec, stream_digest, GcService, ServeConfig,
-};
+use max_serve::{demo_vector, demo_weights, plain_matvec, stream_digest, GcService, ServeConfig};
 use max_telemetry::report::JsonValue;
 use max_telemetry::Histogram;
+use maxelerator::remote::fill_stream;
 use maxelerator::{
     AcceleratorConfig, MaterializedJob, ModelHandle, RemoteClient, ResilientClient, RetryPolicy,
 };
@@ -387,7 +386,7 @@ fn measure_overhead() -> Overhead {
     // Every integrity pass of such a job, timed in isolation over a
     // stream of the same shape the warm path just served.
     let config = AcceleratorConfig::new(WIDTH);
-    let (job, _) = garble_stream(&config, &weights, SEED ^ 0xD16, 16).expect("garble stream");
+    let job = fill_stream(&config, &weights, SEED ^ 0xD16, 1).expect("fill stream");
     let frames = job_frames(&job);
     let seal_open = time_median(|| {
         for frame in frames.iter().flatten() {

@@ -76,6 +76,16 @@ impl RoundMessage {
     }
 }
 
+/// One garbled output element: its round messages and the OT label pairs
+/// (bit-width pairs per round, concatenated in round order).
+#[derive(Clone, Debug)]
+pub struct GarbledRow {
+    /// Round messages in round order.
+    pub messages: Vec<RoundMessage>,
+    /// OT pairs matching the client's choice bits for this row.
+    pub pairs: Vec<(Block, Block)>,
+}
+
 /// Hardware activity report.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AcceleratorReport {
@@ -238,6 +248,33 @@ impl Maxelerator {
         self.round = 0;
         self.carried_zero = None;
         self.eval_pairs.clear();
+    }
+
+    /// Garbles matrix row `row` as output element `elem`: the element's
+    /// whole round sequence as one pipelined job with the decode bits
+    /// released on the last round, plus its OT pairs in round order. This
+    /// is how every driver — in-process servers, unit banks, the served
+    /// job producer — turns a row into an element, so they cannot drift.
+    ///
+    /// # Errors
+    ///
+    /// See [`Maxelerator::try_garble_job`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is empty or a weight does not fit the bit-width.
+    pub fn garble_element(
+        &mut self,
+        elem: u32,
+        row: &[i64],
+    ) -> Result<GarbledRow, AcceleratorError> {
+        self.begin_element(elem);
+        let messages = self.try_garble_job(row, true)?;
+        let mut pairs = Vec::with_capacity(row.len() * self.config.bit_width);
+        for msg in &messages {
+            pairs.extend_from_slice(self.ot_pairs(msg.round)?);
+        }
+        Ok(GarbledRow { messages, pairs })
     }
 
     /// Garbles one MAC round for server input `a`.

@@ -99,6 +99,12 @@ impl AcceleratorConfig {
         }
     }
 
+    /// A client vector as OT choice bits: `b` bits per element, in round
+    /// order. One such batch selects the labels of every row of a matvec.
+    pub(crate) fn encode_choices(&self, x: &[i64]) -> Vec<bool> {
+        x.iter().flat_map(|&xl| self.encode_x(xl)).collect()
+    }
+
     /// The positional range of the accumulator within the garbler inputs.
     pub fn state_range(&self) -> std::ops::Range<usize> {
         self.bit_width..self.bit_width + self.acc_width

@@ -65,7 +65,9 @@ mod server;
 mod timing;
 mod wire;
 
-pub use accelerator::{AcceleratorReport, Maxelerator, RoundMessage, ScheduledEvaluator};
+pub use accelerator::{
+    AcceleratorReport, GarbledRow, Maxelerator, RoundMessage, ScheduledEvaluator,
+};
 pub use config::AcceleratorConfig;
 pub use error::AcceleratorError;
 pub use multi_unit::{connect_multi, secure_matvec_multi, MultiUnitServer, MultiUnitTiming};

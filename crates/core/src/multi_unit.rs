@@ -23,14 +23,15 @@ use max_crypto::Block;
 use max_gc::channel::Duplex;
 use max_ot::iknp::{self, OtExtSender};
 
-use crate::accelerator::{Maxelerator, RoundMessage, ScheduledEvaluator};
+use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage, ScheduledEvaluator};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
 use crate::server::{ClientSession, MatvecTranscript};
 use crate::wire::{decode_round_message, encode_round_message};
 
-/// OT label pairs for one row, one inner `Vec` per round.
-pub type RowOtPairs = Vec<Vec<(Block, Block)>>;
+/// OT label pairs for one row: bit-width pairs per round, concatenated in
+/// round order (the [`GarbledRow::pairs`] layout).
+pub type RowOtPairs = Vec<(Block, Block)>;
 
 /// A bank of independent MAC units sharing one device.
 ///
@@ -199,11 +200,7 @@ impl MultiUnitServer {
     /// leave the garbler's trust domain).
     fn stream_rows<F>(&mut self, mut on_row: F) -> Result<MultiUnitTiming, AcceleratorError>
     where
-        F: FnMut(
-            usize,
-            Vec<RoundMessage>,
-            Vec<Vec<(Block, Block)>>,
-        ) -> Result<(), AcceleratorError>,
+        F: FnMut(usize, GarbledRow) -> Result<(), AcceleratorError>,
     {
         let started = Instant::now();
         let n_units = self.units.len();
@@ -224,7 +221,7 @@ impl MultiUnitServer {
             let (unit_end, host_end) = Duplex::pair();
             unit_ends.push(unit_end);
             host_ends.push(host_end);
-            let (tx, rx) = mpsc::channel::<Vec<Vec<(Block, Block)>>>();
+            let (tx, rx) = mpsc::channel::<RowOtPairs>();
             pair_txs.push(tx);
             pair_rxs.push(rx);
         }
@@ -247,17 +244,14 @@ impl MultiUnitServer {
                     let thread_started = Instant::now();
                     let cycles_before = unit.report().cycles;
                     for row_idx in (u..rows).step_by(n_units) {
-                        unit.begin_element(row_idx as u32);
-                        let msgs = unit.garble_job(&weights[row_idx], true);
-                        let pairs: Vec<Vec<(Block, Block)>> = msgs
-                            .iter()
-                            .map(|m| unit.ot_pairs(m.round).expect("just garbled").to_vec())
-                            .collect();
-                        for msg in &msgs {
+                        let garbled = unit
+                            .garble_element(row_idx as u32, &weights[row_idx])
+                            .expect("compiled schedule satisfies its own dependencies");
+                        for msg in &garbled.messages {
                             wire.send_bytes(encode_round_message(msg));
                         }
                         // Receiver only drops early if the host errored out.
-                        let _ = pair_tx.send(pairs);
+                        let _ = pair_tx.send(garbled.pairs);
                     }
                     let unit_cycles = unit.report().cycles - cycles_before;
                     let elapsed = thread_started.elapsed();
@@ -278,17 +272,17 @@ impl MultiUnitServer {
             let rounds_per_row = weights[0].len();
             for row_idx in 0..rows {
                 let owner = row_idx % n_units;
-                let mut msgs = Vec::with_capacity(rounds_per_row);
+                let mut messages = Vec::with_capacity(rounds_per_row);
                 for _ in 0..rounds_per_row {
                     let frame = host_ends[owner]
                         .recv_bytes()
                         .map_err(|_| AcceleratorError::Disconnected)?;
-                    msgs.push(decode_round_message(frame)?);
+                    messages.push(decode_round_message(frame)?);
                 }
                 let pairs = pair_rxs[owner]
                     .recv()
                     .map_err(|_| AcceleratorError::Disconnected)?;
-                on_row(row_idx, msgs, pairs)?;
+                on_row(row_idx, GarbledRow { messages, pairs })?;
             }
             Ok(())
         });
@@ -320,9 +314,9 @@ impl MultiUnitServer {
         let mut messages = Vec::with_capacity(self.weights.len());
         let mut pairs = Vec::with_capacity(self.weights.len());
         let timing = self
-            .stream_rows(|_, msgs, row_pairs| {
-                messages.push(msgs);
-                pairs.push(row_pairs);
+            .stream_rows(|_, row| {
+                messages.push(row.messages);
+                pairs.push(row.pairs);
                 Ok(())
             })
             .expect("in-process units stream well-formed frames");
@@ -343,10 +337,12 @@ impl MultiUnitServer {
         let mut client = ScheduledEvaluator::new(&config);
         let mut result = Vec::with_capacity(self.weights.len());
         let timing = self
-            .stream_rows(|row_idx, msgs, row_pairs| {
+            .stream_rows(|row_idx, row| {
                 client.begin_element(row_idx as u32);
                 let mut decoded = None;
-                for (msg, round_pairs) in msgs.iter().zip(&row_pairs) {
+                for (msg, round_pairs) in
+                    row.messages.iter().zip(row.pairs.chunks(config.bit_width))
+                {
                     let bits = config.encode_x(x[msg.round as usize]);
                     let labels: Vec<Block> = round_pairs
                         .iter()
@@ -414,40 +410,17 @@ pub fn secure_matvec_multi(
         .ot_sender
         .take()
         .expect("server must be built via connect_multi");
-    let config = client.config.clone();
-    let b = config.bit_width;
-    let mut choices = Vec::with_capacity(x.len() * b);
-    for &xl in x {
-        choices.extend(config.encode_x(xl));
-    }
-
+    let choices = client.config.encode_choices(x);
     let mut transcript = MatvecTranscript::default();
     let mut result = Vec::with_capacity(server.rows());
-    let evaluator = &mut client.evaluator;
-    let ot_receiver = &mut client.ot_receiver;
-    let timing = server.stream_rows(|row_idx, msgs, row_pairs| {
-        evaluator.begin_element(row_idx as u32);
-        // One OT-extension batch per row, exactly as the single-unit
-        // server batches it, so the OT state transitions match.
-        let pairs: Vec<(Block, Block)> = row_pairs.into_iter().flatten().collect();
-        let (ext_msg, keys) = ot_receiver.prepare(&choices);
-        let cipher = ot_sender.send(&ext_msg, &pairs);
-        let labels: Vec<Block> = ot_receiver.receive(&cipher, &keys, &choices);
-        transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
-        transcript.ot_upload_bytes += ext_msg
-            .columns
-            .iter()
-            .map(|c| c.len() as u64 * 8)
-            .sum::<u64>();
-
-        let mut decoded = None;
-        for (i, msg) in msgs.iter().enumerate() {
-            transcript.material_bytes += msg.wire_bytes() as u64;
-            transcript.tables += msg.tables.len() as u64;
-            decoded = evaluator.evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
-        }
-        result.push(decoded.expect("final round decodes"));
-        transcript.rounds += msgs.len() as u64;
+    let timing = server.stream_rows(|row_idx, row| {
+        result.push(client.receive_element(
+            row_idx as u32,
+            &choices,
+            &row,
+            &mut ot_sender,
+            &mut transcript,
+        )?);
         Ok(())
     });
     server.ot_sender = Some(ot_sender);
@@ -455,7 +428,7 @@ pub fn secure_matvec_multi(
 
     transcript.elements = server.rows();
     transcript.fabric_cycles = timing.makespan_cycles;
-    transcript.fabric_seconds = timing.makespan_cycles as f64 / (config.freq_mhz * 1e6);
+    transcript.fabric_seconds = timing.makespan_cycles as f64 / (client.config.freq_mhz * 1e6);
     Ok((result, transcript, timing))
 }
 

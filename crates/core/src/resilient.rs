@@ -540,87 +540,8 @@ where
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::remote::{
-        derive_seed, garble_matvec_job, recv_control, send_control, stream_matvec_job, ControlMsg,
-        PROTOCOL_VERSION,
-    };
+    use crate::remote::tests::serve_one_session;
     use max_gc::channel::Duplex;
-    use max_ot::iknp;
-
-    /// Single-session test server that answers the first `busy_first` job
-    /// requests with BUSY before serving.
-    fn serve_with_busy(
-        mut transport: Duplex,
-        config: AcceleratorConfig,
-        weights: Vec<Vec<i64>>,
-        base_seed: u64,
-        mut busy_first: u32,
-        busy_hint_ms: u32,
-    ) -> Result<(), AcceleratorError> {
-        let (version, _width, trace) = match recv_control(&mut transport)? {
-            ControlMsg::Hello {
-                version,
-                bit_width,
-                trace,
-            } => (version, bit_width, trace),
-            _ => {
-                return Err(AcceleratorError::Protocol {
-                    what: "expected HELLO",
-                })
-            }
-        };
-        assert_eq!(version, PROTOCOL_VERSION);
-        let session_seed = derive_seed(base_seed, 0);
-        let ot_seed = derive_seed(session_seed, 0x07);
-        send_control(
-            &mut transport,
-            &ControlMsg::Accept {
-                session_id: 0,
-                ot_seed,
-                resume_token: derive_seed(session_seed, 0x7e57),
-                rows: weights.len() as u32,
-                cols: weights[0].len() as u32,
-                bit_width: config.bit_width as u32,
-                acc_width: config.acc_width as u32,
-                signed: config.signed,
-                freq_mhz_bits: config.freq_mhz.to_bits(),
-            },
-        )?;
-        let (mut ot_sender, _receiver) = iknp::setup_pair(ot_seed);
-        let mut job_id = 0u64;
-        loop {
-            match recv_control(&mut transport) {
-                Ok(ControlMsg::JobRequest { columns, .. }) => {
-                    if busy_first > 0 {
-                        busy_first -= 1;
-                        send_control(
-                            &mut transport,
-                            &ControlMsg::Busy {
-                                retry_after_ms: busy_hint_ms,
-                                queue_depth: 1,
-                            },
-                        )?;
-                        continue;
-                    }
-                    let job = garble_matvec_job(
-                        &config,
-                        &weights,
-                        derive_seed(session_seed, 0x100 + job_id),
-                        columns,
-                    )?;
-                    stream_matvec_job(&mut transport, &job, &mut ot_sender, job_id, trace)?;
-                    job_id += 1;
-                }
-                Ok(ControlMsg::Bye) | Err(AcceleratorError::Disconnected) => return Ok(()),
-                Ok(_) => {
-                    return Err(AcceleratorError::Protocol {
-                        what: "expected JOB or BYE",
-                    })
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 
     #[test]
     fn busy_hints_are_honored_with_backoff() {
@@ -630,7 +551,7 @@ mod tests {
         let server = {
             let config = config.clone();
             let w = w.clone();
-            std::thread::spawn(move || serve_with_busy(server_end, config, w, 11, 2, 1))
+            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 11, 0, 2, 1))
         };
         let mut ends = vec![client_end];
         let mut client = ResilientClient::new(
@@ -666,7 +587,9 @@ mod tests {
         let server = {
             let config = config.clone();
             let w = w.clone();
-            std::thread::spawn(move || serve_with_busy(server_end, config, w, 11, 2, u32::MAX))
+            std::thread::spawn(move || {
+                serve_one_session(server_end, &config, &w, 11, 0, 2, u32::MAX)
+            })
         };
         let policy = RetryPolicy {
             base_backoff_ms: 1,
@@ -751,7 +674,7 @@ mod tests {
         let server = {
             let config = config.clone();
             let w = w.clone();
-            std::thread::spawn(move || serve_with_busy(server_end, config, w, 11, 1, 1))
+            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 11, 0, 1, 1))
         };
         let recorder = std::sync::Arc::new(max_telemetry::Recorder::new());
         let ctx = max_telemetry::TraceContext::from_ids(0xfeed_beef, 0x1dea);

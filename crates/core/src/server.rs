@@ -10,8 +10,9 @@ use max_crypto::Block;
 use max_ot::iknp::{self, OtExtReceiver, OtExtSender};
 use serde::{Deserialize, Serialize};
 
-use crate::accelerator::{Maxelerator, RoundMessage, ScheduledEvaluator};
+use crate::accelerator::{GarbledRow, Maxelerator, ScheduledEvaluator};
 use crate::config::AcceleratorConfig;
+use crate::error::AcceleratorError;
 
 /// Communication/computation accounting of one secure matrix-vector
 /// product.
@@ -61,6 +62,49 @@ pub struct ClientSession {
 impl std::fmt::Debug for ClientSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientSession").finish_non_exhaustive()
+    }
+}
+
+impl ClientSession {
+    /// The host-side half of one output element, shared by the single- and
+    /// multi-unit in-process servers so their OT state transitions and
+    /// byte counts cannot diverge: one OT-extension batch covers every
+    /// round of the row (`b` choice bits per round), then the rounds are
+    /// evaluated in order. Returns the decoded MAC result.
+    pub(crate) fn receive_element(
+        &mut self,
+        elem: u32,
+        choices: &[bool],
+        garbled: &GarbledRow,
+        ot_sender: &mut OtExtSender,
+        transcript: &mut MatvecTranscript,
+    ) -> Result<i64, AcceleratorError> {
+        self.evaluator.begin_element(elem);
+        let labels: Vec<Block> = {
+            let _span = max_telemetry::span("ot");
+            let (ext_msg, keys) = self.ot_receiver.prepare(choices);
+            let cipher = ot_sender.send(&ext_msg, &garbled.pairs);
+            transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
+            transcript.ot_upload_bytes += ext_msg
+                .columns
+                .iter()
+                .map(|c| c.len() as u64 * 8)
+                .sum::<u64>();
+            self.ot_receiver.receive(&cipher, &keys, choices)
+        };
+
+        let _eval_span = max_telemetry::span("evaluate");
+        let b = self.config.bit_width;
+        let mut decoded = None;
+        for (i, msg) in garbled.messages.iter().enumerate() {
+            transcript.material_bytes += msg.wire_bytes() as u64;
+            transcript.tables += msg.tables.len() as u64;
+            decoded = self
+                .evaluator
+                .evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
+        }
+        transcript.rounds += garbled.messages.len() as u64;
+        Ok(decoded.expect("final round decodes"))
     }
 }
 
@@ -137,62 +181,29 @@ pub fn secure_matvec(
     let _matvec_span = max_telemetry::span("secure_matvec");
     let mut transcript = MatvecTranscript::default();
     let mut result = Vec::with_capacity(server.rows());
+    let choices = client.config.encode_choices(x);
 
-    let weights = server.weights.clone();
-    for (row_idx, row) in weights.iter().enumerate() {
-        server.accelerator.begin_element(row_idx as u32);
-        client.evaluator.begin_element(row_idx as u32);
-        let messages: Vec<RoundMessage> = {
+    for (row_idx, row) in server.weights.iter().enumerate() {
+        let garbled = {
             let mut span = max_telemetry::span("garble");
             let cycles_before = server.accelerator.report().cycles;
-            let messages = server.accelerator.garble_job(row, true);
+            let garbled = server
+                .accelerator
+                .garble_element(row_idx as u32, row)
+                .expect("compiled schedule satisfies its own dependencies");
             span.add_cycles(server.accelerator.report().cycles - cycles_before);
-            messages
+            garbled
         };
-
-        // One OT-extension batch covers every round of this row: b choice
-        // bits per round.
-        let mut choices = Vec::with_capacity(x.len() * client.config.bit_width);
-        for &xl in x {
-            choices.extend(client.config.encode_x(xl));
-        }
-        let mut pairs = Vec::with_capacity(choices.len());
-        for msg in &messages {
-            pairs.extend_from_slice(
-                server
-                    .accelerator
-                    .ot_pairs(msg.round)
-                    .expect("round just garbled"),
-            );
-        }
-        let labels: Vec<Block> = {
-            let _span = max_telemetry::span("ot");
-            let (ext_msg, keys) = client.ot_receiver.prepare(&choices);
-            let cipher = server.ot_sender.send(&ext_msg, &pairs);
-            let labels = client.ot_receiver.receive(&cipher, &keys, &choices);
-            transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
-            transcript.ot_upload_bytes += ext_msg
-                .columns
-                .iter()
-                .map(|c| c.len() as u64 * 8)
-                .sum::<u64>();
-            labels
-        };
-
-        let _eval_span = max_telemetry::span("evaluate");
-        let b = client.config.bit_width;
-        let mut decoded = None;
-        for (i, msg) in messages.iter().enumerate() {
-            transcript.material_bytes += msg.wire_bytes() as u64;
-            transcript.tables += msg.tables.len() as u64;
-            decoded = client
-                .evaluator
-                .evaluate_round(msg, &labels[i * b..(i + 1) * b])
-                .expect("in-process server messages are well-formed");
-        }
-        drop(_eval_span);
-        result.push(decoded.expect("final round decodes"));
-        transcript.rounds += messages.len() as u64;
+        let decoded = client
+            .receive_element(
+                row_idx as u32,
+                &choices,
+                &garbled,
+                &mut server.ot_sender,
+                &mut transcript,
+            )
+            .expect("in-process server messages are well-formed");
+        result.push(decoded);
     }
 
     transcript.elements = server.rows();

@@ -10,11 +10,11 @@
 //! OT + frame replay.
 //!
 //! A [`ModelRegistry`] holds any number of tenant matrices, each under a
-//! caller-chosen id. Registration decomposes a matrix into fixed-size row
-//! tiles ([`RegistryConfig::tile_rows`]); background fill steps
-//! ([`ModelRegistry::fill_step`], driven from pool idle time) garble one
-//! stream per step, tile by tile with bounded working memory, and deposit
-//! the materialized frames into the model's stock. Serving a matvec
+//! caller-chosen id. Background fill steps ([`ModelRegistry::fill_step`],
+//! driven from pool idle time) garble one stream per step with
+//! [`fill_stream`] — the function every served stream comes from, one
+//! element of working memory at a time — and deposit the materialized
+//! frames into the model's stock. Serving a matvec
 //! against a stocked model ([`ModelRegistry::acquire`]) pops one stream —
 //! **single use** — and the online exchange is OT plus replay of
 //! already-rendered bytes.
@@ -54,10 +54,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use maxelerator::remote::{
-    derive_seed, encode_round_burst, MaterializedElement, MaterializedJob, ModelStatus,
-    MAX_MODEL_ELEMENTS,
+    derive_seed, fill_stream, MaterializedJob, ModelStatus, MAX_MODEL_ELEMENTS,
 };
-use maxelerator::{AcceleratorConfig, AcceleratorError, Maxelerator};
+use maxelerator::{AcceleratorConfig, AcceleratorError};
 
 // The digest the stocks are verified against lives beside
 // `MaterializedJob` in the core crate; re-exported so registry users keep
@@ -72,9 +71,6 @@ pub struct RegistryConfig {
     pub budget_bytes: Option<u64>,
     /// Single-use streams to keep in stock per model.
     pub target_stock: usize,
-    /// Rows garbled per tile during stream generation — the unit of
-    /// incremental precompute work (and its memory high-water mark).
-    pub tile_rows: usize,
 }
 
 impl Default for RegistryConfig {
@@ -82,7 +78,6 @@ impl Default for RegistryConfig {
         RegistryConfig {
             budget_bytes: None,
             target_stock: 2,
-            tile_rows: 16,
         }
     }
 }
@@ -190,7 +185,9 @@ pub struct PreparedStream {
 /// Typed fallback when no warm stream can serve the request: the caller
 /// garbles inline with this ticket's seed (a fresh generation — the
 /// single-use invariant holds on the fallback path too). Falling back is
-/// counted, never an error.
+/// never an error; it is counted once the job is admitted
+/// ([`ModelRegistry::note_fallback_served`]), since a ticket whose job is
+/// turned away with BUSY served nothing.
 #[derive(Clone, Debug)]
 pub struct FallbackTicket {
     /// The model to garble.
@@ -579,9 +576,6 @@ impl ModelRegistry {
         }
         let generation = entry.generation;
         entry.generation += 1;
-        entry.served_fallback += 1;
-        counters.served_fallback += 1;
-        max_telemetry::counter_add("registry.served_fallback", 1);
         Some(Acquired::Starved(FallbackTicket {
             model_id,
             generation,
@@ -590,11 +584,24 @@ impl ModelRegistry {
         }))
     }
 
+    /// Records that the job a [`FallbackTicket`] was cut for was admitted
+    /// for inline garbling. The serving layer calls this when its pool
+    /// takes the job — not at [`acquire`](ModelRegistry::acquire), because
+    /// an acquired ticket can still be answered with BUSY.
+    pub fn note_fallback_served(&self, model_id: u64) {
+        let mut inner = self.lock();
+        if let Some(entry) = inner.models.get_mut(&model_id) {
+            entry.served_fallback += 1;
+        }
+        inner.counters.served_fallback += 1;
+        max_telemetry::counter_add("registry.served_fallback", 1);
+    }
+
     /// Runs one background precompute step: picks the most-starved model
     /// (stock plus in-flight fills furthest below
-    /// [`RegistryConfig::target_stock`]), garbles one stream for it tile
-    /// by tile *outside* the registry lock, and deposits it under the
-    /// byte budget. Returns `None` when every model is at target — the
+    /// [`RegistryConfig::target_stock`]), garbles one stream for it
+    /// *outside* the registry lock, and deposits it under the byte
+    /// budget. Returns `None` when every model is at target — the
     /// idle caller should sleep.
     ///
     /// # Errors
@@ -603,12 +610,7 @@ impl ModelRegistry {
     /// internal invariant violation, not peer input).
     pub fn fill_step(&self) -> Option<Result<FillReport, AcceleratorError>> {
         let ticket = self.claim_fill()?;
-        let garbled = garble_stream(
-            &self.config,
-            &ticket.weights,
-            ticket.seed,
-            self.reg.tile_rows,
-        );
+        let garbled = fill_stream(&self.config, &ticket.weights, ticket.seed, 1);
         Some(self.deposit(ticket, garbled))
     }
 
@@ -639,12 +641,12 @@ impl ModelRegistry {
     fn deposit(
         &self,
         ticket: FillTicket,
-        garbled: Result<(MaterializedJob, u64), AcceleratorError>,
+        garbled: Result<MaterializedJob, AcceleratorError>,
     ) -> Result<FillReport, AcceleratorError> {
         // Digest the fresh material before taking the lock: it is the
         // reference the acquire-time check verifies against.
         let digest = match &garbled {
-            Ok((job, _)) => stream_digest(job),
+            Ok(job) => stream_digest(job),
             Err(_) => [0u8; 16],
         };
         let mut inner = self.lock();
@@ -653,7 +655,8 @@ impl ModelRegistry {
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
             entry.filling = entry.filling.saturating_sub(1);
         }
-        let (job, cycles) = garbled?;
+        let job = garbled?;
+        let cycles = job.fabric_cycles;
         inner.counters.streams_produced += 1;
         inner.counters.fabric_cycles_spent += cycles;
         max_telemetry::counter_add("registry.streams_produced", 1);
@@ -843,66 +846,11 @@ impl ModelRegistry {
     }
 }
 
-/// Garbles one prepared matvec stream (`columns == 1`) tile by tile: each
-/// tile of [`RegistryConfig::tile_rows`] rows runs on a **fresh**
-/// accelerator seeded with the same stream seed, then is materialized to
-/// wire frames immediately, so working memory is one tile of round
-/// messages regardless of model height.
-///
-/// Per-element label streams derive from the seed and the element id
-/// alone, so the tiled product is bit-identical to garbling the whole
-/// stream on one accelerator (the invariant
-/// [`Maxelerator::begin_element`] documents and the tests here pin) —
-/// which is exactly what lets tiles be produced incrementally across idle
-/// intervals. Returns the stream and the fabric cycles it cost (summed
-/// over tiles).
-///
-/// # Errors
-///
-/// Propagates [`AcceleratorError`] from the garbling schedule.
-pub fn garble_stream(
-    config: &AcceleratorConfig,
-    weights: &[Vec<i64>],
-    seed: u64,
-    tile_rows: usize,
-) -> Result<(MaterializedJob, u64), AcceleratorError> {
-    let _span = max_telemetry::span("registry.garble_stream");
-    let tile_rows = tile_rows.max(1);
-    let mut elements = Vec::with_capacity(weights.len());
-    let mut cycles = 0u64;
-    for (tile_idx, tile) in weights.chunks(tile_rows).enumerate() {
-        let mut accel = Maxelerator::new(config.clone(), seed);
-        for (offset, row) in tile.iter().enumerate() {
-            accel.begin_element((tile_idx * tile_rows + offset) as u32);
-            let messages = accel.try_garble_job(row, true)?;
-            let mut pairs = Vec::with_capacity(row.len() * config.bit_width);
-            for msg in &messages {
-                pairs.extend_from_slice(accel.ot_pairs(msg.round)?);
-            }
-            elements.push(MaterializedElement {
-                material_bytes: messages.iter().map(|m| m.wire_bytes() as u64).sum(),
-                tables: messages.iter().map(|m| m.tables.len() as u64).sum(),
-                rounds: messages.len() as u64,
-                rounds_frame: encode_round_burst(&messages),
-                pairs,
-            });
-        }
-        cycles += accel.report().cycles;
-    }
-    let job = MaterializedJob {
-        elements,
-        rows_per_pass: weights.len(),
-        fabric_cycles: cycles,
-        fabric_seconds: cycles as f64 / (config.freq_mhz * 1e6),
-    };
-    Ok((job, cycles))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use max_crypto::Block;
-    use maxelerator::remote::{decode_round_burst, garble_matvec_job, materialize_job};
+    use maxelerator::remote::decode_round_burst;
     use maxelerator::ScheduledEvaluator;
 
     fn demo_weights() -> Vec<Vec<i64>> {
@@ -951,27 +899,6 @@ mod tests {
             y.push(decoded.unwrap());
         }
         y
-    }
-
-    #[test]
-    fn tiled_generation_is_bit_identical_to_one_shot_garbling() {
-        let config = AcceleratorConfig::new(8);
-        let w = demo_weights();
-        let seed = 0x0071_17e5;
-        let (tiled, _) = garble_stream(&config, &w, seed, 2).unwrap();
-        // Reference: the serve pool's one-accelerator inline path.
-        let inline = materialize_job(&garble_matvec_job(&config, &w, seed, 1).unwrap());
-        assert_eq!(tiled.elements.len(), inline.elements.len());
-        for (t, i) in tiled.elements.iter().zip(&inline.elements) {
-            assert_eq!(t.rounds_frame, i.rounds_frame, "wire frames must match");
-            assert_eq!(t.pairs, i.pairs, "OT label pairs must match");
-        }
-        // And a degenerate tile size covers the whole model in one tile.
-        let (one_tile, _) = garble_stream(&config, &w, seed, 64).unwrap();
-        for (t, i) in one_tile.elements.iter().zip(&inline.elements) {
-            assert_eq!(t.rounds_frame, i.rounds_frame);
-            assert_eq!(t.pairs, i.pairs);
-        }
     }
 
     #[test]
@@ -1042,9 +969,11 @@ mod tests {
             Acquired::Prepared(_) => panic!("nothing was prefilled"),
         };
         assert_eq!(ticket.generation, 0);
-        // The fallback garble decodes correctly and matches the prepared
-        // path bit-for-bit for the same generation seed.
-        let (job, _) = garble_stream(&config, &ticket.weights, ticket.seed, 16).unwrap();
+        // A ticket alone serves nothing: the count waits for admission.
+        assert_eq!(reg.stats().served_fallback, 0);
+        reg.note_fallback_served(ticket.model_id);
+        // The fallback garble is the fill function at the ticket's seed.
+        let job = fill_stream(&config, &ticket.weights, ticket.seed, 1).unwrap();
         let x = [1i64, -2, 3];
         assert_eq!(
             evaluate_stream(&config, &job, &x),
@@ -1053,8 +982,10 @@ mod tests {
         // Matmul requests fall back even with stock.
         reg.prefill(|_| {}).unwrap();
         assert!(matches!(reg.acquire(3, 2).unwrap(), Acquired::Starved(_)));
+        reg.note_fallback_served(3);
         let stats = reg.stats();
         assert_eq!(stats.served_fallback, 2);
+        assert_eq!(reg.status(3).unwrap().served_fallback, 2);
         // Generations never repeat across fallback and fill.
         let status = reg.status(3).unwrap();
         assert!(status.generation >= stats.streams_produced + 2);
@@ -1063,7 +994,7 @@ mod tests {
     #[test]
     fn stream_digest_is_stable_and_sensitive() {
         let config = AcceleratorConfig::new(8);
-        let (job, _) = garble_stream(&config, &demo_weights(), 7, 2).unwrap();
+        let job = fill_stream(&config, &demo_weights(), 7, 1).unwrap();
         let d = stream_digest(&job);
         assert_eq!(d, stream_digest(&job), "digest must be deterministic");
         let mut rotted = job.clone();
@@ -1106,7 +1037,6 @@ mod tests {
         assert_eq!(stream_digest(&healthy.job), healthy.digest);
         // Stock drained: the next job falls back to inline garbling.
         assert!(matches!(reg.acquire(5, 1).unwrap(), Acquired::Starved(_)));
-        assert_eq!(reg.stats().served_fallback, 1);
     }
 
     #[test]
@@ -1179,14 +1109,13 @@ mod tests {
     fn byte_budget_evicts_least_recently_acquired_models() {
         let config = AcceleratorConfig::new(8);
         // Size the budget from a real stream so exactly ~2 streams fit.
-        let (probe, _) = garble_stream(&config, &demo_weights(), 1, 16).unwrap();
+        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
         let budget = probe.stored_bytes() * 2 + probe.stored_bytes() / 2;
         let reg = ModelRegistry::new(
             config.clone(),
             RegistryConfig {
                 budget_bytes: Some(budget),
                 target_stock: 2,
-                tile_rows: 16,
             },
             5,
         );
@@ -1225,14 +1154,13 @@ mod tests {
     #[test]
     fn single_model_over_budget_trims_its_own_oldest_streams() {
         let config = AcceleratorConfig::new(8);
-        let (probe, _) = garble_stream(&config, &demo_weights(), 1, 16).unwrap();
+        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
         let budget = probe.stored_bytes() + probe.stored_bytes() / 2;
         let reg = ModelRegistry::new(
             config,
             RegistryConfig {
                 budget_bytes: Some(budget),
                 target_stock: 3,
-                tile_rows: 16,
             },
             5,
         );

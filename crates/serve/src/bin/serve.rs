@@ -8,8 +8,7 @@
 //!       [--flight-cap 64] [--no-recorder]
 //!       [--journal-dir DIR] [--no-fsync] [--deterministic-tokens]
 //!       [--crash-after-appends N]
-//!       [--registry-budget-bytes N] [--target-stock N] [--tile-rows N]
-//!       [--prefill]
+//!       [--registry-budget-bytes N] [--target-stock N] [--prefill]
 //! ```
 //!
 //! The model is the deterministic demo matrix; `loadgen` regenerates it
@@ -44,8 +43,8 @@
 //! daemon pre-garbles single-use streams for them during pool idle time.
 //! `--registry-budget-bytes` caps the stream cache (0 = unbounded; LRU
 //! whole-model eviction beyond it), `--target-stock` sets the warm streams
-//! kept per model, `--tile-rows` the precompute tile granularity, and
-//! `--prefill` fills every stock synchronously at startup.
+//! kept per model, and `--prefill` fills every stock synchronously at
+//! startup.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -79,7 +78,6 @@ struct Args {
     crash_after_appends: Option<u64>,
     registry_budget_bytes: u64,
     target_stock: usize,
-    tile_rows: usize,
     prefill: bool,
 }
 
@@ -116,7 +114,6 @@ fn parse_args() -> Args {
         crash_after_appends: None,
         registry_budget_bytes: 0,
         target_stock: 2,
-        tile_rows: 16,
         prefill: false,
     };
     let mut iter = std::env::args().skip(1);
@@ -163,7 +160,6 @@ fn parse_args() -> Args {
             "--target-stock" => {
                 args.target_stock = parsed("--target-stock", &value("--target-stock"))
             }
-            "--tile-rows" => args.tile_rows = parsed("--tile-rows", &value("--tile-rows")),
             "--prefill" => args.prefill = true,
             other => fatal(&format!("unknown flag: {other}")),
         }
@@ -217,7 +213,6 @@ fn main() {
     serve_config.registry_budget_bytes =
         (args.registry_budget_bytes > 0).then_some(args.registry_budget_bytes);
     serve_config.registry_target_stock = args.target_stock;
-    serve_config.registry_tile_rows = args.tile_rows.max(1);
     serve_config.prefill = args.prefill;
     if args.recorder {
         serve_config.recorder = Some(Arc::new(Recorder::new()));
@@ -261,14 +256,13 @@ fn main() {
         );
     }
     println!(
-        "registry: budget {} target-stock {} tile-rows {} prefill {}",
+        "registry: budget {} target-stock {} prefill {}",
         if args.registry_budget_bytes > 0 {
             format!("{} bytes", args.registry_budget_bytes)
         } else {
             "unbounded".to_string()
         },
         args.target_stock,
-        args.tile_rows.max(1),
         if args.prefill { "on" } else { "off" },
     );
     loop {

@@ -12,11 +12,17 @@
 //!              session thread  ──── submit ───▶  FairQueue (bounded,
 //!              (one per client)                  round-robin per session)
 //!                      ▲                                │
-//!                      │ GarbledJob                     ▼
-//!                      └──────────────────────  UnitPool workers
-//!                                                (modeled MAXelerator
-//!                                                 fabric per job)
+//!                      │ MaterializedJob                ▼
+//!                      ├──────────────────────  UnitPool workers
+//!                      │                         (fill_stream on a modeled
+//!                      │ MaterializedJob          MAXelerator fabric)
+//!                      └── ModelRegistry stock ◀── the same fill_stream,
+//!                          (warm, single use)      run in pool idle time
 //! ```
+//!
+//! A job is served one way: resolve it to a stream — popped warm from a
+//! model's stock, or filled on the pool for a session-default job, a
+//! starved fallback or a RESUME — and stream that.
 //!
 //! Everything is deterministic given the base seed: jobs carry derived
 //! seeds, so the garbled transcript is bit-identical whichever unit runs
@@ -48,8 +54,8 @@ pub use session::{SessionSummary, MAX_JOB_COLUMNS};
 // The prepared-model registry the service embeds; re-exported so binaries
 // and tests reach its types without naming the crate twice.
 pub use max_registry::{
-    garble_stream, stream_digest, Acquired, Eviction, EvictionKind, FallbackTicket, ModelRegistry,
-    PreparedStream, RegisterError, RegistryConfig, RegistryStats,
+    stream_digest, Acquired, Eviction, EvictionKind, FallbackTicket, ModelRegistry, PreparedStream,
+    RegisterError, RegistryConfig, RegistryStats,
 };
 
 use max_telemetry::FlightRecorder;

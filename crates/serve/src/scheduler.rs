@@ -25,10 +25,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use max_telemetry::{Recorder, TraceContext};
-use maxelerator::remote::{garble_matvec_job, GarbledJob};
+use maxelerator::remote::{fill_stream, MaterializedJob};
 use maxelerator::{AcceleratorConfig, AcceleratorError};
 
-/// One queued unit of work: garble a whole matvec/matmul job.
+/// One queued unit of work: garble a whole matvec/matmul job into the
+/// stream its session will serve.
 #[derive(Clone, Debug)]
 pub struct JobRequest {
     /// Session that submitted the job (fairness key).
@@ -39,18 +40,18 @@ pub struct JobRequest {
     pub columns: u32,
     /// Accelerator seed for this job.
     pub seed: u64,
-    /// Weights override: `Some` garbles against these (a registry model's
-    /// matrix, e.g. on a stock-exhausted fallback or a model RESUME);
-    /// `None` uses the pool's default matrix.
-    pub weights: Option<Arc<Vec<Vec<i64>>>>,
+    /// The matrix to garble: the session's default model, or a registry
+    /// model's (a stock-exhausted fallback, a model RESUME).
+    pub weights: Arc<Vec<Vec<i64>>>,
     /// Trace the submitting session carries; the worker records
     /// `server/queue_wait` and `server/garble` spans under it when a
     /// recorder is attached and the context is traced.
     pub trace: TraceContext,
 }
 
-/// What a worker hands back for one job.
-pub type JobResult = Result<GarbledJob, AcceleratorError>;
+/// What a worker hands back for one job: the materialized stream, ready
+/// for the session thread to put on the wire.
+pub type JobResult = Result<MaterializedJob, AcceleratorError>;
 
 /// Typed rejection when the bounded queue cannot admit another job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,9 +236,10 @@ impl FairQueue {
 /// A fixed pool of garbling units draining a [`FairQueue`].
 ///
 /// Each worker owns nothing but its thread: jobs carry their own seed, and
-/// [`garble_matvec_job`] builds a fresh deterministic accelerator per job,
-/// so results are independent of which unit ran what — the property the
-/// transcript-parity tests rely on.
+/// [`fill_stream`] — the same function a registry fill step runs — builds
+/// a fresh deterministic accelerator per job, so results are independent
+/// of which unit ran what (the property the transcript-parity tests rely
+/// on) and an inline job is exactly "fill one stream, serve it".
 pub struct UnitPool {
     queue: Arc<FairQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -268,7 +270,6 @@ impl UnitPool {
     /// pool would accept jobs that can never run.
     pub fn new(
         config: AcceleratorConfig,
-        weights: Arc<Vec<Vec<i64>>>,
         workers: usize,
         queue_capacity: usize,
         start_paused: bool,
@@ -281,7 +282,6 @@ impl UnitPool {
             .filter_map(|w| {
                 let queue = Arc::clone(&queue);
                 let config = config.clone();
-                let weights = Arc::clone(&weights);
                 let recorder = recorder.clone();
                 let idle_fill = idle_fill.clone();
                 // A unit that fails to spawn (thread exhaustion) just
@@ -322,17 +322,9 @@ impl UnitPool {
                         }
                         let _garble_span =
                             traced.map(|rec| rec.trace_span(job.request.trace, "server/garble"));
-                        let matrix = job
-                            .request
-                            .weights
-                            .as_ref()
-                            .map_or(&weights[..], |m| &m[..]);
-                        let result = garble_matvec_job(
-                            &config,
-                            matrix,
-                            job.request.seed,
-                            job.request.columns,
-                        );
+                        let request = &job.request;
+                        let result =
+                            fill_stream(&config, &request.weights, request.seed, request.columns);
                         // A session that died while queued is fine.
                         let _ = job.reply.send(result);
                     })
@@ -355,7 +347,7 @@ impl UnitPool {
         }
     }
 
-    /// Submits a job; the returned receiver yields the garbled result.
+    /// Submits a job; the returned receiver yields the garbled stream.
     ///
     /// # Errors
     ///
@@ -411,15 +403,19 @@ impl UnitPool {
 mod tests {
     use super::*;
 
-    fn request(session_id: u64, job_id: u64) -> JobRequest {
+    fn request_for(weights: Vec<Vec<i64>>, session_id: u64, job_id: u64) -> JobRequest {
         JobRequest {
             session_id,
             job_id,
             columns: 1,
             seed: 1,
-            weights: None,
+            weights: Arc::new(weights),
             trace: TraceContext::none(),
         }
+    }
+
+    fn request(session_id: u64, job_id: u64) -> JobRequest {
+        request_for(vec![vec![1i64]], session_id, job_id)
     }
 
     fn push(queue: &FairQueue, session_id: u64, job_id: u64) -> Result<usize, QueueFull> {
@@ -478,19 +474,19 @@ mod tests {
     #[test]
     fn pool_executes_real_jobs() {
         let config = AcceleratorConfig::new(8);
-        let weights = Arc::new(vec![vec![2i64, -3], vec![4, 5]]);
-        let pool = UnitPool::new(config, weights, 2, 4, false, None, None);
-        let rx_a = pool.submit(request(1, 0)).unwrap();
-        let rx_b = pool.submit(request(2, 0)).unwrap();
+        let weights = vec![vec![2i64, -3], vec![4, 5]];
+        let pool = UnitPool::new(config, 2, 4, false, None, None);
+        let rx_a = pool.submit(request_for(weights.clone(), 1, 0)).unwrap();
+        let rx_b = pool.submit(request_for(weights, 2, 0)).unwrap();
         let job_a = rx_a.recv().unwrap().unwrap();
         let job_b = rx_b.recv().unwrap().unwrap();
-        assert_eq!(job_a.rows.len(), 2);
+        assert_eq!(job_a.elements.len(), 2);
         assert_eq!(job_a.rows_per_pass, 2);
         assert!(job_a.fabric_cycles > 0);
         // Same seed => bit-identical garbling regardless of which unit ran it.
         assert_eq!(
-            job_a.rows[0].messages[0].tables,
-            job_b.rows[0].messages[0].tables
+            job_a.elements[0].rounds_frame,
+            job_b.elements[0].rounds_frame
         );
         pool.shutdown();
     }
@@ -498,18 +494,11 @@ mod tests {
     #[test]
     fn weights_override_garbles_against_request_matrix() {
         let config = AcceleratorConfig::new(8);
-        let default_weights = Arc::new(vec![vec![1i64]]);
-        let pool = UnitPool::new(config.clone(), default_weights, 1, 4, false, None, None);
-        let model = Arc::new(vec![vec![7i64, -2], vec![3, 4]]);
-        let mut req = request(1, 0);
-        req.weights = Some(Arc::clone(&model));
+        let pool = UnitPool::new(config.clone(), 1, 4, false, None, None);
+        let model = vec![vec![7i64, -2], vec![3, 4]];
+        let req = request_for(model.clone(), 1, 0);
         let got = pool.submit(req).unwrap().recv().unwrap().unwrap();
-        let want = garble_matvec_job(&config, &model, 1, 1).unwrap();
-        assert_eq!(got.rows.len(), 2, "model shape, not the pool default");
-        assert_eq!(
-            got.rows[0].messages[0].tables,
-            want.rows[0].messages[0].tables
-        );
+        assert_eq!(got, fill_stream(&config, &model, 1, 1).unwrap());
         pool.shutdown();
     }
 
@@ -517,7 +506,6 @@ mod tests {
     fn idle_fill_runs_only_while_queue_is_empty() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let config = AcceleratorConfig::new(8);
-        let weights = Arc::new(vec![vec![1i64]]);
         let fills = Arc::new(AtomicU64::new(0));
         let hook_fills = Arc::clone(&fills);
         let hook: IdleFill = Arc::new(move || {
@@ -526,7 +514,7 @@ mod tests {
             // its timed-wait path.
             hook_fills.load(Ordering::SeqCst).is_multiple_of(2)
         });
-        let pool = UnitPool::new(config, weights, 1, 2, false, None, Some(hook));
+        let pool = UnitPool::new(config, 1, 2, false, None, Some(hook));
         // Idle pool precomputes...
         let deadline = Instant::now() + Duration::from_secs(5);
         while fills.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
@@ -542,8 +530,7 @@ mod tests {
     #[test]
     fn paused_pool_holds_jobs_until_resume() {
         let config = AcceleratorConfig::new(8);
-        let weights = Arc::new(vec![vec![1i64]]);
-        let pool = UnitPool::new(config, weights, 1, 2, true, None, None);
+        let pool = UnitPool::new(config, 1, 2, true, None, None);
         let rx = pool.submit(request(1, 0)).unwrap();
         assert_eq!(pool.depth(), 1);
         assert!(rx

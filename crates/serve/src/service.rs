@@ -89,8 +89,6 @@ pub struct ServeConfig {
     pub registry_budget_bytes: Option<u64>,
     /// Warm single-use streams to keep per registered model.
     pub registry_target_stock: usize,
-    /// Rows per tile during background stream generation.
-    pub registry_tile_rows: usize,
     /// Synchronously fill every model's stock to target at startup (and
     /// after journal replay) instead of waiting for pool idle time.
     pub prefill: bool,
@@ -119,7 +117,6 @@ impl ServeConfig {
             journal: None,
             registry_budget_bytes: None,
             registry_target_stock: RegistryConfig::default().target_stock,
-            registry_tile_rows: RegistryConfig::default().tile_rows,
             prefill: false,
         }
     }
@@ -476,7 +473,6 @@ impl GcService {
             RegistryConfig {
                 budget_bytes: cfg.registry_budget_bytes,
                 target_stock: cfg.registry_target_stock,
-                tile_rows: cfg.registry_tile_rows,
             },
             cfg.base_seed,
         ));
@@ -499,7 +495,6 @@ impl GcService {
         };
         let pool = UnitPool::new(
             cfg.config.clone(),
-            Arc::clone(&weights),
             cfg.workers,
             cfg.queue_capacity,
             cfg.start_paused,

@@ -17,6 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc;
 use std::sync::Arc;
 
 use max_crypto::TranscriptDigest;
@@ -25,13 +26,14 @@ use max_ot::iknp::{self, OtExtSender};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
-    derive_seed, materialize_job, recv_control, send_control, stream_materialized_job_from,
-    ControlMsg, MaterializedJob, PROTOCOL_VERSION, REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD,
+    derive_seed, recv_control, send_control, stream_materialized_job_from, ControlMsg,
+    MaterializedJob, PROTOCOL_VERSION, REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD,
     REJECT_RESUME, REJECT_VERSION, REJECT_WIDTH, STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
 
 use crate::resume::SessionCheckpoint;
+use crate::scheduler::{JobRequest, JobResult};
 use crate::service::ServiceShared;
 
 /// Largest matmul a single job request may ask for (columns).
@@ -44,19 +46,9 @@ pub const MAX_JOB_COLUMNS: u32 = 64;
 /// ACCEPT, so a seed-derived token would let any client invert its own
 /// `ot_seed` back to `base_seed` and forge every other session's token.
 fn fresh_resume_token() -> u64 {
-    use std::io::Read;
     let mut buf = [0u8; 8];
-    match std::fs::File::open("/dev/urandom").and_then(|mut f| f.read_exact(&mut buf)) {
-        Ok(()) => u64::from_le_bytes(buf),
-        Err(_) => {
-            // Portable fallback: `RandomState`'s SipHash keys are seeded
-            // from OS entropy, and its output never appears on the wire.
-            use std::hash::{BuildHasher, Hasher};
-            let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
-            hasher.write_u64(0x7e57);
-            hasher.finish()
-        }
-    }
+    max_telemetry::os_entropy(&mut buf);
+    u64::from_le_bytes(buf)
 }
 
 /// How one session ended, with its tallies.
@@ -107,9 +99,13 @@ fn trace_instant(shared: &ServiceShared, trace: TraceContext, name: &str) {
     }
 }
 
-/// Identity of one streamed job: what a [`SessionCheckpoint`] must record
-/// to rebuild it after a disconnect.
-struct JobRun {
+/// A JOB or RESUME resolved to what will be served: the stream, and the
+/// identity a [`SessionCheckpoint`] must record to rebuild it after a
+/// disconnect. Every way a job can arrive — warm stock, a starved fallback
+/// ticket, the session default, a checkpoint — ends in one of these, and
+/// `session_loop` serves it through its single [`stream_job_checkpointed`]
+/// call.
+struct ResolvedJob {
     job_id: u64,
     columns: u32,
     job_seed: u64,
@@ -117,11 +113,45 @@ struct JobRun {
     /// matrix); recorded in checkpoints so a RESUME re-garbles from the
     /// registry's weights.
     model_id: Option<u64>,
-    start_element: usize,
+    stream: MaterializedJob,
     /// Fill-time digest of a prepared stream, re-verified (pipelined
     /// behind READY) before any material frame leaves; `None` for
     /// pool-garbled and resumed jobs, whose material was never cached.
     expected_digest: Option<[u8; 16]>,
+    /// Where the exchange starts, and the transcript digest at that
+    /// boundary: element zero and a fresh digest unless `resumed`.
+    start_element: usize,
+    digest: TranscriptDigest,
+    /// Continues a checkpointed job instead of starting one.
+    resumed: bool,
+}
+
+/// Waits for the unit pool's stream for an admitted job.
+fn await_stream(
+    result_rx: &mpsc::Receiver<JobResult>,
+) -> Result<MaterializedJob, AcceleratorError> {
+    result_rx.recv().map_err(|_| AcceleratorError::Protocol {
+        what: "unit pool shut down mid-job",
+    })?
+}
+
+/// Turns a job away with BUSY, counted; the session stays usable.
+fn send_busy<T: Transport>(
+    shared: &ServiceShared,
+    summary: &mut SessionSummary,
+    transport: &mut T,
+    retry_after_ms: u32,
+    queue_depth: usize,
+) -> Result<(), AcceleratorError> {
+    summary.busy_rejections += 1;
+    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
+    send_control(
+        transport,
+        &ControlMsg::Busy {
+            retry_after_ms,
+            queue_depth: queue_depth as u32,
+        },
+    )
 }
 
 /// Builds the checkpoint covering the current snapshot window — the value
@@ -129,18 +159,18 @@ struct JobRun {
 /// boundary) persist.
 fn window_checkpoint(
     ctx: &SessionCtx<'_>,
-    run: &JobRun,
+    job: &ResolvedJob,
     snapshots: &VecDeque<(usize, OtExtSender, TranscriptDigest)>,
 ) -> SessionCheckpoint {
     SessionCheckpoint {
         session_id: ctx.session_id,
         resume_token: ctx.resume_token,
         session_seed: ctx.session_seed,
-        next_job: run.job_id + 1,
-        job_id: run.job_id,
-        columns: run.columns,
-        job_seed: run.job_seed,
-        model_id: run.model_id,
+        next_job: job.job_id + 1,
+        job_id: job.job_id,
+        columns: job.columns,
+        job_seed: job.job_seed,
+        model_id: job.model_id,
         snapshots: snapshots.iter().cloned().collect(),
     }
 }
@@ -151,13 +181,13 @@ fn window_checkpoint(
 fn journal_window(
     shared: &ServiceShared,
     ctx: &SessionCtx<'_>,
-    run: &JobRun,
+    job: &ResolvedJob,
     snapshots: &VecDeque<(usize, OtExtSender, TranscriptDigest)>,
 ) {
     let Some(journal) = &shared.journal else {
         return;
     };
-    if let Err(err) = journal.append_checkpoint(&window_checkpoint(ctx, run, snapshots)) {
+    if let Err(err) = journal.append_checkpoint(&window_checkpoint(ctx, job, snapshots)) {
         max_telemetry::counter_add("serve.journal.append_errors", 1);
         if let Some(flight) = ctx.flight {
             flight.log("journal.error", format!("{err}"), 0);
@@ -179,16 +209,13 @@ fn journal_remove(shared: &ServiceShared, session_id: u64) {
 /// at each element boundary; every boundary is journaled (durable) and on
 /// failure the final window is deposited in the in-memory registry,
 /// covering the client's two possible rollback points.
-#[allow(clippy::too_many_arguments)]
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     summary: &mut SessionSummary,
     transport: &mut T,
     ctx: &SessionCtx<'_>,
-    job: &MaterializedJob,
     ot_sender: &mut OtExtSender,
-    run: &JobRun,
-    mut digest: TranscriptDigest,
+    job: &ResolvedJob,
 ) -> Result<(), AcceleratorError> {
     let _stream_span = shared
         .recorder
@@ -197,28 +224,29 @@ fn stream_job_checkpointed<T: Transport>(
         .map(|rec| rec.trace_span(ctx.trace, "server/stream"));
     let mut snapshots: VecDeque<(usize, OtExtSender, TranscriptDigest)> =
         VecDeque::with_capacity(3);
-    snapshots.push_back((run.start_element, ot_sender.clone(), digest.clone()));
+    let mut digest = job.digest.clone();
+    snapshots.push_back((job.start_element, ot_sender.clone(), digest.clone()));
     // The pre-job boundary goes to disk before READY: a crash anywhere in
     // the exchange now has a durable floor to resume from.
-    journal_window(shared, ctx, run, &snapshots);
+    journal_window(shared, ctx, job, &snapshots);
     if shared.step_timeout.is_some() {
         transport.set_idle_timeout(shared.step_timeout);
     }
     let result = stream_materialized_job_from(
         transport,
-        job,
+        &job.stream,
         ot_sender,
         &mut digest,
-        run.job_id,
+        job.job_id,
         ctx.trace,
-        run.start_element,
-        run.expected_digest,
+        job.start_element,
+        job.expected_digest,
         |next, sender, boundary_digest| {
             snapshots.push_back((next, sender.clone(), boundary_digest.clone()));
             if snapshots.len() > 2 {
                 snapshots.pop_front();
             }
-            journal_window(shared, ctx, run, &snapshots);
+            journal_window(shared, ctx, job, &snapshots);
         },
     );
     transport.set_idle_timeout(shared.idle_timeout);
@@ -234,7 +262,7 @@ fn stream_job_checkpointed<T: Transport>(
                 shared.integrity_rejects.fetch_add(1, Ordering::Relaxed);
                 max_telemetry::counter_add("serve.integrity.rejects", 1);
                 if let Some(flight) = ctx.flight {
-                    flight.log("integrity.reject", format!("{err}"), run.job_id);
+                    flight.log("integrity.reject", format!("{err}"), job.job_id);
                 }
                 // A prepared stream that no longer matches its fill-time
                 // digest is cache/disk rot, not a wire fault: count the
@@ -245,7 +273,7 @@ fn stream_job_checkpointed<T: Transport>(
                 }
             }
             let elements_kept = snapshots.back().map_or(0, |(next, _, _)| *next as u64);
-            let evicted = shared.resume.save(window_checkpoint(ctx, run, &snapshots));
+            let evicted = shared.resume.save(window_checkpoint(ctx, job, &snapshots));
             summary.checkpoints_saved += 1;
             shared.checkpoints_saved.fetch_add(1, Ordering::Relaxed);
             max_telemetry::counter_add("serve.resume.checkpoints", 1);
@@ -253,7 +281,7 @@ fn stream_job_checkpointed<T: Transport>(
             if let Some(flight) = ctx.flight {
                 flight.log(
                     "checkpoint.saved",
-                    format!("job {}", run.job_id),
+                    format!("job {}", job.job_id),
                     elements_kept,
                 );
                 if let Some(victim) = evicted {
@@ -341,7 +369,7 @@ fn session_loop<T: Transport>(
         send_control(transport, &ControlMsg::Reject { code, detail })
     };
 
-    let (mut ctx, mut ot_sender) = match first {
+    let (mut ctx, mut ot_sender, mut pending) = match first {
         ControlMsg::Hello {
             version,
             bit_width,
@@ -421,6 +449,7 @@ fn session_loop<T: Transport>(
                     flight,
                 },
                 ot_sender,
+                None,
             )
         }
         ControlMsg::Resume {
@@ -450,10 +479,10 @@ fn session_loop<T: Transport>(
             // weights with the checkpoint's seed (bit-identical to the
             // consumed stream). If the model was evicted since, the
             // checkpoint is unservable — same refusal as unknown state.
-            let model_weights = match checkpoint.model_id {
-                None => None,
+            let weights = match checkpoint.model_id {
+                None => Arc::clone(&shared.weights),
                 Some(model_id) => match shared.registry.weights(model_id) {
-                    Some(weights) => Some(weights),
+                    Some(weights) => weights,
                     None => {
                         max_telemetry::counter_add("serve.resume.model_evicted", 1);
                         reject(transport, summary, REJECT_RESUME, 0)?;
@@ -461,12 +490,12 @@ fn session_loop<T: Transport>(
                     }
                 },
             };
-            let request = crate::scheduler::JobRequest {
+            let request = JobRequest {
                 session_id: resumed_id,
                 job_id,
                 columns,
                 seed: checkpoint.job_seed,
-                weights: model_weights,
+                weights,
                 trace,
             };
             let result_rx = match shared.pool.submit(request) {
@@ -474,14 +503,12 @@ fn session_loop<T: Transport>(
                 Err(full) => {
                     // The checkpoint stays put; the client backs off and
                     // re-sends RESUME on its next connection.
-                    summary.busy_rejections += 1;
-                    shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                    send_control(
+                    send_busy(
+                        shared,
+                        summary,
                         transport,
-                        &ControlMsg::Busy {
-                            retry_after_ms: shared.retry_after_ms,
-                            queue_depth: full.queue_depth as u32,
-                        },
+                        shared.retry_after_ms,
+                        full.queue_depth,
                     )?;
                     return Ok(());
                 }
@@ -495,11 +522,7 @@ fn session_loop<T: Transport>(
                 reject(transport, summary, REJECT_RESUME, 0)?;
                 return Ok(());
             };
-            let mut ot_sender = sender;
-            let job =
-                materialize_job(&result_rx.recv().map_err(|_| AcceleratorError::Protocol {
-                    what: "unit pool shut down mid-job",
-                })??);
+            let stream = await_stream(&result_rx)?;
             let ctx = SessionCtx {
                 session_id: resumed_id,
                 session_seed: checkpoint.session_seed,
@@ -516,31 +539,18 @@ fn session_loop<T: Transport>(
                     u64::from(elements_done),
                 );
             }
-            stream_job_checkpointed(
-                shared,
-                summary,
-                transport,
-                &ctx,
-                &job,
-                &mut ot_sender,
-                &JobRun {
-                    job_id,
-                    columns,
-                    job_seed: checkpoint.job_seed,
-                    model_id: checkpoint.model_id,
-                    start_element,
-                    expected_digest: None,
-                },
+            let resumed = ResolvedJob {
+                job_id,
+                columns,
+                job_seed: checkpoint.job_seed,
+                model_id: checkpoint.model_id,
+                stream,
+                expected_digest: None,
+                start_element,
                 digest,
-            )?;
-            shared.resume.remove(resumed_id);
-            summary.jobs_completed += 1;
-            summary.jobs_resumed += 1;
-            shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-            shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.jobs.resumed", 1);
-            max_telemetry::counter_add("serve.jobs.completed", 1);
-            (ctx, ot_sender)
+                resumed: true,
+            };
+            (ctx, sender, Some(resumed))
         }
         _ => {
             return Err(AcceleratorError::Protocol {
@@ -549,6 +559,42 @@ fn session_loop<T: Transport>(
         }
     };
 
+    // The one serve site: whatever a JOB or RESUME resolved to goes out
+    // through the same checkpointed streamer and the same counters.
+    loop {
+        let job = match pending.take() {
+            Some(job) => job,
+            None => match next_job(shared, summary, transport, &mut ctx)? {
+                Some(job) => job,
+                None => break,
+            },
+        };
+        stream_job_checkpointed(shared, summary, transport, &ctx, &mut ot_sender, &job)?;
+        if job.resumed {
+            shared.resume.remove(ctx.session_id);
+            summary.jobs_resumed += 1;
+            shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
+            max_telemetry::counter_add("serve.jobs.resumed", 1);
+        }
+        summary.jobs_completed += 1;
+        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        max_telemetry::counter_add("serve.jobs.completed", 1);
+    }
+    max_telemetry::histogram_record("serve.session.jobs", summary.jobs_completed);
+    Ok(())
+}
+
+/// Answers control frames between jobs until a JOB resolves to a stream
+/// (`Some`) or the session ends cleanly — BYE, disconnect, idle reap
+/// (`None`). A JOB answered with `REJECT(MODEL)` or BUSY keeps the loop
+/// going: those are per-job refusals, not session errors.
+fn next_job<T: Transport>(
+    shared: &ServiceShared,
+    summary: &mut SessionSummary,
+    transport: &mut T,
+    ctx: &mut SessionCtx<'_>,
+) -> Result<Option<ResolvedJob>, AcceleratorError> {
+    let flight = ctx.flight;
     loop {
         match recv_control(transport) {
             Ok(ControlMsg::JobRequest { columns, model_id }) => {
@@ -557,20 +603,8 @@ fn session_loop<T: Transport>(
                         what: "JOB column count out of range",
                     });
                 }
-                /// How this job will be served: a warm pre-garbled stream
-                /// replayed on the session thread, or a unit-pool garble.
-                enum Plan {
-                    Prepared(Box<PreparedStream>),
-                    Pool {
-                        weights: Option<Arc<Vec<Vec<i64>>>>,
-                        seed_override: Option<u64>,
-                    },
-                }
-                let plan = match model_id {
-                    None => Plan::Pool {
-                        weights: None,
-                        seed_override: None,
-                    },
+                let ticket = match model_id {
+                    None => None,
                     Some(id) => match shared.registry.acquire(id, columns) {
                         None => {
                             // Unknown model is a per-job refusal, not a
@@ -588,11 +622,47 @@ fn session_loop<T: Transport>(
                             )?;
                             continue;
                         }
-                        Some(Acquired::Prepared(stream)) => Plan::Prepared(stream),
+                        Some(Acquired::Prepared(stream)) => {
+                            // The warm path never touches the breaker or the
+                            // pool: the online phase is OT plus frame replay,
+                            // which is exactly the capacity the breaker is NOT
+                            // guarding.
+                            let PreparedStream {
+                                model_id,
+                                generation,
+                                seed,
+                                job,
+                                digest,
+                            } = *stream;
+                            let job_id = ctx.next_job;
+                            ctx.next_job += 1;
+                            summary.jobs_prepared += 1;
+                            shared.jobs_prepared.fetch_add(1, Ordering::Relaxed);
+                            max_telemetry::counter_add("serve.jobs.prepared", 1);
+                            trace_instant(shared, ctx.trace, "server/prepared_serve");
+                            if let Some(flight) = flight {
+                                flight.log(
+                                    "model.prepared",
+                                    format!("model {model_id}"),
+                                    generation,
+                                );
+                            }
+                            return Ok(Some(ResolvedJob {
+                                job_id,
+                                columns,
+                                job_seed: seed,
+                                model_id: Some(model_id),
+                                stream: job,
+                                expected_digest: Some(digest),
+                                start_element: 0,
+                                digest: TranscriptDigest::new(),
+                                resumed: false,
+                            }));
+                        }
                         Some(Acquired::Starved(ticket)) => {
                             // Stock exhausted (or a shape with no prepared
-                            // form): garble inline from the ticket's fresh
-                            // generation. Counted, never an error.
+                            // form): fill one stream on the pool from the
+                            // ticket's fresh generation. Never an error.
                             if let Some(flight) = flight {
                                 flight.log(
                                     "model.starved",
@@ -600,130 +670,67 @@ fn session_loop<T: Transport>(
                                     ticket.generation,
                                 );
                             }
-                            Plan::Pool {
-                                weights: Some(ticket.weights),
-                                seed_override: Some(ticket.seed),
-                            }
+                            Some(ticket)
                         }
                     },
                 };
-                match plan {
-                    Plan::Prepared(stream) => {
-                        // The warm path never touches the breaker or the
-                        // pool: the online phase is OT plus frame replay,
-                        // which is exactly the capacity the breaker is NOT
-                        // guarding.
-                        let job_id = ctx.next_job;
+                if shared.breaker.should_shed() {
+                    let retry_after_ms = shared.breaker.config().retry_after_ms;
+                    if let Some(flight) = flight {
+                        flight.log("breaker.shed", "job", u64::from(retry_after_ms));
+                    }
+                    send_busy(
+                        shared,
+                        summary,
+                        transport,
+                        retry_after_ms,
+                        shared.pool.depth(),
+                    )?;
+                    continue;
+                }
+                let job_id = ctx.next_job;
+                let job_seed = ticket.as_ref().map_or_else(
+                    || derive_seed(ctx.session_seed, 0x100 + job_id),
+                    |ticket| ticket.seed,
+                );
+                let request = JobRequest {
+                    session_id: ctx.session_id,
+                    job_id,
+                    columns,
+                    seed: job_seed,
+                    weights: ticket.map_or_else(|| Arc::clone(&shared.weights), |t| t.weights),
+                    trace: ctx.trace,
+                };
+                match shared.pool.submit(request) {
+                    Ok(result_rx) => {
+                        shared.breaker.note_ok();
                         ctx.next_job += 1;
-                        summary.jobs_prepared += 1;
-                        shared.jobs_prepared.fetch_add(1, Ordering::Relaxed);
-                        max_telemetry::counter_add("serve.jobs.prepared", 1);
-                        trace_instant(shared, ctx.trace, "server/prepared_serve");
-                        if let Some(flight) = flight {
-                            flight.log(
-                                "model.prepared",
-                                format!("model {}", stream.model_id),
-                                stream.generation,
-                            );
+                        if let Some(id) = model_id {
+                            // Only now has the fallback served anything: a
+                            // ticket shed or queued out above got BUSY.
+                            shared.registry.note_fallback_served(id);
                         }
-                        stream_job_checkpointed(
+                        return Ok(Some(ResolvedJob {
+                            job_id,
+                            columns,
+                            job_seed,
+                            model_id,
+                            stream: await_stream(&result_rx)?,
+                            expected_digest: None,
+                            start_element: 0,
+                            digest: TranscriptDigest::new(),
+                            resumed: false,
+                        }));
+                    }
+                    Err(full) => {
+                        shared.breaker.note_queue_full();
+                        send_busy(
                             shared,
                             summary,
                             transport,
-                            &ctx,
-                            &stream.job,
-                            &mut ot_sender,
-                            &JobRun {
-                                job_id,
-                                columns,
-                                job_seed: stream.seed,
-                                model_id: Some(stream.model_id),
-                                start_element: 0,
-                                expected_digest: Some(stream.digest),
-                            },
-                            TranscriptDigest::new(),
+                            shared.retry_after_ms,
+                            full.queue_depth,
                         )?;
-                        summary.jobs_completed += 1;
-                        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        max_telemetry::counter_add("serve.jobs.completed", 1);
-                    }
-                    Plan::Pool {
-                        weights,
-                        seed_override,
-                    } => {
-                        if shared.breaker.should_shed() {
-                            summary.busy_rejections += 1;
-                            shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                            if let Some(flight) = flight {
-                                flight.log(
-                                    "breaker.shed",
-                                    "job",
-                                    u64::from(shared.breaker.config().retry_after_ms),
-                                );
-                            }
-                            send_control(
-                                transport,
-                                &ControlMsg::Busy {
-                                    retry_after_ms: shared.breaker.config().retry_after_ms,
-                                    queue_depth: shared.pool.depth() as u32,
-                                },
-                            )?;
-                            continue;
-                        }
-                        let job_id = ctx.next_job;
-                        let job_seed = seed_override
-                            .unwrap_or_else(|| derive_seed(ctx.session_seed, 0x100 + job_id));
-                        let request = crate::scheduler::JobRequest {
-                            session_id: ctx.session_id,
-                            job_id,
-                            columns,
-                            seed: job_seed,
-                            weights,
-                            trace: ctx.trace,
-                        };
-                        match shared.pool.submit(request) {
-                            Ok(result_rx) => {
-                                shared.breaker.note_ok();
-                                ctx.next_job += 1;
-                                let job = materialize_job(&result_rx.recv().map_err(|_| {
-                                    AcceleratorError::Protocol {
-                                        what: "unit pool shut down mid-job",
-                                    }
-                                })??);
-                                stream_job_checkpointed(
-                                    shared,
-                                    summary,
-                                    transport,
-                                    &ctx,
-                                    &job,
-                                    &mut ot_sender,
-                                    &JobRun {
-                                        job_id,
-                                        columns,
-                                        job_seed,
-                                        model_id,
-                                        start_element: 0,
-                                        expected_digest: None,
-                                    },
-                                    TranscriptDigest::new(),
-                                )?;
-                                summary.jobs_completed += 1;
-                                shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                                max_telemetry::counter_add("serve.jobs.completed", 1);
-                            }
-                            Err(full) => {
-                                shared.breaker.note_queue_full();
-                                summary.busy_rejections += 1;
-                                shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
-                                send_control(
-                                    transport,
-                                    &ControlMsg::Busy {
-                                        retry_after_ms: shared.retry_after_ms,
-                                        queue_depth: full.queue_depth as u32,
-                                    },
-                                )?;
-                            }
-                        }
                     }
                 }
             }
@@ -815,16 +822,16 @@ fn session_loop<T: Transport>(
                 // on disk.
                 shared.resume.remove(ctx.session_id);
                 journal_remove(shared, ctx.session_id);
-                break;
+                return Ok(None);
             }
-            Err(AcceleratorError::Disconnected) => break,
+            Err(AcceleratorError::Disconnected) => return Ok(None),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
                 summary.idle_reaped = true;
                 max_telemetry::counter_add("serve.sessions.idle_reaped", 1);
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "idle", 0);
                 }
-                break;
+                return Ok(None);
             }
             Ok(_) => {
                 return Err(AcceleratorError::Protocol {
@@ -834,6 +841,4 @@ fn session_loop<T: Transport>(
             Err(e) => return Err(e),
         }
     }
-    max_telemetry::histogram_record("serve.session.jobs", summary.jobs_completed);
-    Ok(())
 }

@@ -1,18 +1,28 @@
 //! End-to-end prepared-model registry tests: the v5 model lifecycle over
 //! the wire, warm-stock serving with plaintext verification, the typed
 //! fallback when stock runs dry, byte-budget eviction, journal replay of
-//! models across a restart, and a prepared-vs-inline equivalence proptest.
+//! models across a restart, and the one-job-path parity proptest (every
+//! route a matrix row can take to a wire carries the one producer's bytes
+//! and decodes to the plaintext product).
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use bytes::Bytes;
+use max_gc::channel::seal_frame;
 use max_gc::FramedTcp;
-use max_registry::garble_stream;
 use max_serve::{
-    demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, JournalConfig, ServeConfig,
+    demo_vector, demo_weights, listen_tcp, plain_matvec, Acquired, GcService, JournalConfig,
+    ModelRegistry, RecordingTransport, RegistryConfig, ServeConfig,
+};
+use max_telemetry::TraceContext;
+use maxelerator::remote::{
+    derive_seed, encode_round_burst, fill_stream, garble_matvec_job, materialize_job,
+    MaterializedElement,
 };
 use maxelerator::{
-    AcceleratorConfig, AcceleratorError, ModelHandle, RemoteClient, ResilientClient, RetryPolicy,
+    connect, secure_matvec, AcceleratorConfig, AcceleratorError, ModelHandle, MultiUnitServer,
+    RemoteClient, ResilientClient, RetryPolicy,
 };
 use proptest::prelude::*;
 
@@ -170,13 +180,85 @@ fn stock_exhausted_falls_back_inline_counted_never_an_error() {
 }
 
 #[test]
+fn a_fallback_answered_with_busy_is_not_counted_as_served() {
+    // One paused unit behind a one-slot queue: a session-default job takes
+    // the slot, so a model job arriving next gets its fallback ticket cut
+    // and is then turned away — first by the full queue, then by the open
+    // breaker. Neither served anything.
+    let service = demo_service(|cfg| {
+        cfg.workers = 1;
+        cfg.queue_capacity = 1;
+        cfg.start_paused = true;
+        cfg.registry_target_stock = 0;
+        cfg.breaker.open_for = Duration::from_secs(60);
+    });
+    let weights = model_weights(2, 3, 29);
+    let handle = service
+        .put_model(71, weights.clone())
+        .expect("register")
+        .handle();
+    let fallbacks = || {
+        let global = service.registry().stats().served_fallback;
+        let model = service.registry().status(71).expect("registered");
+        assert_eq!(global, model.served_fallback);
+        global
+    };
+    let x = demo_vector(3, WIDTH, SEED ^ 0x71);
+
+    std::thread::scope(|scope| {
+        let blocker = service.connect();
+        scope.spawn(move || {
+            let mut client = RemoteClient::connect(blocker, WIDTH).expect("handshake");
+            let x = demo_vector(COLS, WIDTH, SEED ^ 0x70);
+            client.secure_matvec(&x).expect("queued default job");
+            client.goodbye();
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.queue_depth() < 1 {
+            assert!(Instant::now() < deadline, "the queue never filled");
+            std::thread::yield_now();
+        }
+
+        let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+        let xs = std::slice::from_ref(&x);
+        assert!(matches!(
+            client.start_model_job(handle, xs),
+            Err(AcceleratorError::Busy { .. })
+        ));
+        assert_eq!(fallbacks(), 0, "queue-full BUSY served nothing");
+        service.trip_breaker();
+        assert!(matches!(
+            client.start_model_job(handle, xs),
+            Err(AcceleratorError::Busy { .. })
+        ));
+        assert_eq!(fallbacks(), 0, "breaker-shed BUSY served nothing");
+
+        // The retry that is admitted is the one that counts.
+        service.reset_breaker();
+        service.resume_workers();
+        let (ys, _) = loop {
+            match client.secure_matmul_model(handle, xs) {
+                Err(AcceleratorError::Busy { .. }) => std::thread::yield_now(),
+                other => break other.expect("retry after busy"),
+            }
+        };
+        assert_eq!(ys[0], plain_matvec(&weights, &x));
+        assert_eq!(fallbacks(), 1);
+        client.goodbye();
+    });
+    let stats = service.shutdown();
+    assert_eq!(stats.sessions_errored, 0);
+    assert!(stats.busy_rejections >= 2);
+}
+
+#[test]
 fn tight_budget_evicts_lru_model_whole() {
     // Size the budget from a real stream so ~2.5 streams fit: stocking
     // model B (2 streams) must push model A's stock out entirely.
     let weights_a = model_weights(2, 2, 11);
     let weights_b = model_weights(2, 2, 13);
-    let (probe, _) =
-        garble_stream(&AcceleratorConfig::new(WIDTH), &weights_a, SEED, 16).expect("probe stream");
+    let probe =
+        fill_stream(&AcceleratorConfig::new(WIDTH), &weights_a, SEED, 1).expect("probe stream");
     let budget = probe.stored_bytes() * 2 + probe.stored_bytes() / 2;
 
     let service = demo_service(|cfg| {
@@ -340,58 +422,116 @@ fn models_replay_from_journal_across_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs one job over an in-memory session with every frame recorded and
+/// returns the sealed ROUNDS frames the server sent, one per element, plus
+/// the results. A session receives ACCEPT, READY, then CIPHER and ROUNDS
+/// per element, then STATS.
+fn served_rounds(
+    service: &GcService,
+    model: Option<ModelHandle>,
+    xs: &[Vec<i64>],
+) -> (Vec<Bytes>, Vec<Vec<i64>>) {
+    let wire = RecordingTransport::new(service.connect());
+    let mut client =
+        RemoteClient::connect_with_trace(wire, WIDTH, TraceContext::none()).expect("handshake");
+    let (ys, _) = match model {
+        Some(handle) => client.secure_matmul_model(handle, xs),
+        None => client.secure_matmul(xs),
+    }
+    .expect("served job");
+    let received = client.goodbye().received_frames().to_vec();
+    let elements = (received.len() - 3) / 2;
+    let rounds = (0..elements).map(|i| received[3 + 2 * i].clone()).collect();
+    (rounds, ys)
+}
+
+fn sealed_rounds(elements: &[MaterializedElement]) -> Vec<Bytes> {
+    elements
+        .iter()
+        .map(|e| seal_frame(e.rounds_frame.clone()))
+        .collect()
+}
+
 proptest! {
+    // Each case boots three services; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A job served from a warm prepared stream and the same job garbled
-    /// inline (as the session default model) decode to the same plaintext
-    /// — the whole offline/online split changes nothing a client can see.
+    /// One job path: collected-then-materialized, filled directly, garbled
+    /// by an in-process unit bank of any width, or served — as a
+    /// session-default job, a starved fallback, or a warm prepared stream —
+    /// a matrix row at a given seed becomes the same ROUNDS frame and the
+    /// same OT pairs, and every served result is the plaintext product
+    /// (the whole offline/online split changes nothing a client can see).
     #[test]
-    fn prepared_and_inline_jobs_agree_on_plaintext(
-        rows in 1usize..4,
-        cols in 1usize..4,
-        tweak: u64,
-        tile_rows in 1usize..4,
+    fn every_path_produces_the_same_elements(
+        rows in 1usize..6,
+        cols in 1usize..5,
+        columns in 1u32..3,
+        seed: u64,
     ) {
-        let weights = demo_weights(rows, cols, WIDTH, SEED ^ tweak);
-        let x = demo_vector(cols, WIDTH, SEED ^ tweak ^ 0x77);
-        let expected = plain_matvec(&weights, &x);
+        let config = AcceleratorConfig::new(WIDTH);
+        let weights = demo_weights(rows, cols, WIDTH, seed);
+        let xs: Vec<Vec<i64>> = (0..u64::from(columns))
+            .map(|j| demo_vector(cols, WIDTH, seed ^ (j << 7)))
+            .collect();
+        let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
 
-        // Inline: the matrix is the session's default model.
-        let inline_service = GcService::start(ServeConfig::new(
-            AcceleratorConfig::new(WIDTH),
-            weights.clone(),
-            SEED ^ tweak,
-        ));
-        let mut client =
-            RemoteClient::connect(inline_service.connect(), WIDTH).expect("handshake");
-        let (y_inline, _) = client.secure_matvec(&x).expect("inline job");
-        client.goodbye();
-        inline_service.shutdown();
+        // Off the wire: the two forms of the producer, then the in-process
+        // servers, which garble one pass (elements 0..rows).
+        let filled = fill_stream(&config, &weights, seed, columns).expect("fill");
+        let collected = garble_matvec_job(&config, &weights, seed, columns).expect("garble");
+        prop_assert_eq!(&materialize_job(&collected), &filled);
+        let first_pass = &filled.elements[..rows];
+        for units in 1..=3 {
+            let mut bank = MultiUnitServer::new(&config, weights.clone(), units, seed);
+            let (messages, pairs, _) = bank.garble_matvec();
+            for (r, elem) in first_pass.iter().enumerate() {
+                prop_assert_eq!(&encode_round_burst(&messages[r]), &elem.rounds_frame);
+                prop_assert_eq!(&pairs[r], &elem.pairs);
+            }
+        }
+        // The single-unit server exposes its result and byte accounting.
+        let (mut server, mut client) = connect(&config, weights.clone(), seed);
+        let (y, transcript) = secure_matvec(&mut server, &mut client, &xs[0]);
+        prop_assert_eq!(&y, &expected[0]);
+        prop_assert_eq!(
+            transcript.material_bytes,
+            first_pass.iter().map(|e| e.material_bytes).sum::<u64>()
+        );
 
-        // Prepared: the same matrix registered as a model, stock filled
-        // ahead of the job, served by replaying materialized frames.
-        let prepared_service = demo_service(|cfg| {
-            cfg.registry_target_stock = 1;
-            cfg.registry_tile_rows = tile_rows;
-        });
-        let handle = prepared_service
-            .put_model(51, weights)
-            .expect("register")
-            .handle();
-        prepared_service.prefill_models();
-        prop_assert!(prepared_service.registry().stats().streams_ready >= 1);
-        let mut client =
-            RemoteClient::connect(prepared_service.connect(), WIDTH).expect("handshake");
-        let (ys, _) = client
-            .secure_matmul_model(handle, std::slice::from_ref(&x))
-            .expect("prepared job");
-        client.goodbye();
-        let reg = prepared_service.registry().stats();
-        prop_assert!(reg.served_prepared >= 1, "job must come from warm stock");
-        prepared_service.shutdown();
+        // On the wire. A session-default job runs at the session's job
+        // seed; a model job at its generation's seed, which a registry
+        // with the same base seed reproduces.
+        let default_service =
+            GcService::start(ServeConfig::new(config.clone(), weights.clone(), seed));
+        let (rounds, ys) = served_rounds(&default_service, None, &xs);
+        default_service.shutdown();
+        let job_seed = derive_seed(derive_seed(seed, 0), 0x100);
+        let reference = fill_stream(&config, &weights, job_seed, columns).expect("fill");
+        prop_assert_eq!(rounds, sealed_rounds(&reference.elements));
+        prop_assert_eq!(&ys, &expected);
 
-        prop_assert_eq!(&ys[0], &expected);
-        prop_assert_eq!(&y_inline, &expected);
+        let starved = RegistryConfig { target_stock: 0, ..RegistryConfig::default() };
+        let probe = ModelRegistry::new(config.clone(), starved, seed);
+        probe.register(51, weights.clone()).expect("register");
+        let Some(Acquired::Starved(ticket)) = probe.acquire(51, columns) else {
+            panic!("an empty stock cuts a ticket");
+        };
+        let reference = fill_stream(&config, &weights, ticket.seed, columns).expect("fill");
+        // A stocked stream is one matvec, so the warm serve is the first pass.
+        for (stock, xs) in [(0, &xs[..]), (1, &xs[..1])] {
+            let default_model = demo_weights(ROWS, COLS, WIDTH, SEED);
+            let mut cfg = ServeConfig::new(config.clone(), default_model, seed);
+            cfg.registry_target_stock = stock;
+            let service = GcService::start(cfg);
+            let handle = service.put_model(51, weights.clone()).expect("register").handle();
+            service.prefill_models();
+            let (rounds, ys) = served_rounds(&service, Some(handle), xs);
+            let served = service.registry().stats();
+            service.shutdown();
+            prop_assert_eq!((served.served_fallback, served.served_prepared), (1 - stock as u64, stock as u64));
+            prop_assert_eq!(rounds, sealed_rounds(&reference.elements[..rows * xs.len()]));
+            prop_assert_eq!(ys, &expected[..xs.len()]);
+        }
     }
 }

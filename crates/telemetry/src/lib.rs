@@ -50,7 +50,7 @@ pub mod report;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use trace::{TraceContext, TraceEvent};
+pub use trace::{os_entropy, TraceContext, TraceEvent};
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

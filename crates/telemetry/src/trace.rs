@@ -43,19 +43,11 @@ impl TraceContext {
         TraceContext { trace_id, span_id }
     }
 
-    /// Mints a fresh context from OS entropy (`/dev/urandom`, falling back
-    /// to `RandomState`'s per-process SipHash keys). The trace id is never
+    /// Mints a fresh context from [`os_entropy`]. The trace id is never
     /// zero.
     pub fn mint() -> Self {
         let mut buf = [0u8; 24];
-        let filled = std::fs::File::open("/dev/urandom")
-            .and_then(|mut f| f.read_exact(&mut buf))
-            .is_ok();
-        if !filled {
-            for (i, chunk) in buf.chunks_mut(8).enumerate() {
-                chunk.copy_from_slice(&hash_entropy(i as u64).to_le_bytes());
-            }
-        }
+        os_entropy(&mut buf);
         let mut trace = [0u8; 16];
         trace.copy_from_slice(&buf[..16]);
         let mut span = [0u8; 8];
@@ -75,6 +67,22 @@ impl TraceContext {
     /// and flight-recorder dumps.
     pub fn trace_hex(&self) -> String {
         format!("{:032x}", self.trace_id)
+    }
+}
+
+/// Fills `buf` from OS entropy — the workspace's one reader of
+/// `/dev/urandom`, behind trace ids here and `max-serve`'s resume tokens.
+/// Where the device is unavailable it falls back to `RandomState`, whose
+/// SipHash keys are themselves seeded from OS entropy and whose raw output
+/// never appears on a wire.
+pub fn os_entropy(buf: &mut [u8]) {
+    let filled = std::fs::File::open("/dev/urandom")
+        .and_then(|mut f| f.read_exact(buf))
+        .is_ok();
+    if !filled {
+        for (i, chunk) in buf.chunks_mut(8).enumerate() {
+            chunk.copy_from_slice(&hash_entropy(i as u64).to_le_bytes()[..chunk.len()]);
+        }
     }
 }
 
