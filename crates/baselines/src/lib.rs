@@ -3,8 +3,8 @@
 //! * [`tinygarble`] — TinyGarble (Songhori et al., S&P'15), the fastest
 //!   software GC framework at publication time. Two faces here: a *real*
 //!   software sequential garbler (built on `max-gc`, with TinyGarble's
-//!   serial-multiplier MAC netlist) whose wall-clock rate criterion
-//!   measures, and the paper-calibrated cycle model that reproduces the
+//!   serial-multiplier MAC netlist) whose wall-clock rate `table2
+//!   --measure` prints, and the paper-calibrated cycle model that reproduces the
 //!   published Table 2 row exactly.
 //! * [`overlay`] — the FPGA overlay architecture of Fang–Ioannidis–Leeser
 //!   (FPGA'17). Closed source and SHA-1 based; the paper itself interpolates

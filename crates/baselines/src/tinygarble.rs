@@ -6,7 +6,7 @@
 //!    (shift–add) multiplier MAC netlist garbled round by round with the
 //!    shared `max-gc` engine, single-threaded, gate by gate in topological
 //!    order. This is what a CPU-bound framework actually does, and its
-//!    wall-clock throughput is what the criterion benches measure.
+//!    wall-clock throughput is what `table2 --measure` prints.
 //! 2. [`model`] — the published Table 2 row: clock cycles per MAC measured
 //!    by the paper's authors on their Intel CPU, calibrated exactly at
 //!    b ∈ {8, 16, 32} and extended by the observed `≈ 2185·b²` scaling for
@@ -123,7 +123,7 @@ impl TinyGarbleMac {
     }
 
     /// Garbles a whole dot product and returns tables/second wall-clock —
-    /// the measured software rate criterion also reports.
+    /// the measured software rate `table2 --measure` prints.
     pub fn measure_rate(&mut self, rounds: usize) -> SoftwareRate {
         let start = std::time::Instant::now();
         let mut tables = 0usize;

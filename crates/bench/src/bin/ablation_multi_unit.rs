@@ -67,8 +67,7 @@ fn main() {
     println!();
 
     // Every number in this table is read back from a telemetry snapshot
-    // (`MultiUnitTiming::record_into` → `multi_unit_perf`), the same path
-    // `perf_report` serializes to BENCH_matvec.json — one source of truth.
+    // (`MultiUnitTiming::record_into` → `multi_unit_perf`).
     println!("  {} | {:>9}", multi_unit_perf_header(), "vs single");
     println!("  {}-+-{}", rule(&MULTI_UNIT_WIDTHS), "-".repeat(9));
 

@@ -2,8 +2,8 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper; see EXPERIMENTS.md for the index and `cargo run -p max-bench
-//! --bin <name>` to reproduce any of them. Criterion micro-benchmarks live
-//! under `benches/`.
+//! --bin <name>` to reproduce any of them. Performance claims come from the
+//! separate `benchmark/` package, not from these binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +54,7 @@ pub fn compare(label: &str, paper: f64, ours: f64) -> String {
 }
 
 /// Modeled-vs-measured summary of one multi-unit run, derived from a
-/// telemetry [`max_telemetry::Snapshot`] so console tables and JSON
-/// artifacts read the same numbers.
+/// telemetry [`max_telemetry::Snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MultiUnitPerf {
     /// Units (threads) the run used.

@@ -654,7 +654,6 @@ impl Maxelerator {
             GateKind::Xor => {
                 let a = self.resolve(netlist, zero, round, gate.a.index())?;
                 let b = self.resolve(netlist, zero, round, gate.b.index())?;
-                max_telemetry::counter_add("gc.gates.xor", 1);
                 a ^ b
             }
             GateKind::Not => {

@@ -95,10 +95,9 @@ impl MultiUnitTiming {
         self.measured_busy_total.as_secs_f64() / self.measured_makespan.as_secs_f64()
     }
 
-    /// Publishes this timing into `recorder` as `multi_unit.*` counters —
-    /// the single source of truth the benches and `perf_report` read back
-    /// via [`MultiUnitTiming::from_snapshot`]. Meant to be called once per
-    /// recorder (counters accumulate).
+    /// Publishes this timing into `recorder` as `multi_unit.*` counters,
+    /// read back via [`MultiUnitTiming::from_snapshot`]. Meant to be called
+    /// once per recorder (counters accumulate).
     pub fn record_into(&self, recorder: &max_telemetry::Recorder) {
         recorder.add("multi_unit.units", self.units as u64);
         recorder.add("multi_unit.makespan_cycles", self.makespan_cycles);
@@ -237,10 +236,6 @@ impl MultiUnitServer {
             {
                 let stats_tx = stats_tx.clone();
                 scope.spawn(move || {
-                    // Busy interval of this unit on the shared timeline;
-                    // closed when the guard drops at thread exit.
-                    let _lane = max_telemetry::timeline("multi_unit.units", u as u32);
-                    let mut span = max_telemetry::span("unit_garble");
                     let thread_started = Instant::now();
                     let cycles_before = unit.report().cycles;
                     for row_idx in (u..rows).step_by(n_units) {
@@ -254,13 +249,7 @@ impl MultiUnitServer {
                         let _ = pair_tx.send(garbled.pairs);
                     }
                     let unit_cycles = unit.report().cycles - cycles_before;
-                    let elapsed = thread_started.elapsed();
-                    span.add_cycles(unit_cycles);
-                    max_telemetry::histogram_record(
-                        "multi_unit.unit_busy_ns",
-                        elapsed.as_nanos() as u64,
-                    );
-                    let _ = stats_tx.send((u, elapsed, unit_cycles));
+                    let _ = stats_tx.send((u, thread_started.elapsed(), unit_cycles));
                 });
             }
             drop(stats_tx);

@@ -431,7 +431,6 @@ impl<T: Transport> RemoteClient<T> {
         model: ModelHandle,
         x_columns: &[Vec<i64>],
     ) -> Result<(Vec<Vec<i64>>, MatvecTranscript), AcceleratorError> {
-        let _span = max_telemetry::span("remote.client_job");
         let mut progress = self.start_model_job(model, x_columns)?;
         self.run_job(&mut progress)?;
         Ok(progress.into_result())
@@ -481,7 +480,6 @@ impl<T: Transport> RemoteClient<T> {
         &mut self,
         x_columns: &[Vec<i64>],
     ) -> Result<(Vec<Vec<i64>>, MatvecTranscript), AcceleratorError> {
-        let _span = max_telemetry::span("remote.client_job");
         let mut progress = self.start_job(x_columns)?;
         self.run_job(&mut progress)?;
         Ok(progress.into_result())
@@ -629,10 +627,7 @@ impl<T: Transport> RemoteClient<T> {
             },
         )?;
         match recv_control(&mut self.transport)? {
-            ControlMsg::Ready { job_id } if job_id == progress.job_id => {
-                max_telemetry::counter_add("remote.jobs_resumed", 1);
-                Ok(())
-            }
+            ControlMsg::Ready { job_id } if job_id == progress.job_id => Ok(()),
             ControlMsg::Ready { .. } => Err(AcceleratorError::Protocol {
                 what: "READY for a different job",
             }),

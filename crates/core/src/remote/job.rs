@@ -50,7 +50,6 @@ pub fn garble_elements(
 ) -> Result<u64, AcceleratorError> {
     assert!(!weights.is_empty(), "job needs a non-empty model");
     assert!(columns > 0, "job needs at least one column");
-    let _span = max_telemetry::span("remote.garble_job");
     let mut accel = Maxelerator::new(config.clone(), seed);
     let n_rows = weights.len();
     for pass in 0..columns as usize {
@@ -268,7 +267,6 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     expected_digest: Option<[u8; 16]>,
     mut on_element: impl FnMut(usize, &OtExtSender, &TranscriptDigest),
 ) -> Result<MatvecTranscript, AcceleratorError> {
-    let _span = max_telemetry::span("remote.stream_job");
     send_control(transport, &ControlMsg::Ready { job_id })?;
     if let Some(expected) = expected_digest {
         if stream_digest(job) != expected {

@@ -21,14 +21,14 @@
 //!   `REJECT(integrity)`) invalidates the job's checkpoints and restarts it
 //!   from scratch on a fresh session. Both are counted in
 //!   [`ResilienceStats`] (`integrity_detected` / `integrity_healed`), so a
-//!   corrupt link shows up in telemetry instead of in wrong plaintexts.
+//!   corrupt link shows up in the stats instead of in wrong plaintexts.
 //!
 //! Backoff is exponential with decorrelated jitter (`sleep = base +
 //! rand(0, prev*3 - base)`, capped), seeded deterministically so chaos
 //! tests replay. Every operation carries a bounded attempt budget; when it
 //! runs out the caller gets [`AcceleratorError::RetriesExhausted`] wrapping
 //! the terminal failure. All recovery events are counted in
-//! [`ResilienceStats`] and mirrored to `max-telemetry` counters.
+//! [`ResilienceStats`].
 //!
 //! **Tracing.** Every `ResilientClient` mints one [`TraceContext`] at
 //! construction and puts it on the wire with *every* dial — so the first
@@ -263,7 +263,6 @@ where
         &mut self,
         x_columns: &[Vec<i64>],
     ) -> Result<(Vec<Vec<i64>>, MatvecTranscript), AcceleratorError> {
-        let _span = max_telemetry::span("resilient.job");
         let rec = self.recorder.clone();
         let _job_span = rec.as_ref().map(|r| r.trace_span(self.trace, "client/job"));
         let started = Instant::now();
@@ -283,7 +282,6 @@ where
                     }
                     if integrity_hits > 0 {
                         self.stats.integrity_healed += 1;
-                        max_telemetry::counter_add("resilient.integrity_healed", 1);
                     }
                     return Ok(result);
                 }
@@ -294,7 +292,6 @@ where
                     if Self::is_integrity(&err) {
                         integrity_hits += 1;
                         if integrity_hits > self.policy.integrity_retries {
-                            max_telemetry::counter_add("resilient.integrity_gave_up", 1);
                             return Err(AcceleratorError::RetriesExhausted {
                                 attempts,
                                 last: Box::new(err),
@@ -302,7 +299,6 @@ where
                         }
                     }
                     if attempts >= self.policy.max_attempts {
-                        max_telemetry::counter_add("resilient.gave_up", 1);
                         return Err(AcceleratorError::RetriesExhausted {
                             attempts,
                             last: Box::new(err),
@@ -353,7 +349,6 @@ where
                     match client.resume_job(progress) {
                         Ok(()) => {
                             self.stats.resumes += 1;
-                            max_telemetry::counter_add("resilient.resumes", 1);
                             self.client = Some(client);
                         }
                         Err(err) => {
@@ -374,7 +369,6 @@ where
                         self.trace,
                     )?);
                     self.stats.reconnects += 1;
-                    max_telemetry::counter_add("resilient.reconnects", 1);
                 }
             }
         }
@@ -414,7 +408,6 @@ where
                 let jitter = splitmix(&mut self.jitter_state) % (hint / 2 + 1);
                 self.sleep_ms((hint + jitter).min(cap));
                 self.stats.busy_backoffs += 1;
-                max_telemetry::counter_add("resilient.busy_backoffs", 1);
             }
             AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_OVERLOAD) => {
                 // Breaker open: the connection was refused, nothing to keep.
@@ -423,7 +416,6 @@ where
                 let backoff = self.next_backoff_ms();
                 self.sleep_ms(backoff);
                 self.stats.busy_backoffs += 1;
-                max_telemetry::counter_add("resilient.busy_backoffs", 1);
             }
             AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_RESUME) => {
                 // Server lost the checkpoint: restart the job from scratch
@@ -432,31 +424,26 @@ where
                 self.saved_state = None;
                 *progress = None;
                 self.stats.restarts += 1;
-                max_telemetry::counter_add("resilient.restarts", 1);
             }
             AcceleratorError::Integrity { .. } => {
                 // Transcript digests diverged: every checkpoint past the
                 // last verified boundary is suspect, so heal by restarting
                 // the job from scratch on a fresh session.
                 self.stats.integrity_detected += 1;
-                max_telemetry::counter_add("resilient.integrity_detected", 1);
                 self.drop_session();
                 self.saved_state = None;
                 *progress = None;
                 self.stats.restarts += 1;
-                max_telemetry::counter_add("resilient.restarts", 1);
             }
             AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_INTEGRITY) => {
                 // The server's view of an integrity divergence (delivered
                 // as a REJECT, e.g. on a RESUME attempt): same healing as a
                 // locally detected digest mismatch.
                 self.stats.integrity_detected += 1;
-                max_telemetry::counter_add("resilient.integrity_detected", 1);
                 self.drop_session();
                 self.saved_state = None;
                 *progress = None;
                 self.stats.restarts += 1;
-                max_telemetry::counter_add("resilient.restarts", 1);
             }
             AcceleratorError::Transport(TransportError::Checksum { .. }) => {
                 // A single frame died at the CRC — the transcript digests
@@ -464,7 +451,6 @@ where
                 // session state and heal via reconnect + RESUME, exactly
                 // like a disconnect.
                 self.stats.integrity_detected += 1;
-                max_telemetry::counter_add("resilient.integrity_detected", 1);
                 if let Some(client) = self.client.take() {
                     let (_, state) = client.into_parts();
                     self.saved_state = Some(state);
@@ -503,7 +489,6 @@ where
 
     fn sleep_ms(&mut self, ms: u64) {
         self.stats.backoff_ms_total += ms;
-        max_telemetry::counter_add("resilient.backoff_ms", ms);
         let rec = self.recorder.clone();
         let _span = rec
             .as_ref()

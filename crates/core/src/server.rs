@@ -81,7 +81,6 @@ impl ClientSession {
     ) -> Result<i64, AcceleratorError> {
         self.evaluator.begin_element(elem);
         let labels: Vec<Block> = {
-            let _span = max_telemetry::span("ot");
             let (ext_msg, keys) = self.ot_receiver.prepare(choices);
             let cipher = ot_sender.send(&ext_msg, &garbled.pairs);
             transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
@@ -93,7 +92,6 @@ impl ClientSession {
             self.ot_receiver.receive(&cipher, &keys, choices)
         };
 
-        let _eval_span = max_telemetry::span("evaluate");
         let b = self.config.bit_width;
         let mut decoded = None;
         for (i, msg) in garbled.messages.iter().enumerate() {
@@ -178,22 +176,15 @@ pub fn secure_matvec(
     x: &[i64],
 ) -> (Vec<i64>, MatvecTranscript) {
     assert_eq!(x.len(), server.cols(), "vector length mismatch");
-    let _matvec_span = max_telemetry::span("secure_matvec");
     let mut transcript = MatvecTranscript::default();
     let mut result = Vec::with_capacity(server.rows());
     let choices = client.config.encode_choices(x);
 
     for (row_idx, row) in server.weights.iter().enumerate() {
-        let garbled = {
-            let mut span = max_telemetry::span("garble");
-            let cycles_before = server.accelerator.report().cycles;
-            let garbled = server
-                .accelerator
-                .garble_element(row_idx as u32, row)
-                .expect("compiled schedule satisfies its own dependencies");
-            span.add_cycles(server.accelerator.report().cycles - cycles_before);
-            garbled
-        };
+        let garbled = server
+            .accelerator
+            .garble_element(row_idx as u32, row)
+            .expect("compiled schedule satisfies its own dependencies");
         let decoded = client
             .receive_element(
                 row_idx as u32,

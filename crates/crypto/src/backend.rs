@@ -14,12 +14,12 @@
 //!
 //! Selection order:
 //!
-//! 1. The `force-software` cargo feature pins the software path at compile
-//!    time (used by CI to exercise the fallback on AES-NI hosts).
-//! 2. The `MAX_AES_BACKEND` environment variable (`software` or `aesni`,
+//! 1. The `MAX_AES_BACKEND` environment variable (`software` or `aesni`,
 //!    read once per process) overrides detection; requesting `aesni` on a
-//!    CPU without the extension falls back to software.
-//! 3. Otherwise `is_x86_feature_detected!("aes")` decides.
+//!    CPU without the extension falls back to software. CI runs every
+//!    suite under `MAX_AES_BACKEND=software` to exercise the fallback on
+//!    AES-NI hosts.
+//! 2. Otherwise `is_x86_feature_detected!("aes")` decides.
 
 use std::sync::OnceLock;
 
@@ -65,9 +65,6 @@ fn aesni_supported() -> bool {
 }
 
 fn detect() -> AesBackend {
-    if cfg!(feature = "force-software") {
-        return AesBackend::Software;
-    }
     match std::env::var("MAX_AES_BACKEND").as_deref() {
         Ok("software") => return AesBackend::Software,
         Ok("aesni") => {

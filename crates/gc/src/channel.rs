@@ -42,7 +42,7 @@ impl FrameKind {
         FrameKind::Bits,
     ];
 
-    /// Stable lower-case name (used in stats tables and telemetry keys).
+    /// Stable lower-case name (used in stats tables).
     pub fn label(self) -> &'static str {
         match self {
             FrameKind::Raw => "raw",
@@ -70,15 +70,6 @@ impl FrameKind {
             2 => Some(FrameKind::Tables),
             3 => Some(FrameKind::Bits),
             _ => None,
-        }
-    }
-
-    fn telemetry_keys(self) -> (&'static str, &'static str) {
-        match self {
-            FrameKind::Raw => ("channel.raw.bytes", "channel.raw.messages"),
-            FrameKind::Blocks => ("channel.blocks.bytes", "channel.blocks.messages"),
-            FrameKind::Tables => ("channel.tables.bytes", "channel.tables.messages"),
-            FrameKind::Bits => ("channel.bits.bytes", "channel.bits.messages"),
         }
     }
 }
@@ -564,7 +555,6 @@ impl Duplex {
 
     pub(crate) fn send_frame(&mut self, kind: FrameKind, frame: Bytes) {
         self.sent.record(kind, frame.len());
-        record_send_telemetry(kind, frame.len());
         // A disconnected peer is fine for fire-and-forget sends in tests.
         let _ = self.tx.send(frame);
     }
@@ -631,17 +621,6 @@ impl Duplex {
     pub fn recv_bits(&mut self) -> Result<Vec<bool>, TransportError> {
         decode_bits(self.recv_bytes()?)
     }
-}
-
-/// Feeds the shared telemetry keys for one sent frame (the same keys for
-/// every transport, so per-kind attribution carries over unchanged from the
-/// in-memory wire to TCP).
-pub(crate) fn record_send_telemetry(kind: FrameKind, len: usize) {
-    let (bytes_key, messages_key) = kind.telemetry_keys();
-    max_telemetry::counter_add(bytes_key, len as u64);
-    max_telemetry::counter_add(messages_key, 1);
-    max_telemetry::counter_add("channel.bytes", len as u64);
-    max_telemetry::counter_add("channel.messages", 1);
 }
 
 #[cfg(test)]

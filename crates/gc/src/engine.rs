@@ -71,13 +71,7 @@ pub fn garble_and(
     // One batched AES call for the four hashes of this table — the software
     // analogue of the hardware engine's four-lane fixed-key AES pipe.
     let h = hash.hash4([a0, a0 ^ d, b0, b0 ^ d], [tweak, tweak, t2, t2]);
-    let (c0, table) = combine_garbled(d, a0, b0, h);
-
-    max_telemetry::counter_add("gc.gates.and", 1);
-    max_telemetry::counter_add("gc.tables", 1);
-    max_telemetry::counter_add("gc.aes.garble", 4);
-
-    (c0, table)
+    combine_garbled(d, a0, b0, h)
 }
 
 /// The linear half-gates combine step: turns the four hashes of one AND
@@ -128,12 +122,6 @@ pub fn garble_and_batch(
             combine_garbled(d, a0, b0, h)
         })
         .collect();
-
-    let n = gates.len() as u64;
-    max_telemetry::counter_add("gc.gates.and", n);
-    max_telemetry::counter_add("gc.tables", n);
-    max_telemetry::counter_add("gc.aes.garble", 4 * n);
-
     out
 }
 
@@ -160,12 +148,7 @@ pub fn evaluate_and(
     if sb {
         we ^= table.te ^ a;
     }
-    wg ^= we;
-
-    max_telemetry::counter_add("gc.gates.and_eval", 1);
-    max_telemetry::counter_add("gc.aes.evaluate", 2);
-
-    wg
+    wg ^ we
 }
 
 /// Reusable buffers of [`evaluate_and_batch`]; a caller that keeps one
@@ -220,10 +203,6 @@ pub fn evaluate_and_batch(
         }
         active[and.out.index()] = wg ^ we;
     }
-
-    let n = ands.len() as u64;
-    max_telemetry::counter_add("gc.gates.and_eval", n);
-    max_telemetry::counter_add("gc.aes.evaluate", 2 * n);
 }
 
 #[cfg(test)]

@@ -124,10 +124,7 @@ impl<'a, S: LabelSource> Garbler<'a, S> {
                 zero_labels[gate.out.index()] = match gate.kind {
                     // NOT swaps label roles: zero-label of out = one-label of in.
                     GateKind::Not => a0 ^ self.delta.block(),
-                    _ => {
-                        max_telemetry::counter_add("gc.gates.xor", 1);
-                        a0 ^ zero_labels[gate.b.index()]
-                    }
+                    _ => a0 ^ zero_labels[gate.b.index()],
                 };
             }
             batch.clear();

@@ -63,7 +63,6 @@ mod label;
 pub mod protocol;
 mod sequential;
 pub mod transport;
-pub mod wire_format;
 
 pub use engine::{
     evaluate_and, evaluate_and_batch, garble_and, garble_and_batch, BatchScratch, GarbledTable,

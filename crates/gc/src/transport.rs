@@ -33,8 +33,7 @@ use max_crypto::Block;
 
 use crate::channel::{
     decode_bits, decode_blocks, decode_tables, encode_bits, encode_blocks, encode_tables,
-    record_send_telemetry, ChannelStats, Counter, Duplex, FrameKind, TransportError,
-    MAX_FRAME_BYTES,
+    ChannelStats, Counter, Duplex, FrameKind, TransportError, MAX_FRAME_BYTES,
 };
 use crate::engine::GarbledTable;
 
@@ -271,7 +270,6 @@ impl Transport for FramedTcp {
         header[1..].copy_from_slice(&wire_len.to_be_bytes());
         write_frame(&mut self.stream, &header, &frame)?;
         self.sent.record(kind, frame.len());
-        record_send_telemetry(kind, frame.len());
         Ok(())
     }
 

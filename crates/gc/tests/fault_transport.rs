@@ -1,9 +1,6 @@
 //! Property tests for [`FaultTransport`]: the zero-fault invariant (an
 //! empty schedule is a bit-exact passthrough with identical channel
 //! accounting) and schedule determinism (same spec, same faults).
-//!
-//! These run in both telemetry feature states in CI — the facade must not
-//! perturb the wire either way.
 
 use bytes::Bytes;
 use max_gc::channel::{Duplex, FrameKind};

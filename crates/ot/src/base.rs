@@ -69,8 +69,6 @@ impl BaseOtSender {
             messages.len(),
             "transfer count mismatch"
         );
-        // Two 16-byte ciphertexts travel per base transfer.
-        max_telemetry::counter_add("ot.base.download_bytes", (messages.len() * 32) as u64);
         let inv_a = self.big_a.inverse();
         let pairs = receiver
             .elements

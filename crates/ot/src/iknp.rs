@@ -130,8 +130,6 @@ pub struct OtExtReceiver {
 /// Runs the 128 base OTs (in memory) and returns a connected sender/receiver
 /// pair ready to extend.
 pub fn setup_pair(seed: u64) -> (OtExtSender, OtExtReceiver) {
-    let _span = max_telemetry::span("ot_base_setup");
-    max_telemetry::counter_add("ot.base.transfers", KAPPA as u64);
     let mut seed_prg = AesPrg::with_stream(Block::new(0x6b6e_7073 ^ seed as u128), 0);
     // Receiver of the *extension* acts as base-OT sender with random seed pairs.
     let seed_pairs: Vec<(Block, Block)> = (0..KAPPA)
@@ -259,10 +257,6 @@ impl OtExtReceiver {
     /// correction message plus the decryption keys `t_j` (rows of `T`).
     pub fn prepare(&mut self, choices: &[bool]) -> (ExtendMsg, Vec<Block>) {
         let m = choices.len();
-        max_telemetry::counter_add("ot.ext.rounds", 1);
-        max_telemetry::counter_add("ot.ext.transfers", m as u64);
-        // The correction message: KAPPA packed m-bit columns.
-        max_telemetry::counter_add("ot.ext.upload_bytes", (KAPPA * m.div_ceil(64) * 8) as u64);
         let r = pack(choices);
         let mut t_columns = Vec::with_capacity(KAPPA);
         let mut u_columns = Vec::with_capacity(KAPPA);
@@ -326,8 +320,6 @@ impl OtExtSender {
         assert_eq!(pairs.len(), msg.count, "pair count mismatch");
         assert_eq!(msg.columns.len(), KAPPA, "malformed extension message");
         let m = msg.count;
-        // Chosen-message OT downloads two 16-byte ciphertexts per transfer.
-        max_telemetry::counter_add("ot.ext.download_bytes", (m * 32) as u64);
         // q_i = G(k_i^{s_i}) ⊕ s_i·u_i per column.
         let q_columns: Vec<Vec<u64>> = self
             .prgs
@@ -395,8 +387,6 @@ impl OtExtSender {
     ) -> (Vec<Block>, CorrelatedMsg) {
         assert_eq!(msg.columns.len(), KAPPA, "malformed extension message");
         let m = msg.count;
-        // Correlated OT halves the download: one correction per transfer.
-        max_telemetry::counter_add("ot.ext.download_bytes", (m * 16) as u64);
         let q_columns: Vec<Vec<u64>> = self
             .prgs
             .iter_mut()

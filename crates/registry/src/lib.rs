@@ -484,7 +484,6 @@ impl ModelRegistry {
         });
         inner.lru.retain(|&id| id != model_id);
         inner.lru.push_back(model_id);
-        max_telemetry::counter_add("registry.models_registered", 1);
         Ok((status, replaced))
     }
 
@@ -520,7 +519,6 @@ impl ModelRegistry {
         inner.stock_bytes -= entry.stock_bytes;
         inner.lru.retain(|&id| id != model_id);
         inner.counters.models_evicted_explicit += 1;
-        max_telemetry::counter_add("registry.models_evicted", 1);
         let status = entry.status(model_id);
         Some((
             status,
@@ -558,7 +556,6 @@ impl ModelRegistry {
                 *stock_bytes -= stream.bytes;
                 entry.served_prepared += 1;
                 counters.served_prepared += 1;
-                max_telemetry::counter_add("registry.served_prepared", 1);
                 // The fill-time digest rides along for the serving layer
                 // to re-verify before the first material frame leaves —
                 // the rehash scales with the stream, so it is pipelined
@@ -594,7 +591,6 @@ impl ModelRegistry {
             entry.served_fallback += 1;
         }
         inner.counters.served_fallback += 1;
-        max_telemetry::counter_add("registry.served_fallback", 1);
     }
 
     /// Runs one background precompute step: picks the most-starved model
@@ -659,7 +655,6 @@ impl ModelRegistry {
         let cycles = job.fabric_cycles;
         inner.counters.streams_produced += 1;
         inner.counters.fabric_cycles_spent += cycles;
-        max_telemetry::counter_add("registry.streams_produced", 1);
         let bytes = job.stored_bytes();
         let mut report = FillReport {
             model_id: ticket.model_id,
@@ -680,7 +675,6 @@ impl ModelRegistry {
         let oversized = self.reg.budget_bytes.is_some_and(|budget| bytes > budget);
         if !valid || oversized {
             inner.counters.streams_discarded += 1;
-            max_telemetry::counter_add("registry.streams_discarded", 1);
             return Ok(report);
         }
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
@@ -720,7 +714,6 @@ impl ModelRegistry {
                     inner.stock_bytes -= entry.stock_bytes;
                     inner.lru.retain(|&m| m != id);
                     inner.counters.models_evicted_budget += 1;
-                    max_telemetry::counter_add("registry.models_evicted", 1);
                     evicted.push(Eviction {
                         model_id: id,
                         kind: EvictionKind::Budget,
@@ -795,11 +788,9 @@ impl ModelRegistry {
     /// re-verification and was dropped (the serving layer detected cache
     /// bit rot before any material frame left the wire). The caller falls
     /// through to inline garbling on retry; this keeps the rot visible in
-    /// [`RegistryStats::streams_integrity_dropped`] and telemetry.
+    /// [`RegistryStats::streams_integrity_dropped`].
     pub fn note_integrity_drop(&self) {
-        let mut inner = self.lock();
-        inner.counters.streams_integrity_dropped += 1;
-        max_telemetry::counter_add("registry.streams_integrity_dropped", 1);
+        self.lock().counters.streams_integrity_dropped += 1;
     }
 
     /// Test hook: flips one bit in the first stocked stream of `model_id`

@@ -107,11 +107,7 @@ impl HealthMonitor {
         for &bit in bits {
             self.observe(bit);
         }
-        let alarms = self.repetition_alarms + self.proportion_alarms - before;
-        // Batch-level attribution: per-bit counters would swamp the stream.
-        max_telemetry::counter_add("rng.health.bits", bits.len() as u64);
-        max_telemetry::counter_add("rng.health.alarms", alarms);
-        alarms
+        self.repetition_alarms + self.proportion_alarms - before
     }
 
     /// True once any alarm has fired.

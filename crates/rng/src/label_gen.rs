@@ -76,7 +76,6 @@ impl LabelGenerator {
         );
         self.cycles += 1;
         self.labels_produced += demand as u64;
-        max_telemetry::counter_add("rng.labels", demand as u64);
         self.stream.blocks(demand)
     }
 

@@ -22,8 +22,9 @@
 //! decorrelated jitter (never a fixed sleep), dropped connections redial
 //! and RESUME, and the summary line reports every recovery event.
 //!
-//! Latency is aggregated into power-of-two [`Histogram`]s and reported as
-//! p50/p95/p99 — whole-job latency plus the per-round breakdown. With
+//! Latency is aggregated into log-linear [`Histogram`]s (within 6.25 % of
+//! the exact value) and reported as p50/p95/p99 — whole-job latency plus
+//! the per-round breakdown. With
 //! `--metrics` the run ends by pulling the server's live `METRICS` frame
 //! over a fresh connection and printing the JSON body, so a load run and
 //! the server's own view of it land side by side.

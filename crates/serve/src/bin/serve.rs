@@ -33,7 +33,10 @@
 //!
 //! Observability: the daemon installs a [`Recorder`] by default, so the
 //! admin `METRICS` control frame (e.g. `loadgen --metrics`) answers with
-//! live counters, gauges, and p50/p95/p99 latency percentiles; pass
+//! live counters, gauges, and p50/p95/p99 percentiles of every job's
+//! `server/queue_wait`, `server/garble` and `server/stream` time (the
+//! recorder keeps only a bounded number of the newest trace events, so it
+//! does not grow however long the daemon runs); pass
 //! `--no-recorder` to serve without one (the frame still answers, with
 //! `percentiles: null`). `--flight-cap` sizes the per-session flight
 //! recorder ring whose last events are dumped as JSON when a session dies

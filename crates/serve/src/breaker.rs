@@ -91,7 +91,6 @@ impl Breaker {
         let open = self.is_open();
         if open {
             self.sheds.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.breaker.sheds", 1);
         }
         open
     }
@@ -129,7 +128,6 @@ impl Breaker {
         state.consecutive_fulls = 0;
         drop(state);
         self.trips.fetch_add(1, Ordering::Relaxed);
-        max_telemetry::counter_add("serve.breaker.trips", 1);
     }
 
     /// Force-closes the breaker (operator override).

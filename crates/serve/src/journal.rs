@@ -48,7 +48,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 use max_crypto::crc32;
 
@@ -397,11 +396,7 @@ fn apply_record(
             // Decode up front so corruption quarantines at replay time,
             // not at registry boot; the raw payload is what gets rewritten
             // on compaction.
-            let (model_id, _weights) = decode_model_payload(payload).inspect_err(|err| {
-                if matches!(err, CheckpointCodecError::DigestMismatch { .. }) {
-                    max_telemetry::counter_add("serve.journal.model_digest_mismatch", 1);
-                }
-            })?;
+            let (model_id, _weights) = decode_model_payload(payload)?;
             live_models.insert(model_id, payload.to_vec());
             Ok(())
         }
@@ -489,16 +484,13 @@ impl Journal {
                 quarantine.push(QUARANTINE_SUFFIX);
                 let quarantine = PathBuf::from(quarantine);
                 fs::rename(path, &quarantine).map_err(io_err("quarantine segment"))?;
-                max_telemetry::counter_add("serve.journal.quarantined", 1);
                 report.quarantined.push(quarantine);
             } else if scan.damage.is_some() {
                 report.truncated_tail = true;
-                max_telemetry::counter_add("serve.journal.tail_truncated", 1);
             }
         }
         report.sessions = live.len();
         report.models = live_models.len();
-        max_telemetry::counter_add("serve.journal.replayed", report.records_applied);
 
         // Compact: rewrite the live set into a fresh segment, then retire
         // every older (non-quarantined) segment. A torn tail disappears
@@ -642,16 +634,10 @@ impl Journal {
             .write_all(&encode_record(kind, payload))
             .map_err(io_err("append write"))?;
         if self.fsync {
-            let started = Instant::now();
             inner.file.sync_all().map_err(io_err("append sync"))?;
-            max_telemetry::histogram_record(
-                "serve.journal.fsync_us",
-                started.elapsed().as_micros() as u64,
-            );
         }
         inner.appends_total += 1;
         inner.appends_in_segment += 1;
-        max_telemetry::counter_add("serve.journal.appends", 1);
         if let Some(limit) = self.abort_after_appends {
             if inner.appends_total >= limit {
                 // Deterministic crash injection: die exactly like kill -9
@@ -697,7 +683,6 @@ impl Journal {
         if self.fsync {
             sync_dir(&self.dir)?;
         }
-        max_telemetry::counter_add("serve.journal.rotations", 1);
         Ok(())
     }
 

@@ -350,10 +350,6 @@ impl ResumeRegistry {
             None
         };
         entries.push_back(checkpoint);
-        max_telemetry::counter_add("serve.resume.saved", 1);
-        if evicted.is_some() {
-            max_telemetry::counter_add("serve.resume.evicted", 1);
-        }
         evicted
     }
 

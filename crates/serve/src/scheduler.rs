@@ -43,9 +43,10 @@ pub struct JobRequest {
     /// The matrix to garble: the session's default model, or a registry
     /// model's (a stock-exhausted fallback, a model RESUME).
     pub weights: Arc<Vec<Vec<i64>>>,
-    /// Trace the submitting session carries; the worker records
-    /// `server/queue_wait` and `server/garble` spans under it when a
-    /// recorder is attached and the context is traced.
+    /// Trace the submitting session carries. With a recorder attached, the
+    /// worker records the job's `server/queue_wait` and `server/garble`
+    /// durations as histograms, and as trace spans too when the context is
+    /// traced.
     pub trace: TraceContext,
 }
 
@@ -259,8 +260,9 @@ impl UnitPool {
     /// Spawns `workers` garbling units over a queue of `queue_capacity`
     /// jobs. With `start_paused`, units wait until [`UnitPool::resume`] —
     /// the deterministic way to observe backpressure in tests. A
-    /// `recorder`, when given, receives per-job `server/queue_wait` and
-    /// `server/garble` trace spans for traced requests. An `idle_fill`
+    /// `recorder`, when given, receives every job's `server/queue_wait`
+    /// and `server/garble` phases (see [`Recorder::record_phase`]). An
+    /// `idle_fill`
     /// hook, when given, is run whenever a unit finds the queue empty —
     /// registry precompute during pool idle time.
     ///
@@ -308,23 +310,26 @@ impl UnitPool {
                             },
                         };
                         let Some(job) = job else { break };
-                        let _lane = max_telemetry::timeline("serve.units", w as u32);
-                        let traced = recorder.as_ref().filter(|_| job.request.trace.is_traced());
-                        if let Some(rec) = traced {
+                        let trace = job.request.trace;
+                        if let Some(rec) = &recorder {
                             let now = rec.now_ns();
                             let wait_ns = job.enqueued.elapsed().as_nanos() as u64;
-                            rec.record_trace_event(
-                                job.request.trace,
+                            rec.record_phase(
+                                trace,
                                 "server/queue_wait",
                                 now.saturating_sub(wait_ns),
                                 now,
                             );
                         }
-                        let _garble_span =
-                            traced.map(|rec| rec.trace_span(job.request.trace, "server/garble"));
-                        let request = &job.request;
-                        let result =
-                            fill_stream(&config, &request.weights, request.seed, request.columns);
+                        // The garble phase closes before the reply, so a
+                        // METRICS read after the job already counts it.
+                        let result = {
+                            let _garble_phase = recorder
+                                .as_ref()
+                                .map(|rec| rec.phase_span(trace, "server/garble"));
+                            let request = &job.request;
+                            fill_stream(&config, &request.weights, request.seed, request.columns)
+                        };
                         // A session that died while queued is fine.
                         let _ = job.reply.send(result);
                     })
@@ -355,21 +360,12 @@ impl UnitPool {
     /// caller should reply BUSY with a retry hint, never block or buffer.
     pub fn submit(&self, request: JobRequest) -> Result<mpsc::Receiver<JobResult>, QueueFull> {
         let (tx, rx) = mpsc::channel();
-        match self.queue.push(QueuedJob {
+        self.queue.push(QueuedJob {
             request,
             reply: tx,
             enqueued: Instant::now(),
-        }) {
-            Ok(depth) => {
-                max_telemetry::counter_add("serve.jobs.accepted", 1);
-                max_telemetry::histogram_record("serve.queue_depth", depth as u64);
-                Ok(rx)
-            }
-            Err(full) => {
-                max_telemetry::counter_add("serve.jobs.rejected", 1);
-                Err(full)
-            }
-        }
+        })?;
+        Ok(rx)
     }
 
     /// Number of garbling units.

@@ -71,9 +71,10 @@ pub struct ServeConfig {
     /// could walk back to `base_seed` and mint every other session's
     /// token. Production services must leave this off.
     pub deterministic_resume_tokens: bool,
-    /// Server-side [`Recorder`] for trace spans (`server/queue_wait`,
-    /// `server/garble`, `server/stream`, checkpoint/handshake events) and
-    /// the histograms behind the METRICS percentiles. `None` records
+    /// Server-side [`Recorder`]: every job's `server/queue_wait`,
+    /// `server/garble` and `server/stream` durations go into histograms of
+    /// those names (the METRICS percentiles), and traced sessions also
+    /// leave trace spans and checkpoint/handshake events. `None` records
     /// nothing; the METRICS endpoint still serves counters.
     pub recorder: Option<Arc<Recorder>>,
     /// Events each per-session flight recorder retains (0 disables flight
@@ -216,8 +217,9 @@ impl ServiceShared {
 
     /// Renders the live METRICS body: schema, serving counters, queue and
     /// breaker gauges, and p50/p95/p99 over every recorder histogram.
-    /// Bounded by construction — traces and timelines are deliberately not
-    /// included, so the reply stays far under the protocol's 1 MiB cap.
+    /// Bounded by construction — trace events are neither included nor
+    /// copied, so the reply stays far under the protocol's 1 MiB cap and
+    /// never waits on a copy of the trace buffer.
     pub(crate) fn metrics_json(&self) -> String {
         let mut stats = JsonValue::object();
         stats
@@ -325,9 +327,8 @@ impl ServiceShared {
 
         let percentiles = match &self.recorder {
             Some(rec) => {
-                let snapshot = rec.snapshot();
                 let mut out = JsonValue::object();
-                for hist in &snapshot.histograms {
+                for hist in &rec.histograms() {
                     let mut entry = JsonValue::object();
                     entry
                         .push("count", JsonValue::UInt(hist.count))
@@ -387,25 +388,19 @@ fn fill_once(registry: &ModelRegistry, journal: Option<&Journal>) -> bool {
             journal_evictions(journal, &report);
             report.clean()
         }
-        Some(Err(_)) => {
-            // Garbling failed (host-level accelerator misconfiguration for
-            // this model). Back off rather than spin; the counter makes
-            // the stall observable.
-            max_telemetry::counter_add("serve.registry.fill_failed", 1);
-            false
-        }
+        // Garbling failed (host-level accelerator misconfiguration for
+        // this model). Back off rather than spin; the model's stock in
+        // METRICS stays visibly short.
+        Some(Err(_)) => false,
     }
 }
 
 /// The offline phase run eagerly; returns the streams it deposited (0 when
-/// garbling failed — counted, like an idle step's failure).
+/// garbling failed, like an idle step's failure).
 fn prefill(registry: &ModelRegistry, journal: Option<&Journal>) -> usize {
     registry
         .prefill(|report| journal_evictions(journal, report))
-        .unwrap_or_else(|_| {
-            max_telemetry::counter_add("serve.registry.fill_failed", 1);
-            0
-        })
+        .unwrap_or(0)
 }
 
 /// The multi-session GC-MAC service. Cheap to clone (shared handle).
@@ -483,7 +478,6 @@ impl GcService {
                 // rather than wedging boot.
                 if registry.register(model_id, model_weights).is_err() {
                     let _ = journal.append_model_remove(model_id);
-                    max_telemetry::counter_add("serve.registry.replay_rejected", 1);
                 }
             }
         }
@@ -572,7 +566,6 @@ impl GcService {
         let shared = Arc::clone(&self.shared);
         let session_id = shared.next_session.fetch_add(1, Ordering::Relaxed);
         shared.sessions_started.fetch_add(1, Ordering::Relaxed);
-        max_telemetry::counter_add("serve.sessions.started", 1);
         let spawned = std::thread::Builder::new()
             .name(format!("gc-session-{session_id}"))
             .spawn(move || {
@@ -593,7 +586,6 @@ impl GcService {
                     // Hostile/broken peers are the session's problem, never
                     // the process's: account and move on.
                     shared.sessions_errored.fetch_add(1, Ordering::Relaxed);
-                    max_telemetry::counter_add("serve.sessions.errored", 1);
                     if let Some(fl) = &flight {
                         // The dump's last events name what killed the
                         // session — injected fault, reaped deadline, or the
@@ -613,7 +605,6 @@ impl GcService {
                 // Thread exhaustion: drop the transport (the peer sees a
                 // disconnect) rather than taking the process down.
                 self.shared.sessions_errored.fetch_add(1, Ordering::Relaxed);
-                max_telemetry::counter_add("serve.sessions.spawn_failed", 1);
             }
         }
     }

@@ -188,7 +188,6 @@ fn journal_window(
         return;
     };
     if let Err(err) = journal.append_checkpoint(&window_checkpoint(ctx, job, snapshots)) {
-        max_telemetry::counter_add("serve.journal.append_errors", 1);
         if let Some(flight) = ctx.flight {
             flight.log("journal.error", format!("{err}"), 0);
         }
@@ -199,9 +198,7 @@ fn journal_window(
 /// stopped needing recovery (job done, clean BYE, or checkpoint evicted).
 fn journal_remove(shared: &ServiceShared, session_id: u64) {
     if let Some(journal) = &shared.journal {
-        if journal.append_remove(session_id).is_err() {
-            max_telemetry::counter_add("serve.journal.append_errors", 1);
-        }
+        let _ = journal.append_remove(session_id);
     }
 }
 
@@ -217,11 +214,10 @@ fn stream_job_checkpointed<T: Transport>(
     ot_sender: &mut OtExtSender,
     job: &ResolvedJob,
 ) -> Result<(), AcceleratorError> {
-    let _stream_span = shared
+    let _stream_phase = shared
         .recorder
         .as_ref()
-        .filter(|_| ctx.trace.is_traced())
-        .map(|rec| rec.trace_span(ctx.trace, "server/stream"));
+        .map(|rec| rec.phase_span(ctx.trace, "server/stream"));
     let mut snapshots: VecDeque<(usize, OtExtSender, TranscriptDigest)> =
         VecDeque::with_capacity(3);
     let mut digest = job.digest.clone();
@@ -260,7 +256,6 @@ fn stream_job_checkpointed<T: Transport>(
         Err(err) => {
             if matches!(err, AcceleratorError::Integrity { .. }) {
                 shared.integrity_rejects.fetch_add(1, Ordering::Relaxed);
-                max_telemetry::counter_add("serve.integrity.rejects", 1);
                 if let Some(flight) = ctx.flight {
                     flight.log("integrity.reject", format!("{err}"), job.job_id);
                 }
@@ -276,7 +271,6 @@ fn stream_job_checkpointed<T: Transport>(
             let evicted = shared.resume.save(window_checkpoint(ctx, job, &snapshots));
             summary.checkpoints_saved += 1;
             shared.checkpoints_saved.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.resume.checkpoints", 1);
             trace_instant(shared, ctx.trace, "server/checkpoint");
             if let Some(flight) = ctx.flight {
                 flight.log(
@@ -350,7 +344,6 @@ fn session_loop<T: Transport>(
             Err(AcceleratorError::Disconnected) => return Ok(()),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
                 summary.idle_reaped = true;
-                max_telemetry::counter_add("serve.sessions.idle_reaped", 1);
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "handshake", 0);
                 }
@@ -484,7 +477,6 @@ fn session_loop<T: Transport>(
                 Some(model_id) => match shared.registry.weights(model_id) {
                     Some(weights) => weights,
                     None => {
-                        max_telemetry::counter_add("serve.resume.model_evicted", 1);
                         reject(transport, summary, REJECT_RESUME, 0)?;
                         return Ok(());
                     }
@@ -574,13 +566,10 @@ fn session_loop<T: Transport>(
             shared.resume.remove(ctx.session_id);
             summary.jobs_resumed += 1;
             shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-            max_telemetry::counter_add("serve.jobs.resumed", 1);
         }
         summary.jobs_completed += 1;
         shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        max_telemetry::counter_add("serve.jobs.completed", 1);
     }
-    max_telemetry::histogram_record("serve.session.jobs", summary.jobs_completed);
     Ok(())
 }
 
@@ -609,7 +598,6 @@ fn next_job<T: Transport>(
                         None => {
                             // Unknown model is a per-job refusal, not a
                             // session error: the client may PUT and retry.
-                            max_telemetry::counter_add("serve.jobs.model_unknown", 1);
                             if let Some(flight) = flight {
                                 flight.log("model.unknown", format!("model {id}"), id);
                             }
@@ -638,7 +626,6 @@ fn next_job<T: Transport>(
                             ctx.next_job += 1;
                             summary.jobs_prepared += 1;
                             shared.jobs_prepared.fetch_add(1, Ordering::Relaxed);
-                            max_telemetry::counter_add("serve.jobs.prepared", 1);
                             trace_instant(shared, ctx.trace, "server/prepared_serve");
                             if let Some(flight) = flight {
                                 flight.log(
@@ -749,7 +736,6 @@ fn next_job<T: Transport>(
                 };
                 match shared.put_model(model_id, matrix) {
                     Ok(status) => {
-                        max_telemetry::counter_add("serve.models.put", 1);
                         if let Some(flight) = flight {
                             flight.log("model.put", format!("model {model_id}"), model_id);
                         }
@@ -764,7 +750,6 @@ fn next_job<T: Transport>(
                             RegisterError::TooLarge { .. } => 3,
                             RegisterError::ValueOutOfRange { .. } => 4,
                         };
-                        max_telemetry::counter_add("serve.models.put_rejected", 1);
                         if let Some(flight) = flight {
                             flight.log("model.put_rejected", format!("{err}"), u64::from(detail));
                         }
@@ -790,7 +775,6 @@ fn next_job<T: Transport>(
             },
             Ok(ControlMsg::ModelEvict { model_id }) => match shared.evict_model(model_id) {
                 Some(status) => {
-                    max_telemetry::counter_add("serve.models.evicted", 1);
                     if let Some(flight) = flight {
                         flight.log("model.evicted", format!("model {model_id}"), model_id);
                     }
@@ -806,7 +790,6 @@ fn next_job<T: Transport>(
             },
             Ok(ControlMsg::Ping { nonce }) => {
                 send_control(transport, &ControlMsg::Pong { nonce })?;
-                max_telemetry::counter_add("serve.heartbeats", 1);
             }
             Ok(ControlMsg::MetricsRequest) => {
                 send_control(
@@ -827,7 +810,6 @@ fn next_job<T: Transport>(
             Err(AcceleratorError::Disconnected) => return Ok(None),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
                 summary.idle_reaped = true;
-                max_telemetry::counter_add("serve.sessions.idle_reaped", 1);
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "idle", 0);
                 }

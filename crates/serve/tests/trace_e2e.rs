@@ -222,10 +222,12 @@ fn metrics_frame_serves_counters_gauges_and_percentiles() {
     assert!(body.contains("\"jobs_completed\":1"), "{body}");
     assert!(body.contains("\"queue_depth\""), "{body}");
     assert!(body.contains("\"demo.latency_ns\""), "{body}");
-    // p50 of 1..=100 in power-of-two buckets: bucket [32,64) upper bound;
-    // p99 clamps to the observed max.
-    assert!(body.contains("\"p50\":63"), "{body}");
-    assert!(body.contains("\"p99\":100"), "{body}");
+    // Percentiles of 1..=100 in log-linear buckets: p50 is the upper
+    // bound of [50, 52), p95 of [92, 96), p99 of [96, 100).
+    assert!(
+        body.contains(r#""demo.latency_ns":{"count":100,"p50":51,"p95":95,"p99":99,"max":100}"#),
+        "{body}"
+    );
     assert!(
         body.len() < 1 << 20,
         "METRICS body stays under the frame cap"
@@ -248,5 +250,38 @@ fn metrics_frame_serves_counters_gauges_and_percentiles() {
     drop(bare);
     plain.shutdown();
 
+    service.shutdown();
+}
+
+/// Every job's queue wait, garble and stream time lands in a METRICS
+/// histogram of the same name — for untraced sessions too, so a production
+/// `serve` reports latency percentiles without any client opting in.
+#[test]
+fn metrics_reports_each_jobs_phase_histograms() {
+    const JOBS: u64 = 4;
+    let server_rec = Arc::new(Recorder::new());
+    let service = demo_service(|cfg| cfg.recorder = Some(Arc::clone(&server_rec)));
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+
+    let mut client =
+        RemoteClient::connect_with_trace(service.connect(), WIDTH, TraceContext::none())
+            .expect("handshake");
+    for job in 0..JOBS {
+        let x = demo_vector(COLS, WIDTH, SEED ^ job);
+        let (y, _) = client.secure_matvec(&x).expect("job");
+        assert_eq!(y, plain_matvec(&weights, &x));
+    }
+    let body = client.metrics().expect("METRICS");
+    for phase in ["server/queue_wait", "server/garble", "server/stream"] {
+        assert!(
+            body.contains(&format!("\"{phase}\":{{\"count\":{JOBS},")),
+            "{phase}: {body}"
+        );
+    }
+    assert!(
+        server_rec.snapshot().traces.is_empty(),
+        "an untraced session leaves no trace events"
+    );
+    client.goodbye();
     service.shutdown();
 }

@@ -1,32 +1,23 @@
 //! Workspace-wide telemetry: the measurement substrate the paper's own
 //! evaluation (Tables 1–3, §4.3) is an exercise in — cycles per garbled
-//! table, communication volume, per-segment utilization — generalized into
-//! four primitives every crate in the workspace can feed:
+//! table, communication volume, per-segment utilization — as one explicit
+//! [`Recorder`] with three primitives:
 //!
-//! * **Counters** — monotonic `u64` tallies (gates garbled, bytes moved,
-//!   AES invocations, OT rounds).
-//! * **Histograms** — fixed power-of-two buckets for value distributions
-//!   (per-unit busy time, frame sizes).
-//! * **Spans** — hierarchical wall-clock sections with optional modeled
-//!   fabric cycles attached, so measured host time and modeled hardware
-//!   time travel together (`secure_matvec/garble` holds both).
-//! * **Timelines** — per-lane busy intervals (one lane per accelerator
-//!   unit), from which busy/idle attribution falls out.
+//! * **Counters** — monotonic `u64` tallies (gates garbled, bytes moved).
+//! * **Histograms** — fixed log-linear buckets for value distributions
+//!   (per-job phase durations, frame sizes), read back as percentiles
+//!   within 6.25 % of the exact value.
+//! * **Trace events** — the newest [`TRACE_EVENT_CAP`] spans of
+//!   distributed traces ([`TraceContext`]), stitched across the wire by
+//!   trace id.
 //!
-//! # Two ways in
+//! There is no global sink and no feature flag: whoever wants numbers
+//! constructs a recorder and hands it to the code that should feed it (a
+//! `serve` daemon's `ServeConfig::recorder`, a `ResilientClient`, a bench
+//! binary), then snapshots it.
 //!
-//! 1. **The facade** ([`install`], [`counter_add`], [`span`], …) is the
-//!    instrumentation layer threaded through the hot paths of `max-gc`,
-//!    `max-ot`, `max-rng` and `maxelerator`. It is a **compile-time no-op**
-//!    unless this crate's `enabled` feature is on (downstream crates expose
-//!    it as their `telemetry` feature), so default builds pay nothing.
-//! 2. **Direct [`Recorder`] use** is always compiled: benches and tests
-//!    construct a local recorder, feed it explicitly, and snapshot it —
-//!    no feature flag required.
-//!
-//! A [`Snapshot`] is plain data: deterministic ordering, value-equality,
-//! and a canonical JSON rendering (see [`report`]) for machine-readable
-//! perf artifacts like `BENCH_matvec.json`.
+//! A [`Snapshot`] is plain data: deterministic ordering and
+//! value-equality; [`report`] renders machine-readable JSON.
 //!
 //! # Example
 //!
@@ -38,7 +29,7 @@
 //! rec.record("frame_bytes", 96);
 //! let snap = rec.snapshot();
 //! assert_eq!(snap.counter("gc.tables"), 3);
-//! assert!(snap.to_json().render().contains("\"gc.tables\""));
+//! assert_eq!(snap.histogram("frame_bytes").unwrap().percentile(50.0), 96);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,15 +43,23 @@ pub mod trace;
 pub use flight::{FlightEvent, FlightRecorder};
 pub use trace::{os_entropy, TraceContext, TraceEvent};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Number of histogram buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
-/// values in `[2^(i-1), 2^i)`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+/// Values below this are bucketed exactly; above it, every octave
+/// `[2^e, 2^(e+1))` is split into this many equal-width sub-buckets.
+const SUB_BUCKETS: u64 = 16;
 
-/// A fixed-bucket (power-of-two) histogram with count/sum/min/max.
+/// Number of histogram buckets: 16 exact buckets for `0..16`, then 16
+/// sub-buckets for each of the 60 octaves `2^4 ..= 2^63`.
+pub const HISTOGRAM_BUCKETS: usize = 16 + 60 * 16;
+
+/// Trace events a [`Recorder`] retains; beyond it the oldest are dropped,
+/// so a long-running daemon's recorder stays bounded.
+pub const TRACE_EVENT_CAP: usize = 4096;
+
+/// A fixed-bucket (log-linear) histogram with count/sum/min/max.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -82,13 +81,29 @@ impl Default for Histogram {
     }
 }
 
-/// Bucket index of `value`: 0 for 0, otherwise `floor(log2(value)) + 1`.
+/// Bucket index of `value`: the value itself below 16; above, 16 buckets
+/// per octave, so a bucket spans at most 1/16 of its lower bound.
 pub fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
+    if value < SUB_BUCKETS {
+        return value as usize;
     }
+    let octave = 63 - u64::from(value.leading_zeros()); // >= 4
+    let sub = (value >> (octave - 4)) & (SUB_BUCKETS - 1);
+    ((octave - 3) * SUB_BUCKETS + sub) as usize
+}
+
+/// Inclusive upper bound of histogram bucket `i` (see [`bucket_index`]).
+fn bucket_upper_bound(i: u32) -> u64 {
+    let i = u64::from(i);
+    if i < SUB_BUCKETS {
+        return i;
+    }
+    if i >= HISTOGRAM_BUCKETS as u64 {
+        return u64::MAX;
+    }
+    let shift = i / SUB_BUCKETS - 1; // octave - 4
+    let lower = (SUB_BUCKETS + i % SUB_BUCKETS) << shift;
+    lower + ((1u64 << shift) - 1)
 }
 
 impl Histogram {
@@ -113,9 +128,10 @@ impl Histogram {
 
     /// Estimated `p`-th percentile (0–100) of the recorded values.
     ///
-    /// Power-of-two buckets only retain magnitudes, so the estimate is the
-    /// inclusive upper bound of the bucket holding the requested rank,
-    /// clamped to the exact observed `[min, max]`. Returns 0 when empty.
+    /// The estimate is the inclusive upper bound of the bucket holding the
+    /// requested nearest rank, clamped to the exact observed `[min, max]`:
+    /// never below the exact value, and at most 6.25 % above it. Returns 0
+    /// when empty.
     pub fn percentile(&self, p: f64) -> u64 {
         percentile_from_buckets(
             self.counts.iter().enumerate().map(|(i, &c)| (i as u32, c)),
@@ -144,15 +160,6 @@ impl Histogram {
     }
 }
 
-/// Inclusive upper bound of histogram bucket `i` (see [`bucket_index`]).
-fn bucket_upper_bound(i: u32) -> u64 {
-    match i {
-        0 => 0,
-        1..=63 => (1u64 << i) - 1,
-        _ => u64::MAX,
-    }
-}
-
 fn percentile_from_buckets(
     buckets: impl IntoIterator<Item = (u32, u64)>,
     count: u64,
@@ -177,46 +184,43 @@ fn percentile_from_buckets(
     max
 }
 
-/// Aggregated statistics of one span path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct SpanStat {
-    count: u64,
-    wall_ns: u64,
-    cycles: u64,
-}
-
-/// One busy interval on a timeline lane, in nanoseconds since the
-/// recorder's epoch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimelineEntry {
-    /// Lane id (e.g. accelerator unit index).
-    pub lane: u32,
-    /// Interval start, ns since recorder creation.
-    pub start_ns: u64,
-    /// Interval end, ns since recorder creation.
-    pub end_ns: u64,
-}
-
-impl TimelineEntry {
-    /// Busy duration of this interval.
-    pub fn busy_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<String, SpanStat>,
-    timelines: BTreeMap<&'static str, Vec<TimelineEntry>>,
-    traces: Vec<TraceEvent>,
+    /// The newest [`TRACE_EVENT_CAP`] trace events, oldest first.
+    traces: VecDeque<TraceEvent>,
+}
+
+impl Inner {
+    fn record(&mut self, name: &'static str, value: u64) {
+        self.histograms.entry(name).or_default().record(value);
+    }
+
+    fn histogram_snapshots(&self) -> Vec<HistogramSnapshot> {
+        self.histograms
+            .iter()
+            .map(|(name, h)| h.snapshot(name))
+            .collect()
+    }
+
+    fn push_trace(&mut self, ctx: TraceContext, name: &str, start_ns: u64, end_ns: u64) {
+        if self.traces.len() == TRACE_EVENT_CAP {
+            self.traces.pop_front();
+        }
+        self.traces.push_back(TraceEvent {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            name: name.to_string(),
+            start_ns,
+            end_ns: end_ns.max(start_ns),
+        });
+    }
 }
 
 /// The telemetry sink: thread-safe, append-only, snapshot-on-demand.
 ///
 /// All mutation goes through `&self`; a single mutex guards the maps (the
-/// facade is the hot path only when the `enabled` feature is on, and the
 /// workloads this repository measures are simulation-bound, not
 /// telemetry-bound).
 pub struct Recorder {
@@ -237,7 +241,7 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Creates an empty recorder; its creation instant is the timeline
+    /// Creates an empty recorder; its creation instant is the trace-event
     /// epoch.
     pub fn new() -> Self {
         Recorder {
@@ -259,37 +263,13 @@ impl Recorder {
 
     /// Records one observation into histogram `name`.
     pub fn record(&self, name: &'static str, value: u64) {
-        self.lock()
-            .histograms
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-
-    /// Records one completion of span `path` (`/`-separated hierarchy).
-    pub fn record_span(&self, path: &str, wall: Duration, cycles: u64) {
-        let mut inner = self.lock();
-        let stat = inner.spans.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.wall_ns = stat.wall_ns.saturating_add(wall.as_nanos() as u64);
-        stat.cycles += cycles;
-    }
-
-    /// Appends a busy interval to timeline `name`.
-    pub fn record_timeline(&self, name: &'static str, entry: TimelineEntry) {
-        self.lock().timelines.entry(name).or_default().push(entry);
+        self.lock().record(name, value);
     }
 
     /// Appends one distributed-trace event (timestamps in this recorder's
-    /// `now_ns` timebase).
+    /// `now_ns` timebase), dropping the oldest beyond [`TRACE_EVENT_CAP`].
     pub fn record_trace_event(&self, ctx: TraceContext, name: &str, start_ns: u64, end_ns: u64) {
-        self.lock().traces.push(TraceEvent {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            name: name.to_string(),
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-        });
+        self.lock().push_trace(ctx, name, start_ns, end_ns);
     }
 
     /// Appends a zero-duration trace event stamped `now_ns`.
@@ -298,88 +278,100 @@ impl Recorder {
         self.record_trace_event(ctx, name, now, now);
     }
 
+    /// Records one phase of a served job (`server/queue_wait`,
+    /// `server/garble`, `server/stream`): its duration always goes into
+    /// the histogram `name` — what METRICS reports percentiles over — and,
+    /// when `ctx` is traced, a trace event of the same name.
+    pub fn record_phase(&self, ctx: TraceContext, name: &'static str, start_ns: u64, end_ns: u64) {
+        let mut inner = self.lock();
+        inner.record(name, end_ns.saturating_sub(start_ns));
+        if ctx.is_traced() {
+            inner.push_trace(ctx, name, start_ns, end_ns);
+        }
+    }
+
     /// Opens a trace span under `ctx`; the event is recorded when the
     /// returned guard drops.
     pub fn trace_span(&self, ctx: TraceContext, name: &'static str) -> TraceSpanGuard<'_> {
+        self.guard(ctx, name, false)
+    }
+
+    /// Opens a served-job phase; [`Recorder::record_phase`] runs when the
+    /// returned guard drops.
+    pub fn phase_span(&self, ctx: TraceContext, name: &'static str) -> TraceSpanGuard<'_> {
+        self.guard(ctx, name, true)
+    }
+
+    fn guard(&self, ctx: TraceContext, name: &'static str, phase: bool) -> TraceSpanGuard<'_> {
         TraceSpanGuard {
             rec: self,
             ctx,
             name,
             start_ns: self.now_ns(),
+            phase,
         }
     }
 
-    /// Nanoseconds since this recorder was created (timeline timebase).
+    /// Nanoseconds since this recorder was created (trace timebase).
     pub fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// Every histogram, sorted by name — what METRICS reads, without
+    /// copying the trace events.
+    pub fn histograms(&self) -> Vec<HistogramSnapshot> {
+        self.lock().histogram_snapshots()
+    }
+
     /// Point-in-time copy of everything recorded so far, deterministically
-    /// ordered (counters/histograms/spans by name, timeline entries by
-    /// insertion then lane-sorted).
+    /// ordered (counters and histograms by name, trace events by trace id
+    /// then time).
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
+        let mut traces: Vec<TraceEvent> = inner.traces.iter().cloned().collect();
+        let counters = inner
+            .counters
+            .iter()
+            .map(|(&name, &value)| CounterSnapshot {
+                name: name.to_string(),
+                value,
+            })
+            .collect();
+        let histograms = inner.histogram_snapshots();
+        drop(inner);
+        traces.sort_by(|a, b| {
+            (a.trace_id, a.start_ns, a.end_ns, &a.name)
+                .cmp(&(b.trace_id, b.start_ns, b.end_ns, &b.name))
+        });
         Snapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(&name, &value)| CounterSnapshot {
-                    name: name.to_string(),
-                    value,
-                })
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(name, h)| h.snapshot(name))
-                .collect(),
-            spans: inner
-                .spans
-                .iter()
-                .map(|(path, stat)| SpanSnapshot {
-                    path: path.clone(),
-                    count: stat.count,
-                    wall_ns: stat.wall_ns,
-                    cycles: stat.cycles,
-                })
-                .collect(),
-            timelines: inner
-                .timelines
-                .iter()
-                .map(|(&name, entries)| {
-                    let mut entries = entries.clone();
-                    entries.sort_by_key(|e| (e.lane, e.start_ns, e.end_ns));
-                    TimelineSnapshot {
-                        name: name.to_string(),
-                        entries,
-                    }
-                })
-                .collect(),
-            traces: {
-                let mut traces = inner.traces.clone();
-                traces.sort_by(|a, b| {
-                    (a.trace_id, a.start_ns, a.end_ns, &a.name)
-                        .cmp(&(b.trace_id, b.start_ns, b.end_ns, &b.name))
-                });
-                traces
-            },
+            counters,
+            histograms,
+            traces,
         }
     }
 }
 
-/// RAII guard recording a [`TraceEvent`] into a [`Recorder`] on drop.
+/// RAII guard recording a [`TraceEvent`] (or, for a phase, a histogram
+/// observation too) into a [`Recorder`] on drop.
 #[must_use = "a trace span records when dropped"]
 pub struct TraceSpanGuard<'r> {
     rec: &'r Recorder,
     ctx: TraceContext,
     name: &'static str,
     start_ns: u64,
+    phase: bool,
 }
 
 impl Drop for TraceSpanGuard<'_> {
     fn drop(&mut self) {
-        self.rec
-            .record_trace_event(self.ctx, self.name, self.start_ns, self.rec.now_ns());
+        let end_ns = self.rec.now_ns();
+        if self.phase {
+            self.rec
+                .record_phase(self.ctx, self.name, self.start_ns, end_ns);
+        } else {
+            self.rec
+                .record_trace_event(self.ctx, self.name, self.start_ns, end_ns);
+        }
     }
 }
 
@@ -422,53 +414,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One span path in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanSnapshot {
-    /// `/`-separated span path, e.g. `secure_matvec/garble`.
-    pub path: String,
-    /// Completions recorded.
-    pub count: u64,
-    /// Total wall-clock across completions, nanoseconds.
-    pub wall_ns: u64,
-    /// Total modeled fabric cycles attached via [`SpanGuard::add_cycles`].
-    pub cycles: u64,
-}
-
-/// One timeline in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TimelineSnapshot {
-    /// Timeline name.
-    pub name: String,
-    /// Busy intervals, sorted by `(lane, start, end)`.
-    pub entries: Vec<TimelineEntry>,
-}
-
-impl TimelineSnapshot {
-    /// Total busy time of `lane` in nanoseconds.
-    pub fn lane_busy_ns(&self, lane: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.lane == lane)
-            .map(TimelineEntry::busy_ns)
-            .sum()
-    }
-
-    /// Distinct lanes present.
-    pub fn lanes(&self) -> Vec<u32> {
-        let mut lanes: Vec<u32> = self.entries.iter().map(|e| e.lane).collect();
-        lanes.dedup();
-        lanes
-    }
-
-    /// Makespan: latest end minus earliest start across all lanes.
-    pub fn makespan_ns(&self) -> u64 {
-        let start = self.entries.iter().map(|e| e.start_ns).min().unwrap_or(0);
-        let end = self.entries.iter().map(|e| e.end_ns).max().unwrap_or(0);
-        end.saturating_sub(start)
-    }
-}
-
 /// Deterministic, value-comparable copy of a [`Recorder`]'s contents.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
@@ -476,12 +421,8 @@ pub struct Snapshot {
     pub counters: Vec<CounterSnapshot>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// All span paths, sorted by path.
-    pub spans: Vec<SpanSnapshot>,
-    /// All timelines, sorted by name.
-    pub timelines: Vec<TimelineSnapshot>,
-    /// All distributed-trace events, sorted by `(trace id, start, end,
-    /// name)`.
+    /// The retained distributed-trace events, sorted by `(trace id, start,
+    /// end, name)`.
     pub traces: Vec<TraceEvent>,
 }
 
@@ -494,19 +435,9 @@ impl Snapshot {
             .map_or(0, |c| c.value)
     }
 
-    /// Span statistics at `path`, if recorded.
-    pub fn span(&self, path: &str) -> Option<&SpanSnapshot> {
-        self.spans.iter().find(|s| s.path == path)
-    }
-
     /// Histogram `name`, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Timeline `name`, if recorded.
-    pub fn timeline(&self, name: &str) -> Option<&TimelineSnapshot> {
-        self.timelines.iter().find(|t| t.name == name)
     }
 
     /// All trace events belonging to `trace_id`, in start order.
@@ -518,199 +449,10 @@ impl Snapshot {
     }
 }
 
-/// True when the facade records (the `enabled` feature is on).
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
-
-// ---------------------------------------------------------------------------
-// The global facade: real when `enabled`, inlined-away otherwise.
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "enabled")]
-mod facade {
-    use super::{Recorder, TimelineEntry};
-    use std::cell::RefCell;
-    use std::sync::{Arc, RwLock};
-    use std::time::Instant;
-
-    static GLOBAL: RwLock<Option<Arc<Recorder>>> = RwLock::new(None);
-
-    thread_local! {
-        static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    }
-
-    fn read_global() -> Option<Arc<Recorder>> {
-        GLOBAL
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .cloned()
-    }
-
-    /// Installs `recorder` as the global sink, replacing any previous one.
-    pub fn install(recorder: Arc<Recorder>) {
-        *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(recorder);
-    }
-
-    /// Removes the global sink; subsequent facade calls are dropped.
-    pub fn uninstall() {
-        *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
-    /// Adds `value` to global counter `name`.
-    #[inline]
-    pub fn counter_add(name: &'static str, value: u64) {
-        if let Some(rec) = read_global() {
-            rec.add(name, value);
-        }
-    }
-
-    /// Records `value` into global histogram `name`.
-    #[inline]
-    pub fn histogram_record(name: &'static str, value: u64) {
-        if let Some(rec) = read_global() {
-            rec.record(name, value);
-        }
-    }
-
-    /// RAII wall-clock span; nested spans form `/`-separated paths per
-    /// thread.
-    #[must_use = "a span records when dropped"]
-    pub struct SpanGuard {
-        state: Option<(String, Instant, u64)>,
-    }
-
-    /// Opens a span named `name` under the current thread's span stack.
-    pub fn span(name: &'static str) -> SpanGuard {
-        if read_global().is_none() {
-            return SpanGuard { state: None };
-        }
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            stack.push(name);
-            stack.join("/")
-        });
-        SpanGuard {
-            state: Some((path, Instant::now(), 0)),
-        }
-    }
-
-    impl SpanGuard {
-        /// Attaches modeled fabric cycles to this span completion.
-        pub fn add_cycles(&mut self, cycles: u64) {
-            if let Some((_, _, total)) = &mut self.state {
-                *total += cycles;
-            }
-        }
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if let Some((path, started, cycles)) = self.state.take() {
-                SPAN_STACK.with(|stack| {
-                    stack.borrow_mut().pop();
-                });
-                if let Some(rec) = read_global() {
-                    rec.record_span(&path, started.elapsed(), cycles);
-                }
-            }
-        }
-    }
-
-    /// RAII busy interval on timeline `name`, lane `lane`.
-    #[must_use = "a timeline interval records when dropped"]
-    pub struct TimelineGuard {
-        state: Option<(Arc<Recorder>, &'static str, u32, u64)>,
-    }
-
-    /// Opens a busy interval on `name`/`lane`, closed when the guard drops.
-    pub fn timeline(name: &'static str, lane: u32) -> TimelineGuard {
-        match read_global() {
-            Some(rec) => {
-                let start = rec.now_ns();
-                TimelineGuard {
-                    state: Some((rec, name, lane, start)),
-                }
-            }
-            None => TimelineGuard { state: None },
-        }
-    }
-
-    impl Drop for TimelineGuard {
-        fn drop(&mut self) {
-            if let Some((rec, name, lane, start_ns)) = self.state.take() {
-                let end_ns = rec.now_ns();
-                rec.record_timeline(
-                    name,
-                    TimelineEntry {
-                        lane,
-                        start_ns,
-                        end_ns,
-                    },
-                );
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-mod facade {
-    //! Disabled facade: every entry point is an empty inline function, so
-    //! instrumented call sites compile to nothing.
-    use super::Recorder;
-    use std::sync::Arc;
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn install(_recorder: Arc<Recorder>) {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn uninstall() {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn counter_add(_name: &'static str, _value: u64) {}
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn histogram_record(_name: &'static str, _value: u64) {}
-
-    /// Zero-sized stand-in for the enabled span guard.
-    #[must_use = "a span records when dropped"]
-    pub struct SpanGuard;
-
-    impl SpanGuard {
-        /// No-op (telemetry disabled at compile time).
-        #[inline(always)]
-        pub fn add_cycles(&mut self, _cycles: u64) {}
-    }
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Zero-sized stand-in for the enabled timeline guard.
-    #[must_use = "a timeline interval records when dropped"]
-    pub struct TimelineGuard;
-
-    /// No-op (telemetry disabled at compile time).
-    #[inline(always)]
-    pub fn timeline(_name: &'static str, _lane: u32) -> TimelineGuard {
-        TimelineGuard
-    }
-}
-
-pub use facade::{
-    counter_add, histogram_record, install, span, timeline, uninstall, SpanGuard, TimelineGuard,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     #[test]
@@ -726,15 +468,31 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
+    fn histogram_buckets_are_log_linear() {
+        // Exact below 16 (and through the first octave, whose sub-buckets
+        // are one wide).
+        for v in 0..32u64 {
+            assert_eq!(bucket_index(v), v as usize);
+            assert_eq!(bucket_upper_bound(v as u32), v);
+        }
+        // [32, 64): 16 sub-buckets of width 2.
+        assert_eq!(bucket_index(32), 32);
+        assert_eq!(bucket_index(33), 32);
+        assert_eq!(bucket_index(50), 41);
+        assert_eq!(bucket_upper_bound(41), 51);
+        assert_eq!(bucket_index(63), 47);
+        assert_eq!(bucket_index(64), 48);
+        // 1024 opens an octave; its first sub-bucket is [1024, 1088).
+        assert_eq!(bucket_upper_bound(bucket_index(1024) as u32), 1087);
+        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_upper_bound((HISTOGRAM_BUCKETS - 1) as u32), u64::MAX);
+        // Every bucket's upper bound maps back into it, and the next value
+        // opens the next bucket.
+        for i in 0..HISTOGRAM_BUCKETS as u32 - 1 {
+            let upper = bucket_upper_bound(i);
+            assert_eq!(bucket_index(upper), i as usize);
+            assert_eq!(bucket_index(upper + 1), i as usize + 1);
+        }
     }
 
     #[test]
@@ -749,8 +507,13 @@ mod tests {
         assert_eq!(h.sum, 109);
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 100);
-        // zeros → bucket 0; 1,1 → bucket 1; 7 → bucket 3; 100 → bucket 7.
-        assert_eq!(h.buckets, vec![(0, 1), (1, 2), (3, 1), (7, 1)]);
+        // 0, 1 and 7 are exact buckets; 100 lands in [100, 104) of the
+        // [64, 128) octave.
+        assert_eq!(
+            h.buckets,
+            vec![(0, 1), (1, 2), (7, 1), (bucket_index(100) as u32, 1)]
+        );
+        assert_eq!(bucket_upper_bound(bucket_index(100) as u32), 103);
     }
 
     #[test]
@@ -761,20 +524,55 @@ mod tests {
             h.record(v);
         }
         // Estimates are bucket upper bounds clamped to [min, max]: the
-        // p50 rank (50th of 100) lands in bucket [32, 64) -> 63; p95 and
-        // p99 land in the top bucket [64, 128) which clamps to max=100.
-        assert_eq!(h.percentile(50.0), 63);
-        assert_eq!(h.percentile(95.0), 100);
-        assert_eq!(h.percentile(99.0), 100);
+        // p50 rank (50th of 100) lands in bucket [50, 52) -> 51; p95 in
+        // [92, 96) -> 95; p99 in [96, 100) -> 99.
+        assert_eq!(h.percentile(50.0), 51);
+        assert_eq!(h.percentile(95.0), 95);
+        assert_eq!(h.percentile(99.0), 99);
         assert_eq!(h.percentile(0.0), 1, "p0 clamps to min");
         assert_eq!(h.percentile(100.0), 100);
-        // Estimate never undershoots the exact percentile's bucket.
-        assert!(h.percentile(50.0) >= 50);
 
         // Snapshot agrees with the live histogram.
         let snap = h.snapshot("lat");
         for p in [0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 100.0] {
             assert_eq!(snap.percentile(p), h.percentile(p), "p{p}");
+        }
+    }
+
+    #[test]
+    fn millisecond_jobs_report_distinct_percentiles() {
+        // A 1.1 ms and a 2.0 ms job once both read 2 097 151 ns (the top
+        // of the [2^20, 2^21) bucket).
+        let mut h = Histogram::default();
+        for ns in [1_100_000u64, 2_000_000, 3_000_000] {
+            h.record(ns);
+        }
+        assert_eq!(h.percentile(1.0), 1_114_111);
+        assert_eq!(h.percentile(50.0), 2_031_615);
+    }
+
+    proptest! {
+        #[test]
+        fn percentile_is_within_a_sixteenth_above_nearest_rank(
+            samples in prop::collection::vec((0u32..64, any::<u64>()), 1..200),
+            p in 0.0f64..100.0,
+        ) {
+            // Log-uniform magnitudes: shift a full-width draw right by 0..64.
+            let mut values: Vec<u64> = samples.iter().map(|&(s, v)| v >> s).collect();
+            let mut h = Histogram::default();
+            for &v in &values {
+                h.record(v);
+            }
+            values.sort_unstable();
+            let rank = ((p / 100.0) * values.len() as f64).ceil().max(1.0) as usize;
+            let exact = values[rank - 1];
+            let estimate = h.percentile(p);
+            prop_assert!(estimate >= exact, "p{p}: {estimate} < {exact}");
+            prop_assert!(
+                (estimate - exact) as f64 <= exact as f64 * 0.0625,
+                "p{p}: {estimate} vs {exact}"
+            );
+            prop_assert_eq!(h.snapshot("h").percentile(p), estimate);
         }
     }
 
@@ -823,6 +621,8 @@ mod tests {
         assert_eq!(snap.trace_events(99).len(), 0);
         // The guard-recorded span has end >= start.
         assert!(mine[2].end_ns >= mine[2].start_ns);
+        // A plain trace span feeds no histogram.
+        assert!(snap.histograms.is_empty());
     }
 
     #[test]
@@ -833,48 +633,37 @@ mod tests {
     }
 
     #[test]
-    fn spans_aggregate_by_path() {
+    fn trace_events_are_bounded_keeping_the_newest() {
         let rec = Recorder::new();
-        rec.record_span("a/b", Duration::from_nanos(10), 5);
-        rec.record_span("a/b", Duration::from_nanos(30), 7);
-        rec.record_span("a", Duration::from_nanos(100), 0);
-        let snap = rec.snapshot();
-        let ab = snap.span("a/b").unwrap();
-        assert_eq!(ab.count, 2);
-        assert_eq!(ab.wall_ns, 40);
-        assert_eq!(ab.cycles, 12);
-        assert_eq!(snap.span("a").unwrap().count, 1);
-        assert!(snap.span("a/missing").is_none());
+        let ctx = TraceContext::from_ids(1, 1);
+        let total = TRACE_EVENT_CAP as u64 + 100;
+        for i in 0..total {
+            rec.record_trace_event(ctx, "e", i, i);
+        }
+        let traces = rec.snapshot().traces;
+        assert_eq!(traces.len(), TRACE_EVENT_CAP);
+        assert_eq!(traces[0].start_ns, 100, "the oldest 100 were dropped");
+        assert_eq!(traces.last().unwrap().start_ns, total - 1);
     }
 
     #[test]
-    fn timeline_busy_and_makespan() {
+    fn phases_feed_histograms_always_and_traces_only_when_traced() {
         let rec = Recorder::new();
-        for (lane, s, e) in [(1u32, 50u64, 90u64), (0, 0, 100), (1, 10, 30)] {
-            rec.record_timeline(
-                "units",
-                TimelineEntry {
-                    lane,
-                    start_ns: s,
-                    end_ns: e,
-                },
-            );
-        }
+        let traced = TraceContext::from_ids(9, 1);
+        rec.record_phase(traced, "server/garble", 10, 40);
+        rec.record_phase(TraceContext::none(), "server/garble", 0, 50);
+        drop(rec.phase_span(TraceContext::none(), "server/stream"));
         let snap = rec.snapshot();
-        let tl = snap.timeline("units").unwrap();
-        assert_eq!(tl.lane_busy_ns(0), 100);
-        assert_eq!(tl.lane_busy_ns(1), 60);
-        assert_eq!(tl.makespan_ns(), 100);
-        assert_eq!(tl.lanes(), vec![0, 1]);
-        // Entries are sorted deterministically.
-        assert_eq!(tl.entries[0].lane, 0);
-        assert_eq!(tl.entries[1], {
-            TimelineEntry {
-                lane: 1,
-                start_ns: 10,
-                end_ns: 30,
-            }
-        });
+        let garble = snap.histogram("server/garble").unwrap();
+        assert_eq!((garble.count, garble.sum), (2, 80));
+        assert_eq!(snap.histogram("server/stream").unwrap().count, 1);
+        assert_eq!(
+            snap.traces.len(),
+            1,
+            "only the traced phase leaves an event"
+        );
+        assert_eq!(snap.traces[0].duration_ns(), 30);
+        assert_eq!(rec.histograms(), snap.histograms);
     }
 
     #[test]
@@ -884,14 +673,13 @@ mod tests {
         // interleaving.
         let rec = Arc::new(Recorder::new());
         std::thread::scope(|scope| {
-            for t in 0..8u64 {
+            for _ in 0..8u64 {
                 let rec = Arc::clone(&rec);
                 scope.spawn(move || {
                     for i in 0..500u64 {
                         rec.add("thread.adds", 1);
                         rec.add("thread.sum", i);
                         rec.record("thread.hist", i % 16);
-                        rec.record_span("thread/work", Duration::from_nanos(i), t);
                     }
                 });
             }
@@ -908,52 +696,8 @@ mod tests {
         let ones = h.buckets.iter().find(|(b, _)| *b == 1).unwrap().1;
         let expected_ones = (0..500u64).filter(|i| i % 16 == 1).count() as u64 * 8;
         assert_eq!(ones, expected_ones);
-        let span = snap.span("thread/work").unwrap();
-        assert_eq!(span.count, 8 * 500);
-        assert_eq!(span.cycles, 500 * (0..8u64).sum::<u64>());
 
         // Two snapshots of the same recorder are value-identical.
         assert_eq!(snap, rec.snapshot());
-    }
-
-    #[test]
-    fn facade_is_safe_with_no_recorder_installed() {
-        uninstall();
-        counter_add("nobody.listens", 1);
-        histogram_record("nobody.listens", 2);
-        let mut guard = span("nobody");
-        guard.add_cycles(3);
-        drop(guard);
-        drop(timeline("nobody", 0));
-    }
-
-    #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(enabled(), cfg!(feature = "enabled"));
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn facade_records_into_installed_recorder() {
-        let rec = Arc::new(Recorder::new());
-        install(Arc::clone(&rec));
-        counter_add("facade.count", 4);
-        histogram_record("facade.hist", 9);
-        {
-            let mut outer = span("outer");
-            outer.add_cycles(11);
-            let _inner = span("inner");
-            drop(timeline("facade.units", 2));
-        }
-        uninstall();
-        counter_add("facade.count", 100); // dropped: nothing installed
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("facade.count"), 4);
-        assert_eq!(snap.histogram("facade.hist").unwrap().count, 1);
-        assert_eq!(snap.span("outer").unwrap().cycles, 11);
-        assert!(snap.span("outer/inner").is_some());
-        let tl = snap.timeline("facade.units").unwrap();
-        assert_eq!(tl.entries.len(), 1);
-        assert_eq!(tl.entries[0].lane, 2);
     }
 }

@@ -1,12 +1,12 @@
-//! Hand-rolled JSON rendering for telemetry snapshots.
+//! Hand-rolled JSON rendering for telemetry output.
 //!
 //! The workspace builds offline against vendored dependency stubs, and the
-//! `serde` stub is marker-traits only — so machine-readable artifacts like
-//! `BENCH_matvec.json` are produced by this small, dependency-free builder
-//! instead. Object keys keep insertion order, strings are escaped per RFC
-//! 8259, and non-finite floats degrade to `null` (JSON has no NaN).
+//! `serde` stub is marker-traits only — so machine-readable output like the
+//! METRICS frame and the benchmark's result files is produced by this
+//! small, dependency-free builder instead. Object keys keep insertion
+//! order, strings are escaped per RFC 8259, and non-finite floats degrade
+//! to `null` (JSON has no NaN).
 
-use crate::Snapshot;
 use std::fmt::Write as _;
 
 /// A JSON value with ordered object keys.
@@ -149,109 +149,9 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-impl Snapshot {
-    /// Renders this snapshot as a [`JsonValue`] tree with five top-level
-    /// sections: `counters`, `histograms`, `spans`, `timelines`, `traces`.
-    pub fn to_json(&self) -> JsonValue {
-        let mut counters = JsonValue::object();
-        for c in &self.counters {
-            counters.push(&c.name, JsonValue::UInt(c.value));
-        }
-
-        let mut histograms = JsonValue::object();
-        for h in &self.histograms {
-            let mut entry = JsonValue::object();
-            entry
-                .push("count", JsonValue::UInt(h.count))
-                .push("sum", JsonValue::UInt(h.sum))
-                .push("min", JsonValue::UInt(h.min))
-                .push("max", JsonValue::UInt(h.max))
-                .push(
-                    "buckets",
-                    JsonValue::Array(
-                        h.buckets
-                            .iter()
-                            .map(|&(bucket, count)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::UInt(u64::from(bucket)),
-                                    JsonValue::UInt(count),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
-            histograms.push(&h.name, entry);
-        }
-
-        let mut spans = JsonValue::object();
-        for s in &self.spans {
-            let mut entry = JsonValue::object();
-            entry
-                .push("count", JsonValue::UInt(s.count))
-                .push("wall_ns", JsonValue::UInt(s.wall_ns))
-                .push("cycles", JsonValue::UInt(s.cycles));
-            spans.push(&s.path, entry);
-        }
-
-        let mut timelines = JsonValue::object();
-        for t in &self.timelines {
-            let mut lanes = JsonValue::object();
-            for lane in t.lanes() {
-                let mut entry = JsonValue::object();
-                entry.push("busy_ns", JsonValue::UInt(t.lane_busy_ns(lane)));
-                entry.push(
-                    "intervals",
-                    JsonValue::Array(
-                        t.entries
-                            .iter()
-                            .filter(|e| e.lane == lane)
-                            .map(|e| {
-                                JsonValue::Array(vec![
-                                    JsonValue::UInt(e.start_ns),
-                                    JsonValue::UInt(e.end_ns),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
-                lanes.push(&lane.to_string(), entry);
-            }
-            let mut entry = JsonValue::object();
-            entry
-                .push("makespan_ns", JsonValue::UInt(t.makespan_ns()))
-                .push("lanes", lanes);
-            timelines.push(&t.name, entry);
-        }
-
-        let mut traces = JsonValue::Array(Vec::new());
-        if let JsonValue::Array(items) = &mut traces {
-            for e in &self.traces {
-                let mut entry = JsonValue::object();
-                entry
-                    .push("trace_id", JsonValue::Str(format!("{:032x}", e.trace_id)))
-                    .push("span_id", JsonValue::Str(format!("{:016x}", e.span_id)))
-                    .push("name", JsonValue::Str(e.name.clone()))
-                    .push("start_ns", JsonValue::UInt(e.start_ns))
-                    .push("end_ns", JsonValue::UInt(e.end_ns));
-                items.push(entry);
-            }
-        }
-
-        let mut root = JsonValue::object();
-        root.push("counters", counters)
-            .push("histograms", histograms)
-            .push("spans", spans)
-            .push("timelines", timelines)
-            .push("traces", traces);
-        root
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recorder, TimelineEntry};
-    use std::time::Duration;
 
     #[test]
     fn scalars_render() {
@@ -328,35 +228,5 @@ mod tests {
         assert_eq!(JsonValue::Array(vec![]).render(), "[]");
         assert_eq!(JsonValue::object().render(), "{}");
         assert_eq!(JsonValue::Array(vec![]).render_pretty(), "[]\n");
-    }
-
-    #[test]
-    fn snapshot_round_trips_to_json() {
-        let rec = Recorder::new();
-        rec.add("gc.tables", 7);
-        rec.record("frame_bytes", 96);
-        rec.record_span("matvec/garble", Duration::from_nanos(1234), 56);
-        rec.record_timeline(
-            "units",
-            TimelineEntry {
-                lane: 0,
-                start_ns: 10,
-                end_ns: 40,
-            },
-        );
-        let json = rec.snapshot().to_json().render();
-        assert!(json.contains(r#""gc.tables":7"#));
-        assert!(json.contains(r#""frame_bytes""#));
-        assert!(json.contains(r#""matvec/garble":{"count":1,"wall_ns":1234,"cycles":56}"#));
-        assert!(json.contains(r#""makespan_ns":30"#));
-        assert!(json.contains(r#""busy_ns":30"#));
-
-        // Pretty output parses the same structure (smoke: balanced braces).
-        let pretty = rec.snapshot().to_json().render_pretty();
-        assert_eq!(
-            pretty.matches('{').count(),
-            pretty.matches('}').count(),
-            "balanced braces"
-        );
     }
 }
