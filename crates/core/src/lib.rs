@@ -79,8 +79,5 @@ pub use resilient::{ResilienceStats, ResilientClient, RetryPolicy};
 pub use resources::{mac_unit_resources, resource_breakdown, ComponentUsage};
 pub use scaling::{client_capacity_ratio, pack_device, xcvu095_scaling, DeviceScaling};
 pub use schedule::{Schedule, SchedulePolicy, ScheduleStats, Segment, SlotAssignment};
-pub use server::{
-    connect, secure_matmul, secure_matvec, ClientSession, CloudServer, MatvecTranscript,
-};
+pub use server::{connect, secure_matvec, ClientSession, CloudServer, MatvecTranscript};
 pub use timing::TimingModel;
-pub use wire::{decode_round_message, encode_round_message};

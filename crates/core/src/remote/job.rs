@@ -13,7 +13,6 @@ use super::codec::{decode_ext, encode_round_burst, send_control, ControlMsg, REJ
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
-use crate::server::MatvecTranscript;
 
 /// Splitmix-style seed derivation: one base seed, many independent
 /// per-session / per-job seeds.
@@ -103,12 +102,6 @@ pub struct MaterializedElement {
     pub pairs: Vec<(Block, Block)>,
     /// The element's pre-encoded ROUNDS burst frame.
     pub rounds_frame: Bytes,
-    /// Sum of the element's round-message wire bytes (transcript stat).
-    pub material_bytes: u64,
-    /// Garbled tables across the element's rounds (transcript stat).
-    pub tables: u64,
-    /// Rounds in the element (the model's column count).
-    pub rounds: u64,
 }
 
 /// A garbled job rendered to its wire form ahead of the exchange: what a
@@ -167,8 +160,7 @@ pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
 }
 
 /// Renders one garbled element to its wire form: the ROUNDS burst encoded
-/// once, the per-element transcript stats, and the OT pairs kept as they
-/// are.
+/// once and the OT pairs kept as they are.
 pub fn materialize_element(
     messages: &[RoundMessage],
     pairs: Vec<(Block, Block)>,
@@ -176,9 +168,6 @@ pub fn materialize_element(
     MaterializedElement {
         pairs,
         rounds_frame: encode_round_burst(messages),
-        material_bytes: messages.iter().map(|m| m.wire_bytes() as u64).sum(),
-        tables: messages.iter().map(|m| m.tables.len() as u64).sum(),
-        rounds: messages.len() as u64,
     }
 }
 
@@ -266,7 +255,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     start_element: usize,
     expected_digest: Option<[u8; 16]>,
     mut on_element: impl FnMut(usize, &OtExtSender, &TranscriptDigest),
-) -> Result<MatvecTranscript, AcceleratorError> {
+) -> Result<(), AcceleratorError> {
     send_control(transport, &ControlMsg::Ready { job_id })?;
     if let Some(expected) = expected_digest {
         if stream_digest(job) != expected {
@@ -282,12 +271,6 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             });
         }
     }
-    let mut transcript = MatvecTranscript {
-        elements: job.elements.len().saturating_sub(start_element),
-        fabric_cycles: job.fabric_cycles,
-        fabric_seconds: job.fabric_seconds,
-        ..MatvecTranscript::default()
-    };
     for (idx, elem) in job.elements.iter().enumerate().skip(start_element) {
         let ext_frame = open_frame(transport.recv_frame()?)?;
         let (ext, client_mark) = decode_ext(ext_frame.clone())?;
@@ -313,7 +296,6 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
                 what: "client transcript digest mismatch at EXT",
             });
         }
-        transcript.ot_upload_bytes += ext.columns.iter().map(|c| c.len() as u64 * 8).sum::<u64>();
         let cipher = ot_sender.send(&ext, &elem.pairs);
         // Seal first, fold the seals: the CRC pass that frames each of the
         // element's two bulk frames is also its contribution to the digest
@@ -331,11 +313,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         // which the last-2 snapshot window resolves — never behind (which
         // would force a REJECT on resume).
         on_element(idx + 1, ot_sender, digest);
-        transcript.ot_bytes += (cipher.pairs.len() * 32) as u64;
         transport.send_frame(FrameKind::Blocks, cipher_frame)?;
-        transcript.material_bytes += elem.material_bytes;
-        transcript.tables += elem.tables;
-        transcript.rounds += elem.rounds;
         // One burst frame per element instead of one frame per round: the
         // per-frame overhead (and per-frame fault-injection surface) no
         // longer scales with model width.
@@ -348,6 +326,5 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             trace_id: trace.trace_id,
             digest: digest.value(),
         },
-    )?;
-    Ok(transcript)
+    )
 }

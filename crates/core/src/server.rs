@@ -204,41 +204,6 @@ pub fn secure_matvec(
     (result, transcript)
 }
 
-/// Runs a complete privacy-preserving matrix product `Y = W·X` (Eq. 3 of
-/// the paper) where the client\'s matrix `X` is supplied column by column.
-///
-/// Returns `Y` row-major (`rows x x_columns.len()`) and the merged
-/// transcript. Internally each column is one [`secure_matvec`]; the paper\'s
-/// cycle formula `3*M*N*P*b` is exactly this loop on one MAC unit.
-///
-/// # Panics
-///
-/// Panics if any column length differs from the server\'s column count.
-pub fn secure_matmul(
-    server: &mut CloudServer,
-    client: &mut ClientSession,
-    x_columns: &[Vec<i64>],
-) -> (Vec<Vec<i64>>, MatvecTranscript) {
-    assert!(!x_columns.is_empty(), "need at least one column");
-    let mut result = vec![vec![0i64; x_columns.len()]; server.rows()];
-    let mut total = MatvecTranscript::default();
-    for (j, column) in x_columns.iter().enumerate() {
-        let (y, t) = secure_matvec(server, client, column);
-        for (i, value) in y.into_iter().enumerate() {
-            result[i][j] = value;
-        }
-        total.elements += t.elements;
-        total.rounds += t.rounds;
-        total.tables += t.tables;
-        total.material_bytes += t.material_bytes;
-        total.ot_bytes += t.ot_bytes;
-        total.ot_upload_bytes += t.ot_upload_bytes;
-        total.fabric_cycles = t.fabric_cycles; // cumulative clock
-        total.fabric_seconds = t.fabric_seconds;
-    }
-    (result, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,23 +258,6 @@ mod tests {
         let (y2, _) = secure_matvec(&mut server, &mut client, &[-1, 1]);
         assert_eq!(y1, vec![80]);
         assert_eq!(y2, vec![1]);
-    }
-
-    #[test]
-    fn secure_matmul_matches_plaintext() {
-        let config = AcceleratorConfig::new(8);
-        let w = vec![vec![1i64, -2, 3], vec![4, 5, -6]];
-        let x_cols = vec![vec![1i64, 0, -1], vec![7, -8, 9]];
-        let (mut server, mut client) = connect(&config, w.clone(), 123);
-        let (y, t) = secure_matmul(&mut server, &mut client, &x_cols);
-        for i in 0..2 {
-            for j in 0..2 {
-                let want: i64 = w[i].iter().zip(&x_cols[j]).map(|(a, b)| a * b).sum();
-                assert_eq!(y[i][j], want, "({i},{j})");
-            }
-        }
-        assert_eq!(t.elements, 4);
-        assert_eq!(t.rounds, 12);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Framed serialization of [`RoundMessage`] for the multi-unit streaming
-//! pipeline: each accelerator unit encodes its rounds into self-contained
-//! frames and ships them to the host CPU over `max_gc::channel::Duplex`,
-//! where they are decoded — without panicking on malformed bytes — before
-//! OT and relay to the client.
+//! Framed serialization of [`RoundMessage`], decoded without panicking on
+//! malformed bytes. Two users sit on top of it:
+//!
+//! * the served path: a ROUNDS burst frame
+//!   ([`encode_round_burst`](crate::remote::encode_round_burst)) is a round
+//!   count followed by length-prefixed bodies in this format;
+//! * the multi-unit pipeline: each accelerator unit encodes its rounds into
+//!   self-contained frames and ships them to the host CPU over
+//!   `max_gc::channel::Duplex`, where they are decoded before OT and relay
+//!   to the client.
 //!
 //! Frame layout (all integers big-endian, matching the channel layer):
 //!
@@ -24,7 +29,7 @@ const FLAG_INIT: u8 = 0b01;
 const FLAG_DECODE: u8 = 0b10;
 
 /// Encodes one round message into a self-contained frame.
-pub fn encode_round_message(msg: &RoundMessage) -> Bytes {
+pub(crate) fn encode_round_message(msg: &RoundMessage) -> Bytes {
     let mut buf = BytesMut::with_capacity(13 + msg.wire_bytes() + 8);
     buf.put_u32(msg.elem);
     buf.put_u32(msg.round);
@@ -97,7 +102,7 @@ fn get_labels(frame: &mut Bytes) -> Result<Vec<Block>, AcceleratorError> {
 /// Returns [`AcceleratorError::FrameTruncated`] if the frame ends before
 /// its declared payload and [`AcceleratorError::FrameHeader`] for unknown
 /// flags or trailing garbage — never panics on hostile bytes.
-pub fn decode_round_message(mut frame: Bytes) -> Result<RoundMessage, AcceleratorError> {
+pub(crate) fn decode_round_message(mut frame: Bytes) -> Result<RoundMessage, AcceleratorError> {
     if frame.remaining() < 9 {
         return Err(AcceleratorError::FrameTruncated);
     }

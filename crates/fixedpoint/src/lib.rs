@@ -258,21 +258,6 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut raw = vec![0i64; self.raw.len()];
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                raw[c * self.rows + r] = self.raw[r * self.cols + c];
-            }
-        }
-        Matrix {
-            rows: self.cols,
-            cols: self.rows,
-            raw,
-        }
-    }
-
     /// Number of MAC operations a garbled evaluation of `self · v` costs.
     pub fn matvec_mac_count(&self) -> u64 {
         (self.rows * self.cols) as u64
@@ -323,13 +308,6 @@ mod tests {
         let as_vec = m.matvec(&v);
         let as_mat = m.matmul(&Matrix::from_raw(2, 1, v.raw().to_vec()));
         assert_eq!(as_vec.raw(), &as_mat.raw[..]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_raw(2, 3, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().row(0), &[1, 4]);
     }
 
     #[test]

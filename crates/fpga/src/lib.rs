@@ -6,8 +6,6 @@
 //!
 //! * [`Clock`] — a cycle counter with a frequency, converting cycles to
 //!   wall-clock time (the paper's fabric runs at 200 MHz).
-//! * [`ShiftRegister`] — the `d`-stage delay lines that realize the "shift"
-//!   arrows of the tree multiplier (Figure 2) in hardware.
 //! * [`BramBlock`] / [`MemorySystem`] — the on-chip table memory of §5.1:
 //!   one write port per block (per GC core), one shared read port drained by
 //!   the PCIe bridge.
@@ -24,11 +22,9 @@ mod clock;
 mod energy;
 mod pcie;
 mod resource;
-mod shift_register;
 
 pub use bram::{BramBlock, MemorySystem};
 pub use clock::Clock;
 pub use energy::{cpu_joules_per_mac, EnergyMeter, EnergyModel};
 pub use pcie::PcieLink;
 pub use resource::{ResourceUsage, XCVU095};
-pub use shift_register::ShiftRegister;

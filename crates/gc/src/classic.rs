@@ -257,203 +257,3 @@ mod tests {
         }
     }
 }
-
-use max_netlist::{GateKind, Netlist};
-
-use crate::label::{LabelSource, PrgLabelSource};
-
-/// Whole-netlist garbling under [`Scheme::Classic`] or [`Scheme::Grr3`]
-/// (for [`Scheme::HalfGates`] use the main [`crate::Garbler`]). Returns the
-/// transmitted rows (flattened), the decode bits, the input-label encoders'
-/// state — enough to run [`ClassicGarbled::evaluate_netlist`].
-#[derive(Clone, Debug)]
-pub struct ClassicGarbled {
-    scheme: Scheme,
-    rows: Vec<Block>,
-    decode: Vec<bool>,
-    zero_labels: Vec<Block>,
-    delta: Delta,
-}
-
-impl ClassicGarbled {
-    /// Garbles `netlist` under `scheme` with labels from a PRG seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheme` is [`Scheme::HalfGates`] (use [`crate::Garbler`]).
-    pub fn garble(netlist: &Netlist, scheme: Scheme, seed: Block) -> Self {
-        assert_ne!(
-            scheme,
-            Scheme::HalfGates,
-            "use the main Garbler for half gates"
-        );
-        let hash = max_crypto::FixedKeyHash::new();
-        let mut source = PrgLabelSource::new(seed);
-        let delta = source.next_delta();
-        let mut zero_labels = vec![Block::ZERO; netlist.wire_count()];
-        for wire in netlist
-            .garbler_inputs()
-            .iter()
-            .chain(netlist.evaluator_inputs())
-        {
-            zero_labels[wire.index()] = source.next_label();
-        }
-        for &(wire, _) in netlist.constants() {
-            zero_labels[wire.index()] = source.next_label();
-        }
-        let mut rows = Vec::new();
-        let mut and_index = 0u64;
-        for gate in netlist.gates() {
-            let a0 = zero_labels[gate.a.index()];
-            let b0 = zero_labels[gate.b.index()];
-            let out = match gate.kind {
-                GateKind::And => {
-                    let tweak = Tweak::from_gate_index(and_index);
-                    and_index += 1;
-                    let (c0, table) = match scheme {
-                        Scheme::Classic => {
-                            let fresh = source.next_label();
-                            garble_and_classic(&hash, delta, fresh, a0, b0, tweak)
-                        }
-                        Scheme::Grr3 => garble_and_grr3(&hash, delta, a0, b0, tweak),
-                        Scheme::HalfGates => unreachable!("checked above"),
-                    };
-                    rows.extend(table.rows);
-                    c0
-                }
-                GateKind::Xor => a0 ^ b0,
-                GateKind::Not => a0 ^ delta.block(),
-            };
-            zero_labels[gate.out.index()] = out;
-        }
-        let decode = netlist
-            .outputs()
-            .iter()
-            .map(|w| zero_labels[w.index()].lsb())
-            .collect();
-        ClassicGarbled {
-            scheme,
-            rows,
-            decode,
-            zero_labels,
-            delta,
-        }
-    }
-
-    /// Bytes of garbled rows on the wire.
-    pub fn wire_bytes(&self) -> usize {
-        self.rows.len() * 16
-    }
-
-    /// Active label for a wire and value (test/driver helper; a deployment
-    /// sends garbler labels directly and evaluator labels via OT).
-    fn active(&self, wire: max_netlist::WireId, bit: bool) -> Block {
-        let zero = self.zero_labels[wire.index()];
-        if bit {
-            self.delta.one_label(zero)
-        } else {
-            zero
-        }
-    }
-
-    /// Evaluates the garbled netlist on plaintext inputs (labels resolved
-    /// internally — exercises the full decrypt path) and decodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on input-length mismatch.
-    pub fn evaluate_netlist(
-        &self,
-        netlist: &Netlist,
-        garbler_bits: &[bool],
-        evaluator_bits: &[bool],
-    ) -> Vec<bool> {
-        assert_eq!(garbler_bits.len(), netlist.garbler_inputs().len());
-        assert_eq!(evaluator_bits.len(), netlist.evaluator_inputs().len());
-        let hash = max_crypto::FixedKeyHash::new();
-        let mut active = vec![Block::ZERO; netlist.wire_count()];
-        for (wire, &bit) in netlist.garbler_inputs().iter().zip(garbler_bits) {
-            active[wire.index()] = self.active(*wire, bit);
-        }
-        for (wire, &bit) in netlist.evaluator_inputs().iter().zip(evaluator_bits) {
-            active[wire.index()] = self.active(*wire, bit);
-        }
-        for &(wire, value) in netlist.constants() {
-            active[wire.index()] = self.active(wire, value);
-        }
-        let rows_per_gate = self.scheme.rows();
-        let mut and_index = 0usize;
-        for gate in netlist.gates() {
-            let a = active[gate.a.index()];
-            let b = active[gate.b.index()];
-            let out = match gate.kind {
-                GateKind::And => {
-                    let tweak = Tweak::from_gate_index(and_index as u64);
-                    let table = RowTable {
-                        rows: self.rows[and_index * rows_per_gate..(and_index + 1) * rows_per_gate]
-                            .to_vec(),
-                    };
-                    and_index += 1;
-                    match self.scheme {
-                        Scheme::Classic => evaluate_and_classic(&hash, &table, a, b, tweak),
-                        Scheme::Grr3 => evaluate_and_grr3(&hash, &table, a, b, tweak),
-                        Scheme::HalfGates => unreachable!("checked at garble time"),
-                    }
-                }
-                GateKind::Xor => a ^ b,
-                GateKind::Not => a,
-            };
-            active[gate.out.index()] = out;
-        }
-        netlist
-            .outputs()
-            .iter()
-            .zip(&self.decode)
-            .map(|(w, &d)| active[w.index()].lsb() ^ d)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod netlist_tests {
-    use super::*;
-    use max_netlist::{decode_signed, MacCircuit, MultiplierKind, Sign};
-
-    #[test]
-    fn classic_and_grr3_garble_whole_mac_netlists() {
-        let mac = MacCircuit::build(6, 14, Sign::Signed, MultiplierKind::Tree);
-        for scheme in [Scheme::Classic, Scheme::Grr3] {
-            let garbled = ClassicGarbled::garble(mac.netlist(), scheme, Block::new(0x99));
-            for (a, acc, x) in [(7i64, -3i64, 5i64), (-32, 100, 31), (0, 0, 0)] {
-                let out = garbled.evaluate_netlist(
-                    mac.netlist(),
-                    &mac.garbler_bits(a, acc),
-                    &mac.evaluator_bits(x),
-                );
-                assert_eq!(
-                    decode_signed(&out),
-                    acc + a * x,
-                    "{scheme:?}: {a},{acc},{x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wire_bytes_follow_the_scheme_ladder() {
-        let mac = MacCircuit::build(4, 10, Sign::Signed, MultiplierKind::Tree);
-        let ands = mac.netlist().stats().and_gates;
-        let classic = ClassicGarbled::garble(mac.netlist(), Scheme::Classic, Block::new(1));
-        let grr3 = ClassicGarbled::garble(mac.netlist(), Scheme::Grr3, Block::new(1));
-        assert_eq!(classic.wire_bytes(), ands * 64);
-        assert_eq!(grr3.wire_bytes(), ands * 48);
-        assert!(grr3.wire_bytes() < classic.wire_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "use the main Garbler")]
-    fn half_gates_rejected_here() {
-        let mac = MacCircuit::build(4, 10, Sign::Signed, MultiplierKind::Tree);
-        ClassicGarbled::garble(mac.netlist(), Scheme::HalfGates, Block::new(1));
-    }
-}

@@ -60,7 +60,6 @@ mod evaluator;
 pub mod fault;
 mod garbler;
 mod label;
-pub mod protocol;
 mod sequential;
 pub mod transport;
 

@@ -401,6 +401,52 @@ mod tests {
     }
 
     #[test]
+    fn client_memory_stays_one_round_sized() {
+        // The §3 claim: per-round OT means the client never holds more than
+        // one round of labels (+ state), regardless of vector length.
+        let mac = MacCircuit::build(8, 24, Sign::Signed, MultiplierKind::Tree);
+        let run = |len: usize| {
+            let mut garbler = SequentialGarbler::new(
+                mac.netlist().clone(),
+                PrgLabelSource::new(Block::new(9)),
+                8..32,
+            );
+            let mut evaluator = SequentialEvaluator::new(mac.netlist().clone(), 8..32);
+            let (mut peak_labels, mut garbler_sent) = (0usize, 0usize);
+            for i in 0..len {
+                let init = (i == 0).then(|| encode_signed(0, 24));
+                let a_bits = encode_signed(i as i64 % 100, 8);
+                let round = garbler.garble_round(&a_bits, init.as_deref(), i == len - 1);
+                let x_bits = encode_signed((i as i64 % 7) - 3, 8);
+                let e_labels: Vec<Block> = garbler
+                    .evaluator_label_pairs()
+                    .iter()
+                    .zip(&x_bits)
+                    .map(|(&(m0, m1), &bit)| if bit { m1 } else { m0 })
+                    .collect();
+                // The client's live label footprint this round: fresh
+                // garbler + own labels + carried state (outputs of the
+                // previous round).
+                let held = round.garbler_labels.len()
+                    + e_labels.len()
+                    + round.initial_state_labels.as_ref().map_or(
+                        evaluator.carried_labels().map_or(0, <[Block]>::len),
+                        Vec::len,
+                    );
+                peak_labels = peak_labels.max(held);
+                garbler_sent += round.wire_bytes();
+                evaluator.evaluate_round(&round, &e_labels);
+            }
+            (peak_labels, garbler_sent)
+        };
+        let (short_peak, short_sent) = run(2);
+        let (long_peak, long_sent) = run(16);
+        assert_eq!(short_peak, long_peak);
+        // But the garbler's total traffic grows with length.
+        assert!(long_sent > 4 * short_sent);
+    }
+
+    #[test]
     fn intermediate_rounds_do_not_decode() {
         let mac = MacCircuit::build(4, 10, Sign::Signed, MultiplierKind::Tree);
         let range = 4..14;

@@ -11,18 +11,10 @@
 //!   a secure execution path on the accelerator, and the 1.33 s / 15.23 ms
 //!   case-study model (which turns out to be PCIe-transfer-bound — the §6
 //!   communication caveat made concrete).
-//! * [`kernel`] — the kernel-based iterative solver of Eq. (1)/(2)
-//!   (`x ← x − µ(AᵀAx − Aᵀy)`), the §2.1 motivation workload.
-//! * [`neural`] — deep-learning inference (§2.1): fully-private MLP
-//!   forward passes as one garbled netlist, plus the MAC-dominance cost
-//!   model that motivates the accelerator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conv;
-pub mod kernel;
-pub mod neural;
 pub mod portfolio;
 pub mod recommender;
 pub mod ridge;

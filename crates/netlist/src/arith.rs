@@ -3,8 +3,7 @@
 //! All constructions follow the GC-optimized library the paper inherits from
 //! TinyGarble: a full adder costs exactly **one** AND gate
 //! (`carry' = c ⊕ ((a ⊕ c) ∧ (b ⊕ c))`, `sum = a ⊕ b ⊕ c`), so an `n`-bit
-//! addition costs `n` ANDs, a conditional negation costs `n` ANDs, and a 2:1
-//! bus multiplexer costs `n` ANDs.
+//! addition costs `n` ANDs and a conditional negation costs `n` ANDs.
 
 use crate::builder::{Builder, Bus};
 use crate::ir::WireId;
@@ -60,22 +59,6 @@ impl Builder {
         (Bus::new(sum), carry)
     }
 
-    /// Two's-complement subtraction `a - b` modulo `2^width`.
-    ///
-    /// Implemented as `a + ¬b + 1`; costs `width` ANDs.
-    pub fn sub_wrap(&mut self, a: &Bus, b: &Bus) -> Bus {
-        let width = a.width().max(b.width());
-        let zero = self.zero();
-        let one = self.constant(true);
-        let nb: Bus = (0..width)
-            .map(|i| {
-                let bi = if i < b.width() { b.bit(i) } else { zero };
-                self.not(bi)
-            })
-            .collect();
-        self.add_with_carry(a, &nb, Some(one), width).0
-    }
-
     /// Two's complement negation `-a` (one AND per bit via conditional form
     /// with a constant-true select folds to `¬a + 1`).
     pub fn negate(&mut self, a: &Bus) -> Bus {
@@ -100,20 +83,6 @@ impl Builder {
             }
         }
         Bus::new(out)
-    }
-
-    /// Bus 2:1 multiplexer `sel ? then_b : else_b` (one AND per bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buses differ in width.
-    pub fn mux_bus(&mut self, sel: WireId, then_b: &Bus, else_b: &Bus) -> Bus {
-        assert_eq!(then_b.width(), else_b.width(), "mux bus width mismatch");
-        then_b
-            .iter()
-            .zip(else_b.iter())
-            .map(|(&t, &e)| self.mux(sel, t, e))
-            .collect()
     }
 
     /// ANDs every bit of `a` with the single wire `sel` — a partial-product
@@ -156,22 +125,6 @@ impl Builder {
             acc = self.and(acc, d);
         }
         acc
-    }
-
-    /// Unsigned less-than: 1 when `a < b`. Costs `width` ANDs (borrow chain).
-    pub fn lt_unsigned(&mut self, a: &Bus, b: &Bus) -> WireId {
-        assert_eq!(a.width(), b.width(), "lt bus width mismatch");
-        // a < b  ⇔  final borrow of a - b. Borrow is the carry of ¬a + b:
-        // borrow' = borrow ⊕ ((¬a ⊕ borrow) ∧ (b ⊕ borrow)) — 1 AND per bit.
-        let mut borrow = self.zero();
-        for (&ai, &bi) in a.iter().zip(b.iter()) {
-            let na = self.not(ai);
-            let naxc = self.xor(na, borrow);
-            let bxc = self.xor(bi, borrow);
-            let t = self.and(naxc, bxc);
-            borrow = self.xor(borrow, t);
-        }
-        borrow
     }
 }
 
@@ -223,16 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn sub_wrap_matches_wrapping_sub() {
-        for (a, b) in [(5u64, 3u64), (3, 5), (0, 255), (255, 255)] {
-            assert_eq!(
-                eval_binary(|bld, x, y| bld.sub_wrap(x, y), 8, a, b),
-                (a.wrapping_sub(b)) % 256
-            );
-        }
-    }
-
-    #[test]
     fn negate_is_twos_complement() {
         for v in [-128i64, -5, -1, 0, 1, 127] {
             let mut b = Builder::new();
@@ -274,23 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn mux_bus_selects_whole_bus() {
-        for sel in [false, true] {
-            let mut b = Builder::new();
-            let s = b.garbler_input();
-            let t = b.garbler_input_bus(8);
-            let e = b.garbler_input_bus(8);
-            let out = b.mux_bus(s, &t, &e);
-            let netlist = b.build(out.wires().to_vec());
-            let mut inputs = vec![sel];
-            inputs.extend(encode_unsigned(0xAA, 8));
-            inputs.extend(encode_unsigned(0x55, 8));
-            let got = decode_unsigned(&netlist.evaluate(&inputs, &[]));
-            assert_eq!(got, if sel { 0xAA } else { 0x55 });
-        }
-    }
-
-    #[test]
     fn and_bus_is_partial_product() {
         for sel in [false, true] {
             let mut b = Builder::new();
@@ -324,11 +250,9 @@ mod tests {
             let x = bld.garbler_input_bus(8);
             let y = bld.evaluator_input_bus(8);
             let eq = bld.eq_bus(&x, &y);
-            let lt = bld.lt_unsigned(&x, &y);
-            let netlist = bld.build(vec![eq, lt]);
+            let netlist = bld.build(vec![eq]);
             let out = netlist.evaluate(&encode_unsigned(a, 8), &encode_unsigned(b, 8));
             assert_eq!(out[0], a == b, "eq({a},{b})");
-            assert_eq!(out[1], a < b, "lt({a},{b})");
         }
     }
 }

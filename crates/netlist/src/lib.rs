@@ -37,15 +37,12 @@
 #![warn(missing_docs)]
 
 mod arith;
-pub mod bristol;
 mod builder;
 mod encoding;
 mod ir;
 mod levels;
 mod mac;
 mod mult;
-mod ops;
-mod opt;
 
 pub use builder::{Builder, Bus};
 pub use encoding::{
@@ -55,4 +52,3 @@ pub use ir::{Gate, GateKind, Netlist, NetlistStats, WireId};
 pub use levels::{Level, LevelAnd};
 pub use mac::{MacCircuit, MacPorts, Sign};
 pub use mult::MultiplierKind;
-pub use opt::OptStats;

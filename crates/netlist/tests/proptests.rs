@@ -30,19 +30,6 @@ proptest! {
     }
 
     #[test]
-    fn sub_wrap_matches_wrapping(width in 1usize..16, a: u64, b: u64) {
-        let a = a & mask(width);
-        let b = b & mask(width);
-        let mut bld = Builder::new();
-        let ba = bld.garbler_input_bus(width);
-        let bb = bld.evaluator_input_bus(width);
-        let diff = bld.sub_wrap(&ba, &bb);
-        let netlist = bld.build(diff.wires().to_vec());
-        let out = netlist.evaluate(&encode_unsigned(a, width), &encode_unsigned(b, width));
-        prop_assert_eq!(decode_unsigned(&out), a.wrapping_sub(b) & mask(width));
-    }
-
-    #[test]
     fn multipliers_match_u64(width in 1usize..12, a: u64, x: u64, serial: bool) {
         let a = a & mask(width);
         let x = x & mask(width);
@@ -115,11 +102,9 @@ proptest! {
         let ba = bld.garbler_input_bus(width);
         let bb = bld.evaluator_input_bus(width);
         let eq = bld.eq_bus(&ba, &bb);
-        let lt = bld.lt_unsigned(&ba, &bb);
-        let netlist = bld.build(vec![eq, lt]);
+        let netlist = bld.build(vec![eq]);
         let out = netlist.evaluate(&encode_unsigned(a, width), &encode_unsigned(b, width));
         prop_assert_eq!(out[0], a == b);
-        prop_assert_eq!(out[1], a < b);
     }
 
     #[test]
@@ -127,29 +112,5 @@ proptest! {
         let sign = if signed { Sign::Signed } else { Sign::Unsigned };
         let mac = MacCircuit::build(width, 2 * width + 2, sign, MultiplierKind::Tree);
         prop_assert!(mac.netlist().validate().is_ok());
-    }
-}
-
-proptest! {
-    #[test]
-    fn optimize_preserves_semantics(
-        width in 1usize..8,
-        a: u64,
-        x: u64,
-        acc: u64,
-    ) {
-        let a = a & mask(width);
-        let x = x & mask(width);
-        let acc_width = 2 * width + 2;
-        let acc = acc & mask(acc_width);
-        let mac = MacCircuit::build(width, acc_width, Sign::Unsigned, MultiplierKind::Tree);
-        let (opt, _) = mac.netlist().optimize();
-        let g_bits = mac.garbler_bits(a as i64, acc as i64);
-        let e_bits = mac.evaluator_bits(x as i64);
-        prop_assert_eq!(
-            opt.evaluate(&g_bits, &e_bits),
-            mac.netlist().evaluate(&g_bits, &e_bits)
-        );
-        prop_assert!(opt.validate().is_ok());
     }
 }

@@ -361,111 +361,6 @@ impl OtExtSender {
     }
 }
 
-/// Correlated-OT corrections: one ciphertext per transfer (half the data of
-/// chosen-message OT).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CorrelatedMsg {
-    /// `y_j = H(q_j ⊕ s) ⊕ H(q_j) ⊕ Δ` per transfer.
-    pub corrections: Vec<Block>,
-}
-
-impl OtExtSender {
-    /// Correlated OT (Δ-OT): the message pairs are `(m_j, m_j ⊕ delta)`
-    /// with `m_j` *chosen by the protocol* (returned to the sender). Only
-    /// one correction block travels per transfer — this is how GC
-    /// implementations deliver Free-XOR input labels at half the OT
-    /// bandwidth; the garbler adopts the returned `m_j` as the wire
-    /// zero-labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the extension message is malformed.
-    pub fn send_correlated(
-        &mut self,
-        msg: &ExtendMsg,
-        delta: Block,
-    ) -> (Vec<Block>, CorrelatedMsg) {
-        assert_eq!(msg.columns.len(), KAPPA, "malformed extension message");
-        let m = msg.count;
-        let q_columns: Vec<Vec<u64>> = self
-            .prgs
-            .iter_mut()
-            .zip(&self.s)
-            .zip(&msg.columns)
-            .map(|((prg, &si), u)| {
-                assert_eq!(u.len(), m.div_ceil(64), "malformed column");
-                let g = prg_column(prg, m);
-                g.iter()
-                    .zip(u)
-                    .map(|(&gi, &ui)| if si { gi ^ ui } else { gi })
-                    .collect()
-            })
-            .collect();
-        let s_block = {
-            let mut bits = 0u128;
-            for (i, &si) in self.s.iter().enumerate() {
-                bits |= (si as u128) << i;
-            }
-            Block::new(bits)
-        };
-        let session = self.session;
-        self.session += 1;
-        let rows = columns_to_rows(&q_columns, m);
-        let mut inputs = Vec::with_capacity(2 * m);
-        for (j, &q) in rows.iter().enumerate() {
-            let tweak = session_tweak(session, j);
-            inputs.push((q, tweak));
-            inputs.push((q ^ s_block, tweak));
-        }
-        let hashes = self.hash.hash_slice(&inputs);
-        let mut zeros = Vec::with_capacity(m);
-        let mut corrections = Vec::with_capacity(m);
-        for j in 0..m {
-            let m0 = hashes[2 * j];
-            let m1_mask = hashes[2 * j + 1];
-            zeros.push(m0);
-            corrections.push(m1_mask ^ m0 ^ delta);
-        }
-        (zeros, CorrelatedMsg { corrections })
-    }
-}
-
-impl OtExtReceiver {
-    /// Receiver side of [`OtExtSender::send_correlated`]: obtains
-    /// `m_j ⊕ choice_j·Δ` without learning Δ or the other message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths are inconsistent.
-    pub fn receive_correlated(
-        &mut self,
-        msg: &CorrelatedMsg,
-        keys: &[Block],
-        choices: &[bool],
-    ) -> Vec<Block> {
-        assert_eq!(
-            msg.corrections.len(),
-            keys.len(),
-            "correction count mismatch"
-        );
-        assert_eq!(choices.len(), keys.len(), "choice count mismatch");
-        let session = self.session;
-        self.session += 1;
-        let inputs: Vec<(Block, Tweak)> = keys
-            .iter()
-            .enumerate()
-            .map(|(j, &t)| (t, session_tweak(session, j)))
-            .collect();
-        let masks = self.hash.hash_slice(&inputs);
-        msg.corrections
-            .iter()
-            .zip(masks)
-            .zip(choices)
-            .map(|((&y, mask), &c)| mask.xor_if(y, c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,55 +497,6 @@ mod tests {
         let wrong = receiver.receive(&cipher, &keys, &[true; 16]);
         for (w, p) in wrong.iter().zip(&pairs) {
             assert_ne!(*w, p.1);
-        }
-    }
-
-    #[test]
-    fn correlated_ot_delivers_offset_pairs() {
-        let (mut sender, mut receiver) = setup_pair(29);
-        let delta = Block::new(0xdddd_1111_2222_3333_4444_5555_6666_7777);
-        let n = 200;
-        let choices: Vec<bool> = (0..n).map(|i| i % 7 < 3).collect();
-        let (msg, keys) = receiver.prepare(&choices);
-        let (zeros, cor) = sender.send_correlated(&msg, delta);
-        let got = receiver.receive_correlated(&cor, &keys, &choices);
-        assert_eq!(cor.corrections.len(), n);
-        for ((g, &m0), &c) in got.iter().zip(&zeros).zip(&choices) {
-            let want = if c { m0 ^ delta } else { m0 };
-            assert_eq!(*g, want);
-        }
-    }
-
-    #[test]
-    fn correlated_ot_halves_the_data() {
-        // n chosen-message OTs cost 2n blocks; correlated OTs cost n.
-        let (mut sender, mut receiver) = setup_pair(31);
-        let n = 64;
-        let choices = vec![true; n];
-        let (msg, _keys) = receiver.prepare(&choices);
-        let (_, cor) = sender.send_correlated(&msg, Block::new(1));
-        let chosen_blocks = 2 * n;
-        assert_eq!(cor.corrections.len() * 2, chosen_blocks);
-    }
-
-    #[test]
-    fn correlated_then_chosen_sessions_do_not_collide() {
-        let (mut sender, mut receiver) = setup_pair(37);
-        let n = 16;
-        let choices: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let (msg1, keys1) = receiver.prepare(&choices);
-        let (zeros, cor) = sender.send_correlated(&msg1, Block::new(0xff));
-        let got1 = receiver.receive_correlated(&cor, &keys1, &choices);
-        for ((g, &m0), &c) in got1.iter().zip(&zeros).zip(&choices) {
-            assert_eq!(*g, m0.xor_if(Block::new(0xff), c));
-        }
-        // A later chosen-message batch on the same setup still works.
-        let pairs = msg_pairs(n);
-        let (msg2, keys2) = receiver.prepare(&choices);
-        let cipher = sender.send(&msg2, &pairs);
-        let got2 = receiver.receive(&cipher, &keys2, &choices);
-        for ((g, p), &c) in got2.iter().zip(&pairs).zip(&choices) {
-            assert_eq!(*g, if c { p.1 } else { p.0 });
         }
     }
 

@@ -2,7 +2,7 @@
 //! choice vectors, across batch sizes and sessions.
 
 use max_crypto::Block;
-use max_ot::{base::run_base_ot, iknp, run_chosen_ot};
+use max_ot::{base::run_base_ot, run_chosen_ot};
 use proptest::prelude::*;
 
 proptest! {
@@ -39,24 +39,6 @@ proptest! {
         let got = run_chosen_ot(seed, &pairs, choices);
         for ((g, p), &c) in got.iter().zip(&pairs).zip(choices) {
             prop_assert_eq!(*g, if c { p.1 } else { p.0 });
-        }
-    }
-
-    #[test]
-    fn correlated_ot_offsets_are_exact(
-        seed in 0u64..1_000_000,
-        delta_bits: u128,
-        n in 1usize..150,
-        choice_bits in prop::collection::vec(any::<bool>(), 150),
-    ) {
-        let delta = Block::new(delta_bits);
-        let choices = &choice_bits[..n];
-        let (mut sender, mut receiver) = iknp::setup_pair(seed);
-        let (msg, keys) = receiver.prepare(choices);
-        let (zeros, cor) = sender.send_correlated(&msg, delta);
-        let got = receiver.receive_correlated(&cor, &keys, choices);
-        for ((g, &m0), &c) in got.iter().zip(&zeros).zip(choices) {
-            prop_assert_eq!(*g, if c { m0 ^ delta } else { m0 });
         }
     }
 }

@@ -247,7 +247,7 @@ fn stream_job_checkpointed<T: Transport>(
     );
     transport.set_idle_timeout(shared.idle_timeout);
     match result {
-        Ok(_) => {
+        Ok(()) => {
             // The job finished on this connection: a restart must not
             // resurrect (and a reconnect must not replay) it.
             journal_remove(shared, ctx.session_id);

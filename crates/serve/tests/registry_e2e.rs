@@ -482,9 +482,11 @@ proptest! {
         let collected = garble_matvec_job(&config, &weights, seed, columns).expect("garble");
         prop_assert_eq!(&materialize_job(&collected), &filled);
         let first_pass = &filled.elements[..rows];
+        let mut bank_bytes = 0u64;
         for units in 1..=3 {
             let mut bank = MultiUnitServer::new(&config, weights.clone(), units, seed);
             let (messages, pairs, _) = bank.garble_matvec();
+            bank_bytes = messages.iter().flatten().map(|m| m.wire_bytes() as u64).sum();
             for (r, elem) in first_pass.iter().enumerate() {
                 prop_assert_eq!(&encode_round_burst(&messages[r]), &elem.rounds_frame);
                 prop_assert_eq!(&pairs[r], &elem.pairs);
@@ -494,10 +496,7 @@ proptest! {
         let (mut server, mut client) = connect(&config, weights.clone(), seed);
         let (y, transcript) = secure_matvec(&mut server, &mut client, &xs[0]);
         prop_assert_eq!(&y, &expected[0]);
-        prop_assert_eq!(
-            transcript.material_bytes,
-            first_pass.iter().map(|e| e.material_bytes).sum::<u64>()
-        );
+        prop_assert_eq!(transcript.material_bytes, bank_bytes);
 
         // On the wire. A session-default job runs at the session's job
         // seed; a model job at its generation's seed, which a registry

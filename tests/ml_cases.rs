@@ -109,111 +109,3 @@ fn quantization_error_stays_bounded_through_secure_path() {
         assert!((secure - exact).abs() < bound, "{secure} vs {exact}");
     }
 }
-
-#[test]
-fn secure_convolution_via_im2col_matches_direct() {
-    use max_ml::conv::{forward_im2col, quantize_for_secure, random_input, Conv2d};
-    use maxelerator::secure_matmul;
-
-    let format = FixedFormat::new(16, 8);
-    let layer = Conv2d::new_random(2, 1, 2, 51);
-    let input = random_input(1, 4, 4, 52);
-    let (kernel_rows, columns) = quantize_for_secure(&layer, &input, format);
-
-    let config = AcceleratorConfig::new(16);
-    let (mut server, mut client) = connect(&config, kernel_rows.clone(), 53);
-    let (secure, transcript) = secure_matmul(&mut server, &mut client, &columns);
-
-    // Plain integer reference on the same quantized operands.
-    for (o, row) in kernel_rows.iter().enumerate() {
-        for (p, col) in columns.iter().enumerate() {
-            let want: i64 = row.iter().zip(col).map(|(a, b)| a * b).sum();
-            assert_eq!(secure[o][p], want, "out {o}, position {p}");
-        }
-    }
-    assert_eq!(
-        transcript.rounds,
-        (kernel_rows.len() * columns.len() * 4) as u64
-    );
-
-    // And the dequantized secure result tracks the f64 convolution.
-    let float = forward_im2col(&layer, &input);
-    let (oh, ow) = (3usize, 3usize);
-    for o in 0..2 {
-        for y in 0..oh {
-            for x in 0..ow {
-                let secure_val = format.dequantize_product(secure[o][y * ow + x]);
-                let want = float[o][y][x];
-                assert!(
-                    (secure_val - want).abs() < 0.05,
-                    "({o},{y},{x}): {secure_val} vs {want}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn secure_kernel_iteration_matches_plaintext() {
-    // One iteration of Eq. (2): x' = x - mu * (A^T A x - A^T y), with both
-    // matvecs (A x then A^T r) computed securely on the accelerator and the
-    // cheap scalar update client-side.
-    use max_ml::kernel::KernelSolver;
-
-    let format = FixedFormat::new(16, 6);
-    let a_rows = vec![vec![1.0f64, 0.5], vec![-0.5, 1.0], vec![0.25, 0.25]];
-    let y = [2.0f64, 1.0, 0.5];
-    let x0 = [0.1f64, -0.2];
-    let mu = 0.2;
-
-    // Quantize A once; the transpose reuses the same raws.
-    let a_q = Matrix::quantize(&a_rows, format);
-    let at_q = a_q.transpose();
-    let config = AcceleratorConfig::new(16);
-
-    // Secure stage 1: r_scaled = A x  (raw products carry 2f fracs).
-    let x_q = Vector::quantize(&x0, format);
-    let (mut s1, mut c1) = connect(&config, a_q.to_rows(), 71);
-    let (ax_raw, _) = secure_matvec(&mut s1, &mut c1, x_q.raw());
-    // Client rescales and subtracts its y locally.
-    let r_q: Vec<i64> = ax_raw
-        .iter()
-        .zip(&y)
-        .map(|(&axr, &yi)| (axr >> format.frac_bits) - format.quantize(yi))
-        .collect();
-
-    // Secure stage 2: g = A^T r.
-    let (mut s2, mut c2) = connect(&config, at_q.to_rows(), 72);
-    let (g_raw, _) = secure_matvec(&mut s2, &mut c2, &r_q);
-
-    // Client-side update.
-    let x1: Vec<f64> = x0
-        .iter()
-        .zip(&g_raw)
-        .map(|(&xi, &gr)| xi - mu * format.dequantize_product(gr))
-        .collect();
-
-    // Plaintext reference (one gradient step from the same start).
-    let solver = KernelSolver::new(mu);
-    let reference = solver.solve(&a_rows, &y, 1, 0.0);
-    // The solver starts from zero; redo its step from x0 manually.
-    let r_plain: Vec<f64> = a_rows
-        .iter()
-        .zip(&y)
-        .map(|(row, &yi)| row.iter().zip(&x0).map(|(p, q)| p * q).sum::<f64>() - yi)
-        .collect();
-    let x1_plain: Vec<f64> = (0..2)
-        .map(|j| {
-            let grad: f64 = a_rows
-                .iter()
-                .zip(&r_plain)
-                .map(|(row, &ri)| row[j] * ri)
-                .sum();
-            x0[j] - mu * grad
-        })
-        .collect();
-    for (got, want) in x1.iter().zip(&x1_plain) {
-        assert!((got - want).abs() < 0.05, "{got} vs {want}");
-    }
-    let _ = reference;
-}

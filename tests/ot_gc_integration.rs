@@ -139,95 +139,3 @@ fn iknp_scales_to_gc_row_sizes() {
         assert_eq!(*g, if c { p.1 } else { p.0 });
     }
 }
-
-/// A real-OT [`max_gc::protocol::LabelTransfer`]: ships IKNP extension
-/// messages over the duplex wire. The base-OT setup happens at construction
-/// (it is interactive the same way); each clone carries its endpoint state.
-mod iknp_transfer {
-    use max_crypto::Block;
-    use max_gc::channel::Duplex;
-    use max_gc::protocol::LabelTransfer;
-    use max_ot::iknp::{self, CipherMsg, ExtendMsg, OtExtReceiver, OtExtSender};
-    use std::sync::{Arc, Mutex};
-
-    /// Both endpoints of the OT state; the harness clones the transfer for
-    /// each party and each side uses only its half.
-    #[derive(Clone)]
-    pub struct IknpTransfer {
-        sender: Arc<Mutex<OtExtSender>>,
-        receiver: Arc<Mutex<OtExtReceiver>>,
-    }
-
-    impl IknpTransfer {
-        pub fn new(seed: u64) -> Self {
-            let (sender, receiver) = iknp::setup_pair(seed);
-            IknpTransfer {
-                sender: Arc::new(Mutex::new(sender)),
-                receiver: Arc::new(Mutex::new(receiver)),
-            }
-        }
-    }
-
-    impl LabelTransfer for IknpTransfer {
-        fn send(&mut self, wire: &mut Duplex, pairs: &[(Block, Block)]) {
-            // Receive the correction columns, reply with ciphertexts.
-            let mut columns = Vec::with_capacity(iknp::KAPPA);
-            for _ in 0..iknp::KAPPA {
-                let blocks = wire.recv_blocks().expect("ot column");
-                columns.push(blocks.iter().map(|b| b.bits() as u64).collect());
-            }
-            let count = wire.recv_bits().expect("count frame").len();
-            let cipher = self
-                .sender
-                .lock()
-                .expect("lock")
-                .send(&ExtendMsg { columns, count }, pairs);
-            let mut flat = Vec::with_capacity(cipher.pairs.len() * 2);
-            for (y0, y1) in &cipher.pairs {
-                flat.push(*y0);
-                flat.push(*y1);
-            }
-            wire.send_blocks(&flat);
-        }
-
-        fn receive(&mut self, wire: &mut Duplex, choices: &[bool]) -> Vec<Block> {
-            let mut receiver = self.receiver.lock().expect("lock");
-            let (ext, keys) = receiver.prepare(choices);
-            for column in &ext.columns {
-                let blocks: Vec<Block> = column.iter().map(|&w| Block::new(w as u128)).collect();
-                wire.send_blocks(&blocks);
-            }
-            wire.send_bits(&vec![false; ext.count]);
-            let flat = wire.recv_blocks().expect("ot cipher");
-            let cipher = CipherMsg {
-                pairs: flat.chunks(2).map(|c| (c[0], c[1])).collect(),
-            };
-            receiver.receive(&cipher, &keys, choices)
-        }
-    }
-}
-
-#[test]
-fn protocol_runner_with_real_ot() {
-    use max_gc::protocol::run_two_party;
-    use max_netlist::{decode_unsigned, encode_unsigned, Builder};
-
-    let mut b = Builder::new();
-    let x = b.garbler_input_bus(8);
-    let y = b.evaluator_input_bus(8);
-    let p = b.mul(max_netlist::MultiplierKind::Tree, &x, &y);
-    let netlist = b.build(p.wires().to_vec());
-
-    let transfer = iknp_transfer::IknpTransfer::new(77);
-    let outcome = run_two_party(
-        &netlist,
-        &encode_unsigned(23, 8),
-        &encode_unsigned(19, 8),
-        Block::new(0x0905),
-        transfer,
-    );
-    assert_eq!(decode_unsigned(&outcome.outputs), 23 * 19);
-    // With OT, the evaluator's upload is substantial (the correction
-    // columns), unlike the trusted transfer.
-    assert!(outcome.evaluator_sent > 1000);
-}
