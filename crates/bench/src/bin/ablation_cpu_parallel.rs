@@ -4,16 +4,21 @@
 //! this binary prints the actual speedup curve on this host.
 //!
 //! ```text
-//! cargo run --release -p max-bench --bin ablation_cpu_parallel [bit_width]
+//! cargo run --release -p max-bench --bin ablation_cpu_parallel [bit_width] [--measure]
 //! ```
+//!
+//! Without `--measure` it prints only the host-independent barrier counts;
+//! `--measure` adds the time/MAC and speedup columns.
 
 use max_baselines::parallel_cpu::garble_parallel;
 use max_crypto::Block;
 use maxelerator::AcceleratorConfig;
 
 fn main() {
+    let measure = std::env::args().any(|a| a == "--measure");
     let b: usize = std::env::args()
-        .nth(1)
+        .skip(1)
+        .find(|a| a != "--measure")
         .and_then(|s| s.parse().ok())
         .unwrap_or(16);
     let config = AcceleratorConfig::new(b);
@@ -33,14 +38,22 @@ fn main() {
         (start.elapsed().as_secs_f64() / reps as f64, waits)
     };
     let (base, _) = time(1);
-    println!("  threads |   time/MAC |  speedup | barriers | tables/barrier");
-    println!("  --------+------------+----------+----------+---------------");
+    let (head, rule) = if measure {
+        ("   time/MAC |  speedup |", "------------+----------+")
+    } else {
+        ("", "")
+    };
+    println!("  threads |{head} barriers | tables/barrier");
+    println!("  --------+{rule}----------+---------------");
     for threads in [1usize, 2, 4, 8] {
         let (t, waits) = time(threads);
+        let timing = if measure {
+            format!(" {:>7.1} us | {:>7.2}x |", t * 1e6, base / t)
+        } else {
+            String::new()
+        };
         println!(
-            "  {threads:>7} | {:>7.1} us | {:>7.2}x | {:>8} | {:>13.1}",
-            t * 1e6,
-            base / t,
+            "  {threads:>7} |{timing} {:>8} | {:>13.1}",
             waits,
             ands as f64 / waits as f64
         );

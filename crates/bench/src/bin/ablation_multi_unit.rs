@@ -10,12 +10,15 @@
 //! from §3 that motivates the design.
 //!
 //! ```text
-//! cargo run --release -p max-bench --bin ablation_multi_unit [rows cols]
+//! cargo run --release -p max-bench --bin ablation_multi_unit [rows cols] [--measure]
 //! ```
+//!
+//! Without `--measure` it prints only the modeled columns; `--measure`
+//! adds the wall-clock columns, the CPU contrast and the host-core check.
 
 use max_baselines::parallel_cpu::garble_parallel;
 use max_bench::{
-    multi_unit_perf, multi_unit_perf_header, multi_unit_perf_row, rule, MULTI_UNIT_WIDTHS,
+    multi_unit_perf, multi_unit_perf_header, multi_unit_perf_row, multi_unit_widths, rule,
 };
 use max_crypto::Block;
 use max_telemetry::Recorder;
@@ -23,7 +26,8 @@ use maxelerator::{connect, connect_multi, secure_matvec, secure_matvec_multi, Ac
 use std::time::Instant;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let measure = std::env::args().any(|a| a == "--measure");
+    let mut args = std::env::args().skip(1).filter(|a| a != "--measure");
     let rows: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(64);
     let cols: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(256);
     if rows > 0 && cols == 0 {
@@ -49,7 +53,9 @@ fn main() {
         .collect();
 
     println!("Multi-unit garbling pipeline: {rows}x{cols} matvec, b=8 signed");
-    println!("  host cores available: {cores}");
+    if measure {
+        println!("  host cores available: {cores}");
+    }
     println!();
 
     // Reference point: the sequential single-unit CloudServer.
@@ -60,16 +66,26 @@ fn main() {
         assert_eq!(got, expected, "single-unit result mismatch");
         start.elapsed().as_secs_f64()
     };
-    println!(
-        "  single-unit CloudServer wall time: {:.1} ms",
-        single_wall * 1e3
-    );
-    println!();
+    if measure {
+        println!(
+            "  single-unit CloudServer wall time: {:.1} ms",
+            single_wall * 1e3
+        );
+        println!();
+    }
 
     // Every number in this table is read back from a telemetry snapshot
     // (`MultiUnitTiming::record_into` → `multi_unit_perf`).
-    println!("  {} | {:>9}", multi_unit_perf_header(), "vs single");
-    println!("  {}-+-{}", rule(&MULTI_UNIT_WIDTHS), "-".repeat(9));
+    let (vs_head, vs_rule) = if measure {
+        (
+            format!(" | {:>9}", "vs single"),
+            format!("-+-{}", "-".repeat(9)),
+        )
+    } else {
+        Default::default()
+    };
+    println!("  {}{vs_head}", multi_unit_perf_header(measure));
+    println!("  {}{vs_rule}", rule(multi_unit_widths(measure)));
 
     let mut speedup_at = Vec::new();
     for units in [1usize, 2, 4, 8] {
@@ -83,13 +99,21 @@ fn main() {
         let perf = multi_unit_perf(&recorder.snapshot()).expect("run recorded");
         let speedup = single_wall * 1e3 / perf.wall_ms;
         speedup_at.push((units, speedup));
-        println!("  {} | {:>8.2}x", multi_unit_perf_row(&perf), speedup);
+        let vs = if measure {
+            format!(" | {speedup:>8.2}x")
+        } else {
+            String::new()
+        };
+        println!("  {}{vs}", multi_unit_perf_row(&perf, measure));
     }
     println!();
+    println!("  modeled   = sum of per-unit fabric cycles / makespan cycles");
+    if !measure {
+        return;
+    }
+    println!("  threads   = sum of per-thread busy time / garbling makespan");
     println!("  vs single = single-unit CloudServer wall / multi-unit pipeline wall");
     println!("              (full protocol: garbling + OT + host eval, overlapped)");
-    println!("  modeled   = sum of per-unit fabric cycles / makespan cycles");
-    println!("  threads   = sum of per-thread busy time / garbling makespan");
 
     // The §3 strawman: levelized barrier-parallel CPU garbling of one MAC.
     let netlist = config.mac_circuit().netlist().clone();

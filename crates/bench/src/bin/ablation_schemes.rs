@@ -4,8 +4,11 @@
 //! each scheme — what each optimization step buys MAXelerator.
 //!
 //! ```text
-//! cargo run -p max-bench --bin ablation_schemes
+//! cargo run -p max-bench --bin ablation_schemes [--measure]
 //! ```
+//!
+//! `--measure` additionally times garble+evaluate of each scheme on this
+//! machine (absolute rates depend on the host).
 
 use max_crypto::{AesPrg, Block, FixedKeyHash, Tweak};
 use max_gc::classic::{
@@ -15,6 +18,7 @@ use max_gc::{evaluate_and, garble_and, Delta};
 use maxelerator::AcceleratorConfig;
 
 fn main() {
+    let measure = std::env::args().any(|a| a == "--measure");
     println!("Sec. 2.2 optimization ablation: ciphertexts per AND gate");
     println!();
     for scheme in [Scheme::Classic, Scheme::Grr3, Scheme::HalfGates] {
@@ -42,7 +46,16 @@ fn main() {
         );
     }
 
-    // Quick wall-clock sanity: garble+evaluate 10k gates under each scheme.
+    if measure {
+        print_host_rates();
+    }
+    println!();
+    println!("(half gates: garbler hashes 4 labels, evaluator only 2 — the");
+    println!(" evaluator-side saving is why the client benefits too)");
+}
+
+/// Quick wall-clock sanity: garble+evaluate 10k gates under each scheme.
+fn print_host_rates() {
     println!();
     println!("host-measured single-gate rates (10k gates, this machine):");
     let hash = FixedKeyHash::new();
@@ -79,7 +92,4 @@ fn main() {
     println!("  classic    {:>9.0} gates/s", n as f64 / classic);
     println!("  GRR3       {:>9.0} gates/s", n as f64 / grr3);
     println!("  half-gates {:>9.0} gates/s", n as f64 / half);
-    println!();
-    println!("(half gates: garbler hashes 4 labels, evaluator only 2 — the");
-    println!(" evaluator-side saving is why the client benefits too)");
 }

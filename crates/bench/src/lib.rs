@@ -83,35 +83,43 @@ pub fn multi_unit_perf(snapshot: &max_telemetry::Snapshot) -> Option<MultiUnitPe
     })
 }
 
-/// Column widths shared by every multi-unit summary table.
-pub const MULTI_UNIT_WIDTHS: [usize; 5] = [5, 10, 11, 11, 9];
+/// Column widths shared by every multi-unit summary table: the modeled
+/// columns first, then the two wall-clock ones.
+const MULTI_UNIT_WIDTHS: [usize; 5] = [5, 11, 9, 10, 11];
+
+/// The multi-unit table's column widths; the wall-clock columns only when
+/// `measure`.
+pub fn multi_unit_widths(measure: bool) -> &'static [usize] {
+    &MULTI_UNIT_WIDTHS[..if measure { 5 } else { 3 }]
+}
 
 /// Header row matching [`multi_unit_perf_row`].
-pub fn multi_unit_perf_header() -> String {
+pub fn multi_unit_perf_header(measure: bool) -> String {
     row(
         &[
             "units",
-            "wall (ms)",
             "modeled (x)",
-            "threads (x)",
             "MB moved",
+            "wall (ms)",
+            "threads (x)",
         ]
         .map(String::from),
-        &MULTI_UNIT_WIDTHS,
+        multi_unit_widths(measure),
     )
 }
 
-/// One table row for a [`MultiUnitPerf`].
-pub fn multi_unit_perf_row(perf: &MultiUnitPerf) -> String {
+/// One table row for a [`MultiUnitPerf`]; the wall-clock cells only when
+/// `measure`.
+pub fn multi_unit_perf_row(perf: &MultiUnitPerf, measure: bool) -> String {
     row(
         &[
             format!("{}", perf.units),
-            format!("{:.1}", perf.wall_ms),
             format!("{:.2}x", perf.modeled_speedup),
-            format!("{:.2}x", perf.thread_speedup),
             format!("{:.1}", perf.mb_streamed),
+            format!("{:.1}", perf.wall_ms),
+            format!("{:.2}x", perf.thread_speedup),
         ],
-        &MULTI_UNIT_WIDTHS,
+        multi_unit_widths(measure),
     )
 }
 
@@ -165,14 +173,17 @@ mod tests {
         assert!((perf.modeled_speedup - 4.0).abs() < 1e-9);
         assert!((perf.thread_speedup - 3.6).abs() < 1e-9);
         assert!((perf.mb_streamed - 3.0).abs() < 1e-9);
-        let line = multi_unit_perf_row(&perf);
+        let line = multi_unit_perf_row(&perf, true);
         assert!(line.contains("4.00x"));
         assert!(line.contains("3.60x"));
         assert_eq!(
-            multi_unit_perf_header().len(),
+            multi_unit_perf_header(true).len(),
             line.len(),
             "header and row align"
         );
+        let modeled = multi_unit_perf_row(&perf, false);
+        assert!(modeled.contains("4.00x") && !modeled.contains("3.60x"));
+        assert_eq!(multi_unit_perf_header(false).len(), modeled.len());
 
         // An empty snapshot yields no summary.
         assert!(multi_unit_perf(&max_telemetry::Recorder::new().snapshot()).is_none());
