@@ -26,10 +26,8 @@ pub mod overlay;
 pub mod parallel_cpu;
 pub mod tinygarble;
 
-use serde::{Deserialize, Serialize};
-
 /// One framework's row of Table 2.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FrameworkPerf {
     /// Framework name.
     pub name: String,

@@ -1,13 +1,12 @@
 //! Accelerator configuration.
 
 use max_netlist::{encode_signed, MacCircuit, MultiplierKind, Sign};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one MAXelerator MAC unit.
 ///
 /// The paper's implementation points: 200 MHz fabric clock, bit-widths
 /// 8/16/32, signed fixed-point operands, tree multiplier.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AcceleratorConfig {
     /// Operand bit-width `b` (must be even, ≥ 4: the MUX_ADD segment pairs
     /// bits).

@@ -9,7 +9,6 @@
 //! microarchitectural pieces in proportions consistent with §5.
 
 use max_fpga::ResourceUsage;
-use serde::{Deserialize, Serialize};
 
 use crate::timing::TimingModel;
 
@@ -59,7 +58,7 @@ pub fn mac_unit_resources(bit_width: usize) -> ResourceUsage {
 }
 
 /// Per-component share of a MAC unit's resources.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ComponentUsage {
     /// Component name.
     pub name: &'static str,

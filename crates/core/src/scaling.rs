@@ -7,13 +7,12 @@
 //! clients" capacity story.
 
 use max_fpga::{ResourceUsage, XCVU095};
-use serde::{Deserialize, Serialize};
 
 use crate::resources::mac_unit_resources;
 use crate::timing::TimingModel;
 
 /// How a device fills up with MAC units at one bit-width.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviceScaling {
     /// Operand bit-width.
     pub bit_width: usize,

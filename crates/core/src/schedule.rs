@@ -23,13 +23,12 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use max_netlist::{GateKind, Netlist};
-use serde::{Deserialize, Serialize};
 
 use crate::config::AcceleratorConfig;
 
 /// Gate-selection policy of the list scheduler — ablated by the
 /// `ablation_policy` bench.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulePolicy {
     /// Oldest round first, then longest critical path (the default; what
     /// the paper's hand schedule approximates).
@@ -43,7 +42,7 @@ pub enum SchedulePolicy {
 
 /// Which pipeline segment of the paper's datapath an AND gate belongs to
 /// (§4.1 MUX_ADD vs §4.2 TREE — used for the Figure 3 occupancy dump).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Segment {
     /// Segment 1: partial products, input sign handling, first adder level.
     MuxAdd,
@@ -53,7 +52,7 @@ pub enum Segment {
 
 /// One scheduled slot: gate `gate` of round `round` runs on `core` at
 /// absolute cycle `cycle`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotAssignment {
     /// Absolute clock cycle.
     pub cycle: u64,
@@ -66,7 +65,7 @@ pub struct SlotAssignment {
 }
 
 /// Aggregate schedule quality metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScheduleStats {
     /// Total cycles to finish all rounds.
     pub cycles: u64,

@@ -8,7 +8,6 @@
 
 use max_crypto::Block;
 use max_ot::iknp::{self, OtExtReceiver, OtExtSender};
-use serde::{Deserialize, Serialize};
 
 use crate::accelerator::{GarbledRow, Maxelerator, ScheduledEvaluator};
 use crate::config::AcceleratorConfig;
@@ -16,7 +15,7 @@ use crate::error::AcceleratorError;
 
 /// Communication/computation accounting of one secure matrix-vector
 /// product.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MatvecTranscript {
     /// Output elements computed.
     pub elements: usize,

@@ -4,10 +4,8 @@
 //! ([`crate::Maxelerator`]) produces *measured* counts that the tests
 //! compare against this model.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytical timing model of one MAC unit at bit-width `b`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingModel {
     /// Operand bit-width `b`.
     pub bit_width: usize,
@@ -83,11 +81,6 @@ impl TimingModel {
     /// Seconds for an `M×N × N×P` product on one MAC unit.
     pub fn matmul_seconds(&self, m: usize, n: usize, p: usize) -> f64 {
         self.matmul_cycles(m, n, p) as f64 / (self.freq_mhz * 1e6)
-    }
-
-    /// Seconds for `count` MACs spread over `units` parallel MAC units.
-    pub fn macs_seconds(&self, count: u64, units: usize) -> f64 {
-        (count as f64 / units as f64) * self.seconds_per_mac()
     }
 }
 

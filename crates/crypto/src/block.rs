@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitAnd, BitXor, BitXorAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A 128-bit block: a wire label, a garbled-table ciphertext, or an AES block.
 ///
 /// Internally a `u128` in big-endian byte order (byte 0 of
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(a.lsb());
 /// assert!(!(a ^ b).lsb());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Block(u128);
 
 impl Block {

@@ -95,14 +95,6 @@ impl FixedKeyHash {
         self.cipher.encrypt(masked) ^ masked
     }
 
-    /// Hashes two labels under consecutive tweaks in one call.
-    ///
-    /// Convenience for half-gate garbling which always hashes both labels of
-    /// one wire.
-    pub fn hash_pair(&self, x0: Block, x1: Block, t: Tweak) -> (Block, Block) {
-        (self.hash(x0, t), self.hash(x1, t))
-    }
-
     /// Hashes four labels under their tweaks with one batched AES call —
     /// exactly the four hashes one half-gates AND table needs.
     pub fn hash4(&self, xs: [Block; 4], ts: [Tweak; 4]) -> [Block; 4] {

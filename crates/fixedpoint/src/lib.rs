@@ -12,7 +12,9 @@
 //!   with the plaintext linear algebra the secure protocols are checked
 //!   against;
 //! * quantization-error accounting, so examples can report the accuracy
-//!   cost of the fixed-point substitution.
+//!   cost of the fixed-point substitution;
+//! * [`SplitMix64`] — the seeded generator that synthesizes the case
+//!   studies' data.
 //!
 //! # Example
 //!
@@ -30,10 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
+mod splitmix;
+
+pub use splitmix::SplitMix64;
 
 /// A `Q(total_bits, frac_bits)` two's-complement fixed-point format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FixedFormat {
     /// Total bits including sign.
     pub total_bits: u32,
@@ -72,11 +76,6 @@ impl FixedFormat {
         ((1i64 << (self.total_bits - 1)) - 1) as f64 * self.step()
     }
 
-    /// Smallest (most negative) representable value.
-    pub fn min_value(&self) -> f64 {
-        -((1i64 << (self.total_bits - 1)) as f64) * self.step()
-    }
-
     /// Quantizes `x` to the nearest representable raw value, saturating at
     /// the range limits.
     pub fn quantize(&self, x: f64) -> i64 {
@@ -104,7 +103,7 @@ impl FixedFormat {
 }
 
 /// A dense vector of raw fixed-point values.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Vector {
     raw: Vec<i64>,
 }
@@ -163,7 +162,7 @@ impl Vector {
 }
 
 /// A dense row-major matrix of raw fixed-point values.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -352,7 +351,7 @@ mod tests {
 /// let product = a.mul_rescaled(b);
 /// assert!((product.to_f64() - (-3.0)).abs() < 1e-3);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Fixed {
     raw: i64,
     format: FixedFormat,

@@ -90,11 +90,6 @@ impl MemorySystem {
         }
     }
 
-    /// Number of blocks (cores).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Writes a record of `record_bytes` through core `core`'s private port.
     ///
     /// # Panics

@@ -63,11 +63,6 @@ impl Clock {
         Duration::from_secs_f64(self.cycles as f64 / (self.freq_mhz * 1e6))
     }
 
-    /// Converts a cycle count at this frequency into seconds.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.freq_mhz * 1e6)
-    }
-
     /// Throughput in operations/second for an operation taking
     /// `cycles_per_op` cycles.
     ///

@@ -7,10 +7,8 @@
 //! comparisons (gated vs ungated, FPGA vs CPU per MAC) are the meaningful
 //! outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy model constants in picojoules per event.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
     /// One fixed-key AES evaluation in fabric (the GC-engine dominant cost).
     pub aes_pj: f64,
@@ -40,7 +38,7 @@ impl Default for EnergyModel {
 }
 
 /// Accumulates event counts and reports energy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EnergyMeter {
     /// AES evaluations.
     pub aes_ops: u64,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// LUT / LUTRAM / flip-flop / BRAM usage of a hardware component.
 ///
 /// Components report their own usage; totals compose with `+`. The paper's
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(two_engines.lut, 6000);
 /// assert_eq!((engine + engine), two_engines);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ResourceUsage {
     /// Look-up tables.
     pub lut: u64,

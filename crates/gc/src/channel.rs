@@ -7,10 +7,10 @@
 //! ("communication capability of the server may become the bottleneck").
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use max_crypto::Block;
 
 use crate::engine::GarbledTable;
@@ -25,11 +25,11 @@ use crate::engine::GarbledTable;
 pub enum FrameKind {
     /// Untyped byte frames (`send_bytes`), e.g. streamed round messages.
     Raw,
-    /// 128-bit block vectors (`send_blocks`): wire labels, OT payloads.
+    /// 128-bit block vectors (`write_blocks`): wire labels, OT payloads.
     Blocks,
-    /// Garbled-table vectors (`send_tables`).
+    /// Garbled-table vectors (`write_tables`).
     Tables,
-    /// Packed bit vectors (`send_bits`): select bits, decode info.
+    /// Packed bit vectors (`write_bits`): select bits, decode info.
     Bits,
 }
 
@@ -153,16 +153,6 @@ impl Counter {
     /// Messages sent so far.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Bytes sent so far in frames of `kind`.
-    pub fn kind_bytes(&self, kind: FrameKind) -> u64 {
-        self.kinds[kind.index()].bytes.load(Ordering::Relaxed)
-    }
-
-    /// Messages sent so far as frames of `kind`.
-    pub fn kind_messages(&self, kind: FrameKind) -> u64 {
-        self.kinds[kind.index()].messages.load(Ordering::Relaxed)
     }
 
     /// Consistent snapshot of aggregate and per-kind tallies.
@@ -528,8 +518,8 @@ pub fn is_sealed(frame: &[u8]) -> bool {
 impl Duplex {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (Duplex, Duplex) {
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
+        let (tx_ab, rx_ab) = channel();
+        let (tx_ba, rx_ba) = channel();
         let ab_counter = Arc::new(Counter::default());
         let ba_counter = Arc::new(Counter::default());
         (
@@ -577,62 +567,19 @@ impl Duplex {
     pub fn received(&self) -> &Counter {
         &self.received
     }
-
-    /// Sends a vector of 128-bit blocks as one frame.
-    pub fn send_blocks(&mut self, blocks: &[Block]) {
-        self.send_frame(FrameKind::Blocks, encode_blocks(blocks));
-    }
-
-    /// Receives a block vector frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Disconnected`] if the peer hung up, or
-    /// another typed [`TransportError`] if the frame is malformed or its
-    /// declared count is hostile — never panics, never over-allocates.
-    pub fn recv_blocks(&mut self) -> Result<Vec<Block>, TransportError> {
-        decode_blocks(self.recv_bytes()?)
-    }
-
-    /// Sends garbled tables as one frame.
-    pub fn send_tables(&mut self, tables: &[GarbledTable]) {
-        self.send_frame(FrameKind::Tables, encode_tables(tables));
-    }
-
-    /// Receives a garbled-table frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`TransportError`]; see [`Duplex::recv_blocks`].
-    pub fn recv_tables(&mut self) -> Result<Vec<GarbledTable>, TransportError> {
-        decode_tables(self.recv_bytes()?)
-    }
-
-    /// Sends a bit vector as one packed frame.
-    pub fn send_bits(&mut self, bits: &[bool]) {
-        self.send_frame(FrameKind::Bits, encode_bits(bits));
-    }
-
-    /// Receives a packed bit-vector frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`TransportError`]; see [`Duplex::recv_blocks`].
-    pub fn recv_bits(&mut self) -> Result<Vec<bool>, TransportError> {
-        decode_bits(self.recv_bytes()?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Transport;
 
     #[test]
     fn blocks_round_trip() {
         let (mut a, mut b) = Duplex::pair();
         let blocks = vec![Block::new(1), Block::new(u128::MAX), Block::ZERO];
-        a.send_blocks(&blocks);
-        assert_eq!(b.recv_blocks().unwrap(), blocks);
+        a.write_blocks(&blocks).unwrap();
+        assert_eq!(b.read_blocks().unwrap(), blocks);
     }
 
     #[test]
@@ -658,8 +605,8 @@ mod tests {
             };
             5
         ];
-        a.send_tables(&tables);
-        assert_eq!(b.recv_tables().unwrap(), tables);
+        a.write_tables(&tables).unwrap();
+        assert_eq!(b.read_tables().unwrap(), tables);
     }
 
     #[test]
@@ -667,21 +614,21 @@ mod tests {
         let (mut a, mut b) = Duplex::pair();
         for n in [0usize, 1, 7, 8, 9, 17, 64] {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-            a.send_bits(&bits);
-            assert_eq!(b.recv_bits().unwrap(), bits, "n = {n}");
+            a.write_bits(&bits).unwrap();
+            assert_eq!(b.read_bits().unwrap(), bits, "n = {n}");
         }
     }
 
     #[test]
     fn byte_accounting_is_symmetric() {
         let (mut a, mut b) = Duplex::pair();
-        a.send_blocks(&[Block::ZERO; 4]);
-        b.recv_blocks().unwrap();
+        a.write_blocks(&[Block::ZERO; 4]).unwrap();
+        b.read_blocks().unwrap();
         assert_eq!(a.sent().bytes(), 4 + 64);
         assert_eq!(b.received().bytes(), 4 + 64);
         assert_eq!(a.sent().messages(), 1);
-        b.send_bits(&[true]);
-        a.recv_bits().unwrap();
+        b.write_bits(&[true]).unwrap();
+        a.read_bits().unwrap();
         assert_eq!(b.sent().bytes(), 5);
         assert_eq!(a.received().bytes(), 5);
     }
@@ -689,12 +636,13 @@ mod tests {
     #[test]
     fn per_kind_breakdown_sums_to_aggregate() {
         let (mut a, mut b) = Duplex::pair();
-        a.send_blocks(&[Block::ZERO; 4]); // 4 + 64 bytes
-        a.send_tables(&[GarbledTable {
+        a.write_blocks(&[Block::ZERO; 4]).unwrap(); // 4 + 64 bytes
+        a.write_tables(&[GarbledTable {
             tg: Block::ZERO,
             te: Block::ZERO,
-        }]); // 4 + 32 bytes
-        a.send_bits(&[true, false, true]); // 4 + 1 bytes
+        }])
+        .unwrap(); // 4 + 32 bytes
+        a.write_bits(&[true, false, true]).unwrap(); // 4 + 1 bytes
         a.send_bytes(b"xyz".as_ref().into()); // 3 bytes
         for _ in 0..4 {
             b.recv_bytes().unwrap();
@@ -752,7 +700,7 @@ mod tests {
         huge.put_u32(u32::MAX); // 4 Gi blocks = 64 GiB declared
         a.send_bytes(huge.freeze());
         assert_eq!(
-            b.recv_blocks(),
+            b.read_blocks(),
             Err(TransportError::FrameTooLarge {
                 len: (u32::MAX as u64) * 16,
                 max: MAX_FRAME_BYTES as u64,
@@ -765,7 +713,7 @@ mod tests {
         short.put_slice(&[0u8; 16]); // one block's bytes, three declared
         a.send_bytes(short.freeze());
         assert_eq!(
-            b.recv_blocks(),
+            b.read_blocks(),
             Err(TransportError::Malformed("block frame"))
         );
 
@@ -775,7 +723,7 @@ mod tests {
         trailing.put_slice(&[0u8; 17]);
         a.send_bytes(trailing.freeze());
         assert_eq!(
-            b.recv_blocks(),
+            b.read_blocks(),
             Err(TransportError::Malformed("block frame trailing bytes"))
         );
     }
@@ -787,7 +735,7 @@ mod tests {
         huge.put_u32(u32::MAX);
         a.send_bytes(huge.freeze());
         assert!(matches!(
-            b.recv_tables(),
+            b.read_tables(),
             Err(TransportError::FrameTooLarge { .. })
         ));
 
@@ -795,13 +743,13 @@ mod tests {
         bits.put_u32(64); // 8 packed bytes declared, none supplied
         a.send_bytes(bits.freeze());
         assert_eq!(
-            b.recv_bits(),
+            b.read_bits(),
             Err(TransportError::Malformed("bit frame length"))
         );
 
         let empty = BytesMut::with_capacity(0);
         a.send_bytes(empty.freeze());
-        assert_eq!(b.recv_bits(), Err(TransportError::Malformed("bit frame")));
+        assert_eq!(b.read_bits(), Err(TransportError::Malformed("bit frame")));
     }
 
     #[test]
@@ -876,11 +824,11 @@ mod tests {
     fn works_across_threads() {
         let (mut a, mut b) = Duplex::pair();
         let handle = std::thread::spawn(move || {
-            let got = b.recv_blocks().unwrap();
-            b.send_blocks(&got);
+            let got = b.read_blocks().unwrap();
+            b.write_blocks(&got).unwrap();
         });
-        a.send_blocks(&[Block::new(42)]);
-        assert_eq!(a.recv_blocks().unwrap(), vec![Block::new(42)]);
+        a.write_blocks(&[Block::new(42)]).unwrap();
+        assert_eq!(a.read_blocks().unwrap(), vec![Block::new(42)]);
         handle.join().unwrap();
     }
 }

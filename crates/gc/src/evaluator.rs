@@ -122,29 +122,6 @@ impl Evaluator {
             .map(|w| active[w.index()])
             .collect()
     }
-
-    /// Evaluates and decodes in one step.
-    pub fn evaluate_decoded(
-        &self,
-        netlist: &Netlist,
-        material: &Material,
-        garbler_labels: &[Block],
-        evaluator_labels: &[Block],
-        tweak_base: u64,
-    ) -> Vec<bool> {
-        let labels = self.evaluate(
-            netlist,
-            material,
-            garbler_labels,
-            evaluator_labels,
-            tweak_base,
-        );
-        labels
-            .iter()
-            .zip(&material.output_decode)
-            .map(|(label, &d)| label.lsb() ^ d)
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -107,11 +107,6 @@ impl<S: LabelSource> SequentialGarbler<S> {
         self.delta
     }
 
-    /// Rounds garbled so far.
-    pub fn rounds_done(&self) -> u64 {
-        self.round
-    }
-
     /// Garbles the next round.
     ///
     /// * `non_state_bits` — the garbler's fresh input bits for this round
@@ -220,14 +215,6 @@ impl<S: LabelSource> SequentialGarbler<S> {
             .map(|i| garbled.evaluator_label_pair(i))
             .collect()
     }
-
-    /// Decodes final-round output labels (garbler-side check helper).
-    pub fn decode_with_last(&self, active: &[Block]) -> Vec<bool> {
-        self.last
-            .as_ref()
-            .expect("no round garbled yet")
-            .decode_outputs(active)
-    }
 }
 
 /// Evaluator side of sequential GC.
@@ -334,11 +321,6 @@ impl SequentialEvaluator {
     /// Active output labels of the last evaluated round.
     pub fn carried_labels(&self) -> Option<&[Block]> {
         self.carried_active.as_deref()
-    }
-
-    /// Rounds evaluated so far.
-    pub fn rounds_done(&self) -> u64 {
-        self.round
     }
 }
 

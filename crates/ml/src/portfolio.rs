@@ -16,10 +16,7 @@
 //!   certain threshold, communication capability of the server may become
 //!   the bottleneck") is already binding in their own case study.
 
-use max_fixed::{FixedFormat, Matrix, Vector};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use max_fixed::{FixedFormat, Matrix, SplitMix64, Vector};
 
 /// A portfolio analysis instance.
 #[derive(Clone, Debug)]
@@ -35,14 +32,14 @@ impl Portfolio {
     /// to 1, covariance `GᵀG` (positive semi-definite by construction).
     pub fn synthetic(p: usize, seed: u64) -> Self {
         assert!(p > 0, "portfolio must hold at least one stock");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut weights: Vec<f64> = (0..p).map(|_| rng.random_range(0.05..1.0)).collect();
+        let mut rng = SplitMix64::new(seed);
+        let mut weights: Vec<f64> = (0..p).map(|_| rng.uniform(0.05, 1.0)).collect();
         let total: f64 = weights.iter().sum();
         for w in &mut weights {
             *w /= total;
         }
         let g: Vec<Vec<f64>> = (0..p)
-            .map(|_| (0..p).map(|_| rng.random_range(-0.3..0.3)).collect())
+            .map(|_| (0..p).map(|_| rng.uniform(-0.3, 0.3)).collect())
             .collect();
         let mut covariance = vec![vec![0.0; p]; p];
         for (i, cov_row) in covariance.iter_mut().enumerate() {
@@ -96,8 +93,6 @@ impl Portfolio {
 
 /// The published case-study constants.
 pub mod case_model {
-    use super::*;
-
     /// Trading rounds in the case study.
     pub const ROUNDS: u64 = 252;
     /// Portfolio size.
@@ -114,7 +109,7 @@ pub mod case_model {
     pub const PCIE_BYTES_PER_SECOND: f64 = 9.75e9;
 
     /// Modeled outcome of the case study.
-    #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, PartialEq)]
     pub struct CaseEstimate {
         /// Total MACs.
         pub macs: u64,

@@ -11,15 +11,12 @@
 //!    which is gradient vector multiplication; accelerating that MAC share
 //!    with MAXelerator cuts the iteration to ≈ 1 h (65–69 % reduction).
 
-use max_fixed::FixedFormat;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use max_fixed::{FixedFormat, SplitMix64};
 
 use crate::HOUR;
 
 /// One observed rating.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rating {
     /// User index.
     pub user: usize,
@@ -48,10 +45,10 @@ impl MatrixFactorization {
     /// Panics if any count is zero.
     pub fn new(n_users: usize, n_items: usize, dim: usize, seed: u64) -> Self {
         assert!(n_users > 0 && n_items > 0 && dim > 0, "empty model");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut profile = |n: usize| -> Vec<Vec<f64>> {
             (0..n)
-                .map(|_| (0..dim).map(|_| rng.random_range(-0.1..0.1)).collect())
+                .map(|_| (0..dim).map(|_| rng.uniform(-0.1, 0.1)).collect())
                 .collect()
         };
         MatrixFactorization {
@@ -129,12 +126,12 @@ pub fn synthetic_ratings(
     seed: u64,
 ) -> Vec<Rating> {
     let planted = MatrixFactorization::new(n_users, n_items, dim, seed ^ 0x9e37);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..count)
         .map(|_| {
-            let user = rng.random_range(0..n_users);
-            let item = rng.random_range(0..n_items);
-            let noise: f64 = rng.random_range(-0.05..0.05);
+            let user = rng.below(n_users as u64) as usize;
+            let item = rng.below(n_items as u64) as usize;
+            let noise = rng.uniform(-0.05, 0.05);
             Rating {
                 user,
                 item,
@@ -156,7 +153,7 @@ pub mod iteration_model {
     pub const MAC_FRACTION: f64 = 2.0 / 3.0;
 
     /// Iteration model outcome.
-    #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Clone, Copy, Debug, PartialEq)]
     pub struct IterationEstimate {
         /// Baseline seconds per iteration.
         pub baseline_seconds: f64,

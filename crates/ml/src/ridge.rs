@@ -16,8 +16,6 @@
 //!    `S = 657.65/0.48 ≈ 1370` reproduces every published row to the
 //!    paper's rounding.
 
-use serde::{Deserialize, Serialize};
-
 /// A working ridge-regression solver over plain `f64` data.
 #[derive(Clone, Debug)]
 pub struct RidgeRegression {
@@ -107,7 +105,7 @@ impl RidgeRegression {
 }
 
 /// Operation counts of the private protocol of \[7\].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RidgeOps {
     /// Homomorphic phase-1 aggregation MAC-equivalents.
     pub phase1_macs: u64,
@@ -141,7 +139,7 @@ pub mod runtime_model {
     pub const MAC_SPEEDUP: f64 = 657.65 / 0.48;
 
     /// One reproduced Table 3 row.
-    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Clone, Debug, PartialEq)]
     pub struct Table3Row {
         /// Dataset name.
         pub name: String,
@@ -191,23 +189,22 @@ pub mod runtime_model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use max_fixed::SplitMix64;
 
     #[test]
     fn solver_recovers_planted_coefficients() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = SplitMix64::new(7);
         let d = 5;
         let n = 400;
         let truth: Vec<f64> = (0..d).map(|i| (i as f64) - 2.0).collect();
         let x: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..d).map(|_| rng.random_range(-1.0..1.0)).collect())
+            .map(|_| (0..d).map(|_| rng.uniform(-1.0, 1.0)).collect())
             .collect();
         let y: Vec<f64> = x
             .iter()
             .map(|row| {
                 let clean: f64 = row.iter().zip(&truth).map(|(a, b)| a * b).sum();
-                clean + rng.random_range(-0.01..0.01)
+                clean + rng.uniform(-0.01, 0.01)
             })
             .collect();
         let beta = RidgeRegression::new(1e-6).fit(&x, &y);
@@ -218,9 +215,9 @@ mod tests {
 
     #[test]
     fn regularization_shrinks_coefficients() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = SplitMix64::new(8);
         let x: Vec<Vec<f64>> = (0..50)
-            .map(|_| (0..3).map(|_| rng.random_range(-1.0..1.0)).collect())
+            .map(|_| (0..3).map(|_| rng.uniform(-1.0, 1.0)).collect())
             .collect();
         let y: Vec<f64> = x.iter().map(|r| r[0] * 2.0 + r[1] - r[2]).collect();
         let small = RidgeRegression::new(1e-6).fit(&x, &y);

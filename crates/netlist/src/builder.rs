@@ -254,11 +254,6 @@ impl Builder {
         self.xor(else_w, gated)
     }
 
-    /// Number of gates emitted so far.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     /// Finalizes the circuit with the given output wires.
     ///
     /// # Panics

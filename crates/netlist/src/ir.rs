@@ -3,8 +3,6 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::levels::{levelize, Level};
 
 /// Identifier of one wire in a [`Netlist`].
@@ -12,7 +10,7 @@ use crate::levels::{levelize, Level};
 /// Wires are numbered densely from zero in creation order; a gate's output
 /// wire id is always greater than its input ids, so gate order doubles as a
 /// topological order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireId(pub u32);
 
 impl WireId {
@@ -30,7 +28,7 @@ impl fmt::Display for WireId {
 
 /// Logic function of a gate. The IR is normalized to the Free-XOR friendly
 /// basis {AND, XOR, NOT}; richer functions are lowered by [`crate::Builder`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// 2-input AND — the only gate that costs garbled-table entries.
     And,
@@ -41,7 +39,7 @@ pub enum GateKind {
 }
 
 /// One gate: `out = kind(a, b)` (`b` is ignored for [`GateKind::Not`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Gate {
     /// Logic function.
     pub kind: GateKind,
@@ -58,7 +56,7 @@ pub struct Gate {
 /// Built by [`crate::Builder`]; gates are stored in topological order.
 /// `constants` are wires whose value is fixed and public to the garbler
 /// (they are garbled as garbler-known inputs).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Netlist {
     pub(crate) wire_count: u32,
     pub(crate) garbler_inputs: Vec<WireId>,
@@ -68,7 +66,6 @@ pub struct Netlist {
     pub(crate) outputs: Vec<WireId>,
     /// [`Netlist::levels`], computed on first use. A pure function of the
     /// fields above, so it takes no part in equality.
-    #[serde(skip)]
     pub(crate) levels: OnceLock<Vec<Level>>,
 }
 
@@ -253,7 +250,7 @@ impl Netlist {
 }
 
 /// Gate-count summary of a netlist.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetlistStats {
     /// Total wires.
     pub wires: usize,

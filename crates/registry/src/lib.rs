@@ -136,6 +136,46 @@ impl std::fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
+/// Checks that `weights` is a non-empty rectangular matrix whose every
+/// weight fits `config`'s operand width — what the garbler can encode.
+/// [`ModelRegistry::register`] and the service's default model share it.
+///
+/// # Errors
+///
+/// [`RegisterError::EmptyModel`], [`RegisterError::RaggedRow`] or
+/// [`RegisterError::ValueOutOfRange`], for the first defect in row order.
+pub fn check_model(config: &AcceleratorConfig, weights: &[Vec<i64>]) -> Result<(), RegisterError> {
+    let cols = weights.first().map_or(0, Vec::len);
+    if cols == 0 {
+        return Err(RegisterError::EmptyModel);
+    }
+    let b = config.bit_width as u32;
+    let (lo, hi) = if config.signed {
+        (-(1i64 << (b - 1)), (1i64 << (b - 1)) - 1)
+    } else {
+        (0, (1i64 << b) - 1)
+    };
+    for (r, row) in weights.iter().enumerate() {
+        if row.len() != cols {
+            return Err(RegisterError::RaggedRow {
+                row: r,
+                got: row.len(),
+                want: cols,
+            });
+        }
+        for (c, &w) in row.iter().enumerate() {
+            if w < lo || w > hi {
+                return Err(RegisterError::ValueOutOfRange {
+                    row: r,
+                    col: c,
+                    value: w,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// How a model (or part of its stock) left the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionKind {
@@ -399,11 +439,6 @@ impl ModelRegistry {
         &self.config
     }
 
-    /// The registry's cache/precompute knobs.
-    pub fn registry_config(&self) -> RegistryConfig {
-        self.reg
-    }
-
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -422,41 +457,16 @@ impl ModelRegistry {
         model_id: u64,
         weights: Vec<Vec<i64>>,
     ) -> Result<(ModelStatus, Option<Eviction>), RegisterError> {
-        let rows = weights.len();
-        let cols = weights.first().map_or(0, Vec::len);
-        if rows == 0 || cols == 0 {
-            return Err(RegisterError::EmptyModel);
-        }
-        if rows.saturating_mul(cols) > MAX_MODEL_ELEMENTS {
+        let elements = weights
+            .len()
+            .saturating_mul(weights.first().map_or(0, Vec::len));
+        if elements > MAX_MODEL_ELEMENTS {
             return Err(RegisterError::TooLarge {
-                elements: rows * cols,
+                elements,
                 max: MAX_MODEL_ELEMENTS,
             });
         }
-        let b = self.config.bit_width as u32;
-        let (lo, hi) = if self.config.signed {
-            (-(1i64 << (b - 1)), (1i64 << (b - 1)) - 1)
-        } else {
-            (0, (1i64 << b) - 1)
-        };
-        for (r, row) in weights.iter().enumerate() {
-            if row.len() != cols {
-                return Err(RegisterError::RaggedRow {
-                    row: r,
-                    got: row.len(),
-                    want: cols,
-                });
-            }
-            for (c, &w) in row.iter().enumerate() {
-                if w < lo || w > hi {
-                    return Err(RegisterError::ValueOutOfRange {
-                        row: r,
-                        col: c,
-                        value: w,
-                    });
-                }
-            }
-        }
+        check_model(&self.config, &weights)?;
         let mut inner = self.lock();
         let epoch = inner.epoch;
         inner.epoch += 1;

@@ -29,13 +29,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod health;
 mod label_gen;
 pub mod nist;
 mod oscillator;
 mod wold_tan;
 
-pub use health::{HealthMonitor, PROPORTION_CUTOFF, PROPORTION_WINDOW, REPETITION_CUTOFF};
 pub use label_gen::{LabelGenerator, LabelGeneratorReport};
 pub use oscillator::RingOscillator;
 pub use wold_tan::RoRng;

@@ -6,7 +6,7 @@
 //!       [--step-ms 0] [--resume-cap 64] [--breaker-fulls 0]
 //!       [--breaker-open-ms 100] [--breaker-retry-ms 50]
 //!       [--flight-cap 64] [--no-recorder]
-//!       [--journal-dir DIR] [--no-fsync] [--deterministic-tokens]
+//!       [--journal-dir DIR] [--no-fsync]
 //!       [--crash-after-appends N]
 //!       [--registry-budget-bytes N] [--target-stock N] [--prefill]
 //! ```
@@ -27,9 +27,8 @@
 //! SIGTERM/SIGINT with a graceful drain: stop accepting, flush the
 //! journal, let sessions wind down, exit 0. `--crash-after-appends N`
 //! (test/bench harnesses only) aborts the process after the Nth journal
-//! append, simulating kill -9 at a deterministic crash point;
-//! `--deterministic-tokens` (test-only, forgeable) derives resume tokens
-//! from the seed chain so restarted servers mint identical ACCEPT frames.
+//! append, simulating kill -9 at a deterministic crash point. Resume
+//! tokens always come from OS entropy.
 //!
 //! Observability: the daemon installs a [`Recorder`] by default, so the
 //! admin `METRICS` control frame (e.g. `loadgen --metrics`) answers with
@@ -77,7 +76,6 @@ struct Args {
     recorder: bool,
     journal_dir: Option<String>,
     fsync: bool,
-    deterministic_tokens: bool,
     crash_after_appends: Option<u64>,
     registry_budget_bytes: u64,
     target_stock: usize,
@@ -113,7 +111,6 @@ fn parse_args() -> Args {
         recorder: true,
         journal_dir: None,
         fsync: true,
-        deterministic_tokens: false,
         crash_after_appends: None,
         registry_budget_bytes: 0,
         target_stock: 2,
@@ -149,7 +146,6 @@ fn parse_args() -> Args {
             "--no-recorder" => args.recorder = false,
             "--journal-dir" => args.journal_dir = Some(value("--journal-dir")),
             "--no-fsync" => args.fsync = false,
-            "--deterministic-tokens" => args.deterministic_tokens = true,
             "--crash-after-appends" => {
                 args.crash_after_appends = Some(parsed(
                     "--crash-after-appends",
@@ -212,7 +208,6 @@ fn main() {
     serve_config.breaker.open_for = Duration::from_millis(args.breaker_open_ms.max(1));
     serve_config.breaker.retry_after_ms = args.breaker_retry_ms;
     serve_config.flight_capacity = args.flight_cap;
-    serve_config.deterministic_resume_tokens = args.deterministic_tokens;
     serve_config.registry_budget_bytes =
         (args.registry_budget_bytes > 0).then_some(args.registry_budget_bytes);
     serve_config.registry_target_stock = args.target_stock;

@@ -2,12 +2,11 @@
 //!
 //! The breaker sits in front of session admission and job admission. It
 //! trips on sustained queue-full pressure (a configurable run of
-//! consecutive [`QueueFull`](crate::QueueFull) rejections) or explicitly —
-//! the service wires `max-rng`'s [`HealthMonitor`](max_rng::HealthMonitor)
-//! alarms into [`Breaker::trip`], modeling the paper's on-chip RNG health
-//! checks gating the garbling fabric. While open, new sessions get
-//! `REJECT(overload)` and job requests get `BUSY` — typed, retryable
-//! rejections instead of queue pileup — until the open window elapses.
+//! consecutive [`QueueFull`](crate::QueueFull) rejections) or explicitly,
+//! through [`GcService::trip_breaker`](crate::GcService::trip_breaker).
+//! While open, new sessions get `REJECT(overload)` and job requests get
+//! `BUSY` — typed, retryable rejections instead of queue pileup — until
+//! the open window elapses.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -120,8 +119,8 @@ impl Breaker {
             .consecutive_fulls = 0;
     }
 
-    /// Opens the breaker for the configured window (health alarms, manual
-    /// operation, or sustained pressure).
+    /// Opens the breaker for the configured window (manual operation or
+    /// sustained pressure).
     pub fn trip(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.open_until = Some(Instant::now() + self.config.open_for);

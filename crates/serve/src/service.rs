@@ -16,8 +16,9 @@ use std::time::Duration;
 
 use max_gc::channel::Duplex;
 use max_gc::{FramedTcp, Transport};
-use max_registry::{FillReport, ModelRegistry, RegisterError, RegistryConfig, RegistryStats};
-use max_rng::HealthMonitor;
+use max_registry::{
+    check_model, FillReport, ModelRegistry, RegisterError, RegistryConfig, RegistryStats,
+};
 use max_telemetry::report::JsonValue;
 use max_telemetry::{FlightRecorder, Recorder};
 use maxelerator::remote::ModelStatus;
@@ -60,16 +61,20 @@ pub struct ServeConfig {
     pub resume_capacity: usize,
     /// Load-shedding breaker tuning.
     pub breaker: BreakerConfig,
-    /// Start with the unit pool paused (deterministic backpressure tests).
+    /// **Test-only.** Start with the unit pool paused, so backpressure
+    /// tests can fill the queue deterministically; production leaves this
+    /// off and no `serve` flag sets it.
+    #[doc(hidden)]
     pub start_paused: bool,
-    /// Derive resume tokens from the seed chain instead of OS entropy.
-    ///
-    /// **Test-only.** Deterministic tokens make ACCEPT reproducible across
+    /// **Test-only.** Derive resume tokens from the seed chain instead of
+    /// OS entropy. Deterministic tokens make ACCEPT reproducible across
     /// service instances (what the transcript-parity tests compare), but
     /// they are forgeable: `derive_seed` is an invertible bijection and
     /// `ot_seed` (also seed-derived) is published in ACCEPT, so any client
     /// could walk back to `base_seed` and mint every other session's
-    /// token. Production services must leave this off.
+    /// token. Production services must leave this off, and no `serve`
+    /// flag sets it.
+    #[doc(hidden)]
     pub deterministic_resume_tokens: bool,
     /// Server-side [`Recorder`]: every job's `server/queue_wait`,
     /// `server/garble` and `server/stream` durations go into histograms of
@@ -97,8 +102,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Sensible defaults: 2 units, queue of 16, 10 ms retry hint, no
-    /// timeouts, 64 resume checkpoints, breaker tripping only on explicit
-    /// health alarms.
+    /// timeouts, 64 resume checkpoints, breaker tripping only through
+    /// [`GcService::trip_breaker`].
     pub fn new(config: AcceleratorConfig, weights: Vec<Vec<i64>>, base_seed: u64) -> ServeConfig {
         ServeConfig {
             config,
@@ -426,13 +431,11 @@ impl GcService {
     /// # Panics
     ///
     /// Panics if the model is empty or ragged, or values exceed the
-    /// configured bit-width (host configuration errors, not peer input).
+    /// configured bit-width (host configuration errors, not peer input),
+    /// by the same [`check_model`] a registered model passes.
     pub fn start(cfg: ServeConfig) -> GcService {
-        assert!(!cfg.weights.is_empty(), "service needs a model");
-        let cols = cfg.weights[0].len();
-        assert!(cols > 0, "model matrix must have columns");
-        for row in &cfg.weights {
-            assert_eq!(row.len(), cols, "ragged model matrix");
+        if let Err(err) = check_model(&cfg.config, &cfg.weights) {
+            panic!("invalid default model: {err}");
         }
         let weights = Arc::new(cfg.weights);
 
@@ -728,17 +731,6 @@ impl GcService {
     /// Whether the breaker is currently shedding load.
     pub fn breaker_open(&self) -> bool {
         self.shared.breaker.is_open()
-    }
-
-    /// Trips the breaker if the RNG health monitor has raised any alarm —
-    /// the serving-layer reaction to the paper's on-chip health checks.
-    /// Returns whether it tripped.
-    pub fn observe_health(&self, monitor: &HealthMonitor) -> bool {
-        if monitor.alarmed() {
-            self.shared.breaker.trip();
-            return true;
-        }
-        false
     }
 
     /// Snapshot of the aggregate counters.

@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 
 use max_gc::channel::Duplex;
 use max_gc::{FaultSpec, FaultTransport, FramedTcp};
-use max_rng::HealthMonitor;
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, RecordingTransport, ServeConfig,
 };
@@ -380,30 +379,6 @@ fn tripped_breaker_sheds_typed_and_the_resilient_client_rides_it_out() {
     assert!(stats.breaker_trips >= 1);
     assert!(stats.shed >= 2, "BUSY shed + handshake shed");
     assert_eq!(stats.busy_rejections, 1);
-}
-
-#[test]
-fn rng_health_alarm_trips_the_breaker() {
-    let service = demo_service(|_| {});
-    let mut healthy = HealthMonitor::new();
-    // Alternating bits: no repetition or proportion alarm.
-    for i in 0..256 {
-        healthy.observe(i % 2 == 0);
-    }
-    assert!(!service.observe_health(&healthy));
-    assert!(!service.breaker_open());
-
-    // A stuck-at-one source fires the repetition-count alarm, and the
-    // service reacts by shedding load — the paper's RNG health checks
-    // gating the fabric, lifted to the serving layer.
-    let mut stuck = HealthMonitor::new();
-    stuck.observe_all(&[true; 256]);
-    assert!(stuck.alarmed());
-    assert!(service.observe_health(&stuck));
-    assert!(service.breaker_open());
-    service.reset_breaker();
-    assert!(!service.breaker_open());
-    service.shutdown();
 }
 
 #[test]

@@ -205,6 +205,19 @@ fn overload_returns_typed_busy_and_recovers() {
 }
 
 #[test]
+#[should_panic(expected = "weight [0][1] = 200 exceeds the operand width")]
+fn default_model_the_garbler_cannot_encode_is_refused_at_start() {
+    // 200 does not fit b = 8 signed. Accepted, it would panic a pool
+    // worker on every job until no unit was left to answer.
+    let weights = vec![vec![1, 200], vec![3, 4]];
+    GcService::start(ServeConfig::new(
+        AcceleratorConfig::new(WIDTH),
+        weights,
+        SEED,
+    ));
+}
+
+#[test]
 fn hostile_frames_do_not_kill_the_service() {
     let service = demo_service(|_| {});
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");

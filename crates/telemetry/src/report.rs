@@ -1,8 +1,7 @@
 //! Hand-rolled JSON rendering for telemetry output.
 //!
-//! The workspace builds offline against vendored dependency stubs, and the
-//! `serde` stub is marker-traits only — so machine-readable output like the
-//! METRICS frame and the benchmark's result files is produced by this
+//! The workspace builds offline with no serialization crate, so
+//! machine-readable output like the METRICS frame and the benchmark's result files is produced by this
 //! small, dependency-free builder instead. Object keys keep insertion
 //! order, strings are escaped per RFC 8259, and non-finite floats degrade
 //! to `null` (JSON has no NaN).

@@ -8,24 +8,22 @@
 //! cargo run -p max-suite --example private_ridge_regression
 //! ```
 
-use max_fixed::{FixedFormat, Vector};
+use max_fixed::{FixedFormat, SplitMix64, Vector};
 use max_ml::ridge::{runtime_model, RidgeRegression};
 use maxelerator::{connect, secure_matvec, AcceleratorConfig};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 fn main() {
     // ---- server side: train on private data --------------------------------
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = SplitMix64::new(5);
     let d = 6;
     let truth: Vec<f64> = (0..d).map(|i| 0.5 * (i as f64) - 1.0).collect();
     let x_train: Vec<Vec<f64>> = (0..300)
-        .map(|_| (0..d).map(|_| rng.random_range(-1.0..1.0)).collect())
+        .map(|_| (0..d).map(|_| rng.uniform(-1.0, 1.0)).collect())
         .collect();
     let y_train: Vec<f64> = x_train
         .iter()
         .map(|row| {
-            row.iter().zip(&truth).map(|(a, b)| a * b).sum::<f64>() + rng.random_range(-0.02..0.02)
+            row.iter().zip(&truth).map(|(a, b)| a * b).sum::<f64>() + rng.uniform(-0.02, 0.02)
         })
         .collect();
     let beta = RidgeRegression::new(1e-3).fit(&x_train, &y_train);

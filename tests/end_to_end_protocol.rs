@@ -2,9 +2,8 @@
 //! garbling + OT extension + client evaluation) must compute exact
 //! matrix-vector products at every supported bit-width.
 
+use max_fixed::SplitMix64;
 use maxelerator::{connect, secure_matvec, AcceleratorConfig};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 fn plain_matvec(w: &[Vec<i64>], x: &[i64]) -> Vec<i64> {
     w.iter()
@@ -12,21 +11,26 @@ fn plain_matvec(w: &[Vec<i64>], x: &[i64]) -> Vec<i64> {
         .collect()
 }
 
-fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, bound: i64) -> Vec<Vec<i64>> {
+/// A uniform draw from `-bound..bound`.
+fn signed(rng: &mut SplitMix64, bound: i64) -> i64 {
+    -bound + rng.below(2 * bound as u64) as i64
+}
+
+fn random_matrix(rng: &mut SplitMix64, rows: usize, cols: usize, bound: i64) -> Vec<Vec<i64>> {
     (0..rows)
-        .map(|_| (0..cols).map(|_| rng.random_range(-bound..bound)).collect())
+        .map(|_| (0..cols).map(|_| signed(rng, bound)).collect())
         .collect()
 }
 
 #[test]
 fn random_matvecs_at_8_bit() {
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = SplitMix64::new(1);
     let config = AcceleratorConfig::new(8);
     for trial in 0..3 {
         let rows = 1 + trial;
         let cols = 2 + 2 * trial;
         let w = random_matrix(&mut rng, rows, cols, 128);
-        let x: Vec<i64> = (0..cols).map(|_| rng.random_range(-128..128)).collect();
+        let x: Vec<i64> = (0..cols).map(|_| signed(&mut rng, 128)).collect();
         let expected = plain_matvec(&w, &x);
         let (mut server, mut client) = connect(&config, w, 100 + trial as u64);
         let (got, _) = secure_matvec(&mut server, &mut client, &x);
@@ -36,10 +40,10 @@ fn random_matvecs_at_8_bit() {
 
 #[test]
 fn random_matvec_at_16_bit() {
-    let mut rng = StdRng::seed_from_u64(2);
+    let mut rng = SplitMix64::new(2);
     let config = AcceleratorConfig::new(16);
     let w = random_matrix(&mut rng, 2, 4, 32_768);
-    let x: Vec<i64> = (0..4).map(|_| rng.random_range(-32_768..32_768)).collect();
+    let x: Vec<i64> = (0..4).map(|_| signed(&mut rng, 32_768)).collect();
     let expected = plain_matvec(&w, &x);
     let (mut server, mut client) = connect(&config, w, 7);
     let (got, _) = secure_matvec(&mut server, &mut client, &x);
@@ -48,12 +52,12 @@ fn random_matvec_at_16_bit() {
 
 #[test]
 fn random_matvec_at_32_bit() {
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = SplitMix64::new(3);
     let config = AcceleratorConfig::new(32);
     // Keep |sum of 3 products| inside the 64-bit accumulator/decode range.
     let bound = 1i64 << 30;
     let w = random_matrix(&mut rng, 1, 3, bound);
-    let x: Vec<i64> = (0..3).map(|_| rng.random_range(-bound..bound)).collect();
+    let x: Vec<i64> = (0..3).map(|_| signed(&mut rng, bound)).collect();
     let expected = plain_matvec(&w, &x);
     let (mut server, mut client) = connect(&config, w, 8);
     let (got, _) = secure_matvec(&mut server, &mut client, &x);
@@ -62,11 +66,11 @@ fn random_matvec_at_32_bit() {
 
 #[test]
 fn long_vector_exercises_many_sequential_rounds() {
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut rng = SplitMix64::new(4);
     let config = AcceleratorConfig::new(8);
     let cols = 64;
     let w = random_matrix(&mut rng, 1, cols, 128);
-    let x: Vec<i64> = (0..cols).map(|_| rng.random_range(-128..128)).collect();
+    let x: Vec<i64> = (0..cols).map(|_| signed(&mut rng, 128)).collect();
     let expected = plain_matvec(&w, &x);
     let (mut server, mut client) = connect(&config, w, 9);
     let (got, transcript) = secure_matvec(&mut server, &mut client, &x);

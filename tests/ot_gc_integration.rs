@@ -4,7 +4,7 @@
 
 use max_crypto::Block;
 use max_gc::channel::Duplex;
-use max_gc::{Evaluator, Garbler, Material, PrgLabelSource};
+use max_gc::{Evaluator, Garbler, Material, PrgLabelSource, Transport};
 use max_netlist::{decode_unsigned, encode_unsigned, Builder};
 use max_ot::{iknp, run_chosen_ot};
 
@@ -60,17 +60,23 @@ fn two_party_protocol_over_threads() {
         let mut labels = PrgLabelSource::new(Block::new(0x5e55));
         let mut garbler = Garbler::new(&mut labels);
         let garbled = garbler.garble(&netlist, 0);
-        wire_s.send_tables(&garbled.material().tables);
-        wire_s.send_bits(&garbled.material().output_decode);
-        wire_s.send_blocks(&garbled.encode_garbler_inputs(&encode_unsigned(g_value, 4)));
+        wire_s
+            .write_tables(&garbled.material().tables)
+            .expect("send");
+        wire_s
+            .write_bits(&garbled.material().output_decode)
+            .expect("send");
+        wire_s
+            .write_blocks(&garbled.encode_garbler_inputs(&encode_unsigned(g_value, 4)))
+            .expect("send");
         // OT sender side: receive the (choice-hiding) correction columns,
         // reply with the ciphertext pairs.
         let mut ext_columns = Vec::with_capacity(iknp::KAPPA);
         for _ in 0..iknp::KAPPA {
-            let frame = wire_s.recv_blocks().expect("ot column");
+            let frame = wire_s.read_blocks().expect("ot column");
             ext_columns.push(frame.iter().map(|b| b.bits() as u64).collect::<Vec<u64>>());
         }
-        let count = wire_s.recv_bits().expect("ot count").len();
+        let count = wire_s.read_bits().expect("ot count").len();
         let pairs: Vec<(Block, Block)> = (0..4).map(|i| garbled.evaluator_label_pair(i)).collect();
         let cipher = ot_sender.send(
             &iknp::ExtendMsg {
@@ -84,24 +90,24 @@ fn two_party_protocol_over_threads() {
             flat.push(*y0);
             flat.push(*y1);
         }
-        wire_s.send_blocks(&flat);
+        wire_s.write_blocks(&flat).expect("send");
         wire_s.sent().bytes()
     });
 
     let client = std::thread::spawn(move || {
-        let tables = wire_c.recv_tables().expect("tables");
-        let decode = wire_c.recv_bits().expect("decode");
-        let g_labels = wire_c.recv_blocks().expect("garbler labels");
+        let tables = wire_c.read_tables().expect("tables");
+        let decode = wire_c.read_bits().expect("decode");
+        let g_labels = wire_c.read_blocks().expect("garbler labels");
 
         // OT receiver side: send correction columns, get ciphertexts back.
         let choices = encode_unsigned(e_value, 4);
         let (ext, keys) = ot_receiver.prepare(&choices);
         for column in &ext.columns {
             let blocks: Vec<Block> = column.iter().map(|&w| Block::new(w as u128)).collect();
-            wire_c.send_blocks(&blocks);
+            wire_c.write_blocks(&blocks).expect("send");
         }
-        wire_c.send_bits(&vec![false; ext.count]);
-        let flat = wire_c.recv_blocks().expect("ot cipher");
+        wire_c.write_bits(&vec![false; ext.count]).expect("send");
+        let flat = wire_c.read_blocks().expect("ot cipher");
         let cipher = iknp::CipherMsg {
             pairs: flat.chunks(2).map(|c| (c[0], c[1])).collect(),
         };
