@@ -2,6 +2,10 @@
 //! into stream elements, the materialized form that is stored and served,
 //! its at-rest digest, and the one streamer that puts it on a wire.
 
+use std::borrow::Cow;
+use std::ops::ControlFlow;
+use std::sync::mpsc;
+
 use bytes::Bytes;
 use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{encode_block_pairs, open_frame, seal_frame, seal_mark, FrameKind};
@@ -30,7 +34,10 @@ pub fn derive_seed(base: u64, tweak: u64) -> u64 {
 /// Elements come pass-major: matrix row `r` of pass `p` is stream element
 /// `p * rows + r` ([`Maxelerator::garble_element`]), so element ids advance
 /// across passes and labels stay fresh for every round of every column.
-/// Returns the fabric cycles the job cost.
+/// Returns the fabric cycles the job cost. A sink that answers
+/// [`ControlFlow::Break`] stops the job at that element (a pool unit whose
+/// session is gone garbles no further for it); the cycles spent up to then
+/// are returned.
 ///
 /// # Errors
 ///
@@ -45,15 +52,17 @@ pub fn garble_elements(
     weights: &[Vec<i64>],
     seed: u64,
     columns: u32,
-    mut sink: impl FnMut(GarbledRow),
+    mut sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
 ) -> Result<u64, AcceleratorError> {
     assert!(!weights.is_empty(), "job needs a non-empty model");
     assert!(columns > 0, "job needs at least one column");
     let mut accel = Maxelerator::new(config.clone(), seed);
     let n_rows = weights.len();
-    for pass in 0..columns as usize {
+    'job: for pass in 0..columns as usize {
         for (r, row) in weights.iter().enumerate() {
-            sink(accel.garble_element((pass * n_rows + r) as u32, row)?);
+            if sink(accel.garble_element((pass * n_rows + r) as u32, row)?).is_break() {
+                break 'job;
+            }
         }
     }
     Ok(accel.report().cycles)
@@ -61,17 +70,13 @@ pub fn garble_elements(
 
 /// A fully garbled job with its round messages still in structured form —
 /// [`garble_elements`] collected. The server never builds one (it runs
-/// [`fill_stream`]); this is the form measurements and tests inspect.
+/// [`produce_elements`]); this is the form measurements and tests inspect.
 #[derive(Clone, Debug)]
 pub struct GarbledJob {
     /// `columns * rows` garbled elements, pass-major.
     pub rows: Vec<GarbledRow>,
-    /// Model rows per pass (output elements of one matvec).
-    pub rows_per_pass: usize,
     /// Fabric cycles this job cost.
     pub fabric_cycles: u64,
-    /// Wall-clock the fabric would need at the configured frequency.
-    pub fabric_seconds: f64,
 }
 
 /// Garbles a complete job and keeps every element's round messages.
@@ -83,12 +88,13 @@ pub fn garble_matvec_job(
     columns: u32,
 ) -> Result<GarbledJob, AcceleratorError> {
     let mut rows = Vec::with_capacity(weights.len() * columns as usize);
-    let cycles = garble_elements(config, weights, seed, columns, |row| rows.push(row))?;
+    let cycles = garble_elements(config, weights, seed, columns, |row| {
+        rows.push(row);
+        ControlFlow::Continue(())
+    })?;
     Ok(GarbledJob {
         rows,
-        rows_per_pass: weights.len(),
         fabric_cycles: cycles,
-        fabric_seconds: cycles as f64 / (config.freq_mhz * 1e6),
     })
 }
 
@@ -112,12 +118,8 @@ pub struct MaterializedElement {
 pub struct MaterializedJob {
     /// `columns * rows` materialized elements, pass-major.
     pub elements: Vec<MaterializedElement>,
-    /// Model rows per pass (output elements of one matvec).
-    pub rows_per_pass: usize,
     /// Fabric cycles the offline garbling cost.
     pub fabric_cycles: u64,
-    /// Wall-clock the fabric would need at the configured frequency.
-    pub fabric_seconds: f64,
 }
 
 impl MaterializedJob {
@@ -180,18 +182,37 @@ pub fn materialize_job(job: &GarbledJob) -> MaterializedJob {
             .iter()
             .map(|row| materialize_element(&row.messages, row.pairs.clone()))
             .collect(),
-        rows_per_pass: job.rows_per_pass,
         fabric_cycles: job.fabric_cycles,
-        fabric_seconds: job.fabric_seconds,
     }
 }
 
-/// Garbles a job straight into the stream that is served: each element is
-/// materialized as it leaves the accelerator and its round messages are
-/// dropped, so working memory is one element of structured material
-/// whatever the model's height. Every stream the server puts on a wire —
-/// idle-time stock, a starved fallback, a session-default job, a RESUME
-/// re-garble — comes from this function. Errors and panics as
+/// The one element producer, run by pool units and (as [`fill_stream`]) by
+/// registry fills: [`garble_elements`] with each element from
+/// `start_element` on rendered to its wire form and handed to `sink` the
+/// moment it exists, its round messages dropped. Elements before
+/// `start_element` (what a resumed client already holds) are garbled, so
+/// the fabric cycles stay the whole job's, but never materialized. Errors,
+/// panics and early stop as [`garble_elements`].
+pub fn produce_elements(
+    config: &AcceleratorConfig,
+    weights: &[Vec<i64>],
+    seed: u64,
+    columns: u32,
+    start_element: usize,
+    mut sink: impl FnMut(MaterializedElement) -> ControlFlow<()>,
+) -> Result<u64, AcceleratorError> {
+    let mut produced = 0usize;
+    garble_elements(config, weights, seed, columns, |row| {
+        produced += 1;
+        if produced <= start_element {
+            return ControlFlow::Continue(());
+        }
+        sink(materialize_element(&row.messages, row.pairs))
+    })
+}
+
+/// Garbles a whole job into the stream a prepared-model stock stores:
+/// [`produce_elements`] collected. Errors and panics as
 /// [`garble_elements`].
 pub fn fill_stream(
     config: &AcceleratorConfig,
@@ -200,22 +221,78 @@ pub fn fill_stream(
     columns: u32,
 ) -> Result<MaterializedJob, AcceleratorError> {
     let mut elements = Vec::with_capacity(weights.len() * columns as usize);
-    let cycles = garble_elements(config, weights, seed, columns, |row| {
-        elements.push(materialize_element(&row.messages, row.pairs));
+    let cycles = produce_elements(config, weights, seed, columns, 0, |elem| {
+        elements.push(elem);
+        ControlFlow::Continue(())
     })?;
     Ok(MaterializedJob {
         elements,
-        rows_per_pass: weights.len(),
         fabric_cycles: cycles,
-        fabric_seconds: cycles as f64 / (config.freq_mhz * 1e6),
     })
 }
 
-/// Streams a materialized job to the client: READY, then per element the
-/// EXT → CIPHER → ROUNDS exchange, then STATS. Runs on the session thread
-/// (the server side of [`RemoteClient::run_job`](super::RemoteClient::run_job))
-/// and is the only streamer: a warm prepared stream and a stream garbled a
-/// moment ago on the unit pool go out through the same code.
+/// What a garbling unit sends down an inline job's hand-off: each element
+/// as it is produced, then the job's fabric cycles or the error.
+#[derive(Debug)]
+pub enum JobPiece {
+    /// The next element in serve order.
+    Element(MaterializedElement),
+    /// The job is complete.
+    Done(Result<u64, AcceleratorError>),
+}
+
+/// Where the streamer's elements come from.
+#[derive(Debug)]
+pub enum JobSource {
+    /// Warm stock, iterated in place.
+    Materialized {
+        /// The stream.
+        job: MaterializedJob,
+        /// Its fill-time [`stream_digest`], re-verified behind READY.
+        expected_digest: [u8; 16],
+    },
+    /// The hand-off of the unit garbling the job right now: only the
+    /// elements to be served, in order.
+    Garbling(mpsc::Receiver<JobPiece>),
+}
+
+/// One step through a [`JobSource`].
+enum Next<'a> {
+    Element(Cow<'a, MaterializedElement>),
+    /// The job is complete, with its fabric cycles.
+    Done(u64),
+}
+
+impl JobSource {
+    /// Blocks until element `idx` is in hand (stock lends it, a hand-off
+    /// delivers it, in order, so it ignores `idx`), or the job is done.
+    fn next(&self, idx: usize) -> Result<Next<'_>, AcceleratorError> {
+        match self {
+            JobSource::Materialized { job, .. } => Ok(job
+                .elements
+                .get(idx)
+                .map_or(Next::Done(job.fabric_cycles), |elem| {
+                    Next::Element(Cow::Borrowed(elem))
+                })),
+            JobSource::Garbling(pieces) => match pieces.recv() {
+                Ok(JobPiece::Element(elem)) => Ok(Next::Element(Cow::Owned(elem))),
+                Ok(JobPiece::Done(cycles)) => cycles.map(Next::Done),
+                Err(_) => Err(AcceleratorError::Protocol {
+                    what: "unit pool shut down mid-job",
+                }),
+            },
+        }
+    }
+}
+
+/// Streams a job to the client: READY, then per element the EXT → CIPHER
+/// → ROUNDS exchange, then STATS. Runs on the session thread (the server
+/// side of [`RemoteClient::run_job`](super::RemoteClient::run_job)) and is
+/// the only streamer: warm stock and a job a pool unit is garbling right
+/// now go out through the same loop, which takes each element from the
+/// [`JobSource`] as it needs it, so an inline job's exchange overlaps its
+/// garbling. READY goes out once the first element to serve is in hand: a
+/// garbling error on it is still a typed error before READY.
 ///
 /// The exchange starts at `start_element` (elements before it were already
 /// streamed on an earlier connection) and calls `on_element(next_element,
@@ -230,35 +307,40 @@ pub fn fill_stream(
 /// `start_element` (for a resume: the snapshots taken at that boundary —
 /// a fresh [`TranscriptDigest`] when starting at element zero).
 ///
-/// `expected_digest` carries the [`stream_digest`] recorded when a cached
-/// stream was garbled. It is re-verified here, *after* READY goes out but
-/// *before* any material frame does: the rehash scales with the stream
-/// while the admission window must not, so it is pipelined past READY
-/// (overlapping the client's first OT extension) — yet a rotted stream
-/// still never puts a byte of material on the wire. A mismatch answers the
-/// client's first EXT with `REJECT(integrity)` and fails typed with
-/// [`STREAM_DIGEST_MISMATCH`].
+/// A [`JobSource::Materialized`] stream's `expected_digest` is re-verified
+/// *after* READY goes out but *before* any material frame does: the rehash
+/// scales with the stream while the admission window must not, so it is
+/// pipelined past READY (overlapping the client's first OT extension) —
+/// yet a rotted stream still never puts a byte of material on the wire. A
+/// mismatch answers the client's first EXT with `REJECT(integrity)` and
+/// fails typed with [`STREAM_DIGEST_MISMATCH`].
 ///
 /// # Errors
 ///
-/// Propagates transport failures and protocol violations; on any error the
-/// session should be torn down (the OT state is no longer aligned) or
-/// checkpointed for RESUME from the last `on_element` snapshot.
+/// Propagates transport failures, protocol violations and the source's
+/// garbling errors; on any error the session should be torn down (the OT
+/// state is no longer aligned) or checkpointed for RESUME from the last
+/// `on_element` snapshot.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     transport: &mut T,
-    job: &MaterializedJob,
+    source: &JobSource,
     ot_sender: &mut OtExtSender,
     digest: &mut TranscriptDigest,
     job_id: u64,
     trace: TraceContext,
     start_element: usize,
-    expected_digest: Option<[u8; 16]>,
     mut on_element: impl FnMut(usize, &OtExtSender, &TranscriptDigest),
 ) -> Result<(), AcceleratorError> {
+    let mut idx = start_element;
+    let mut next = source.next(idx)?;
     send_control(transport, &ControlMsg::Ready { job_id })?;
-    if let Some(expected) = expected_digest {
-        if stream_digest(job) != expected {
+    if let JobSource::Materialized {
+        job,
+        expected_digest,
+    } = source
+    {
+        if stream_digest(job) != *expected_digest {
             send_control(
                 transport,
                 &ControlMsg::Reject {
@@ -271,7 +353,11 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             });
         }
     }
-    for (idx, elem) in job.elements.iter().enumerate().skip(start_element) {
+    let fabric_cycles = loop {
+        let elem = match next {
+            Next::Element(elem) => elem,
+            Next::Done(cycles) => break cycles,
+        };
         let ext_frame = open_frame(transport.recv_frame()?)?;
         let (ext, client_mark) = decode_ext(ext_frame.clone())?;
         if ext.count != elem.pairs.len() {
@@ -318,11 +404,13 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         // per-frame overhead (and per-frame fault-injection surface) no
         // longer scales with model width.
         transport.send_frame(FrameKind::Raw, rounds_frame)?;
-    }
+        idx += 1;
+        next = source.next(idx)?;
+    };
     send_control(
         transport,
         &ControlMsg::Stats {
-            fabric_cycles: job.fabric_cycles,
+            fabric_cycles,
             trace_id: trace.trace_id,
             digest: digest.value(),
         },

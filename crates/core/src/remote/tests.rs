@@ -96,13 +96,15 @@ pub(crate) fn serve_one_session<T: Transport>(
                 )?;
                 stream_materialized_job_from(
                     &mut transport,
-                    &job,
+                    &JobSource::Materialized {
+                        expected_digest: stream_digest(&job),
+                        job,
+                    },
                     &mut ot_sender,
                     &mut TranscriptDigest::new(),
                     job_id,
                     hello.2,
                     0,
-                    None,
                     |_, _, _| {},
                 )?;
                 job_id += 1;
@@ -501,12 +503,75 @@ fn materialized_stream_is_byte_identical_to_direct_garbling() {
     let job = garble_matvec_job(&config, &w, 0xf00d, 2).unwrap();
     let mat = materialize_job(&job);
     assert_eq!(mat.elements.len(), job.rows.len());
-    assert_eq!(mat.rows_per_pass, job.rows_per_pass);
     assert_eq!(mat.fabric_cycles, job.fabric_cycles);
     assert!(mat.stored_bytes() > 0);
     for (row, elem) in job.rows.iter().zip(&mat.elements) {
         assert_eq!(elem.rounds_frame, encode_round_burst(&row.messages));
         assert_eq!(elem.pairs, row.pairs);
+    }
+}
+
+#[test]
+fn a_breaking_sink_stops_the_job_at_that_element() {
+    let config = AcceleratorConfig::new(8);
+    let w = vec![vec![3i64, -1, 4], vec![1, 5, -9]];
+    let mut calls = 0;
+    let cycles = garble_elements(&config, &w, 0xf00d, 2, |_| {
+        calls += 1;
+        std::ops::ControlFlow::Break(())
+    })
+    .unwrap();
+    assert_eq!(calls, 1, "no element is garbled after the sink breaks");
+    let whole = garble_matvec_job(&config, &w, 0xf00d, 2).unwrap();
+    assert!(cycles > 0 && cycles < whole.fabric_cycles);
+}
+
+#[test]
+fn a_resumed_producer_skips_the_prefix_but_not_its_cycles() {
+    let config = AcceleratorConfig::new(8);
+    let w = vec![vec![3i64, -1, 4], vec![1, 5, -9]];
+    let whole = fill_stream(&config, &w, 0xf00d, 2).unwrap();
+    let mut tail = Vec::new();
+    let cycles = produce_elements(&config, &w, 0xf00d, 2, 3, |elem| {
+        tail.push(elem);
+        std::ops::ControlFlow::Continue(())
+    })
+    .unwrap();
+    assert_eq!(tail, whole.elements[3..]);
+    assert_eq!(cycles, whole.fabric_cycles);
+}
+
+#[test]
+fn a_source_that_fails_before_its_first_element_sends_no_ready() {
+    let (tx, failed) = std::sync::mpsc::channel();
+    tx.send(JobPiece::Done(Err(AcceleratorError::Protocol {
+        what: "garbling failed",
+    })))
+    .unwrap();
+    let (_, gone) = std::sync::mpsc::channel();
+    for (source, what) in [
+        (failed, "garbling failed"),
+        (gone, "unit pool shut down mid-job"),
+    ] {
+        let (mut server, mut client) = Duplex::pair();
+        let (mut sender, _) = iknp::setup_pair(1);
+        let err = stream_materialized_job_from(
+            &mut server,
+            &JobSource::Garbling(source),
+            &mut sender,
+            &mut TranscriptDigest::new(),
+            0,
+            TraceContext::none(),
+            0,
+            |_, _, _| {},
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, AcceleratorError::Protocol { what: got } if got == what),
+            "{err:?}"
+        );
+        drop(server);
+        assert!(client.recv_frame().is_err(), "no READY went out");
     }
 }
 

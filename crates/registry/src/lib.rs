@@ -12,7 +12,7 @@
 //! A [`ModelRegistry`] holds any number of tenant matrices, each under a
 //! caller-chosen id. Background fill steps ([`ModelRegistry::fill_step`],
 //! driven from pool idle time) garble one stream per step with
-//! [`fill_stream`] — the function every served stream comes from, one
+//! [`fill_stream`] — the element producer an inline job runs too, one
 //! element of working memory at a time — and deposit the materialized
 //! frames into the model's stock. Serving a matvec
 //! against a stocked model ([`ModelRegistry::acquire`]) pops one stream —
@@ -53,6 +53,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+use max_crypto::TranscriptDigest;
 use maxelerator::remote::{
     derive_seed, fill_stream, MaterializedJob, ModelStatus, MAX_MODEL_ELEMENTS,
 };
@@ -176,6 +177,21 @@ pub fn check_model(config: &AcceleratorConfig, weights: &[Vec<i64>]) -> Result<(
     Ok(())
 }
 
+/// A registered matrix: shared and immutable.
+pub type Weights = Arc<Vec<Vec<i64>>>;
+
+/// The digest that names one registration: a [`TranscriptDigest`] over the
+/// matrix's width and weights, computed once when the model is registered.
+/// The same matrix always gives the same digest — a restart re-registers it
+/// unchanged — and a different matrix under the same id does not, which is
+/// how a resume checkpoint tells a re-PUT apart from the model it ran on.
+pub fn weights_digest(weights: &[Vec<i64>]) -> [u8; 16] {
+    let mut digest = TranscriptDigest::new();
+    digest.fold(&(weights.first().map_or(0, Vec::len) as u64).to_le_bytes());
+    digest.fold_wide(weights.iter().flatten().map(|w| w.to_le_bytes()));
+    digest.value()
+}
+
 /// How a model (or part of its stock) left the cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionKind {
@@ -203,8 +219,9 @@ pub struct Eviction {
 
 /// A single-use pre-garbled stream, popped from stock by
 /// [`ModelRegistry::acquire`]. Stream it with
-/// [`maxelerator::remote::stream_materialized_job_from`] and drop it — the
-/// registry never hands out the same generation twice.
+/// [`maxelerator::remote::stream_materialized_job_from`] (as a
+/// [`JobSource::Materialized`](maxelerator::remote::JobSource::Materialized))
+/// and drop it — the registry never hands out the same generation twice.
 #[derive(Debug)]
 pub struct PreparedStream {
     /// The model this stream serves.
@@ -220,6 +237,8 @@ pub struct PreparedStream {
     /// The stream's [`stream_digest`], verified at acquire — the material
     /// handed out matches what the fill step garbled, bit for bit.
     pub digest: [u8; 16],
+    /// [`weights_digest`] of the registration the stream was garbled from.
+    pub registration: [u8; 16],
 }
 
 /// Typed fallback when no warm stream can serve the request: the caller
@@ -238,6 +257,8 @@ pub struct FallbackTicket {
     pub seed: u64,
     /// The model's weights (shared, immutable).
     pub weights: Arc<Vec<Vec<i64>>>,
+    /// [`weights_digest`] of those weights.
+    pub registration: [u8; 16],
 }
 
 /// What [`ModelRegistry::acquire`] hands back for a known model.
@@ -327,6 +348,8 @@ struct StockedStream {
 
 struct ModelEntry {
     weights: Arc<Vec<Vec<i64>>>,
+    /// [`weights_digest`] of `weights`.
+    registration: [u8; 16],
     epoch: u64,
     model_seed: u64,
     /// Next unused generation of the seed schedule.
@@ -467,11 +490,13 @@ impl ModelRegistry {
             });
         }
         check_model(&self.config, &weights)?;
+        let registration = weights_digest(&weights);
         let mut inner = self.lock();
         let epoch = inner.epoch;
         inner.epoch += 1;
         let entry = ModelEntry {
             weights: Arc::new(weights),
+            registration,
             epoch,
             model_seed: derive_seed(self.registry_seed, epoch),
             generation: 0,
@@ -502,10 +527,13 @@ impl ModelRegistry {
         self.lock().models.contains_key(&model_id)
     }
 
-    /// The model's weights (for inline fallback garbling and resume
-    /// re-garbles), if registered.
-    pub fn weights(&self, model_id: u64) -> Option<Arc<Vec<Vec<i64>>>> {
-        self.lock().models.get(&model_id).map(|e| e.weights.clone())
+    /// The model's weights and their [`weights_digest`] (for journaling
+    /// and resume re-garbles), if registered.
+    pub fn registration(&self, model_id: u64) -> Option<(Weights, [u8; 16])> {
+        self.lock()
+            .models
+            .get(&model_id)
+            .map(|e| (e.weights.clone(), e.registration))
     }
 
     /// The model's registry snapshot, if registered.
@@ -578,6 +606,7 @@ impl ModelRegistry {
                     seed: stream.seed,
                     job: stream.job,
                     digest: stream.digest,
+                    registration: entry.registration,
                 })));
             }
         }
@@ -588,6 +617,7 @@ impl ModelRegistry {
             generation,
             seed: derive_seed(entry.model_seed, generation),
             weights: entry.weights.clone(),
+            registration: entry.registration,
         }))
     }
 
@@ -1104,6 +1134,31 @@ mod tests {
         assert_eq!(second_ticket.generation, 0);
         assert_ne!(first_ticket.seed, second_ticket.seed);
         assert_eq!(reg.stats().models_replaced, 1);
+    }
+
+    #[test]
+    fn registration_digest_names_the_weights_not_the_epoch() {
+        let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
+        reg.register(4, demo_weights()).unwrap();
+        let (_, first) = reg.registration(4).unwrap();
+        assert_eq!(first, weights_digest(&demo_weights()));
+        let Some(Acquired::Starved(ticket)) = reg.acquire(4, 2) else {
+            panic!("matmul always falls back");
+        };
+        assert_eq!(ticket.registration, first);
+        // A re-PUT of the same matrix is the same registration to a
+        // checkpoint (new epoch, same digest); other weights are not.
+        reg.register(4, demo_weights()).unwrap();
+        assert_eq!(reg.registration(4).unwrap().1, first);
+        let mut other = demo_weights();
+        other[2][1] += 1;
+        reg.register(4, other).unwrap();
+        assert_ne!(reg.registration(4).unwrap().1, first);
+        // The width is folded too: one row of six is not two rows of three.
+        assert_ne!(
+            weights_digest(&[vec![1, 2, 3, 4, 5, 6]]),
+            weights_digest(&[vec![1, 2, 3], vec![4, 5, 6]])
+        );
     }
 
     #[test]

@@ -12,17 +12,20 @@
 //!              session thread  ──── submit ───▶  FairQueue (bounded,
 //!              (one per client)                  round-robin per session)
 //!                      ▲                                │
-//!                      │ MaterializedJob                ▼
-//!                      ├──────────────────────  UnitPool workers
-//!                      │                         (fill_stream on a modeled
-//!                      │ MaterializedJob          MAXelerator fabric)
-//!                      └── ModelRegistry stock ◀── the same fill_stream,
-//!                          (warm, single use)      run in pool idle time
+//!                      │ each element as it is          ▼
+//!                      │ garbled, then cycles    UnitPool workers
+//!                      ├──── (unbounded mpsc) ── (produce_elements on a
+//!                      │                          modeled MAXelerator fabric)
+//!                      │ MaterializedJob
+//!                      └── ModelRegistry stock ◀── fill_stream: the same
+//!                          (warm, single use)      producer, collected in
+//!                                                  pool idle time
 //! ```
 //!
-//! A job is served one way: resolve it to a stream — popped warm from a
-//! model's stock, or filled on the pool for a session-default job, a
-//! starved fallback or a RESUME — and stream that.
+//! A job is served one way: resolve it to a source of elements — a stream
+//! popped warm from a model's stock, or a pool unit garbling a
+//! session-default job, a starved fallback or a RESUME, which hands over
+//! each element as it is produced — and stream that.
 //!
 //! Everything is deterministic given the base seed: jobs carry derived
 //! seeds, so the garbled transcript is bit-identical whichever unit runs
@@ -47,7 +50,7 @@ use maxelerator::remote::derive_seed;
 pub use breaker::{Breaker, BreakerConfig};
 pub use journal::{Journal, JournalConfig, JournalError, ReplayReport};
 pub use resume::{ResumeRegistry, SessionCheckpoint};
-pub use scheduler::{IdleFill, JobRequest, JobResult, QueueFull, UnitPool};
+pub use scheduler::{IdleFill, JobRequest, QueueFull, UnitPool};
 pub use service::{listen_tcp, GcService, ServeConfig, ServeHandle, ServeStats};
 pub use session::{SessionSummary, MAX_JOB_COLUMNS};
 

@@ -3,10 +3,11 @@
 //! When a session dies mid-job, the session thread deposits a
 //! [`SessionCheckpoint`] here: the session's seed material plus OT-sender
 //! snapshots at the last two element boundaries. A reconnecting client's
-//! RESUME is validated against the checkpoint (token, job, shape, and a
-//! snapshot at exactly the client's rollback point); the job is then
-//! re-garbled from its original seed and streamed from that boundary, so
-//! the stitched transcript is bit-identical to an uninterrupted run.
+//! RESUME is validated against the checkpoint (token, job, shape, a
+//! snapshot at exactly the client's rollback point, and for a model job the
+//! registration it ran against); the job is then re-garbled from its
+//! original seed and streamed from that boundary, so the stitched
+//! transcript is bit-identical to an uninterrupted run.
 //!
 //! Two snapshots always suffice: the client checkpoints *before* each
 //! element and the server snapshots *after* each element, so the client's
@@ -41,7 +42,10 @@ use maxelerator::remote::derive_seed;
 pub struct SessionCheckpoint {
     /// The interrupted session's id (registry key).
     pub session_id: u64,
-    /// The session's resume secret (must be quoted back in RESUME).
+    /// The session's resume secret (must be quoted back in RESUME). For a
+    /// model job it is stored bound to the weights digest of the
+    /// registration the job ran against, so a RESUME after the model was
+    /// re-PUT with other weights fails the token check.
     pub resume_token: u64,
     /// The session's derived seed (later job seeds continue from it).
     pub session_seed: u64,
@@ -54,9 +58,11 @@ pub struct SessionCheckpoint {
     /// The job's original accelerator seed (deterministic re-garble).
     pub job_seed: u64,
     /// Prepared model the job ran against, if any. A resume re-garbles
-    /// from the *registry's* weights for this id (same `job_seed`, so the
-    /// material is bit-identical); if the model was evicted in the
-    /// meantime the resume is refused with `REJECT(resume)`.
+    /// from the *registry's* weights for this id under the same
+    /// `job_seed`, which reproduces the interrupted stream bit for bit only
+    /// while the id still holds the weights the job started with: if the
+    /// model was evicted or re-PUT with other weights since, the resume is
+    /// refused with `REJECT(resume)` (see `resume_token`).
     pub model_id: Option<u64>,
     /// `(elements_streamed, sender_state, transcript_digest)` snapshots at
     /// the most recent element boundaries, oldest first (at most two). The

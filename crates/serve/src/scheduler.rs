@@ -19,17 +19,18 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use max_telemetry::{Recorder, TraceContext};
-use maxelerator::remote::{fill_stream, MaterializedJob};
-use maxelerator::{AcceleratorConfig, AcceleratorError};
+use maxelerator::remote::{produce_elements, JobPiece};
+use maxelerator::AcceleratorConfig;
 
-/// One queued unit of work: garble a whole matvec/matmul job into the
-/// stream its session will serve.
+/// One queued unit of work: garble a matvec/matmul job into the stream its
+/// session is serving.
 #[derive(Clone, Debug)]
 pub struct JobRequest {
     /// Session that submitted the job (fairness key).
@@ -43,16 +44,15 @@ pub struct JobRequest {
     /// The matrix to garble: the session's default model, or a registry
     /// model's (a stock-exhausted fallback, a model RESUME).
     pub weights: Arc<Vec<Vec<i64>>>,
+    /// First element the session streams: a RESUME's rollback point, 0 for
+    /// a fresh job. Elements before it are garbled but not sent.
+    pub start_element: usize,
     /// Trace the submitting session carries. With a recorder attached, the
     /// worker records the job's `server/queue_wait` and `server/garble`
     /// durations as histograms, and as trace spans too when the context is
     /// traced.
     pub trace: TraceContext,
 }
-
-/// What a worker hands back for one job: the materialized stream, ready
-/// for the session thread to put on the wire.
-pub type JobResult = Result<MaterializedJob, AcceleratorError>;
 
 /// Typed rejection when the bounded queue cannot admit another job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +77,7 @@ enum Polled {
 
 struct QueuedJob {
     request: JobRequest,
-    reply: mpsc::Sender<JobResult>,
+    reply: mpsc::Sender<JobPiece>,
     enqueued: Instant,
 }
 
@@ -237,10 +237,19 @@ impl FairQueue {
 /// A fixed pool of garbling units draining a [`FairQueue`].
 ///
 /// Each worker owns nothing but its thread: jobs carry their own seed, and
-/// [`fill_stream`] — the same function a registry fill step runs — builds
-/// a fresh deterministic accelerator per job, so results are independent
-/// of which unit ran what (the property the transcript-parity tests rely
-/// on) and an inline job is exactly "fill one stream, serve it".
+/// [`produce_elements`] — the producer a registry fill step runs too —
+/// builds a fresh deterministic accelerator per job, so results are
+/// independent of which unit ran what (the property the transcript-parity
+/// tests rely on).
+///
+/// A unit sends each element down the job's reply channel the moment it is
+/// produced, then the job's fabric cycles (or its error), so the session
+/// streams element `k` while the unit garbles element `k + 1` — the
+/// paper's Figure 1 pipeline. The hand-off is an unbounded `mpsc` channel
+/// on purpose: a client that stalls mid-job can never block a unit, so a
+/// slow client holds at most one job's elements in memory, never a
+/// garbling unit. A unit whose session is gone (the receiver dropped)
+/// stops garbling at that element.
 pub struct UnitPool {
     queue: Arc<FairQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -262,9 +271,8 @@ impl UnitPool {
     /// the deterministic way to observe backpressure in tests. A
     /// `recorder`, when given, receives every job's `server/queue_wait`
     /// and `server/garble` phases (see [`Recorder::record_phase`]). An
-    /// `idle_fill`
-    /// hook, when given, is run whenever a unit finds the queue empty —
-    /// registry precompute during pool idle time.
+    /// `idle_fill` hook, when given, is run whenever a unit finds the queue
+    /// empty — registry precompute during pool idle time.
     ///
     /// # Panics
     ///
@@ -321,17 +329,26 @@ impl UnitPool {
                                 now,
                             );
                         }
-                        // The garble phase closes before the reply, so a
-                        // METRICS read after the job already counts it.
-                        let result = {
+                        let request = &job.request;
+                        let produced = {
                             let _garble_phase = recorder
                                 .as_ref()
                                 .map(|rec| rec.phase_span(trace, "server/garble"));
-                            let request = &job.request;
-                            fill_stream(&config, &request.weights, request.seed, request.columns)
+                            produce_elements(
+                                &config,
+                                &request.weights,
+                                request.seed,
+                                request.columns,
+                                request.start_element,
+                                |elem| match job.reply.send(JobPiece::Element(elem)) {
+                                    Ok(()) => ControlFlow::Continue(()),
+                                    Err(_) => ControlFlow::Break(()),
+                                },
+                            )
                         };
-                        // A session that died while queued is fine.
-                        let _ = job.reply.send(result);
+                        // The garble phase closes before the final piece, so
+                        // a METRICS read after the job already counts it.
+                        let _ = job.reply.send(JobPiece::Done(produced));
                     })
                     .ok()
             })
@@ -352,13 +369,14 @@ impl UnitPool {
         }
     }
 
-    /// Submits a job; the returned receiver yields the garbled stream.
+    /// Submits a job; the returned receiver yields its elements as they are
+    /// garbled, then [`JobPiece::Done`].
     ///
     /// # Errors
     ///
     /// [`QueueFull`] when the bounded queue cannot admit the job — the
     /// caller should reply BUSY with a retry hint, never block or buffer.
-    pub fn submit(&self, request: JobRequest) -> Result<mpsc::Receiver<JobResult>, QueueFull> {
+    pub fn submit(&self, request: JobRequest) -> Result<mpsc::Receiver<JobPiece>, QueueFull> {
         let (tx, rx) = mpsc::channel();
         self.queue.push(QueuedJob {
             request,
@@ -398,6 +416,7 @@ impl UnitPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxelerator::remote::{fill_stream, MaterializedElement};
 
     fn request_for(weights: Vec<Vec<i64>>, session_id: u64, job_id: u64) -> JobRequest {
         JobRequest {
@@ -406,8 +425,21 @@ mod tests {
             columns: 1,
             seed: 1,
             weights: Arc::new(weights),
+            start_element: 0,
             trace: TraceContext::none(),
         }
+    }
+
+    /// Drains a job's hand-off: its elements, then the final piece.
+    fn collect(pieces: mpsc::Receiver<JobPiece>) -> (Vec<MaterializedElement>, u64) {
+        let mut elements = Vec::new();
+        for piece in pieces {
+            match piece {
+                JobPiece::Element(elem) => elements.push(elem),
+                JobPiece::Done(cycles) => return (elements, cycles.unwrap()),
+            }
+        }
+        panic!("the unit dropped its hand-off without a final piece");
     }
 
     fn request(session_id: u64, job_id: u64) -> JobRequest {
@@ -474,16 +506,12 @@ mod tests {
         let pool = UnitPool::new(config, 2, 4, false, None, None);
         let rx_a = pool.submit(request_for(weights.clone(), 1, 0)).unwrap();
         let rx_b = pool.submit(request_for(weights, 2, 0)).unwrap();
-        let job_a = rx_a.recv().unwrap().unwrap();
-        let job_b = rx_b.recv().unwrap().unwrap();
-        assert_eq!(job_a.elements.len(), 2);
-        assert_eq!(job_a.rows_per_pass, 2);
-        assert!(job_a.fabric_cycles > 0);
+        let (elements_a, cycles_a) = collect(rx_a);
+        let (elements_b, _) = collect(rx_b);
+        assert_eq!(elements_a.len(), 2);
+        assert!(cycles_a > 0);
         // Same seed => bit-identical garbling regardless of which unit ran it.
-        assert_eq!(
-            job_a.elements[0].rounds_frame,
-            job_b.elements[0].rounds_frame
-        );
+        assert_eq!(elements_a, elements_b);
         pool.shutdown();
     }
 
@@ -493,8 +521,10 @@ mod tests {
         let pool = UnitPool::new(config.clone(), 1, 4, false, None, None);
         let model = vec![vec![7i64, -2], vec![3, 4]];
         let req = request_for(model.clone(), 1, 0);
-        let got = pool.submit(req).unwrap().recv().unwrap().unwrap();
-        assert_eq!(got, fill_stream(&config, &model, 1, 1).unwrap());
+        let (elements, cycles) = collect(pool.submit(req).unwrap());
+        let filled = fill_stream(&config, &model, 1, 1).unwrap();
+        assert_eq!(elements, filled.elements);
+        assert_eq!(cycles, filled.fabric_cycles);
         pool.shutdown();
     }
 
@@ -519,7 +549,7 @@ mod tests {
         assert!(fills.load(Ordering::SeqCst) >= 3, "idle hook never ran");
         // ...and still serves real jobs promptly.
         let rx = pool.submit(request(1, 0)).unwrap();
-        assert!(rx.recv_timeout(Duration::from_secs(5)).unwrap().is_ok());
+        assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
         pool.shutdown();
     }
 
@@ -533,7 +563,7 @@ mod tests {
             .recv_timeout(std::time::Duration::from_millis(50))
             .is_err());
         pool.resume();
-        assert!(rx.recv().unwrap().is_ok());
+        assert!(matches!(rx.recv().unwrap(), JobPiece::Element(_)));
         pool.shutdown();
     }
 }

@@ -203,7 +203,7 @@ impl ServiceShared {
     ) -> Result<ModelStatus, RegisterError> {
         let (status, _replaced) = self.registry.register(model_id, weights)?;
         if let Some(journal) = &self.journal {
-            if let Some(weights) = self.registry.weights(model_id) {
+            if let Some((weights, _)) = self.registry.registration(model_id) {
                 let _ = journal.append_model_put(model_id, &weights);
             }
         }

@@ -3,8 +3,9 @@
 //!
 //! One session = one client connection = one thread (blocking transports).
 //! The loop owns the transport and the session's OT sender state; garbling
-//! happens elsewhere, on the unit pool, so a slow client streaming rounds
-//! never occupies a garbling unit.
+//! happens elsewhere, on the unit pool, which hands each element over as it
+//! is produced through an unbounded channel — so a slow client streaming
+//! rounds never occupies a garbling unit.
 //!
 //! A connection opens with either HELLO (fresh session) or RESUME
 //! (reconnect into an interrupted job, validated against the
@@ -17,7 +18,6 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use max_crypto::TranscriptDigest;
@@ -26,14 +26,14 @@ use max_ot::iknp::{self, OtExtSender};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
-    derive_seed, recv_control, send_control, stream_materialized_job_from, ControlMsg,
-    MaterializedJob, PROTOCOL_VERSION, REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD,
-    REJECT_RESUME, REJECT_VERSION, REJECT_WIDTH, STREAM_DIGEST_MISMATCH,
+    derive_seed, recv_control, send_control, stream_materialized_job_from, ControlMsg, JobSource,
+    PROTOCOL_VERSION, REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME,
+    REJECT_VERSION, REJECT_WIDTH, STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
 
 use crate::resume::SessionCheckpoint;
-use crate::scheduler::{JobRequest, JobResult};
+use crate::scheduler::JobRequest;
 use crate::service::ServiceShared;
 
 /// Largest matmul a single job request may ask for (columns).
@@ -99,9 +99,9 @@ fn trace_instant(shared: &ServiceShared, trace: TraceContext, name: &str) {
     }
 }
 
-/// A JOB or RESUME resolved to what will be served: the stream, and the
-/// identity a [`SessionCheckpoint`] must record to rebuild it after a
-/// disconnect. Every way a job can arrive — warm stock, a starved fallback
+/// A JOB or RESUME resolved to what will be served: the element source,
+/// and the identity a [`SessionCheckpoint`] must record to rebuild it after
+/// a disconnect. Every way a job can arrive — warm stock, a starved fallback
 /// ticket, the session default, a checkpoint — ends in one of these, and
 /// `session_loop` serves it through its single [`stream_job_checkpointed`]
 /// call.
@@ -113,11 +113,12 @@ struct ResolvedJob {
     /// matrix); recorded in checkpoints so a RESUME re-garbles from the
     /// registry's weights.
     model_id: Option<u64>,
-    stream: MaterializedJob,
-    /// Fill-time digest of a prepared stream, re-verified (pipelined
-    /// behind READY) before any material frame leaves; `None` for
-    /// pool-garbled and resumed jobs, whose material was never cached.
-    expected_digest: Option<[u8; 16]>,
+    /// The model registration's weights digest, bound into the checkpoint
+    /// (see [`checkpoint_token`]).
+    registration: Option<[u8; 16]>,
+    /// Warm stock with its fill-time digest, or the hand-off of the pool
+    /// unit garbling the job right now.
+    source: JobSource,
     /// Where the exchange starts, and the transcript digest at that
     /// boundary: element zero and a fresh digest unless `resumed`.
     start_element: usize,
@@ -126,13 +127,18 @@ struct ResolvedJob {
     resumed: bool,
 }
 
-/// Waits for the unit pool's stream for an admitted job.
-fn await_stream(
-    result_rx: &mpsc::Receiver<JobResult>,
-) -> Result<MaterializedJob, AcceleratorError> {
-    result_rx.recv().map_err(|_| AcceleratorError::Protocol {
-        what: "unit pool shut down mid-job",
-    })?
+/// The resume token a checkpoint stores: the session's own for a
+/// session-default job, and for a model job the token bound to the
+/// registration the job ran against (XOR of both halves of its weights
+/// digest). A RESUME after the model was re-PUT with other weights then
+/// fails the token check exactly as a wrong token does, so a job is never
+/// re-garbled from weights it did not start with; the same weights give
+/// the same digest, across a restart too.
+fn checkpoint_token(resume_token: u64, registration: Option<&[u8; 16]>) -> u64 {
+    registration.map_or(resume_token, |digest| {
+        let digest = u128::from_le_bytes(*digest);
+        resume_token ^ digest as u64 ^ (digest >> 64) as u64
+    })
 }
 
 /// Turns a job away with BUSY, counted; the session stays usable.
@@ -164,7 +170,7 @@ fn window_checkpoint(
 ) -> SessionCheckpoint {
     SessionCheckpoint {
         session_id: ctx.session_id,
-        resume_token: ctx.resume_token,
+        resume_token: checkpoint_token(ctx.resume_token, job.registration.as_ref()),
         session_seed: ctx.session_seed,
         next_job: job.job_id + 1,
         job_id: job.job_id,
@@ -230,13 +236,12 @@ fn stream_job_checkpointed<T: Transport>(
     }
     let result = stream_materialized_job_from(
         transport,
-        &job.stream,
+        &job.source,
         ot_sender,
         &mut digest,
         job.job_id,
         ctx.trace,
         job.start_element,
-        job.expected_digest,
         |next, sender, boundary_digest| {
             snapshots.push_back((next, sender.clone(), boundary_digest.clone()));
             if snapshots.len() > 2 {
@@ -455,43 +460,47 @@ fn session_loop<T: Transport>(
         } => {
             summary.trace_id = trace.trace_id;
             // Resumes finish work already admitted: allowed while draining
-            // and while the breaker sheds new load.
+            // and while the breaker sheds new load. A model job re-garbles
+            // from the registry's weights with the checkpoint's seed, so it
+            // resumes only against the registration it ran on: an evicted
+            // model has none, and a re-PUT one fails the token check (see
+            // `checkpoint_token`) — the same refusal as unknown state.
+            let start_element = elements_done as usize;
             let checkpoint = shared.resume.lookup(resumed_id);
-            let valid = checkpoint.as_ref().is_some_and(|cp| {
-                cp.resume_token == resume_token
-                    && cp.job_id == job_id
-                    && cp.columns == columns
-                    && cp.snapshot_at(elements_done as usize).is_some()
+            let registration = checkpoint.as_ref().and_then(|cp| match cp.model_id {
+                None => Some((Arc::clone(&shared.weights), None)),
+                Some(model_id) => shared
+                    .registry
+                    .registration(model_id)
+                    .map(|(weights, digest)| (weights, Some(digest))),
             });
-            let Some(checkpoint) = checkpoint.filter(|_| valid) else {
+            let resumable =
+                checkpoint
+                    .zip(registration)
+                    .and_then(|(cp, (weights, registration))| {
+                        let valid = cp.resume_token
+                            == checkpoint_token(resume_token, registration.as_ref())
+                            && cp.job_id == job_id
+                            && cp.columns == columns;
+                        let (sender, digest) = cp.snapshot_at(start_element).filter(|_| valid)?;
+                        Some((sender.clone(), digest.clone(), weights, registration, cp))
+                    });
+            let Some((sender, digest, weights, registration, checkpoint)) = resumable else {
                 reject(transport, summary, REJECT_RESUME, 0)?;
                 return Ok(());
             };
             summary.session_id = resumed_id;
-            // A model job resumes by re-garbling from the registry's
-            // weights with the checkpoint's seed (bit-identical to the
-            // consumed stream). If the model was evicted since, the
-            // checkpoint is unservable — same refusal as unknown state.
-            let weights = match checkpoint.model_id {
-                None => Arc::clone(&shared.weights),
-                Some(model_id) => match shared.registry.weights(model_id) {
-                    Some(weights) => weights,
-                    None => {
-                        reject(transport, summary, REJECT_RESUME, 0)?;
-                        return Ok(());
-                    }
-                },
-            };
             let request = JobRequest {
                 session_id: resumed_id,
                 job_id,
                 columns,
                 seed: checkpoint.job_seed,
                 weights,
+                start_element,
                 trace,
             };
-            let result_rx = match shared.pool.submit(request) {
-                Ok(rx) => rx,
+            let pieces = match shared.pool.submit(request) {
+                Ok(pieces) => pieces,
                 Err(full) => {
                     // The checkpoint stays put; the client backs off and
                     // re-sends RESUME on its next connection.
@@ -505,20 +514,10 @@ fn session_loop<T: Transport>(
                     return Ok(());
                 }
             };
-            let start_element = elements_done as usize;
-            let Some((sender, digest)) = checkpoint
-                .snapshot_at(start_element)
-                .map(|(sender, digest)| (sender.clone(), digest.clone()))
-            else {
-                // Unreachable given `valid`, but never panic on peer input.
-                reject(transport, summary, REJECT_RESUME, 0)?;
-                return Ok(());
-            };
-            let stream = await_stream(&result_rx)?;
             let ctx = SessionCtx {
                 session_id: resumed_id,
                 session_seed: checkpoint.session_seed,
-                resume_token: checkpoint.resume_token,
+                resume_token,
                 next_job: checkpoint.next_job,
                 trace,
                 flight,
@@ -536,8 +535,8 @@ fn session_loop<T: Transport>(
                 columns,
                 job_seed: checkpoint.job_seed,
                 model_id: checkpoint.model_id,
-                stream,
-                expected_digest: None,
+                registration,
+                source: JobSource::Garbling(pieces),
                 start_element,
                 digest,
                 resumed: true,
@@ -621,6 +620,7 @@ fn next_job<T: Transport>(
                                 seed,
                                 job,
                                 digest,
+                                registration,
                             } = *stream;
                             let job_id = ctx.next_job;
                             ctx.next_job += 1;
@@ -639,8 +639,11 @@ fn next_job<T: Transport>(
                                 columns,
                                 job_seed: seed,
                                 model_id: Some(model_id),
-                                stream: job,
-                                expected_digest: Some(digest),
+                                registration: Some(registration),
+                                source: JobSource::Materialized {
+                                    job,
+                                    expected_digest: digest,
+                                },
                                 start_element: 0,
                                 digest: TranscriptDigest::new(),
                                 resumed: false,
@@ -680,16 +683,18 @@ fn next_job<T: Transport>(
                     || derive_seed(ctx.session_seed, 0x100 + job_id),
                     |ticket| ticket.seed,
                 );
+                let registration = ticket.as_ref().map(|ticket| ticket.registration);
                 let request = JobRequest {
                     session_id: ctx.session_id,
                     job_id,
                     columns,
                     seed: job_seed,
                     weights: ticket.map_or_else(|| Arc::clone(&shared.weights), |t| t.weights),
+                    start_element: 0,
                     trace: ctx.trace,
                 };
                 match shared.pool.submit(request) {
-                    Ok(result_rx) => {
+                    Ok(pieces) => {
                         shared.breaker.note_ok();
                         ctx.next_job += 1;
                         if let Some(id) = model_id {
@@ -702,8 +707,8 @@ fn next_job<T: Transport>(
                             columns,
                             job_seed,
                             model_id,
-                            stream: await_stream(&result_rx)?,
-                            expected_digest: None,
+                            registration,
+                            source: JobSource::Garbling(pieces),
                             start_element: 0,
                             digest: TranscriptDigest::new(),
                             resumed: false,

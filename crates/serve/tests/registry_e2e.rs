@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use max_gc::channel::seal_frame;
-use max_gc::FramedTcp;
+use max_gc::{FaultSpec, FaultTransport, FramedTcp};
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, Acquired, GcService, JournalConfig,
     ModelRegistry, RecordingTransport, RegistryConfig, ServeConfig,
@@ -36,6 +36,14 @@ fn demo_service(mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
     let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
     mutate(&mut cfg);
     GcService::start(cfg)
+}
+
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -419,6 +427,101 @@ fn models_replay_from_journal_across_restart() {
     client.goodbye();
     let stats = service.shutdown();
     assert_eq!(stats.sessions_errored, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Handshake + job admission (HELLO, ACCEPT, JOB, READY) and the frame
+/// events of one element (EXT, CIPHER, ROUNDS), as the client counts them.
+const HANDSHAKE_EVENTS: u64 = 4;
+const EVENTS_PER_ELEMENT: u64 = 3;
+
+/// Starts a one-column job against `handle` and cuts its connection partway
+/// through element 2 (EXT and CIPHER delivered, ROUNDS lost), then waits
+/// for the server to checkpoint it. Returns the interrupted session and job.
+fn cut_model_job_at_element_2(
+    service: &GcService,
+    handle: ModelHandle,
+    x: &[i64],
+) -> (maxelerator::SessionState, maxelerator::JobProgress) {
+    let before = service.stats().checkpoints_saved;
+    let fault = FaultTransport::new(
+        service.connect(),
+        FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + 2 * EVENTS_PER_ELEMENT + 2),
+    );
+    let mut client = RemoteClient::connect(fault, WIDTH).expect("handshake");
+    let mut progress = client
+        .start_model_job(handle, &[x.to_vec()])
+        .expect("job admitted");
+    client
+        .run_job(&mut progress)
+        .expect_err("the cut must kill the run");
+    assert_eq!(progress.elements_done(), 2);
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    wait_until("the checkpoint", || {
+        service.stats().checkpoints_saved > before
+    });
+    (state, progress)
+}
+
+/// A model job resumes by re-garbling from the registry's weights under
+/// the checkpoint's seed. After a re-PUT of the same id with other weights
+/// that would return rows of both matrices — and garble the old labels
+/// under new weights — so the RESUME is refused like an unknown one, and a
+/// fresh job gets the new model's product.
+#[test]
+fn a_model_job_does_not_resume_across_a_re_put() {
+    let service = demo_service(|cfg| cfg.registry_target_stock = 0);
+    let old = model_weights(4, 3, 0x01d);
+    let new = model_weights(4, 3, 0x9e3);
+    assert_ne!(old, new);
+    let handle = service.put_model(7, old).expect("put").handle();
+    let x = demo_vector(3, WIDTH, SEED ^ 0x7e);
+    let (state, mut progress) = cut_model_job_at_element_2(&service, handle, &x);
+
+    service.put_model(7, new.clone()).expect("re-put");
+    let mut client = RemoteClient::reattach(service.connect(), state);
+    match client.resume_job(&mut progress) {
+        Err(AcceleratorError::Rejected { reason }) => {
+            assert!(reason.contains("resume"), "unexpected reason: {reason}")
+        }
+        other => panic!("a RESUME across a re-PUT must be refused, got {other:?}"),
+    }
+
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let (ys, _) = client
+        .secure_matmul_model(handle, std::slice::from_ref(&x))
+        .expect("restarted job");
+    assert_eq!(ys[0], plain_matvec(&new, &x));
+    client.goodbye();
+    let stats = service.shutdown();
+    assert_eq!(stats.jobs_resumed, 0);
+}
+
+/// The registration a checkpoint is bound to is a digest of the weights,
+/// not a registry epoch, so a model job still resumes after a restart that
+/// replays the same model from the journal.
+#[test]
+fn a_model_job_resumes_across_a_restart() {
+    let dir = temp_dir("model-resume");
+    let weights = model_weights(4, 3, 0x5a);
+    let x = demo_vector(3, WIDTH, SEED ^ 0x5b);
+    let (state, mut progress) = {
+        let service = journaled_service(&dir, |cfg| cfg.registry_target_stock = 0);
+        let handle = service.put_model(9, weights.clone()).expect("put").handle();
+        let interrupted = cut_model_job_at_element_2(&service, handle, &x);
+        service.shutdown();
+        interrupted
+    };
+
+    let service = journaled_service(&dir, |cfg| cfg.registry_target_stock = 0);
+    let mut client = RemoteClient::reattach(service.connect(), state);
+    client.resume_job(&mut progress).expect("RESUME accepted");
+    client.run_job(&mut progress).expect("resumed run");
+    let (ys, _) = progress.into_result();
+    assert_eq!(ys[0], plain_matvec(&weights, &x));
+    client.goodbye();
+    assert_eq!(service.shutdown().jobs_resumed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -204,6 +204,42 @@ fn overload_returns_typed_busy_and_recovers() {
     assert_eq!(stats.sessions_errored, 0);
 }
 
+/// A unit hands a job's elements to its session through an unbounded
+/// channel, so a client that takes READY and then goes silent leaves at
+/// most its job's elements in memory, never a garbling unit blocked on it:
+/// with one unit, a second session's job still completes.
+#[test]
+fn a_stalled_client_never_holds_a_garbling_unit() {
+    let service = demo_service(|cfg| cfg.workers = 1);
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+
+    let mut stalled = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let xs: Vec<Vec<i64>> = (0..4u64)
+        .map(|j| demo_vector(COLS, WIDTH, SEED ^ (j << 5)))
+        .collect();
+    let _ready = stalled.start_job(&xs).expect("READY");
+
+    let transport = service.connect();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let other = std::thread::spawn(move || {
+        let mut client = RemoteClient::connect(transport, WIDTH).expect("handshake");
+        let x = demo_vector(COLS, WIDTH, SEED ^ 0xB0B);
+        let result = client.secure_matvec(&x);
+        client.goodbye();
+        let _ = done_tx.send((x, result));
+    });
+    let (x, result) = done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a stalled client must not hold the only garbling unit");
+    let (y, _) = result.expect("second session's job");
+    assert_eq!(y, plain_matvec(&weights, &x));
+    other.join().expect("second session");
+
+    drop(stalled);
+    let stats = service.shutdown();
+    assert_eq!(stats.jobs_completed, 1);
+}
+
 #[test]
 #[should_panic(expected = "weight [0][1] = 200 exceeds the operand width")]
 fn default_model_the_garbler_cannot_encode_is_refused_at_start() {
