@@ -296,12 +296,15 @@ impl JobSource {
 ///
 /// The exchange starts at `start_element` (elements before it were already
 /// streamed on an earlier connection) and calls `on_element(next_element,
-/// ot_sender, digest)` once per element, after the OT and digest state
-/// advance but *before* the element's CIPHER/ROUNDS frames go out — the
-/// hook where a serving layer snapshots (and durably journals) the OT
-/// sender and the transcript digest for round checkpoints. The
-/// write-before-send ordering guarantees a journal is never behind the
-/// client's observed progress, whatever instant the process dies.
+/// ot_sender, digest)` at every element boundary it passes: once for
+/// `start_element` when the first piece is in hand, just before READY, and
+/// then once per element, after the OT and digest state advance but
+/// *before* the element's CIPHER/ROUNDS frames go out — the hook where a
+/// serving layer snapshots (and durably journals) the OT sender and the
+/// transcript digest for round checkpoints. The write-before-send ordering
+/// guarantees a journal is never behind the client's observed progress,
+/// whatever instant the process dies; a source that fails before READY
+/// calls the hook never, so there is nothing to checkpoint.
 ///
 /// The caller must hand in an `ot_sender` and `digest` whose states match
 /// `start_element` (for a resume: the snapshots taken at that boundary —
@@ -319,8 +322,8 @@ impl JobSource {
 ///
 /// Propagates transport failures, protocol violations and the source's
 /// garbling errors; on any error the session should be torn down (the OT
-/// state is no longer aligned) or checkpointed for RESUME from the last
-/// `on_element` snapshot.
+/// state is no longer aligned) or, if `on_element` was called, checkpointed
+/// for RESUME from its last snapshot.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     transport: &mut T,
@@ -334,6 +337,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
 ) -> Result<(), AcceleratorError> {
     let mut idx = start_element;
     let mut next = source.next(idx)?;
+    on_element(idx, ot_sender, digest);
     send_control(transport, &ControlMsg::Ready { job_id })?;
     if let JobSource::Materialized {
         job,

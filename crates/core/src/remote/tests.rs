@@ -563,7 +563,7 @@ fn a_source_that_fails_before_its_first_element_sends_no_ready() {
             0,
             TraceContext::none(),
             0,
-            |_, _, _| {},
+            |_, _, _| panic!("no boundary is passed before the first element"),
         )
         .unwrap_err();
         assert!(

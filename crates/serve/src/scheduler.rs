@@ -549,7 +549,12 @@ mod tests {
         assert!(fills.load(Ordering::SeqCst) >= 3, "idle hook never ran");
         // ...and still serves real jobs promptly.
         let rx = pool.submit(request(1, 0)).unwrap();
-        assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
+        assert!(matches!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(JobPiece::Element(_))
+        ));
+        let (_, cycles) = collect(rx);
+        assert!(cycles > 0);
         pool.shutdown();
     }
 

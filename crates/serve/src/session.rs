@@ -211,7 +211,8 @@ fn journal_remove(shared: &ServiceShared, session_id: u64) {
 /// Streams one job under the per-step deadline, snapshotting the OT sender
 /// at each element boundary; every boundary is journaled (durable) and on
 /// failure the final window is deposited in the in-memory registry,
-/// covering the client's two possible rollback points.
+/// covering the client's two possible rollback points. A job whose source
+/// fails before READY passed no boundary: it fails with no checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     summary: &mut SessionSummary,
@@ -227,10 +228,6 @@ fn stream_job_checkpointed<T: Transport>(
     let mut snapshots: VecDeque<(usize, OtExtSender, TranscriptDigest)> =
         VecDeque::with_capacity(3);
     let mut digest = job.digest.clone();
-    snapshots.push_back((job.start_element, ot_sender.clone(), digest.clone()));
-    // The pre-job boundary goes to disk before READY: a crash anywhere in
-    // the exchange now has a durable floor to resume from.
-    journal_window(shared, ctx, job, &snapshots);
     if shared.step_timeout.is_some() {
         transport.set_idle_timeout(shared.step_timeout);
     }
@@ -242,6 +239,8 @@ fn stream_job_checkpointed<T: Transport>(
         job.job_id,
         ctx.trace,
         job.start_element,
+        // The first call is the pre-job boundary, before READY: a crash
+        // anywhere in the exchange then has a durable floor to resume from.
         |next, sender, boundary_digest| {
             snapshots.push_back((next, sender.clone(), boundary_digest.clone()));
             if snapshots.len() > 2 {
@@ -258,6 +257,8 @@ fn stream_job_checkpointed<T: Transport>(
             journal_remove(shared, ctx.session_id);
             Ok(())
         }
+        // READY never went out: nothing to resume, nothing journaled.
+        Err(err) if snapshots.is_empty() => Err(err),
         Err(err) => {
             if matches!(err, AcceleratorError::Integrity { .. }) {
                 shared.integrity_rejects.fetch_add(1, Ordering::Relaxed);
