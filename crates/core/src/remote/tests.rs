@@ -599,6 +599,49 @@ fn stream_digest_value_is_pinned() {
 }
 
 #[test]
+fn garbled_bytes_are_pinned() {
+    // Recorded from the schedule-walk garbler: any rewrite of how tables
+    // are garbled must leave every table, label and fabric count as is.
+    let weights = |offset: i64| -> Vec<Vec<i64>> {
+        (0..4i64)
+            .map(|r| {
+                (0..8i64)
+                    .map(|c| (r * 8 + c) * 7 % 256 - 128 + offset)
+                    .collect()
+            })
+            .collect()
+    };
+    for (config, offset, cycles, digest) in [
+        (
+            AcceleratorConfig::new(8),
+            0,
+            4056,
+            0xa6ea_7c62_33e7_f940_baa4_7c9e_c426_decf_u128,
+        ),
+        (
+            AcceleratorConfig::new(8).unsigned(),
+            128,
+            3592,
+            0x5bb8_8486_b0f0_4c78_a2d6_222e_c6a3_47a2,
+        ),
+        (
+            AcceleratorConfig::new(16),
+            0,
+            12000,
+            0x7429_7ebe_1981_93fc_31eb_4250_f16a_40ce,
+        ),
+    ] {
+        let job = fill_stream(&config, &weights(offset), 0x5eed, 2).unwrap();
+        assert_eq!(job.fabric_cycles, cycles, "{config:?}");
+        assert_eq!(
+            u128::from_be_bytes(stream_digest(&job)),
+            digest,
+            "{config:?}"
+        );
+    }
+}
+
+#[test]
 fn stream_digest_sees_swaps_and_truncations() {
     let job = small_stream();
     let clean = stream_digest(&job);
