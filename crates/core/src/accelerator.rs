@@ -1,17 +1,20 @@
-//! The cycle-accurate MAXelerator pipeline: schedule-driven garbling with
+//! The cycle-accurate MAXelerator pipeline: half-gates garbling with
 //! on-chip label generation, BRAM table buffering and PCIe drainage.
 //!
 //! Every garbled table the simulation emits is a *real* half-gates table;
 //! [`ScheduledEvaluator`] (the client side) decrypts them and recovers exact
-//! MAC results. Cycle counts come from walking the compiled [`Schedule`]
-//! slot by slot.
+//! MAC results. A job's two halves run apart: each round is garbled level
+//! by level ([`max_gc::garble_levels`]) as soon as its input labels are
+//! drawn — a table is a pure function of its labels, Δ and tweak, so the
+//! order of garbling cannot change a byte — and cycle counts come from
+//! walking the compiled [`Schedule`] slot by slot, a walk that only counts.
 
 use std::sync::Arc;
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
 use max_fpga::{Clock, MemorySystem, PcieLink};
-use max_gc::{evaluate_levels, garble_and_batch, BatchScratch, Delta, GarbledTable};
-use max_netlist::{decode_signed, decode_unsigned, GateKind, MacCircuit};
+use max_gc::{evaluate_levels, garble_levels, BatchScratch, Delta, GarbledTable};
+use max_netlist::{decode_signed, decode_unsigned, MacCircuit};
 use max_rng::LabelGenerator;
 
 use crate::config::AcceleratorConfig;
@@ -22,18 +25,6 @@ use crate::timing::TimingModel;
 /// Per-gate tweak: unique across (element, round, gate).
 fn table_tweak(elem: u32, round: u32, gate_idx: u32) -> Tweak {
     Tweak::new(elem, round, 0, gate_idx, 0)
-}
-
-/// One AND slot awaiting its cycle's batched garble: resolved input labels
-/// plus the bookkeeping needed to write the result back.
-struct PendingSlot {
-    a0: Block,
-    b0: Block,
-    tweak: Tweak,
-    round: usize,
-    out_wire: usize,
-    gate: u32,
-    core: usize,
 }
 
 /// Derives the label-stream seed of one output element from the server's
@@ -146,14 +137,11 @@ pub struct Maxelerator {
     elem: u32,
     /// OT pairs per absolute round of the current element.
     eval_pairs: std::collections::HashMap<u32, Vec<(Block, Block)>>,
-    /// Ordinal of each netlist gate among the AND gates.
-    and_ordinal: Vec<Option<u32>>,
-    /// Producing gate of each wire (for free-cone resolution).
-    producer: Vec<Option<u32>>,
-    /// For accumulator-input wires: their position in the state range.
-    acc_pos_of_wire: Vec<Option<u32>>,
-    /// Output wire index per accumulator position.
-    output_wires: Vec<usize>,
+    /// Zero-label per wire, reused across rounds: every wire is an input
+    /// (rewritten each round) or a gate output (written before it is read).
+    wires: Vec<Block>,
+    and_gates: usize,
+    scratch: BatchScratch,
     report: AcceleratorReport,
     label_pool: std::collections::VecDeque<Block>,
 }
@@ -180,25 +168,10 @@ impl Maxelerator {
         .cores();
         let mut labels = LabelGenerator::new(element_label_seed(seed, 0), config.bit_width.max(4));
         let delta = Delta::from_block(labels.next_label());
-        let mut and_ordinal = vec![None; mac.netlist().gates().len()];
-        let mut producer = vec![None; mac.netlist().wire_count()];
-        let mut next = 0u32;
-        for (i, gate) in mac.netlist().gates().iter().enumerate() {
-            if gate.kind == GateKind::And {
-                and_ordinal[i] = Some(next);
-                next += 1;
-            }
-            producer[gate.out.index()] = Some(i as u32);
-        }
-        let mut acc_pos_of_wire = vec![None; mac.netlist().wire_count()];
-        for (offset, wire) in mac.netlist().garbler_inputs()[config.state_range()]
-            .iter()
-            .enumerate()
-        {
-            acc_pos_of_wire[wire.index()] = Some(offset as u32);
-        }
-        let output_wires: Vec<usize> = mac.netlist().outputs().iter().map(|w| w.index()).collect();
         Maxelerator {
+            wires: vec![Block::ZERO; mac.netlist().wire_count()],
+            and_gates: mac.netlist().stats().and_gates,
+            scratch: BatchScratch::default(),
             hash: FixedKeyHash::new(),
             memory: MemorySystem::new(cores, 1 << 20),
             pcie: PcieLink::new(256, 16),
@@ -213,10 +186,6 @@ impl Maxelerator {
             round: 0,
             elem: 0,
             eval_pairs: std::collections::HashMap::new(),
-            and_ordinal,
-            producer,
-            acc_pos_of_wire,
-            output_wires,
             report: AcceleratorReport::default(),
             label_pool: std::collections::VecDeque::new(),
         }
@@ -256,25 +225,17 @@ impl Maxelerator {
     /// is how every driver — in-process servers, unit banks, the served
     /// job producer — turns a row into an element, so they cannot drift.
     ///
-    /// # Errors
-    ///
-    /// See [`Maxelerator::try_garble_job`].
-    ///
     /// # Panics
     ///
     /// Panics if `row` is empty or a weight does not fit the bit-width.
-    pub fn garble_element(
-        &mut self,
-        elem: u32,
-        row: &[i64],
-    ) -> Result<GarbledRow, AcceleratorError> {
+    pub fn garble_element(&mut self, elem: u32, row: &[i64]) -> GarbledRow {
         self.begin_element(elem);
-        let messages = self.try_garble_job(row, true)?;
-        let mut pairs = Vec::with_capacity(row.len() * self.config.bit_width);
-        for msg in &messages {
-            pairs.extend_from_slice(self.ot_pairs(msg.round)?);
-        }
-        Ok(GarbledRow { messages, pairs })
+        let messages = self.garble_job(row, true);
+        let pairs = messages
+            .iter()
+            .flat_map(|msg| self.eval_pairs[&msg.round].iter().copied())
+            .collect();
+        GarbledRow { messages, pairs }
     }
 
     /// Garbles one MAC round for server input `a`.
@@ -296,39 +257,14 @@ impl Maxelerator {
     ///
     /// # Panics
     ///
-    /// Panics if `a_elems` is empty, any element does not fit, or the
-    /// compiled schedule violates its own dependency order (an internal
-    /// bug, never reachable from peer input).
-    pub fn garble_job(&mut self, a_elems: &[i64], last: bool) -> Vec<RoundMessage> {
-        self.try_garble_job(a_elems, last)
-            .expect("compiled schedule satisfies its own dependencies")
-    }
-
-    /// Fallible form of [`Maxelerator::garble_job`]: reports schedule
-    /// violations and unresolvable wires as [`AcceleratorError`] instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcceleratorError::ScheduleViolation`] or
-    /// [`AcceleratorError::UnresolvedWire`] if the compiled schedule would
-    /// read a label before it exists.
-    ///
-    /// # Panics
-    ///
     /// Panics if `a_elems` is empty or any element does not fit the
     /// configured bit-width (caller errors, not peer input).
-    pub fn try_garble_job(
-        &mut self,
-        a_elems: &[i64],
-        last: bool,
-    ) -> Result<Vec<RoundMessage>, AcceleratorError> {
+    pub fn garble_job(&mut self, a_elems: &[i64], last: bool) -> Vec<RoundMessage> {
         assert!(!a_elems.is_empty(), "job needs at least one round");
         let rounds = a_elems.len();
         let mac = Arc::clone(&self.mac);
         let netlist = mac.netlist();
         let schedule = Schedule::shared(&self.config, self.cores, rounds);
-        let n_wires = netlist.wire_count();
         let b = self.config.bit_width;
         let first_round_abs = self.round;
 
@@ -339,18 +275,14 @@ impl Maxelerator {
         // ≤ b/2 labels per cycle; the pool is pre-filled for the first round
         // (pipeline fill).
         let consts = netlist.constants().len();
-        let mut needed: u64 = (rounds * (2 * b + consts)) as u64;
-        if self.carried_zero.is_none() {
-            needed += self.config.acc_width as u64;
-        }
+        let init_acc = if self.carried_zero.is_none() {
+            self.config.acc_width
+        } else {
+            0
+        };
+        let needed = (rounds * (2 * b + consts) + init_acc) as u64;
         let per_cycle = (b / 2).max(1);
-        let first_need = (2 * b
-            + consts
-            + if self.carried_zero.is_none() {
-                self.config.acc_width
-            } else {
-                0
-            }) as u64;
+        let first_need = (2 * b + consts + init_acc) as u64;
         while (self.label_pool.len() as u64) < first_need {
             let burst = self.labels.clock(per_cycle);
             self.report.labels_generated += burst.len() as u64;
@@ -361,13 +293,15 @@ impl Maxelerator {
         let mut remaining_to_generate = needed.saturating_sub(self.label_pool.len() as u64);
 
         // ------------------------------------------------------------------
-        // Per-round label tables, filled lazily as the schedule executes.
-        let mut zero: Vec<Vec<Option<Block>>> = Vec::with_capacity(rounds);
-        let mut a_labels_out: Vec<Vec<Block>> = Vec::with_capacity(rounds);
-        let mut init_acc_out: Option<Vec<Block>> = None;
-        let mut pairs_per_round: Vec<Vec<(Block, Block)>> = Vec::with_capacity(rounds);
+        // Garbling, round by round as soon as the round's labels are drawn.
+        // Draw order per round: the fresh garbler inputs, the initial
+        // accumulator (element start only), the constants, the evaluator
+        // inputs. The accumulator inputs of a later round are the previous
+        // round's output labels — the shift-register carry.
+        let state = self.config.state_range();
+        let mut messages = Vec::with_capacity(rounds);
         for (r, &a) in a_elems.iter().enumerate() {
-            let mut wires = vec![None; n_wires];
+            let abs_round = first_round_abs + r as u32;
             let a_bits = if self.config.signed {
                 max_netlist::encode_signed(a, b)
             } else {
@@ -375,62 +309,81 @@ impl Maxelerator {
             };
             let mut sent = Vec::with_capacity(b + consts);
             for (pos, wire) in netlist.garbler_inputs().iter().enumerate() {
-                if self.config.state_range().contains(&pos) {
+                if state.contains(&pos) {
                     continue;
                 }
                 let z = self.pool_label();
-                wires[wire.index()] = Some(z);
+                self.wires[wire.index()] = z;
                 let bit = a_bits[pos];
                 sent.push(if bit { self.delta.one_label(z) } else { z });
             }
-            // Accumulator: carried from the previous round / element start.
-            if r == 0 {
-                match self.carried_zero.take() {
-                    Some(labels) => {
-                        for (offset, wire) in netlist.garbler_inputs()[self.config.state_range()]
-                            .iter()
-                            .enumerate()
-                        {
-                            wires[wire.index()] = Some(labels[offset]);
-                        }
+            let acc_wires = &netlist.garbler_inputs()[state.clone()];
+            let init_acc_labels = match &self.carried_zero {
+                Some(carried) => {
+                    for (wire, &label) in acc_wires.iter().zip(carried) {
+                        self.wires[wire.index()] = label;
                     }
-                    None => {
-                        // Fresh labels; initial value 0 ⇒ active = zero-label.
-                        let mut init = Vec::with_capacity(self.config.acc_width);
-                        for wire in &netlist.garbler_inputs()[self.config.state_range()] {
-                            let z = self.pool_label();
-                            wires[wire.index()] = Some(z);
-                            init.push(z);
-                        }
-                        init_acc_out = Some(init);
-                    }
+                    None
                 }
-            }
+                None => {
+                    // Fresh labels; initial value 0 ⇒ active = zero-label.
+                    let mut init = Vec::with_capacity(acc_wires.len());
+                    for wire in acc_wires {
+                        let z = self.pool_label();
+                        self.wires[wire.index()] = z;
+                        init.push(z);
+                    }
+                    Some(init)
+                }
+            };
             // Constants: garbler-known bits.
             for &(wire, value) in netlist.constants() {
                 let z = self.pool_label();
-                wires[wire.index()] = Some(z);
+                self.wires[wire.index()] = z;
                 sent.push(if value { self.delta.one_label(z) } else { z });
             }
             // Evaluator (`x`) labels: fresh pair per bit, delivered via OT.
             let mut pairs = Vec::with_capacity(b);
             for wire in netlist.evaluator_inputs() {
                 let z = self.pool_label();
-                wires[wire.index()] = Some(z);
+                self.wires[wire.index()] = z;
                 pairs.push((z, self.delta.one_label(z)));
             }
-            pairs_per_round.push(pairs);
-            a_labels_out.push(sent);
-            zero.push(wires);
+            self.eval_pairs.insert(abs_round, pairs);
+
+            let mut tables = vec![GarbledTable::default(); self.and_gates];
+            let elem = self.elem;
+            garble_levels(
+                &self.hash,
+                self.delta,
+                netlist,
+                |and| table_tweak(elem, abs_round, and.gate),
+                &mut self.wires,
+                &mut tables,
+                &mut self.scratch,
+            );
+            let carried = self.carried_zero.get_or_insert_with(Vec::new);
+            carried.clear();
+            carried.extend(netlist.outputs().iter().map(|w| self.wires[w.index()]));
+            messages.push(RoundMessage {
+                elem,
+                round: abs_round,
+                tables,
+                a_labels: sent,
+                init_acc_labels,
+                decode: None,
+            });
+        }
+        if last {
+            let carried = self.carried_zero.as_ref().expect("a round was garbled");
+            messages[rounds - 1].decode = Some(carried.iter().map(|z| z.lsb()).collect());
         }
 
         // ------------------------------------------------------------------
-        // Walk the schedule cycle by cycle, garbling one table per busy core.
-        let n_ands = netlist.stats().and_gates;
-        let mut tables: Vec<Vec<Option<GarbledTable>>> = vec![vec![None; n_ands]; rounds];
-        let mut assignment_iter = schedule.assignments().iter().peekable();
-        let total_cycles = schedule.stats().cycles;
-        for cycle in 0..total_cycles {
+        // Fabric accounting: walk the schedule cycle by cycle, one BRAM
+        // table write per busy core.
+        let mut slots = schedule.assignments().iter().peekable();
+        for cycle in 0..schedule.stats().cycles {
             // Keep the label generator pumping (power-gated to the deficit).
             if remaining_to_generate > 0 {
                 let demand = (remaining_to_generate.min(per_cycle as u64)) as usize;
@@ -442,48 +395,12 @@ impl Maxelerator {
                 // Fully power-gated cycle.
                 self.labels.clock(0);
             }
-            // All slots of one cycle ran on distinct cores in the same clock
-            // tick, so their input labels are (almost always) independent of
-            // each other: garble the whole cycle with one batched AES sweep.
-            // If a slot's free cone does read a same-cycle AND output, the
-            // resolve-retry in `resolve_for_batch` flushes first, preserving
-            // the exact gate-at-a-time semantics.
-            let mut pending: Vec<PendingSlot> = Vec::new();
-            while let Some(slot) = assignment_iter.peek() {
-                if slot.cycle != cycle {
-                    break;
+            while let Some(slot) = slots.next_if(|slot| slot.cycle == cycle) {
+                if !self.memory.write(slot.core, GarbledTable::WIRE_BYTES) {
+                    self.report.bram_would_stall += 1;
                 }
-                let slot = *assignment_iter.next().expect("peeked");
-                let r = slot.round as usize;
-                let gate = netlist.gates()[slot.gate as usize];
-                let a0 = self.resolve_for_batch(
-                    netlist,
-                    &mut zero,
-                    &mut pending,
-                    &mut tables,
-                    r,
-                    gate.a.index(),
-                )?;
-                let b0 = self.resolve_for_batch(
-                    netlist,
-                    &mut zero,
-                    &mut pending,
-                    &mut tables,
-                    r,
-                    gate.b.index(),
-                )?;
-                let tweak = table_tweak(self.elem, first_round_abs + slot.round, slot.gate);
-                pending.push(PendingSlot {
-                    a0,
-                    b0,
-                    tweak,
-                    round: r,
-                    out_wire: gate.out.index(),
-                    gate: slot.gate,
-                    core: slot.core,
-                });
+                self.report.tables += 1;
             }
-            self.flush_garbles(&mut pending, &mut zero, &mut tables);
             self.memory.end_cycle();
             self.clock.tick();
             self.tick_io();
@@ -494,34 +411,6 @@ impl Maxelerator {
             self.tick_io();
         }
 
-        // ------------------------------------------------------------------
-        // Collect outputs: carried accumulator labels and round messages.
-        let outputs: Vec<usize> = netlist.outputs().iter().map(|w| w.index()).collect();
-        let out_zero: Vec<Block> = outputs
-            .iter()
-            .map(|&w| self.resolve(netlist, &mut zero, rounds - 1, w))
-            .collect::<Result<_, _>>()?;
-        let decode: Vec<bool> = out_zero.iter().map(|z| z.lsb()).collect();
-        self.carried_zero = Some(out_zero);
-
-        let mut messages = Vec::with_capacity(rounds);
-        for (r, round_tables) in tables.into_iter().enumerate() {
-            let abs_round = first_round_abs + r as u32;
-            self.eval_pairs
-                .insert(abs_round, pairs_per_round[r].clone());
-            let msg = RoundMessage {
-                elem: self.elem,
-                round: abs_round,
-                tables: round_tables
-                    .into_iter()
-                    .map(|t| t.expect("all gates garbled"))
-                    .collect(),
-                a_labels: a_labels_out[r].clone(),
-                init_acc_labels: if r == 0 { init_acc_out.take() } else { None },
-                decode: (last && r == rounds - 1).then_some(decode.clone()),
-            };
-            messages.push(msg);
-        }
         self.round = first_round_abs + rounds as u32;
         self.report.rounds += rounds as u64;
         self.report.cycles = self.clock.cycles();
@@ -544,57 +433,28 @@ impl Maxelerator {
             pcie_bytes: self.report.pcie_pushed_bytes,
             cycles: self.report.cycles,
         };
-        Ok(messages)
+        messages
     }
 
-    /// [`Maxelerator::resolve`] with one retry: a same-cycle producer may
-    /// still sit in the pending batch, so flush it and resolve again before
-    /// reporting a real schedule violation.
-    fn resolve_for_batch(
+    /// [`Maxelerator::garble_job`] in the `Result` form outside callers
+    /// (the benchmark's layer probes) are written against.
+    ///
+    /// # Errors
+    ///
+    /// None: each round is garbled in its netlist's level order, so no
+    /// label is read before it exists, and the fabric walk only counts
+    /// (`schedule::tests::dependencies_respected` guards the schedule it
+    /// counts).
+    ///
+    /// # Panics
+    ///
+    /// As [`Maxelerator::garble_job`].
+    pub fn try_garble_job(
         &mut self,
-        netlist: &max_netlist::Netlist,
-        zero: &mut [Vec<Option<Block>>],
-        pending: &mut Vec<PendingSlot>,
-        tables: &mut [Vec<Option<GarbledTable>>],
-        round: usize,
-        wire: usize,
-    ) -> Result<Block, AcceleratorError> {
-        match self.resolve(netlist, zero, round, wire) {
-            Ok(label) => Ok(label),
-            Err(_) if !pending.is_empty() => {
-                self.flush_garbles(pending, zero, tables);
-                self.resolve(netlist, zero, round, wire)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Garbles every queued slot with one batched AES sweep, then writes the
-    /// tables into BRAM and the output labels back into the wire state.
-    fn flush_garbles(
-        &mut self,
-        pending: &mut Vec<PendingSlot>,
-        zero: &mut [Vec<Option<Block>>],
-        tables: &mut [Vec<Option<GarbledTable>>],
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        let gates: Vec<(Block, Block, Tweak)> =
-            pending.iter().map(|p| (p.a0, p.b0, p.tweak)).collect();
-        for (slot, (c0, table)) in pending
-            .iter()
-            .zip(garble_and_batch(&self.hash, self.delta, &gates))
-        {
-            zero[slot.round][slot.out_wire] = Some(c0);
-            let ordinal = self.and_ordinal[slot.gate as usize].expect("AND gate");
-            tables[slot.round][ordinal as usize] = Some(table);
-            if !self.memory.write(slot.core, GarbledTable::WIRE_BYTES) {
-                self.report.bram_would_stall += 1;
-            }
-            self.report.tables += 1;
-        }
-        pending.clear();
+        a_elems: &[i64],
+        last: bool,
+    ) -> Result<Vec<RoundMessage>, AcceleratorError> {
+        Ok(self.garble_job(a_elems, last))
     }
 
     fn pool_label(&mut self) -> Block {
@@ -618,51 +478,6 @@ impl Maxelerator {
             }
         }
         self.pcie.tick();
-    }
-
-    /// Resolves a wire's zero-label through the free-gate cone; AND outputs
-    /// must already be garbled (the schedule guarantees it). Accumulator
-    /// inputs of round `r > 0` resolve to the previous round's output
-    /// labels — the shift-register carry between sequential rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcceleratorError::ScheduleViolation`] if an AND output is
-    /// not yet garbled, [`AcceleratorError::UnresolvedWire`] for a wire with
-    /// neither label nor producer.
-    fn resolve(
-        &self,
-        netlist: &max_netlist::Netlist,
-        zero: &mut [Vec<Option<Block>>],
-        round: usize,
-        wire: usize,
-    ) -> Result<Block, AcceleratorError> {
-        if let Some(label) = zero[round][wire] {
-            return Ok(label);
-        }
-        if let Some(pos) = self.acc_pos_of_wire[wire] {
-            assert!(round > 0, "round 0 accumulator labels must be pre-assigned");
-            let out_wire = self.output_wires[pos as usize];
-            let label = self.resolve(netlist, zero, round - 1, out_wire)?;
-            zero[round][wire] = Some(label);
-            return Ok(label);
-        }
-        let gate_idx = self.producer[wire].ok_or(AcceleratorError::UnresolvedWire { wire })?;
-        let gate = netlist.gates()[gate_idx as usize];
-        let label = match gate.kind {
-            GateKind::And => return Err(AcceleratorError::ScheduleViolation { wire }),
-            GateKind::Xor => {
-                let a = self.resolve(netlist, zero, round, gate.a.index())?;
-                let b = self.resolve(netlist, zero, round, gate.b.index())?;
-                a ^ b
-            }
-            GateKind::Not => {
-                let a = self.resolve(netlist, zero, round, gate.a.index())?;
-                a ^ self.delta.block()
-            }
-        };
-        zero[round][wire] = Some(label);
-        Ok(label)
     }
 
     /// OT message pairs for round `round`'s evaluator inputs.
@@ -850,6 +665,7 @@ impl ScheduledEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use max_netlist::GateKind;
 
     fn secure_dot(b: usize, a: &[i64], x: &[i64], seed: u64) -> i64 {
         let config = AcceleratorConfig::new(b);

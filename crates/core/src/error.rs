@@ -8,17 +8,6 @@
 /// Protocol-path failure of the accelerator server or scheduled evaluator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AcceleratorError {
-    /// A netlist wire had neither an assigned label nor a producing gate.
-    UnresolvedWire {
-        /// The wire index.
-        wire: usize,
-    },
-    /// An AND-gate output was needed before its table was garbled — the
-    /// compiled schedule violated its own dependency order.
-    ScheduleViolation {
-        /// The wire index resolved too early.
-        wire: usize,
-    },
     /// OT pairs were requested for a round the current element never
     /// garbled.
     UnknownRound {
@@ -112,15 +101,6 @@ pub enum AcceleratorError {
 impl std::fmt::Display for AcceleratorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AcceleratorError::UnresolvedWire { wire } => {
-                write!(f, "wire {wire} has no producer and no label")
-            }
-            AcceleratorError::ScheduleViolation { wire } => {
-                write!(
-                    f,
-                    "schedule violation: AND output {wire} resolved before garbling"
-                )
-            }
             AcceleratorError::UnknownRound { round } => {
                 write!(f, "no OT pairs buffered for round {round}")
             }

@@ -12,7 +12,7 @@ use max_netlist::LevelAnd;
 use crate::label::Delta;
 
 /// One garbled AND gate under half-gates: two ciphertexts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GarbledTable {
     /// Garbler-half ciphertext.
     pub tg: Block,
@@ -88,43 +88,6 @@ fn combine_garbled(d: Block, a0: Block, b0: Block, h: [Block; 4]) -> (Block, Gar
     (wg0 ^ we0, GarbledTable { tg, te })
 }
 
-/// Garbles a batch of independent AND gates with one wide AES sweep.
-///
-/// Each entry is `(a0, b0, tweak)`; no gate's inputs may depend on another
-/// batched gate's output (callers flush on such a dependency). The result
-/// order matches the input order and every table is bit-identical to a
-/// [`garble_and`] call on the same inputs.
-pub fn garble_and_batch(
-    hash: &FixedKeyHash,
-    delta: Delta,
-    gates: &[(Block, Block, Tweak)],
-) -> Vec<(Block, GarbledTable)> {
-    let d = delta.block();
-    let mut inputs = Vec::with_capacity(gates.len() * 4);
-    for &(a0, b0, tweak) in gates {
-        let t2 = tweak.sibling();
-        inputs.push((a0, tweak));
-        inputs.push((a0 ^ d, tweak));
-        inputs.push((b0, t2));
-        inputs.push((b0 ^ d, t2));
-    }
-    let hashes = hash.hash_slice(&inputs);
-    let out = gates
-        .iter()
-        .enumerate()
-        .map(|(i, &(a0, b0, _))| {
-            let h = [
-                hashes[4 * i],
-                hashes[4 * i + 1],
-                hashes[4 * i + 2],
-                hashes[4 * i + 3],
-            ];
-            combine_garbled(d, a0, b0, h)
-        })
-        .collect();
-    out
-}
-
 /// Evaluates one garbled AND gate.
 ///
 /// `a`, `b` are the *active* labels held by the evaluator; `table` the
@@ -151,8 +114,8 @@ pub fn evaluate_and(
     wg ^ we
 }
 
-/// Reusable buffers of [`evaluate_and_batch`]; a caller that keeps one
-/// across batches allocates nothing per batch.
+/// Reusable buffers of [`evaluate_and_batch`] and [`garble_and_level`]; a
+/// caller that keeps one across batches allocates nothing per batch.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     masked: Vec<Block>,
@@ -202,6 +165,45 @@ pub fn evaluate_and_batch(
             we ^= table.te ^ a;
         }
         active[and.out.index()] = wg ^ we;
+    }
+}
+
+/// Garbles one level of independent AND gates — [`evaluate_and_batch`]'s
+/// garbler twin — with one wide AES sweep (four hashes per gate), reading
+/// the input zero-labels from `zero` and writing the output zero-labels
+/// back.
+///
+/// Each table lands in `tables` at its AND ordinal, and `tweak` names each
+/// gate's tweak; every output matches [`garble_and`] bit for bit.
+///
+/// # Panics
+///
+/// Panics if a gate's ordinal or wires fall outside `tables` / `zero`.
+pub fn garble_and_level(
+    hash: &FixedKeyHash,
+    delta: Delta,
+    ands: &[LevelAnd],
+    tweak: impl Fn(&LevelAnd) -> Tweak,
+    zero: &mut [Block],
+    tables: &mut [GarbledTable],
+    scratch: &mut BatchScratch,
+) {
+    let d = delta.block();
+    hash.hash_into(
+        ands.iter().flat_map(|and| {
+            let t = tweak(and);
+            let t2 = t.sibling();
+            let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
+            [(a0, t), (a0 ^ d, t), (b0, t2), (b0 ^ d, t2)]
+        }),
+        &mut scratch.masked,
+        &mut scratch.hashed,
+    );
+    for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(4)) {
+        let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
+        let (c0, table) = combine_garbled(d, a0, b0, [h[0], h[1], h[2], h[3]]);
+        zero[and.out.index()] = c0;
+        tables[and.ordinal as usize] = table;
     }
 }
 
@@ -258,22 +260,41 @@ mod tests {
     }
 
     #[test]
-    fn batch_garble_matches_scalar() {
+    fn level_garble_matches_scalar() {
+        use max_netlist::WireId;
         let (hash, delta, mut prg) = setup();
-        for n in [0usize, 1, 3, 8, 17] {
-            let gates: Vec<(Block, Block, Tweak)> = (0..n)
-                .map(|i| {
-                    (
-                        prg.next_block(),
-                        prg.next_block(),
-                        Tweak::from_gate_index(1000 + i as u64),
-                    )
+        let tweak = |and: &LevelAnd| Tweak::from_gate_index(1000 + u64::from(and.gate));
+        let mut scratch = BatchScratch::default();
+        for n in [0u32, 1, 3, 8, 17] {
+            // Gate `i` reads wires 2i, 2i + 1, writes wire 2n + i and lands
+            // at ordinal n - 1 - i, so ordinals need not follow level order.
+            let mut zero: Vec<Block> = (0..2 * n).map(|_| prg.next_block()).collect();
+            zero.resize(3 * n as usize, Block::ZERO);
+            let ands: Vec<LevelAnd> = (0..n)
+                .map(|i| LevelAnd {
+                    a: WireId(2 * i),
+                    b: WireId(2 * i + 1),
+                    out: WireId(2 * n + i),
+                    gate: 5 * i,
+                    ordinal: n - 1 - i,
                 })
                 .collect();
-            let batched = garble_and_batch(&hash, delta, &gates);
-            assert_eq!(batched.len(), n);
-            for (&(a0, b0, tweak), &(c0, table)) in gates.iter().zip(&batched) {
-                assert_eq!((c0, table), garble_and(&hash, delta, a0, b0, tweak));
+            let mut tables = vec![GarbledTable::default(); n as usize];
+            garble_and_level(
+                &hash,
+                delta,
+                &ands,
+                tweak,
+                &mut zero,
+                &mut tables,
+                &mut scratch,
+            );
+            for and in &ands {
+                let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
+                assert_eq!(
+                    (zero[and.out.index()], tables[and.ordinal as usize]),
+                    garble_and(&hash, delta, a0, b0, tweak(and))
+                );
             }
         }
     }

@@ -1,10 +1,43 @@
 //! Whole-netlist garbling.
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_netlist::{GateKind, Netlist};
+use max_netlist::{GateKind, LevelAnd, Netlist};
 
-use crate::engine::{garble_and_batch, GarbledTable};
+use crate::engine::{garble_and_level, BatchScratch, GarbledTable};
 use crate::label::{Delta, LabelSource};
+
+/// Garbles `netlist` over `zero` (one zero-label per wire, inputs already
+/// set) level by level — [`evaluate_levels`](crate::evaluate_levels)'s
+/// twin: each level's free gates, then all of its AND gates with one
+/// [`garble_and_level`] sweep. Tables land in `tables` at their AND ordinal
+/// under `tweak`, so the material is bit-identical to gate-at-a-time
+/// garbling in netlist order.
+///
+/// # Panics
+///
+/// Panics if `tables` is shorter than the netlist's AND count or `zero`
+/// than its wire count.
+pub fn garble_levels(
+    hash: &FixedKeyHash,
+    delta: Delta,
+    netlist: &Netlist,
+    tweak: impl Fn(&LevelAnd) -> Tweak,
+    zero: &mut [Block],
+    tables: &mut [GarbledTable],
+    scratch: &mut BatchScratch,
+) {
+    for level in netlist.levels() {
+        for gate in &level.free {
+            let a0 = zero[gate.a.index()];
+            zero[gate.out.index()] = match gate.kind {
+                // NOT swaps label roles: zero-label of out = one-label of in.
+                GateKind::Not => a0 ^ delta.block(),
+                _ => a0 ^ zero[gate.b.index()],
+            };
+        }
+        garble_and_level(hash, delta, &level.ands, &tweak, zero, tables, scratch);
+    }
+}
 
 /// The public garbled material sent to the evaluator: tables plus output
 /// decoding bits. (Input labels travel separately — garbler labels directly,
@@ -105,45 +138,17 @@ impl<'a, S: LabelSource> Garbler<'a, S> {
             zero_labels[wire.index()] = label;
         }
 
-        // Level by level (see `Netlist::levels`): a level's free gates, then
-        // all of its AND gates with one wide AES sweep. Tables land at their
-        // netlist AND ordinal, so the material is bit-identical to gate-at-a-
-        // time garbling.
-        let and_gates: usize = netlist.levels().iter().map(|l| l.ands.len()).sum();
-        let mut tables = vec![
-            GarbledTable {
-                tg: Block::ZERO,
-                te: Block::ZERO,
-            };
-            and_gates
-        ];
-        let mut batch: Vec<(Block, Block, Tweak)> = Vec::new();
-        for level in netlist.levels() {
-            for gate in &level.free {
-                let a0 = zero_labels[gate.a.index()];
-                zero_labels[gate.out.index()] = match gate.kind {
-                    // NOT swaps label roles: zero-label of out = one-label of in.
-                    GateKind::Not => a0 ^ self.delta.block(),
-                    _ => a0 ^ zero_labels[gate.b.index()],
-                };
-            }
-            batch.clear();
-            batch.extend(level.ands.iter().map(|and| {
-                (
-                    zero_labels[and.a.index()],
-                    zero_labels[and.b.index()],
-                    Tweak::from_gate_index(tweak_base + u64::from(and.ordinal)),
-                )
-            }));
-            for (and, (c0, table)) in level
-                .ands
-                .iter()
-                .zip(garble_and_batch(&self.hash, self.delta, &batch))
-            {
-                zero_labels[and.out.index()] = c0;
-                tables[and.ordinal as usize] = table;
-            }
-        }
+        let and_gates = netlist.levels().iter().map(|l| l.ands.len()).sum();
+        let mut tables = vec![GarbledTable::default(); and_gates];
+        garble_levels(
+            &self.hash,
+            self.delta,
+            netlist,
+            |and| Tweak::from_gate_index(tweak_base + u64::from(and.ordinal)),
+            &mut zero_labels,
+            &mut tables,
+            &mut BatchScratch::default(),
+        );
 
         let output_decode = netlist
             .outputs()

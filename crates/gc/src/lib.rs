@@ -15,7 +15,9 @@
 //!
 //! 1. [`garble_and`] / [`evaluate_and`] — the single-gate engine. This is
 //!    exactly the operation MAXelerator's hardware GC engine performs once
-//!    per clock cycle; the accelerator simulator calls it directly.
+//!    per clock cycle; [`garble_levels`] / [`evaluate_levels`] run it a
+//!    whole level of independent AND gates at a time, as the accelerator
+//!    simulator does.
 //! 2. [`Garbler`] / [`Evaluator`] — whole-netlist garbling in topological
 //!    order (the software execution model of TinyGarble and friends).
 //! 3. [`SequentialGarbler`] / [`SequentialEvaluator`] — the sequential-GC
@@ -64,11 +66,11 @@ mod sequential;
 pub mod transport;
 
 pub use engine::{
-    evaluate_and, evaluate_and_batch, garble_and, garble_and_batch, BatchScratch, GarbledTable,
+    evaluate_and, evaluate_and_batch, garble_and, garble_and_level, BatchScratch, GarbledTable,
 };
 pub use evaluator::{evaluate_levels, Evaluator};
 pub use fault::{FaultSpec, FaultStats, FaultTransport};
-pub use garbler::{GarbledCircuit, Garbler, Material};
+pub use garbler::{garble_levels, GarbledCircuit, Garbler, Material};
 pub use label::{Delta, LabelSource, PrgLabelSource};
 pub use sequential::{SequentialEvaluator, SequentialGarbler, SequentialRound};
 pub use transport::{FramedTcp, Transport};

@@ -250,6 +250,11 @@ impl FairQueue {
 /// slow client holds at most one job's elements in memory, never a
 /// garbling unit. A unit whose session is gone (the receiver dropped)
 /// stops garbling at that element.
+///
+/// After each hand-off the unit yields its time slice. The session thread
+/// it just woke consumes that element; when the host has no spare core, the
+/// unit would otherwise run on to the end of its slice first, and READY
+/// would wait out most of the job's garbling instead of one element's.
 pub struct UnitPool {
     queue: Arc<FairQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -341,7 +346,12 @@ impl UnitPool {
                                 request.columns,
                                 request.start_element,
                                 |elem| match job.reply.send(JobPiece::Element(elem)) {
-                                    Ok(()) => ControlFlow::Continue(()),
+                                    Ok(()) => {
+                                        // Let the woken session stream it
+                                        // now (see the type's docs).
+                                        std::thread::yield_now();
+                                        ControlFlow::Continue(())
+                                    }
                                     Err(_) => ControlFlow::Break(()),
                                 },
                             )
