@@ -378,7 +378,7 @@ impl ModelEntry {
     }
 }
 
-#[derive(Default)]
+#[derive(Clone, Copy, Default)]
 struct Counters {
     served_prepared: u64,
     served_fallback: u64,
@@ -390,6 +390,19 @@ struct Counters {
     models_evicted_explicit: u64,
     models_replaced: u64,
     fabric_cycles_spent: u64,
+    /// Fill steps whose garbling failed.
+    fills_failed: u64,
+}
+
+impl Counters {
+    /// Fill steps that did not simply add stock: discarded, trimmed,
+    /// evicted for, or failed — where [`ModelRegistry::await_stock`] stops.
+    fn unclean_fills(&self) -> u64 {
+        self.streams_discarded
+            + self.streams_trimmed
+            + self.models_evicted_budget
+            + self.fills_failed
+    }
 }
 
 struct Inner {
@@ -691,7 +704,13 @@ impl ModelRegistry {
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
             entry.filling = entry.filling.saturating_sub(1);
         }
-        let job = garbled?;
+        let job = match garbled {
+            Ok(job) => job,
+            Err(err) => {
+                inner.counters.fills_failed += 1;
+                return Err(err);
+            }
+        };
         let cycles = job.fabric_cycles;
         inner.counters.streams_produced += 1;
         inner.counters.fabric_cycles_spent += cycles;
@@ -778,50 +797,27 @@ impl ModelRegistry {
         (evicted, trimmed)
     }
 
-    /// Fills synchronously, handing every step's report to `on_fill`, until
-    /// each model is at target stock *and that stock has arrived*, or the
-    /// byte budget pushes back (the first non-deposit, trim, or eviction
-    /// stops the loop — continuing would just recycle streams). Returns
-    /// the number of streams deposited.
-    ///
-    /// # Errors
-    ///
-    /// See [`ModelRegistry::fill_step`].
-    pub fn prefill(&self, mut on_fill: impl FnMut(&FillReport)) -> Result<usize, AcceleratorError> {
-        let mut deposited = 0usize;
-        loop {
-            let budget_bound = match self.fill_step() {
-                Some(step) => {
-                    let report = step?;
-                    on_fill(&report);
-                    if report.clean() {
-                        deposited += 1;
-                        continue;
-                    }
-                    true
-                }
-                None => false,
-            };
-            // Fills other threads have in flight count toward the targets
-            // before they deposit (and evict); with nothing to claim, look
-            // again once they are done — one may yet be discarded (its
-            // model re-PUT meanwhile).
-            if !self.wait_for_fills() || budget_bound {
-                return Ok(deposited);
-            }
-        }
-    }
-
-    /// Blocks until no fill step is in flight: every claimed stream has
-    /// been deposited (or discarded) and its budget evictions applied.
-    /// Returns whether it had to wait.
-    fn wait_for_fills(&self) -> bool {
+    /// Waits while other threads' [`ModelRegistry::fill_step`]s (a
+    /// service's idle units) stock every model, garbling nothing itself.
+    /// Returns the streams stocked meanwhile once each model is at target
+    /// with no fill in flight, or as soon as a fill was not clean (budget
+    /// pushback, a discarded stream, a garbling failure): filling on would
+    /// recycle stock, not add it. Blocks for as long as no other thread
+    /// fills.
+    pub fn await_stock(&self) -> usize {
         let inner = self.lock();
-        let waited = inner.fills_in_flight > 0;
-        let _settled = self
+        let start = inner.counters;
+        let target = self.reg.target_stock;
+        let inner = self
             .fill_done
-            .wait_while(inner, |inner| inner.fills_in_flight > 0);
-        waited
+            .wait_while(inner, |inner| {
+                inner.counters.unclean_fills() == start.unclean_fills()
+                    && (inner.fills_in_flight > 0
+                        || inner.models.values().any(|e| e.stock.len() < target))
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        let stocked = |c: &Counters| c.streams_produced - c.streams_discarded;
+        (stocked(&inner.counters) - stocked(&start)) as usize
     }
 
     /// Records that an acquired prepared stream failed its at-serve digest
@@ -932,12 +928,62 @@ mod tests {
         y
     }
 
+    /// Fills every model to target on this thread; returns the streams
+    /// deposited.
+    fn fill_to_target(reg: &ModelRegistry) -> usize {
+        let mut deposited = 0;
+        while let Some(step) = reg.fill_step() {
+            assert!(step.unwrap().clean());
+            deposited += 1;
+        }
+        deposited
+    }
+
+    #[test]
+    fn await_stock_returns_at_target_or_budget_pushback() {
+        let config = AcceleratorConfig::new(8);
+        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
+        let tight = probe.stored_bytes() + probe.stored_bytes() / 2;
+        for budget_bytes in [None, Some(tight)] {
+            let reg = ModelRegistry::new(
+                config.clone(),
+                RegistryConfig {
+                    budget_bytes,
+                    target_stock: 3,
+                },
+                5,
+            );
+            reg.register(1, demo_weights()).unwrap();
+            // A filler that keeps stepping, as a service's idle units do.
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                        match reg.fill_step() {
+                            Some(step) => drop(step.unwrap()),
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                });
+                reg.await_stock();
+                done.store(true, std::sync::atomic::Ordering::Relaxed);
+            });
+            let stats = reg.stats();
+            match budget_bytes {
+                None => assert_eq!(stats.streams_ready, 3),
+                Some(budget) => {
+                    assert!(stats.streams_trimmed > 0 && stats.stock_bytes <= budget);
+                }
+            }
+        }
+    }
+
     #[test]
     fn prepared_streams_decode_correctly() {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(7, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         let x = [2i64, 6, -1];
         for _ in 0..2 {
             match reg.acquire(7, 1).unwrap() {
@@ -957,7 +1003,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(1, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         let first = match reg.acquire(1, 1).unwrap() {
             Acquired::Prepared(s) => s,
             Acquired::Starved(_) => panic!("stock was prefilled"),
@@ -982,7 +1028,7 @@ mod tests {
         // evaluation only; fabric cycles are spent at fill time.
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 1);
         reg.register(9, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         let spent = reg.stats().fabric_cycles_spent;
         assert!(spent > 0, "fill must account its garbling cost");
         let _ = reg.acquire(9, 1).unwrap();
@@ -1011,7 +1057,7 @@ mod tests {
             plain_matvec(&demo_weights(), &x)
         );
         // Matmul requests fall back even with stock.
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         assert!(matches!(reg.acquire(3, 2).unwrap(), Acquired::Starved(_)));
         reg.note_fallback_served(3);
         let stats = reg.stats();
@@ -1039,7 +1085,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let reg = ModelRegistry::new(config.clone(), RegistryConfig::default(), 42);
         reg.register(5, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         assert_eq!(reg.stats().streams_ready, 2);
         // Rot the first stocked stream in place: one flipped label bit,
         // the kind of damage a DRAM fault or disk rot would inflict.
@@ -1114,7 +1160,7 @@ mod tests {
     fn reregistration_rotates_the_seed_epoch_and_drops_stock() {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(4, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         assert!(reg.status(4).unwrap().stock > 0);
         let first_ticket = match reg.acquire(4, 2).unwrap() {
             Acquired::Starved(t) => t,
@@ -1239,7 +1285,7 @@ mod tests {
     fn explicit_eviction_returns_final_status_and_record() {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(6, demo_weights()).unwrap();
-        reg.prefill(|_| {}).unwrap();
+        fill_to_target(&reg);
         let _ = reg.acquire(6, 1);
         let (status, eviction) = reg.evict(6).unwrap();
         assert_eq!(status.served_prepared, 1);
@@ -1253,7 +1299,7 @@ mod tests {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(1, demo_weights()).unwrap();
         reg.register(2, vec![vec![1i64, 2], vec![3, 4]]).unwrap();
-        let deposited = reg.prefill(|_| {}).unwrap();
+        let deposited = fill_to_target(&reg);
         assert_eq!(deposited, 4, "two models × target stock 2");
         let stats = reg.stats();
         assert_eq!(stats.models, 2);

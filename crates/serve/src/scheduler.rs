@@ -68,10 +68,11 @@ pub struct QueueFull {
 /// real job enqueued mid-step waits for the step to finish.
 pub type IdleFill = Arc<dyn Fn() -> bool + Send + Sync>;
 
-/// Outcome of a non-blocking queue poll.
+/// Outcome of a non-blocking queue poll; `Empty` carries the
+/// [`QueueState::idle_wakes`] it saw.
 enum Polled {
     Job(Box<QueuedJob>),
-    Empty,
+    Empty(u64),
     Closed,
 }
 
@@ -89,6 +90,9 @@ struct QueueState {
     len: usize,
     paused: bool,
     closed: bool,
+    /// Bumped by [`FairQueue::wake_idle`]: a unit that saw an older value
+    /// before its idle step goes straight back to idle work.
+    idle_wakes: u64,
 }
 
 /// Bounded multi-session queue with round-robin fairness across sessions.
@@ -108,6 +112,7 @@ impl FairQueue {
                 len: 0,
                 paused,
                 closed: false,
+                idle_wakes: 0,
             }),
             ready: Condvar::new(),
         }
@@ -191,22 +196,33 @@ impl FairQueue {
         match Self::pop_locked(&mut state) {
             Some(job) => Polled::Job(Box::new(job)),
             None if state.closed => Polled::Closed,
-            None => Polled::Empty,
+            None => Polled::Empty(state.idle_wakes),
         }
     }
 
-    /// Parks until a push/resume/close notification or `timeout` elapses.
-    /// The timeout bounds how stale an idle unit's "nothing to precompute"
-    /// view can get (new models can arrive without a queue notification).
-    fn wait_for_work(&self, timeout: Duration) {
+    /// Parks until a push/resume/close/idle-wake notification or `timeout`
+    /// elapses; returns at once if [`FairQueue::wake_idle`] ran since the
+    /// poll that saw `idle_wakes`. The timeout bounds how stale an idle
+    /// unit's "nothing to precompute" view can get (new models can arrive
+    /// without a queue notification).
+    fn wait_for_work(&self, idle_wakes: u64, timeout: Duration) {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if (state.len > 0 && !state.paused) || state.closed {
+        if (state.len > 0 && !state.paused) || state.closed || state.idle_wakes != idle_wakes {
             return;
         }
         let _ = self
             .ready
             .wait_timeout(state, timeout)
             .unwrap_or_else(PoisonError::into_inner);
+    }
+
+    /// Sends every idle unit back to its idle work now.
+    fn wake_idle(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .idle_wakes += 1;
+        self.ready.notify_all();
     }
 
     fn resume(&self) {
@@ -314,9 +330,12 @@ impl UnitPool {
                                 match queue.try_pop() {
                                     Polled::Job(job) => break Some(*job),
                                     Polled::Closed => break None,
-                                    Polled::Empty => {
+                                    Polled::Empty(idle_wakes) => {
                                         if !fill() {
-                                            queue.wait_for_work(Duration::from_millis(25));
+                                            queue.wait_for_work(
+                                                idle_wakes,
+                                                Duration::from_millis(25),
+                                            );
                                         }
                                     }
                                 }
@@ -409,6 +428,12 @@ impl UnitPool {
     /// Releases a pool constructed with `start_paused`.
     pub fn resume(&self) {
         self.queue.resume();
+    }
+
+    /// Sends every idle unit to its `idle_fill` hook now, instead of when
+    /// its poll interval runs out — for work the hook has just gained.
+    pub fn wake_idle(&self) {
+        self.queue.wake_idle();
     }
 
     /// Graceful drain: stop admissions, let units finish everything queued,

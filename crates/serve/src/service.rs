@@ -95,8 +95,8 @@ pub struct ServeConfig {
     pub registry_budget_bytes: Option<u64>,
     /// Warm single-use streams to keep per registered model.
     pub registry_target_stock: usize,
-    /// Synchronously fill every model's stock to target at startup (and
-    /// after journal replay) instead of waiting for pool idle time.
+    /// Fill every model's stock to target at startup (and after journal
+    /// replay) before serving, instead of as pool idle time allows.
     pub prefill: bool,
 }
 
@@ -400,12 +400,14 @@ fn fill_once(registry: &ModelRegistry, journal: Option<&Journal>) -> bool {
     }
 }
 
-/// The offline phase run eagerly; returns the streams it deposited (0 when
-/// garbling failed, like an idle step's failure).
-fn prefill(registry: &ModelRegistry, journal: Option<&Journal>) -> usize {
-    registry
-        .prefill(|report| journal_evictions(journal, report))
-        .unwrap_or(0)
+/// The offline phase run eagerly, on the garbling units: wakes them and
+/// waits for the stock they deposit (their idle-fill steps journal any
+/// budget evictions). The caller garbles nothing: stock made on a thread
+/// that never garbles again would be freed, once served, into memory the
+/// units' refills cannot reuse.
+fn prefill(pool: &UnitPool, registry: &ModelRegistry) -> usize {
+    pool.wake_idle();
+    registry.await_stock()
 }
 
 /// The multi-session GC-MAC service. Cheap to clone (shared handle).
@@ -502,7 +504,7 @@ impl GcService {
             // Run the offline phase eagerly so the very first model job is
             // a warm serve. Stops at saturation or on garbling failure —
             // either way the idle-fill hook keeps the stocks topped up.
-            prefill(&registry, journal.as_deref());
+            prefill(&pool, &registry);
         }
 
         GcService {
@@ -687,13 +689,14 @@ impl GcService {
         self.shared.evict_model(model_id)
     }
 
-    /// Synchronously fills every model's stock to target (the offline
-    /// phase run eagerly), journaling tombstones for any budget evictions.
-    /// Returns the streams deposited, once no fill is in flight anywhere;
-    /// stops early at saturation or on a garbling failure (both observable
-    /// via counters/stats).
+    /// Fills every model's stock to target (the offline phase run eagerly,
+    /// on the garbling units), journaling tombstones for any budget
+    /// evictions, and returns the streams deposited once no fill is in
+    /// flight anywhere; stops early at saturation or on a garbling failure
+    /// (both observable via counters/stats). Blocks while every unit is
+    /// busy with jobs.
     pub fn prefill_models(&self) -> usize {
-        prefill(&self.shared.registry, self.shared.journal.as_deref())
+        prefill(&self.shared.pool, &self.shared.registry)
     }
 
     /// What journal replay found at boot (all-zero when no journal).
