@@ -6,20 +6,20 @@
 //! MAC results. A job's two halves run apart: each round is garbled level
 //! by level ([`max_gc::garble_levels`]) as soon as its input labels are
 //! drawn — a table is a pure function of its labels, Δ and tweak, so the
-//! order of garbling cannot change a byte — and cycle counts come from
-//! walking the compiled [`Schedule`] slot by slot, a walk that only counts.
+//! order of garbling cannot change a byte — and cycle counts come from the
+//! job shape's [`FabricAccount`], computed once per shape, plus the label
+//! pool's integer arithmetic.
 
 use std::sync::Arc;
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_fpga::{Clock, MemorySystem, PcieLink};
 use max_gc::{evaluate_levels, garble_levels, BatchScratch, Delta, GarbledTable};
 use max_netlist::{decode_signed, decode_unsigned, MacCircuit};
 use max_rng::LabelGenerator;
 
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
-use crate::schedule::Schedule;
+use crate::schedule::FabricAccount;
 use crate::timing::TimingModel;
 
 /// Per-gate tweak: unique across (element, round, gate).
@@ -86,7 +86,10 @@ pub struct AcceleratorReport {
     pub tables: u64,
     /// MAC rounds completed.
     pub rounds: u64,
-    /// Measured steady-state cycles per MAC of the last pipelined job.
+    /// The compiled schedule's steady-state initiation interval of the
+    /// last job (22.75 cycles per MAC for 8 rounds at b = 8) — not the
+    /// cycles per MAC the fabric serves, which add the label pool's
+    /// misses, the BRAM read port and the PCIe drain (see `cycles`).
     pub last_job_ii: f64,
     /// Core utilization of the last pipelined job.
     pub last_job_utilization: f64,
@@ -107,14 +110,48 @@ pub struct AcceleratorReport {
 }
 
 impl AcceleratorReport {
-    /// Estimated joules per MAC under the default energy model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rounds have been garbled.
+    /// Estimated joules per MAC under the default energy model (per one
+    /// MAC when no rounds have been garbled).
     pub fn joules_per_mac(&self) -> f64 {
         self.energy
             .joules_per_mac(&max_fpga::EnergyModel::default(), self.rounds.max(1))
+    }
+}
+
+/// The label pool through one job (§5.2), fed at `per_cycle` labels per
+/// cycle: `prefill` full-width cycles stock the first round, each label
+/// garbling then misses costs a serial cycle, and while the schedule runs
+/// the generator pumps as many again — for the element's next job, or for
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PoolAccount {
+    prefill: u64,
+    misses: u64,
+    pumped: u64,
+    /// Labels the pool holds after the job.
+    carried: u64,
+}
+
+impl PoolAccount {
+    /// A job consuming `needed` labels, `first_need` in its first round,
+    /// from a pool of `pool`, pumping for at most `schedule_cycles`.
+    fn of_job(
+        pool: u64,
+        first_need: u64,
+        needed: u64,
+        per_cycle: u64,
+        schedule_cycles: u64,
+    ) -> Self {
+        let prefill = first_need.saturating_sub(pool).div_ceil(per_cycle);
+        let stocked = pool + prefill * per_cycle;
+        let misses = needed.saturating_sub(stocked);
+        let pumped = misses.min(per_cycle * schedule_cycles);
+        PoolAccount {
+            prefill,
+            misses,
+            pumped,
+            carried: stocked.saturating_sub(needed) + pumped,
+        }
     }
 }
 
@@ -128,9 +165,9 @@ pub struct Maxelerator {
     base_seed: u64,
     labels: LabelGenerator,
     delta: Delta,
-    clock: Clock,
-    memory: MemorySystem,
-    pcie: PcieLink,
+    /// Labels pumped for the current element and not yet consumed (a
+    /// count: labels are drawn when consumed).
+    pool: u64,
     /// Carried accumulator zero-labels between rounds.
     carried_zero: Option<Vec<Block>>,
     round: u32,
@@ -143,7 +180,6 @@ pub struct Maxelerator {
     and_gates: usize,
     scratch: BatchScratch,
     report: AcceleratorReport,
-    label_pool: std::collections::VecDeque<Block>,
 }
 
 impl std::fmt::Debug for Maxelerator {
@@ -173,21 +209,18 @@ impl Maxelerator {
             and_gates: mac.netlist().stats().and_gates,
             scratch: BatchScratch::default(),
             hash: FixedKeyHash::new(),
-            memory: MemorySystem::new(cores, 1 << 20),
-            pcie: PcieLink::new(256, 16),
-            clock: Clock::new(config.freq_mhz),
             mac: Arc::new(mac),
             cores,
             base_seed: seed,
             labels,
             delta,
+            pool: 0,
             config,
             carried_zero: None,
             round: 0,
             elem: 0,
             eval_pairs: std::collections::HashMap::new(),
             report: AcceleratorReport::default(),
-            label_pool: std::collections::VecDeque::new(),
         }
     }
 
@@ -212,7 +245,7 @@ impl Maxelerator {
     pub fn begin_element(&mut self, elem: u32) {
         self.labels.reseed(element_label_seed(self.base_seed, elem));
         self.delta = Delta::from_block(self.labels.next_label());
-        self.label_pool.clear();
+        self.pool = 0;
         self.elem = elem;
         self.round = 0;
         self.carried_zero = None;
@@ -264,16 +297,15 @@ impl Maxelerator {
         let rounds = a_elems.len();
         let mac = Arc::clone(&self.mac);
         let netlist = mac.netlist();
-        let schedule = Schedule::shared(&self.config, self.cores, rounds);
+        let fabric = FabricAccount::shared(&self.config, self.cores, rounds);
         let b = self.config.bit_width;
         let first_round_abs = self.round;
 
         // ------------------------------------------------------------------
-        // Label provisioning. Per round: b fresh `a` labels + b fresh `x`
-        // labels + constants; the element's first round also needs the
-        // initial accumulator labels. The generator feeds a pool at
-        // ≤ b/2 labels per cycle; the pool is pre-filled for the first round
-        // (pipeline fill).
+        // Labels. Per round: b fresh `a` labels + b fresh `x` labels +
+        // constants; the element's first round also needs the initial
+        // accumulator labels. The job draws exactly those, in consumption
+        // order, from the element's stream.
         let consts = netlist.constants().len();
         let init_acc = if self.carried_zero.is_none() {
             self.config.acc_width
@@ -281,16 +313,7 @@ impl Maxelerator {
             0
         };
         let needed = (rounds * (2 * b + consts) + init_acc) as u64;
-        let per_cycle = (b / 2).max(1);
-        let first_need = (2 * b + consts + init_acc) as u64;
-        while (self.label_pool.len() as u64) < first_need {
-            let burst = self.labels.clock(per_cycle);
-            self.report.labels_generated += burst.len() as u64;
-            self.label_pool.extend(burst);
-            self.clock.tick();
-            self.tick_io();
-        }
-        let mut remaining_to_generate = needed.saturating_sub(self.label_pool.len() as u64);
+        let mut drawn = self.labels.draw(needed as usize).into_iter();
 
         // ------------------------------------------------------------------
         // Garbling, round by round as soon as the round's labels are drawn.
@@ -307,12 +330,13 @@ impl Maxelerator {
             } else {
                 max_netlist::encode_unsigned(a as u64, b)
             };
+            let mut fresh = || drawn.next().expect("a job draws every label it consumes");
             let mut sent = Vec::with_capacity(b + consts);
             for (pos, wire) in netlist.garbler_inputs().iter().enumerate() {
                 if state.contains(&pos) {
                     continue;
                 }
-                let z = self.pool_label();
+                let z = fresh();
                 self.wires[wire.index()] = z;
                 let bit = a_bits[pos];
                 sent.push(if bit { self.delta.one_label(z) } else { z });
@@ -329,7 +353,7 @@ impl Maxelerator {
                     // Fresh labels; initial value 0 ⇒ active = zero-label.
                     let mut init = Vec::with_capacity(acc_wires.len());
                     for wire in acc_wires {
-                        let z = self.pool_label();
+                        let z = fresh();
                         self.wires[wire.index()] = z;
                         init.push(z);
                     }
@@ -338,14 +362,14 @@ impl Maxelerator {
             };
             // Constants: garbler-known bits.
             for &(wire, value) in netlist.constants() {
-                let z = self.pool_label();
+                let z = fresh();
                 self.wires[wire.index()] = z;
                 sent.push(if value { self.delta.one_label(z) } else { z });
             }
             // Evaluator (`x`) labels: fresh pair per bit, delivered via OT.
             let mut pairs = Vec::with_capacity(b);
             for wire in netlist.evaluator_inputs() {
-                let z = self.pool_label();
+                let z = fresh();
                 self.wires[wire.index()] = z;
                 pairs.push((z, self.delta.one_label(z)));
             }
@@ -374,53 +398,47 @@ impl Maxelerator {
                 decode: None,
             });
         }
+        debug_assert!(
+            drawn.next().is_none(),
+            "a job consumes every label it draws"
+        );
         if last {
             let carried = self.carried_zero.as_ref().expect("a round was garbled");
             messages[rounds - 1].decode = Some(carried.iter().map(|z| z.lsb()).collect());
         }
 
         // ------------------------------------------------------------------
-        // Fabric accounting: walk the schedule cycle by cycle, one BRAM
-        // table write per busy core.
-        let mut slots = schedule.assignments().iter().peekable();
-        for cycle in 0..schedule.stats().cycles {
-            // Keep the label generator pumping (power-gated to the deficit).
-            if remaining_to_generate > 0 {
-                let demand = (remaining_to_generate.min(per_cycle as u64)) as usize;
-                let burst = self.labels.clock(demand);
-                self.report.labels_generated += burst.len() as u64;
-                remaining_to_generate -= burst.len() as u64;
-                self.label_pool.extend(burst);
-            } else {
-                // Fully power-gated cycle.
-                self.labels.clock(0);
-            }
-            while let Some(slot) = slots.next_if(|slot| slot.cycle == cycle) {
-                if !self.memory.write(slot.core, GarbledTable::WIRE_BYTES) {
-                    self.report.bram_would_stall += 1;
-                }
-                self.report.tables += 1;
-            }
-            self.memory.end_cycle();
-            self.clock.tick();
-            self.tick_io();
-        }
-        // Drain the remaining tables through PCIe.
-        while !self.memory.is_empty() || !self.pcie.is_drained() {
-            self.clock.tick();
-            self.tick_io();
-        }
+        // Fabric accounting: the label pool's arithmetic, then the shape's
+        // fabric account.
+        let per_cycle = (b / 2).max(1) as u64;
+        let first_need = (2 * b + consts + init_acc) as u64;
+        let pool = PoolAccount::of_job(
+            self.pool,
+            first_need,
+            needed,
+            per_cycle,
+            fabric.schedule.cycles,
+        );
+        self.pool = pool.carried;
+        let generated = pool.prefill * per_cycle + pool.misses + pool.pumped;
+        self.labels.account(
+            pool.prefill + pool.misses + fabric.schedule.cycles,
+            generated,
+        );
 
         self.round = first_round_abs + rounds as u32;
         self.report.rounds += rounds as u64;
-        self.report.cycles = self.clock.cycles();
-        self.report.last_job_ii = schedule.stats().steady_state_ii;
-        self.report.last_job_utilization = schedule.stats().utilization;
+        self.report.tables += (rounds * self.and_gates) as u64;
+        self.report.labels_generated += generated;
+        self.report.cycles += pool.prefill + pool.misses + fabric.io_cycles;
+        self.report.last_job_ii = fabric.schedule.steady_state_ii;
+        self.report.last_job_utilization = fabric.schedule.utilization;
         let rng = self.labels.report();
         self.report.label_energy_saving = rng.energy_saving();
-        self.report.pcie_pushed_bytes = self.pcie.pushed_bytes();
-        self.report.pcie_delivered_bytes = self.pcie.delivered_bytes();
-        self.report.pcie_peak_backlog = self.pcie.peak_queue_bytes();
+        self.report.pcie_pushed_bytes += fabric.pcie_bytes;
+        self.report.pcie_delivered_bytes = self.report.pcie_pushed_bytes;
+        self.report.pcie_peak_backlog = self.report.pcie_peak_backlog.max(fabric.peak_backlog);
+        self.report.bram_would_stall += fabric.bram_stalls;
         // Energy event counts: 4 fixed-key AES calls per half-gates table,
         // one BRAM write per table, one 128-bit shift per core-cycle of
         // label movement (schedule slots), active RNG-cycles from the
@@ -442,7 +460,7 @@ impl Maxelerator {
     /// # Errors
     ///
     /// None: each round is garbled in its netlist's level order, so no
-    /// label is read before it exists, and the fabric walk only counts
+    /// label is read before it exists, and the fabric account only counts
     /// (`schedule::tests::dependencies_respected` guards the schedule it
     /// counts).
     ///
@@ -455,29 +473,6 @@ impl Maxelerator {
         last: bool,
     ) -> Result<Vec<RoundMessage>, AcceleratorError> {
         Ok(self.garble_job(a_elems, last))
-    }
-
-    fn pool_label(&mut self) -> Block {
-        if let Some(label) = self.label_pool.pop_front() {
-            return label;
-        }
-        // Pool miss (start-up corner): burst the generator one cycle.
-        let burst = self.labels.clock(1);
-        self.report.labels_generated += 1;
-        self.clock.tick();
-        burst[0]
-    }
-
-    /// One I/O cycle: the shared BRAM read port feeds the PCIe serializer
-    /// (up to four 32-byte beats per cycle, a 512-bit AXI stream).
-    fn tick_io(&mut self) {
-        for _ in 0..4 {
-            match self.memory.read_one() {
-                Some((_, record_bytes)) => self.pcie.push(record_bytes),
-                None => break,
-            }
-        }
-        self.pcie.tick();
     }
 
     /// OT message pairs for round `round`'s evaluator inputs.
@@ -665,7 +660,15 @@ impl ScheduledEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, VecDeque};
+
+    use max_fpga::{MemorySystem, PcieLink};
     use max_netlist::GateKind;
+
+    use crate::schedule::{
+        io_cycle, Schedule, BRAM_BLOCK_BYTES, PCIE_BYTES_PER_CYCLE, PCIE_LATENCY_CYCLES,
+        READ_BEATS_PER_CYCLE,
+    };
 
     fn secure_dot(b: usize, a: &[i64], x: &[i64], seed: u64) -> i64 {
         let config = AcceleratorConfig::new(b);
@@ -1117,6 +1120,216 @@ mod tests {
         assert_eq!(report.pcie_peak_backlog, 128);
         assert_eq!(report.bram_would_stall, 0);
         assert_eq!(report.last_job_ii, 22.75);
+    }
+
+    /// The per-cycle walk `garble_job` replayed before its fabric was
+    /// accounted once per job shape: a cycle counter, one BRAM block per
+    /// core, the PCIe link and a queue of pumped labels, ticked through
+    /// every prefill cycle, pool miss, schedule slot and drain cycle. It
+    /// counts and garbles nothing.
+    struct CycleWalk {
+        config: AcceleratorConfig,
+        cores: usize,
+        base_seed: u64,
+        labels: LabelGenerator,
+        cycles: u64,
+        memory: MemorySystem,
+        pcie: PcieLink,
+        queued: VecDeque<Block>,
+        fresh_element: bool,
+        schedules: HashMap<usize, Schedule>,
+        report: AcceleratorReport,
+    }
+
+    impl CycleWalk {
+        fn new(config: &AcceleratorConfig, cores: usize, seed: u64) -> Self {
+            let mut labels =
+                LabelGenerator::new(element_label_seed(seed, 0), config.bit_width.max(4));
+            labels.next_label();
+            CycleWalk {
+                config: config.clone(),
+                cores,
+                base_seed: seed,
+                labels,
+                cycles: 0,
+                memory: MemorySystem::new(cores, BRAM_BLOCK_BYTES),
+                pcie: PcieLink::new(PCIE_BYTES_PER_CYCLE, PCIE_LATENCY_CYCLES),
+                queued: VecDeque::new(),
+                fresh_element: true,
+                schedules: HashMap::new(),
+                report: AcceleratorReport::default(),
+            }
+        }
+
+        fn begin_element(&mut self, elem: u32) {
+            self.labels.reseed(element_label_seed(self.base_seed, elem));
+            self.labels.next_label();
+            self.queued.clear();
+            self.fresh_element = true;
+        }
+
+        fn job(&mut self, rounds: usize) {
+            let config = &self.config;
+            let mac = config.mac_circuit();
+            let schedule = self.schedules.entry(rounds).or_insert_with(|| {
+                Schedule::compile(mac.netlist(), self.cores, rounds, config.state_range())
+            });
+            let b = config.bit_width;
+            let consts = mac.netlist().constants().len();
+            let init_acc = if self.fresh_element {
+                config.acc_width
+            } else {
+                0
+            };
+            self.fresh_element = false;
+            let needed = rounds * (2 * b + consts) + init_acc;
+            let per_cycle = (b / 2).max(1);
+            let first_need = 2 * b + consts + init_acc;
+            while self.queued.len() < first_need {
+                let burst = self.labels.clock(per_cycle);
+                self.report.labels_generated += burst.len() as u64;
+                self.queued.extend(burst);
+                self.cycles += 1;
+                io_cycle(&mut self.memory, &mut self.pcie);
+            }
+            let mut remaining = needed.saturating_sub(self.queued.len());
+            for _ in 0..needed {
+                if self.queued.pop_front().is_none() {
+                    self.labels.clock(1);
+                    self.report.labels_generated += 1;
+                    self.cycles += 1;
+                }
+            }
+            let mut slots = schedule.assignments().iter().peekable();
+            for cycle in 0..schedule.stats().cycles {
+                let burst = self.labels.clock(remaining.min(per_cycle));
+                remaining -= burst.len();
+                self.report.labels_generated += burst.len() as u64;
+                self.queued.extend(burst);
+                while let Some(slot) = slots.next_if(|slot| slot.cycle == cycle) {
+                    if !self.memory.write(slot.core, GarbledTable::WIRE_BYTES) {
+                        self.report.bram_would_stall += 1;
+                    }
+                    self.report.tables += 1;
+                }
+                self.memory.end_cycle();
+                self.cycles += 1;
+                io_cycle(&mut self.memory, &mut self.pcie);
+            }
+            while !self.memory.is_empty() || !self.pcie.is_drained() {
+                self.cycles += 1;
+                io_cycle(&mut self.memory, &mut self.pcie);
+            }
+            let report = &mut self.report;
+            report.rounds += rounds as u64;
+            report.cycles = self.cycles;
+            report.last_job_ii = schedule.stats().steady_state_ii;
+            report.last_job_utilization = schedule.stats().utilization;
+            let rng = self.labels.report();
+            report.label_energy_saving = rng.energy_saving();
+            report.pcie_pushed_bytes = self.pcie.pushed_bytes();
+            report.pcie_delivered_bytes = self.pcie.delivered_bytes();
+            report.pcie_peak_backlog = self.pcie.peak_queue_bytes();
+            report.energy = max_fpga::EnergyMeter {
+                aes_ops: report.tables * 4,
+                rng_cycles: rng.active_rng_cycles,
+                shifts: report.tables,
+                bram_writes: report.tables,
+                pcie_bytes: report.pcie_pushed_bytes,
+                cycles: report.cycles,
+            };
+        }
+    }
+
+    #[test]
+    fn fabric_account_matches_the_cycle_walk() {
+        let mut configs = Vec::new();
+        for b in [4usize, 8, 16, 32] {
+            configs.push(AcceleratorConfig::new(b));
+            configs.push(AcceleratorConfig::new(b).unsigned());
+            if 2 * b <= 32 {
+                configs.push(AcceleratorConfig::new(b).with_acc_width(32));
+            }
+        }
+        let splits: [&[usize]; 4] = [&[2, 3], &[1; 5], &[3, 1, 4], &[40, 41]];
+        for config in configs {
+            let b = config.bit_width;
+            let max_rounds = if b == 32 { 8 } else { 64 };
+            let mut jobs: Vec<Vec<usize>> = (1..=20).chain([64]).map(|r| vec![r]).collect();
+            jobs.extend(splits.iter().map(|split| split.to_vec()));
+            jobs.retain(|job| job.iter().sum::<usize>() <= max_rounds);
+
+            let seed = 0xacc0 + b as u64;
+            let mut accel = Maxelerator::new(config.clone(), seed);
+            let mut walk = CycleWalk::new(&config, accel.cores(), seed);
+            let weights: Vec<i64> = (0..max_rounds as i64).map(|i| i % 3).collect();
+            for (elem, job) in jobs.iter().enumerate() {
+                // The first job runs on the element `new` opened.
+                if elem > 0 {
+                    accel.begin_element(elem as u32);
+                    walk.begin_element(elem as u32);
+                }
+                let mut start = 0;
+                for (i, &rounds) in job.iter().enumerate() {
+                    let last = i + 1 == job.len();
+                    accel.garble_job(&weights[start..start + rounds], last);
+                    walk.job(rounds);
+                    start += rounds;
+                    let at = format!("{config:?} job {job:?} piece {i}");
+                    assert_eq!(accel.report(), &walk.report, "{at}");
+                    assert_eq!(
+                        accel.report().label_energy_saving.to_bits(),
+                        walk.report.label_energy_saving.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(accel.labels.report(), walk.labels.report(), "{at}");
+                    assert_eq!(accel.pool, walk.queued.len() as u64, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fabric_cycles_decompose_as_documented() {
+        // The 4×8, b = 8 shape of `fabric_counts_are_pinned`: every element
+        // costs 11 prefill cycles + 116 serial pool misses + 364 cycles of
+        // the BRAM read port (1 456 tables × 32 B ÷ 128 B per cycle) + 16
+        // cycles of PCIe latency = 507 cycles; the schedule's own 191
+        // cycles fall inside the read port's 364.
+        let config = AcceleratorConfig::new(8);
+        let mut accel = Maxelerator::new(config.clone(), 0x5eed);
+        let fabric = FabricAccount::shared(&config, accel.cores(), 8);
+        assert_eq!(fabric.schedule.cycles, 191);
+        let tables = 8 * config.mac_circuit().netlist().stats().and_gates as u64;
+        assert_eq!(tables, 1456);
+        let read_port_cycles = tables * GarbledTable::WIRE_BYTES as u64
+            / (READ_BEATS_PER_CYCLE * GarbledTable::WIRE_BYTES) as u64;
+        assert_eq!(read_port_cycles, 364);
+        assert_eq!(fabric.io_cycles, read_port_cycles + PCIE_LATENCY_CYCLES);
+        assert_eq!(fabric.pcie_bytes, tables * 32);
+
+        // Per element: 160 labels consumed, 41 of them in the first round.
+        let pool = PoolAccount::of_job(0, 41, 160, 4, fabric.schedule.cycles);
+        assert_eq!(
+            pool,
+            PoolAccount {
+                prefill: 11,
+                misses: 116,
+                pumped: 116,
+                carried: 116,
+            }
+        );
+        for elem in 0..4u32 {
+            let before = accel.report().cycles;
+            accel.begin_element(elem);
+            accel.garble_job(&[1; 8], true);
+            assert_eq!(accel.report().cycles - before, 11 + 116 + 364 + 16);
+            assert_eq!(accel.pool, pool.carried);
+        }
+        // 276 labels generated per element (44 + 116 + 116), of which
+        // the 116 pumped go unused; 507 cycles ÷ 8 MACs = 63.375.
+        assert_eq!(accel.report().labels_generated, 4 * 276);
+        assert_eq!(accel.report().cycles as f64 / 32.0, 63.375);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! that §4.3 of the paper derives analytically.
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
+use max_fpga::{MemorySystem, PcieLink};
+use max_gc::GarbledTable;
 use max_netlist::{GateKind, Netlist};
 
 use crate::config::AcceleratorConfig;
@@ -94,19 +96,97 @@ pub struct Schedule {
     segments: Vec<Segment>,
 }
 
-/// Key of [`Schedule::shared`] — everything [`Schedule::compile`] reads for
-/// a MAC circuit: (operand width, accumulator width, signed, cores, rounds).
+/// One job shape's fabric, label generator aside: the schedule's metrics
+/// and its tables' way through BRAM and PCIe ([`Schedule::fabric_account`]).
+/// A pure function of the shape: memory and link are empty between jobs,
+/// and the read port starts each job at block 0. The per-cycle walk this
+/// replaced carried the port's round-robin position over; that picks which
+/// block a beat drains, never how many bytes, so it moves only the stall
+/// count of a job that fills a block (353 573 against 353 572 stalls in a
+/// 600-round b = 32 job).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct FabricAccount {
+    /// The compiled schedule's metrics.
+    pub(crate) schedule: ScheduleStats,
+    /// The schedule's cycles plus the drain to the host.
+    pub(crate) io_cycles: u64,
+    /// Bytes pushed into (and delivered by) the PCIe link.
+    pub(crate) pcie_bytes: u64,
+    /// Largest PCIe backlog.
+    pub(crate) peak_backlog: usize,
+    /// Table writes a full BRAM block rejected (would-be stalls).
+    pub(crate) bram_stalls: u64,
+}
+
+/// Capacity of each core's BRAM block.
+pub(crate) const BRAM_BLOCK_BYTES: usize = 1 << 20;
+/// 32-byte beats the shared BRAM read port moves per cycle (512-bit AXI).
+pub(crate) const READ_BEATS_PER_CYCLE: usize = 4;
+/// PCIe (Xillybus) bandwidth.
+pub(crate) const PCIE_BYTES_PER_CYCLE: usize = 256;
+/// PCIe pipeline latency.
+pub(crate) const PCIE_LATENCY_CYCLES: u64 = 16;
+
+/// One I/O cycle: the BRAM read port feeds the PCIe serializer.
+pub(crate) fn io_cycle(memory: &mut MemorySystem, pcie: &mut PcieLink) {
+    for _ in 0..READ_BEATS_PER_CYCLE {
+        match memory.read_one() {
+            Some((_, record_bytes)) => pcie.push(record_bytes),
+            None => break,
+        }
+    }
+    pcie.tick();
+}
+
+/// Key of [`FabricAccount::shared`] — everything [`Schedule::compile`]
+/// reads for a MAC circuit: (operand width, accumulator width, signed,
+/// cores, rounds).
 type ScheduleKey = (usize, usize, bool, usize, usize);
 
-/// Most schedules [`Schedule::shared`] keeps.
+/// Most accounts [`FabricAccount::shared`] keeps.
 const SHARED_SCHEDULES: usize = 32;
-/// Most slot assignments it keeps across all of them (24 bytes each).
-const SHARED_SLOTS: usize = 1 << 20;
 
 /// Insertion-ordered, oldest first; small enough to scan.
-type SharedSchedules = VecDeque<(ScheduleKey, Arc<Schedule>)>;
+type SharedAccounts = VecDeque<(ScheduleKey, FabricAccount)>;
 
-static SHARED: Mutex<SharedSchedules> = Mutex::new(VecDeque::new());
+static SHARED: Mutex<SharedAccounts> = Mutex::new(VecDeque::new());
+
+impl FabricAccount {
+    /// The account of `rounds` MAC rounds of `config.mac_circuit()` on
+    /// `cores` cores, compiled and walked once per process and shared: the
+    /// gate order is a compile-time artifact the fabric merely streams.
+    /// Peers choose round counts, so the map keeps [`SHARED_SCHEDULES`]
+    /// entries, evicting the oldest.
+    pub(crate) fn shared(config: &AcceleratorConfig, cores: usize, rounds: usize) -> Self {
+        let key: ScheduleKey = (
+            config.bit_width,
+            config.acc_width,
+            config.signed,
+            cores,
+            rounds,
+        );
+        let lookup = |map: &SharedAccounts| map.iter().find(|(k, _)| *k == key).map(|(_, a)| *a);
+        if let Some(hit) = lookup(&SHARED.lock().unwrap_or_else(PoisonError::into_inner)) {
+            return hit;
+        }
+        // Compile and walk outside the lock; the slot list dies here.
+        let account = Schedule::compile(
+            config.mac_circuit().netlist(),
+            cores,
+            rounds,
+            config.state_range(),
+        )
+        .fabric_account();
+        let mut map = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
+        if lookup(&map).is_none() {
+            map.push_back((key, account));
+            if map.len() > SHARED_SCHEDULES {
+                map.pop_front();
+            }
+        }
+        account
+    }
+}
 
 /// Dependency graph over the AND gates of one round.
 struct GateGraph {
@@ -545,51 +625,35 @@ impl Schedule {
         }
     }
 
-    /// The schedule of `rounds` MAC rounds of `config.mac_circuit()` on
-    /// `cores` cores, compiled once per process and shared: the gate order
-    /// is a compile-time artifact the fabric merely streams. Round counts
-    /// follow model shapes a peer can choose, so the map is bounded
-    /// ([`SHARED_SCHEDULES`] entries, [`SHARED_SLOTS`] slots in total,
-    /// oldest evicted first); a schedule too large to keep is not cached.
-    pub(crate) fn shared(config: &AcceleratorConfig, cores: usize, rounds: usize) -> Arc<Schedule> {
-        let key: ScheduleKey = (
-            config.bit_width,
-            config.acc_width,
-            config.signed,
-            cores,
-            rounds,
-        );
-        let lookup = |map: &SharedSchedules| {
-            map.iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, schedule)| Arc::clone(schedule))
-        };
-        if let Some(hit) = lookup(&SHARED.lock().unwrap_or_else(PoisonError::into_inner)) {
-            return hit;
-        }
-        // Compile outside the lock; if another thread won the race, adopt
-        // its schedule so every holder of one key shares one allocation.
-        let compiled = Arc::new(Schedule::compile(
-            config.mac_circuit().netlist(),
-            cores,
-            rounds,
-            config.state_range(),
-        ));
-        let mut map = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = lookup(&map) {
-            return hit;
-        }
-        if compiled.assignments.len() <= SHARED_SLOTS {
-            map.push_back((key, Arc::clone(&compiled)));
-            let mut slots: usize = map.iter().map(|(_, s)| s.assignments.len()).sum();
-            while map.len() > SHARED_SCHEDULES || slots > SHARED_SLOTS {
-                let Some((_, evicted)) = map.pop_front() else {
-                    break;
-                };
-                slots -= evicted.assignments.len();
+    /// Walks the schedule once through empty BRAM blocks and PCIe link:
+    /// each slot writes a table through its core's port, then the drain
+    /// runs until the host has every byte.
+    pub(crate) fn fabric_account(&self) -> FabricAccount {
+        let mut memory = MemorySystem::new(self.cores, BRAM_BLOCK_BYTES);
+        let mut pcie = PcieLink::new(PCIE_BYTES_PER_CYCLE, PCIE_LATENCY_CYCLES);
+        let mut bram_stalls = 0;
+        let mut slots = self.assignments.iter().peekable();
+        for cycle in 0..self.stats.cycles {
+            while let Some(slot) = slots.next_if(|slot| slot.cycle == cycle) {
+                if !memory.write(slot.core, GarbledTable::WIRE_BYTES) {
+                    bram_stalls += 1;
+                }
             }
+            memory.end_cycle();
+            io_cycle(&mut memory, &mut pcie);
         }
-        compiled
+        let mut io_cycles = self.stats.cycles;
+        while !memory.is_empty() || !pcie.is_drained() {
+            io_cycle(&mut memory, &mut pcie);
+            io_cycles += 1;
+        }
+        FabricAccount {
+            schedule: self.stats,
+            io_cycles,
+            pcie_bytes: pcie.pushed_bytes(),
+            peak_backlog: pcie.peak_queue_bytes(),
+            bram_stalls,
+        }
     }
 
     /// Number of cores.
@@ -822,24 +886,22 @@ mod tests {
         }
     }
 
-    fn shared_for(b: usize, rounds: usize) -> Arc<Schedule> {
+    fn shared_for(b: usize, rounds: usize) -> FabricAccount {
         let cores = TimingModel::paper(b).cores();
-        Schedule::shared(&AcceleratorConfig::new(b), cores, rounds)
+        FabricAccount::shared(&AcceleratorConfig::new(b), cores, rounds)
     }
 
     #[test]
     fn shared_schedule_equals_a_fresh_compile() {
         for b in [8usize, 16] {
             for rounds in [1usize, 3, 8] {
-                let shared = shared_for(b, rounds);
                 let fresh = compile_for(b, rounds);
                 assert_eq!(
-                    shared.assignments(),
-                    fresh.assignments(),
+                    shared_for(b, rounds),
+                    fresh.fabric_account(),
                     "b={b} r={rounds}"
                 );
-                assert_eq!(shared.stats(), fresh.stats(), "b={b} r={rounds}");
-                assert_eq!(shared.round_completion(), fresh.round_completion());
+                assert_eq!(shared_for(b, rounds).schedule, *fresh.stats());
             }
         }
     }
@@ -851,30 +913,19 @@ mod tests {
         let unsigned = AcceleratorConfig::new(8).unsigned();
         let wide = AcceleratorConfig::new(8).with_acc_width(32);
         let cores = TimingModel::paper(8).cores();
-        for config in [signed, unsigned, wide] {
-            let mac = config.mac_circuit();
-            let shared = Schedule::shared(&config, cores, 2);
-            let fresh = Schedule::compile(mac.netlist(), cores, 2, config.state_range());
-            assert_eq!(shared.assignments(), fresh.assignments(), "{config:?}");
-        }
-    }
-
-    #[test]
-    fn racing_threads_share_one_allocation() {
-        // 5 rounds: a key no other test in this binary asks for, so both
-        // threads start from a miss.
-        let barrier = std::sync::Barrier::new(2);
-        let (a, b) = std::thread::scope(|scope| {
-            let ask = || {
-                barrier.wait();
-                shared_for(8, 5)
-            };
-            let first = scope.spawn(ask);
-            let second = scope.spawn(ask);
-            (first.join().unwrap(), second.join().unwrap())
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(Arc::ptr_eq(&a, &shared_for(8, 5)));
+        let accounts: Vec<FabricAccount> = [signed, unsigned, wide]
+            .iter()
+            .map(|config| {
+                let mac = config.mac_circuit();
+                let shared = FabricAccount::shared(config, cores, 2);
+                let fresh = Schedule::compile(mac.netlist(), cores, 2, config.state_range());
+                assert_eq!(shared, fresh.fabric_account(), "{config:?}");
+                shared
+            })
+            .collect();
+        assert_ne!(accounts[0], accounts[1]);
+        assert_ne!(accounts[0], accounts[2]);
+        assert_ne!(accounts[1], accounts[2]);
     }
 
     #[test]
@@ -883,29 +934,13 @@ mod tests {
         // entries only add to the pressure).
         for rounds in 100..100 + SHARED_SCHEDULES + 8 {
             let shared = shared_for(4, rounds);
-            assert_eq!(shared.stats().rounds, rounds);
+            assert_eq!(shared.schedule.rounds, rounds);
             let map = SHARED.lock().unwrap();
             assert!(map.len() <= SHARED_SCHEDULES, "{} entries", map.len());
-            let slots: usize = map.iter().map(|(_, s)| s.assignments.len()).sum();
-            assert!(slots <= SHARED_SLOTS);
         }
-        // An evicted key recompiles to the same schedule.
+        // An evicted key recompiles to the same account.
         let again = shared_for(4, 100);
-        let fresh = compile_for(4, 100);
-        assert_eq!(again.assignments(), fresh.assignments());
-        assert_eq!(again.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn oversized_schedule_is_served_but_not_kept() {
-        let config = AcceleratorConfig::new(4);
-        let mac = config.mac_circuit();
-        let rounds = SHARED_SLOTS / mac.netlist().stats().and_gates + 1;
-        let cores = TimingModel::paper(4).cores();
-        let big = Schedule::shared(&config, cores, rounds);
-        assert!(big.assignments().len() > SHARED_SLOTS);
-        let map = SHARED.lock().unwrap();
-        assert!(map.iter().all(|(key, _)| key.4 != rounds));
+        assert_eq!(again, compile_for(4, 100).fabric_account());
     }
 
     #[test]

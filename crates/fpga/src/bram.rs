@@ -129,11 +129,6 @@ impl MemorySystem {
         self.blocks.iter().map(|b| b.occupied_bytes()).sum()
     }
 
-    /// Total overflows across all blocks.
-    pub fn overflows(&self) -> u64 {
-        self.blocks.iter().map(|b| b.overflows()).sum()
-    }
-
     /// True when all blocks are drained.
     pub fn is_empty(&self) -> bool {
         self.blocks.iter().all(BramBlock::is_empty)

@@ -4,8 +4,6 @@
 //! is the software stand-in for that fabric (see the substitution table in
 //! DESIGN.md). It provides the pieces the accelerator model composes:
 //!
-//! * [`Clock`] — a cycle counter with a frequency, converting cycles to
-//!   wall-clock time (the paper's fabric runs at 200 MHz).
 //! * [`BramBlock`] / [`MemorySystem`] — the on-chip table memory of §5.1:
 //!   one write port per block (per GC core), one shared read port drained by
 //!   the PCIe bridge.
@@ -18,13 +16,11 @@
 #![warn(missing_docs)]
 
 mod bram;
-mod clock;
 mod energy;
 mod pcie;
 mod resource;
 
 pub use bram::{BramBlock, MemorySystem};
-pub use clock::Clock;
 pub use energy::{cpu_joules_per_mac, EnergyMeter, EnergyModel};
 pub use pcie::PcieLink;
 pub use resource::{ResourceUsage, XCVU095};

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 /// fixed pipeline latency.
 ///
 /// Bytes enqueued with [`PcieLink::push`] become visible to the host
-/// [`PcieLink::latency_cycles`] cycles after the cycle in which bandwidth
+/// `latency_cycles` cycles after the cycle in which bandwidth
 /// was available to serialize them.
 ///
 /// # Example
@@ -53,11 +53,6 @@ impl PcieLink {
             pushed: 0,
             peak_queue: 0,
         }
-    }
-
-    /// Pipeline latency in cycles.
-    pub fn latency_cycles(&self) -> u64 {
-        self.latency_cycles
     }
 
     /// Enqueues `bytes` for transfer.

@@ -63,7 +63,8 @@ impl LabelGenerator {
     }
 
     /// Advances one clock, producing `demand` fresh labels and power-gating
-    /// the rest of the bank.
+    /// the rest of the bank: an [`LabelGenerator::account`] and a
+    /// [`LabelGenerator::draw`].
     ///
     /// # Panics
     ///
@@ -74,9 +75,20 @@ impl LabelGenerator {
             "demand {demand} exceeds generator width {}",
             self.max_labels
         );
-        self.cycles += 1;
-        self.labels_produced += demand as u64;
-        self.stream.blocks(demand)
+        self.account(1, demand as u64);
+        self.draw(demand)
+    }
+
+    /// The next `n` labels of the stream, charged to no clock.
+    pub fn draw(&mut self, n: usize) -> Vec<Block> {
+        self.stream.blocks(n)
+    }
+
+    /// Books `cycles` clocks that produced `labels` labels in all, drawing
+    /// nothing.
+    pub fn account(&mut self, cycles: u64, labels: u64) {
+        self.cycles += cycles;
+        self.labels_produced += labels;
     }
 
     /// Produces one label immediately (one clock at demand 1).
@@ -206,6 +218,19 @@ mod tests {
         assert_eq!(lg.clock(4), LabelGenerator::new(2, 8).clock(4));
         let report = lg.report();
         assert_eq!((report.cycles, report.labels_produced), (2, 7));
+    }
+
+    #[test]
+    fn clock_is_a_draw_and_an_account() {
+        let mut clocked = LabelGenerator::new(9, 8);
+        let mut split = LabelGenerator::new(9, 8);
+        let labels: Vec<Block> = [4usize, 0, 2, 1]
+            .iter()
+            .flat_map(|&d| clocked.clock(d))
+            .collect();
+        assert_eq!(split.draw(7), labels);
+        split.account(4, 7);
+        assert_eq!(split.report(), clocked.report());
     }
 
     #[test]
