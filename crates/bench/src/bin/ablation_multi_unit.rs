@@ -1,9 +1,9 @@
 //! Multi-unit ablation: the §5 scaling argument, measured on this host.
 //!
-//! A `MultiUnitServer` runs N fabric units on N OS threads, each garbling
-//! an interleaved share of the model rows and streaming frames to the host
-//! while it evaluates — the transcript stays bit-identical to the
-//! single-unit `CloudServer` (see `tests/proptest_protocol.rs`). This
+//! A `CloudServer` built `with_units(n)` runs N fabric units on N OS
+//! threads, each garbling an interleaved share of the model rows while the
+//! host serves the rows already garbled — the transcript stays
+//! bit-identical to one unit's (see `tests/proptest_protocol.rs`). This
 //! binary reports the modeled cycle speedup next to the *measured*
 //! wall-clock speedup on the acceptance workload (64x256, 8-bit signed),
 //! and contrasts it with the barrier-synchronized CPU-parallel strawman
@@ -17,13 +17,14 @@
 //! adds the wall-clock columns, the CPU contrast and the host-core check.
 
 use max_baselines::parallel_cpu::garble_parallel;
-use max_bench::{
-    multi_unit_perf, multi_unit_perf_header, multi_unit_perf_row, multi_unit_widths, rule,
-};
+use max_bench::{row, rule};
 use max_crypto::Block;
-use max_telemetry::Recorder;
-use maxelerator::{connect, connect_multi, secure_matvec, secure_matvec_multi, AcceleratorConfig};
+use maxelerator::{connect, secure_matvec, AcceleratorConfig, MatvecTranscript};
 use std::time::Instant;
+
+/// Column widths: units, modeled, MB moved, then under `--measure` the
+/// wall-clock and the speedup over one unit.
+const WIDTHS: [usize; 5] = [5, 11, 9, 10, 9];
 
 fn main() {
     let measure = std::env::args().any(|a| a == "--measure");
@@ -58,61 +59,59 @@ fn main() {
     }
     println!();
 
-    // Reference point: the sequential single-unit CloudServer.
-    let single_wall = {
+    // One query on `units` units, timed around `secure_matvec`.
+    let run = |units: usize| -> (MatvecTranscript, f64) {
+        let (server, mut client) = connect(&config, weights.clone(), 1);
+        let mut server = server.with_units(units);
         let start = Instant::now();
-        let (mut server, mut client) = connect(&config, weights.clone(), 1);
-        let (got, _) = secure_matvec(&mut server, &mut client, &x);
-        assert_eq!(got, expected, "single-unit result mismatch");
-        start.elapsed().as_secs_f64()
-    };
-    if measure {
-        println!(
-            "  single-unit CloudServer wall time: {:.1} ms",
-            single_wall * 1e3
-        );
-        println!();
-    }
-
-    // Every number in this table is read back from a telemetry snapshot
-    // (`MultiUnitTiming::record_into` → `multi_unit_perf`).
-    let (vs_head, vs_rule) = if measure {
-        (
-            format!(" | {:>9}", "vs single"),
-            format!("-+-{}", "-".repeat(9)),
-        )
-    } else {
-        Default::default()
-    };
-    println!("  {}{vs_head}", multi_unit_perf_header(measure));
-    println!("  {}{vs_rule}", rule(multi_unit_widths(measure)));
-
-    let mut speedup_at = Vec::new();
-    for units in [1usize, 2, 4, 8] {
-        let recorder = Recorder::new();
-        let (mut server, mut client) = connect_multi(&config, weights.clone(), units, 1);
-        let (got, transcript, timing) = secure_matvec_multi(&mut server, &mut client, &x)
-            .expect("in-process frames are well-formed");
+        let (got, transcript) = secure_matvec(&mut server, &mut client, &x);
+        let wall = start.elapsed().as_secs_f64();
         assert_eq!(got, expected, "{units}-unit result mismatch");
         assert!(rows == 0 || transcript.tables > 0);
-        timing.record_into(&recorder);
-        let perf = multi_unit_perf(&recorder.snapshot()).expect("run recorded");
-        let speedup = single_wall * 1e3 / perf.wall_ms;
-        speedup_at.push((units, speedup));
-        let vs = if measure {
-            format!(" | {speedup:>8.2}x")
+        (transcript, wall)
+    };
+
+    // Reference point: one unit (the run also warms the shared fabric
+    // account, so the timed rows below start equal).
+    let (single, _) = run(1);
+
+    let widths = &WIDTHS[..if measure { 5 } else { 3 }];
+    let header = ["units", "modeled (x)", "MB moved", "wall (ms)", "vs single"];
+    println!(
+        "  {}",
+        row(&header.map(String::from)[..widths.len()], widths)
+    );
+    println!("  {}", rule(widths));
+
+    let mut speedup_at = Vec::new();
+    let mut single_wall = None;
+    for units in [1usize, 2, 4, 8] {
+        let (transcript, wall) = run(units);
+        let single_wall = *single_wall.get_or_insert(wall);
+        // An element's cycles do not depend on its unit, so one unit's
+        // cycles over the busiest unit's is the sum over the makespan.
+        let modeled = if transcript.fabric_cycles == 0 {
+            1.0
         } else {
-            String::new()
+            single.fabric_cycles as f64 / transcript.fabric_cycles as f64
         };
-        println!("  {}{vs}", multi_unit_perf_row(&perf, measure));
+        let speedup = single_wall / wall;
+        speedup_at.push((units, speedup));
+        let cells = [
+            format!("{units}"),
+            format!("{modeled:.2}x"),
+            format!("{:.1}", transcript.material_bytes as f64 / 1e6),
+            format!("{:.1}", wall * 1e3),
+            format!("{speedup:.2}x"),
+        ];
+        println!("  {}", row(&cells[..widths.len()], widths));
     }
     println!();
     println!("  modeled   = sum of per-unit fabric cycles / makespan cycles");
     if !measure {
         return;
     }
-    println!("  threads   = sum of per-thread busy time / garbling makespan");
-    println!("  vs single = single-unit CloudServer wall / multi-unit pipeline wall");
+    println!("  vs single = the 1-unit row's secure_matvec wall / N units' wall");
     println!("              (full protocol: garbling + OT + host eval, overlapped)");
 
     // The §3 strawman: levelized barrier-parallel CPU garbling of one MAC.

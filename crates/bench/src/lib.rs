@@ -53,76 +53,6 @@ pub fn compare(label: &str, paper: f64, ours: f64) -> String {
     )
 }
 
-/// Modeled-vs-measured summary of one multi-unit run, derived from a
-/// telemetry [`max_telemetry::Snapshot`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MultiUnitPerf {
-    /// Units (threads) the run used.
-    pub units: usize,
-    /// End-to-end wall-clock of the streamed pipeline, milliseconds.
-    pub wall_ms: f64,
-    /// Modeled fabric speedup: total unit cycles / makespan cycles.
-    pub modeled_speedup: f64,
-    /// Measured thread speedup: total busy time / busiest thread.
-    pub thread_speedup: f64,
-    /// Garbled material streamed unit → host, megabytes.
-    pub mb_streamed: f64,
-}
-
-/// Extracts the multi-unit summary from `snapshot` (the `multi_unit.*`
-/// counters published by `MultiUnitTiming::record_into`); `None` when no
-/// multi-unit run was recorded.
-pub fn multi_unit_perf(snapshot: &max_telemetry::Snapshot) -> Option<MultiUnitPerf> {
-    let timing = maxelerator::MultiUnitTiming::from_snapshot(snapshot)?;
-    Some(MultiUnitPerf {
-        units: timing.units,
-        wall_ms: timing.measured_wall.as_secs_f64() * 1e3,
-        modeled_speedup: timing.speedup(),
-        thread_speedup: timing.measured_speedup(),
-        mb_streamed: timing.streamed_bytes as f64 / 1e6,
-    })
-}
-
-/// Column widths shared by every multi-unit summary table: the modeled
-/// columns first, then the two wall-clock ones.
-const MULTI_UNIT_WIDTHS: [usize; 5] = [5, 11, 9, 10, 11];
-
-/// The multi-unit table's column widths; the wall-clock columns only when
-/// `measure`.
-pub fn multi_unit_widths(measure: bool) -> &'static [usize] {
-    &MULTI_UNIT_WIDTHS[..if measure { 5 } else { 3 }]
-}
-
-/// Header row matching [`multi_unit_perf_row`].
-pub fn multi_unit_perf_header(measure: bool) -> String {
-    row(
-        &[
-            "units",
-            "modeled (x)",
-            "MB moved",
-            "wall (ms)",
-            "threads (x)",
-        ]
-        .map(String::from),
-        multi_unit_widths(measure),
-    )
-}
-
-/// One table row for a [`MultiUnitPerf`]; the wall-clock cells only when
-/// `measure`.
-pub fn multi_unit_perf_row(perf: &MultiUnitPerf, measure: bool) -> String {
-    row(
-        &[
-            format!("{}", perf.units),
-            format!("{:.2}x", perf.modeled_speedup),
-            format!("{:.1}", perf.mb_streamed),
-            format!("{:.1}", perf.wall_ms),
-            format!("{:.2}x", perf.thread_speedup),
-        ],
-        multi_unit_widths(measure),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,42 +80,5 @@ mod tests {
         assert!(line.contains("2.00"));
         assert!(line.contains("4.00"));
         assert!(line.contains("x2.000"));
-    }
-
-    #[test]
-    fn multi_unit_perf_round_trips_through_snapshot() {
-        use std::time::Duration;
-        let timing = maxelerator::MultiUnitTiming {
-            units: 4,
-            makespan_cycles: 250,
-            total_cycles: 1000,
-            measured_makespan: Duration::from_millis(10),
-            measured_busy_total: Duration::from_millis(36),
-            measured_wall: Duration::from_millis(12),
-            streamed_bytes: 3_000_000,
-        };
-        let rec = max_telemetry::Recorder::new();
-        timing.record_into(&rec);
-        let snap = rec.snapshot();
-        let perf = multi_unit_perf(&snap).expect("run recorded");
-        assert_eq!(perf.units, 4);
-        assert!((perf.wall_ms - 12.0).abs() < 1e-9);
-        assert!((perf.modeled_speedup - 4.0).abs() < 1e-9);
-        assert!((perf.thread_speedup - 3.6).abs() < 1e-9);
-        assert!((perf.mb_streamed - 3.0).abs() < 1e-9);
-        let line = multi_unit_perf_row(&perf, true);
-        assert!(line.contains("4.00x"));
-        assert!(line.contains("3.60x"));
-        assert_eq!(
-            multi_unit_perf_header(true).len(),
-            line.len(),
-            "header and row align"
-        );
-        let modeled = multi_unit_perf_row(&perf, false);
-        assert!(modeled.contains("4.00x") && !modeled.contains("3.60x"));
-        assert_eq!(multi_unit_perf_header(false).len(), modeled.len());
-
-        // An empty snapshot yields no summary.
-        assert!(multi_unit_perf(&max_telemetry::Recorder::new().snapshot()).is_none());
     }
 }

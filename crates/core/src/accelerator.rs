@@ -240,8 +240,8 @@ impl Maxelerator {
     /// The label generator reseeds to the element's own stream (derived
     /// from the base seed and `elem` alone), so the element's garbled
     /// material is bit-identical whichever unit garbles it and in whatever
-    /// order elements are processed — the invariant the multi-unit pipeline
-    /// relies on for transcript parity with a single-unit server.
+    /// order elements are processed — why a [`crate::CloudServer`] on any
+    /// number of units sends the same bytes.
     pub fn begin_element(&mut self, elem: u32) {
         self.labels.reseed(element_label_seed(self.base_seed, elem));
         self.delta = Delta::from_block(self.labels.next_label());
@@ -255,8 +255,9 @@ impl Maxelerator {
     /// Garbles matrix row `row` as output element `elem`: the element's
     /// whole round sequence as one pipelined job with the decode bits
     /// released on the last round, plus its OT pairs in round order. This
-    /// is how every driver — in-process servers, unit banks, the served
-    /// job producer — turns a row into an element, so they cannot drift.
+    /// is how both drivers — the in-process [`crate::CloudServer`] and the
+    /// served job producer — turn a row into an element, so they cannot
+    /// drift.
     ///
     /// # Panics
     ///
@@ -1026,7 +1027,7 @@ mod tests {
     #[test]
     fn element_streams_are_position_independent() {
         // Element 7's garbled bytes must not depend on which elements were
-        // garbled before it — the invariant multi-unit parity rests on.
+        // garbled before it — the invariant unit-count parity rests on.
         let config = AcceleratorConfig::new(8);
         let a = [9i64, -3, 44];
 

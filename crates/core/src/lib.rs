@@ -55,7 +55,6 @@
 mod accelerator;
 mod config;
 mod error;
-mod multi_unit;
 pub mod remote;
 pub mod resilient;
 mod resources;
@@ -70,7 +69,6 @@ pub use accelerator::{
 };
 pub use config::AcceleratorConfig;
 pub use error::AcceleratorError;
-pub use multi_unit::{connect_multi, secure_matvec_multi, MultiUnitServer, MultiUnitTiming};
 pub use remote::{
     JobProgress, MaterializedJob, ModelHandle, ModelStatus, RemoteClient, SessionState,
     PROTOCOL_VERSION,

@@ -5,11 +5,20 @@
 //! client — exactly the division of labour in §3: "MAXelerator creates the
 //! garbled tables and sends them to the host CPU that later performs the
 //! communication with the client including OT."
+//!
+//! The accelerator may hold several MAC units (§6: "the throughput can be
+//! increased linearly by adding more GC cores"). Unit `u` of `n` garbles
+//! rows `u, u + n, …` on its own thread while the host serves the rows
+//! already garbled, in row order. Every element's labels derive from the
+//! seed and the element id alone ([`Maxelerator::begin_element`]), so the
+//! unit count changes no byte the client sees.
+
+use std::sync::mpsc;
 
 use max_crypto::Block;
 use max_ot::iknp::{self, OtExtReceiver, OtExtSender};
 
-use crate::accelerator::{GarbledRow, Maxelerator, ScheduledEvaluator};
+use crate::accelerator::{AcceleratorReport, GarbledRow, Maxelerator, ScheduledEvaluator};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
 
@@ -29,23 +38,31 @@ pub struct MatvecTranscript {
     pub ot_bytes: u64,
     /// Bytes of OT corrections (client → server).
     pub ot_upload_bytes: u64,
-    /// Fabric cycles spent garbling.
+    /// Fabric cycles the busiest unit spent garbling this product (the
+    /// units run in parallel).
     pub fabric_cycles: u64,
     /// Wall-clock the fabric would need at the configured frequency.
     pub fabric_seconds: f64,
 }
 
-/// The cloud server: accelerator + model matrix + OT sender.
+/// The cloud server: MAC units + model matrix + OT sender.
 pub struct CloudServer {
-    accelerator: Maxelerator,
+    units: Vec<Maxelerator>,
     /// Model matrix, row-major.
     weights: Vec<Vec<i64>>,
     ot_sender: OtExtSender,
+    /// Seed every unit's label streams derive from.
+    seed: u64,
+    /// Element ids this session has garbled: query `q` garbles elements
+    /// `q·rows + r`, the numbering a served matmul gives its column `q`,
+    /// so no query reuses another's labels.
+    elements_used: u32,
 }
 
 impl std::fmt::Debug for CloudServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudServer")
+            .field("units", &self.units.len())
             .field("rows", &self.weights.len())
             .finish_non_exhaustive()
     }
@@ -53,9 +70,9 @@ impl std::fmt::Debug for CloudServer {
 
 /// The client: scheduled evaluator + OT receiver.
 pub struct ClientSession {
-    pub(crate) evaluator: ScheduledEvaluator,
-    pub(crate) config: AcceleratorConfig,
-    pub(crate) ot_receiver: OtExtReceiver,
+    evaluator: ScheduledEvaluator,
+    config: AcceleratorConfig,
+    ot_receiver: OtExtReceiver,
 }
 
 impl std::fmt::Debug for ClientSession {
@@ -65,12 +82,10 @@ impl std::fmt::Debug for ClientSession {
 }
 
 impl ClientSession {
-    /// The host-side half of one output element, shared by the single- and
-    /// multi-unit in-process servers so their OT state transitions and
-    /// byte counts cannot diverge: one OT-extension batch covers every
-    /// round of the row (`b` choice bits per round), then the rounds are
-    /// evaluated in order. Returns the decoded MAC result.
-    pub(crate) fn receive_element(
+    /// The host-side half of one output element: one OT-extension batch
+    /// covers every round of the row (`b` choice bits per round), then the
+    /// rounds are evaluated in order. Returns the decoded MAC result.
+    fn receive_element(
         &mut self,
         elem: u32,
         choices: &[bool],
@@ -105,7 +120,8 @@ impl ClientSession {
     }
 }
 
-/// Creates a connected server/client pair (the OT base phase runs here).
+/// Creates a connected server/client pair with one MAC unit (the OT base
+/// phase runs here).
 ///
 /// An empty matrix is accepted: the resulting matvec is the empty vector.
 ///
@@ -129,9 +145,11 @@ pub fn connect(
     let (ot_sender, ot_receiver) = iknp::setup_pair(seed ^ 0x0055_aaff);
     (
         CloudServer {
-            accelerator: Maxelerator::new(config.clone(), seed),
+            units: vec![Maxelerator::new(config.clone(), seed)],
             weights,
             ot_sender,
+            seed,
+            elements_used: 0,
         },
         ClientSession {
             evaluator: ScheduledEvaluator::new(config),
@@ -142,6 +160,22 @@ pub fn connect(
 }
 
 impl CloudServer {
+    /// Garbles on `n` MAC units instead of one (§6). Results, transcript
+    /// bytes and garbled material are the same for every `n`; only
+    /// [`MatvecTranscript::fabric_cycles`], the busiest unit's, shrinks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn with_units(mut self, n: usize) -> Self {
+        assert!(n > 0, "need at least one unit");
+        let config = self.units[0].config().clone();
+        let seed = self.seed;
+        self.units
+            .resize_with(n, || Maxelerator::new(config.clone(), seed));
+        self
+    }
+
     /// Number of model rows (output elements).
     pub fn rows(&self) -> usize {
         self.weights.len()
@@ -152,51 +186,102 @@ impl CloudServer {
         self.weights.first().map_or(0, Vec::len)
     }
 
-    /// Direct access to the accelerator's activity report.
-    pub fn accelerator_report(&self) -> &crate::accelerator::AcceleratorReport {
-        self.accelerator.report()
+    /// Unit 0's activity report — the only unit unless
+    /// [`CloudServer::with_units`] was called.
+    pub fn accelerator_report(&self) -> &AcceleratorReport {
+        self.units[0].report()
     }
 }
 
 /// Runs a complete privacy-preserving matrix-vector product `y = W·x`
 /// between `server` and `client`, with the client's `x` delivered through
-/// the full OT-extension stack.
+/// the full OT-extension stack. Each call garbles fresh elements: query
+/// `q` of a session is pass `q` of a served matmul.
 ///
 /// Returns the decoded result (revealed to the client, per the protocol)
 /// and the transcript accounting.
 ///
 /// # Panics
 ///
-/// Panics if `x` length differs from the server's column count or values do
-/// not fit the configured bit-width.
+/// Panics if `x` length differs from the server's column count, values do
+/// not fit the configured bit-width, or the session has used up its `u32`
+/// element ids.
 pub fn secure_matvec(
     server: &mut CloudServer,
     client: &mut ClientSession,
     x: &[i64],
 ) -> (Vec<i64>, MatvecTranscript) {
+    secure_matvec_tapped(server, client, x, |_, _| {})
+}
+
+/// [`secure_matvec`], showing `tap` each garbled row and its element id
+/// before the host serves it.
+pub(crate) fn secure_matvec_tapped(
+    server: &mut CloudServer,
+    client: &mut ClientSession,
+    x: &[i64],
+    mut tap: impl FnMut(u32, &GarbledRow),
+) -> (Vec<i64>, MatvecTranscript) {
     assert_eq!(x.len(), server.cols(), "vector length mismatch");
-    let mut transcript = MatvecTranscript::default();
-    let mut result = Vec::with_capacity(server.rows());
+    let CloudServer {
+        units,
+        weights,
+        ot_sender,
+        elements_used,
+        ..
+    } = server;
+    let rows = weights.len();
+    let first = *elements_used;
+    *elements_used = u32::try_from(rows)
+        .ok()
+        .and_then(|rows| first.checked_add(rows))
+        .expect("session used up its u32 element ids; connect a new session");
     let choices = client.config.encode_choices(x);
+    let mut transcript = MatvecTranscript {
+        elements: rows,
+        ..MatvecTranscript::default()
+    };
+    let mut result = Vec::with_capacity(rows);
 
-    for (row_idx, row) in server.weights.iter().enumerate() {
-        let garbled = server.accelerator.garble_element(row_idx as u32, row);
-        let decoded = client
-            .receive_element(
-                row_idx as u32,
-                &choices,
-                &garbled,
-                &mut server.ot_sender,
-                &mut transcript,
-            )
-            .expect("in-process server messages are well-formed");
-        result.push(decoded);
-    }
+    let n = units.len();
+    let weights = &*weights;
+    std::thread::scope(|scope| {
+        let mut feeds = Vec::with_capacity(n);
+        let mut garblers = Vec::with_capacity(n);
+        for (u, unit) in units.iter_mut().enumerate().take(rows) {
+            let (tx, rx) = mpsc::channel();
+            feeds.push(rx);
+            garblers.push(scope.spawn(move || {
+                let before = unit.report().cycles;
+                for r in (u..rows).step_by(n) {
+                    // The host hangs up only when it panics.
+                    let _ = tx.send(unit.garble_element(first + r as u32, &weights[r]));
+                }
+                unit.report().cycles - before
+            }));
+        }
+        // A unit's rows ascend, so its feed's next row is the next one it
+        // owns. A closed feed means the unit panicked; the join rethrows.
+        for r in 0..rows {
+            let Ok(row) = feeds[r % n].recv() else { break };
+            let elem = first + r as u32;
+            tap(elem, &row);
+            let decoded = client
+                .receive_element(elem, &choices, &row, ot_sender, &mut transcript)
+                .expect("in-process server messages are well-formed");
+            result.push(decoded);
+        }
+        // The units run in parallel: the query takes the busiest one's
+        // cycles.
+        for garbler in garblers {
+            match garbler.join() {
+                Ok(cycles) => transcript.fabric_cycles = transcript.fabric_cycles.max(cycles),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
 
-    transcript.elements = server.rows();
-    let report = server.accelerator.report();
-    transcript.fabric_cycles = report.cycles;
-    transcript.fabric_seconds = report.cycles as f64 / (server.accelerator.config().freq_mhz * 1e6);
+    transcript.fabric_seconds = transcript.fabric_cycles as f64 / (client.config.freq_mhz * 1e6);
     (result, transcript)
 }
 
@@ -204,6 +289,7 @@ pub fn secure_matvec(
 mod tests {
     use super::*;
     use max_gc::GarbledTable;
+    use std::collections::HashSet;
 
     fn plain_matvec(w: &[Vec<i64>], x: &[i64]) -> Vec<i64> {
         w.iter()
@@ -245,8 +331,8 @@ mod tests {
 
     #[test]
     fn repeated_queries_reuse_ot_setup() {
-        // Sequential GC + OT extension: the same session serves multiple
-        // queries with fresh labels each time.
+        // OT extension: one base phase serves every query of a session
+        // (fresh labels per query are `queries_garble_the_served_passes`).
         let config = AcceleratorConfig::new(8);
         let w = vec![vec![2i64, 3]];
         let (mut server, mut client) = connect(&config, w, 17);
@@ -257,14 +343,68 @@ mod tests {
     }
 
     #[test]
+    fn queries_garble_the_served_passes() {
+        // Query q garbles pass q of a served matmul, on any unit count
+        // (three units for two rows leaves one idle): the same messages
+        // and OT pairs, and no table or pair is ever sent twice.
+        let config = AcceleratorConfig::new(8);
+        let w = vec![vec![3i64, -4, 5], vec![-6, 7, 8]];
+        let xs = [[1i64, 2, 3], [1, 2, 2]];
+        let job = crate::remote::garble_matvec_job(&config, &w, 41, 2).unwrap();
+        for units in 1..=3 {
+            let (server, mut client) = connect(&config, w.clone(), 41);
+            let mut server = server.with_units(units);
+            let mut tables = HashSet::new();
+            let mut pairs = HashSet::new();
+            for (q, x) in xs.iter().enumerate() {
+                let mut rows = Vec::new();
+                let (y, _) = secure_matvec_tapped(&mut server, &mut client, x, |elem, row| {
+                    rows.push((elem, row.clone()));
+                });
+                assert_eq!(y, plain_matvec(&w, x), "{units} units, query {q}");
+                assert_eq!(rows.len(), w.len());
+                for (r, (elem, row)) in rows.iter().enumerate() {
+                    for table in row.messages.iter().flat_map(|m| &m.tables) {
+                        assert!(
+                            tables.insert(table.to_bytes()),
+                            "{units} units, query {q}, row {r}: a garbled table repeats"
+                        );
+                    }
+                    for pair in &row.pairs {
+                        assert!(
+                            pairs.insert(*pair),
+                            "{units} units, query {q}, row {r}: an OT pair repeats"
+                        );
+                    }
+                    let served = q * w.len() + r;
+                    assert_eq!(*elem as usize, served, "{units} units, query {q}");
+                    assert_eq!(row.messages, job.rows[served].messages);
+                    assert_eq!(row.pairs, job.rows[served].pairs);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_model_yields_empty_result() {
         let config = AcceleratorConfig::new(8);
-        let (mut server, mut client) = connect(&config, vec![], 3);
-        let (y, t) = secure_matvec(&mut server, &mut client, &[]);
-        assert!(y.is_empty());
-        assert_eq!(t.elements, 0);
-        assert_eq!(t.tables, 0);
-        assert_eq!(t.material_bytes, 0);
+        for units in [1, 3] {
+            let (server, mut client) = connect(&config, vec![], 3);
+            let mut server = server.with_units(units);
+            let (y, t) = secure_matvec(&mut server, &mut client, &[]);
+            assert!(y.is_empty());
+            assert_eq!(t.elements, 0);
+            assert_eq!(t.tables, 0);
+            assert_eq!(t.material_bytes, 0);
+            assert_eq!(t.fabric_cycles, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one unit")]
+    fn zero_units_rejected() {
+        let config = AcceleratorConfig::new(8);
+        let _ = connect(&config, vec![vec![1]], 1).0.with_units(0);
     }
 
     #[test]

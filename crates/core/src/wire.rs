@@ -1,13 +1,7 @@
 //! Framed serialization of [`RoundMessage`], decoded without panicking on
-//! malformed bytes. Two users sit on top of it:
-//!
-//! * the served path: a ROUNDS burst frame
-//!   ([`encode_round_burst`](crate::remote::encode_round_burst)) is a round
-//!   count followed by length-prefixed bodies in this format;
-//! * the multi-unit pipeline: each accelerator unit encodes its rounds into
-//!   self-contained frames and ships them to the host CPU over
-//!   `max_gc::channel::Duplex`, where they are decoded before OT and relay
-//!   to the client.
+//! malformed bytes: the body format of the served path's ROUNDS burst
+//! frame ([`encode_round_burst`](crate::remote::encode_round_burst)), a
+//! round count followed by length-prefixed bodies in this format.
 //!
 //! Frame layout (all integers big-endian, matching the channel layer):
 //!

@@ -17,12 +17,11 @@ use max_serve::{
 };
 use max_telemetry::TraceContext;
 use maxelerator::remote::{
-    derive_seed, encode_round_burst, fill_stream, garble_matvec_job, materialize_job,
-    MaterializedElement,
+    derive_seed, fill_stream, garble_matvec_job, materialize_job, MaterializedElement,
 };
 use maxelerator::{
-    connect, secure_matvec, AcceleratorConfig, AcceleratorError, ModelHandle, MultiUnitServer,
-    RemoteClient, ResilientClient, RetryPolicy,
+    connect, secure_matvec, AcceleratorConfig, AcceleratorError, ModelHandle, RemoteClient,
+    ResilientClient, RetryPolicy,
 };
 use proptest::prelude::*;
 
@@ -559,12 +558,13 @@ proptest! {
     // Each case boots three services; keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// One job path: collected-then-materialized, filled directly, garbled
-    /// by an in-process unit bank of any width, or served — as a
-    /// session-default job, a starved fallback, or a warm prepared stream —
-    /// a matrix row at a given seed becomes the same ROUNDS frame and the
-    /// same OT pairs, and every served result is the plaintext product
-    /// (the whole offline/online split changes nothing a client can see).
+    /// One job path: collected-then-materialized, filled directly, or
+    /// served — as a session-default job, a starved fallback, or a warm
+    /// prepared stream — a matrix row at a given seed becomes the same
+    /// ROUNDS frame and the same OT pairs, and every served result is the
+    /// plaintext product (the whole offline/online split changes nothing a
+    /// client can see). The in-process server on one to three units sends
+    /// the same material and OT bytes and decodes the same products.
     #[test]
     fn every_path_produces_the_same_elements(
         rows in 1usize..6,
@@ -580,26 +580,33 @@ proptest! {
         let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
 
         // Off the wire: the two forms of the producer, then the in-process
-        // servers, which garble one pass (elements 0..rows).
+        // server on one to three units, whose query q is pass q (its bytes
+        // are pinned by the core test `queries_garble_the_served_passes`).
         let filled = fill_stream(&config, &weights, seed, columns).expect("fill");
         let collected = garble_matvec_job(&config, &weights, seed, columns).expect("garble");
         prop_assert_eq!(&materialize_job(&collected), &filled);
-        let first_pass = &filled.elements[..rows];
-        let mut bank_bytes = 0u64;
+        let mut uploads = Vec::new();
         for units in 1..=3 {
-            let mut bank = MultiUnitServer::new(&config, weights.clone(), units, seed);
-            let (messages, pairs, _) = bank.garble_matvec();
-            bank_bytes = messages.iter().flatten().map(|m| m.wire_bytes() as u64).sum();
-            for (r, elem) in first_pass.iter().enumerate() {
-                prop_assert_eq!(&encode_round_burst(&messages[r]), &elem.rounds_frame);
-                prop_assert_eq!(&pairs[r], &elem.pairs);
+            let (server, mut client) = connect(&config, weights.clone(), seed);
+            let mut server = server.with_units(units);
+            for (q, x) in xs.iter().enumerate() {
+                let (y, transcript) = secure_matvec(&mut server, &mut client, x);
+                prop_assert_eq!(&y, &expected[q]);
+                let pass = &collected.rows[q * rows..(q + 1) * rows];
+                let material: u64 = pass
+                    .iter()
+                    .flat_map(|row| &row.messages)
+                    .map(|m| m.wire_bytes() as u64)
+                    .sum();
+                let ot: u64 = pass.iter().map(|row| row.pairs.len() as u64 * 32).sum();
+                prop_assert_eq!(transcript.material_bytes, material);
+                prop_assert_eq!(transcript.ot_bytes, ot);
+                if units == 1 {
+                    uploads.push(transcript.ot_upload_bytes);
+                }
+                prop_assert_eq!(transcript.ot_upload_bytes, uploads[q]);
             }
         }
-        // The single-unit server exposes its result and byte accounting.
-        let (mut server, mut client) = connect(&config, weights.clone(), seed);
-        let (y, transcript) = secure_matvec(&mut server, &mut client, &xs[0]);
-        prop_assert_eq!(&y, &expected[0]);
-        prop_assert_eq!(transcript.material_bytes, bank_bytes);
 
         // On the wire. A session-default job runs at the session's job
         // seed; a model job at its generation's seed, which a registry

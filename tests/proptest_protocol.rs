@@ -1,13 +1,13 @@
 //! Property tests over the full stack: random models, random client
 //! vectors, random widths — the secure result must always equal plaintext,
-//! and the threaded multi-unit pipeline must be transcript-identical to the
-//! single-unit server.
+//! and a server on several units must be transcript-identical to one on a
+//! single unit.
 
 use max_serve::{GcService, RecordingTransport, ServeConfig};
 use max_telemetry::{Recorder, TraceContext};
 use maxelerator::{
-    connect, connect_multi, secure_matvec, secure_matvec_multi, AcceleratorConfig,
-    AcceleratorError, Maxelerator, ResilientClient, RetryPolicy, ScheduledEvaluator,
+    connect, secure_matvec, AcceleratorConfig, AcceleratorError, Maxelerator, ResilientClient,
+    RetryPolicy, ScheduledEvaluator,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,7 +78,8 @@ proptest! {
         xs in prop::collection::vec(-100i64..100, 4),
     ) {
         // Covers units > rows (rows can be 0..3 with up to 5 units) and the
-        // empty matrix (rows = 0 forces an empty x as well).
+        // empty matrix (rows = 0 forces an empty x as well); the second
+        // query runs on fresh elements.
         let b = [8usize, 10][b_choice];
         let config = AcceleratorConfig::new(b);
         let w: Vec<Vec<i64>> = (0..rows)
@@ -91,20 +92,25 @@ proptest! {
         };
 
         let (mut single, mut single_client) = connect(&config, w.clone(), seed);
-        let (want, st) = secure_matvec(&mut single, &mut single_client, &x);
-
-        let (mut multi, mut multi_client) = connect_multi(&config, w, units, seed);
-        let (got, mt, timing) =
-            secure_matvec_multi(&mut multi, &mut multi_client, &x).unwrap();
-
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(mt.elements, st.elements);
-        prop_assert_eq!(mt.rounds, st.rounds);
-        prop_assert_eq!(mt.tables, st.tables);
-        prop_assert_eq!(mt.material_bytes, st.material_bytes);
-        prop_assert_eq!(mt.ot_bytes, st.ot_bytes);
-        prop_assert_eq!(mt.ot_upload_bytes, st.ot_upload_bytes);
-        prop_assert_eq!(timing.units, units);
+        let (multi, mut multi_client) = connect(&config, w, seed);
+        let mut multi = multi.with_units(units);
+        for _ in 0..2 {
+            let (want, st) = secure_matvec(&mut single, &mut single_client, &x);
+            let (got, mt) = secure_matvec(&mut multi, &mut multi_client, &x);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(mt.elements, st.elements);
+            prop_assert_eq!(mt.rounds, st.rounds);
+            prop_assert_eq!(mt.tables, st.tables);
+            prop_assert_eq!(mt.material_bytes, st.material_bytes);
+            prop_assert_eq!(mt.ot_bytes, st.ot_bytes);
+            prop_assert_eq!(mt.ot_upload_bytes, st.ot_upload_bytes);
+            // Every element costs the same cycles, so the busiest unit
+            // spends ⌈rows / units⌉ elements' worth.
+            prop_assert_eq!(
+                mt.fabric_cycles * rows as u64,
+                st.fabric_cycles * rows.div_ceil(units) as u64
+            );
+        }
     }
 }
 
