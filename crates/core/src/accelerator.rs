@@ -19,23 +19,13 @@ use max_rng::LabelGenerator;
 
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
+use crate::remote::derive_seed;
 use crate::schedule::FabricAccount;
 use crate::timing::TimingModel;
 
 /// Per-gate tweak: unique across (element, round, gate).
 fn table_tweak(elem: u32, round: u32, gate_idx: u32) -> Tweak {
     Tweak::new(elem, round, 0, gate_idx, 0)
-}
-
-/// Derives the label-stream seed of one output element from the server's
-/// base seed (SplitMix64 finalizer). Every element gets an independent
-/// stream keyed only by `(base, elem)`, so an element garbles to identical
-/// bytes no matter which accelerator unit — or how many — processes it.
-pub(crate) fn element_label_seed(base: u64, elem: u32) -> u64 {
-    let mut z = base ^ (u64::from(elem).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The public per-round message the host CPU relays to the client
@@ -202,7 +192,8 @@ impl Maxelerator {
             freq_mhz: config.freq_mhz,
         }
         .cores();
-        let mut labels = LabelGenerator::new(element_label_seed(seed, 0), config.bit_width.max(4));
+        // Element 0's stream (see `begin_element`).
+        let mut labels = LabelGenerator::new(derive_seed(seed, 1), config.bit_width.max(4));
         let delta = Delta::from_block(labels.next_label());
         Maxelerator {
             wires: vec![Block::ZERO; mac.netlist().wire_count()],
@@ -237,13 +228,15 @@ impl Maxelerator {
     /// Starts a new output element (matrix row): resets the accumulator
     /// carry and the round counter; `elem` feeds the gate tweaks.
     ///
-    /// The label generator reseeds to the element's own stream (derived
-    /// from the base seed and `elem` alone), so the element's garbled
-    /// material is bit-identical whichever unit garbles it and in whatever
-    /// order elements are processed — why a [`crate::CloudServer`] on any
-    /// number of units sends the same bytes.
+    /// The label generator reseeds to the element's own stream,
+    /// `derive_seed(base, elem + 1)`, keyed by the base seed and `elem`
+    /// alone, so the element's garbled material is bit-identical whichever
+    /// unit garbles it and in whatever order elements are processed — why
+    /// a [`crate::CloudServer`] on any number of units sends the same
+    /// bytes.
     pub fn begin_element(&mut self, elem: u32) {
-        self.labels.reseed(element_label_seed(self.base_seed, elem));
+        self.labels
+            .reseed(derive_seed(self.base_seed, u64::from(elem) + 1));
         self.delta = Delta::from_block(self.labels.next_label());
         self.pool = 0;
         self.elem = elem;
@@ -1073,7 +1066,7 @@ mod tests {
     #[test]
     fn element_seeds_name_disjoint_label_streams() {
         let first_64 = |base: u64, elem: u32| -> Vec<Block> {
-            let mut labels = LabelGenerator::new(element_label_seed(base, elem), 8);
+            let mut labels = LabelGenerator::new(derive_seed(base, u64::from(elem) + 1), 8);
             (0..16).flat_map(|_| labels.clock(4)).collect()
         };
         let streams: Vec<Vec<Block>> = [(5u64, 0u32), (5, 1), (5, 2), (6, 0), (6, 1)]
@@ -1144,8 +1137,7 @@ mod tests {
 
     impl CycleWalk {
         fn new(config: &AcceleratorConfig, cores: usize, seed: u64) -> Self {
-            let mut labels =
-                LabelGenerator::new(element_label_seed(seed, 0), config.bit_width.max(4));
+            let mut labels = LabelGenerator::new(derive_seed(seed, 1), config.bit_width.max(4));
             labels.next_label();
             CycleWalk {
                 config: config.clone(),
@@ -1163,7 +1155,8 @@ mod tests {
         }
 
         fn begin_element(&mut self, elem: u32) {
-            self.labels.reseed(element_label_seed(self.base_seed, elem));
+            self.labels
+                .reseed(derive_seed(self.base_seed, u64::from(elem) + 1));
             self.labels.next_label();
             self.queued.clear();
             self.fresh_element = true;

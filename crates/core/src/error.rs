@@ -56,13 +56,10 @@ pub enum AcceleratorError {
         /// Bits supplied.
         got: usize,
     },
-    /// A streamed frame ended before its declared payload.
-    FrameTruncated,
-    /// A streamed frame carried an unknown header or impossible counts.
-    FrameHeader,
     /// The streaming peer disconnected mid-protocol.
     Disconnected,
-    /// The transport layer failed (oversized frame, timeout, socket error).
+    /// The transport layer failed (oversized frame, timeout, socket error),
+    /// or a frame's counted vectors did not fit its bytes.
     Transport(max_gc::channel::TransportError),
     /// The peer sent a frame that does not fit the protocol state machine.
     Protocol {
@@ -128,8 +125,6 @@ impl std::fmt::Display for AcceleratorError {
                     "decode bit count mismatch: expected {expected}, got {got}"
                 )
             }
-            AcceleratorError::FrameTruncated => f.write_str("streamed frame truncated"),
-            AcceleratorError::FrameHeader => f.write_str("streamed frame header malformed"),
             AcceleratorError::Disconnected => f.write_str("streaming peer disconnected"),
             AcceleratorError::Transport(err) => write!(f, "transport failure: {err}"),
             AcceleratorError::Protocol { what } => write!(f, "protocol violation: {what}"),

@@ -62,7 +62,6 @@ mod scaling;
 mod schedule;
 mod server;
 mod timing;
-mod wire;
 
 pub use accelerator::{
     AcceleratorReport, GarbledRow, Maxelerator, RoundMessage, ScheduledEvaluator,
@@ -79,3 +78,10 @@ pub use scaling::{client_capacity_ratio, pack_device, xcvu095_scaling, DeviceSca
 pub use schedule::{Schedule, SchedulePolicy, ScheduleStats, Segment, SlotAssignment};
 pub use server::{connect, secure_matvec, ClientSession, CloudServer, MatvecTranscript};
 pub use timing::TimingModel;
+
+/// The ROUNDS burst's wire format: round trips and hostile frames for
+/// [`remote::encode_round_burst`] and [`remote::decode_round_burst`].
+#[cfg(test)]
+mod wire {
+    mod tests;
+}

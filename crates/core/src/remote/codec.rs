@@ -3,14 +3,17 @@
 //! value or typed error out — peer input never panics a decoder.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use max_gc::channel::{open_frame, seal_frame, seal_mark, FrameKind};
-use max_gc::Transport;
+use max_gc::channel::{
+    get_bits, get_blocks, get_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
+    seal_mark, FrameKind, SEAL_BYTES,
+};
+use max_gc::{GarbledTable, Transport};
 use max_ot::iknp::{ExtendMsg, KAPPA};
 use max_telemetry::TraceContext;
 
 use crate::accelerator::RoundMessage;
+use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
-use crate::wire::{decode_round_message, encode_round_message};
 
 /// Version of the handshake + job protocol in this module.
 ///
@@ -765,22 +768,142 @@ pub(super) fn decode_ext(mut frame: Bytes) -> Result<(ExtendMsg, [u8; 16]), Acce
     Ok((ExtendMsg { columns, count }, mark))
 }
 
+// ---------------------------------------------------------------------------
+// ROUNDS: one output element's round messages in one frame. Layout (all
+// integers big-endian; each vector is a channel codec vector, a u32 count
+// then its items):
+//
+//   u8 TAG_ROUNDS | u32 rounds | per round: u32 body_len | body
+//   body = u32 elem | u32 round | u8 flags | tables (32 B each)
+//        | garbler labels (16 B each)
+//        | [initial-accumulator labels]  if flags & FLAG_INIT
+//        | [packed decode bits]          if flags & FLAG_DECODE
+// ---------------------------------------------------------------------------
+
+const FLAG_INIT: u8 = 0b01;
+const FLAG_DECODE: u8 = 0b10;
+
+/// Bytes of one round body: its 9-byte header, then the counted table and
+/// label vectors, then the optional initial-accumulator labels and decode
+/// bits.
+fn round_body_bytes(
+    tables: usize,
+    a_labels: usize,
+    init_labels: Option<usize>,
+    decode_bits: Option<usize>,
+) -> usize {
+    9 + 4
+        + tables * GarbledTable::WIRE_BYTES
+        + 4
+        + a_labels * 16
+        + init_labels.map_or(0, |n| 4 + n * 16)
+        + decode_bits.map_or(0, |n| 4 + n.div_ceil(8))
+}
+
+fn body_bytes(msg: &RoundMessage) -> usize {
+    round_body_bytes(
+        msg.tables.len(),
+        msg.a_labels.len(),
+        msg.init_acc_labels.as_ref().map(Vec::len),
+        msg.decode.as_ref().map(Vec::len),
+    )
+}
+
+fn put_round(buf: &mut BytesMut, msg: &RoundMessage) {
+    buf.put_u32(msg.elem);
+    buf.put_u32(msg.round);
+    let mut flags = 0u8;
+    if msg.init_acc_labels.is_some() {
+        flags |= FLAG_INIT;
+    }
+    if msg.decode.is_some() {
+        flags |= FLAG_DECODE;
+    }
+    buf.put_u8(flags);
+    put_tables(buf, &msg.tables);
+    put_blocks(buf, &msg.a_labels);
+    if let Some(init) = &msg.init_acc_labels {
+        put_blocks(buf, init);
+    }
+    if let Some(decode) = &msg.decode {
+        put_bits(buf, decode);
+    }
+}
+
+fn get_round(mut body: Bytes) -> Result<RoundMessage, AcceleratorError> {
+    if body.remaining() < 9 {
+        return Err(AcceleratorError::Protocol {
+            what: "ROUNDS body header",
+        });
+    }
+    let elem = body.get_u32();
+    let round = body.get_u32();
+    let flags = body.get_u8();
+    if flags & !(FLAG_INIT | FLAG_DECODE) != 0 {
+        return Err(AcceleratorError::Protocol {
+            what: "ROUNDS body flags",
+        });
+    }
+    let tables = get_tables(&mut body)?;
+    let a_labels = get_blocks(&mut body)?;
+    let init_acc_labels = if flags & FLAG_INIT != 0 {
+        Some(get_blocks(&mut body)?)
+    } else {
+        None
+    };
+    let decode = if flags & FLAG_DECODE != 0 {
+        Some(get_bits(&mut body)?)
+    } else {
+        None
+    };
+    if body.remaining() != 0 {
+        return Err(AcceleratorError::Protocol {
+            what: "ROUNDS body trailing bytes",
+        });
+    }
+    Ok(RoundMessage {
+        elem,
+        round,
+        tables,
+        a_labels,
+        init_acc_labels,
+        decode,
+    })
+}
+
 /// Encodes one output element's full round sequence as a single ROUNDS
 /// burst frame: tag, round count, then each round body length-prefixed.
 ///
 /// Public since v5: the prepared-model registry materializes these frames
 /// once at garble time and replays the identical bytes on every serve.
 pub fn encode_round_burst(msgs: &[RoundMessage]) -> Bytes {
-    let bodies: Vec<Bytes> = msgs.iter().map(encode_round_message).collect();
-    let total: usize = bodies.iter().map(|b| 4 + b.len()).sum();
-    let mut buf = BytesMut::with_capacity(5 + total);
+    let total: usize = 5 + msgs.iter().map(|m| 4 + body_bytes(m)).sum::<usize>();
+    let mut buf = BytesMut::with_capacity(total);
     buf.put_u8(TAG_ROUNDS);
     buf.put_u32(msgs.len() as u32);
-    for body in &bodies {
-        buf.put_u32(body.len() as u32);
-        buf.put_slice(&body[..]);
+    for msg in msgs {
+        buf.put_u32(body_bytes(msg) as u32);
+        put_round(&mut buf, msg);
     }
     buf.freeze()
+}
+
+/// The sealed ROUNDS frame length of a `cols`-round element (`cols ≥ 1`)
+/// under `config`: what [`encode_round_burst`] then
+/// [`seal_frame`](max_gc::channel::seal_frame) produce for one garbled
+/// matrix row of `cols` weights. A model whose element exceeds
+/// [`MAX_FRAME_BYTES`](max_gc::channel::MAX_FRAME_BYTES) cannot be served.
+pub fn round_burst_bytes(config: &AcceleratorConfig, cols: usize) -> usize {
+    let mac = config.mac_circuit();
+    let netlist = mac.netlist();
+    let acc = config.state_range().len();
+    let tables = netlist.stats().and_gates;
+    let a_labels = netlist.garbler_inputs().len() - acc + netlist.constants().len();
+    // Every round carries its tables and labels; the first adds the
+    // initial accumulator, the last the decode bits.
+    let round = round_body_bytes(tables, a_labels, None, None);
+    let ends = round_body_bytes(tables, a_labels, Some(acc), Some(netlist.outputs().len())) - round;
+    SEAL_BYTES + 5 + cols.saturating_mul(4 + round) + ends
 }
 
 /// Decodes a ROUNDS burst frame, insisting on exactly `expect` rounds (the
@@ -823,7 +946,7 @@ pub fn decode_round_burst(
                 what: "ROUNDS body length",
             });
         }
-        msgs.push(decode_round_message(frame.split_to(len))?);
+        msgs.push(get_round(frame.split_to(len))?);
     }
     if frame.remaining() != 0 {
         return Err(AcceleratorError::Protocol {

@@ -72,10 +72,12 @@
 //! OT choice bits. Every serve consumes a distinct generation of the
 //! model's seed schedule, so labels are never reused across serves.
 //!
-//! Control frames are tagged raw frames; OT ciphertexts ride a
-//! [`FrameKind::Blocks`] frame so the per-kind channel accounting matches
-//! the in-process transcript split. The client's `x` never crosses the wire
-//! — only OT correction bits do, exactly as in the paper's Figure 1.
+//! Control frames and ROUNDS bursts travel as [`FrameKind::Raw`] frames,
+//! OT ciphertexts as [`FrameKind::Blocks`] and EXT corrections as
+//! [`FrameKind::Bits`]; the kind is a transcript label, and every frame
+//! counts into the transport's one byte tally. The client's `x` never
+//! crosses the wire — only OT correction bits do, exactly as in the
+//! paper's Figure 1.
 //!
 //! Seeds: the server derives one seed per session (see [`derive_seed`]) and
 //! publishes `ot_seed` in ACCEPT; both sides run
@@ -112,7 +114,9 @@
 //! [`Transport`]: max_gc::Transport
 //! [`TraceContext`]: max_telemetry::TraceContext
 //! [`TraceContext::none`]: max_telemetry::TraceContext::none
+//! [`FrameKind::Raw`]: max_gc::channel::FrameKind::Raw
 //! [`FrameKind::Blocks`]: max_gc::channel::FrameKind::Blocks
+//! [`FrameKind::Bits`]: max_gc::channel::FrameKind::Bits
 //! [`iknp::setup_pair`]: max_ot::iknp::setup_pair
 //! [`TranscriptDigest`]: max_crypto::TranscriptDigest
 //! [`AcceleratorError::Integrity`]: crate::AcceleratorError::Integrity

@@ -3,7 +3,7 @@ use super::*;
 use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::Duplex;
+use max_gc::channel::{seal_frame, Duplex};
 use max_gc::Transport;
 use max_ot::iknp;
 use max_telemetry::TraceContext;
@@ -508,6 +508,23 @@ fn materialized_stream_is_byte_identical_to_direct_garbling() {
     for (row, elem) in job.rows.iter().zip(&mat.elements) {
         assert_eq!(elem.rounds_frame, encode_round_burst(&row.messages));
         assert_eq!(elem.pairs, row.pairs);
+    }
+}
+
+#[test]
+fn round_burst_bytes_is_the_sealed_element_frame() {
+    for b in [8, 16, 32] {
+        let config = AcceleratorConfig::new(b);
+        for cols in [1usize, 2, 5] {
+            let row: Vec<i64> = (0..cols as i64).map(|c| c * 3 - 4).collect();
+            let job = garble_matvec_job(&config, &[row], 0x5eed, 1).unwrap();
+            let sealed = seal_frame(encode_round_burst(&job.rows[0].messages));
+            assert_eq!(
+                round_burst_bytes(&config, cols),
+                sealed.len(),
+                "b = {b}, cols = {cols}"
+            );
+        }
     }
 }
 

@@ -1,10 +1,12 @@
-//! Two-party transport: an in-process duplex wire with byte accounting.
+//! The frame layer: an in-process duplex wire with byte accounting, the
+//! frame error type, the vector codecs and the sealed-frame format.
 //!
-//! The garbler and evaluator run on real threads and exchange framed
-//! messages through [`Duplex`] endpoints, so protocol tests exercise true
-//! two-party dataflow. Every byte is counted, which is how the repository
-//! measures the communication volumes the paper's §6 caveat is about
-//! ("communication capability of the server may become the bottleneck").
+//! The garbler and evaluator run on real threads and exchange frames
+//! through [`Duplex`] endpoints, so protocol tests exercise true two-party
+//! dataflow. Every transport keeps one byte and message [`Counter`] per
+//! direction, which is how the repository measures the communication
+//! volumes the paper's §6 caveat is about ("communication capability of the
+//! server may become the bottleneck").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -15,198 +17,75 @@ use max_crypto::Block;
 
 use crate::engine::GarbledTable;
 
-/// What a frame carries, for per-kind communication attribution.
-///
-/// The aggregate byte count answers "how much", the kind breakdown answers
-/// "on what": garbled tables dominate a matvec transcript, OT block frames
-/// dominate input transfer, and packed bit frames are noise — exactly the
-/// split the paper's §6 bandwidth caveat turns on.
+/// The tag a frame travels under: [`FramedTcp`](crate::FramedTcp) writes
+/// it as its header byte, and the recording and flight-log wrappers keep
+/// it beside each frame. It is a label for people reading a transcript,
+/// not a second accounting: every kind counts into the same [`Counter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Untyped byte frames (`send_bytes`), e.g. streamed round messages.
+    /// Control frames and ROUNDS bursts (header tag 0).
     Raw,
-    /// 128-bit block vectors (`write_blocks`): wire labels, OT payloads.
+    /// 128-bit block vectors: OT ciphertext pairs (header tag 1).
     Blocks,
-    /// Garbled-table vectors (`write_tables`).
-    Tables,
-    /// Packed bit vectors (`write_bits`): select bits, decode info.
+    /// Packed bits: the EXT frame's OT corrections (header tag 3; tag 2
+    /// is retired and read as malformed).
     Bits,
 }
 
 impl FrameKind {
-    /// All kinds, in wire-stat order.
-    pub const ALL: [FrameKind; 4] = [
-        FrameKind::Raw,
-        FrameKind::Blocks,
-        FrameKind::Tables,
-        FrameKind::Bits,
-    ];
-
-    /// Stable lower-case name (used in stats tables).
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameKind::Raw => "raw",
-            FrameKind::Blocks => "blocks",
-            FrameKind::Tables => "tables",
-            FrameKind::Bits => "bits",
-        }
-    }
-
-    pub(crate) fn index(self) -> usize {
+    /// The stable header tag.
+    pub(crate) fn tag(self) -> u8 {
         match self {
             FrameKind::Raw => 0,
             FrameKind::Blocks => 1,
-            FrameKind::Tables => 2,
             FrameKind::Bits => 3,
         }
     }
 
-    /// Inverse of [`FrameKind::index`], for transports that tag frames on
+    /// Inverse of [`FrameKind::tag`], for transports that tag frames on
     /// the wire.
-    pub(crate) fn from_index(index: u8) -> Option<FrameKind> {
-        match index {
+    pub(crate) fn from_tag(tag: u8) -> Option<FrameKind> {
+        match tag {
             0 => Some(FrameKind::Raw),
             1 => Some(FrameKind::Blocks),
-            2 => Some(FrameKind::Tables),
             3 => Some(FrameKind::Bits),
             _ => None,
         }
     }
 }
 
-/// Byte/message tallies of one frame kind.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct KindStats {
-    /// Bytes carried by frames of this kind.
-    pub bytes: u64,
-    /// Frames of this kind.
-    pub messages: u64,
-}
-
-/// Point-in-time snapshot of one direction of a wire, with the per-kind
-/// breakdown alongside the aggregate.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Total bytes, all kinds.
-    pub bytes: u64,
-    /// Total frames, all kinds.
-    pub messages: u64,
-    /// Untyped frames.
-    pub raw: KindStats,
-    /// Block-vector frames.
-    pub blocks: KindStats,
-    /// Garbled-table frames.
-    pub tables: KindStats,
-    /// Packed-bit frames.
-    pub bits: KindStats,
-}
-
-impl ChannelStats {
-    /// Tallies for `kind`.
-    pub fn kind(&self, kind: FrameKind) -> KindStats {
-        match kind {
-            FrameKind::Raw => self.raw,
-            FrameKind::Blocks => self.blocks,
-            FrameKind::Tables => self.tables,
-            FrameKind::Bits => self.bits,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct KindCounter {
-    bytes: AtomicU64,
-    messages: AtomicU64,
-}
-
-impl KindCounter {
-    fn stats(&self) -> KindStats {
-        KindStats {
-            bytes: self.bytes.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Tallies of one direction of a wire.
+/// Byte and message tallies of one direction of a wire.
 #[derive(Debug, Default)]
 pub struct Counter {
     bytes: AtomicU64,
     messages: AtomicU64,
-    kinds: [KindCounter; 4],
 }
 
 impl Counter {
-    pub(crate) fn record(&self, kind: FrameKind, len: usize) {
+    pub(crate) fn record(&self, len: usize) {
         self.bytes.fetch_add(len as u64, Ordering::Relaxed);
         self.messages.fetch_add(1, Ordering::Relaxed);
-        let per_kind = &self.kinds[kind.index()];
-        per_kind.bytes.fetch_add(len as u64, Ordering::Relaxed);
-        per_kind.messages.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bytes sent so far.
+    /// Bytes so far.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Messages sent so far.
+    /// Frames so far.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
     }
-
-    /// Consistent snapshot of aggregate and per-kind tallies.
-    pub fn stats(&self) -> ChannelStats {
-        ChannelStats {
-            bytes: self.bytes(),
-            messages: self.messages(),
-            raw: self.kinds[0].stats(),
-            blocks: self.kinds[1].stats(),
-            tables: self.kinds[2].stats(),
-            bits: self.kinds[3].stats(),
-        }
-    }
 }
-
-/// One endpoint of an in-process duplex connection.
-///
-/// # Example
-///
-/// ```
-/// use max_gc::channel::Duplex;
-///
-/// let (mut a, mut b) = Duplex::pair();
-/// a.send_bytes(b"hello".as_ref().into());
-/// assert_eq!(&b.recv_bytes().unwrap()[..], b"hello");
-/// assert_eq!(a.sent().bytes(), 5);
-/// ```
-#[derive(Debug)]
-pub struct Duplex {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
-    sent: Arc<Counter>,
-    received: Arc<Counter>,
-}
-
-/// Error for receiving on a disconnected channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvDisconnected;
-
-impl std::fmt::Display for RecvDisconnected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("peer disconnected")
-    }
-}
-
-impl std::error::Error for RecvDisconnected {}
 
 /// Hard ceiling on a single frame's payload (64 MiB).
 ///
-/// A length-prefixed transport must never allocate what a hostile peer's
-/// length field asks for; every decoder in this crate rejects frames (and
-/// declared element counts) beyond this bound with a typed error instead.
-/// The largest honest frame — a full round-message burst for a 256-element
-/// b=32 matvec — is still two orders of magnitude below it.
+/// Every transport refuses to send a larger frame, and a length-prefixed
+/// transport never allocates what a hostile peer's length field asks for:
+/// every decoder in this crate rejects frames (and declared element counts)
+/// beyond this bound with a typed error instead. A served element's sealed
+/// ROUNDS frame exceeds it past 11 205 columns at b = 8 (912 at b = 32),
+/// which is why the model registry refuses wider models at registration.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Failure of a framed transport: disconnection, I/O trouble, or a frame
@@ -269,12 +148,6 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-impl From<RecvDisconnected> for TransportError {
-    fn from(_: RecvDisconnected) -> Self {
-        TransportError::Disconnected
-    }
-}
-
 impl From<std::io::Error> for TransportError {
     fn from(err: std::io::Error) -> Self {
         match err.kind() {
@@ -294,151 +167,164 @@ impl From<std::io::Error> for TransportError {
 }
 
 // ---------------------------------------------------------------------------
-// Typed-frame codecs, shared by every transport. Decoding never panics and
-// never allocates beyond the actual frame: declared counts are validated
-// against both the remaining payload and MAX_FRAME_BYTES first.
+// Vector codecs: a big-endian u32 element count, then the elements. The
+// `put_` functions append one vector to a buffer, the `get_` functions read
+// one from the front of a frame; they are the only encoding of tables,
+// labels and packed bits, and the frame-level functions below and the
+// session protocol's ROUNDS bodies are built on them. Decoding never panics
+// and never allocates beyond the actual frame: a declared count is checked
+// against both MAX_FRAME_BYTES and the remaining payload first.
 // ---------------------------------------------------------------------------
 
+/// Reads a vector's count and checks that its `item_bits`-bit items fit
+/// [`MAX_FRAME_BYTES`] and the rest of `frame`.
 fn checked_count(
     frame: &mut Bytes,
-    item_bytes: usize,
+    item_bits: usize,
     what: &'static str,
 ) -> Result<usize, TransportError> {
     if frame.remaining() < 4 {
         return Err(TransportError::Malformed(what));
     }
     let count = frame.get_u32() as usize;
-    let declared = count.saturating_mul(item_bytes.max(1));
+    let declared = count.saturating_mul(item_bits).div_ceil(8);
     if declared > MAX_FRAME_BYTES {
         return Err(TransportError::FrameTooLarge {
             len: declared as u64,
             max: MAX_FRAME_BYTES as u64,
         });
     }
-    if frame.remaining() < count.saturating_mul(item_bytes) {
+    if frame.remaining() < declared {
         return Err(TransportError::Malformed(what));
     }
     Ok(count)
 }
 
-/// Encodes a block vector as one frame payload.
-pub fn encode_blocks(blocks: &[Block]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + blocks.len() * 16);
-    buf.put_u32(blocks.len() as u32);
-    for block in blocks {
-        buf.put_slice(&block.to_bytes());
-    }
-    buf.freeze()
-}
-
-/// Encodes a vector of block *pairs* as one [`encode_blocks`]-compatible
-/// frame, interleaved `(lo, hi)` — the layout the OT label exchange streams.
-///
-/// Materialized prepared streams use this to render a cipher-pair frame
-/// once at garble time and replay the bytes on every serve, so the helper
-/// must stay byte-identical to flattening the pairs and calling
-/// [`encode_blocks`].
-pub fn encode_block_pairs(pairs: &[(Block, Block)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + pairs.len() * 32);
-    buf.put_u32((pairs.len() * 2) as u32);
-    for (lo, hi) in pairs {
-        buf.put_slice(&lo.to_bytes());
-        buf.put_slice(&hi.to_bytes());
-    }
-    buf.freeze()
-}
-
-/// Decodes a block-vector frame.
-///
-/// # Errors
-///
-/// Returns a typed [`TransportError`] for truncated payloads, hostile
-/// counts, or trailing garbage — never panics, never over-allocates.
-pub fn decode_blocks(mut frame: Bytes) -> Result<Vec<Block>, TransportError> {
-    let count = checked_count(&mut frame, 16, "block frame")?;
-    let mut blocks = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut bytes = [0u8; 16];
-        frame.copy_to_slice(&mut bytes);
-        blocks.push(Block::from_bytes(bytes));
-    }
-    if frame.remaining() != 0 {
-        return Err(TransportError::Malformed("block frame trailing bytes"));
-    }
-    Ok(blocks)
-}
-
-/// Encodes a garbled-table vector as one frame payload.
-pub fn encode_tables(tables: &[GarbledTable]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + tables.len() * GarbledTable::WIRE_BYTES);
+/// Appends a garbled-table vector.
+pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
     buf.put_u32(tables.len() as u32);
     for table in tables {
         buf.put_slice(&table.to_bytes());
     }
-    buf.freeze()
 }
 
-/// Decodes a garbled-table frame.
+/// Reads a garbled-table vector.
 ///
 /// # Errors
 ///
-/// Returns a typed [`TransportError`]; see [`decode_blocks`].
-pub fn decode_tables(mut frame: Bytes) -> Result<Vec<GarbledTable>, TransportError> {
-    let count = checked_count(&mut frame, GarbledTable::WIRE_BYTES, "table frame")?;
+/// [`TransportError::FrameTooLarge`] for a count beyond
+/// [`MAX_FRAME_BYTES`], [`TransportError::Malformed`] for a count the
+/// frame does not hold.
+pub fn get_tables(frame: &mut Bytes) -> Result<Vec<GarbledTable>, TransportError> {
+    let count = checked_count(frame, GarbledTable::WIRE_BYTES * 8, "table vector")?;
     let mut tables = Vec::with_capacity(count);
     for _ in 0..count {
         let mut bytes = [0u8; GarbledTable::WIRE_BYTES];
         frame.copy_to_slice(&mut bytes);
         tables.push(GarbledTable::from_bytes(bytes));
     }
-    if frame.remaining() != 0 {
-        return Err(TransportError::Malformed("table frame trailing bytes"));
-    }
     Ok(tables)
 }
 
-/// Encodes a bit vector as one packed frame payload.
-pub fn encode_bits(bits: &[bool]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + bits.len().div_ceil(8));
-    buf.put_u32(bits.len() as u32);
-    let mut byte = 0u8;
-    for (i, &bit) in bits.iter().enumerate() {
-        byte |= (bit as u8) << (i % 8);
-        if i % 8 == 7 {
-            buf.put_u8(byte);
-            byte = 0;
-        }
-    }
-    if !bits.len().is_multiple_of(8) {
-        buf.put_u8(byte);
-    }
-    buf.freeze()
+/// Appends a block vector.
+pub fn put_blocks(buf: &mut BytesMut, blocks: &[Block]) {
+    put_block_vector(buf, blocks.len(), blocks.iter());
 }
 
-/// Decodes a packed bit-vector frame.
+/// Appends `count` blocks drawn from `blocks` as one block vector.
+fn put_block_vector<'a>(buf: &mut BytesMut, count: usize, blocks: impl Iterator<Item = &'a Block>) {
+    buf.put_u32(count as u32);
+    for block in blocks {
+        buf.put_slice(&block.to_bytes());
+    }
+}
+
+/// Reads a block vector.
 ///
 /// # Errors
 ///
-/// Returns a typed [`TransportError`]; see [`decode_blocks`].
-pub fn decode_bits(mut frame: Bytes) -> Result<Vec<bool>, TransportError> {
-    if frame.remaining() < 4 {
-        return Err(TransportError::Malformed("bit frame"));
+/// As [`get_tables`].
+pub fn get_blocks(frame: &mut Bytes) -> Result<Vec<Block>, TransportError> {
+    let count = checked_count(frame, 128, "block vector")?;
+    let mut blocks = Vec::with_capacity(count);
+    for _ in 0..count {
+        let mut bytes = [0u8; 16];
+        frame.copy_to_slice(&mut bytes);
+        blocks.push(Block::from_bytes(bytes));
     }
-    let count = frame.get_u32() as usize;
-    let packed = count.div_ceil(8);
-    if packed > MAX_FRAME_BYTES {
-        return Err(TransportError::FrameTooLarge {
-            len: packed as u64,
-            max: MAX_FRAME_BYTES as u64,
-        });
+    Ok(blocks)
+}
+
+/// Appends a bit vector, packed eight to a byte, least significant first.
+pub fn put_bits(buf: &mut BytesMut, bits: &[bool]) {
+    buf.put_u32(bits.len() as u32);
+    for chunk in bits.chunks(8) {
+        buf.put_u8(
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0, |byte, (i, &bit)| byte | (u8::from(bit) << i)),
+        );
     }
-    if frame.remaining() != packed {
-        return Err(TransportError::Malformed("bit frame length"));
-    }
-    let bytes: Vec<u8> = frame.chunk().to_vec();
+}
+
+/// Reads a packed bit vector.
+///
+/// # Errors
+///
+/// As [`get_tables`].
+pub fn get_bits(frame: &mut Bytes) -> Result<Vec<bool>, TransportError> {
+    let count = checked_count(frame, 1, "bit vector")?;
+    let packed = frame.split_to(count.div_ceil(8));
     Ok((0..count)
-        .map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1)
+        .map(|i| (packed[i / 8] >> (i % 8)) & 1 == 1)
         .collect())
+}
+
+/// `value` if `frame` is used up, else trailing garbage.
+fn whole<T>(frame: &Bytes, value: T, what: &'static str) -> Result<T, TransportError> {
+    if frame.remaining() != 0 {
+        return Err(TransportError::Malformed(what));
+    }
+    Ok(value)
+}
+
+/// Encodes a garbled-table vector as one frame payload.
+pub fn encode_tables(tables: &[GarbledTable]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(4 + tables.len() * GarbledTable::WIRE_BYTES);
+    put_tables(&mut buf, tables);
+    buf.freeze()
+}
+
+/// Decodes a frame holding exactly one garbled-table vector.
+///
+/// # Errors
+///
+/// As [`get_tables`], and [`TransportError::Malformed`] for trailing bytes.
+pub fn decode_tables(mut frame: Bytes) -> Result<Vec<GarbledTable>, TransportError> {
+    let tables = get_tables(&mut frame)?;
+    whole(&frame, tables, "table frame trailing bytes")
+}
+
+/// Encodes block *pairs* as one block-vector frame, interleaved
+/// `(lo, hi)`: the layout of the OT ciphertext exchange. The bytes are
+/// [`put_blocks`] over the flattened pairs, so the receiver reads them
+/// with [`decode_blocks`].
+pub fn encode_block_pairs(pairs: &[(Block, Block)]) -> Bytes {
+    let mut buf = BytesMut::with_capacity(4 + pairs.len() * 32);
+    let flat = pairs.iter().flat_map(|(lo, hi)| [lo, hi]);
+    put_block_vector(&mut buf, pairs.len() * 2, flat);
+    buf.freeze()
+}
+
+/// Decodes a frame holding exactly one block vector.
+///
+/// # Errors
+///
+/// As [`get_blocks`], and [`TransportError::Malformed`] for trailing bytes.
+pub fn decode_blocks(mut frame: Bytes) -> Result<Vec<Block>, TransportError> {
+    let blocks = get_blocks(&mut frame)?;
+    whole(&frame, blocks, "block frame trailing bytes")
 }
 
 // ---------------------------------------------------------------------------
@@ -515,6 +401,28 @@ pub fn is_sealed(frame: &[u8]) -> bool {
         && u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) == crc32(&frame[4..])
 }
 
+/// One endpoint of an in-process duplex connection; it moves frames
+/// through the [`Transport`](crate::Transport) trait.
+///
+/// # Example
+///
+/// ```
+/// use max_gc::channel::{Duplex, FrameKind};
+/// use max_gc::Transport;
+///
+/// let (mut a, mut b) = Duplex::pair();
+/// a.send_frame(FrameKind::Raw, b"hello".as_ref().into()).unwrap();
+/// assert_eq!(&b.recv_frame().unwrap()[..], b"hello");
+/// assert_eq!(a.sent().bytes(), 5);
+/// ```
+#[derive(Debug)]
+pub struct Duplex {
+    pub(crate) tx: Sender<Bytes>,
+    pub(crate) rx: Receiver<Bytes>,
+    sent: Arc<Counter>,
+    received: Arc<Counter>,
+}
+
 impl Duplex {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (Duplex, Duplex) {
@@ -538,26 +446,6 @@ impl Duplex {
         )
     }
 
-    /// Sends a raw byte frame.
-    pub fn send_bytes(&mut self, frame: Bytes) {
-        self.send_frame(FrameKind::Raw, frame);
-    }
-
-    pub(crate) fn send_frame(&mut self, kind: FrameKind, frame: Bytes) {
-        self.sent.record(kind, frame.len());
-        // A disconnected peer is fine for fire-and-forget sends in tests.
-        let _ = self.tx.send(frame);
-    }
-
-    /// Receives one frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvDisconnected`] if the peer hung up.
-    pub fn recv_bytes(&mut self) -> Result<Bytes, RecvDisconnected> {
-        self.rx.recv().map_err(|_| RecvDisconnected)
-    }
-
     /// Outbound tallies for this endpoint.
     pub fn sent(&self) -> &Counter {
         &self.sent
@@ -574,12 +462,19 @@ mod tests {
     use super::*;
     use crate::Transport;
 
+    fn frame(put: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = BytesMut::with_capacity(0);
+        put(&mut buf);
+        buf.freeze()
+    }
+
     #[test]
     fn blocks_round_trip() {
         let (mut a, mut b) = Duplex::pair();
         let blocks = vec![Block::new(1), Block::new(u128::MAX), Block::ZERO];
-        a.write_blocks(&blocks).unwrap();
-        assert_eq!(b.read_blocks().unwrap(), blocks);
+        a.send_frame(FrameKind::Blocks, frame(|buf| put_blocks(buf, &blocks)))
+            .unwrap();
+        assert_eq!(decode_blocks(b.recv_frame().unwrap()).unwrap(), blocks);
     }
 
     #[test]
@@ -590,9 +485,12 @@ mod tests {
             (Block::new(0xdead_beef), Block::new(17)),
         ];
         let flat: Vec<Block> = pairs.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-        assert_eq!(encode_block_pairs(&pairs), encode_blocks(&flat));
+        assert_eq!(
+            encode_block_pairs(&pairs),
+            frame(|buf| put_blocks(buf, &flat))
+        );
         assert_eq!(decode_blocks(encode_block_pairs(&pairs)).unwrap(), flat);
-        assert_eq!(encode_block_pairs(&[]), encode_blocks(&[]));
+        assert_eq!(encode_block_pairs(&[]), frame(|buf| put_blocks(buf, &[])));
     }
 
     #[test]
@@ -605,8 +503,9 @@ mod tests {
             };
             5
         ];
-        a.write_tables(&tables).unwrap();
-        assert_eq!(b.read_tables().unwrap(), tables);
+        a.send_frame(FrameKind::Raw, encode_tables(&tables))
+            .unwrap();
+        assert_eq!(decode_tables(b.recv_frame().unwrap()).unwrap(), tables);
     }
 
     #[test]
@@ -614,80 +513,40 @@ mod tests {
         let (mut a, mut b) = Duplex::pair();
         for n in [0usize, 1, 7, 8, 9, 17, 64] {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-            a.write_bits(&bits).unwrap();
-            assert_eq!(b.read_bits().unwrap(), bits, "n = {n}");
+            a.send_frame(FrameKind::Bits, frame(|buf| put_bits(buf, &bits)))
+                .unwrap();
+            let mut got = b.recv_frame().unwrap();
+            assert_eq!(got.len(), 4 + n.div_ceil(8), "n = {n}");
+            assert_eq!(get_bits(&mut got).unwrap(), bits, "n = {n}");
+            assert!(got.is_empty(), "n = {n}");
         }
     }
 
     #[test]
     fn byte_accounting_is_symmetric() {
         let (mut a, mut b) = Duplex::pair();
-        a.write_blocks(&[Block::ZERO; 4]).unwrap();
-        b.read_blocks().unwrap();
+        a.send_frame(
+            FrameKind::Blocks,
+            frame(|buf| put_blocks(buf, &[Block::ZERO; 4])),
+        )
+        .unwrap();
+        b.recv_frame().unwrap();
         assert_eq!(a.sent().bytes(), 4 + 64);
         assert_eq!(b.received().bytes(), 4 + 64);
         assert_eq!(a.sent().messages(), 1);
-        b.write_bits(&[true]).unwrap();
-        a.read_bits().unwrap();
+        b.send_frame(FrameKind::Bits, frame(|buf| put_bits(buf, &[true])))
+            .unwrap();
+        a.recv_frame().unwrap();
         assert_eq!(b.sent().bytes(), 5);
         assert_eq!(a.received().bytes(), 5);
-    }
-
-    #[test]
-    fn per_kind_breakdown_sums_to_aggregate() {
-        let (mut a, mut b) = Duplex::pair();
-        a.write_blocks(&[Block::ZERO; 4]).unwrap(); // 4 + 64 bytes
-        a.write_tables(&[GarbledTable {
-            tg: Block::ZERO,
-            te: Block::ZERO,
-        }])
-        .unwrap(); // 4 + 32 bytes
-        a.write_bits(&[true, false, true]).unwrap(); // 4 + 1 bytes
-        a.send_bytes(b"xyz".as_ref().into()); // 3 bytes
-        for _ in 0..4 {
-            b.recv_bytes().unwrap();
-        }
-        let stats = a.sent().stats();
-        assert_eq!(
-            stats.blocks,
-            KindStats {
-                bytes: 68,
-                messages: 1
-            }
-        );
-        assert_eq!(
-            stats.tables,
-            KindStats {
-                bytes: 36,
-                messages: 1
-            }
-        );
-        assert_eq!(
-            stats.bits,
-            KindStats {
-                bytes: 5,
-                messages: 1
-            }
-        );
-        assert_eq!(
-            stats.raw,
-            KindStats {
-                bytes: 3,
-                messages: 1
-            }
-        );
-        let kind_total: u64 = FrameKind::ALL.iter().map(|&k| stats.kind(k).bytes).sum();
-        assert_eq!(kind_total, stats.bytes);
-        assert_eq!(stats.messages, 4);
-        // The receive side shares the same counter.
-        assert_eq!(b.received().stats(), stats);
+        assert_eq!(a.received().messages(), 1);
     }
 
     #[test]
     fn disconnect_is_an_error() {
         let (mut a, b) = Duplex::pair();
         drop(b);
-        assert_eq!(a.recv_bytes(), Err(RecvDisconnected));
+        assert_eq!(a.recv_frame(), Err(TransportError::Disconnected));
     }
 
     #[test]
@@ -696,11 +555,10 @@ mod tests {
         // typed error — the old behavior was an assert (panic), and a
         // naive decoder would try a multi-GiB Vec::with_capacity first.
         let (mut a, mut b) = Duplex::pair();
-        let mut huge = BytesMut::with_capacity(0);
-        huge.put_u32(u32::MAX); // 4 Gi blocks = 64 GiB declared
-        a.send_bytes(huge.freeze());
+        let huge = frame(|buf| buf.put_u32(u32::MAX)); // 4 Gi blocks = 64 GiB declared
+        a.send_frame(FrameKind::Blocks, huge).unwrap();
         assert_eq!(
-            b.read_blocks(),
+            decode_blocks(b.recv_frame().unwrap()),
             Err(TransportError::FrameTooLarge {
                 len: (u32::MAX as u64) * 16,
                 max: MAX_FRAME_BYTES as u64,
@@ -708,22 +566,24 @@ mod tests {
         );
 
         // A count that over-declares within the cap is malformed.
-        let mut short = BytesMut::with_capacity(0);
-        short.put_u32(3);
-        short.put_slice(&[0u8; 16]); // one block's bytes, three declared
-        a.send_bytes(short.freeze());
+        let short = frame(|buf| {
+            buf.put_u32(3);
+            buf.put_slice(&[0u8; 16]); // one block's bytes, three declared
+        });
+        a.send_frame(FrameKind::Blocks, short).unwrap();
         assert_eq!(
-            b.read_blocks(),
-            Err(TransportError::Malformed("block frame"))
+            decode_blocks(b.recv_frame().unwrap()),
+            Err(TransportError::Malformed("block vector"))
         );
 
         // Trailing garbage after the declared payload is rejected too.
-        let mut trailing = BytesMut::with_capacity(0);
-        trailing.put_u32(1);
-        trailing.put_slice(&[0u8; 17]);
-        a.send_bytes(trailing.freeze());
+        let trailing = frame(|buf| {
+            buf.put_u32(1);
+            buf.put_slice(&[0u8; 17]);
+        });
+        a.send_frame(FrameKind::Blocks, trailing).unwrap();
         assert_eq!(
-            b.read_blocks(),
+            decode_blocks(b.recv_frame().unwrap()),
             Err(TransportError::Malformed("block frame trailing bytes"))
         );
     }
@@ -731,35 +591,36 @@ mod tests {
     #[test]
     fn hostile_table_and_bit_frames_rejected() {
         let (mut a, mut b) = Duplex::pair();
-        let mut huge = BytesMut::with_capacity(0);
-        huge.put_u32(u32::MAX);
-        a.send_bytes(huge.freeze());
+        a.send_frame(FrameKind::Raw, frame(|buf| buf.put_u32(u32::MAX)))
+            .unwrap();
         assert!(matches!(
-            b.read_tables(),
+            decode_tables(b.recv_frame().unwrap()),
             Err(TransportError::FrameTooLarge { .. })
         ));
 
-        let mut bits = BytesMut::with_capacity(0);
-        bits.put_u32(64); // 8 packed bytes declared, none supplied
-        a.send_bytes(bits.freeze());
+        // 8 packed bytes declared, none supplied.
+        a.send_frame(FrameKind::Bits, frame(|buf| buf.put_u32(64)))
+            .unwrap();
         assert_eq!(
-            b.read_bits(),
-            Err(TransportError::Malformed("bit frame length"))
+            get_bits(&mut b.recv_frame().unwrap()),
+            Err(TransportError::Malformed("bit vector"))
         );
 
-        let empty = BytesMut::with_capacity(0);
-        a.send_bytes(empty.freeze());
-        assert_eq!(b.read_bits(), Err(TransportError::Malformed("bit frame")));
+        a.send_frame(FrameKind::Bits, Bytes::from(Vec::new()))
+            .unwrap();
+        assert_eq!(
+            get_bits(&mut b.recv_frame().unwrap()),
+            Err(TransportError::Malformed("bit vector"))
+        );
     }
 
     #[test]
     fn transport_errors_are_std_errors() {
-        // `RecvDisconnected` and `TransportError` both plug into `?`-based
-        // error chains: std::error::Error + Display.
+        // `TransportError` plugs into `?`-based error chains:
+        // std::error::Error + Display.
         fn takes_error<E: std::error::Error>(e: E) -> String {
             format!("{e}")
         }
-        assert_eq!(takes_error(RecvDisconnected), "peer disconnected");
         assert!(takes_error(TransportError::Disconnected).contains("disconnected"));
         assert!(takes_error(TransportError::FrameTooLarge { len: 9, max: 4 }).contains("limit"));
         let boxed: Box<dyn std::error::Error> = Box::new(TransportError::TimedOut);
@@ -824,11 +685,13 @@ mod tests {
     fn works_across_threads() {
         let (mut a, mut b) = Duplex::pair();
         let handle = std::thread::spawn(move || {
-            let got = b.read_blocks().unwrap();
-            b.write_blocks(&got).unwrap();
+            let got = b.recv_frame().unwrap();
+            b.send_frame(FrameKind::Blocks, got).unwrap();
         });
-        a.write_blocks(&[Block::new(42)]).unwrap();
-        assert_eq!(a.read_blocks().unwrap(), vec![Block::new(42)]);
+        let blocks = [Block::new(42)];
+        a.send_frame(FrameKind::Blocks, frame(|buf| put_blocks(buf, &blocks)))
+            .unwrap();
+        assert_eq!(decode_blocks(a.recv_frame().unwrap()).unwrap(), blocks);
         handle.join().unwrap();
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Faults apply to the *send* path (what this endpoint emits) plus delays
 //! on receive; the cut severs both directions. A spec with every rate at
-//! zero and no cut is a bit-exact passthrough: same frames, same
-//! [`ChannelStats`] — the invariant the zero-fault proptests pin down.
+//! zero and no cut is a bit-exact passthrough: same frames, same byte and
+//! message counts — the invariant the zero-fault proptests pin down.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -21,7 +21,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use max_telemetry::FlightRecorder;
 
-use crate::channel::{is_sealed, ChannelStats, FrameKind, TransportError, SEAL_BYTES};
+use crate::channel::{is_sealed, FrameKind, TransportError, SEAL_BYTES};
 use crate::transport::Transport;
 
 /// Per-mille fault rates plus the seed they derive from.
@@ -347,14 +347,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.inner.recv_frame()
     }
 
-    fn sent_stats(&self) -> ChannelStats {
-        self.inner.sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.inner.received_stats()
-    }
-
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
         self.inner.set_idle_timeout(timeout)
     }
@@ -377,7 +369,7 @@ mod tests {
             faulty.send_frame(FrameKind::Raw, raw(&[i, i + 1])).unwrap();
         }
         for i in 0..20u8 {
-            assert_eq!(&b.recv_bytes().unwrap()[..], &[i, i + 1]);
+            assert_eq!(&b.recv_frame().unwrap()[..], &[i, i + 1]);
         }
         assert_eq!(faulty.stats().drops, 0);
         assert_eq!(faulty.stats().sends, 20);
@@ -392,10 +384,9 @@ mod tests {
             for i in 0..50u8 {
                 faulty.send_frame(FrameKind::Raw, raw(&[i])).unwrap();
             }
-            let delivered = faulty.sent_stats().messages;
-            drop(faulty);
+            let delivered = faulty.into_inner().sent().messages();
             let mut got = Vec::new();
-            while let Ok(frame) = b.recv_bytes() {
+            while let Ok(frame) = b.recv_frame() {
                 got.push(frame[0]);
             }
             (delivered, got)
@@ -416,7 +407,7 @@ mod tests {
         let mut faulty = FaultTransport::new(a, FaultSpec::none(3).with_corruption(1000));
         let original = [0u8; 8];
         faulty.send_frame(FrameKind::Raw, raw(&original)).unwrap();
-        let got = b.recv_bytes().unwrap();
+        let got = b.recv_frame().unwrap();
         let flipped: u32 = got.iter().map(|byte| byte.count_ones()).sum();
         assert_eq!(flipped, 1, "exactly one bit flipped");
         assert_eq!(faulty.stats().corruptions, 1);
@@ -438,7 +429,7 @@ mod tests {
                 .unwrap();
             assert_eq!(faulty.stats().corrupt_detected, 1, "seed {seed}");
             assert_eq!(faulty.stats().corrupt_delivered, 0, "seed {seed}");
-            let got = b.recv_bytes().unwrap();
+            let got = b.recv_frame().unwrap();
             // The CRC prefix is untouched (the flip was biased into the
             // payload), and opening the frame reports the damage as a typed
             // checksum error — never silently different bytes.
@@ -455,7 +446,7 @@ mod tests {
         let (a, mut b) = Duplex::pair();
         let mut faulty = FaultTransport::new(a, FaultSpec::none(4).with_truncation(1000));
         faulty.send_frame(FrameKind::Raw, raw(&[9u8; 32])).unwrap();
-        let got = b.recv_bytes().unwrap();
+        let got = b.recv_frame().unwrap();
         assert!(got.len() < 32, "truncated to a strict prefix");
         assert_eq!(faulty.stats().truncations, 1);
     }
@@ -466,9 +457,9 @@ mod tests {
         let mut faulty = FaultTransport::new(a, FaultSpec::none(5).with_duplicates(1000));
         faulty.send_frame(FrameKind::Raw, raw(b"x")).unwrap();
         drop(faulty);
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"x");
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"x");
-        assert!(b.recv_bytes().is_err());
+        assert_eq!(&b.recv_frame().unwrap()[..], b"x");
+        assert_eq!(&b.recv_frame().unwrap()[..], b"x");
+        assert!(b.recv_frame().is_err());
     }
 
     #[test]
@@ -477,8 +468,8 @@ mod tests {
         let mut faulty = FaultTransport::new(a, FaultSpec::none(6).with_reordering(1000));
         faulty.send_frame(FrameKind::Raw, raw(b"first")).unwrap();
         faulty.send_frame(FrameKind::Raw, raw(b"second")).unwrap();
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"second");
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"first");
+        assert_eq!(&b.recv_frame().unwrap()[..], b"second");
+        assert_eq!(&b.recv_frame().unwrap()[..], b"first");
         assert!(faulty.stats().reorders >= 1);
     }
 
@@ -492,7 +483,7 @@ mod tests {
         )
         .with_flight(Arc::clone(&flight));
         faulty.send_frame(FrameKind::Raw, raw(&[0u8; 8])).unwrap();
-        b.send_bytes(raw(b"pong"));
+        b.send_frame(FrameKind::Raw, raw(b"pong")).unwrap();
         faulty.recv_frame().unwrap();
         assert_eq!(
             faulty.send_frame(FrameKind::Raw, raw(b"x")),
@@ -508,7 +499,7 @@ mod tests {
             .unwrap();
         assert_eq!(cut.detail, "send");
         drop(faulty);
-        let _ = b.recv_bytes();
+        let _ = b.recv_frame();
     }
 
     #[test]
@@ -523,7 +514,7 @@ mod tests {
         );
         assert_eq!(faulty.recv_frame(), Err(TransportError::Disconnected));
         assert!(faulty.stats().cut);
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"1");
-        assert_eq!(&b.recv_bytes().unwrap()[..], b"2");
+        assert_eq!(&b.recv_frame().unwrap()[..], b"1");
+        assert_eq!(&b.recv_frame().unwrap()[..], b"2");
     }
 }

@@ -2,11 +2,12 @@
 //! implementations — the in-process [`Duplex`] wire and a length-prefixed
 //! framed transport over [`std::net::TcpStream`].
 //!
-//! Both speak the same typed-frame vocabulary ([`FrameKind`] + the codecs in
-//! [`channel`](crate::channel)) and feed the same per-kind
-//! [`Counter`]/[`ChannelStats`] accounting and telemetry keys, so moving a
-//! protocol from in-memory to TCP changes nothing about what is measured —
-//! only where the bytes go.
+//! A transport moves frames and keeps one byte and message [`Counter`] per
+//! direction; what a frame holds is the business of the codecs in
+//! [`channel`](crate::channel). Both implementations refuse a frame above
+//! [`MAX_FRAME_BYTES`] and count the same bytes, so moving a protocol from
+//! in-memory to TCP changes nothing about what is measured — only where
+//! the bytes go.
 //!
 //! The TCP frame layout is deliberately minimal and offline-safe (no async
 //! runtime, no external protocol library):
@@ -18,7 +19,7 @@
 //! +--------+------------+---------------------+
 //! ```
 //!
-//! `kind` is [`FrameKind`]'s stable index; `len` is validated against
+//! `kind` is [`FrameKind`]'s stable tag; `len` is validated against
 //! [`MAX_FRAME_BYTES`] *before* any allocation, so a hostile peer cannot make
 //! the receiver reserve gigabytes with a five-byte header.
 
@@ -29,29 +30,23 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use bytes::Bytes;
-use max_crypto::Block;
 
-use crate::channel::{
-    decode_bits, decode_blocks, decode_tables, encode_bits, encode_blocks, encode_tables,
-    ChannelStats, Counter, Duplex, FrameKind, TransportError, MAX_FRAME_BYTES,
-};
-use crate::engine::GarbledTable;
+use crate::channel::{Counter, Duplex, FrameKind, TransportError, MAX_FRAME_BYTES};
 
 /// A byte-framed, kind-tagged duplex wire between two protocol parties.
 ///
 /// Implementations must preserve frame boundaries (one `send_frame` is one
-/// `recv_frame`) and keep the shared per-kind byte accounting. The provided
-/// typed helpers reuse the channel codecs, so every implementation rejects
-/// hostile or malformed frames with the same [`TransportError`]s.
+/// `recv_frame`), refuse frames above [`MAX_FRAME_BYTES`], and count every
+/// frame they move.
 pub trait Transport: Send {
     /// Sends one frame of `kind`.
     ///
     /// # Errors
     ///
-    /// Returns a [`TransportError`] if the frame exceeds
-    /// [`MAX_FRAME_BYTES`] or the peer is gone. In-process transports treat
-    /// a departed peer as a no-op (fire-and-forget, matching
-    /// [`Duplex::send_bytes`]).
+    /// [`TransportError::FrameTooLarge`] if the frame exceeds
+    /// [`MAX_FRAME_BYTES`] (nothing is sent), or a [`TransportError`] if
+    /// the peer is gone. The in-process wire treats a departed peer as a
+    /// no-op (fire-and-forget).
     fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError>;
 
     /// Receives one frame, blocking until it arrives (or the idle timeout
@@ -63,12 +58,6 @@ pub trait Transport: Send {
     /// hostile frame header.
     fn recv_frame(&mut self) -> Result<Bytes, TransportError>;
 
-    /// Snapshot of everything sent through this endpoint.
-    fn sent_stats(&self) -> ChannelStats;
-
-    /// Snapshot of everything received by this endpoint.
-    fn received_stats(&self) -> ChannelStats;
-
     /// Sets (or clears) the blocking-receive idle timeout.
     ///
     /// Returns `false` if this transport cannot time out (the in-process
@@ -76,60 +65,6 @@ pub trait Transport: Send {
     /// treat `false` as "always attended".
     fn set_idle_timeout(&mut self, _timeout: Option<Duration>) -> bool {
         false
-    }
-
-    /// Sends a block vector as one [`FrameKind::Blocks`] frame.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::send_frame`].
-    fn write_blocks(&mut self, blocks: &[Block]) -> Result<(), TransportError> {
-        self.send_frame(FrameKind::Blocks, encode_blocks(blocks))
-    }
-
-    /// Receives a block vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::recv_frame`] and [`decode_blocks`].
-    fn read_blocks(&mut self) -> Result<Vec<Block>, TransportError> {
-        decode_blocks(self.recv_frame()?)
-    }
-
-    /// Sends garbled tables as one [`FrameKind::Tables`] frame.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::send_frame`].
-    fn write_tables(&mut self, tables: &[GarbledTable]) -> Result<(), TransportError> {
-        self.send_frame(FrameKind::Tables, encode_tables(tables))
-    }
-
-    /// Receives a garbled-table vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::recv_frame`] and [`decode_tables`].
-    fn read_tables(&mut self) -> Result<Vec<GarbledTable>, TransportError> {
-        decode_tables(self.recv_frame()?)
-    }
-
-    /// Sends a bit vector as one packed [`FrameKind::Bits`] frame.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::send_frame`].
-    fn write_bits(&mut self, bits: &[bool]) -> Result<(), TransportError> {
-        self.send_frame(FrameKind::Bits, encode_bits(bits))
-    }
-
-    /// Receives a packed bit vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`Transport::recv_frame`] and [`decode_bits`].
-    fn read_bits(&mut self) -> Result<Vec<bool>, TransportError> {
-        decode_bits(self.recv_frame()?)
     }
 }
 
@@ -142,35 +77,32 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
         (**self).recv_frame()
     }
 
-    fn sent_stats(&self) -> ChannelStats {
-        (**self).sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        (**self).received_stats()
-    }
-
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
         (**self).set_idle_timeout(timeout)
     }
 }
 
+/// [`TransportError::FrameTooLarge`] for a frame of `len` bytes.
+fn too_large(len: usize) -> TransportError {
+    TransportError::FrameTooLarge {
+        len: u64::try_from(len).unwrap_or(u64::MAX),
+        max: MAX_FRAME_BYTES as u64,
+    }
+}
+
 impl Transport for Duplex {
-    fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
-        Duplex::send_frame(self, kind, frame);
+    fn send_frame(&mut self, _kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
+        if frame.len() > MAX_FRAME_BYTES {
+            return Err(too_large(frame.len()));
+        }
+        self.sent().record(frame.len());
+        // A disconnected peer is fine for fire-and-forget sends in tests.
+        let _ = self.tx.send(frame);
         Ok(())
     }
 
     fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
-        Ok(self.recv_bytes()?)
-    }
-
-    fn sent_stats(&self) -> ChannelStats {
-        self.sent().stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.received().stats()
+        self.rx.recv().map_err(|_| TransportError::Disconnected)
     }
 }
 
@@ -254,31 +186,25 @@ fn write_frame<W: Write>(stream: &mut W, header: &[u8], payload: &[u8]) -> io::R
 impl Transport for FramedTcp {
     fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
         if frame.len() > MAX_FRAME_BYTES {
-            return Err(TransportError::FrameTooLarge {
-                len: u64::try_from(frame.len()).unwrap_or(u64::MAX),
-                max: MAX_FRAME_BYTES as u64,
-            });
+            return Err(too_large(frame.len()));
         }
         // Checked, not `as`: the length prefix is 32 bits and silently
         // truncating an oversized frame would desynchronize the stream.
-        let wire_len = u32::try_from(frame.len()).map_err(|_| TransportError::FrameTooLarge {
-            len: u64::try_from(frame.len()).unwrap_or(u64::MAX),
-            max: MAX_FRAME_BYTES as u64,
-        })?;
+        let wire_len = u32::try_from(frame.len()).map_err(|_| too_large(frame.len()))?;
         let mut header = [0u8; HEADER_BYTES];
-        header[0] = kind.index() as u8;
+        header[0] = kind.tag();
         header[1..].copy_from_slice(&wire_len.to_be_bytes());
         write_frame(&mut self.stream, &header, &frame)?;
-        self.sent.record(kind, frame.len());
+        self.sent.record(frame.len());
         Ok(())
     }
 
     fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
         let mut header = [0u8; HEADER_BYTES];
         self.stream.read_exact(&mut header)?;
-        let Some(kind) = FrameKind::from_index(header[0]) else {
+        if FrameKind::from_tag(header[0]).is_none() {
             return Err(TransportError::Malformed("frame kind tag"));
-        };
+        }
         let wire_len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]);
         // Checked, not `as`: the length field is attacker data, and on a
         // 16-bit-usize target a raw cast would silently wrap.
@@ -308,16 +234,8 @@ impl Transport for FramedTcp {
                 return Err(TransportError::Disconnected);
             }
         }
-        self.received.record(kind, len);
+        self.received.record(len);
         Ok(Bytes::from(payload))
-    }
-
-    fn sent_stats(&self) -> ChannelStats {
-        self.sent.stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.received.stats()
     }
 
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
@@ -328,7 +246,19 @@ impl Transport for FramedTcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{
+        decode_blocks, decode_tables, encode_tables, get_bits, put_bits, put_blocks,
+    };
+    use crate::GarbledTable;
+    use bytes::BytesMut;
+    use max_crypto::Block;
     use std::net::TcpListener;
+
+    fn frame(put: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = BytesMut::with_capacity(0);
+        put(&mut buf);
+        buf.freeze()
+    }
 
     fn loopback_pair() -> (FramedTcp, FramedTcp) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -346,8 +276,10 @@ mod tests {
         let (mut server, mut client) = loopback_pair();
 
         let blocks = vec![Block::new(3), Block::new(u128::MAX)];
-        client.write_blocks(&blocks).unwrap();
-        assert_eq!(server.read_blocks().unwrap(), blocks);
+        client
+            .send_frame(FrameKind::Blocks, frame(|buf| put_blocks(buf, &blocks)))
+            .unwrap();
+        assert_eq!(decode_blocks(server.recv_frame().unwrap()).unwrap(), blocks);
 
         let tables = vec![
             GarbledTable {
@@ -356,12 +288,16 @@ mod tests {
             };
             3
         ];
-        server.write_tables(&tables).unwrap();
-        assert_eq!(client.read_tables().unwrap(), tables);
+        server
+            .send_frame(FrameKind::Raw, encode_tables(&tables))
+            .unwrap();
+        assert_eq!(decode_tables(client.recv_frame().unwrap()).unwrap(), tables);
 
         let bits: Vec<bool> = (0..17).map(|i| i % 2 == 0).collect();
-        client.write_bits(&bits).unwrap();
-        assert_eq!(server.read_bits().unwrap(), bits);
+        client
+            .send_frame(FrameKind::Bits, frame(|buf| put_bits(buf, &bits)))
+            .unwrap();
+        assert_eq!(get_bits(&mut server.recv_frame().unwrap()).unwrap(), bits);
 
         client
             .send_frame(FrameKind::Raw, Bytes::from(b"hello".to_vec()))
@@ -372,16 +308,23 @@ mod tests {
     #[test]
     fn accounting_matches_duplex_semantics() {
         let (mut server, mut client) = loopback_pair();
-        client.write_blocks(&[Block::ZERO; 4]).unwrap();
-        server.read_blocks().unwrap();
+        let (mut a, mut b) = Duplex::pair();
+        let blocks = frame(|buf| put_blocks(buf, &[Block::ZERO; 4]));
+        client
+            .send_frame(FrameKind::Blocks, blocks.clone())
+            .unwrap();
+        server.recv_frame().unwrap();
+        a.send_frame(FrameKind::Blocks, blocks).unwrap();
+        b.recv_frame().unwrap();
 
-        // Same wire math as Duplex: 4-byte count + 4 * 16-byte blocks.
-        let sent = client.sent_stats();
-        assert_eq!(sent.blocks.bytes, 68);
-        assert_eq!(sent.blocks.messages, 1);
-        assert_eq!(sent.bytes, 68);
-        let recv = server.received_stats();
-        assert_eq!(recv, sent);
+        // Same wire math as Duplex: 4-byte count + 4 * 16-byte blocks; the
+        // 5-byte TCP header is framing, not payload.
+        for counter in [client.sent(), server.received(), a.sent(), b.received()] {
+            assert_eq!((counter.bytes(), counter.messages()), (68, 1));
+        }
+        for counter in [client.received(), server.sent(), a.received(), b.sent()] {
+            assert_eq!((counter.bytes(), counter.messages()), (0, 0));
+        }
     }
 
     #[test]
@@ -408,20 +351,24 @@ mod tests {
 
     #[test]
     fn unknown_kind_tag_is_malformed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let attacker = std::thread::spawn(move || {
-            let mut raw = TcpStream::connect(addr).unwrap();
-            raw.write_all(&[9, 0, 0, 0, 0]).unwrap();
-            raw
-        });
-        let (server_stream, _) = listener.accept().unwrap();
-        let mut server = FramedTcp::from_stream(server_stream);
-        let _keepalive = attacker.join().unwrap();
-        assert_eq!(
-            server.recv_frame(),
-            Err(TransportError::Malformed("frame kind tag"))
-        );
+        // 2 is the retired table-vector tag; 9 was never assigned.
+        for tag in [2u8, 9] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let attacker = std::thread::spawn(move || {
+                let mut raw = TcpStream::connect(addr).unwrap();
+                raw.write_all(&[tag, 0, 0, 0, 0]).unwrap();
+                raw
+            });
+            let (server_stream, _) = listener.accept().unwrap();
+            let mut server = FramedTcp::from_stream(server_stream);
+            let _keepalive = attacker.join().unwrap();
+            assert_eq!(
+                server.recv_frame(),
+                Err(TransportError::Malformed("frame kind tag")),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -567,12 +514,28 @@ mod tests {
 
     #[test]
     fn oversized_send_is_rejected_locally() {
-        let (mut server, _client) = loopback_pair();
+        let (a, b) = Duplex::pair();
+        let (tcp_server, tcp_client) = loopback_pair();
+        let pairs: [(Box<dyn Transport>, Box<dyn Transport>); 2] = [
+            (Box::new(a), Box::new(b)),
+            (Box::new(tcp_client), Box::new(tcp_server)),
+        ];
         let huge = Bytes::from(vec![0u8; MAX_FRAME_BYTES + 1]);
-        assert!(matches!(
-            server.send_frame(FrameKind::Raw, huge),
-            Err(TransportError::FrameTooLarge { .. })
-        ));
+        for (mut sender, mut receiver) in pairs {
+            assert_eq!(
+                sender.send_frame(FrameKind::Raw, huge.clone()),
+                Err(TransportError::FrameTooLarge {
+                    len: (MAX_FRAME_BYTES + 1) as u64,
+                    max: MAX_FRAME_BYTES as u64,
+                })
+            );
+            // Nothing was queued: the next frame the peer sees is the next
+            // one sent.
+            sender
+                .send_frame(FrameKind::Raw, Bytes::from(b"next".to_vec()))
+                .unwrap();
+            assert_eq!(&receiver.recv_frame().unwrap()[..], b"next");
+        }
     }
 
     #[test]
@@ -586,9 +549,20 @@ mod tests {
             Box::new(tcp_client),
         ];
         // a -> b and tcp_client -> tcp_server through the same interface.
-        ends[0].write_bits(&[true, false]).unwrap();
-        assert_eq!(ends[1].read_bits().unwrap(), vec![true, false]);
-        ends[3].write_bits(&[false, true]).unwrap();
-        assert_eq!(ends[2].read_bits().unwrap(), vec![false, true]);
+        let bits = |bits: &[bool]| frame(|buf| put_bits(buf, bits));
+        ends[0]
+            .send_frame(FrameKind::Bits, bits(&[true, false]))
+            .unwrap();
+        assert_eq!(
+            get_bits(&mut ends[1].recv_frame().unwrap()).unwrap(),
+            vec![true, false]
+        );
+        ends[3]
+            .send_frame(FrameKind::Bits, bits(&[false, true]))
+            .unwrap();
+        assert_eq!(
+            get_bits(&mut ends[2].recv_frame().unwrap()).unwrap(),
+            vec![false, true]
+        );
     }
 }

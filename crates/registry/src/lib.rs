@@ -54,8 +54,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use max_crypto::TranscriptDigest;
+use max_gc::channel::MAX_FRAME_BYTES;
 use maxelerator::remote::{
-    derive_seed, fill_stream, MaterializedJob, ModelStatus, MAX_MODEL_ELEMENTS,
+    derive_seed, fill_stream, round_burst_bytes, MaterializedJob, ModelStatus, MAX_MODEL_ELEMENTS,
 };
 use maxelerator::{AcceleratorConfig, AcceleratorError};
 
@@ -113,6 +114,14 @@ pub enum RegisterError {
         /// The weight itself.
         value: i64,
     },
+    /// One output element's sealed ROUNDS frame would exceed
+    /// [`MAX_FRAME_BYTES`]: the model could register but never be served.
+    FrameTooLarge {
+        /// The sealed frame length of one element ([`round_burst_bytes`]).
+        bytes: usize,
+        /// The cap.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for RegisterError {
@@ -131,6 +140,9 @@ impl std::fmt::Display for RegisterError {
                     "weight [{row}][{col}] = {value} exceeds the operand width"
                 )
             }
+            RegisterError::FrameTooLarge { bytes, max } => {
+                write!(f, "an element's frame is {bytes} bytes, cap is {max}")
+            }
         }
     }
 }
@@ -138,17 +150,27 @@ impl std::fmt::Display for RegisterError {
 impl std::error::Error for RegisterError {}
 
 /// Checks that `weights` is a non-empty rectangular matrix whose every
-/// weight fits `config`'s operand width — what the garbler can encode.
-/// [`ModelRegistry::register`] and the service's default model share it.
+/// weight fits `config`'s operand width — what the garbler can encode —
+/// and whose output elements fit one frame each — what the server can
+/// send. [`ModelRegistry::register`] and the service's default model
+/// share it.
 ///
 /// # Errors
 ///
-/// [`RegisterError::EmptyModel`], [`RegisterError::RaggedRow`] or
-/// [`RegisterError::ValueOutOfRange`], for the first defect in row order.
+/// [`RegisterError::EmptyModel`], [`RegisterError::FrameTooLarge`] (row
+/// 0 is too wide), then [`RegisterError::RaggedRow`] or
+/// [`RegisterError::ValueOutOfRange`] for the first defect in row order.
 pub fn check_model(config: &AcceleratorConfig, weights: &[Vec<i64>]) -> Result<(), RegisterError> {
     let cols = weights.first().map_or(0, Vec::len);
     if cols == 0 {
         return Err(RegisterError::EmptyModel);
+    }
+    let bytes = round_burst_bytes(config, cols);
+    if bytes > MAX_FRAME_BYTES {
+        return Err(RegisterError::FrameTooLarge {
+            bytes,
+            max: MAX_FRAME_BYTES,
+        });
     }
     let b = config.bit_width as u32;
     let (lo, hi) = if config.signed {
@@ -486,8 +508,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`RegisterError`] when the matrix is empty, ragged, oversized, or
-    /// holds a weight outside the operand width.
+    /// [`RegisterError`] when the matrix is empty, ragged, oversized,
+    /// too wide to frame, or holds a weight outside the operand width.
     pub fn register(
         &self,
         model_id: u64,
@@ -1154,6 +1176,26 @@ mod tests {
             }
         );
         assert!(reg.register(1, vec![vec![-128, 127]]).is_ok());
+        // A row one column wider than a sealed element frame holds.
+        assert!(matches!(
+            reg.register(2, vec![vec![1; 11_206]]),
+            Err(RegisterError::FrameTooLarge { .. })
+        ));
+        assert!(!reg.contains(2));
+        // The widest row that still frames, per width; one more column is
+        // refused whatever the row count.
+        for (b, widest) in [(8, 11_205), (16, 3_306), (32, 912)] {
+            let config = AcceleratorConfig::new(b);
+            assert!(check_model(&config, &[vec![0; widest]]).is_ok(), "b = {b}");
+            assert_eq!(
+                check_model(&config, &[vec![0; widest + 1], vec![0; widest + 1]]),
+                Err(RegisterError::FrameTooLarge {
+                    bytes: round_burst_bytes(&config, widest + 1),
+                    max: MAX_FRAME_BYTES,
+                }),
+                "b = {b}"
+            );
+        }
     }
 
     #[test]

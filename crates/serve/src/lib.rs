@@ -43,7 +43,7 @@ mod service;
 mod session;
 
 use bytes::Bytes;
-use max_gc::channel::{ChannelStats, FrameKind, TransportError};
+use max_gc::channel::{FrameKind, TransportError};
 use max_gc::Transport;
 use maxelerator::remote::derive_seed;
 
@@ -112,14 +112,6 @@ impl<T: Transport> Transport for FlightTransport<T> {
         }
     }
 
-    fn sent_stats(&self) -> ChannelStats {
-        self.inner.sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.inner.received_stats()
-    }
-
     fn set_idle_timeout(&mut self, timeout: Option<std::time::Duration>) -> bool {
         self.inner.set_idle_timeout(timeout)
     }
@@ -171,14 +163,6 @@ impl<T: Transport> Transport for RecordingTransport<T> {
         let frame = self.inner.recv_frame()?;
         self.received.push(frame.clone());
         Ok(frame)
-    }
-
-    fn sent_stats(&self) -> ChannelStats {
-        self.inner.sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.inner.received_stats()
     }
 
     fn set_idle_timeout(&mut self, timeout: Option<std::time::Duration>) -> bool {
@@ -250,7 +234,8 @@ mod tests {
         let mut rec = RecordingTransport::new(a);
         rec.send_frame(FrameKind::Raw, Bytes::from(b"ping".to_vec()))
             .unwrap();
-        b.send_bytes(Bytes::from(b"pong".to_vec()));
+        b.send_frame(FrameKind::Raw, Bytes::from(b"pong".to_vec()))
+            .unwrap();
         let got = rec.recv_frame().unwrap();
         assert_eq!(&got[..], b"pong");
         assert_eq!(rec.sent_frames().len(), 1);

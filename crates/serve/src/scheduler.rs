@@ -10,7 +10,7 @@
 //! (reject-with-retry-hint) frame — backpressure instead of unbounded
 //! memory growth.
 //!
-//! When the queue is *empty*, units do not just sleep: an optional
+//! When the queue is *empty*, units do not just sleep: the
 //! [`IdleFill`] hook lets the service layer spend the idle capacity on
 //! registry precompute (pre-garbling model streams), turning the paper's
 //! offline phase into background work that automatically yields the moment
@@ -171,26 +171,8 @@ impl FairQueue {
         }
     }
 
-    /// Takes the next job in round-robin session order; blocks while the
-    /// queue is empty or paused. Returns `None` once closed and drained.
-    fn pop(&self) -> Option<QueuedJob> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(job) = Self::pop_locked(&mut state) {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Non-blocking variant of [`FairQueue::pop`] for units that have idle
-    /// work to fall back to.
+    /// Takes the next job in round-robin session order if one is ready;
+    /// otherwise says whether the queue is closed (and drained) or empty.
     fn try_pop(&self) -> Polled {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         match Self::pop_locked(&mut state) {
@@ -291,9 +273,10 @@ impl UnitPool {
     /// jobs. With `start_paused`, units wait until [`UnitPool::resume`] —
     /// the deterministic way to observe backpressure in tests. A
     /// `recorder`, when given, receives every job's `server/queue_wait`
-    /// and `server/garble` phases (see [`Recorder::record_phase`]). An
-    /// `idle_fill` hook, when given, is run whenever a unit finds the queue
-    /// empty — registry precompute during pool idle time.
+    /// and `server/garble` phases (see [`Recorder::record_phase`]). The
+    /// `idle_fill` hook runs whenever a unit finds the queue empty —
+    /// registry precompute during pool idle time; a hook with nothing to do
+    /// returns `false`, and the unit parks until work arrives or 25 ms pass.
     ///
     /// # Panics
     ///
@@ -305,7 +288,7 @@ impl UnitPool {
         queue_capacity: usize,
         start_paused: bool,
         recorder: Option<Arc<Recorder>>,
-        idle_fill: Option<IdleFill>,
+        idle_fill: IdleFill,
     ) -> UnitPool {
         let queue = Arc::new(FairQueue::new(queue_capacity, start_paused));
         let worker_count = workers.max(1);
@@ -314,7 +297,7 @@ impl UnitPool {
                 let queue = Arc::clone(&queue);
                 let config = config.clone();
                 let recorder = recorder.clone();
-                let idle_fill = idle_fill.clone();
+                let idle_fill = Arc::clone(&idle_fill);
                 // A unit that fails to spawn (thread exhaustion) just
                 // shrinks the pool; the queue still drains through the
                 // rest. Losing *every* unit is fatal — checked below.
@@ -324,24 +307,17 @@ impl UnitPool {
                         // Real jobs always preempt precompute: the hook only
                         // runs when the queue is observed empty, one short
                         // step at a time.
-                        let job = match idle_fill {
-                            None => queue.pop(),
-                            Some(ref fill) => loop {
-                                match queue.try_pop() {
-                                    Polled::Job(job) => break Some(*job),
-                                    Polled::Closed => break None,
-                                    Polled::Empty(idle_wakes) => {
-                                        if !fill() {
-                                            queue.wait_for_work(
-                                                idle_wakes,
-                                                Duration::from_millis(25),
-                                            );
-                                        }
+                        let job = loop {
+                            match queue.try_pop() {
+                                Polled::Job(job) => break *job,
+                                Polled::Closed => return,
+                                Polled::Empty(idle_wakes) => {
+                                    if !idle_fill() {
+                                        queue.wait_for_work(idle_wakes, Duration::from_millis(25));
                                     }
                                 }
-                            },
+                            }
                         };
-                        let Some(job) = job else { break };
                         let trace = job.request.trace;
                         if let Some(rec) = &recorder {
                             let now = rec.now_ns();
@@ -477,6 +453,18 @@ mod tests {
         panic!("the unit dropped its hand-off without a final piece");
     }
 
+    /// A hook with no idle work.
+    fn no_fill() -> IdleFill {
+        Arc::new(|| false)
+    }
+
+    fn pop(queue: &FairQueue) -> Option<QueuedJob> {
+        match queue.try_pop() {
+            Polled::Job(job) => Some(*job),
+            Polled::Empty(_) | Polled::Closed => None,
+        }
+    }
+
     fn request(session_id: u64, job_id: u64) -> JobRequest {
         request_for(vec![vec![1i64]], session_id, job_id)
     }
@@ -504,7 +492,7 @@ mod tests {
         queue.resume();
         let order: Vec<(u64, u64)> = (0..5)
             .map(|_| {
-                let job = queue.pop().unwrap();
+                let job = pop(&queue).unwrap();
                 (job.request.session_id, job.request.job_id)
             })
             .collect();
@@ -527,9 +515,9 @@ mod tests {
         push(&queue, 1, 0).unwrap();
         push(&queue, 1, 1).unwrap();
         queue.close();
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_some());
-        assert!(queue.pop().is_none());
+        assert!(pop(&queue).is_some());
+        assert!(pop(&queue).is_some());
+        assert!(matches!(queue.try_pop(), Polled::Closed));
         // Closed queues admit nothing.
         assert!(push(&queue, 1, 2).is_err());
     }
@@ -538,7 +526,7 @@ mod tests {
     fn pool_executes_real_jobs() {
         let config = AcceleratorConfig::new(8);
         let weights = vec![vec![2i64, -3], vec![4, 5]];
-        let pool = UnitPool::new(config, 2, 4, false, None, None);
+        let pool = UnitPool::new(config, 2, 4, false, None, no_fill());
         let rx_a = pool.submit(request_for(weights.clone(), 1, 0)).unwrap();
         let rx_b = pool.submit(request_for(weights, 2, 0)).unwrap();
         let (elements_a, cycles_a) = collect(rx_a);
@@ -553,7 +541,7 @@ mod tests {
     #[test]
     fn weights_override_garbles_against_request_matrix() {
         let config = AcceleratorConfig::new(8);
-        let pool = UnitPool::new(config.clone(), 1, 4, false, None, None);
+        let pool = UnitPool::new(config.clone(), 1, 4, false, None, no_fill());
         let model = vec![vec![7i64, -2], vec![3, 4]];
         let req = request_for(model.clone(), 1, 0);
         let (elements, cycles) = collect(pool.submit(req).unwrap());
@@ -575,7 +563,7 @@ mod tests {
             // its timed-wait path.
             hook_fills.load(Ordering::SeqCst).is_multiple_of(2)
         });
-        let pool = UnitPool::new(config, 1, 2, false, None, Some(hook));
+        let pool = UnitPool::new(config, 1, 2, false, None, hook);
         // Idle pool precomputes...
         let deadline = Instant::now() + Duration::from_secs(5);
         while fills.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
@@ -596,7 +584,7 @@ mod tests {
     #[test]
     fn paused_pool_holds_jobs_until_resume() {
         let config = AcceleratorConfig::new(8);
-        let pool = UnitPool::new(config, 1, 2, true, None, None);
+        let pool = UnitPool::new(config, 1, 2, true, None, no_fill());
         let rx = pool.submit(request(1, 0)).unwrap();
         assert_eq!(pool.depth(), 1);
         assert!(rx

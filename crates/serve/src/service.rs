@@ -432,9 +432,10 @@ impl GcService {
     ///
     /// # Panics
     ///
-    /// Panics if the model is empty or ragged, or values exceed the
-    /// configured bit-width (host configuration errors, not peer input),
-    /// by the same [`check_model`] a registered model passes.
+    /// Panics if the model is empty or ragged, too wide for one element to
+    /// fit a frame, or values exceed the configured bit-width (host
+    /// configuration errors, not peer input), by the same [`check_model`] a
+    /// registered model passes.
     pub fn start(cfg: ServeConfig) -> GcService {
         if let Err(err) = check_model(&cfg.config, &cfg.weights) {
             panic!("invalid default model: {err}");
@@ -498,7 +499,7 @@ impl GcService {
             cfg.queue_capacity,
             cfg.start_paused,
             cfg.recorder.clone(),
-            Some(idle_fill),
+            idle_fill,
         );
         if cfg.prefill {
             // Run the offline phase eagerly so the very first model job is
@@ -673,8 +674,8 @@ impl GcService {
     ///
     /// # Errors
     ///
-    /// [`RegisterError`] when the matrix is empty, ragged, oversized, or a
-    /// weight exceeds the operand width.
+    /// [`RegisterError`] when the matrix is empty, ragged, oversized, too
+    /// wide to frame, or a weight exceeds the operand width.
     pub fn put_model(
         &self,
         model_id: u64,

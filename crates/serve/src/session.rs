@@ -755,6 +755,7 @@ fn next_job<T: Transport>(
                             RegisterError::RaggedRow { .. } => 2,
                             RegisterError::TooLarge { .. } => 3,
                             RegisterError::ValueOutOfRange { .. } => 4,
+                            RegisterError::FrameTooLarge { .. } => 5,
                         };
                         if let Some(flight) = flight {
                             flight.log("model.put_rejected", format!("{err}"), u64::from(detail));

@@ -8,18 +8,16 @@
 //! **bit-identical** to an uninterrupted run — same frames, same bytes,
 //! same order, minus only the rolled-back partial element.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use max_gc::channel::Duplex;
 use max_gc::{FaultSpec, FaultTransport, FramedTcp};
-use max_serve::{
-    demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, RecordingTransport, ServeConfig,
-};
-use maxelerator::{
-    AcceleratorConfig, AcceleratorError, RemoteClient, ResilientClient, RetryPolicy,
-};
+use max_serve::{demo_vector, demo_weights, listen_tcp, plain_matvec, RecordingTransport};
+use maxelerator::{AcceleratorError, RemoteClient, ResilientClient, RetryPolicy};
 
-const WIDTH: usize = 8;
+mod common;
+use common::{demo_service, wait_until, WIDTH};
+
 const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0xC4A0;
@@ -29,21 +27,6 @@ const SEED: u64 = 0xC4A0;
 const EVENTS_PER_ELEMENT: u64 = 3;
 /// Handshake + job admission: HELLO send, ACCEPT recv, JOB send, READY recv.
 const HANDSHAKE_EVENTS: u64 = 4;
-
-fn demo_service(mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-    let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
-    mutate(&mut cfg);
-    GcService::start(cfg)
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 /// A deterministic cut that dies partway through element `element`: the
 /// client survives the handshake, `element` full elements, and the EXT +
@@ -68,7 +51,9 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     // the same trace context: HELLO carries it on the wire, so minted
     // entropy would make the handshakes diverge byte-for-byte.
     let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x1D);
-    let ref_service = demo_service(|cfg| cfg.deterministic_resume_tokens = true);
+    let ref_service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
     let mut ref_client = RemoteClient::connect_with_trace(
         RecordingTransport::new(ref_service.connect()),
         WIDTH,
@@ -88,7 +73,9 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     assert_eq!(ref_recv.len(), 2 + elements * 2 + 1);
 
     // Chaos run: the wire dies partway through element 2 of 6.
-    let service = demo_service(|cfg| cfg.deterministic_resume_tokens = true);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
     let fault = FaultTransport::new(
         RecordingTransport::new(service.connect()),
         FaultSpec::none(SEED).with_cut_after(cut_mid_element(2)),
@@ -197,7 +184,7 @@ fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
     // element's data the next event — the STATS send — hits the cut. The
     // failed send makes the server checkpoint at the final boundary while
     // the client, which already has all its data, errors waiting on STATS.
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let (server_end, client_end) = Duplex::pair();
     service.serve_transport(FaultTransport::new(
         server_end,
@@ -247,7 +234,7 @@ fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
 
 #[test]
 fn resilient_client_rides_through_a_mid_job_cut() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
     let x = demo_vector(COLS, WIDTH, SEED ^ 9);
 
@@ -292,7 +279,7 @@ fn resilient_client_rides_through_a_mid_job_cut() {
 fn lost_checkpoint_falls_back_to_a_fresh_restart() {
     // Resumption disabled server-side: the checkpoint is never kept, so
     // RESUME gets a typed REJECT and the client restarts from scratch.
-    let service = demo_service(|cfg| cfg.resume_capacity = 0);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.resume_capacity = 0);
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
     let x = demo_vector(COLS, WIDTH, SEED ^ 3);
 
@@ -328,7 +315,7 @@ fn lost_checkpoint_falls_back_to_a_fresh_restart() {
 
 #[test]
 fn tripped_breaker_sheds_typed_and_the_resilient_client_rides_it_out() {
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.breaker.open_for = Duration::from_millis(120);
         cfg.breaker.retry_after_ms = 15;
     });
@@ -383,7 +370,7 @@ fn tripped_breaker_sheds_typed_and_the_resilient_client_rides_it_out() {
 
 #[test]
 fn heartbeats_keep_a_quiet_session_alive_past_the_idle_deadline() {
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.idle_timeout = Some(Duration::from_millis(150));
     });
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");
@@ -419,7 +406,7 @@ fn seeded_soak_over_tcp_under_sustained_faults() {
     // end-to-end and asserts that safety net is never needed.
     const SESSIONS: u64 = 4;
     const JOBS: u64 = 3;
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 2;
         cfg.idle_timeout = Some(Duration::from_secs(5));
         // Shorter than the clients' step deadline, so a checkpoint exists

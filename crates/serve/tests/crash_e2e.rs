@@ -21,11 +21,11 @@ use max_serve::{
     demo_vector, demo_weights, plain_matvec, GcService, JournalConfig, RecordingTransport,
     ServeConfig,
 };
-use maxelerator::{
-    AcceleratorConfig, AcceleratorError, RemoteClient, ResilientClient, RetryPolicy,
-};
+use maxelerator::{AcceleratorError, RemoteClient, ResilientClient, RetryPolicy};
 
-const WIDTH: usize = 8;
+mod common;
+use common::{demo_service, wait_until, WIDTH};
+
 const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0xC4A0;
@@ -51,22 +51,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn journaled_service(dir: &Path, mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-    let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
-    cfg.deterministic_resume_tokens = true;
-    let mut journal = JournalConfig::new(dir);
-    journal.fsync = false; // in-process tests exercise bytes, not disks
-    cfg.journal = Some(journal);
-    mutate(&mut cfg);
-    GcService::start(cfg)
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true;
+        let mut journal = JournalConfig::new(dir);
+        journal.fsync = false; // in-process tests exercise bytes, not disks
+        cfg.journal = Some(journal);
+        mutate(cfg);
+    })
 }
 
 /// The only journal segment file in `dir` (panics if there is not exactly

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use max_gc::channel::{ChannelStats, FrameKind, TransportError};
+use max_gc::channel::{FrameKind, TransportError};
 use max_gc::Transport;
 use max_serve::{demo_vector, demo_weights, plain_matvec, GcService, ServeConfig};
 use maxelerator::{
@@ -80,14 +80,6 @@ impl<T: Transport> Transport for FlipOneBit<T> {
         } else {
             self.flip(frame)
         })
-    }
-
-    fn sent_stats(&self) -> ChannelStats {
-        self.inner.sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.inner.received_stats()
     }
 
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
@@ -211,14 +203,6 @@ impl<T: Transport> Transport for ReplayRounds<T> {
             return Ok(stale);
         }
         Ok(frame)
-    }
-
-    fn sent_stats(&self) -> ChannelStats {
-        self.inner.sent_stats()
-    }
-
-    fn received_stats(&self) -> ChannelStats {
-        self.inner.received_stats()
     }
 
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {

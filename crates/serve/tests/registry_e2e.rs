@@ -17,7 +17,8 @@ use max_serve::{
 };
 use max_telemetry::TraceContext;
 use maxelerator::remote::{
-    derive_seed, fill_stream, garble_matvec_job, materialize_job, MaterializedElement,
+    derive_seed, fill_stream, garble_matvec_job, materialize_job, recv_control, send_control,
+    ControlMsg, MaterializedElement, PROTOCOL_VERSION, REJECT_MODEL,
 };
 use maxelerator::{
     connect, secure_matvec, AcceleratorConfig, AcceleratorError, ModelHandle, RemoteClient,
@@ -25,25 +26,12 @@ use maxelerator::{
 };
 use proptest::prelude::*;
 
-const WIDTH: usize = 8;
+mod common;
+use common::{demo_service, wait_until, WIDTH};
+
 const ROWS: usize = 3;
 const COLS: usize = 4;
 const SEED: u64 = 0x4e57;
-
-fn demo_service(mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-    let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
-    mutate(&mut cfg);
-    GcService::start(cfg)
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -62,7 +50,7 @@ fn model_weights(rows: usize, cols: usize, tweak: u64) -> Vec<Vec<i64>> {
 
 #[test]
 fn model_lifecycle_roundtrip_over_tcp() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");
     let tcp = FramedTcp::connect(handle.addr()).expect("connect");
     let mut client = RemoteClient::connect(tcp, WIDTH).expect("handshake");
@@ -111,9 +99,66 @@ fn model_lifecycle_roundtrip_over_tcp() {
     handle.shutdown();
 }
 
+/// One b = 8 column past what a sealed ROUNDS frame can carry: element
+/// bursts of 11 206 rounds exceed `MAX_FRAME_BYTES`, so such a model could
+/// register and then fail every serve over TCP.
+const UNFRAMEABLE_COLS: usize = 11_206;
+
+#[test]
+fn a_model_whose_element_cannot_be_framed_is_refused_at_put() {
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
+    let weights = vec![vec![1i64; UNFRAMEABLE_COLS]];
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    match client.put_model(9, &weights) {
+        Err(AcceleratorError::Rejected { reason }) => {
+            assert!(reason.contains("model"), "unexpected reason: {reason}")
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    // The refusal leaves the session usable.
+    let x = demo_vector(COLS, WIDTH, SEED ^ 4);
+    let (y, _) = client.secure_matvec(&x).expect("default job");
+    assert_eq!(y, plain_matvec(&demo_weights(ROWS, COLS, WIDTH, SEED), &x));
+    client.goodbye();
+
+    // On the wire the refusal is REJECT(MODEL) with detail 5.
+    let mut wire = service.connect();
+    send_control(
+        &mut wire,
+        &ControlMsg::Hello {
+            version: PROTOCOL_VERSION,
+            bit_width: WIDTH as u32,
+            trace: TraceContext::none(),
+        },
+    )
+    .expect("hello");
+    assert!(matches!(
+        recv_control(&mut wire).expect("accept"),
+        ControlMsg::Accept { .. }
+    ));
+    send_control(
+        &mut wire,
+        &ControlMsg::ModelPut {
+            model_id: 9,
+            rows: 1,
+            cols: UNFRAMEABLE_COLS as u32,
+            weights: weights.concat(),
+        },
+    )
+    .expect("put");
+    assert_eq!(
+        recv_control(&mut wire).expect("reply"),
+        ControlMsg::Reject {
+            code: REJECT_MODEL,
+            detail: 5,
+        }
+    );
+    assert!(service.registry().status(9).is_none());
+}
+
 #[test]
 fn warm_stock_serves_prepared_and_verifies_plaintext() {
-    let service = demo_service(|cfg| cfg.registry_target_stock = 2);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.registry_target_stock = 2);
     let weights = model_weights(4, 3, 7);
     let status = service.put_model(11, weights.clone()).expect("register");
     let handle = status.handle();
@@ -146,7 +191,7 @@ fn warm_stock_serves_prepared_and_verifies_plaintext() {
 fn stock_exhausted_falls_back_inline_counted_never_an_error() {
     // target_stock = 0: the registry never garbles ahead, so every model
     // job takes the fallback path — and every one must still verify.
-    let service = demo_service(|cfg| cfg.registry_target_stock = 0);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.registry_target_stock = 0);
     let weights = model_weights(3, 2, 5);
     let handle = service
         .put_model(21, weights.clone())
@@ -192,7 +237,7 @@ fn a_fallback_answered_with_busy_is_not_counted_as_served() {
     // the slot, so a model job arriving next gets its fallback ticket cut
     // and is then turned away — first by the full queue, then by the open
     // breaker. Neither served anything.
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 1;
         cfg.queue_capacity = 1;
         cfg.start_paused = true;
@@ -268,7 +313,7 @@ fn tight_budget_evicts_lru_model_whole() {
         fill_stream(&AcceleratorConfig::new(WIDTH), &weights_a, SEED, 1).expect("probe stream");
     let budget = probe.stored_bytes() * 2 + probe.stored_bytes() / 2;
 
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.registry_target_stock = 2;
         cfg.registry_budget_bytes = Some(budget);
     });
@@ -314,7 +359,7 @@ fn rotted_prepared_stream_is_rejected_and_healed() {
     // Two streams in stock; rot one bit of the first stream's material
     // *after* its fill-time digest was recorded — exactly what a DRAM
     // fault or cache corruption would do.
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.registry_target_stock = 2;
         cfg.step_timeout = Some(Duration::from_millis(200));
     });
@@ -372,7 +417,7 @@ fn rotted_prepared_stream_is_rejected_and_healed() {
 }
 
 fn journaled_service(dir: &Path, mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    demo_service(|cfg| {
+    demo_service(ROWS, COLS, SEED, |cfg| {
         let mut journal = JournalConfig::new(dir);
         journal.fsync = false;
         cfg.journal = Some(journal);
@@ -470,7 +515,7 @@ fn cut_model_job_at_element_2(
 /// fresh job gets the new model's product.
 #[test]
 fn a_model_job_does_not_resume_across_a_re_put() {
-    let service = demo_service(|cfg| cfg.registry_target_stock = 0);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.registry_target_stock = 0);
     let old = model_weights(4, 3, 0x01d);
     let new = model_weights(4, 3, 0x9e3);
     assert_ne!(old, new);

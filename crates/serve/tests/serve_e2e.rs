@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use max_gc::{FramedTcp, Transport};
 use max_serve::{
@@ -15,25 +15,12 @@ use maxelerator::remote::{
 };
 use maxelerator::{AcceleratorConfig, AcceleratorError, RemoteClient};
 
-const WIDTH: usize = 8;
+mod common;
+use common::{demo_service, wait_until, WIDTH};
+
 const ROWS: usize = 3;
 const COLS: usize = 4;
 const SEED: u64 = 0xD05E;
-
-fn demo_service(mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-    let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
-    mutate(&mut cfg);
-    GcService::start(cfg)
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
 
 /// Runs the same two jobs through a recording client and returns the full
 /// wire transcript (sent frames with kinds, received frames).
@@ -65,11 +52,15 @@ fn tcp_and_duplex_transcripts_are_bit_identical() {
     // both sessions get id 0 and thus identical derived seeds.
     // Deterministic resume tokens keep the ACCEPT frames comparable
     // (production tokens are fresh OS entropy per session).
-    let duplex_service = demo_service(|cfg| cfg.deterministic_resume_tokens = true);
+    let duplex_service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
     let (duplex_rec, duplex_results) = run_recorded_session(duplex_service.connect());
     duplex_service.shutdown();
 
-    let tcp_service = demo_service(|cfg| cfg.deterministic_resume_tokens = true);
+    let tcp_service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
     let handle = listen_tcp(tcp_service, "127.0.0.1:0").expect("bind");
     let tcp = FramedTcp::connect(handle.addr()).expect("connect");
     let (tcp_rec, tcp_results) = run_recorded_session(tcp);
@@ -95,7 +86,7 @@ fn tcp_and_duplex_transcripts_are_bit_identical() {
 
 #[test]
 fn four_concurrent_tcp_sessions_all_correct() {
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 2;
     });
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");
@@ -156,7 +147,7 @@ fn four_concurrent_tcp_sessions_all_correct() {
 
 #[test]
 fn overload_returns_typed_busy_and_recovers() {
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 1;
         cfg.queue_capacity = 2;
         cfg.retry_after_ms = 7;
@@ -210,7 +201,7 @@ fn overload_returns_typed_busy_and_recovers() {
 /// with one unit, a second session's job still completes.
 #[test]
 fn a_stalled_client_never_holds_a_garbling_unit() {
-    let service = demo_service(|cfg| cfg.workers = 1);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.workers = 1);
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
 
     let mut stalled = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
@@ -254,8 +245,20 @@ fn default_model_the_garbler_cannot_encode_is_refused_at_start() {
 }
 
 #[test]
+#[should_panic(expected = "invalid default model: an element's frame is")]
+fn default_model_too_wide_to_frame_is_refused_at_start() {
+    // At b = 8 an element of 11 206 rounds seals to more than
+    // MAX_FRAME_BYTES: every job would fail at its first ROUNDS frame.
+    GcService::start(ServeConfig::new(
+        AcceleratorConfig::new(WIDTH),
+        vec![vec![0; 11_206]],
+        SEED,
+    ));
+}
+
+#[test]
 fn hostile_frames_do_not_kill_the_service() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");
     let addr = handle.addr();
 
@@ -338,7 +341,7 @@ fn hostile_frames_do_not_kill_the_service() {
 /// version in the detail, not let in to fail an integrity check later.
 #[test]
 fn previous_protocol_version_is_rejected_at_hello() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let mut wire = service.connect();
     send_control(
         &mut wire,
@@ -364,7 +367,7 @@ fn previous_protocol_version_is_rejected_at_hello() {
 
 #[test]
 fn drain_rejects_new_sessions_with_typed_reason() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
 
     // A pre-drain session works.
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
@@ -390,7 +393,7 @@ fn drain_rejects_new_sessions_with_typed_reason() {
 
 #[test]
 fn idle_tcp_sessions_are_reaped() {
-    let service = demo_service(|cfg| {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.idle_timeout = Some(Duration::from_millis(100));
     });
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind");

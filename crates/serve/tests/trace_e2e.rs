@@ -3,15 +3,16 @@
 //! the live METRICS control frame.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use max_gc::channel::Duplex;
 use max_gc::{FaultSpec, FaultTransport};
-use max_serve::{demo_vector, demo_weights, plain_matvec, GcService, ServeConfig};
+use max_serve::{demo_vector, demo_weights, plain_matvec};
 use max_telemetry::{FlightRecorder, Recorder, TraceContext};
-use maxelerator::{remote, AcceleratorConfig, RemoteClient, ResilientClient, RetryPolicy};
+use maxelerator::{remote, RemoteClient, ResilientClient, RetryPolicy};
 
-const WIDTH: usize = 8;
+mod common;
+use common::{demo_service, wait_until, WIDTH};
+
 const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0x0B5E;
@@ -22,21 +23,6 @@ const EVENTS_PER_ELEMENT: u64 = 3;
 /// Handshake + job admission: HELLO, ACCEPT, JOB, READY.
 const HANDSHAKE_EVENTS: u64 = 4;
 
-fn demo_service(mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-    let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
-    mutate(&mut cfg);
-    GcService::start(cfg)
-}
-
-fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 /// The acceptance arc of the tracing tentpole: a job killed mid-flight by
 /// a connection cut recovers over redial + RESUME, and afterwards the
 /// client's and the server's recorders — two independent snapshots on
@@ -46,7 +32,9 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 #[test]
 fn stitched_trace_spans_both_sides_of_a_chaos_recovery() {
     let server_rec = Arc::new(Recorder::new());
-    let service = demo_service(|cfg| cfg.recorder = Some(Arc::clone(&server_rec)));
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.recorder = Some(Arc::clone(&server_rec))
+    });
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
     let x = demo_vector(COLS, WIDTH, SEED ^ 5);
 
@@ -151,7 +139,7 @@ fn stitched_trace_spans_both_sides_of_a_chaos_recovery() {
 /// tagged with the trace id the client put in its HELLO.
 #[test]
 fn error_session_dumps_flight_events_naming_the_injected_fault() {
-    let service = demo_service(|_| {});
+    let service = demo_service(ROWS, COLS, SEED, |_| {});
     let flight = Arc::new(FlightRecorder::new(64));
     let (server_end, client_end) = Duplex::pair();
     // Fault the server's wire: the shared recorder sees both the frame
@@ -203,7 +191,9 @@ fn error_session_dumps_flight_events_naming_the_injected_fault() {
 #[test]
 fn metrics_frame_serves_counters_gauges_and_percentiles() {
     let server_rec = Arc::new(Recorder::new());
-    let service = demo_service(|cfg| cfg.recorder = Some(Arc::clone(&server_rec)));
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.recorder = Some(Arc::clone(&server_rec))
+    });
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
 
     let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
@@ -243,7 +233,7 @@ fn metrics_frame_serves_counters_gauges_and_percentiles() {
     drop(bare);
 
     // A recorder-less service still answers, with percentiles null.
-    let plain = demo_service(|_| {});
+    let plain = demo_service(ROWS, COLS, SEED, |_| {});
     let mut bare = plain.connect();
     let body = remote::fetch_metrics(&mut bare).expect("recorder-less METRICS");
     assert!(body.contains("\"percentiles\":null"), "{body}");
@@ -260,7 +250,9 @@ fn metrics_frame_serves_counters_gauges_and_percentiles() {
 fn metrics_reports_each_jobs_phase_histograms() {
     const JOBS: u64 = 4;
     let server_rec = Arc::new(Recorder::new());
-    let service = demo_service(|cfg| cfg.recorder = Some(Arc::clone(&server_rec)));
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.recorder = Some(Arc::clone(&server_rec))
+    });
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
 
     let mut client =

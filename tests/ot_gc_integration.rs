@@ -2,8 +2,12 @@
 //! OT stack (base OT + IKNP extension) must evaluate garbled circuits
 //! correctly, including across threads on a byte-counted duplex wire.
 
+use bytes::{Bytes, BytesMut};
 use max_crypto::Block;
-use max_gc::channel::Duplex;
+use max_gc::channel::{
+    decode_blocks, decode_tables, encode_block_pairs, encode_tables, get_bits, put_bits,
+    put_blocks, Duplex, FrameKind,
+};
 use max_gc::{Evaluator, Garbler, Material, PrgLabelSource, Transport};
 use max_netlist::{decode_unsigned, encode_unsigned, Builder};
 use max_ot::{iknp, run_chosen_ot};
@@ -37,6 +41,19 @@ fn ot_delivers_working_input_labels() {
     );
 }
 
+fn frame(put: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut buf = BytesMut::with_capacity(0);
+    put(&mut buf);
+    buf.freeze()
+}
+
+fn recv_bits(wire: &mut Duplex) -> Vec<bool> {
+    let mut frame = wire.recv_frame().expect("bits frame");
+    let bits = get_bits(&mut frame).expect("bits");
+    assert!(frame.is_empty(), "bit frame trailing bytes");
+    bits
+}
+
 #[test]
 fn two_party_protocol_over_threads() {
     // Full two-party run on real threads with the byte-counted wire: the
@@ -60,23 +77,26 @@ fn two_party_protocol_over_threads() {
         let mut labels = PrgLabelSource::new(Block::new(0x5e55));
         let mut garbler = Garbler::new(&mut labels);
         let garbled = garbler.garble(&netlist, 0);
-        wire_s
-            .write_tables(&garbled.material().tables)
-            .expect("send");
-        wire_s
-            .write_bits(&garbled.material().output_decode)
-            .expect("send");
-        wire_s
-            .write_blocks(&garbled.encode_garbler_inputs(&encode_unsigned(g_value, 4)))
-            .expect("send");
+        let material = garbled.material();
+        let g_labels = garbled.encode_garbler_inputs(&encode_unsigned(g_value, 4));
+        for (kind, payload) in [
+            (FrameKind::Raw, encode_tables(&material.tables)),
+            (
+                FrameKind::Bits,
+                frame(|buf| put_bits(buf, &material.output_decode)),
+            ),
+            (FrameKind::Blocks, frame(|buf| put_blocks(buf, &g_labels))),
+        ] {
+            wire_s.send_frame(kind, payload).expect("send");
+        }
         // OT sender side: receive the (choice-hiding) correction columns,
         // reply with the ciphertext pairs.
         let mut ext_columns = Vec::with_capacity(iknp::KAPPA);
         for _ in 0..iknp::KAPPA {
-            let frame = wire_s.read_blocks().expect("ot column");
-            ext_columns.push(frame.iter().map(|b| b.bits() as u64).collect::<Vec<u64>>());
+            let column = decode_blocks(wire_s.recv_frame().expect("ot column")).expect("blocks");
+            ext_columns.push(column.iter().map(|b| b.bits() as u64).collect::<Vec<u64>>());
         }
-        let count = wire_s.read_bits().expect("ot count").len();
+        let count = recv_bits(&mut wire_s).len();
         let pairs: Vec<(Block, Block)> = (0..4).map(|i| garbled.evaluator_label_pair(i)).collect();
         let cipher = ot_sender.send(
             &iknp::ExtendMsg {
@@ -85,29 +105,33 @@ fn two_party_protocol_over_threads() {
             },
             &pairs,
         );
-        let mut flat = Vec::with_capacity(cipher.pairs.len() * 2);
-        for (y0, y1) in &cipher.pairs {
-            flat.push(*y0);
-            flat.push(*y1);
-        }
-        wire_s.write_blocks(&flat).expect("send");
+        wire_s
+            .send_frame(FrameKind::Blocks, encode_block_pairs(&cipher.pairs))
+            .expect("send");
         wire_s.sent().bytes()
     });
 
     let client = std::thread::spawn(move || {
-        let tables = wire_c.read_tables().expect("tables");
-        let decode = wire_c.read_bits().expect("decode");
-        let g_labels = wire_c.read_blocks().expect("garbler labels");
+        let tables = decode_tables(wire_c.recv_frame().expect("tables")).expect("tables");
+        let decode = recv_bits(&mut wire_c);
+        let g_labels = decode_blocks(wire_c.recv_frame().expect("garbler labels")).expect("blocks");
 
         // OT receiver side: send correction columns, get ciphertexts back.
         let choices = encode_unsigned(e_value, 4);
         let (ext, keys) = ot_receiver.prepare(&choices);
         for column in &ext.columns {
             let blocks: Vec<Block> = column.iter().map(|&w| Block::new(w as u128)).collect();
-            wire_c.write_blocks(&blocks).expect("send");
+            wire_c
+                .send_frame(FrameKind::Blocks, frame(|buf| put_blocks(buf, &blocks)))
+                .expect("send");
         }
-        wire_c.write_bits(&vec![false; ext.count]).expect("send");
-        let flat = wire_c.read_blocks().expect("ot cipher");
+        wire_c
+            .send_frame(
+                FrameKind::Bits,
+                frame(|buf| put_bits(buf, &vec![false; ext.count])),
+            )
+            .expect("send");
+        let flat = decode_blocks(wire_c.recv_frame().expect("ot cipher")).expect("blocks");
         let cipher = iknp::CipherMsg {
             pairs: flat.chunks(2).map(|c| (c[0], c[1])).collect(),
         };
