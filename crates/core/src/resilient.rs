@@ -310,6 +310,21 @@ where
         }
     }
 
+    /// Round-trips a PING on the live session, if one is attached. The
+    /// server answers between jobs only, so the PONG also says it has
+    /// finished the previous job's bookkeeping (counters, histograms,
+    /// journal tombstone).
+    ///
+    /// # Errors
+    ///
+    /// As [`RemoteClient::ping`]; no retry, redial or resume.
+    pub fn ping(&mut self, nonce: u64) -> Result<(), AcceleratorError> {
+        match self.client.as_mut() {
+            Some(client) => client.ping(nonce),
+            None => Ok(()),
+        }
+    }
+
     /// Gracefully closes any live session (best effort) and returns its
     /// transport for inspection.
     pub fn goodbye(mut self) -> Option<T> {

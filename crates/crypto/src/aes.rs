@@ -69,6 +69,9 @@ pub(crate) const SBOX: [u8; 256] = build_sbox();
 /// Round constants for AES-128 key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+/// The eleven AES-128 round keys, each in FIPS-197 byte order.
+pub(crate) type RoundKeys = [[u8; 16]; 11];
+
 /// AES-128 block cipher with precomputed round keys.
 ///
 /// # Example
@@ -82,7 +85,7 @@ const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: RoundKeys,
 }
 
 impl Aes128 {
@@ -115,13 +118,13 @@ impl Aes128 {
         Aes128 { round_keys }
     }
 
-    /// Encrypts one block, dispatching to the active backend.
+    /// Encrypts one block, dispatching to the active backend (the 128-bit
+    /// arm on a VAES host: one block fills no wide register).
     pub fn encrypt(&self, plaintext: Block) -> Block {
         #[cfg(target_arch = "x86_64")]
-        if AesBackend::active() == AesBackend::AesNi {
-            // SAFETY: `AesBackend::AesNi` is only selected after
-            // `is_x86_feature_detected!("aes")` succeeded, so the required
-            // instructions exist on this CPU.
+        if AesBackend::active() != AesBackend::Software {
+            // SAFETY: both SIMD backends are selected only after runtime
+            // detection found `aes` and `ssse3` on this CPU.
             #[allow(unsafe_code)]
             return unsafe { crate::aesni::encrypt_block(&self.round_keys, plaintext) };
         }
@@ -129,27 +132,76 @@ impl Aes128 {
     }
 
     /// Encrypts every block in `blocks` in place, dispatching to the active
-    /// backend. This is the hot-path entry point: the AES-NI backend keeps
-    /// eight blocks in flight per loop; the software backend pipelines eight
-    /// blocks in lockstep through the round functions.
+    /// backend. This is the hot-path entry point: the VAES arm keeps 32
+    /// blocks in flight, the AES-NI arm eight, and the software backend
+    /// pipelines eight blocks in lockstep through the round functions.
     pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
+        self.dispatch::<false>(blocks);
+    }
+
+    /// Replaces every block `x` in `blocks` with `π(x) ⊕ x` in one sweep,
+    /// the feed-forward XOR done in registers: the fixed-key hash and the
+    /// digest's Matyas–Meyer–Oseas lanes.
+    pub(crate) fn encrypt_blocks_feed_forward(&self, blocks: &mut [Block]) {
+        self.dispatch::<true>(blocks);
+    }
+
+    fn dispatch<const FEED_FORWARD: bool>(&self, blocks: &mut [Block]) {
         #[cfg(target_arch = "x86_64")]
-        if AesBackend::active() == AesBackend::AesNi {
+        match AesBackend::active() {
+            AesBackend::Vaes => {
+                // SAFETY: `AesBackend::Vaes` is only selected after runtime
+                // detection found `vaes`, `avx512f` and `avx512bw`.
+                #[allow(unsafe_code)]
+                unsafe {
+                    crate::vaes::encrypt_blocks::<FEED_FORWARD>(&self.round_keys, blocks)
+                };
+                return;
+            }
+            AesBackend::AesNi => {
+                // SAFETY: see `encrypt` — runtime detection gates this path.
+                #[allow(unsafe_code)]
+                unsafe {
+                    crate::aesni::encrypt_blocks::<FEED_FORWARD>(&self.round_keys, blocks)
+                };
+                return;
+            }
+            AesBackend::Software => {}
+        }
+        self.software_sweep::<FEED_FORWARD>(blocks);
+    }
+
+    /// Encrypts `blocks` in place under many keys: the first `per_key`
+    /// blocks under `cipher_of(0)`, the next `per_key` under
+    /// `cipher_of(1)`, and so on. One sweep, eight keys in flight on either
+    /// SIMD backend (a VAES register would need its four keys gathered per
+    /// round).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_key` is zero.
+    pub(crate) fn encrypt_blocks_keyed<'k>(
+        cipher_of: impl Fn(usize) -> &'k Aes128,
+        per_key: usize,
+        blocks: &mut [Block],
+    ) {
+        assert!(per_key > 0, "at least one block per key");
+        #[cfg(target_arch = "x86_64")]
+        if AesBackend::active() != AesBackend::Software {
             // SAFETY: see `encrypt` — runtime detection gates this path.
             #[allow(unsafe_code)]
             unsafe {
-                crate::aesni::encrypt_blocks(&self.round_keys, blocks)
+                crate::aesni::encrypt_blocks_keyed(
+                    |key| &cipher_of(key).round_keys,
+                    per_key,
+                    blocks,
+                )
             };
             return;
         }
-        self.encrypt_blocks_software(blocks);
-    }
-
-    /// Encrypts a fixed-size batch, dispatching to the active backend.
-    pub fn encrypt_batch<const N: usize>(&self, blocks: &[Block; N]) -> [Block; N] {
-        let mut out = *blocks;
-        self.encrypt_blocks(&mut out);
-        out
+        for (key, run) in blocks.chunks_mut(per_key).enumerate() {
+            cipher_of(key).software_sweep::<false>(run);
+        }
     }
 
     /// Encrypts one block on the portable software core regardless of the
@@ -164,7 +216,7 @@ impl Aes128 {
     /// lockstep — each round function runs across the whole chunk before the
     /// next round starts, which keeps the S-box lines hot and lets the
     /// compiler interleave the independent per-block work.
-    pub fn encrypt_blocks_software(&self, blocks: &mut [Block]) {
+    fn software_sweep<const FEED_FORWARD: bool>(&self, blocks: &mut [Block]) {
         let mut states = [[0u8; 16]; SOFTWARE_PIPELINE];
         let mut chunks = blocks.chunks_mut(SOFTWARE_PIPELINE);
         for chunk in &mut chunks {
@@ -173,7 +225,8 @@ impl Aes128 {
             }
             self.rounds_software(&mut states[..chunk.len()]);
             for (slot, state) in chunk.iter_mut().zip(states.iter()) {
-                *slot = Block::from_bytes(*state);
+                let out = Block::from_bytes(*state);
+                *slot = if FEED_FORWARD { out ^ *slot } else { out };
             }
         }
     }
@@ -385,31 +438,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encrypt_batch_array_form() {
-        let aes = Aes128::new(Block::new(9));
-        let pts = [Block::new(1), Block::new(2), Block::new(3), Block::new(4)];
-        let cts = aes.encrypt_batch(&pts);
-        for (ct, pt) in cts.iter().zip(&pts) {
-            assert_eq!(*ct, aes.encrypt(*pt));
+    /// Runs `arm` directly on `blocks` — `π(x)`, or `π(x) ⊕ x` with
+    /// `feed_forward` — whatever backend the process selected. Returns
+    /// `false` (blocks untouched) when this CPU lacks the arm.
+    fn run_arm(arm: AesBackend, aes: &Aes128, blocks: &mut [Block], feed_forward: bool) -> bool {
+        let keys = &aes.round_keys;
+        match arm {
+            #[cfg(target_arch = "x86_64")]
+            AesBackend::Vaes if AesBackend::vaes_available() => {
+                // SAFETY: the guard confirmed the arm's target features.
+                #[allow(unsafe_code)]
+                unsafe {
+                    if feed_forward {
+                        crate::vaes::encrypt_blocks::<true>(keys, blocks)
+                    } else {
+                        crate::vaes::encrypt_blocks::<false>(keys, blocks)
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            AesBackend::AesNi if AesBackend::aesni_available() => {
+                // SAFETY: the guard confirmed the arm's target features.
+                #[allow(unsafe_code)]
+                unsafe {
+                    if feed_forward {
+                        crate::aesni::encrypt_blocks::<true>(keys, blocks)
+                    } else {
+                        crate::aesni::encrypt_blocks::<false>(keys, blocks)
+                    }
+                }
+            }
+            AesBackend::Software if feed_forward => aes.software_sweep::<true>(blocks),
+            AesBackend::Software => aes.software_sweep::<false>(blocks),
+            _ => return false,
         }
+        true
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn aesni_matches_software_when_available() {
-        if !AesBackend::aesni_available() {
-            return;
-        }
         let aes = Aes128::new(Block::new(0x5eed_cafe));
         let mut blocks: Vec<Block> = (0..37).map(|i| Block::new(i * 31 + 7)).collect();
         let reference: Vec<Block> = blocks.iter().map(|&b| aes.encrypt_software(b)).collect();
-        // SAFETY: guarded by the runtime feature check above.
-        #[allow(unsafe_code)]
-        unsafe {
-            crate::aesni::encrypt_blocks(&aes.round_keys, &mut blocks)
-        };
-        assert_eq!(blocks, reference);
+        if run_arm(AesBackend::AesNi, &aes, &mut blocks, false) {
+            assert_eq!(blocks, reference);
+        }
+    }
+
+    #[test]
+    fn every_arm_matches_software_at_every_length() {
+        // 0..=70 covers the VAES arm's full 32-block sweeps, every tail of
+        // one to eight registers (masked tails of one to three blocks
+        // included) and the AES-NI arm's 8/4/2/1 tails.
+        let mut rng = crate::AesPrg::new(Block::new(0xa7a7));
+        let mut ran = Vec::new();
+        for arm in [AesBackend::Vaes, AesBackend::AesNi, AesBackend::Software] {
+            for len in 0..=70usize {
+                let aes = Aes128::new(rng.next_block());
+                let plain = rng.blocks(len);
+                let cipher: Vec<Block> = plain.iter().map(|&p| aes.encrypt_software(p)).collect();
+                let hashed: Vec<Block> = plain.iter().zip(&cipher).map(|(&p, &c)| p ^ c).collect();
+                let mut blocks = plain.clone();
+                if !run_arm(arm, &aes, &mut blocks, false) {
+                    break;
+                }
+                assert_eq!(blocks, cipher, "{} encrypt len {len}", arm.label());
+                let mut blocks = plain;
+                assert!(run_arm(arm, &aes, &mut blocks, true));
+                assert_eq!(blocks, hashed, "{} hash len {len}", arm.label());
+                if len == 70 {
+                    ran.push(arm.label());
+                }
+            }
+        }
+        println!("AES arms checked: {}", ran.join(", "));
+        assert!(ran.contains(&"software"));
+    }
+
+    #[test]
+    fn keyed_sweep_matches_one_key_at_a_time() {
+        let ciphers: Vec<Aes128> = (0..13u128)
+            .map(|k| Aes128::new(Block::new(k * 0x9e37)))
+            .collect();
+        for per in 1..=3usize {
+            let plain: Vec<Block> = (0..13 * per).map(|i| Block::new(i as u128 * 101)).collect();
+            let mut blocks = plain.clone();
+            Aes128::encrypt_blocks_keyed(|key| &ciphers[key], per, &mut blocks);
+            for (j, (got, p)) in blocks.iter().zip(&plain).enumerate() {
+                assert_eq!(
+                    *got,
+                    ciphers[j / per].encrypt_software(*p),
+                    "per {per} block {j}"
+                );
+            }
+        }
     }
 
     mod parity_props {
@@ -434,29 +556,23 @@ mod tests {
                 }
             }
 
-            /// The AES-NI path itself (when the CPU has it) matches the
-            /// software pipeline bit for bit, regardless of which backend
-            /// the process selected.
+            /// Each SIMD arm the CPU has matches the software pipeline bit
+            /// for bit, regardless of which backend the process selected.
             #[test]
             fn aesni_parity_under_random_keys(
                 key in any::<u128>(),
                 pts in prop::collection::vec(any::<u128>(), 1..40),
             ) {
-                #[cfg(target_arch = "x86_64")]
-                if AesBackend::aesni_available() {
-                    let aes = Aes128::new(Block::new(key));
-                    let mut blocks: Vec<Block> =
-                        pts.iter().map(|&p| Block::new(p)).collect();
-                    let reference: Vec<Block> =
-                        blocks.iter().map(|&b| aes.encrypt_software(b)).collect();
-                    // SAFETY: guarded by the runtime feature check above.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        crate::aesni::encrypt_blocks(&aes.round_keys, &mut blocks)
-                    };
-                    prop_assert_eq!(blocks, reference);
+                let aes = Aes128::new(Block::new(key));
+                let plain: Vec<Block> = pts.iter().map(|&p| Block::new(p)).collect();
+                let reference: Vec<Block> =
+                    plain.iter().map(|&b| aes.encrypt_software(b)).collect();
+                for arm in [AesBackend::Vaes, AesBackend::AesNi] {
+                    let mut blocks = plain.clone();
+                    if run_arm(arm, &aes, &mut blocks, false) {
+                        prop_assert_eq!(&blocks, &reference);
+                    }
                 }
-                let _ = (key, pts);
             }
         }
     }

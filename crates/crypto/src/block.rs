@@ -10,6 +10,10 @@ use std::ops::{BitAnd, BitXor, BitXorAssign};
 /// significant bit doubles as the *point-and-permute* color bit of a wire
 /// label.
 ///
+/// `repr(transparent)`: a `&[Block]` is a run of native-endian `u128`s, so
+/// the SIMD AES arms load blocks straight into vector registers and put the
+/// bytes in [`Block::to_bytes`] order with one byte shuffle.
+///
 /// # Example
 ///
 /// ```
@@ -22,6 +26,7 @@ use std::ops::{BitAnd, BitXor, BitXorAssign};
 /// assert!(!(a ^ b).lsb());
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Block(u128);
 
 impl Block {

@@ -41,7 +41,7 @@
 //! 16 bytes — so it deals the message's chunks round-robin onto
 //! [`WIDE_LANES`] independent MMO lanes (lane `j` starts from the public
 //! constant `[0x57; 8] ‖ j` and takes chunks `j`, `j + 8`, …), advances all
-//! lanes with one [`Aes128::encrypt_blocks`] sweep per eight chunks, then
+//! lanes with one feed-forward AES sweep per eight chunks, then
 //! compresses the eight lane values and a `[0x57; 8] ‖ byte-length` block
 //! into the rolling state. It is a different function from `fold` — the two
 //! never agree on a message by construction of the tags.
@@ -69,7 +69,8 @@ const TAG_FINAL: u64 = 0x4646_4646_4646_4646;
 const TAG_WIDE: u64 = 0x5757_5757_5757_5757;
 
 /// Independent MMO lanes of [`TranscriptDigest::fold_wide`] — the number of
-/// blocks both AES backends keep in flight per sweep.
+/// blocks the AES-NI arm keeps in flight per sweep. The lane count is part
+/// of the digest's definition, so it stays eight on the VAES arm too.
 const WIDE_LANES: usize = 8;
 
 /// A rolling Matyas–Meyer–Oseas digest over a protocol transcript.
@@ -209,15 +210,10 @@ impl TranscriptDigest {
     /// One MMO step on the first `chunks.len()` lanes at once.
     fn sweep(&self, lanes: &mut [Block; WIDE_LANES], chunks: &[Block]) {
         let active = &mut lanes[..chunks.len()];
-        let mut inputs = [Block::ZERO; WIDE_LANES];
-        for ((input, lane), chunk) in inputs.iter_mut().zip(active.iter_mut()).zip(chunks) {
+        for (lane, chunk) in active.iter_mut().zip(chunks) {
             *lane ^= *chunk;
-            *input = *lane;
         }
-        self.cipher.encrypt_blocks(active);
-        for (lane, input) in active.iter_mut().zip(inputs) {
-            *lane ^= input;
-        }
+        self.cipher.encrypt_blocks_feed_forward(active);
     }
 
     /// Total bytes folded so far, across all `fold` and `fold_wide` calls.

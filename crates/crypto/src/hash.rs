@@ -98,50 +98,37 @@ impl FixedKeyHash {
     /// Hashes four labels under their tweaks with one batched AES call —
     /// exactly the four hashes one half-gates AND table needs.
     pub fn hash4(&self, xs: [Block; 4], ts: [Tweak; 4]) -> [Block; 4] {
-        let masked = [
+        let mut blocks = [
             xs[0].gf_double() ^ ts[0].0,
             xs[1].gf_double() ^ ts[1].0,
             xs[2].gf_double() ^ ts[2].0,
             xs[3].gf_double() ^ ts[3].0,
         ];
-        let enc = self.cipher.encrypt_batch(&masked);
-        [
-            enc[0] ^ masked[0],
-            enc[1] ^ masked[1],
-            enc[2] ^ masked[2],
-            enc[3] ^ masked[3],
-        ]
+        self.cipher.encrypt_blocks_feed_forward(&mut blocks);
+        blocks
     }
 
-    /// Hashes every `(label, tweak)` pair with one batched AES sweep.
-    ///
-    /// The wide entry point for whole-job batching (IKNP row hashing, block
-    /// garbling): all masked inputs are formed first, encrypted in one
-    /// [`Aes128::encrypt_blocks`] call, then feed-forward XORed.
+    /// Hashes every `(label, tweak)` pair with one batched AES sweep into a
+    /// new vector; see [`FixedKeyHash::hash_into`].
     pub fn hash_slice(&self, inputs: &[(Block, Tweak)]) -> Vec<Block> {
-        let mut masked = Vec::with_capacity(inputs.len());
         let mut out = Vec::with_capacity(inputs.len());
-        self.hash_into(inputs.iter().copied(), &mut masked, &mut out);
+        self.hash_into(inputs.iter().copied(), &mut out);
         out
     }
 
-    /// [`FixedKeyHash::hash_slice`] into caller-owned buffers, for loops
-    /// that hash many batches: `out` receives the hashes, `masked` is
-    /// scratch; both are cleared first and keep their capacity.
+    /// [`FixedKeyHash::hash_slice`] into a caller-owned buffer, for loops
+    /// that hash many batches: `out` is cleared first and keeps its
+    /// capacity. One pass writes the masked inputs `2X ⊕ T` into `out`; one
+    /// AES sweep then encrypts them in place and feeds each input forward
+    /// in registers.
     pub fn hash_into(
         &self,
         inputs: impl IntoIterator<Item = (Block, Tweak)>,
-        masked: &mut Vec<Block>,
         out: &mut Vec<Block>,
     ) {
-        masked.clear();
-        masked.extend(inputs.into_iter().map(|(x, t)| x.gf_double() ^ t.0));
         out.clear();
-        out.extend_from_slice(masked);
-        self.cipher.encrypt_blocks(out);
-        for (o, m) in out.iter_mut().zip(masked.iter()) {
-            *o ^= *m;
-        }
+        out.extend(inputs.into_iter().map(|(x, t)| x.gf_double() ^ t.0));
+        self.cipher.encrypt_blocks_feed_forward(out);
     }
 
     /// Dual-key hash `H(A, B, T) = π(2A ⊕ 4B ⊕ T) ⊕ (2A ⊕ 4B ⊕ T)` — the

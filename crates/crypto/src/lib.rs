@@ -6,9 +6,10 @@
 //!
 //! * [`Block`] — a 128-bit value, the unit of wire labels, garbled-table rows
 //!   and cipher blocks.
-//! * [`Aes128`] — a software AES-128 implementation validated against the
-//!   FIPS-197 known-answer vectors. The MAXelerator hardware instantiates a
-//!   single-stage AES round pipeline; this software model is bit-compatible.
+//! * [`Aes128`] — AES-128 validated against the FIPS-197 known-answer
+//!   vectors, dispatched at runtime to a VAES, AES-NI or portable software
+//!   arm ([`AesBackend`]). The MAXelerator hardware instantiates a
+//!   single-stage AES round pipeline; every arm is bit-compatible with it.
 //! * [`FixedKeyHash`] — the correlation-robust hash
 //!   `H(X, T) = π(2X ⊕ T) ⊕ 2X ⊕ T` of Bellare et al. ("Efficient Garbling
 //!   from a Fixed-Key Blockcipher", S&P 2013) used by JustGarble, TinyGarble
@@ -19,7 +20,8 @@
 //!   fixed-key AES permutation, used by the session protocol to detect
 //!   accidental transcript corruption end to end (a serial `fold` for
 //!   marks and small bodies, an eight-lane `fold_wide` for bulk material).
-//! * [`crc32`] — the one CRC32 (IEEE, slice-by-16) sealing every wire frame
+//! * [`crc32`] — the one CRC32 (IEEE; carry-less-multiply folding where the
+//!   CPU has `pclmulqdq`, slice-by-16 otherwise) sealing every wire frame
 //!   and guarding every journal record.
 //!
 //! # Security
@@ -42,8 +44,9 @@
 //! assert_eq!(ct.to_bytes()[0], 0x39);
 //! ```
 
-// `deny`, not `forbid`: the AES-NI backend module opts back in with a
-// scoped `allow(unsafe_code)` and documented safety contract; everything
+// `deny`, not `forbid`: the SIMD arms — the `aesni` and `vaes` modules,
+// `crc`'s CLMUL module and the dispatch calls into them — opt back in with
+// a scoped `allow(unsafe_code)` and a documented safety contract; everything
 // else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -58,6 +61,8 @@ mod crc;
 mod digest;
 mod hash;
 mod prg;
+#[cfg(target_arch = "x86_64")]
+mod vaes;
 
 pub use aes::Aes128;
 pub use backend::AesBackend;

@@ -80,6 +80,32 @@ impl AesPrg {
         self.cipher.encrypt_blocks(out);
     }
 
+    /// Fills `out` from many PRGs in one multi-key AES sweep: PRG `i`
+    /// writes `out[i * per_prg..(i + 1) * per_prg]`.
+    ///
+    /// Each PRG consumes exactly `per_prg` counter values — bit-identical
+    /// to calling [`AesPrg::fill_blocks`] on each in turn, counters
+    /// included. This is the IKNP column expansion: one block from each of
+    /// 128 or 256 keyed PRGs per element, eight keys in flight instead of
+    /// one call per PRG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != prgs.len() * per_prg`.
+    pub fn fill_each(prgs: &mut [AesPrg], per_prg: usize, out: &mut [Block]) {
+        assert_eq!(out.len(), prgs.len() * per_prg, "one run of blocks per PRG");
+        if per_prg == 0 {
+            return;
+        }
+        for (prg, run) in prgs.iter_mut().zip(out.chunks_exact_mut(per_prg)) {
+            for slot in run {
+                *slot = Block::new(prg.counter);
+                prg.counter = prg.counter.wrapping_add(1);
+            }
+        }
+        Aes128::encrypt_blocks_keyed(|i| &prgs[i].cipher, per_prg, out);
+    }
+
     /// Returns `n` pseudo-random blocks.
     pub fn blocks(&mut self, n: usize) -> Vec<Block> {
         let mut out = vec![Block::ZERO; n];
@@ -199,6 +225,35 @@ mod tests {
             }
             // Both streams must resume at the same counter.
             assert_eq!(batched.next_block(), scalar.next_block());
+        }
+    }
+
+    #[test]
+    fn fill_each_matches_fill_blocks_per_prg() {
+        for (count, per) in [
+            (0usize, 1usize),
+            (1, 0),
+            (1, 3),
+            (7, 1),
+            (9, 2),
+            (128, 1),
+            (256, 3),
+        ] {
+            let seeds = |i: usize| AesPrg::with_stream(Block::new(i as u128 * 0x51), i as u64);
+            let mut multi: Vec<AesPrg> = (0..count).map(seeds).collect();
+            let mut single: Vec<AesPrg> = (0..count).map(seeds).collect();
+            let mut out = vec![Block::ZERO; count * per];
+            AesPrg::fill_each(&mut multi, per, &mut out);
+            for (i, prg) in single.iter_mut().enumerate() {
+                let mut want = vec![Block::ZERO; per];
+                prg.fill_blocks(&mut want);
+                assert_eq!(
+                    &out[i * per..(i + 1) * per],
+                    &want[..],
+                    "prg {i} of {count}"
+                );
+                assert_eq!(multi[i].counter(), prg.counter(), "prg {i} of {count}");
+            }
         }
     }
 

@@ -114,11 +114,11 @@ pub fn evaluate_and(
     wg ^ we
 }
 
-/// Reusable buffers of [`evaluate_and_batch`] and [`garble_and_level`]; a
-/// caller that keeps one across batches allocates nothing per batch.
+/// The reusable hash buffer of [`evaluate_and_batch`] and
+/// [`garble_and_level`]; a caller that keeps one across batches allocates
+/// nothing per batch.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
-    masked: Vec<Block>,
     hashed: Vec<Block>,
 }
 
@@ -150,7 +150,6 @@ pub fn evaluate_and_batch(
                 (active[and.b.index()], t.sibling()),
             ]
         }),
-        &mut scratch.masked,
         &mut scratch.hashed,
     );
     for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(2)) {
@@ -196,7 +195,6 @@ pub fn garble_and_level(
             let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
             [(a0, t), (a0 ^ d, t), (b0, t2), (b0 ^ d, t2)]
         }),
-        &mut scratch.masked,
         &mut scratch.hashed,
     );
     for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(4)) {

@@ -121,8 +121,9 @@ impl OtExtSender {
 /// `Clone` snapshots the extension state; see [`OtExtSender`].
 #[derive(Clone, Debug)]
 pub struct OtExtReceiver {
-    /// PRG pairs from both base-OT seeds.
-    prgs: Vec<(AesPrg, AesPrg)>,
+    /// PRGs from both base-OT seeds of each column, interleaved: `2i`
+    /// seeded with `k_i^0`, `2i + 1` with `k_i^1`.
+    prgs: Vec<AesPrg>,
     hash: FixedKeyHash,
     session: u64,
 }
@@ -161,12 +162,8 @@ pub fn setup_pair(seed: u64) -> (OtExtSender, OtExtReceiver) {
     let receiver = OtExtReceiver {
         prgs: seed_pairs
             .iter()
-            .map(|&(k0, k1)| {
-                (
-                    AesPrg::with_stream(k0, 0x4f54),
-                    AesPrg::with_stream(k1, 0x4f54),
-                )
-            })
+            .flat_map(|&(k0, k1)| [k0, k1])
+            .map(|k| AesPrg::with_stream(k, 0x4f54))
             .collect(),
         hash: FixedKeyHash::new(),
         session: 0,
@@ -183,21 +180,48 @@ fn pack(bits: &[bool]) -> Vec<u64> {
     words
 }
 
-fn prg_column(prg: &mut AesPrg, m: usize) -> Vec<u64> {
-    // One batched PRG fill per column. Consumes exactly the same number of
-    // counter blocks as the former block-at-a-time loop (⌈⌈m/64⌉/2⌉), so
-    // transcripts and resume snapshots stay bit-identical.
-    let want = m.div_ceil(64);
-    let blocks = prg.blocks(want.div_ceil(2));
-    let mut words = Vec::with_capacity(want);
-    for block in blocks {
-        let bits = block.bits();
-        words.push(bits as u64);
-        if words.len() < want {
-            words.push((bits >> 64) as u64);
+/// The PRG columns of one extension of `m` transfers: `⌈⌈m/64⌉/2⌉` blocks
+/// from each PRG, drawn by one multi-key AES sweep
+/// ([`AesPrg::fill_each`]) and kept as packed 64-bit words.
+///
+/// Each PRG consumes exactly the blocks the former one-call-per-column
+/// loop drew, so transcripts and resume snapshots stay bit-identical.
+struct Columns {
+    words: Vec<u64>,
+    /// Words per PRG: two per block.
+    stride: usize,
+    /// Words per column: `⌈m/64⌉` (one fewer than `stride` for odd counts).
+    want: usize,
+}
+
+impl Columns {
+    fn expand(prgs: &mut [AesPrg], m: usize) -> Columns {
+        let want = m.div_ceil(64);
+        let per_prg = want.div_ceil(2);
+        let mut blocks = vec![Block::ZERO; prgs.len() * per_prg];
+        AesPrg::fill_each(prgs, per_prg, &mut blocks);
+        let words = blocks
+            .iter()
+            .flat_map(|block| {
+                let bits = block.bits();
+                [bits as u64, (bits >> 64) as u64]
+            })
+            .collect();
+        Columns {
+            words,
+            stride: 2 * per_prg,
+            want,
         }
     }
-    words
+
+    /// The packed bits of PRG `i`'s column.
+    fn column(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..][..self.want]
+    }
+
+    fn column_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[i * self.stride..][..self.want]
+    }
 }
 
 /// In-place 64×64 bit-matrix transpose (Hacker's Delight §7-3): afterwards
@@ -218,23 +242,20 @@ fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// Transposes the KAPPA packed bit-columns into `m` 128-bit rows.
+/// Transposes the KAPPA packed bit-columns `column(0..KAPPA)` into `m`
+/// 128-bit rows.
 ///
 /// Works 64×64 blocks at a time with word-wise swaps — one transpose per
 /// job — replacing the former per-row, per-column `column_bit` probing
 /// (O(m·128) shift-and-mask operations).
-fn columns_to_rows(columns: &[Vec<u64>], m: usize) -> Vec<Block> {
-    debug_assert_eq!(columns.len(), KAPPA);
+fn columns_to_rows<'c>(column: impl Fn(usize) -> &'c [u64], m: usize) -> Vec<Block> {
     let mut rows = Vec::with_capacity(m);
     let mut lo = [0u64; 64];
     let mut hi = [0u64; 64];
-    // `chunk` strides across all 128 column vectors at once; there is no
-    // single slice to iterate, so the index loop stays.
-    #[allow(clippy::needless_range_loop)]
     for chunk in 0..m.div_ceil(64) {
         for (i, (lo_slot, hi_slot)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-            *lo_slot = columns[i][chunk];
-            *hi_slot = columns[i + 64][chunk];
+            *lo_slot = column(i)[chunk];
+            *hi_slot = column(i + 64)[chunk];
         }
         transpose64(&mut lo);
         transpose64(&mut hi);
@@ -258,23 +279,21 @@ impl OtExtReceiver {
     pub fn prepare(&mut self, choices: &[bool]) -> (ExtendMsg, Vec<Block>) {
         let m = choices.len();
         let r = pack(choices);
-        let mut t_columns = Vec::with_capacity(KAPPA);
-        let mut u_columns = Vec::with_capacity(KAPPA);
-        for (prg0, prg1) in &mut self.prgs {
-            let t = prg_column(prg0, m);
-            let g1 = prg_column(prg1, m);
-            let u: Vec<u64> = t
-                .iter()
-                .zip(&g1)
-                .zip(&r)
-                .map(|((&ti, &gi), &ri)| ti ^ gi ^ ri)
-                .collect();
-            t_columns.push(t);
-            u_columns.push(u);
-        }
+        // t_i = G(k_i^0) is column 2i, G(k_i^1) column 2i + 1.
+        let columns = Columns::expand(&mut self.prgs, m);
+        let u_columns = (0..KAPPA)
+            .map(|i| {
+                let (t, g1) = (columns.column(2 * i), columns.column(2 * i + 1));
+                t.iter()
+                    .zip(g1)
+                    .zip(&r)
+                    .map(|((&ti, &gi), &ri)| ti ^ gi ^ ri)
+                    .collect()
+            })
+            .collect();
         // Transpose T's columns into per-transfer rows (one word-wise
         // transpose for the whole batch).
-        let keys = columns_to_rows(&t_columns, m);
+        let keys = columns_to_rows(|i| columns.column(2 * i), m);
         (
             ExtendMsg {
                 columns: u_columns,
@@ -294,12 +313,13 @@ impl OtExtReceiver {
         assert_eq!(choices.len(), keys.len(), "choice count mismatch");
         let session = self.session;
         self.session += 1;
-        let inputs: Vec<(Block, Tweak)> = keys
-            .iter()
-            .enumerate()
-            .map(|(j, &t)| (t, session_tweak(session, j)))
-            .collect();
-        let masks = self.hash.hash_slice(&inputs);
+        let mut masks = Vec::with_capacity(keys.len());
+        self.hash.hash_into(
+            keys.iter()
+                .enumerate()
+                .map(|(j, &t)| (t, session_tweak(session, j))),
+            &mut masks,
+        );
         cipher
             .pairs
             .iter()
@@ -321,20 +341,18 @@ impl OtExtSender {
         assert_eq!(msg.columns.len(), KAPPA, "malformed extension message");
         let m = msg.count;
         // q_i = G(k_i^{s_i}) ⊕ s_i·u_i per column.
-        let q_columns: Vec<Vec<u64>> = self
-            .prgs
-            .iter_mut()
-            .zip(&self.s)
-            .zip(&msg.columns)
-            .map(|((prg, &si), u)| {
-                assert_eq!(u.len(), m.div_ceil(64), "malformed column");
-                let g = prg_column(prg, m);
-                g.iter()
-                    .zip(u)
-                    .map(|(&gi, &ui)| if si { gi ^ ui } else { gi })
-                    .collect()
-            })
-            .collect();
+        assert!(
+            msg.columns.iter().all(|u| u.len() == m.div_ceil(64)),
+            "malformed column"
+        );
+        let mut q_columns = Columns::expand(&mut self.prgs, m);
+        for (i, (&si, u)) in self.s.iter().zip(&msg.columns).enumerate() {
+            if si {
+                for (q, &ui) in q_columns.column_mut(i).iter_mut().zip(u) {
+                    *q ^= ui;
+                }
+            }
+        }
         let s_block = {
             let mut bits = 0u128;
             for (i, &si) in self.s.iter().enumerate() {
@@ -344,14 +362,15 @@ impl OtExtSender {
         };
         let session = self.session;
         self.session += 1;
-        let rows = columns_to_rows(&q_columns, m);
-        let mut inputs = Vec::with_capacity(2 * m);
-        for (j, &q) in rows.iter().enumerate() {
-            let tweak = session_tweak(session, j);
-            inputs.push((q, tweak));
-            inputs.push((q ^ s_block, tweak));
-        }
-        let hashes = self.hash.hash_slice(&inputs);
+        let rows = columns_to_rows(|i| q_columns.column(i), m);
+        let mut hashes = Vec::with_capacity(2 * m);
+        self.hash.hash_into(
+            rows.iter().enumerate().flat_map(|(j, &q)| {
+                let tweak = session_tweak(session, j);
+                [(q, tweak), (q ^ s_block, tweak)]
+            }),
+            &mut hashes,
+        );
         let out = pairs
             .iter()
             .enumerate()
@@ -403,14 +422,16 @@ mod tests {
     #[test]
     fn columns_to_rows_matches_column_bit_reference() {
         for m in [1usize, 63, 64, 65, 128, 200] {
-            let mut prg = AesPrg::new(Block::new(m as u128));
-            let columns: Vec<Vec<u64>> = (0..KAPPA).map(|_| prg_column(&mut prg, m)).collect();
-            let rows = columns_to_rows(&columns, m);
+            let mut prgs: Vec<AesPrg> = (0..KAPPA)
+                .map(|i| AesPrg::new(Block::new((m * KAPPA + i) as u128)))
+                .collect();
+            let columns = Columns::expand(&mut prgs, m);
+            let rows = columns_to_rows(|i| columns.column(i), m);
             assert_eq!(rows.len(), m);
             for (j, row) in rows.iter().enumerate() {
                 let mut want = 0u128;
-                for (i, col) in columns.iter().enumerate() {
-                    want |= (column_bit(col, j) as u128) << i;
+                for i in 0..KAPPA {
+                    want |= (column_bit(columns.column(i), j) as u128) << i;
                 }
                 assert_eq!(*row, Block::new(want), "m={m} row {j}");
             }
@@ -424,7 +445,8 @@ mod tests {
         for m in [0usize, 1, 63, 64, 65, 127, 128, 129, 500] {
             let mut batched = AesPrg::new(Block::new(0xc01));
             let mut scalar = AesPrg::new(Block::new(0xc01));
-            let words = prg_column(&mut batched, m);
+            let columns = Columns::expand(std::slice::from_mut(&mut batched), m);
+            let words = columns.column(0).to_vec();
             let want = m.div_ceil(64);
             assert_eq!(words.len(), want);
             let mut reference = Vec::with_capacity(want);

@@ -27,7 +27,8 @@
 //! the per-round breakdown. With
 //! `--metrics` the run ends by pulling the server's live `METRICS` frame
 //! over a fresh connection and printing the JSON body, so a load run and
-//! the server's own view of it land side by side.
+//! the server's own view of it land side by side. Each session closes with
+//! a PING/PONG before BYE, so the poll counts every job of the run.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -180,6 +181,11 @@ fn run_session(
     outcome.resumes = stats.resumes;
     outcome.restarts = stats.restarts;
     outcome.backoff_ms = stats.backoff_ms_total;
+    // PONG comes back only after the session thread has counted the last
+    // job, so a `--metrics` poll after the run sees every job.
+    if let Err(e) = client.ping(session_idx as u64) {
+        eprintln!("session {session_idx}: closing ping failed: {e}");
+    }
     if let Some(transport) = client.goodbye() {
         outcome.bytes_down = transport.received().bytes();
         outcome.bytes_up = transport.sent().bytes();
