@@ -6,8 +6,9 @@
 //! the first element), mid-element, or pre-STATS (all data delivered, the
 //! summary frame lost) — then *abandons the service without any shutdown*.
 //! That is the in-process equivalent of `kill -9`: no flush, no drain, the
-//! in-memory resume registry is gone; only what the journal fsync'd
-//! survives. A second service incarnation boots on the same journal
+//! in-memory resume registry is gone; what survives is every record the
+//! journal wrote, synced or not, since the page cache outlives a killed
+//! process. A second service incarnation boots on the same journal
 //! directory (replay + compaction timed as `boot_ms`), the client
 //! reattaches, and the job finishes over RESUME (`recovery_ms`), verified
 //! against the plaintext `W·x`.

@@ -302,11 +302,14 @@ impl JobSource {
 /// `start_element` when the first piece is in hand, just before READY, and
 /// then once per element, after the OT and digest state advance but
 /// *before* the element's CIPHER/ROUNDS frames go out — the hook where a
-/// serving layer snapshots (and durably journals) the OT sender and the
-/// transcript digest for round checkpoints. The write-before-send ordering
-/// guarantees a journal is never behind the client's observed progress,
-/// whatever instant the process dies; a source that fails before READY
-/// calls the hook never, so there is nothing to checkpoint.
+/// serving layer snapshots (and journals) the OT sender and the transcript
+/// digest for round checkpoints. The write-before-send ordering guarantees
+/// a journal is never behind the client's observed progress, whatever
+/// instant the process dies. Only the per-element calls guard material the
+/// client can evaluate, so a journal needs to make only those durable
+/// before returning; the pre-READY call's record may ride the next one. A
+/// source that fails before READY calls the hook never, so there is
+/// nothing to checkpoint.
 ///
 /// The caller must hand in an `ot_sender` and `digest` whose states match
 /// `start_element` (for a resume: the snapshots taken at that boundary —

@@ -22,8 +22,11 @@
 //!
 //! Durability: `--journal-dir` persists every round checkpoint to a
 //! CRC-checksummed write-ahead journal, replayed on the next start — a
-//! `kill -9` mid-job becomes a RESUME, not a restart. `--no-fsync` trades
-//! the last few appends' durability for latency. The daemon also handles
+//! `kill -9` mid-job becomes a RESUME, not a restart. By default one fsync
+//! per element boundary makes each element durable before it goes out; the
+//! pre-READY checkpoint and the tombstones ride the next such sync.
+//! `--no-fsync` drops those syncs too, trading the last few appends'
+//! durability under power loss for latency. The daemon also handles
 //! SIGTERM/SIGINT with a graceful drain: stop accepting, flush the
 //! journal, let sessions wind down, exit 0. `--crash-after-appends N`
 //! (test/bench harnesses only) aborts the process after the Nth journal

@@ -3,10 +3,45 @@
 //! The [`ResumeRegistry`](crate::resume::ResumeRegistry) survives dropped
 //! *connections*; this module makes checkpoints survive dropped
 //! *processes*. Every element boundary the session layer snapshots at is
-//! also appended here as a CRC-checksummed, length-prefixed record and
-//! (by default) fsync'd before the element's frames go out on the wire —
-//! so after a `kill -9` + restart, replaying the journal rebuilds exactly
-//! the registry a reconnecting client's RESUME validates against.
+//! also appended here as a CRC-checksummed, length-prefixed record before
+//! the element's frames go out on the wire — so after a `kill -9` +
+//! restart, replaying the journal rebuilds exactly the registry a
+//! reconnecting client's RESUME validates against.
+//!
+//! # Barriers and ordered records
+//!
+//! An append is one of two kinds. A **barrier** is written and then, when
+//! [`JournalConfig::fsync`] is on, `sync_all`'d before the call returns.
+//! An **ordered** record is only written: a segment is append-only, so
+//! the next barrier's sync (or the next rotation, or [`Journal::sync`])
+//! makes it durable together with every earlier byte of the file.
+//! Barriers sit where the client can observe progress: every
+//! element-boundary checkpoint after the first
+//! ([`Journal::append_checkpoint`]), and every model PUT and model REMOVE.
+//! The pre-READY floor (a job's first checkpoint) and every session
+//! tombstone ([`Journal::append_remove`]: job done, BYE, eviction victim)
+//! are ordered. An R-element job thus costs R + 2 appends and R syncs, and
+//! READY waits on none. Why that is safe:
+//!
+//! * **Process crash (`kill -9`).** Every record is still written with
+//!   write(2) before the frame that follows it, and the page cache
+//!   survives the death of the process, so every crash point replays
+//!   byte for byte as if every append were synced.
+//! * **Power loss, lost tombstone.** Replay resurrects a finished job's
+//!   final window. A client holding that job's STATS never resumes it; a
+//!   client whose STATS was lost resumes at the final boundary and gets
+//!   STATS again.
+//! * **Power loss, lost pre-READY floor.** That can only happen between
+//!   READY and element 0's barrier, when the client has evaluated
+//!   nothing. Its RESUME gets a typed `REJECT(resume)` — there is no
+//!   checkpoint, or the surviving one is an older job's and fails the
+//!   `job_id` check — and it restarts the job without losing an evaluated
+//!   element. A resumed job's floor repeats a snapshot that an earlier
+//!   barrier (or the replay's compaction) already made durable.
+//! * Every element the client can complete is covered by a barrier
+//!   before its ROUNDS frame leaves.
+//!
+//! With `fsync` off no append syncs, barriers included.
 //!
 //! # On-disk format
 //!
@@ -160,9 +195,11 @@ fn decode_model_payload(bytes: &[u8]) -> Result<(u64, Vec<Vec<i64>>), Checkpoint
 pub struct JournalConfig {
     /// Directory holding the segment files (created if missing).
     pub dir: PathBuf,
-    /// fsync every append (and every segment rotation). Turning this off
-    /// trades the durability of the last few appends for latency: after a
-    /// power loss the journal replays to the last page the kernel flushed.
+    /// fsync every barrier append, and with it every ordered record
+    /// written before it (see the module docs), and every segment
+    /// rotation. Turning this off trades the durability of the last few
+    /// appends for latency: after a power loss the journal replays to the
+    /// last page the kernel flushed.
     pub fsync: bool,
     /// Appends per segment before rotating into a fresh compacted segment.
     pub rotate_after: u64,
@@ -263,11 +300,33 @@ struct SegmentScan {
     damage: Option<bool>,
 }
 
+/// How an append reaches the disk (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Durability {
+    /// Written, then synced when `fsync` is on.
+    Barrier,
+    /// Written only; durable at the next barrier, rotation or sync.
+    Ordered,
+}
+
+/// Drops the oldest sessions until at most `max_live` remain (0 =
+/// unbounded). Session ids are allocated monotonically, so the smallest
+/// key is the oldest session — same victim the registry's insertion-order
+/// eviction would pick.
+fn evict_beyond(live: &mut BTreeMap<u64, SessionCheckpoint>, max_live: usize) {
+    if max_live > 0 {
+        while live.len() > max_live {
+            live.pop_first();
+        }
+    }
+}
+
 struct JournalInner {
     file: File,
     seq: u64,
     appends_in_segment: u64,
     appends_total: u64,
+    barriers_total: u64,
     live: BTreeMap<u64, SessionCheckpoint>,
     /// Live prepared models, stored as their encoded record payloads
     /// (bounded by the registry's byte budget upstream; a model is ~8
@@ -489,6 +548,9 @@ impl Journal {
                 report.truncated_tail = true;
             }
         }
+        // A segment holds no tombstones for sessions the live set evicted
+        // in memory, so replay applies the same bound before compacting.
+        evict_beyond(&mut live, cfg.max_live);
         report.sessions = live.len();
         report.models = live_models.len();
 
@@ -534,6 +596,7 @@ impl Journal {
                 seq: next_seq,
                 appends_in_segment: 0,
                 appends_total: 0,
+                barriers_total: 0,
                 live,
                 live_models,
             }),
@@ -552,42 +615,59 @@ impl Journal {
         Ok(file)
     }
 
-    /// Appends (and by default fsyncs) a checkpoint record, updating the
-    /// live set. Called at every element boundary *before* the element's
-    /// frames are sent, so the journal never trails the client's view.
+    /// Appends a checkpoint record as a barrier (fsync'd by default),
+    /// updating the live set. Called at every element boundary after a
+    /// job's first, *before* the element's frames are sent, so the durable
+    /// journal never trails what the client can complete.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write/sync failure; the in-memory live set
     /// is updated regardless so serving can continue degraded.
     pub fn append_checkpoint(&self, checkpoint: &SessionCheckpoint) -> Result<(), JournalError> {
+        self.put_checkpoint(checkpoint, Durability::Barrier)
+    }
+
+    /// Appends a job's pre-READY floor checkpoint as an ordered record:
+    /// written, never synced here (see the module docs for why losing it
+    /// to a power cut costs the client no evaluated element).
+    pub(crate) fn append_checkpoint_ordered(
+        &self,
+        checkpoint: &SessionCheckpoint,
+    ) -> Result<(), JournalError> {
+        self.put_checkpoint(checkpoint, Durability::Ordered)
+    }
+
+    fn put_checkpoint(
+        &self,
+        checkpoint: &SessionCheckpoint,
+        durability: Durability,
+    ) -> Result<(), JournalError> {
         let payload = encode_checkpoint(checkpoint);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.live.insert(checkpoint.session_id, checkpoint.clone());
-        if self.max_live > 0 {
-            while inner.live.len() > self.max_live {
-                // Session ids are allocated monotonically, so the smallest
-                // key is the oldest session — same victim the registry's
-                // insertion-order eviction would pick.
-                let Some((&oldest, _)) = inner.live.iter().next() else {
-                    break;
-                };
-                inner.live.remove(&oldest);
-            }
-        }
-        self.append_locked(&mut inner, KIND_CHECKPOINT, &payload)
+        evict_beyond(&mut inner.live, self.max_live);
+        self.append_locked(&mut inner, KIND_CHECKPOINT, &payload, durability)
     }
 
     /// Appends a tombstone for `session_id` (job completed, clean BYE, or
-    /// successful resume) so a restart does not resurrect finished work.
+    /// checkpoint evicted) so a restart does not resurrect finished work.
+    /// The tombstone is an ordered record: it becomes durable at the next
+    /// barrier, rotation or [`Journal::sync`], and a power cut before then
+    /// only resurrects a window no client needs (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on write/sync failure.
+    /// [`JournalError::Io`] on write failure.
     pub fn append_remove(&self, session_id: u64) -> Result<(), JournalError> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.live.remove(&session_id);
-        self.append_locked(&mut inner, KIND_REMOVE, &session_id.to_le_bytes())
+        self.append_locked(
+            &mut inner,
+            KIND_REMOVE,
+            &session_id.to_le_bytes(),
+            Durability::Ordered,
+        )
     }
 
     /// Appends (and by default fsyncs) a prepared-model record so a restart
@@ -608,11 +688,12 @@ impl Journal {
         let payload = encode_model_payload(model_id, weights);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.live_models.insert(model_id, payload.clone());
-        self.append_locked(&mut inner, KIND_MODEL_PUT, &payload)
+        self.append_locked(&mut inner, KIND_MODEL_PUT, &payload, Durability::Barrier)
     }
 
-    /// Appends a tombstone for an evicted model (explicit `MODEL_EVICT` or
-    /// byte-budget eviction) so a restart does not resurrect it.
+    /// Appends a barrier tombstone for an evicted model (explicit
+    /// `MODEL_EVICT` or byte-budget eviction) so a restart does not
+    /// resurrect it.
     ///
     /// # Errors
     ///
@@ -620,7 +701,12 @@ impl Journal {
     pub fn append_model_remove(&self, model_id: u64) -> Result<(), JournalError> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.live_models.remove(&model_id);
-        self.append_locked(&mut inner, KIND_MODEL_REMOVE, &model_id.to_le_bytes())
+        self.append_locked(
+            &mut inner,
+            KIND_MODEL_REMOVE,
+            &model_id.to_le_bytes(),
+            Durability::Barrier,
+        )
     }
 
     fn append_locked(
@@ -628,13 +714,17 @@ impl Journal {
         inner: &mut JournalInner,
         kind: u8,
         payload: &[u8],
+        durability: Durability,
     ) -> Result<(), JournalError> {
         inner
             .file
             .write_all(&encode_record(kind, payload))
             .map_err(io_err("append write"))?;
-        if self.fsync {
-            inner.file.sync_all().map_err(io_err("append sync"))?;
+        if durability == Durability::Barrier {
+            if self.fsync {
+                inner.file.sync_all().map_err(io_err("append sync"))?;
+            }
+            inner.barriers_total += 1;
         }
         inner.appends_total += 1;
         inner.appends_in_segment += 1;
@@ -686,8 +776,9 @@ impl Journal {
         Ok(())
     }
 
-    /// Forces the current segment to disk (graceful-shutdown flush; a
-    /// no-op in effect when per-append fsync is on).
+    /// Forces the current segment to disk, ordered records included (the
+    /// graceful-shutdown flush: with `fsync` on, whatever was written
+    /// after the last barrier becomes durable here).
     ///
     /// # Errors
     ///
@@ -708,6 +799,15 @@ impl Journal {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .appends_total
+    }
+
+    /// Barrier records appended through this handle — the appends that
+    /// sync when `fsync` is on (counted whether or not it is).
+    pub fn barriers(&self) -> u64 {
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .barriers_total
     }
 
     /// Checkpoints currently live (restart would restore exactly these).
@@ -1024,7 +1124,7 @@ mod tests {
         let dir = temp_dir("bound");
         let mut cfg = config(&dir);
         cfg.max_live = 2;
-        let (journal, _) = Journal::open(cfg).unwrap();
+        let (journal, _) = Journal::open(cfg.clone()).unwrap();
         for id in 0..5u64 {
             journal.append_checkpoint(&checkpoint(id)).unwrap();
         }
@@ -1032,6 +1132,17 @@ mod tests {
         assert_eq!(live.len(), 2);
         assert_eq!(live[0].session_id, 3, "oldest sessions evicted first");
         assert_eq!(live[1].session_id, 4);
+        drop(journal);
+        // The segment still holds all five records; replay applies the
+        // same bound instead of resurrecting the evicted sessions.
+        let (journal, report) = Journal::open(cfg).unwrap();
+        assert_eq!(report.sessions, 2);
+        let ids: Vec<u64> = journal
+            .live_checkpoints()
+            .iter()
+            .map(|cp| cp.session_id)
+            .collect();
+        assert_eq!(ids, [3, 4]);
         let _ = fs::remove_dir_all(&dir);
     }
 }

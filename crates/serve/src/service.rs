@@ -279,6 +279,7 @@ impl ServiceShared {
                 let mut entry = JsonValue::object();
                 entry
                     .push("appends", JsonValue::UInt(journal.appends()))
+                    .push("barriers", JsonValue::UInt(journal.barriers()))
                     .push("live", JsonValue::UInt(journal.live_sessions() as u64))
                     .push("replayed", JsonValue::UInt(self.replay.records_applied))
                     .push(

@@ -181,9 +181,12 @@ fn window_checkpoint(
     }
 }
 
-/// Journals the current window, if a journal is configured. A failed
-/// append degrades durability, not availability: it is counted and flight-
-/// logged, and the session keeps streaming from memory.
+/// Journals the current window, if a journal is configured. The pre-READY
+/// floor (the window's newest boundary is the job's first) is an ordered
+/// record; every later boundary is a barrier, durable before the element's
+/// frames go out (see the [`crate::journal`] module docs). A failed append
+/// degrades durability, not availability: it is flight-logged, and the
+/// session keeps streaming from memory.
 fn journal_window(
     shared: &ServiceShared,
     ctx: &SessionCtx<'_>,
@@ -193,7 +196,16 @@ fn journal_window(
     let Some(journal) = &shared.journal else {
         return;
     };
-    if let Err(err) = journal.append_checkpoint(&window_checkpoint(ctx, job, snapshots)) {
+    let checkpoint = window_checkpoint(ctx, job, snapshots);
+    let pre_ready = snapshots
+        .back()
+        .is_some_and(|(next, _, _)| *next == job.start_element);
+    let appended = if pre_ready {
+        journal.append_checkpoint_ordered(&checkpoint)
+    } else {
+        journal.append_checkpoint(&checkpoint)
+    };
+    if let Err(err) = appended {
         if let Some(flight) = ctx.flight {
             flight.log("journal.error", format!("{err}"), 0);
         }
@@ -202,6 +214,8 @@ fn journal_window(
 
 /// Appends a journal tombstone for `session_id` after its in-flight work
 /// stopped needing recovery (job done, clean BYE, or checkpoint evicted).
+/// The tombstone is ordered: it rides the next barrier's sync, so neither
+/// the post-STATS tombstone nor a BYE waits on the disk.
 fn journal_remove(shared: &ServiceShared, session_id: u64) {
     if let Some(journal) = &shared.journal {
         let _ = journal.append_remove(session_id);
@@ -209,10 +223,11 @@ fn journal_remove(shared: &ServiceShared, session_id: u64) {
 }
 
 /// Streams one job under the per-step deadline, snapshotting the OT sender
-/// at each element boundary; every boundary is journaled (durable) and on
-/// failure the final window is deposited in the in-memory registry,
-/// covering the client's two possible rollback points. A job whose source
-/// fails before READY passed no boundary: it fails with no checkpoint.
+/// at each element boundary; every boundary is journaled, each one after
+/// the pre-READY floor as a barrier, and on failure the final window is
+/// deposited in the in-memory registry, covering the client's two possible
+/// rollback points. A job whose source fails before READY passed no
+/// boundary: it fails with no checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     summary: &mut SessionSummary,
@@ -239,8 +254,9 @@ fn stream_job_checkpointed<T: Transport>(
         job.job_id,
         ctx.trace,
         job.start_element,
-        // The first call is the pre-job boundary, before READY: a crash
-        // anywhere in the exchange then has a durable floor to resume from.
+        // The first call is the pre-job boundary, before READY: a process
+        // crash anywhere in the exchange then has a floor to resume from.
+        // It is an ordered record, durable with the first element's barrier.
         |next, sender, boundary_digest| {
             snapshots.push_back((next, sender.clone(), boundary_digest.clone()));
             if snapshots.len() > 2 {

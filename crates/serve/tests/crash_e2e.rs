@@ -339,6 +339,220 @@ fn corrupt_journal_quarantines_and_rejects_resume_typed() {
 }
 
 // ---------------------------------------------------------------------
+// Power cuts: what survives when only the synced bytes do.
+// ---------------------------------------------------------------------
+
+/// Journal record kinds, per the documented segment layout.
+const KIND_CHECKPOINT: u8 = 1;
+const KIND_REMOVE: u8 = 2;
+
+/// `(end offset, kind)` of every record in a journal segment: an 8-byte
+/// magic, then records of `[len: u32 LE][crc32: u32 LE][kind: u8 payload]`
+/// where `len` counts the kind byte and the payload.
+fn records(segment: &[u8]) -> Vec<(usize, u8)> {
+    let mut at = 8;
+    let mut out = Vec::new();
+    while at < segment.len() {
+        let len = u32::from_le_bytes(segment[at..at + 4].try_into().expect("4 bytes"));
+        let end = at + 8 + len as usize;
+        out.push((end, segment[at + 8]));
+        at = end;
+    }
+    assert_eq!(at, segment.len(), "the segment ends on a record boundary");
+    out
+}
+
+/// The image a power cut leaves of a fresh journal's segment that one
+/// session wrote: the bytes up to the end of its last barrier record, as no
+/// ordered record after it reached the disk. In one session's job stream
+/// the ordered records are every tombstone (17 bytes: the 8-byte header,
+/// the kind and a session id) and each job's pre-READY floor, the
+/// checkpoint that opens the segment or follows a tombstone; every other
+/// checkpoint is a barrier.
+fn power_cut_image(segment: &[u8]) -> &[u8] {
+    let mut durable = 8; // the magic, synced when the segment was created
+    let mut previous = KIND_REMOVE;
+    for (end, kind) in records(segment) {
+        if kind == KIND_CHECKPOINT && previous == KIND_CHECKPOINT {
+            durable = end;
+        }
+        previous = kind;
+    }
+    &segment[..durable]
+}
+
+/// A journaled R-element job costs R + 2 appends (the pre-READY floor, R
+/// element boundaries, the post-STATS tombstone) and exactly R barriers;
+/// a BYE's tombstone is one more append and no barrier. METRICS reports
+/// both counts.
+#[test]
+fn journaled_job_pays_one_barrier_per_element() {
+    let dir = temp_dir("barriers");
+    let service = journaled_service(&dir, |_| {});
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let xs: Vec<Vec<i64>> = (1..3).map(|i| demo_vector(COLS, WIDTH, SEED ^ i)).collect();
+    client.secure_matmul(&xs).expect("job");
+    let elements = (xs.len() * ROWS) as u64;
+    // The session thread answers METRICS only after the job's tombstone.
+    let body = client.metrics().expect("METRICS");
+    assert!(
+        body.contains(&format!(
+            "\"appends\":{},\"barriers\":{elements},",
+            elements + 2
+        )),
+        "{body}"
+    );
+    let journal = service.journal().expect("journal configured");
+    assert_eq!(
+        (journal.appends(), journal.barriers()),
+        (elements + 2, elements)
+    );
+    client.goodbye();
+    wait_until("the BYE tombstone", || journal.appends() == elements + 3);
+    assert_eq!(journal.barriers(), elements, "a tombstone is no barrier");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Power loss right after a job's READY: the previous job's tombstone and
+/// this job's pre-READY floor are ordered records, so the cut loses both.
+/// Replay then resurrects the previous job's final window; the interrupted
+/// job's RESUME gets a typed `REJECT(resume)`, never a resume against that
+/// window, and a fresh job still returns the plaintext `W·x`.
+#[test]
+fn power_cut_after_ready_rejects_resume_typed() {
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let x1 = demo_vector(COLS, WIDTH, SEED ^ 1);
+    let x2 = demo_vector(COLS, WIDTH, SEED ^ 2);
+
+    let dir = temp_dir("power-ready");
+    let first = journaled_service(&dir, |_| {});
+    let mut client = RemoteClient::connect(first.connect(), WIDTH).expect("handshake");
+    let (y1, _) = client.secure_matvec(&x1).expect("job 1");
+    assert_eq!(y1, plain_matvec(&weights, &x1));
+    // Job 2 gets its READY, then the wire is cut.
+    let mut progress = client
+        .start_job(std::slice::from_ref(&x2))
+        .expect("job 2 admitted");
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    // Every record job 2 caused was written before its READY went out.
+    let journal = first.journal().expect("journal configured");
+    assert_eq!(
+        (journal.appends(), journal.barriers()),
+        (ROWS as u64 + 3, ROWS as u64)
+    );
+    drop(first);
+
+    let segment = only_segment(&dir);
+    let bytes = std::fs::read(&segment).expect("read segment");
+    let records = records(&bytes);
+    let kinds: Vec<u8> = records.iter().map(|&(_, kind)| kind).collect();
+    assert_eq!(
+        kinds[kinds.len() - 2..],
+        [KIND_REMOVE, KIND_CHECKPOINT],
+        "job 1's tombstone, then job 2's floor"
+    );
+    let image = power_cut_image(&bytes);
+    assert_eq!(image.len(), records[ROWS].0, "cut at job 1's last barrier");
+    std::fs::write(&segment, image).expect("power cut");
+
+    let second = journaled_service(&dir, |_| {});
+    let replay = second.journal_replay();
+    assert!(replay.quarantined.is_empty() && !replay.truncated_tail);
+    assert_eq!(replay.sessions, 1, "job 1's final window comes back");
+    let live = second.journal().expect("journal").live_checkpoints();
+    assert_eq!(live[0].job_id, 0);
+    assert_eq!(live[0].snapshots.last().map(|s| s.0), Some(ROWS));
+
+    let mut client = RemoteClient::reattach(second.connect(), state);
+    match client.resume_job(&mut progress) {
+        Err(AcceleratorError::Rejected { reason }) => {
+            assert_eq!(reason, "resume state not found")
+        }
+        other => panic!("expected typed REJECT(resume), got {other:?}"),
+    }
+    let mut fresh = RemoteClient::connect(second.connect(), WIDTH).expect("fresh handshake");
+    let (y2, _) = fresh.secure_matvec(&x2).expect("fresh job");
+    assert_eq!(y2, plain_matvec(&weights, &x2));
+    fresh.goodbye();
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Power loss mid-element 2: element 2's boundary was a barrier, synced
+/// before its CIPHER went out, so the power-cut image is the whole
+/// kill-9 image and RESUME stitches bit-identically to an uninterrupted
+/// run.
+#[test]
+fn power_cut_mid_element_keeps_the_kill9_image_and_resumes_bit_identical() {
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 1),
+        demo_vector(COLS, WIDTH, SEED ^ 2),
+    ];
+    let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x2D);
+    let ref_dir = temp_dir("power-ref");
+    let ref_service = journaled_service(&ref_dir, |_| {});
+    let mut ref_client = RemoteClient::connect_with_trace(
+        RecordingTransport::new(ref_service.connect()),
+        WIDTH,
+        trace,
+    )
+    .expect("reference handshake");
+    let (ref_ys, _) = ref_client.secure_matmul(&xs).expect("reference job");
+    let ref_recv = ref_client.goodbye().received_frames().to_vec();
+    ref_service.shutdown();
+    let _ = std::fs::remove_dir_all(&ref_dir);
+
+    let dir = temp_dir("power-mid");
+    let first = journaled_service(&dir, |_| {});
+    let fault = FaultTransport::new(
+        first.connect(),
+        FaultSpec::none(SEED).with_cut_after(cut_mid_element(2)),
+    );
+    let mut client =
+        RemoteClient::connect_with_trace(fault, WIDTH, trace).expect("crash handshake");
+    let mut progress = client.start_job(&xs).expect("job admitted");
+    client
+        .run_job(&mut progress)
+        .expect_err("the cut must kill the run");
+    assert_eq!(progress.elements_done(), 2);
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    // The floor and boundaries 1..=3, written before element 2's CIPHER.
+    let journal = first.journal().expect("journal configured");
+    assert_eq!((journal.appends(), journal.barriers()), (4, 3));
+    drop(first);
+
+    let segment = only_segment(&dir);
+    let bytes = std::fs::read(&segment).expect("read segment");
+    assert_eq!(
+        power_cut_image(&bytes),
+        &bytes[..],
+        "the last record written is a barrier"
+    );
+
+    let second = journaled_service(&dir, |_| {});
+    assert_eq!(second.journal_replay().sessions, 1);
+    let mut client = RemoteClient::reattach(RecordingTransport::new(second.connect()), state);
+    client
+        .resume_job(&mut progress)
+        .expect("RESUME accepted after the power cut");
+    client.run_job(&mut progress).expect("resumed run");
+    let (ys, _) = progress.into_result();
+    assert_eq!(ys, ref_ys, "resumed job must match the uninterrupted run");
+    let conn2_recv = client.goodbye().received_frames().to_vec();
+    assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
+    assert_eq!(
+        conn2_recv[1..],
+        ref_recv[2 + 2 * 2..],
+        "post-restart data (elements 2..6 + STATS) diverged"
+    );
+    second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
 // Real child-process tests: the serve binary, killed for real.
 // ---------------------------------------------------------------------
 
@@ -546,7 +760,8 @@ fn sigkill_mid_job_restarts_and_client_resumes() {
     });
 
     // Kill once the journal shows real mid-job progress: each checkpoint
-    // record is ~1.1 KiB, so 20 KiB ≈ element boundary 17 of 128 —
+    // record is about 4.2 KiB (4 251 B; the one-snapshot pre-READY floor
+    // 2 161 B), so 20 KB is passed at element boundary 5 of 128 —
     // comfortably mid-job, comfortably before the end (the first rotation
     // is at append 64, long after the kill lands).
     let deadline = Instant::now() + Duration::from_secs(60);
