@@ -1,8 +1,8 @@
 //! The evaluator's side of a served session: the portable session state,
 //! resumable per-job progress, and the [`RemoteClient`] that drives both.
 
-use bytes::{BufMut, BytesMut};
-use max_crypto::TranscriptDigest;
+use bytes::{BufMut, Bytes, BytesMut};
+use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{decode_blocks, seal_frame, FrameKind};
 use max_gc::Transport;
 use max_ot::iknp::{self, CipherMsg, OtExtReceiver};
@@ -105,7 +105,7 @@ impl SessionState {
 pub struct JobProgress {
     job_id: u64,
     x_columns: Vec<Vec<i64>>,
-    y: Vec<Vec<i64>>,
+    pub(super) y: Vec<Vec<i64>>,
     /// Output rows per pass — the session default's rows, or the prepared
     /// model's for a model-backed job (their shapes are independent).
     rows: usize,
@@ -164,6 +164,17 @@ impl JobProgress {
         assert!(self.done, "job not finished; resume it first");
         (self.y, self.transcript)
     }
+}
+
+/// An element whose EXT is on the wire: what its CIPHER reply is opened
+/// with.
+struct PendingElement {
+    choices: Vec<bool>,
+    keys: Vec<Block>,
+    /// The EXT's correction bytes, charged to the transcript when the reply
+    /// arrives, so a checkpoint committed while this EXT is out excludes
+    /// them.
+    upload_bytes: u64,
 }
 
 /// The evaluator side of a served session: handshake once, then run any
@@ -646,9 +657,22 @@ impl<T: Transport> RemoteClient<T> {
     /// Drives a READY job to completion, element by element, from wherever
     /// its progress currently stands.
     ///
-    /// Before each element — and once more after the last element, before
-    /// waiting for STATS — the OT receiver and transcript are checkpointed
-    /// into `progress`, so on any error the caller can reconnect,
+    /// The client looks one element ahead: as soon as element `e`'s ROUNDS
+    /// frame has passed its CRC and its seal mark is folded into the
+    /// digest, EXT(`e + 1`) goes out, and only then is `e` decoded and
+    /// evaluated — so the server's OT, sealing and sending for `e + 1`
+    /// overlap the client's evaluation of `e`. Each direction carries the
+    /// same frames, in the same order, with the same bytes as an exchange
+    /// that waited for `e` to evaluate.
+    ///
+    /// The boundary-(`e + 1`) checkpoint is the OT receiver, digest and
+    /// transcript as they stand *before* EXT(`e + 1`) is prepared, and it
+    /// is committed to `progress` only once `e` has evaluated; a failed
+    /// EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`) is in hand) before
+    /// the error returns. So on any error `progress` sits at the last
+    /// evaluated element boundary, which (unless evaluating an element
+    /// failed) is never more than one element behind the server's newest
+    /// snapshot, and the caller can reconnect,
     /// [`resume_job`](RemoteClient::resume_job), and call `run_job` again
     /// without losing completed elements.
     ///
@@ -656,88 +680,22 @@ impl<T: Transport> RemoteClient<T> {
     ///
     /// Transport/protocol errors; `progress` stays consistent for a resume.
     pub fn run_job(&mut self, progress: &mut JobProgress) -> Result<(), AcceleratorError> {
-        let b = self.state.config.bit_width;
-        let rows = progress.rows;
-        for e in progress.elements_done..progress.total_elements {
-            progress.receiver_checkpoint = self.state.ot_receiver.clone();
+        let mut next = self.send_ext(progress, progress.elements_done)?;
+        while let Some(pending) = next {
+            let e = progress.elements_done;
+            let (labels, rounds_frame) = self.recv_element(progress, pending)?;
+            // Boundary e + 1 as it stands before EXT(e + 1) is prepared;
+            // committed only once e has evaluated.
+            let receiver = self.state.ot_receiver.clone();
+            let digest = progress.digest.clone();
+            let ahead = self.send_ext(progress, e + 1);
+            self.evaluate_element(progress, e, rounds_frame, &labels)?;
+            progress.receiver_checkpoint = receiver;
+            progress.digest_checkpoint = digest;
             progress.transcript_checkpoint = progress.transcript;
-            progress.digest_checkpoint = progress.digest.clone();
-            let pass = e / rows;
-            let column = &progress.x_columns[pass];
-            self.state.evaluator.begin_element(e as u32);
-            let choices = self.state.config.encode_choices(column);
-            let (ext, keys) = self.state.ot_receiver.prepare(&choices);
-            progress.transcript.ot_upload_bytes +=
-                ext.columns.iter().map(|c| c.len() as u64 * 8).sum::<u64>();
-            // Fold the EXT body into the running digest and append its
-            // value as the frame's trailer — the server verifies it before
-            // advancing its OT state (v6).
-            let ext_body = encode_ext(&ext);
-            progress.digest.fold(&ext_body);
-            let mut ext_frame = BytesMut::with_capacity(ext_body.len() + 16);
-            ext_frame.put_slice(&ext_body);
-            ext_frame.put_slice(&progress.digest.value());
-            self.transport
-                .send_frame(FrameKind::Bits, seal_frame(ext_frame.freeze()))?;
-            let (cipher_frame, cipher_mark) = recv_marked(&mut self.transport)?;
-            // A server that spotted a digest divergence answers the EXT
-            // with a sealed REJECT instead of CIPHER blocks. The shapes
-            // cannot collide: an honest CIPHER frame is 4 + 32·pairs bytes
-            // and starts with the count's zero high byte, never with
-            // TAG_REJECT at 6 bytes total.
-            if cipher_frame.len() == 6 && cipher_frame[0] == TAG_REJECT {
-                if let Ok(ControlMsg::Reject { code, .. }) =
-                    ControlMsg::decode(cipher_frame.clone())
-                {
-                    if code == REJECT_INTEGRITY {
-                        return Err(AcceleratorError::Integrity {
-                            what: "server rejected the client transcript digest",
-                        });
-                    }
-                    return Err(AcceleratorError::Rejected {
-                        reason: reject_reason(code),
-                    });
-                }
-            }
-            progress.digest.fold(&cipher_mark);
-            let flat = decode_blocks(cipher_frame)?;
-            if flat.len() != choices.len() * 2 {
-                return Err(AcceleratorError::Protocol {
-                    what: "CIPHER pair count",
-                });
-            }
-            progress.transcript.ot_bytes += (flat.len() * 16) as u64;
-            let cipher = CipherMsg {
-                pairs: flat.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
-            };
-            let labels = self.state.ot_receiver.receive(&cipher, &keys, &choices);
-            let (rounds_frame, rounds_mark) = recv_marked(&mut self.transport)?;
-            progress.digest.fold(&rounds_mark);
-            let msgs = decode_round_burst(rounds_frame, column.len())?;
-            let mut decoded = None;
-            for (i, msg) in msgs.iter().enumerate() {
-                progress.transcript.material_bytes += msg.wire_bytes() as u64;
-                progress.transcript.tables += msg.tables.len() as u64;
-                progress.transcript.rounds += 1;
-                decoded = self
-                    .state
-                    .evaluator
-                    .evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
-            }
-            progress.y[pass].push(decoded.ok_or(AcceleratorError::Protocol {
-                what: "final round carried no decode bits",
-            })?);
-            progress.transcript.elements += 1;
-            progress.elements_done += 1;
+            progress.elements_done = e + 1;
+            next = ahead?;
         }
-        // Refresh the checkpoints at the final element boundary before
-        // waiting for STATS: a cut here resumes with
-        // `elements_done == total_elements`, and a stale checkpoint would
-        // silently desync the session's OT state by one element (the
-        // server's snapshot window does include the final boundary).
-        progress.receiver_checkpoint = self.state.ot_receiver.clone();
-        progress.transcript_checkpoint = progress.transcript;
-        progress.digest_checkpoint = progress.digest.clone();
         match recv_control(&mut self.transport)? {
             ControlMsg::Stats {
                 fabric_cycles,
@@ -773,6 +731,116 @@ impl<T: Transport> RemoteClient<T> {
             }
         }
         progress.done = true;
+        Ok(())
+    }
+
+    /// Prepares element `e`'s OT extension and sends it as EXT(`e`), the
+    /// running digest as its trailer; `None` once `e` is past the job.
+    fn send_ext(
+        &mut self,
+        progress: &mut JobProgress,
+        e: usize,
+    ) -> Result<Option<PendingElement>, AcceleratorError> {
+        if e == progress.total_elements {
+            return Ok(None);
+        }
+        let choices = self
+            .state
+            .config
+            .encode_choices(&progress.x_columns[e / progress.rows]);
+        let (ext, keys) = self.state.ot_receiver.prepare(&choices);
+        let upload_bytes = ext.columns.iter().map(|c| c.len() as u64 * 8).sum();
+        // Fold the EXT body into the running digest and append its value
+        // as the frame's trailer — the server verifies it before advancing
+        // its OT state (v6).
+        let ext_body = encode_ext(&ext);
+        progress.digest.fold(&ext_body);
+        let mut ext_frame = BytesMut::with_capacity(ext_body.len() + 16);
+        ext_frame.put_slice(&ext_body);
+        ext_frame.put_slice(&progress.digest.value());
+        self.transport
+            .send_frame(FrameKind::Bits, seal_frame(ext_frame.freeze()))?;
+        Ok(Some(PendingElement {
+            choices,
+            keys,
+            upload_bytes,
+        }))
+    }
+
+    /// Receives the CIPHER and ROUNDS frames answering `pending`'s EXT,
+    /// folds both seal marks into the digest and opens the OT labels.
+    /// Returns the labels and the still-encoded ROUNDS burst.
+    fn recv_element(
+        &mut self,
+        progress: &mut JobProgress,
+        pending: PendingElement,
+    ) -> Result<(Vec<Block>, Bytes), AcceleratorError> {
+        let (cipher_frame, cipher_mark) = recv_marked(&mut self.transport)?;
+        // A server that spotted a digest divergence answers the EXT with a
+        // sealed REJECT instead of CIPHER blocks. The shapes cannot
+        // collide: an honest CIPHER frame is 4 + 32·pairs bytes and starts
+        // with the count's zero high byte, never with TAG_REJECT at 6
+        // bytes total.
+        if cipher_frame.len() == 6 && cipher_frame[0] == TAG_REJECT {
+            if let Ok(ControlMsg::Reject { code, .. }) = ControlMsg::decode(cipher_frame.clone()) {
+                if code == REJECT_INTEGRITY {
+                    return Err(AcceleratorError::Integrity {
+                        what: "server rejected the client transcript digest",
+                    });
+                }
+                return Err(AcceleratorError::Rejected {
+                    reason: reject_reason(code),
+                });
+            }
+        }
+        progress.digest.fold(&cipher_mark);
+        let flat = decode_blocks(cipher_frame)?;
+        if flat.len() != pending.choices.len() * 2 {
+            return Err(AcceleratorError::Protocol {
+                what: "CIPHER pair count",
+            });
+        }
+        progress.transcript.ot_upload_bytes += pending.upload_bytes;
+        progress.transcript.ot_bytes += (flat.len() * 16) as u64;
+        let cipher = CipherMsg {
+            pairs: flat.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+        };
+        let labels = self
+            .state
+            .ot_receiver
+            .receive(&cipher, &pending.keys, &pending.choices);
+        let (rounds_frame, rounds_mark) = recv_marked(&mut self.transport)?;
+        progress.digest.fold(&rounds_mark);
+        Ok((labels, rounds_frame))
+    }
+
+    /// Decodes element `e`'s ROUNDS burst and evaluates its rounds under
+    /// `labels`, appending the decoded MAC to the element's column.
+    fn evaluate_element(
+        &mut self,
+        progress: &mut JobProgress,
+        e: usize,
+        rounds_frame: Bytes,
+        labels: &[Block],
+    ) -> Result<(), AcceleratorError> {
+        let b = self.state.config.bit_width;
+        let pass = e / progress.rows;
+        let msgs = decode_round_burst(rounds_frame, progress.x_columns[pass].len())?;
+        self.state.evaluator.begin_element(e as u32);
+        let mut decoded = None;
+        for (i, msg) in msgs.iter().enumerate() {
+            progress.transcript.material_bytes += msg.wire_bytes() as u64;
+            progress.transcript.tables += msg.tables.len() as u64;
+            progress.transcript.rounds += 1;
+            decoded = self
+                .state
+                .evaluator
+                .evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
+        }
+        progress.y[pass].push(decoded.ok_or(AcceleratorError::Protocol {
+            what: "final round carried no decode bits",
+        })?);
+        progress.transcript.elements += 1;
         Ok(())
     }
 

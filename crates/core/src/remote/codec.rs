@@ -166,7 +166,7 @@ pub struct ModelHandle {
 }
 
 /// A control frame of the session protocol (everything except the
-/// lock-step EXT/CIPHER/ROUND data frames).
+/// per-element EXT/CIPHER/ROUNDS data frames).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ControlMsg {
     /// Client → server: open a session.

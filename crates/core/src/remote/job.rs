@@ -294,7 +294,10 @@ impl JobSource {
 /// now go out through the same loop, which takes each element from the
 /// [`JobSource`] as it needs it, so an inline job's exchange overlaps its
 /// garbling. READY goes out once the first element to serve is in hand: a
-/// garbling error on it is still a typed error before READY.
+/// garbling error on it is still a typed error before READY. The client
+/// sends EXT(e + 1) before it evaluates e, so the loop seals each element's
+/// ROUNDS frame before it blocks on that element's EXT, and the client's
+/// evaluation overlaps the server's OT, sealing and sending.
 ///
 /// The exchange starts at `start_element` (elements before it were already
 /// streamed on an earlier connection) and calls `on_element(next_element,
@@ -367,6 +370,10 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             Next::Element(elem) => elem,
             Next::Done(cycles) => break cycles,
         };
+        // Seal ROUNDS(e) before blocking on EXT(e): a client that looks
+        // one element ahead sends EXT(e) while it still evaluates e - 1,
+        // so the CRC pass over the burst overlaps that evaluation.
+        let rounds_frame = seal_frame(elem.rounds_frame.clone());
         let ext_frame = open_frame(transport.recv_frame()?)?;
         let (ext, client_mark) = decode_ext(ext_frame.clone())?;
         if ext.count != elem.pairs.len() {
@@ -394,11 +401,10 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         let cipher = ot_sender.send(&ext, &elem.pairs);
         // Seal first, fold the seals: the CRC pass that frames each of the
         // element's two bulk frames is also its contribution to the digest
-        // (v7), and it lands *before* the checkpoint hook fires, so a
-        // snapshot at boundary `idx + 1` matches the client's digest
-        // checkpoint at the same boundary.
+        // (v7), folded CIPHER then ROUNDS after the EXT check and *before*
+        // the checkpoint hook fires, so a snapshot at boundary `idx + 1`
+        // matches the client's digest checkpoint at the same boundary.
         let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
-        let rounds_frame = seal_frame(elem.rounds_frame.clone());
         digest.fold(&seal_mark(&cipher_frame));
         digest.fold(&seal_mark(&rounds_frame));
         // Checkpoint *before* delivering this element's CIPHER/ROUNDS frames:

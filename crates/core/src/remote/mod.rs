@@ -20,7 +20,8 @@
 //!   |    per output element:               |
 //!   | -- EXT(OT corrections) -----------> |
 //!   | <-- CIPHER(OT ciphertext blocks) --- |
-//!   | <-- ROUNDS (all cols rounds, 1 frame)|
+//!   | <-- ROUNDS (all cols rounds, 1 frame)|   next EXT leaves before this
+//!   |                                      |   element is evaluated
 //!   | <-- STATS(fabric cycles) ----------- |   job done
 //!   |            ... more jobs ...         |
 //!   | -- PING(nonce) --------------------> |   keep-alive between jobs

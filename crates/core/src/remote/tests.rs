@@ -4,9 +4,71 @@ use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{seal_frame, Duplex};
-use max_gc::Transport;
+use max_gc::{FaultSpec, FaultTransport, Transport};
 use max_ot::iknp;
 use max_telemetry::TraceContext;
+
+/// Answers HELLO with ACCEPT and sets the session's OT sender up — the
+/// handshake half of [`serve_one_session`]. Returns the session seed, the
+/// sender and the client's trace, or `None` after a typed REJECT.
+fn accept_session<T: Transport>(
+    transport: &mut T,
+    config: &AcceleratorConfig,
+    weights: &[Vec<i64>],
+    base_seed: u64,
+    session_id: u64,
+) -> Result<Option<(u64, iknp::OtExtSender, TraceContext)>, AcceleratorError> {
+    let hello = match recv_control(transport)? {
+        ControlMsg::Hello {
+            version,
+            bit_width,
+            trace,
+        } => (version, bit_width, trace),
+        _ => {
+            return Err(AcceleratorError::Protocol {
+                what: "expected HELLO",
+            })
+        }
+    };
+    if hello.0 != PROTOCOL_VERSION {
+        send_control(
+            transport,
+            &ControlMsg::Reject {
+                code: REJECT_VERSION,
+                detail: u32::from(PROTOCOL_VERSION),
+            },
+        )?;
+        return Ok(None);
+    }
+    if hello.1 as usize != config.bit_width {
+        send_control(
+            transport,
+            &ControlMsg::Reject {
+                code: REJECT_WIDTH,
+                detail: config.bit_width as u32,
+            },
+        )?;
+        return Ok(None);
+    }
+    let session_seed = derive_seed(base_seed, session_id);
+    let ot_seed = derive_seed(session_seed, 0x07);
+    send_control(
+        transport,
+        &ControlMsg::Accept {
+            session_id,
+            ot_seed,
+            resume_token: derive_seed(session_seed, 0x7e57),
+            rows: weights.len() as u32,
+            cols: weights.first().map_or(0, Vec::len) as u32,
+            bit_width: config.bit_width as u32,
+            acc_width: config.acc_width as u32,
+            signed: config.signed,
+            freq_mhz_bits: config.freq_mhz.to_bits(),
+        },
+    )?;
+    let (ot_sender, _receiver) = iknp::setup_pair(ot_seed);
+    Ok(Some((session_seed, ot_sender, hello.2)))
+}
 
 /// Minimal single-session server loop over any transport, used by the
 /// tests here and in `resilient`, and mirrored (with scheduling) by
@@ -21,55 +83,11 @@ pub(crate) fn serve_one_session<T: Transport>(
     mut busy_first: u32,
     busy_hint_ms: u32,
 ) -> Result<(), AcceleratorError> {
-    let hello = match recv_control(&mut transport)? {
-        ControlMsg::Hello {
-            version,
-            bit_width,
-            trace,
-        } => (version, bit_width, trace),
-        _ => {
-            return Err(AcceleratorError::Protocol {
-                what: "expected HELLO",
-            })
-        }
+    let Some((session_seed, mut ot_sender, trace)) =
+        accept_session(&mut transport, config, weights, base_seed, session_id)?
+    else {
+        return Ok(());
     };
-    if hello.0 != PROTOCOL_VERSION {
-        send_control(
-            &mut transport,
-            &ControlMsg::Reject {
-                code: REJECT_VERSION,
-                detail: u32::from(PROTOCOL_VERSION),
-            },
-        )?;
-        return Ok(());
-    }
-    if hello.1 as usize != config.bit_width {
-        send_control(
-            &mut transport,
-            &ControlMsg::Reject {
-                code: REJECT_WIDTH,
-                detail: config.bit_width as u32,
-            },
-        )?;
-        return Ok(());
-    }
-    let session_seed = derive_seed(base_seed, session_id);
-    let ot_seed = derive_seed(session_seed, 0x07);
-    send_control(
-        &mut transport,
-        &ControlMsg::Accept {
-            session_id,
-            ot_seed,
-            resume_token: derive_seed(session_seed, 0x7e57),
-            rows: weights.len() as u32,
-            cols: weights.first().map_or(0, Vec::len) as u32,
-            bit_width: config.bit_width as u32,
-            acc_width: config.acc_width as u32,
-            signed: config.signed,
-            freq_mhz_bits: config.freq_mhz.to_bits(),
-        },
-    )?;
-    let (mut ot_sender, _receiver) = iknp::setup_pair(ot_seed);
     let mut job_id = 0u64;
     loop {
         match recv_control(&mut transport) {
@@ -103,7 +121,7 @@ pub(crate) fn serve_one_session<T: Transport>(
                     &mut ot_sender,
                     &mut TranscriptDigest::new(),
                     job_id,
-                    hello.2,
+                    trace,
                     0,
                     |_, _, _| {},
                 )?;
@@ -256,6 +274,143 @@ fn mid_job_disconnect_is_a_typed_error_server_side() {
     }
     drop(client);
     assert_eq!(server.join().unwrap(), Err(AcceleratorError::Disconnected));
+}
+
+/// The server's last two boundary snapshots, as `max-serve` keeps them.
+type Window = std::collections::VecDeque<(usize, iknp::OtExtSender, TranscriptDigest)>;
+
+/// Streams `job` from `start` with the sender and digest of that boundary,
+/// keeping the last two boundary snapshots.
+fn stream_windowed<T: Transport>(
+    transport: &mut T,
+    job: &MaterializedJob,
+    mut sender: iknp::OtExtSender,
+    mut digest: TranscriptDigest,
+    trace: TraceContext,
+    start: usize,
+) -> (Result<(), AcceleratorError>, Window) {
+    let mut window = Window::new();
+    let result = stream_materialized_job_from(
+        transport,
+        &JobSource::Materialized {
+            expected_digest: stream_digest(job),
+            job: job.clone(),
+        },
+        &mut sender,
+        &mut digest,
+        0,
+        trace,
+        start,
+        |next, sender, digest| {
+            window.push_back((next, sender.clone(), digest.clone()));
+            if window.len() > 2 {
+                window.pop_front();
+            }
+        },
+    );
+    (result, window)
+}
+
+/// The lookahead's failure path: when EXT(e + 1) cannot be sent, the client
+/// still evaluates element `e` (its ROUNDS is in hand) and reports the
+/// send error with boundary `e + 1` committed — inside the server's
+/// two-snapshot window, so a RESUME finishes with the uninterrupted result.
+#[test]
+fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
+    const SEED: u64 = 0x100C;
+    let config = AcceleratorConfig::new(8);
+    let w = vec![vec![1i64, -2, 3], vec![-4, 5, 6]];
+    let xs = vec![vec![9i64, -10, 11], vec![3, 0, -7]];
+    let rows = w.len();
+    let total = xs.len() * rows;
+
+    let (server_end, client_end) = Duplex::pair();
+    let server = {
+        let (config, w) = (config.clone(), w.clone());
+        std::thread::spawn(move || serve_one_session(server_end, &config, &w, SEED, 0, 0, 0))
+    };
+    let mut client = RemoteClient::connect(client_end, 8).unwrap();
+    let (reference, ref_transcript) = client.secure_matmul(&xs).unwrap();
+    client.goodbye();
+    server.join().unwrap().unwrap();
+
+    for e in 0..total - 1 {
+        let (server_end, client_end) = Duplex::pair();
+        let server = {
+            let (config, w) = (config.clone(), w.clone());
+            std::thread::spawn(move || {
+                let mut transport = server_end;
+                let (session_seed, sender, trace) =
+                    accept_session(&mut transport, &config, &w, SEED, 0)
+                        .unwrap()
+                        .unwrap();
+                let ControlMsg::JobRequest { columns, .. } = recv_control(&mut transport).unwrap()
+                else {
+                    panic!("expected JOB");
+                };
+                let job =
+                    fill_stream(&config, &w, derive_seed(session_seed, 0x100), columns).unwrap();
+                let (result, window) = stream_windowed(
+                    &mut transport,
+                    &job,
+                    sender,
+                    TranscriptDigest::new(),
+                    trace,
+                    0,
+                );
+                assert_eq!(result, Err(AcceleratorError::Disconnected));
+                (job, trace, window)
+            })
+        };
+        // HELLO, ACCEPT, JOB, READY, then three frame events per element:
+        // the send of EXT(e + 1) is the first event past the cut.
+        let cut = 4 + 3 * (e as u64 + 1);
+        let wire = FaultTransport::new(client_end, FaultSpec::none(SEED).with_cut_after(cut));
+        let mut client = RemoteClient::connect(wire, 8).unwrap();
+        let mut progress = client.start_job(&xs).unwrap();
+        let err = client.run_job(&mut progress).unwrap_err();
+        assert_eq!(err, AcceleratorError::Disconnected, "e={e}");
+        assert_eq!(progress.elements_done(), e + 1, "e={e}");
+        assert_eq!(
+            progress.y[e / rows].last(),
+            Some(&reference[e / rows][e % rows]),
+            "e={e}: element e evaluated"
+        );
+        let (dead, state) = client.into_parts();
+        drop(dead);
+        let (job, trace, window) = server.join().unwrap();
+
+        let (server_end, client_end) = Duplex::pair();
+        let server = std::thread::spawn(move || {
+            let mut transport = server_end;
+            let ControlMsg::Resume { elements_done, .. } = recv_control(&mut transport).unwrap()
+            else {
+                panic!("expected RESUME");
+            };
+            let (_, sender, digest) = window
+                .iter()
+                .find(|(next, ..)| *next == elements_done as usize)
+                .expect("the client's rollback point is inside the window")
+                .clone();
+            stream_windowed(
+                &mut transport,
+                &job,
+                sender,
+                digest,
+                trace,
+                elements_done as usize,
+            )
+            .0
+            .unwrap();
+        });
+        let mut client = RemoteClient::reattach(client_end, state);
+        client.resume_job(&mut progress).unwrap();
+        client.run_job(&mut progress).unwrap();
+        server.join().unwrap();
+        let (ys, transcript) = progress.into_result();
+        assert_eq!(ys, reference, "e={e}");
+        assert_eq!(transcript, ref_transcript, "e={e}");
+    }
 }
 
 #[test]

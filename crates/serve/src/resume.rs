@@ -9,10 +9,20 @@
 //! original seed and streamed from that boundary, so the stitched
 //! transcript is bit-identical to an uninterrupted run.
 //!
-//! Two snapshots always suffice: the client checkpoints *before* each
-//! element and the server snapshots *after* each element, so the client's
-//! rollback point is either the server's position or one element behind it
-//! (the frame in flight when the wire died).
+//! Two snapshots always suffice, with the client looking one element ahead.
+//! The server snapshots boundary `e + 1` once it has answered EXT(`e`),
+//! before CIPHER(`e`)/ROUNDS(`e`) go out. The client sends EXT(`e + 1`)
+//! after ROUNDS(`e`) passes its CRC but before it evaluates `e`; its
+//! boundary-(`e + 1`) checkpoint is its state before it prepared that EXT,
+//! committed only once `e` has evaluated, even when the EXT(`e + 1`) send
+//! failed. So a job that stops with the client's rollback point at `c` has
+//! sent at most EXT(`c`), the server's newest snapshot is `c` or `c + 1`,
+//! and the window `{c, c + 1}` holds the client's point. The one exception
+//! is a failure *while evaluating* `e`: the rollback point stays `e` while
+//! the server may be at `e + 2`, so the RESUME is refused and the client
+//! restarts — which takes a ROUNDS burst that passed its CRC and still
+//! failed to decode. A deeper lookahead would need one more snapshot per
+//! element of depth.
 //!
 //! The registry is capacity-bounded with insertion-order eviction — an
 //! abandoned checkpoint costs memory only until enough newer failures

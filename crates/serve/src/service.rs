@@ -52,7 +52,7 @@ pub struct ServeConfig {
     /// Reap sessions idle longer than this (transports that support
     /// timeouts — TCP — only; the in-memory wire is always attended).
     pub idle_timeout: Option<Duration>,
-    /// Per-protocol-step deadline during a job's lock-step exchange: a
+    /// Per-protocol-step deadline during a job's per-element exchange: a
     /// client that stalls mid-job longer than this gets its connection
     /// reaped (and a checkpoint saved for RESUME). Falls back to
     /// `idle_timeout` when unset.

@@ -9,9 +9,10 @@
 //!
 //! A connection opens with either HELLO (fresh session) or RESUME
 //! (reconnect into an interrupted job, validated against the
-//! [`ResumeRegistry`](crate::resume::ResumeRegistry)). During the
-//! lock-step job exchange the transport runs under the per-step deadline;
-//! between jobs it falls back to the idle timeout, and PING/PONG
+//! [`ResumeRegistry`](crate::resume::ResumeRegistry)). During the job's
+//! per-element EXT/CIPHER/ROUNDS exchange (the client sends each EXT one
+//! element ahead of its evaluation) the transport runs under the per-step
+//! deadline; between jobs it falls back to the idle timeout, and PING/PONG
 //! heartbeats keep an intentionally quiet session alive.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -8,11 +8,16 @@
 //! **bit-identical** to an uninterrupted run — same frames, same bytes,
 //! same order, minus only the rolled-back partial element.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use max_gc::channel::Duplex;
-use max_gc::{FaultSpec, FaultTransport, FramedTcp};
-use max_serve::{demo_vector, demo_weights, listen_tcp, plain_matvec, RecordingTransport};
+use bytes::Bytes;
+use max_gc::channel::{open_frame, Duplex, FrameKind, TransportError};
+use max_gc::{FaultSpec, FaultTransport, FramedTcp, Transport};
+use max_serve::{
+    demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, RecordingTransport,
+};
+use maxelerator::remote::ControlMsg;
 use maxelerator::{AcceleratorError, RemoteClient, ResilientClient, RetryPolicy};
 
 mod common;
@@ -159,6 +164,281 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     assert_eq!(stats.jobs_completed, 1);
     assert_eq!(stats.checkpoints_saved, 1);
     assert_eq!(service.resume_checkpoints(), 0, "checkpoint cleaned up");
+}
+
+/// Every frame one dial carried, per direction.
+#[derive(Clone, Debug, Default)]
+struct Wire {
+    sent: Vec<Bytes>,
+    received: Vec<Bytes>,
+}
+
+/// The dial log a `ResilientClient`'s connect factory writes and the test
+/// reads after the client has dropped the connections.
+type Wires = Arc<Mutex<Vec<Wire>>>;
+
+/// Logs every frame of one dial into its own slot of a [`Wires`] log and,
+/// when armed, flips the low bit of the last byte of the `flip_received`-th
+/// inbound frame (counted from ACCEPT = 0).
+struct Tap<T> {
+    inner: T,
+    wires: Wires,
+    dial: usize,
+    flip_received: Option<usize>,
+    received: usize,
+}
+
+impl<T> Tap<T> {
+    fn new(inner: T, wires: &Wires, flip_received: Option<usize>) -> Tap<T> {
+        let mut log = wires.lock().unwrap();
+        log.push(Wire::default());
+        Tap {
+            inner,
+            wires: Arc::clone(wires),
+            dial: log.len() - 1,
+            flip_received,
+            received: 0,
+        }
+    }
+}
+
+impl<T: Transport> Transport for Tap<T> {
+    fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
+        self.wires.lock().unwrap()[self.dial]
+            .sent
+            .push(frame.clone());
+        self.inner.send_frame(kind, frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        let mut frame = self.inner.recv_frame()?;
+        if self.flip_received == Some(self.received) {
+            let mut bytes = frame.to_vec();
+            let last = bytes.len() - 1;
+            bytes[last] ^= 1;
+            frame = Bytes::from(bytes);
+        }
+        self.received += 1;
+        self.wires.lock().unwrap()[self.dial]
+            .received
+            .push(frame.clone());
+        Ok(frame)
+    }
+
+    fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
+        self.inner.set_idle_timeout(timeout)
+    }
+}
+
+/// The element boundary a logged RESUME frame asks for.
+fn resume_boundary(frame: &Bytes) -> u32 {
+    match ControlMsg::decode(open_frame(frame.clone()).unwrap()).unwrap() {
+        ControlMsg::Resume { elements_done, .. } => elements_done,
+        other => panic!("expected RESUME, got {other:?}"),
+    }
+}
+
+/// Rows of the lookahead tests' model: two passes of two rows make a
+/// four-element job whose lookahead crosses a pass boundary.
+const LOOKAHEAD_ROWS: usize = 2;
+
+/// One dial of the lookahead tests: faults outside, the frame log inside.
+type TappedWire = FaultTransport<Tap<Duplex>>;
+
+/// A `ResilientClient` whose first dial goes through `first` and whose
+/// later dials wait for the server's checkpoint, so the RESUME never races
+/// the dead session's bookkeeping. Every dial is logged into `wires`.
+fn lookahead_client(
+    service: &GcService,
+    wires: &Wires,
+    trace: max_telemetry::TraceContext,
+    first: impl Fn(&GcService, &Wires) -> TappedWire,
+) -> ResilientClient<TappedWire, impl FnMut() -> Result<TappedWire, AcceleratorError>> {
+    let svc = service.clone();
+    let wires = Arc::clone(wires);
+    let mut dials = 0u64;
+    ResilientClient::new(
+        move || {
+            dials += 1;
+            if dials == 1 {
+                return Ok(first(&svc, &wires));
+            }
+            wait_until("checkpoint to be saved", || {
+                svc.stats().checkpoints_saved >= 1
+            });
+            Ok(FaultTransport::new(
+                Tap::new(svc.connect(), &wires, None),
+                FaultSpec::none(SEED),
+            ))
+        },
+        WIDTH,
+        RetryPolicy {
+            base_backoff_ms: 1,
+            ..RetryPolicy::default()
+        },
+    )
+    .with_trace(trace)
+}
+
+/// The lookahead's own window: the client has received element `e`'s
+/// ROUNDS and sent EXT(e + 1), but not yet evaluated `e`, when the wire
+/// dies. The client must still finish `e` (it holds its ROUNDS), so the
+/// resilient client RESUMEs at boundary `e + 1`, and the stitched
+/// transcript equals the uninterrupted one frame by frame. The cut severs
+/// both ends at the same frame event (the server's event sequence mirrors
+/// the client's), so the server cannot finish the job into a buffer the
+/// client will never read. After the last element, which has no
+/// successor, the cut lands on STATS.
+#[test]
+fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 1),
+        demo_vector(COLS, WIDTH, SEED ^ 2),
+    ];
+    let weights = demo_weights(LOOKAHEAD_ROWS, COLS, WIDTH, SEED);
+    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    let elements = (xs.len() * LOOKAHEAD_ROWS) as u64;
+    let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x1D);
+
+    let ref_service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
+    let ref_wires = Wires::default();
+    let mut ref_client = RemoteClient::connect_with_trace(
+        Tap::new(ref_service.connect(), &ref_wires, None),
+        WIDTH,
+        trace,
+    )
+    .expect("reference handshake");
+    let (ref_ys, _) = ref_client.secure_matmul(&xs).expect("reference job");
+    assert_eq!(ref_ys, expected);
+    ref_client.goodbye();
+    ref_service.shutdown();
+    let reference = ref_wires.lock().unwrap()[0].clone();
+
+    for e in 0..elements {
+        let boundary = e + 1;
+        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |cfg| {
+            cfg.deterministic_resume_tokens = true
+        });
+        let wires = Wires::default();
+        // Survive the handshake, elements 0..=e and EXT(e + 1); die on
+        // CIPHER(e + 1) (or STATS after the last element).
+        let cut = HANDSHAKE_EVENTS + boundary * EVENTS_PER_ELEMENT + u64::from(boundary < elements);
+        let spec = FaultSpec::none(SEED).with_cut_after(cut);
+        let mut client = lookahead_client(&service, &wires, trace, |svc, wires| {
+            let (server_end, client_end) = Duplex::pair();
+            svc.serve_transport(FaultTransport::new(server_end, spec));
+            FaultTransport::new(Tap::new(client_end, wires, None), spec)
+        });
+        let (ys, _) = client.secure_matmul(&xs).expect("job survives the cut");
+        assert_eq!(ys, expected, "e={e}: W·x");
+        let stats = client.stats().clone();
+        assert_eq!(
+            (stats.resumes, stats.restarts),
+            (1, 0),
+            "e={e}: must RESUME"
+        );
+        client.goodbye();
+        service.shutdown();
+
+        let log = wires.lock().unwrap().clone();
+        let [conn1, conn2] = &log[..] else {
+            panic!("e={e}: expected two dials, got {}", log.len());
+        };
+        assert_eq!(
+            u64::from(resume_boundary(&conn2.sent[0])),
+            boundary,
+            "e={e}: RESUME must start at boundary e + 1"
+        );
+        // Up: HELLO, JOB and EXT(0..=e) from conn1, then conn2's replay of
+        // EXT(e + 1) (bit-identical to the one that died) onward.
+        let done = 2 + boundary as usize;
+        if boundary < elements {
+            assert_eq!(conn1.sent.len(), done + 1, "e={e}: EXT(e + 1) left");
+            assert_eq!(conn1.sent[done], conn2.sent[1], "e={e}: EXT replay");
+        } else {
+            assert_eq!(conn1.sent.len(), done, "e={e}");
+        }
+        let up: Vec<&Bytes> = conn1.sent[..done].iter().chain(&conn2.sent[1..]).collect();
+        assert_eq!(up, reference.sent.iter().collect::<Vec<_>>(), "e={e}: up");
+        // Down: ACCEPT, READY and the data of elements 0..=e from conn1,
+        // then everything after conn2's READY.
+        assert_eq!(conn1.received.len(), 2 + 2 * boundary as usize);
+        assert_eq!(conn2.received[0], reference.received[1], "e={e}: READY");
+        let down: Vec<&Bytes> = conn1.received.iter().chain(&conn2.received[1..]).collect();
+        assert_eq!(
+            down,
+            reference.received.iter().collect::<Vec<_>>(),
+            "e={e}: down"
+        );
+    }
+}
+
+/// EXT(e + 1) leaves only after ROUNDS(e) has passed its CRC — the rule
+/// the resilient client's checksum healing relies on: a corrupt ROUNDS(e)
+/// leaves the server's newest snapshot at e + 1, so boundary e is still
+/// resumable.
+#[test]
+fn lookahead_ext_waits_for_the_rounds_crc() {
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 1),
+        demo_vector(COLS, WIDTH, SEED ^ 2),
+    ];
+    let weights = demo_weights(LOOKAHEAD_ROWS, COLS, WIDTH, SEED);
+    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    let elements = xs.len() * LOOKAHEAD_ROWS;
+    let trace = max_telemetry::TraceContext::from_ids(0xC2C, 0x1D);
+    // Every element with a successor: after the last ROUNDS the server
+    // sends STATS and finishes the job, so there is nothing to resume.
+    for e in 0..elements - 1 {
+        // Inbound: ACCEPT, READY, then CIPHER + ROUNDS per element.
+        let rounds = 3 + 2 * e;
+
+        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |_| {});
+        let wires = Wires::default();
+        let mut client =
+            RemoteClient::connect(Tap::new(service.connect(), &wires, Some(rounds)), WIDTH)
+                .expect("handshake");
+        let mut progress = client.start_job(&xs).expect("job admitted");
+        let err = client.run_job(&mut progress).expect_err("flipped ROUNDS");
+        assert!(
+            matches!(
+                err,
+                AcceleratorError::Transport(TransportError::Checksum { .. })
+            ),
+            "e={e}: {err:?}"
+        );
+        assert_eq!(progress.elements_done(), e);
+        assert_eq!(
+            client.transport().inner.sent().messages(),
+            2 + e as u64 + 1,
+            "e={e}: HELLO, JOB and EXT(0..=e) only; no EXT(e + 1)"
+        );
+        drop(client);
+        service.shutdown();
+
+        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |_| {});
+        let wires = Wires::default();
+        let mut client = lookahead_client(&service, &wires, trace, |svc, wires| {
+            FaultTransport::new(
+                Tap::new(svc.connect(), wires, Some(rounds)),
+                FaultSpec::none(SEED),
+            )
+        });
+        let (ys, _) = client.secure_matmul(&xs).expect("checksum heals");
+        assert_eq!(ys, expected, "e={e}: W·x");
+        let stats = client.stats().clone();
+        assert_eq!(
+            (stats.resumes, stats.restarts, stats.integrity_detected),
+            (1, 0, 1),
+            "e={e}: heal by RESUME"
+        );
+        client.goodbye();
+        service.shutdown();
+        let log = wires.lock().unwrap();
+        assert_eq!(resume_boundary(&log[1].sent[0]), e as u32, "e={e}");
+    }
 }
 
 /// Regression: a cut between the last element's data and STATS leaves
