@@ -5,7 +5,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use max_gc::channel::{
     get_bits, get_blocks, get_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
-    seal_mark, FrameKind, SEAL_BYTES,
+    seal_mark, seal_with, FrameKind, SEAL_BYTES,
 };
 use max_gc::{GarbledTable, Transport};
 use max_ot::iknp::{ExtendMsg, KAPPA};
@@ -874,24 +874,42 @@ fn get_round(mut body: Bytes) -> Result<RoundMessage, AcceleratorError> {
 /// Encodes one output element's full round sequence as a single ROUNDS
 /// burst frame: tag, round count, then each round body length-prefixed.
 ///
-/// Public since v5: the prepared-model registry materializes these frames
-/// once at garble time and replays the identical bytes on every serve.
+/// Public since v5; what the prepared-model registry stores is the same
+/// burst already sealed (`encode_sealed_round_burst`), so a serve replays
+/// the identical bytes without sealing or copying them again.
 pub fn encode_round_burst(msgs: &[RoundMessage]) -> Bytes {
-    let total: usize = 5 + msgs.iter().map(|m| 4 + body_bytes(m)).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(total);
+    let mut buf = BytesMut::with_capacity(burst_bytes(msgs));
+    put_round_burst(&mut buf, msgs);
+    buf.freeze()
+}
+
+/// [`encode_round_burst`] behind its seal: the burst is written once behind
+/// the CRC prefix and the CRC filled in place — byte for byte
+/// [`seal_frame`]`(encode_round_burst(msgs))`, with one CRC pass and no
+/// copy. This is the form a materialized element stores and the streamer
+/// sends as is.
+pub(crate) fn encode_sealed_round_burst(msgs: &[RoundMessage]) -> Bytes {
+    seal_with(burst_bytes(msgs), |buf| put_round_burst(buf, msgs))
+}
+
+/// Bytes of the unsealed ROUNDS burst of `msgs`.
+fn burst_bytes(msgs: &[RoundMessage]) -> usize {
+    5 + msgs.iter().map(|m| 4 + body_bytes(m)).sum::<usize>()
+}
+
+fn put_round_burst(buf: &mut BytesMut, msgs: &[RoundMessage]) {
     buf.put_u8(TAG_ROUNDS);
     buf.put_u32(msgs.len() as u32);
     for msg in msgs {
         buf.put_u32(body_bytes(msg) as u32);
-        put_round(&mut buf, msg);
+        put_round(buf, msg);
     }
-    buf.freeze()
 }
 
 /// The sealed ROUNDS frame length of a `cols`-round element (`cols ≥ 1`)
-/// under `config`: what [`encode_round_burst`] then
-/// [`seal_frame`](max_gc::channel::seal_frame) produce for one garbled
-/// matrix row of `cols` weights. A model whose element exceeds
+/// under `config`: what [`encode_round_burst`] then [`seal_frame`] produce
+/// for one garbled matrix row of `cols` weights, which is the frame a
+/// materialized element stores. A model whose element exceeds
 /// [`MAX_FRAME_BYTES`](max_gc::channel::MAX_FRAME_BYTES) cannot be served.
 pub fn round_burst_bytes(config: &AcceleratorConfig, cols: usize) -> usize {
     let mac = config.mac_circuit();

@@ -8,12 +8,16 @@ use std::sync::mpsc;
 
 use bytes::Bytes;
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::{encode_block_pairs, open_frame, seal_frame, seal_mark, FrameKind};
+use max_gc::channel::{
+    encode_block_pairs, is_sealed, open_frame, seal_frame, seal_mark, FrameKind, SEAL_BYTES,
+};
 use max_gc::Transport;
 use max_ot::iknp::OtExtSender;
 use max_telemetry::TraceContext;
 
-use super::codec::{decode_ext, encode_round_burst, send_control, ControlMsg, REJECT_INTEGRITY};
+use super::codec::{
+    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, REJECT_INTEGRITY,
+};
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
@@ -103,19 +107,23 @@ pub fn garble_matvec_job(
 /// One output element of a [`MaterializedJob`]: the OT label pairs the
 /// sender still needs at serve time (the CIPHER frame depends on the
 /// client's live EXT corrections, so it cannot be pre-encoded) plus the
-/// element's ROUNDS burst frame, already rendered to wire bytes.
+/// element's ROUNDS burst frame, already rendered to sealed wire bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaterializedElement {
     /// OT pairs matching the client's choice bits for this element.
     pub pairs: Vec<(Block, Block)>,
-    /// The element's pre-encoded ROUNDS burst frame.
-    pub rounds_frame: Bytes,
+    /// The element's ROUNDS burst frame as it goes on the wire: its CRC32
+    /// seal prefix ([`SEAL_BYTES`]), written at materialization, then the
+    /// [`encode_round_burst`](super::encode_round_burst) payload. The
+    /// streamer sends it as stored.
+    pub sealed_rounds: Bytes,
 }
 
 /// A garbled job rendered to its wire form ahead of the exchange: what a
 /// prepared-model stock stores and what every serve streams. Frames are
-/// [`Bytes`] (cheap to clone, shared storage), so replaying a stream costs
-/// OT plus memcpy — the paper's §3 online phase.
+/// [`Bytes`] stored sealed (cheap to clone, shared storage), so a serve
+/// sends each ROUNDS frame without copying or sealing it again: the
+/// online phase is OT plus replaying stored bytes — the paper's §3 split.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MaterializedJob {
     /// `columns * rows` materialized elements, pass-major.
@@ -130,7 +138,7 @@ impl MaterializedJob {
     pub fn stored_bytes(&self) -> u64 {
         self.elements
             .iter()
-            .map(|e| e.rounds_frame.len() as u64 + (e.pairs.len() * 32) as u64)
+            .map(|e| e.sealed_rounds.len() as u64 + (e.pairs.len() * 32) as u64)
             .sum()
     }
 }
@@ -142,18 +150,19 @@ impl MaterializedJob {
 pub const STREAM_DIGEST_MISMATCH: &str = "prepared stream digest mismatch";
 
 /// Digest of a materialized stream's GC-critical bytes — every element's
-/// pre-encoded ROUNDS frame and OT label pairs, each folded in serve order
-/// as one [`TranscriptDigest::fold_wide`] message (eight interleaved AES
-/// lanes: the re-hash behind READY is throughput-, not latency-bound).
-/// Computed once when the stream is garbled and re-verified before the
-/// stream is served, so material that rots while cached (DRAM fault, disk
-/// rot) is detected before it reaches a wire. Accidental-corruption
-/// detection only: anything that can rewrite the cache can rewrite the
-/// digest beside it.
+/// ROUNDS payload (its stored frame past the seal prefix) and OT label
+/// pairs, each folded in serve order as one
+/// [`TranscriptDigest::fold_wide`] message (eight interleaved AES lanes:
+/// the re-hash behind READY is throughput-, not latency-bound). Computed
+/// once when the stream is garbled and re-verified, with every element's
+/// stored seal, before the stream is served, so material that rots while
+/// cached (DRAM fault, disk rot) is detected before it reaches a wire.
+/// Accidental-corruption detection only: anything that can rewrite the
+/// cache can rewrite the digest beside it.
 pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
     let mut digest = TranscriptDigest::new();
     for elem in &job.elements {
-        digest.fold_wide([&elem.rounds_frame[..]]);
+        digest.fold_wide([elem.sealed_rounds.get(SEAL_BYTES..).unwrap_or_default()]);
         digest.fold_wide(
             elem.pairs
                 .iter()
@@ -163,15 +172,23 @@ pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
     digest.value()
 }
 
+/// Whether a stored stream is still what its fill produced: its
+/// [`stream_digest`] equals `expected` (the payloads and label pairs) and
+/// every element's seal prefix still matches its payload (the four bytes
+/// per element the digest does not cover).
+pub(crate) fn stream_intact(job: &MaterializedJob, expected: &[u8; 16]) -> bool {
+    stream_digest(job) == *expected && job.elements.iter().all(|e| is_sealed(&e.sealed_rounds))
+}
+
 /// Renders one garbled element to its wire form: the ROUNDS burst encoded
-/// once and the OT pairs kept as they are.
+/// and sealed once, in one buffer, and the OT pairs kept as they are.
 pub fn materialize_element(
     messages: &[RoundMessage],
     pairs: Vec<(Block, Block)>,
 ) -> MaterializedElement {
     MaterializedElement {
         pairs,
-        rounds_frame: encode_round_burst(messages),
+        sealed_rounds: encode_sealed_round_burst(messages),
     }
 }
 
@@ -294,10 +311,12 @@ impl JobSource {
 /// now go out through the same loop, which takes each element from the
 /// [`JobSource`] as it needs it, so an inline job's exchange overlaps its
 /// garbling. READY goes out once the first element to serve is in hand: a
-/// garbling error on it is still a typed error before READY. The client
-/// sends EXT(e + 1) before it evaluates e, so the loop seals each element's
-/// ROUNDS frame before it blocks on that element's EXT, and the client's
-/// evaluation overlaps the server's OT, sealing and sending.
+/// garbling error on it is still a typed error before READY. Every
+/// element's ROUNDS frame was sealed when it was materialized, so the loop
+/// sends the stored frame as it is (a clone is a reference-count bump, not
+/// a copy) and folds that frame's seal mark; the only frame it seals is
+/// each element's CIPHER. The client sends EXT(e + 1) before it evaluates
+/// e, so the client's evaluation overlaps the server's OT and sending.
 ///
 /// The exchange starts at `start_element` (elements before it were already
 /// streamed on an earlier connection) and calls `on_element(next_element,
@@ -318,13 +337,14 @@ impl JobSource {
 /// `start_element` (for a resume: the snapshots taken at that boundary —
 /// a fresh [`TranscriptDigest`] when starting at element zero).
 ///
-/// A [`JobSource::Materialized`] stream's `expected_digest` is re-verified
-/// *after* READY goes out but *before* any material frame does: the rehash
-/// scales with the stream while the admission window must not, so it is
-/// pipelined past READY (overlapping the client's first OT extension) —
-/// yet a rotted stream still never puts a byte of material on the wire. A
-/// mismatch answers the client's first EXT with `REJECT(integrity)` and
-/// fails typed with [`STREAM_DIGEST_MISMATCH`].
+/// A [`JobSource::Materialized`] stream's `expected_digest` and every
+/// element's stored seal are re-verified *after* READY goes out but
+/// *before* any material frame does: the rehash scales with the stream
+/// while the admission window must not, so it is pipelined past READY
+/// (overlapping the client's first OT extension) — yet a rotted stream
+/// still never puts a byte of material on the wire, seal prefixes
+/// included. A mismatch answers the client's first EXT with
+/// `REJECT(integrity)` and fails typed with [`STREAM_DIGEST_MISMATCH`].
 ///
 /// # Errors
 ///
@@ -352,7 +372,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         expected_digest,
     } = source
     {
-        if stream_digest(job) != *expected_digest {
+        if !stream_intact(job, expected_digest) {
             send_control(
                 transport,
                 &ControlMsg::Reject {
@@ -370,10 +390,6 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             Next::Element(elem) => elem,
             Next::Done(cycles) => break cycles,
         };
-        // Seal ROUNDS(e) before blocking on EXT(e): a client that looks
-        // one element ahead sends EXT(e) while it still evaluates e - 1,
-        // so the CRC pass over the burst overlaps that evaluation.
-        let rounds_frame = seal_frame(elem.rounds_frame.clone());
         let ext_frame = open_frame(transport.recv_frame()?)?;
         let (ext, client_mark) = decode_ext(ext_frame.clone())?;
         if ext.count != elem.pairs.len() {
@@ -399,14 +415,15 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
             });
         }
         let cipher = ot_sender.send(&ext, &elem.pairs);
-        // Seal first, fold the seals: the CRC pass that frames each of the
-        // element's two bulk frames is also its contribution to the digest
-        // (v7), folded CIPHER then ROUNDS after the EXT check and *before*
-        // the checkpoint hook fires, so a snapshot at boundary `idx + 1`
-        // matches the client's digest checkpoint at the same boundary.
+        // Fold the seals: the CRC that frames each of the element's two
+        // bulk frames (CIPHER's computed here, ROUNDS' at materialization)
+        // is also its contribution to the digest (v7), folded CIPHER then
+        // ROUNDS after the EXT check and *before* the checkpoint hook
+        // fires, so a snapshot at boundary `idx + 1` matches the client's
+        // digest checkpoint at the same boundary.
         let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
         digest.fold(&seal_mark(&cipher_frame));
-        digest.fold(&seal_mark(&rounds_frame));
+        digest.fold(&seal_mark(&elem.sealed_rounds));
         // Checkpoint *before* delivering this element's CIPHER/ROUNDS frames:
         // a durable journal hooked in here then always covers at least as much
         // progress as the client has observed, so a crash between the journal
@@ -418,7 +435,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         // One burst frame per element instead of one frame per round: the
         // per-frame overhead (and per-frame fault-injection surface) no
         // longer scales with model width.
-        transport.send_frame(FrameKind::Raw, rounds_frame)?;
+        transport.send_frame(FrameKind::Raw, elem.sealed_rounds.clone())?;
         idx += 1;
         next = source.next(idx)?;
     };

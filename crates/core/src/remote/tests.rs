@@ -1,9 +1,10 @@
 use super::codec::{decode_ext, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY, TAG_MODEL_PUT};
+use super::job::stream_intact;
 use super::*;
 use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::{seal_frame, Duplex};
+use max_gc::channel::{seal_frame, Duplex, SEAL_BYTES};
 use max_gc::{FaultSpec, FaultTransport, Transport};
 use max_ot::iknp;
 use max_telemetry::TraceContext;
@@ -661,7 +662,10 @@ fn materialized_stream_is_byte_identical_to_direct_garbling() {
     assert_eq!(mat.fabric_cycles, job.fabric_cycles);
     assert!(mat.stored_bytes() > 0);
     for (row, elem) in job.rows.iter().zip(&mat.elements) {
-        assert_eq!(elem.rounds_frame, encode_round_burst(&row.messages));
+        assert_eq!(
+            elem.sealed_rounds,
+            seal_frame(encode_round_burst(&row.messages))
+        );
         assert_eq!(elem.pairs, row.pairs);
     }
 }
@@ -832,8 +836,8 @@ fn stream_digest_sees_swaps_and_truncations() {
     assert_ne!(stream_digest(&short), clean, "last element dropped");
     for idx in 0..job.elements.len() {
         let mut cut = job.clone();
-        let frame = &cut.elements[idx].rounds_frame;
-        cut.elements[idx].rounds_frame = Bytes::from(frame[..frame.len() - 1].to_vec());
+        let frame = &cut.elements[idx].sealed_rounds;
+        cut.elements[idx].sealed_rounds = Bytes::from(frame[..frame.len() - 1].to_vec());
         assert_ne!(stream_digest(&cut), clean, "element {idx} frame truncated");
         let mut cut = job.clone();
         cut.elements[idx].pairs.pop();
@@ -852,13 +856,18 @@ proptest::proptest! {
         bit in 0u32..128,
     ) {
         let job = small_stream();
+        let clean = stream_digest(&job);
         let mut rotted = job.clone();
         let target = &mut rotted.elements[elem];
+        // The digest covers the payload; the four prefix bytes are covered
+        // by the stored seal, checked beside it.
+        let mut in_prefix = false;
         if in_frame {
-            let mut frame = target.rounds_frame.to_vec();
+            let mut frame = target.sealed_rounds.to_vec();
             let at = at % frame.len();
             frame[at] ^= 1 << (bit % 8);
-            target.rounds_frame = Bytes::from(frame);
+            target.sealed_rounds = Bytes::from(frame);
+            in_prefix = at < SEAL_BYTES;
         } else {
             let at = at % target.pairs.len();
             let pair = &mut target.pairs[at];
@@ -868,8 +877,143 @@ proptest::proptest! {
                 pair.1 = Block::new(pair.1.bits() ^ (1 << bit));
             }
         }
-        proptest::prop_assert_ne!(stream_digest(&rotted), stream_digest(&job));
+        proptest::prop_assert_eq!(stream_digest(&rotted) == clean, in_prefix);
+        proptest::prop_assert!(!stream_intact(&rotted, &clean));
     }
+}
+
+/// Keeps every frame it receives, as received.
+struct Tap<T> {
+    inner: T,
+    received: Vec<Bytes>,
+}
+
+impl<T: Transport> Transport for Tap<T> {
+    fn send_frame(
+        &mut self,
+        kind: max_gc::channel::FrameKind,
+        frame: Bytes,
+    ) -> Result<(), max_gc::channel::TransportError> {
+        self.inner.send_frame(kind, frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, max_gc::channel::TransportError> {
+        let frame = self.inner.recv_frame()?;
+        self.received.push(frame.clone());
+        Ok(frame)
+    }
+}
+
+/// The weights [`small_stream`] was garbled from.
+fn small_weights() -> Vec<Vec<i64>> {
+    vec![vec![3i64, -1, 4], vec![1, 5, -9]]
+}
+
+/// Serves one handshake and one JOB from `job` as warm stock whose
+/// fill-time digest was `expected`, the way `max-serve` serves a prepared
+/// stream.
+fn serve_stock<T: Transport>(
+    mut transport: T,
+    job: MaterializedJob,
+    expected: [u8; 16],
+) -> Result<(), AcceleratorError> {
+    let config = AcceleratorConfig::new(8);
+    let (_, mut sender, trace) =
+        accept_session(&mut transport, &config, &small_weights(), 0x5eed, 0)?.unwrap();
+    assert!(matches!(
+        recv_control(&mut transport)?,
+        ControlMsg::JobRequest { columns: 2, .. }
+    ));
+    stream_materialized_job_from(
+        &mut transport,
+        &JobSource::Materialized {
+            job,
+            expected_digest: expected,
+        },
+        &mut sender,
+        &mut TranscriptDigest::new(),
+        0,
+        trace,
+        0,
+        |_, _, _| {},
+    )
+}
+
+/// The two columns [`small_stream`]'s job multiplies.
+fn small_xs() -> Vec<Vec<i64>> {
+    vec![vec![1i64, 2, 3], vec![-4, 0, 7]]
+}
+
+#[test]
+fn a_warm_serve_sends_the_stored_rounds_frames() {
+    // No user-space copy of a ROUNDS byte on the server: every ROUNDS
+    // frame the client receives is the stock's own allocation.
+    let job = small_stream();
+    let stored: Vec<*const u8> = job
+        .elements
+        .iter()
+        .map(|e| e.sealed_rounds.as_ptr())
+        .collect();
+    let (server_end, client_end) = Duplex::pair();
+    let server = {
+        let (job, expected) = (job.clone(), stream_digest(&job));
+        std::thread::spawn(move || serve_stock(server_end, job, expected))
+    };
+    let tap = Tap {
+        inner: client_end,
+        received: Vec::new(),
+    };
+    let mut client = RemoteClient::connect_with_trace(tap, 8, TraceContext::none()).unwrap();
+    let (ys, _) = client.secure_matmul(&small_xs()).unwrap();
+    for (y, x) in ys.iter().zip(small_xs()) {
+        assert_eq!(y, &plain_matvec(&small_weights(), &x));
+    }
+    let received = client.goodbye().received;
+    server.join().unwrap().unwrap();
+    // ACCEPT, READY, then CIPHER and ROUNDS per element, then STATS.
+    assert_eq!(received.len(), 3 + 2 * stored.len());
+    for (e, &at) in stored.iter().enumerate() {
+        assert_eq!(received[3 + 2 * e], job.elements[e].sealed_rounds);
+        assert_eq!(received[3 + 2 * e].as_ptr(), at, "element {e} was copied");
+    }
+}
+
+#[test]
+fn a_rotted_stored_seal_is_refused_behind_ready() {
+    // The stream digest does not cover an element's four seal bytes; the
+    // stored seal does, and the streamer checks it beside the digest
+    // before any material frame leaves.
+    let job = small_stream();
+    let clean = stream_digest(&job);
+    let last = job.elements.len() - 1;
+    for bit in 0..8 * SEAL_BYTES {
+        let mut rotted = job.clone();
+        let mut frame = rotted.elements[last].sealed_rounds.to_vec();
+        frame[bit / 8] ^= 1 << (bit % 8);
+        rotted.elements[last].sealed_rounds = Bytes::from(frame);
+        assert_eq!(stream_digest(&rotted), clean, "bit {bit}");
+        assert!(!stream_intact(&rotted, &clean), "bit {bit}");
+    }
+    let mut rotted = job;
+    let mut frame = rotted.elements[last].sealed_rounds.to_vec();
+    frame[2] ^= 0x10;
+    rotted.elements[last].sealed_rounds = Bytes::from(frame);
+
+    let (server_end, client_end) = Duplex::pair();
+    let server = std::thread::spawn(move || serve_stock(server_end, rotted, clean));
+    let mut client = RemoteClient::connect(client_end, 8).unwrap();
+    // Refused at the first EXT as an integrity divergence — never a
+    // checksum failure at the last element's ROUNDS.
+    assert!(matches!(
+        client.secure_matmul(&small_xs()),
+        Err(AcceleratorError::Integrity { .. })
+    ));
+    assert_eq!(
+        server.join().unwrap(),
+        Err(AcceleratorError::Integrity {
+            what: STREAM_DIGEST_MISMATCH
+        })
+    );
 }
 
 #[test]

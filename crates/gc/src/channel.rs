@@ -200,15 +200,19 @@ fn checked_count(
     Ok(count)
 }
 
-/// Appends a garbled-table vector.
+/// Appends a garbled-table vector: room for the whole vector is reserved
+/// once, then every table is written in one pass.
 pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
+    buf.reserve(4 + tables.len() * GarbledTable::WIRE_BYTES);
     buf.put_u32(tables.len() as u32);
     for table in tables {
         buf.put_slice(&table.to_bytes());
     }
 }
 
-/// Reads a garbled-table vector.
+/// Reads a garbled-table vector: the count is checked first, then the
+/// whole run is converted straight from the frame and the frame advances
+/// once.
 ///
 /// # Errors
 ///
@@ -217,12 +221,16 @@ pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
 /// frame does not hold.
 pub fn get_tables(frame: &mut Bytes) -> Result<Vec<GarbledTable>, TransportError> {
     let count = checked_count(frame, GarbledTable::WIRE_BYTES * 8, "table vector")?;
-    let mut tables = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut bytes = [0u8; GarbledTable::WIRE_BYTES];
-        frame.copy_to_slice(&mut bytes);
-        tables.push(GarbledTable::from_bytes(bytes));
-    }
+    let run = count * GarbledTable::WIRE_BYTES;
+    let tables = frame[..run]
+        .chunks_exact(GarbledTable::WIRE_BYTES)
+        .map(|wire| {
+            let mut table = [0u8; GarbledTable::WIRE_BYTES];
+            table.copy_from_slice(wire);
+            GarbledTable::from_bytes(table)
+        })
+        .collect();
+    frame.advance(run);
     Ok(tables)
 }
 
@@ -231,27 +239,34 @@ pub fn put_blocks(buf: &mut BytesMut, blocks: &[Block]) {
     put_block_vector(buf, blocks.len(), blocks.iter());
 }
 
-/// Appends `count` blocks drawn from `blocks` as one block vector.
+/// Appends `count` blocks drawn from `blocks` as one block vector, in one
+/// pass over a buffer reserved once.
 fn put_block_vector<'a>(buf: &mut BytesMut, count: usize, blocks: impl Iterator<Item = &'a Block>) {
+    buf.reserve(4 + count * 16);
     buf.put_u32(count as u32);
     for block in blocks {
         buf.put_slice(&block.to_bytes());
     }
 }
 
-/// Reads a block vector.
+/// Reads a block vector, converting the whole run in one pass as
+/// [`get_tables`] does.
 ///
 /// # Errors
 ///
 /// As [`get_tables`].
 pub fn get_blocks(frame: &mut Bytes) -> Result<Vec<Block>, TransportError> {
     let count = checked_count(frame, 128, "block vector")?;
-    let mut blocks = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut bytes = [0u8; 16];
-        frame.copy_to_slice(&mut bytes);
-        blocks.push(Block::from_bytes(bytes));
-    }
+    let run = count * 16;
+    let blocks = frame[..run]
+        .chunks_exact(16)
+        .map(|wire| {
+            let mut block = [0u8; 16];
+            block.copy_from_slice(wire);
+            Block::from_bytes(block)
+        })
+        .collect();
+    frame.advance(run);
     Ok(blocks)
 }
 
@@ -346,11 +361,24 @@ pub const SEAL_BYTES: usize = 4;
 /// check value `0xCBF4_3926`) that guards the journal's records.
 pub use max_crypto::crc32;
 
-/// Seals a frame payload: prepends the payload's big-endian CRC32.
+/// Seals a frame payload: prepends the payload's big-endian CRC32. The
+/// payload is copied behind the prefix; a frame whose payload is still to
+/// be written is sealed without that copy by [`seal_with`].
 pub fn seal_frame(payload: Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(SEAL_BYTES + payload.len());
-    buf.put_u32(crc32(&payload));
-    buf.put_slice(&payload);
+    seal_with(payload.len(), |buf| buf.put_slice(&payload))
+}
+
+/// Builds a sealed frame in one buffer: reserves the [`SEAL_BYTES`] prefix
+/// and `payload_len` more, lets `put` append the payload behind the
+/// prefix, then writes the payload's CRC32 into it in place — one CRC pass
+/// and no copy of the payload. The bytes are exactly [`seal_frame`]'s for
+/// the same payload.
+pub fn seal_with(payload_len: usize, put: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut buf = BytesMut::with_capacity(SEAL_BYTES + payload_len);
+    buf.put_u32(0);
+    put(&mut buf);
+    let crc = crc32(&buf[SEAL_BYTES..]);
+    buf[..SEAL_BYTES].copy_from_slice(&crc.to_be_bytes());
     buf.freeze()
 }
 
@@ -508,6 +536,93 @@ mod tests {
         assert_eq!(decode_tables(b.recv_frame().unwrap()).unwrap(), tables);
     }
 
+    /// Per-item reference encoder: `count`, then `blocks` one byte at a
+    /// time — the layout the bulk `put_` functions must keep (a table is
+    /// its two blocks, garbler half first).
+    fn oracle_put(buf: &mut BytesMut, count: usize, blocks: &[Block]) {
+        buf.put_u32(count as u32);
+        for block in blocks {
+            for byte in block.to_bytes() {
+                buf.put_u8(byte);
+            }
+        }
+    }
+
+    /// Per-item reference decoder: `n` blocks, one copy each.
+    fn oracle_get(frame: &mut Bytes, n: usize) -> Vec<Block> {
+        (0..n)
+            .map(|_| {
+                let mut bytes = [0u8; 16];
+                frame.copy_to_slice(&mut bytes);
+                Block::from_bytes(bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_codecs_match_the_per_item_oracle() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 29)
+        };
+        for count in 0..=70usize {
+            let blocks: Vec<Block> = (0..2 * count)
+                .map(|_| Block::new((u128::from(next()) << 64) | u128::from(next())))
+                .collect();
+            let tables: Vec<GarbledTable> = blocks
+                .chunks_exact(2)
+                .map(|pair| GarbledTable {
+                    tg: pair[0],
+                    te: pair[1],
+                })
+                .collect();
+            // The vector sits at a random offset of its frame, with a
+            // random tail behind it that the decoder must leave alone.
+            let head: Vec<u8> = (0..next() % 37).map(|i| i as u8).collect();
+            let tail: Vec<u8> = (0..next() % 11).map(|i| !(i as u8)).collect();
+            let framed = |put: &dyn Fn(&mut BytesMut)| {
+                frame(|buf| {
+                    buf.put_slice(&head);
+                    put(buf);
+                    buf.put_slice(&tail);
+                })
+            };
+            for (as_tables, declared) in [(true, count), (false, 2 * count)] {
+                let bulk = if as_tables {
+                    framed(&|buf| put_tables(buf, &tables))
+                } else {
+                    framed(&|buf| put_blocks(buf, &blocks))
+                };
+                let mut oracle = framed(&|buf| oracle_put(buf, declared, &blocks));
+                assert_eq!(bulk, oracle, "put, {declared} items, tables: {as_tables}");
+                oracle.advance(head.len() + 4);
+                let expected = oracle_get(&mut oracle, blocks.len());
+                let mut read = bulk;
+                read.advance(head.len());
+                let decoded = if as_tables {
+                    get_tables(&mut read)
+                        .unwrap()
+                        .into_iter()
+                        .flat_map(|table| [table.tg, table.te])
+                        .collect()
+                } else {
+                    get_blocks(&mut read).unwrap()
+                };
+                assert_eq!(
+                    decoded, expected,
+                    "get, {declared} items, tables: {as_tables}"
+                );
+                assert_eq!(
+                    read.chunk(),
+                    &tail[..],
+                    "the decoder advanced past its run only"
+                );
+            }
+        }
+    }
+
     #[test]
     fn bits_round_trip_all_lengths() {
         let (mut a, mut b) = Duplex::pair();
@@ -661,6 +776,19 @@ mod tests {
             Err(TransportError::Malformed("sealed frame header"))
         );
         assert!(!is_sealed(&[1u8, 2, 3]));
+    }
+
+    #[test]
+    fn seal_with_writes_seal_frames_bytes_in_place() {
+        for len in [0usize, 1, 5, 1000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
+            let sealed = seal_with(len, |buf| buf.put_slice(&payload));
+            assert_eq!(sealed, seal_frame(Bytes::from(payload.clone())));
+            // Opening is a view: the payload is the sealed frame's own
+            // allocation, four bytes in, not a copy.
+            let opened = open_frame(sealed.clone()).unwrap();
+            assert_eq!(opened.as_ptr(), sealed[SEAL_BYTES..].as_ptr());
+        }
     }
 
     #[test]

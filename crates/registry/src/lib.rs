@@ -56,7 +56,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use max_crypto::TranscriptDigest;
 use max_gc::channel::MAX_FRAME_BYTES;
 use maxelerator::remote::{
-    derive_seed, fill_stream, round_burst_bytes, MaterializedJob, ModelStatus, MAX_MODEL_ELEMENTS,
+    derive_seed, fill_stream, round_burst_bytes, MaterializedElement, MaterializedJob, ModelStatus,
+    MAX_MODEL_ELEMENTS,
 };
 use maxelerator::{AcceleratorConfig, AcceleratorError};
 
@@ -256,8 +257,11 @@ pub struct PreparedStream {
     pub seed: u64,
     /// The materialized frames.
     pub job: MaterializedJob,
-    /// The stream's [`stream_digest`], verified at acquire — the material
-    /// handed out matches what the fill step garbled, bit for bit.
+    /// The stream's fill-time [`stream_digest`]. `acquire` hands it out
+    /// unchecked; the streamer re-verifies the stream against it, and
+    /// every element's stored seal, behind READY and before any material
+    /// frame leaves, so what a client receives is what the fill step
+    /// garbled, bit for bit.
     pub digest: [u8; 16],
     /// [`weights_digest`] of the registration the stream was garbled from.
     pub registration: [u8; 16],
@@ -341,10 +345,10 @@ pub struct RegistryStats {
     /// Produced streams discarded (model vanished mid-fill, or a single
     /// stream exceeded the whole budget).
     pub streams_discarded: u64,
-    /// Stocked streams dropped at acquire because their material no
-    /// longer matched the digest recorded at fill (cache bit rot). Each
-    /// drop fell through to the inline-garble fallback — counted, never
-    /// served wrong.
+    /// Acquired streams dropped at serve because their material no longer
+    /// matched the digest recorded at fill, or an element no longer
+    /// matched its stored seal (cache bit rot). Each drop fell through to
+    /// the inline-garble fallback — counted, never served wrong.
     pub streams_integrity_dropped: u64,
     /// Own-stock streams trimmed by the budget.
     pub streams_trimmed: u64,
@@ -364,7 +368,8 @@ struct StockedStream {
     seed: u64,
     bytes: u64,
     job: MaterializedJob,
-    /// [`stream_digest`] of `job` at deposit time, re-checked at acquire.
+    /// [`stream_digest`] of `job` at deposit time, re-checked by the
+    /// streamer behind READY (not at acquire).
     digest: [u8; 16],
 }
 
@@ -843,7 +848,7 @@ impl ModelRegistry {
     }
 
     /// Records that an acquired prepared stream failed its at-serve digest
-    /// re-verification and was dropped (the serving layer detected cache
+    /// or seal re-verification and was dropped (the serving layer detected cache
     /// bit rot before any material frame left the wire). The caller falls
     /// through to inline garbling on retry; this keeps the rot visible in
     /// [`RegistryStats::streams_integrity_dropped`].
@@ -856,21 +861,45 @@ impl ModelRegistry {
     /// Returns `false` if the model has no stock.
     #[doc(hidden)]
     pub fn rot_first_stream_for_tests(&self, model_id: u64) -> bool {
+        self.rot_first_stock_for_tests(model_id, |elements| {
+            let Some(pair) = elements.first_mut().and_then(|e| e.pairs.first_mut()) else {
+                return false;
+            };
+            pair.0 = max_crypto::Block::new(pair.0.bits() ^ (1 << 40));
+            true
+        })
+    }
+
+    /// Test hook: flips one bit of the stored CRC prefix of the *last*
+    /// element of the first stocked stream of `model_id` — four bytes the
+    /// recorded digest does not cover, so only the stored-seal check can
+    /// see it. Returns `false` if the model has no stock.
+    #[doc(hidden)]
+    pub fn rot_stored_seal_for_tests(&self, model_id: u64) -> bool {
+        self.rot_first_stock_for_tests(model_id, |elements| {
+            let Some(elem) = elements.last_mut() else {
+                return false;
+            };
+            let mut frame = elem.sealed_rounds.to_vec();
+            frame[0] ^= 0x04;
+            elem.sealed_rounds = frame.into();
+            true
+        })
+    }
+
+    /// Applies `rot` to the elements of the first stocked stream of
+    /// `model_id`, leaving its recorded digest alone.
+    fn rot_first_stock_for_tests(
+        &self,
+        model_id: u64,
+        rot: impl FnOnce(&mut [MaterializedElement]) -> bool,
+    ) -> bool {
         let mut inner = self.lock();
-        let Some(entry) = inner.models.get_mut(&model_id) else {
-            return false;
-        };
-        let Some(stream) = entry.stock.front_mut() else {
-            return false;
-        };
-        let Some(elem) = stream.job.elements.first_mut() else {
-            return false;
-        };
-        let Some(pair) = elem.pairs.first_mut() else {
-            return false;
-        };
-        pair.0 = max_crypto::Block::new(pair.0.bits() ^ (1 << 40));
-        true
+        inner
+            .models
+            .get_mut(&model_id)
+            .and_then(|entry| entry.stock.front_mut())
+            .is_some_and(|stream| rot(&mut stream.job.elements))
     }
 
     /// Aggregated counters and gauges.
@@ -899,6 +928,7 @@ impl ModelRegistry {
 mod tests {
     use super::*;
     use max_crypto::Block;
+    use max_gc::channel::open_frame;
     use maxelerator::remote::decode_round_burst;
     use maxelerator::ScheduledEvaluator;
 
@@ -927,7 +957,8 @@ mod tests {
         let mut y = Vec::with_capacity(job.elements.len());
         for (r, elem) in job.elements.iter().enumerate() {
             evaluator.begin_element(r as u32);
-            let msgs = decode_round_burst(elem.rounds_frame.clone(), x.len()).unwrap();
+            let payload = open_frame(elem.sealed_rounds.clone()).unwrap();
+            let msgs = decode_round_burst(payload, x.len()).unwrap();
             let mut decoded = None;
             for (i, msg) in msgs.iter().enumerate() {
                 let bits = config.encode_x(x[i]);
@@ -1039,7 +1070,7 @@ mod tests {
         assert_ne!(first.generation, second.generation);
         assert_ne!(first.seed, second.seed);
         for (a, b) in first.job.elements.iter().zip(&second.job.elements) {
-            assert_ne!(a.rounds_frame, b.rounds_frame);
+            assert_ne!(a.sealed_rounds, b.sealed_rounds);
             assert_ne!(a.pairs, b.pairs);
         }
     }

@@ -9,7 +9,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use max_gc::channel::seal_frame;
 use max_gc::{FaultSpec, FaultTransport, FramedTcp};
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, Acquired, GcService, JournalConfig,
@@ -416,6 +415,62 @@ fn rotted_prepared_stream_is_rejected_and_healed() {
     );
 }
 
+#[test]
+fn rotted_stored_seal_is_refused_behind_ready_and_healed() {
+    // One stream in stock; flip a bit of its last element's stored CRC
+    // prefix, which the fill-time digest does not cover.
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.registry_target_stock = 1;
+        cfg.step_timeout = Some(Duration::from_millis(200));
+    });
+    let weights = model_weights(3, 3, 29);
+    let handle = service
+        .put_model(62, weights.clone())
+        .expect("register")
+        .handle();
+    service.prefill_models();
+    assert_eq!(service.registry().stats().streams_ready, 1);
+    assert!(
+        service.registry().rot_stored_seal_for_tests(62),
+        "a stocked stream must exist to rot"
+    );
+
+    // The server checks every stored seal beside the digest behind READY,
+    // so the serve is a REJECT(integrity) at the first EXT: the client sees
+    // a typed integrity divergence, never a checksum failure at the last
+    // element's ROUNDS (which is what sending the stored frame would give).
+    let x = demo_vector(3, WIDTH, SEED ^ 0x62);
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    match client.secure_matmul_model(handle, std::slice::from_ref(&x)) {
+        Err(AcceleratorError::Integrity { .. }) => {}
+        other => panic!("expected an integrity REJECT, got {other:?}"),
+    }
+    // The session counts the drop just after its REJECT goes out.
+    wait_until("the dropped stream is counted", || {
+        service.registry().stats().streams_integrity_dropped == 1
+    });
+
+    // Healed as `ResilientClient` heals an integrity divergence: the job
+    // restarts on a fresh session. The stock is spent, so the retry garbles
+    // inline unless an idle unit restocked first; either way it verifies.
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let (ys, _) = client
+        .secure_matmul_model(handle, std::slice::from_ref(&x))
+        .expect("the restarted job is served");
+    assert_eq!(
+        ys[0],
+        plain_matvec(&weights, &x),
+        "healed result must verify"
+    );
+    client.goodbye();
+
+    let reg = service.registry().stats();
+    assert_eq!(reg.streams_integrity_dropped, 1, "{reg:?}");
+    assert_eq!(reg.served_prepared + reg.served_fallback, 2, "{reg:?}");
+    let stats = service.shutdown();
+    assert_eq!(stats.integrity_rejects, 1, "{stats:?}");
+}
+
 fn journaled_service(dir: &Path, mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
     demo_service(ROWS, COLS, SEED, |cfg| {
         let mut journal = JournalConfig::new(dir);
@@ -592,11 +647,10 @@ fn served_rounds(
     (rounds, ys)
 }
 
+/// The ROUNDS frames `elements` put on the wire: their stored frames, as
+/// stored (seal prefix included).
 fn sealed_rounds(elements: &[MaterializedElement]) -> Vec<Bytes> {
-    elements
-        .iter()
-        .map(|e| seal_frame(e.rounds_frame.clone()))
-        .collect()
+    elements.iter().map(|e| e.sealed_rounds.clone()).collect()
 }
 
 proptest! {
