@@ -10,9 +10,10 @@ use max_telemetry::TraceContext;
 
 use super::codec::{
     decode_round_burst, encode_ext, recv_control, recv_marked, reject_reason, send_control,
-    ControlMsg, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION, REJECT_INTEGRITY,
-    TAG_REJECT,
+    ControlMsg, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION,
+    REJECT_DETAIL_STOCK, REJECT_INTEGRITY, TAG_REJECT,
 };
+use super::job::STREAM_DIGEST_MISMATCH;
 use crate::accelerator::ScheduledEvaluator;
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
@@ -782,11 +783,18 @@ impl<T: Transport> RemoteClient<T> {
         // with the count's zero high byte, never with TAG_REJECT at 6
         // bytes total.
         if cipher_frame.len() == 6 && cipher_frame[0] == TAG_REJECT {
-            if let Ok(ControlMsg::Reject { code, .. }) = ControlMsg::decode(cipher_frame.clone()) {
+            if let Ok(ControlMsg::Reject { code, detail }) =
+                ControlMsg::decode(cipher_frame.clone())
+            {
                 if code == REJECT_INTEGRITY {
-                    return Err(AcceleratorError::Integrity {
-                        what: "server rejected the client transcript digest",
-                    });
+                    // The detail says whose bytes failed: the server's
+                    // stock, or the client's transcript digest.
+                    let what = if detail == REJECT_DETAIL_STOCK {
+                        STREAM_DIGEST_MISMATCH
+                    } else {
+                        "server rejected the client transcript digest"
+                    };
+                    return Err(AcceleratorError::Integrity { what });
                 }
                 return Err(AcceleratorError::Rejected {
                     reason: reject_reason(code),

@@ -33,8 +33,9 @@ use crate::error::AcceleratorError;
 /// v6 added end-to-end integrity: every frame is sealed with a CRC32
 /// prefix ([`max_gc::channel::seal_frame`]), both sides fold the GC-critical
 /// bytes (EXT bodies, CIPHER frames, ROUNDS frames) into a rolling
-/// [`TranscriptDigest`], each EXT carries the client's running digest as a
-/// 16-byte trailer, STATS carries the server's, and a mismatch is answered
+/// [`TranscriptDigest`](max_crypto::TranscriptDigest), each EXT carries
+/// the client's running digest as a 16-byte trailer, STATS carries the
+/// server's, and a mismatch is answered
 /// with `REJECT(INTEGRITY)`. Frame *counts* are once more unchanged (the
 /// seal and the trailer ride inside existing frames), so resume offsets and
 /// fault-injection cut arithmetic carry over from v3.
@@ -75,6 +76,11 @@ pub const REJECT_MODEL: u8 = 6;
 /// GC-critical byte was corrupted after framing. The job's checkpoints
 /// past the last verified boundary are invalid.
 pub const REJECT_INTEGRITY: u8 = 7;
+/// `REJECT(integrity)` detail naming the server's own stock as the fault:
+/// a prepared stream failed its re-verify behind READY, so the client's
+/// digest is not in question. Any other detail is the element index at
+/// which the client's transcript digest diverged from the server's.
+pub const REJECT_DETAIL_STOCK: u32 = u32::MAX;
 
 /// Largest element count (`rows * cols`) a MODEL_PUT frame may declare.
 ///
@@ -185,7 +191,8 @@ pub enum ControlMsg {
     Accept {
         /// Server-assigned session id.
         session_id: u64,
-        /// Seed for the modeled base-OT phase ([`iknp::setup_pair`]).
+        /// Seed for the modeled base-OT phase
+        /// ([`iknp::setup_pair`](max_ot::iknp::setup_pair)).
         ot_seed: u64,
         /// Per-session secret; quoting it back in RESUME proves the
         /// resumer is the original client.
@@ -243,9 +250,10 @@ pub enum ControlMsg {
         /// untraced) — the client's proof that server-side spans tagged
         /// with this id belong to its job.
         trace_id: u128,
-        /// The server's rolling [`TranscriptDigest`] value over the job's
-        /// GC-critical bytes (v6); the client compares it against its own
-        /// before accepting the results.
+        /// The server's rolling
+        /// [`TranscriptDigest`](max_crypto::TranscriptDigest) value over
+        /// the job's GC-critical bytes (v6); the client compares it against
+        /// its own before accepting the results.
         digest: [u8; 16],
     },
     /// Client → server: reconnect into an interrupted session and continue

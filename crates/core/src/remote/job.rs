@@ -16,7 +16,8 @@ use max_ot::iknp::OtExtSender;
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, REJECT_INTEGRITY,
+    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, REJECT_DETAIL_STOCK,
+    REJECT_INTEGRITY,
 };
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
@@ -377,7 +378,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
                 transport,
                 &ControlMsg::Reject {
                     code: REJECT_INTEGRITY,
-                    detail: u32::MAX,
+                    detail: REJECT_DETAIL_STOCK,
                 },
             )?;
             return Err(AcceleratorError::Integrity {

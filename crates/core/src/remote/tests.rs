@@ -1002,11 +1002,14 @@ fn a_rotted_stored_seal_is_refused_behind_ready() {
     let (server_end, client_end) = Duplex::pair();
     let server = std::thread::spawn(move || serve_stock(server_end, rotted, clean));
     let mut client = RemoteClient::connect(client_end, 8).unwrap();
-    // Refused at the first EXT as an integrity divergence — never a
-    // checksum failure at the last element's ROUNDS.
+    // Refused at the first EXT as the server's stock failing — never a
+    // checksum failure at the last element's ROUNDS, nor the client's own
+    // digest divergence.
     assert!(matches!(
         client.secure_matmul(&small_xs()),
-        Err(AcceleratorError::Integrity { .. })
+        Err(AcceleratorError::Integrity {
+            what: STREAM_DIGEST_MISMATCH
+        })
     ));
     assert_eq!(
         server.join().unwrap(),

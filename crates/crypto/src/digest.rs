@@ -130,7 +130,7 @@ impl TranscriptDigest {
     }
 
     /// Folds the concatenation of `pieces` into the digest as one framed
-    /// message, hashed through [`WIDE_LANES`] interleaved lanes (see the
+    /// message, hashed through `WIDE_LANES` interleaved lanes (see the
     /// module docs) — the entry point for bulk material, where `fold`'s
     /// serial chain would be AES-latency bound.
     ///

@@ -38,11 +38,19 @@ impl GroupElem {
         self.0
     }
 
-    /// Group multiplication.
+    /// Group multiplication. `2^61 ≡ 1 (mod p)`, so the 122-bit product
+    /// reduces by adding its high 61 bits to its low 61 bits and
+    /// subtracting `p` at most once, with no 128-bit division.
     #[must_use]
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, rhs: GroupElem) -> GroupElem {
-        GroupElem(((self.0 as u128 * rhs.0 as u128) % MODULUS as u128) as u64)
+        let product = self.0 as u128 * rhs.0 as u128;
+        let folded = (product as u64 & MODULUS) + (product >> 61) as u64;
+        GroupElem(if folded >= MODULUS {
+            folded - MODULUS
+        } else {
+            folded
+        })
     }
 
     /// Exponentiation by square-and-multiply.
@@ -112,6 +120,19 @@ mod tests {
                 GroupElem::new(1),
                 "generator has order dividing (p-1)/{q}"
             );
+        }
+    }
+
+    #[test]
+    fn mersenne_fold_matches_the_division_reference() {
+        let mut prg = max_crypto::AesPrg::new(Block::new(0x61));
+        let mut values = vec![1, 2, 37, 1 << 60, MODULUS - 2, MODULUS - 1];
+        values.extend((0..64).map(|_| 1 + prg.next_u64() % (MODULUS - 1)));
+        for &a in &values {
+            for &b in &values {
+                let want = (a as u128 * b as u128 % MODULUS as u128) as u64;
+                assert_eq!(GroupElem(a).mul(GroupElem(b)).value(), want, "{a} * {b}");
+            }
         }
     }
 

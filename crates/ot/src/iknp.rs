@@ -46,7 +46,7 @@ pub struct OtExtSender {
 }
 
 /// Portable snapshot of an [`OtExtSender`]'s mutable state, relative to the
-/// seed its [`setup_pair`] ran from.
+/// seed its [`setup_pair`] ran from: the sender's cursor.
 ///
 /// Everything else in the sender — the secret `s` bits, the PRG keys, the
 /// fixed hash key — is a pure function of the setup seed, so
@@ -55,64 +55,38 @@ pub struct OtExtSender {
 /// continues bit-identically. This is what lets a serving layer persist OT
 /// checkpoints to disk (a crash-recovery journal) instead of only cloning
 /// them in memory.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// One counter covers all [`KAPPA`] column PRGs: they start at the same
+/// stream offset, and every extension draws the same number of blocks from
+/// each, so they move in lock-step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OtSenderState {
     /// Extension rounds completed (feeds the per-round hash tweaks).
     pub session: u64,
-    /// Absolute CTR counters of the `KAPPA` column PRGs, in column order.
-    pub counters: Vec<u128>,
+    /// Absolute CTR counter shared by every column PRG.
+    pub counter: u128,
 }
-
-/// Error restoring an [`OtSenderState`] whose counter vector does not have
-/// one entry per base-OT column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OtStateShapeError {
-    /// Columns the sender has (always [`KAPPA`]).
-    pub expected: usize,
-    /// Counters the snapshot carried.
-    pub got: usize,
-}
-
-impl std::fmt::Display for OtStateShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "OT sender state has {} PRG counters, expected {}",
-            self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for OtStateShapeError {}
 
 impl OtExtSender {
     /// Exports the sender's mutable state; see [`OtSenderState`].
     pub fn export_state(&self) -> OtSenderState {
+        let counter = self.prgs.first().map_or(0, AesPrg::counter);
+        debug_assert!(
+            self.prgs.iter().all(|prg| prg.counter() == counter),
+            "column PRGs left lock-step"
+        );
         OtSenderState {
             session: self.session,
-            counters: self.prgs.iter().map(AesPrg::counter).collect(),
+            counter,
         }
     }
 
     /// Restores a state exported from a sender with the same setup seed.
-    ///
-    /// # Errors
-    ///
-    /// Fails (leaving the sender untouched) if the snapshot does not carry
-    /// exactly one counter per column — the typed guard that keeps hostile
-    /// or truncated persisted state from panicking a replay.
-    pub fn import_state(&mut self, state: &OtSenderState) -> Result<(), OtStateShapeError> {
-        if state.counters.len() != self.prgs.len() {
-            return Err(OtStateShapeError {
-                expected: self.prgs.len(),
-                got: state.counters.len(),
-            });
-        }
-        for (prg, &counter) in self.prgs.iter_mut().zip(&state.counters) {
-            prg.set_counter(counter);
+    pub fn import_state(&mut self, state: &OtSenderState) {
+        for prg in &mut self.prgs {
+            prg.set_counter(state.counter);
         }
         self.session = state.session;
-        Ok(())
     }
 }
 
@@ -185,7 +159,11 @@ fn pack(bits: &[bool]) -> Vec<u64> {
 /// ([`AesPrg::fill_each`]) and kept as packed 64-bit words.
 ///
 /// Each PRG consumes exactly the blocks the former one-call-per-column
-/// loop drew, so transcripts and resume snapshots stay bit-identical.
+/// loop drew, so transcripts and resume snapshots stay bit-identical, and
+/// every PRG advances by the same count: this and
+/// [`OtExtSender::import_state`] are the only mutators of the sender's
+/// column PRGs, which keeps them in the lock-step [`OtSenderState`] relies
+/// on.
 struct Columns {
     words: Vec<u64>,
     /// Words per PRG: two per block.
@@ -383,6 +361,7 @@ impl OtExtSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn msg_pairs(n: usize) -> Vec<(Block, Block)> {
         (0..n)
@@ -569,7 +548,7 @@ mod tests {
 
         let (mut rebuilt, _) = setup_pair(43);
         assert_ne!(rebuilt.export_state(), state, "warmup must advance state");
-        rebuilt.import_state(&state).expect("shape matches");
+        rebuilt.import_state(&state);
         assert_eq!(rebuilt.export_state(), state);
 
         let choices: Vec<bool> = (0..120).map(|i| i % 2 == 0).collect();
@@ -578,27 +557,6 @@ mod tests {
         let want = sender.send(&msg, &pairs);
         let got = rebuilt.send(&msg, &pairs);
         assert_eq!(want, got, "rebuilt sender diverged from the original");
-    }
-
-    #[test]
-    fn import_state_rejects_wrong_shapes_without_mutating() {
-        let (mut sender, _) = setup_pair(47);
-        let before = sender.export_state();
-        for bad_len in [0usize, 1, KAPPA - 1, KAPPA + 1] {
-            let err = sender
-                .import_state(&OtSenderState {
-                    session: 9,
-                    counters: vec![0; bad_len],
-                })
-                .expect_err("shape mismatch must be rejected");
-            assert_eq!(err.expected, KAPPA);
-            assert_eq!(err.got, bad_len);
-        }
-        assert_eq!(
-            sender.export_state(),
-            before,
-            "failed import must not mutate"
-        );
     }
 
     #[test]
@@ -617,5 +575,32 @@ mod tests {
         let total = (KAPPA * 128) as f64;
         let ratio = ones as f64 / total;
         assert!((ratio - 0.5).abs() < 0.05, "bias {ratio}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any run of extension sizes moves every column PRG by the same
+        /// count, so one counter is the sender's whole PRG position, and a
+        /// sender rebuilt from it stands exactly where the original does.
+        #[test]
+        fn column_counters_move_in_lock_step(
+            seed in 0u64..1_000_000,
+            sizes in prop::collection::vec(0usize..300, 1..6),
+        ) {
+            let (mut sender, mut receiver) = setup_pair(seed);
+            for &m in &sizes {
+                let choices: Vec<bool> = (0..m).map(|i| (i + m) % 3 == 0).collect();
+                let (msg, _keys) = receiver.prepare(&choices);
+                let _ = sender.send(&msg, &msg_pairs(m));
+                let state = sender.export_state();
+                prop_assert!(sender.prgs.iter().all(|prg| prg.counter() == state.counter));
+            }
+            let (mut rebuilt, _) = setup_pair(seed);
+            rebuilt.import_state(&sender.export_state());
+            for (a, b) in rebuilt.prgs.iter().zip(&sender.prgs) {
+                prop_assert_eq!(a.counter(), b.counter());
+            }
+        }
     }
 }

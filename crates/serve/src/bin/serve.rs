@@ -16,7 +16,10 @@
 //!
 //! Resilience knobs: `--step-ms` bounds each protocol step mid-job (a
 //! wedged peer is reaped and its job checkpointed for RESUME),
-//! `--resume-cap` sizes the checkpoint registry, and the `--breaker-*`
+//! `--resume-cap` is the one capacity of the checkpoint store — sessions
+//! whose newest window it keeps, least recently saved evicted first; it
+//! bounds the journal's live set too, and `0` disables RESUME and writes no
+//! checkpoint — and the `--breaker-*`
 //! flags tune the load-shedding breaker (`--breaker-fulls 0` disables
 //! pressure tripping).
 //!
@@ -221,7 +224,6 @@ fn main() {
     if let Some(dir) = &args.journal_dir {
         let mut journal = JournalConfig::new(dir);
         journal.fsync = args.fsync;
-        journal.max_live = args.resume_cap;
         journal.abort_after_appends = args.crash_after_appends;
         serve_config.journal = Some(journal);
     }

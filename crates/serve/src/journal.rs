@@ -1,12 +1,22 @@
-//! Durable write-ahead journal for session checkpoints.
+//! The checkpoint store, and the write-ahead journal behind it.
 //!
-//! The [`ResumeRegistry`](crate::resume::ResumeRegistry) survives dropped
-//! *connections*; this module makes checkpoints survive dropped
-//! *processes*. Every element boundary the session layer snapshots at is
-//! also appended here as a CRC-checksummed, length-prefixed record before
-//! the element's frames go out on the wire — so after a `kill -9` +
-//! restart, replaying the journal rebuilds exactly the registry a
-//! reconnecting client's RESUME validates against.
+//! [`Journal`] holds the newest checkpoint window of every session that
+//! may still RESUME — the one store a RESUME is validated against. Each
+//! entry is its encoded record ([`encode_checkpoint`]'s bytes, 174 B for a
+//! two-snapshot window): the bytes a segment holds and compaction
+//! rewrites. A lookup decodes its entry once per RESUME. The store has one
+//! capacity (`ServeConfig::resume_capacity`; 0 keeps and writes nothing)
+//! and one eviction order, least recently saved first: a session still
+//! saving boundaries is never evicted while a dead session's window is
+//! held. `Journal::save` returns the session it evicted.
+//!
+//! Without a [`JournalConfig`] the store runs the same code and writes
+//! nothing: checkpoints survive dropped *connections*. With one, they also
+//! survive dropped *processes*: every save is appended to a
+//! CRC-checksummed, length-prefixed record before the element's frames go
+//! out on the wire, so after a `kill -9` + restart, replaying the journal
+//! rebuilds exactly the live set a reconnecting client's RESUME validates
+//! against.
 //!
 //! # Barriers and ordered records
 //!
@@ -16,12 +26,11 @@
 //! the next barrier's sync (or the next rotation, or [`Journal::sync`])
 //! makes it durable together with every earlier byte of the file.
 //! Barriers sit where the client can observe progress: every
-//! element-boundary checkpoint after the first
-//! ([`Journal::append_checkpoint`]), and every model PUT and model REMOVE.
-//! The pre-READY floor (a job's first checkpoint) and every session
-//! tombstone ([`Journal::append_remove`]: job done, BYE, eviction victim)
-//! are ordered. An R-element job thus costs R + 2 appends and R syncs, and
-//! READY waits on none. Why that is safe:
+//! element-boundary checkpoint after the first, and every model PUT and
+//! model REMOVE. The pre-READY floor (a job's first checkpoint) and every
+//! session tombstone ([`Journal::remove`]: job done, BYE) are ordered. An
+//! R-element job thus costs R + 2 appends and R syncs, and READY waits on
+//! none. Why that is safe:
 //!
 //! * **Process crash (`kill -9`).** Every record is still written with
 //!   write(2) before the frame that follows it, and the page cache
@@ -48,17 +57,28 @@
 //! A journal directory holds numbered segment files `journal-NNNNNNNNNNNN.maxj`:
 //!
 //! ```text
-//! segment  := magic (8 bytes, "MAXJRNL1") record*
+//! segment  := magic (8 bytes, "MAXJRNL2") record*
 //! record   := len:u32le crc:u32le body[len]
 //! body     := kind:u8 payload
-//! kind 1   := checkpoint payload (resume::encode_checkpoint)
+//! kind 1   := checkpoint (resume::encode_checkpoint):
+//!             session_id:u64le resume_token:u64le session_seed:u64le
+//!             next_job:u64le job_id:u64le columns:u32le job_seed:u64le
+//!             model_flag:u8 model_id:u64le count:u8 snapshot{count}
+//! snapshot := boundary:u64le digest_state:16 digest_len:u64le
+//!             ot_session:u64le ot_counter:u128le
 //! kind 2   := remove payload (session_id:u64le)
 //! kind 3   := model put (model_id:u64le rows:u32le cols:u32le weight:i64le* digest:16)
 //! kind 4   := model remove (model_id:u64le)
 //! ```
 //!
-//! The CRC covers the body. Replay applies records in order with
-//! last-write-wins per session id, across two failure taxonomies:
+//! A two-snapshot checkpoint is 174 B of payload, 183 B on disk. A
+//! `MAXJRNL1` segment (whose snapshots carried all 128 IKNP column
+//! counters) fails the magic check and is quarantined like any other
+//! corruption, with its models: re-PUT them after an upgrade.
+//!
+//! The CRC covers the body. Replay applies records in order — a
+//! checkpoint is a save, a tombstone a remove, under the same capacity
+//! and eviction order as the live store — across two failure taxonomies:
 //!
 //! * **Torn tail** — the process died mid-append, so the *last* segment
 //!   ends inside a record. Replay keeps everything up to the last valid
@@ -71,27 +91,34 @@
 //!   sessions whose only checkpoint lived in the damaged region get a
 //!   typed `REJECT(resume)` later instead of the server refusing to start.
 //!
-//! After replay the journal compacts: the surviving live set is rewritten
-//! into a fresh segment and old (non-quarantined) segments are deleted.
-//! Rotation does the same every `rotate_after` appends, so disk usage is
-//! bounded by the live sessions' last-2-snapshot window, not job length.
+//! After replay the journal compacts: the surviving live set is rewritten,
+//! least recently saved first, into a fresh segment and old
+//! (non-quarantined) segments are deleted. Rotation does the same every
+//! `rotate_after` appends, so disk usage is bounded by the live sessions'
+//! last-2-snapshot window, not job length.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use max_crypto::crc32;
+use max_ot::iknp::OtSenderState;
 
 use crate::resume::{
-    decode_checkpoint, encode_checkpoint, CheckpointCodecError, SessionCheckpoint,
+    decode_checkpoint, decode_cursors, encode_checkpoint, encode_cursors, CheckpointCodecError,
+    SessionCheckpoint,
 };
 
 /// Segment file magic; the trailing digit is the format version.
-const MAGIC: &[u8; 8] = b"MAXJRNL1";
+const MAGIC: &[u8; 8] = b"MAXJRNL2";
+
+/// Checkpoints [`Journal::open`] keeps, and `ServeConfig::new`'s
+/// `resume_capacity`.
+pub const DEFAULT_CAPACITY: usize = 64;
 
 /// Segment filename prefix/suffix.
 const SEGMENT_PREFIX: &str = "journal-";
@@ -100,8 +127,9 @@ const SEGMENT_SUFFIX: &str = ".maxj";
 /// Suffix a damaged segment is renamed under.
 const QUARANTINE_SUFFIX: &str = ".quarantine";
 
-/// Hard cap on one record body: a checkpoint is ~4 KiB (two snapshots of
-/// 128 16-byte counters); anything claiming more than this is corruption.
+/// Hard cap on one record body: a checkpoint is 175 bytes and the largest
+/// model record about 512 KiB; anything claiming more than this is
+/// corruption.
 const MAX_RECORD_LEN: u32 = 1 << 20;
 
 /// Record kinds.
@@ -203,11 +231,6 @@ pub struct JournalConfig {
     pub fsync: bool,
     /// Appends per segment before rotating into a fresh compacted segment.
     pub rotate_after: u64,
-    /// Live checkpoints retained in the journal's working set (oldest
-    /// session id evicted beyond it; 0 = unbounded). Mirrors the resume
-    /// registry's capacity so replay can never resurrect more state than
-    /// the registry would hold.
-    pub max_live: usize,
     /// **Test/bench-only** deterministic crash injection: abort the whole
     /// process (as `kill -9` would) immediately after the Nth successful
     /// append. `None` disables.
@@ -215,14 +238,12 @@ pub struct JournalConfig {
 }
 
 impl JournalConfig {
-    /// Durable defaults: fsync on, rotate every 64 appends, live set
-    /// bounded at 64 sessions.
+    /// Durable defaults: fsync on, rotate every 64 appends.
     pub fn new(dir: impl Into<PathBuf>) -> JournalConfig {
         JournalConfig {
             dir: dir.into(),
             fsync: true,
             rotate_after: 64,
-            max_live: 64,
             abort_after_appends: None,
         }
     }
@@ -239,15 +260,12 @@ pub enum JournalError {
         /// The OS error.
         source: std::io::Error,
     },
-    /// A record decoded structurally but its checkpoint payload is invalid.
-    Codec(CheckpointCodecError),
 }
 
 impl std::fmt::Display for JournalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JournalError::Io { what, source } => write!(f, "journal {what}: {source}"),
-            JournalError::Codec(err) => write!(f, "journal record: {err}"),
         }
     }
 }
@@ -256,14 +274,7 @@ impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JournalError::Io { source, .. } => Some(source),
-            JournalError::Codec(err) => Some(err),
         }
-    }
-}
-
-impl From<CheckpointCodecError> for JournalError {
-    fn from(err: CheckpointCodecError) -> Self {
-        JournalError::Codec(err)
     }
 }
 
@@ -284,7 +295,7 @@ pub struct ReplayReport {
     pub truncated_tail: bool,
     /// Segments renamed to `*.quarantine` this boot (corruption).
     pub quarantined: Vec<PathBuf>,
-    /// Live session checkpoints after replay — what the registry gets.
+    /// Live session checkpoints after replay.
     pub sessions: usize,
     /// Live prepared models after replay — re-registered into the model
     /// registry at boot.
@@ -302,54 +313,64 @@ struct SegmentScan {
 
 /// How an append reaches the disk (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Durability {
+pub(crate) enum Durability {
     /// Written, then synced when `fsync` is on.
     Barrier,
     /// Written only; durable at the next barrier, rotation or sync.
     Ordered,
 }
 
-/// Drops the oldest sessions until at most `max_live` remain (0 =
-/// unbounded). Session ids are allocated monotonically, so the smallest
-/// key is the oldest session — same victim the registry's insertion-order
-/// eviction would pick.
-fn evict_beyond(live: &mut BTreeMap<u64, SessionCheckpoint>, max_live: usize) {
-    if max_live > 0 {
-        while live.len() > max_live {
-            live.pop_first();
-        }
+/// Live checkpoint records keyed by session id, least recently saved
+/// first. Lookups are rare (one per RESUME) and a saving session is
+/// usually near the back, so a scan from the back beats an index.
+type Live = VecDeque<(u64, Vec<u8>)>;
+
+/// Saves `record` as `session_id`'s newest window and evicts the least
+/// recently saved sessions beyond `capacity`; returns the last one evicted.
+/// The live store and replay both go through here, so a replayed segment
+/// rebuilds the live set entry for entry and in order.
+fn put_live(live: &mut Live, capacity: usize, session_id: u64, record: Vec<u8>) -> Option<u64> {
+    if let Some(at) = live.iter().rposition(|(id, _)| *id == session_id) {
+        live.remove(at);
     }
+    live.push_back((session_id, record));
+    let mut evicted = None;
+    while live.len() > capacity {
+        evicted = live.pop_front().map(|(id, _)| id);
+    }
+    evicted
 }
 
 struct JournalInner {
-    file: File,
+    /// The open segment; `None` without a journal directory.
+    file: Option<File>,
     seq: u64,
     appends_in_segment: u64,
     appends_total: u64,
     barriers_total: u64,
-    live: BTreeMap<u64, SessionCheckpoint>,
+    live: Live,
     /// Live prepared models, stored as their encoded record payloads
     /// (bounded by the registry's byte budget upstream; a model is ~8
-    /// bytes per element, far smaller than its garbled streams).
+    /// bytes per element, far smaller than its garbled streams). Kept only
+    /// with a segment file: they exist to be rewritten at compaction.
     live_models: BTreeMap<u64, Vec<u8>>,
 }
 
-/// The durable checkpoint journal. All methods are `&self` (internally
-/// locked) so one handle can be shared across session threads.
+/// The checkpoint store, with or without a segment file behind it. All
+/// methods are `&self` (internally locked) so one handle can be shared
+/// across session threads.
 pub struct Journal {
-    dir: PathBuf,
-    fsync: bool,
-    rotate_after: u64,
-    max_live: usize,
-    abort_after_appends: Option<u64>,
+    /// The segment files' settings; `None` keeps the store in memory only.
+    file: Option<JournalConfig>,
+    capacity: usize,
     inner: Mutex<JournalInner>,
 }
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("dir", &self.dir)
-            .field("fsync", &self.fsync)
+            .field("file", &self.file)
+            .field("capacity", &self.capacity)
             .field("live", &self.live_sessions())
             .finish_non_exhaustive()
     }
@@ -427,17 +448,19 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
     }
 }
 
-/// Applies one scanned record to the live maps (last write wins).
+/// Applies one scanned record to the live maps, exactly as the live store
+/// applied it (last write wins).
 fn apply_record(
-    live: &mut BTreeMap<u64, SessionCheckpoint>,
+    live: &mut Live,
+    capacity: usize,
     live_models: &mut BTreeMap<u64, Vec<u8>>,
     kind: u8,
     payload: &[u8],
 ) -> Result<(), CheckpointCodecError> {
     match kind {
         KIND_CHECKPOINT => {
-            let checkpoint = decode_checkpoint(payload)?;
-            live.insert(checkpoint.session_id, checkpoint);
+            let session_id = decode_cursors(payload)?.session_id;
+            put_live(live, capacity, session_id, payload.to_vec());
             Ok(())
         }
         KIND_REMOVE => {
@@ -448,7 +471,8 @@ fn apply_record(
             }
             let mut buf = [0u8; 8];
             buf.copy_from_slice(payload);
-            live.remove(&u64::from_le_bytes(buf));
+            let session_id = u64::from_le_bytes(buf);
+            live.retain(|(id, _)| *id != session_id);
             Ok(())
         }
         KIND_MODEL_PUT => {
@@ -488,9 +512,22 @@ fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 impl Journal {
-    /// Opens (or creates) the journal in `cfg.dir`, replays every segment
-    /// into the live set, quarantines damaged segments, and compacts the
-    /// survivors into a fresh segment.
+    /// Opens (or creates) the journal in `cfg.dir` holding at most
+    /// [`DEFAULT_CAPACITY`] checkpoints; see [`Journal::with_capacity`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::with_capacity`].
+    pub fn open(cfg: JournalConfig) -> Result<(Journal, ReplayReport), JournalError> {
+        Journal::with_capacity(Some(cfg), DEFAULT_CAPACITY)
+    }
+
+    /// Builds the checkpoint store, holding at most `capacity` sessions'
+    /// windows (0 keeps and writes none). Without a `file` it starts empty
+    /// and never touches the disk. With one it opens (or creates) the
+    /// journal in its directory, replays every segment into the live set
+    /// under the same capacity, quarantines damaged segments, and compacts
+    /// the survivors into a fresh segment.
     ///
     /// Corrupt *content* never fails this call — that is the whole point.
     /// Only filesystem-level failures (unreadable directory, full disk) do.
@@ -499,9 +536,48 @@ impl Journal {
     ///
     /// [`JournalError::Io`] when the directory cannot be created, listed,
     /// or written.
-    pub fn open(cfg: JournalConfig) -> Result<(Journal, ReplayReport), JournalError> {
-        fs::create_dir_all(&cfg.dir).map_err(io_err("create dir"))?;
+    pub fn with_capacity(
+        file: Option<JournalConfig>,
+        capacity: usize,
+    ) -> Result<(Journal, ReplayReport), JournalError> {
+        let mut inner = JournalInner {
+            file: None,
+            seq: 0,
+            appends_in_segment: 0,
+            appends_total: 0,
+            barriers_total: 0,
+            live: Live::new(),
+            live_models: BTreeMap::new(),
+        };
+        let mut report = ReplayReport::default();
+        let file = file.map(|cfg| JournalConfig {
+            rotate_after: cfg.rotate_after.max(1),
+            ..cfg
+        });
+        if let Some(cfg) = &file {
+            let (seq, segments) = Self::replay(cfg, capacity, &mut inner, &mut report)?;
+            Self::compact(cfg, &mut inner, seq, &segments)?;
+        }
+        report.sessions = inner.live.len();
+        report.models = inner.live_models.len();
+        let journal = Journal {
+            file,
+            capacity,
+            inner: Mutex::new(inner),
+        };
+        Ok((journal, report))
+    }
 
+    /// Applies every segment in `cfg.dir`, oldest first, to `inner`'s live
+    /// sets; returns the sequence number after the last one, and the
+    /// segments it scanned.
+    fn replay(
+        cfg: &JournalConfig,
+        capacity: usize,
+        inner: &mut JournalInner,
+        report: &mut ReplayReport,
+    ) -> Result<(u64, Vec<PathBuf>), JournalError> {
+        fs::create_dir_all(&cfg.dir).map_err(io_err("create dir"))?;
         let mut segments: Vec<(u64, PathBuf)> = fs::read_dir(&cfg.dir)
             .map_err(io_err("list dir"))?
             .filter_map(|entry| {
@@ -510,10 +586,6 @@ impl Journal {
             })
             .collect();
         segments.sort_by_key(|(seq, _)| *seq);
-
-        let mut report = ReplayReport::default();
-        let mut live: BTreeMap<u64, SessionCheckpoint> = BTreeMap::new();
-        let mut live_models: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let last_index = segments.len().saturating_sub(1);
         for (index, (_, path)) in segments.iter().enumerate() {
             report.segments_scanned += 1;
@@ -527,7 +599,14 @@ impl Journal {
                 Some(torn_eof) => !(torn_eof && index == last_index),
             };
             for (kind, payload) in &scan.records {
-                match apply_record(&mut live, &mut live_models, *kind, payload) {
+                let applied = apply_record(
+                    &mut inner.live,
+                    capacity,
+                    &mut inner.live_models,
+                    *kind,
+                    payload,
+                );
+                match applied {
                     Ok(()) => report.records_applied += 1,
                     Err(_) => {
                         // CRC passed but the payload is structurally bad:
@@ -548,35 +627,47 @@ impl Journal {
                 report.truncated_tail = true;
             }
         }
-        // A segment holds no tombstones for sessions the live set evicted
-        // in memory, so replay applies the same bound before compacting.
-        evict_beyond(&mut live, cfg.max_live);
-        report.sessions = live.len();
-        report.models = live_models.len();
-
-        // Compact: rewrite the live set into a fresh segment, then retire
-        // every older (non-quarantined) segment. A torn tail disappears
-        // here too — its valid prefix lives on in the new segment.
         let next_seq = segments.last().map_or(0, |(seq, _)| seq + 1);
-        let mut file = Self::create_segment(&cfg.dir, next_seq)?;
-        for payload in live_models.values() {
+        Ok((
+            next_seq,
+            segments.into_iter().map(|(_, path)| path).collect(),
+        ))
+    }
+
+    /// Compacts the live set, models first, into a fresh segment `seq` —
+    /// the rewrite after replay and at every rotation — and only once it is
+    /// durable retires the `superseded` segments (quarantined ones were
+    /// renamed away). A torn tail disappears here too: its valid prefix
+    /// lives on in the new segment.
+    fn compact(
+        cfg: &JournalConfig,
+        inner: &mut JournalInner,
+        seq: u64,
+        superseded: &[PathBuf],
+    ) -> Result<(), JournalError> {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(segment_path(&cfg.dir, seq))
+            .map_err(io_err("create segment"))?;
+        file.write_all(MAGIC).map_err(io_err("write magic"))?;
+        for payload in inner.live_models.values() {
             file.write_all(&encode_record(KIND_MODEL_PUT, payload))
                 .map_err(io_err("compact write"))?;
         }
-        for checkpoint in live.values() {
-            file.write_all(&encode_record(
-                KIND_CHECKPOINT,
-                &encode_checkpoint(checkpoint),
-            ))
-            .map_err(io_err("compact write"))?;
+        for (_, payload) in &inner.live {
+            file.write_all(&encode_record(KIND_CHECKPOINT, payload))
+                .map_err(io_err("compact write"))?;
         }
         if cfg.fsync {
             file.sync_all().map_err(io_err("compact sync"))?;
             sync_dir(&cfg.dir)?;
         }
-        for (_, path) in &segments {
-            // Quarantined segments were renamed away; whatever still parses
-            // as a segment path is superseded by the compacted one.
+        inner.file = Some(file);
+        inner.seq = seq;
+        inner.appends_in_segment = 0;
+        for path in superseded {
             if path.exists() {
                 fs::remove_file(path).map_err(io_err("retire segment"))?;
             }
@@ -584,97 +675,91 @@ impl Journal {
         if cfg.fsync {
             sync_dir(&cfg.dir)?;
         }
-
-        let journal = Journal {
-            dir: cfg.dir,
-            fsync: cfg.fsync,
-            rotate_after: cfg.rotate_after.max(1),
-            max_live: cfg.max_live,
-            abort_after_appends: cfg.abort_after_appends,
-            inner: Mutex::new(JournalInner {
-                file,
-                seq: next_seq,
-                appends_in_segment: 0,
-                appends_total: 0,
-                barriers_total: 0,
-                live,
-                live_models,
-            }),
-        };
-        Ok((journal, report))
+        Ok(())
     }
 
-    fn create_segment(dir: &Path, seq: u64) -> Result<File, JournalError> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(segment_path(dir, seq))
-            .map_err(io_err("create segment"))?;
-        file.write_all(MAGIC).map_err(io_err("write magic"))?;
-        Ok(file)
-    }
-
-    /// Appends a checkpoint record as a barrier (fsync'd by default),
-    /// updating the live set. Called at every element boundary after a
-    /// job's first, *before* the element's frames are sent, so the durable
-    /// journal never trails what the client can complete.
+    /// Saves a checkpoint as a barrier (fsync'd by default when a file is
+    /// configured). The benchmark's and tests' entry point; sessions save
+    /// their window of cursors through `Journal::save`.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] on write/sync failure; the in-memory live set
-    /// is updated regardless so serving can continue degraded.
+    /// [`JournalError::Io`] on write/sync failure; the live set is updated
+    /// regardless so serving can continue degraded.
     pub fn append_checkpoint(&self, checkpoint: &SessionCheckpoint) -> Result<(), JournalError> {
-        self.put_checkpoint(checkpoint, Durability::Barrier)
-    }
-
-    /// Appends a job's pre-READY floor checkpoint as an ordered record:
-    /// written, never synced here (see the module docs for why losing it
-    /// to a power cut costs the client no evaluated element).
-    pub(crate) fn append_checkpoint_ordered(
-        &self,
-        checkpoint: &SessionCheckpoint,
-    ) -> Result<(), JournalError> {
-        self.put_checkpoint(checkpoint, Durability::Ordered)
-    }
-
-    fn put_checkpoint(
-        &self,
-        checkpoint: &SessionCheckpoint,
-        durability: Durability,
-    ) -> Result<(), JournalError> {
         let payload = encode_checkpoint(checkpoint);
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.live.insert(checkpoint.session_id, checkpoint.clone());
-        evict_beyond(&mut inner.live, self.max_live);
-        self.append_locked(&mut inner, KIND_CHECKPOINT, &payload, durability)
+        self.put(checkpoint.session_id, payload, Durability::Barrier)
+            .1
     }
 
-    /// Appends a tombstone for `session_id` (job completed, clean BYE, or
-    /// checkpoint evicted) so a restart does not resurrect finished work.
-    /// The tombstone is an ordered record: it becomes durable at the next
-    /// barrier, rotation or [`Journal::sync`], and a power cut before then
-    /// only resurrects a window no client needs (see the module docs).
+    /// Saves a session's window as its newest checkpoint, evicting the
+    /// least recently saved session beyond the capacity. Called at every
+    /// element boundary, *before* the element's frames are sent, so the
+    /// store never trails what the client can complete. Nothing is kept or
+    /// written at capacity 0.
+    ///
+    /// Returns the session evicted to make room, if any, and whether the
+    /// record reached the segment file (always `Ok` without one; on an
+    /// error the live set is updated regardless).
+    pub(crate) fn save(
+        &self,
+        window: &SessionCheckpoint<OtSenderState>,
+        durability: Durability,
+    ) -> (Option<u64>, Result<(), JournalError>) {
+        self.put(window.session_id, encode_cursors(window), durability)
+    }
+
+    fn put(
+        &self,
+        session_id: u64,
+        payload: Vec<u8>,
+        durability: Durability,
+    ) -> (Option<u64>, Result<(), JournalError>) {
+        if self.capacity == 0 {
+            return (None, Ok(()));
+        }
+        let record = encode_record(KIND_CHECKPOINT, &payload);
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let evicted = put_live(&mut inner.live, self.capacity, session_id, payload);
+        (evicted, self.append_locked(&mut inner, &record, durability))
+    }
+
+    /// Clones `session_id`'s checkpoint, leaving it in place — a failed
+    /// resume attempt must not destroy the state a later attempt needs.
+    /// Decodes the stored record (one base OT).
+    pub fn lookup(&self, session_id: u64) -> Option<SessionCheckpoint> {
+        let payload = {
+            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            let (_, payload) = inner.live.iter().rfind(|(id, _)| *id == session_id)?;
+            payload.clone()
+        };
+        decode_checkpoint(&payload).ok()
+    }
+
+    /// Drops `session_id`'s checkpoint (its job completed, or a clean BYE)
+    /// and appends a tombstone so a restart does not resurrect finished
+    /// work. The tombstone is an ordered record: it becomes durable at the
+    /// next barrier, rotation or [`Journal::sync`], and a power cut before
+    /// then only resurrects a window no client needs (see the module docs).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write failure.
-    pub fn append_remove(&self, session_id: u64) -> Result<(), JournalError> {
+    pub fn remove(&self, session_id: u64) -> Result<(), JournalError> {
+        if self.capacity == 0 {
+            return Ok(());
+        }
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.live.remove(&session_id);
-        self.append_locked(
-            &mut inner,
-            KIND_REMOVE,
-            &session_id.to_le_bytes(),
-            Durability::Ordered,
-        )
+        inner.live.retain(|(id, _)| *id != session_id);
+        let record = encode_record(KIND_REMOVE, &session_id.to_le_bytes());
+        self.append_locked(&mut inner, &record, Durability::Ordered)
     }
 
     /// Appends (and by default fsyncs) a prepared-model record so a restart
     /// can re-register the model before any client reconnects. Called by
     /// the service layer on every successful `MODEL_PUT` (a re-PUT of the
     /// same id overwrites — last write wins on replay, matching the
-    /// registry's epoch rotation).
+    /// registry's epoch rotation). A no-op without a segment file.
     ///
     /// # Errors
     ///
@@ -685,50 +770,53 @@ impl Journal {
         model_id: u64,
         weights: &[Vec<i64>],
     ) -> Result<(), JournalError> {
+        if self.file.is_none() {
+            return Ok(());
+        }
         let payload = encode_model_payload(model_id, weights);
+        let record = encode_record(KIND_MODEL_PUT, &payload);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.live_models.insert(model_id, payload.clone());
-        self.append_locked(&mut inner, KIND_MODEL_PUT, &payload, Durability::Barrier)
+        inner.live_models.insert(model_id, payload);
+        self.append_locked(&mut inner, &record, Durability::Barrier)
     }
 
     /// Appends a barrier tombstone for an evicted model (explicit
     /// `MODEL_EVICT` or byte-budget eviction) so a restart does not
-    /// resurrect it.
+    /// resurrect it. A no-op without a segment file.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write/sync failure.
     pub fn append_model_remove(&self, model_id: u64) -> Result<(), JournalError> {
+        if self.file.is_none() {
+            return Ok(());
+        }
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.live_models.remove(&model_id);
-        self.append_locked(
-            &mut inner,
-            KIND_MODEL_REMOVE,
-            &model_id.to_le_bytes(),
-            Durability::Barrier,
-        )
+        let record = encode_record(KIND_MODEL_REMOVE, &model_id.to_le_bytes());
+        self.append_locked(&mut inner, &record, Durability::Barrier)
     }
 
+    /// Writes one encoded record to the segment file, if there is one.
     fn append_locked(
         &self,
         inner: &mut JournalInner,
-        kind: u8,
-        payload: &[u8],
+        record: &[u8],
         durability: Durability,
     ) -> Result<(), JournalError> {
-        inner
-            .file
-            .write_all(&encode_record(kind, payload))
-            .map_err(io_err("append write"))?;
+        let (Some(cfg), Some(file)) = (&self.file, &mut inner.file) else {
+            return Ok(());
+        };
+        file.write_all(record).map_err(io_err("append write"))?;
         if durability == Durability::Barrier {
-            if self.fsync {
-                inner.file.sync_all().map_err(io_err("append sync"))?;
+            if cfg.fsync {
+                file.sync_all().map_err(io_err("append sync"))?;
             }
             inner.barriers_total += 1;
         }
         inner.appends_total += 1;
         inner.appends_in_segment += 1;
-        if let Some(limit) = self.abort_after_appends {
+        if let Some(limit) = cfg.abort_after_appends {
             if inner.appends_total >= limit {
                 // Deterministic crash injection: die exactly like kill -9
                 // would, with the journal in whatever state the appends
@@ -736,64 +824,36 @@ impl Journal {
                 std::process::abort();
             }
         }
-        if inner.appends_in_segment >= self.rotate_after {
-            self.rotate_locked(inner)?;
-        }
-        Ok(())
-    }
-
-    /// Seals the current segment into a fresh compacted one and deletes it.
-    fn rotate_locked(&self, inner: &mut JournalInner) -> Result<(), JournalError> {
-        let old_seq = inner.seq;
-        let new_seq = old_seq + 1;
-        let mut file = Self::create_segment(&self.dir, new_seq)?;
-        for payload in inner.live_models.values() {
-            file.write_all(&encode_record(KIND_MODEL_PUT, payload))
-                .map_err(io_err("rotate write"))?;
-        }
-        for checkpoint in inner.live.values() {
-            file.write_all(&encode_record(
-                KIND_CHECKPOINT,
-                &encode_checkpoint(checkpoint),
-            ))
-            .map_err(io_err("rotate write"))?;
-        }
-        if self.fsync {
-            file.sync_all().map_err(io_err("rotate sync"))?;
-            sync_dir(&self.dir)?;
-        }
-        inner.file = file;
-        inner.seq = new_seq;
-        inner.appends_in_segment = 0;
-        // Only after the compacted segment is durable may the old one go.
-        let old_path = segment_path(&self.dir, old_seq);
-        if old_path.exists() {
-            fs::remove_file(&old_path).map_err(io_err("rotate retire"))?;
-        }
-        if self.fsync {
-            sync_dir(&self.dir)?;
+        if inner.appends_in_segment >= cfg.rotate_after {
+            // Rotate: seal the segment into a fresh compacted one.
+            let old = segment_path(&cfg.dir, inner.seq);
+            Self::compact(cfg, inner, inner.seq + 1, &[old])?;
         }
         Ok(())
     }
 
     /// Forces the current segment to disk, ordered records included (the
     /// graceful-shutdown flush: with `fsync` on, whatever was written
-    /// after the last barrier becomes durable here).
+    /// after the last barrier becomes durable here). A no-op without a
+    /// segment file.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on sync failure.
     pub fn sync(&self) -> Result<(), JournalError> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.file.sync_all().map_err(io_err("flush sync"))
+        match &inner.file {
+            Some(file) => file.sync_all().map_err(io_err("flush sync")),
+            None => Ok(()),
+        }
     }
 
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Whether the store writes a segment file.
+    pub(crate) fn has_file(&self) -> bool {
+        self.file.is_some()
     }
 
-    /// Total records appended through this handle.
+    /// Records appended to the segment file through this handle.
     pub fn appends(&self) -> u64 {
         self.inner
             .lock()
@@ -810,7 +870,7 @@ impl Journal {
             .barriers_total
     }
 
-    /// Checkpoints currently live (restart would restore exactly these).
+    /// Checkpoints currently live (a restart would restore exactly these).
     pub fn live_sessions(&self) -> usize {
         self.inner
             .lock()
@@ -819,15 +879,31 @@ impl Journal {
             .len()
     }
 
-    /// Clones the live checkpoints, oldest session first — what a restart
-    /// feeds into the resume registry.
-    pub fn live_checkpoints(&self) -> Vec<SessionCheckpoint> {
+    /// The highest live session id, if any: a restarted service hands out
+    /// ids above it, so a fresh session never displaces a recovering one.
+    pub(crate) fn highest_live_session(&self) -> Option<u64> {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .live
-            .values()
-            .cloned()
+            .iter()
+            .map(|(id, _)| *id)
+            .max()
+    }
+
+    /// Decodes the live checkpoints, least recently saved first.
+    pub fn live_checkpoints(&self) -> Vec<SessionCheckpoint> {
+        let payloads: Vec<Vec<u8>> = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .live
+            .iter()
+            .map(|(_, payload)| payload.clone())
+            .collect();
+        payloads
+            .iter()
+            .filter_map(|payload| decode_checkpoint(payload).ok())
             .collect()
     }
 
@@ -911,7 +987,7 @@ mod tests {
             newer.job_id = 5;
             newer.next_job = 6;
             journal.append_checkpoint(&newer).unwrap();
-            journal.append_remove(2).unwrap();
+            journal.remove(2).unwrap();
         }
         let (journal, report) = Journal::open(config(&dir)).unwrap();
         assert_eq!(report.sessions, 1);
@@ -1083,6 +1159,38 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_segment_is_quarantined_not_misread() {
+        // A `MAXJRNL1` segment (128 counters per snapshot) is refused at
+        // its magic: quarantined whole, models included, and the boot
+        // goes on with an empty store.
+        let dir = temp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = b"MAXJRNL1".to_vec();
+        bytes.extend_from_slice(&encode_record(
+            KIND_MODEL_PUT,
+            &encode_model_payload(7, &model(1, 2, 0)),
+        ));
+        bytes.extend_from_slice(&encode_record(
+            KIND_CHECKPOINT,
+            &encode_checkpoint(&checkpoint(1)),
+        ));
+        fs::write(segment_path(&dir, 0), &bytes).unwrap();
+        let (journal, report) = Journal::open(config(&dir)).unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(
+            (report.records_applied, report.sessions, report.models),
+            (0, 0, 0)
+        );
+        assert_eq!(journal.live_sessions(), 0);
+        assert_eq!(
+            fs::read(&report.quarantined[0]).unwrap(),
+            bytes,
+            "evidence kept"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn model_payload_codec_round_trips() {
         let weights = model(4, 5, -7);
         let payload = encode_model_payload(42, &weights);
@@ -1119,30 +1227,169 @@ mod tests {
         }
     }
 
-    #[test]
-    fn live_set_is_bounded_by_max_live() {
-        let dir = temp_dir("bound");
-        let mut cfg = config(&dir);
-        cfg.max_live = 2;
-        let (journal, _) = Journal::open(cfg.clone()).unwrap();
-        for id in 0..5u64 {
-            journal.append_checkpoint(&checkpoint(id)).unwrap();
+    /// A session's window as the session keeps it: cursors, no senders.
+    fn window(session_id: u64, job_id: u64) -> SessionCheckpoint<OtSenderState> {
+        let digest = max_crypto::TranscriptDigest::new();
+        let cursor = |counter| OtSenderState {
+            session: job_id,
+            counter,
+        };
+        SessionCheckpoint {
+            session_id,
+            resume_token: session_id ^ 0xF00D,
+            session_seed: derive_seed(77, session_id),
+            next_job: job_id + 1,
+            job_id,
+            columns: 3,
+            job_seed: 9,
+            model_id: None,
+            snapshots: vec![(0, cursor(5), digest.clone()), (1, cursor(7), digest)],
         }
-        let live = journal.live_checkpoints();
-        assert_eq!(live.len(), 2);
-        assert_eq!(live[0].session_id, 3, "oldest sessions evicted first");
-        assert_eq!(live[1].session_id, 4);
-        drop(journal);
-        // The segment still holds all five records; replay applies the
-        // same bound instead of resurrecting the evicted sessions.
-        let (journal, report) = Journal::open(cfg).unwrap();
-        assert_eq!(report.sessions, 2);
-        let ids: Vec<u64> = journal
+    }
+
+    fn ids(journal: &Journal) -> Vec<u64> {
+        journal
             .live_checkpoints()
             .iter()
             .map(|cp| cp.session_id)
-            .collect();
-        assert_eq!(ids, [3, 4]);
+            .collect()
+    }
+
+    fn live(journal: &Journal) -> Vec<(u64, Vec<u8>)> {
+        journal.inner.lock().unwrap().live.iter().cloned().collect()
+    }
+
+    #[test]
+    fn save_lookup_remove_round_trip() {
+        let (store, _) = Journal::with_capacity(None, 4).unwrap();
+        assert_eq!(store.live_sessions(), 0);
+        assert_eq!(store.save(&window(7, 0), Durability::Barrier).0, None);
+        let got = store.lookup(7).unwrap();
+        assert_eq!(got.resume_token, 7 ^ 0xF00D);
+        let (sender, _) = got.snapshot_at(1).unwrap();
+        assert_eq!(sender.export_state(), window(7, 0).snapshots[1].1);
+        assert!(got.snapshot_at(2).is_none());
+        // Peek, not take: still present.
+        assert!(store.lookup(7).is_some());
+        store.remove(7).unwrap();
+        assert!(store.lookup(7).is_none());
+        // Without a file nothing is appended.
+        assert_eq!((store.appends(), store.barriers()), (0, 0));
+    }
+
+    #[test]
+    fn capacity_evicts_least_recently_saved_and_zero_disables() {
+        let (store, _) = Journal::with_capacity(None, 2).unwrap();
+        assert_eq!(store.save(&window(1, 0), Durability::Barrier).0, None);
+        assert_eq!(store.save(&window(2, 0), Durability::Barrier).0, None);
+        // Session 1 saves again, so session 2 is now the least recently
+        // saved, and the save names its victim.
+        assert_eq!(store.save(&window(1, 1), Durability::Barrier).0, None);
+        assert_eq!(store.save(&window(3, 0), Durability::Barrier).0, Some(2));
+        assert_eq!(ids(&store), [1, 3]);
+        // Re-saving a session replaces, not duplicates.
+        store.save(&window(3, 1), Durability::Barrier).1.unwrap();
+        assert_eq!(ids(&store), [1, 3]);
+
+        let dir = temp_dir("zero");
+        let (disabled, _) = Journal::with_capacity(Some(config(&dir)), 0).unwrap();
+        assert_eq!(disabled.save(&window(1, 0), Durability::Barrier).0, None);
+        disabled.remove(1).unwrap();
+        assert!(disabled.lookup(1).is_none());
+        assert_eq!((disabled.appends(), disabled.barriers()), (0, 0));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn live_set_is_bounded_by_capacity_across_reopen() {
+        let dir = temp_dir("bound");
+        let open = || Journal::with_capacity(Some(config(&dir)), 2).unwrap();
+        let (journal, _) = open();
+        for id in 0..5u64 {
+            journal.append_checkpoint(&checkpoint(id)).unwrap();
+        }
+        assert_eq!(ids(&journal), [3, 4], "oldest saves evicted first");
+        drop(journal);
+        // The segment still holds all five records; replay applies the
+        // same bound instead of resurrecting the evicted sessions.
+        let (journal, report) = open();
+        assert_eq!(report.sessions, 2);
+        assert_eq!(ids(&journal), [3, 4]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_session_still_saving_outlives_a_dead_window() {
+        // Session 1 keeps saving boundaries while sessions 2 and 3 each
+        // save once: whatever the ids, 2's window is the one to go.
+        let dir = temp_dir("lrs");
+        let open = || Journal::with_capacity(Some(config(&dir)), 2).unwrap();
+        let (journal, _) = open();
+        for (id, job) in [(2, 0), (1, 0), (3, 0), (1, 1)] {
+            journal
+                .save(&window(id, job), Durability::Barrier)
+                .1
+                .unwrap();
+        }
+        assert_eq!(ids(&journal), [3, 1]);
+        let before = live(&journal);
+        drop(journal);
+        let (journal, _) = open();
+        assert_eq!(live(&journal), before, "replay rebuilds the same store");
+        assert_eq!(journal.lookup(1).unwrap().job_id, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Saves, removes, capacity evictions, rotations and reopens in any
+        /// order: the store matches a least-recently-saved model after
+        /// every step, and a replay of its segment equals the live store,
+        /// entry for entry and in order.
+        #[test]
+        fn replayed_store_equals_the_live_one(
+            capacity in 0usize..4,
+            ops in proptest::prelude::prop::collection::vec((0u8..6, 0u64..5), 1..40),
+        ) {
+            let dir = temp_dir("prop");
+            let mut cfg = config(&dir);
+            cfg.rotate_after = 3;
+            let open = || Journal::with_capacity(Some(cfg.clone()), capacity).unwrap().0;
+            let mut journal = open();
+            let mut model: Vec<u64> = Vec::new();
+            for (job, &(op, id)) in ops.iter().enumerate() {
+                match op {
+                    0 => {
+                        journal.remove(id).unwrap();
+                        model.retain(|&live| live != id);
+                    }
+                    1 => {
+                        let before = live(&journal);
+                        drop(journal);
+                        journal = open();
+                        proptest::prop_assert_eq!(live(&journal), before);
+                    }
+                    _ => {
+                        let (evicted, written) =
+                            journal.save(&window(id, job as u64), Durability::Barrier);
+                        written.unwrap();
+                        let mut expected = None;
+                        if capacity > 0 {
+                            model.retain(|&live| live != id);
+                            model.push(id);
+                            expected = (model.len() > capacity).then(|| model.remove(0));
+                        }
+                        proptest::prop_assert_eq!(evicted, expected);
+                    }
+                }
+                let ids: Vec<u64> = live(&journal).iter().map(|(id, _)| *id).collect();
+                proptest::prop_assert_eq!(&ids, &model);
+            }
+            let before = live(&journal);
+            drop(journal);
+            proptest::prop_assert_eq!(live(&open()), before);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

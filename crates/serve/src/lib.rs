@@ -49,7 +49,7 @@ use maxelerator::remote::derive_seed;
 
 pub use breaker::{Breaker, BreakerConfig};
 pub use journal::{Journal, JournalConfig, JournalError, ReplayReport};
-pub use resume::{ResumeRegistry, SessionCheckpoint};
+pub use resume::SessionCheckpoint;
 pub use scheduler::{IdleFill, JobRequest, QueueFull, UnitPool};
 pub use service::{listen_tcp, GcService, ServeConfig, ServeHandle, ServeStats};
 pub use session::{SessionSummary, MAX_JOB_COLUMNS};

@@ -232,7 +232,7 @@ impl FairQueue {
     }
 }
 
-/// A fixed pool of garbling units draining a [`FairQueue`].
+/// A fixed pool of garbling units draining a `FairQueue`.
 ///
 /// Each worker owns nothing but its thread: jobs carry their own seed, and
 /// [`produce_elements`] — the producer a registry fill step runs too —

@@ -1,7 +1,7 @@
 //! The service: session manager + unit pool + transport listeners.
 //!
 //! [`GcService`] owns the model, the worker pool, every session thread,
-//! the [`ResumeRegistry`] of round checkpoints, and the load-shedding
+//! the [`Journal`] that stores round checkpoints, and the load-shedding
 //! [`Breaker`]. Clients reach it two ways — [`GcService::connect`] returns
 //! the client half of an in-memory [`Duplex`] wire, and [`listen_tcp`]
 //! accepts real sockets — and both run the exact same session protocol.
@@ -25,8 +25,7 @@ use maxelerator::remote::ModelStatus;
 use maxelerator::AcceleratorConfig;
 
 use crate::breaker::{Breaker, BreakerConfig};
-use crate::journal::{Journal, JournalConfig, ReplayReport};
-use crate::resume::ResumeRegistry;
+use crate::journal::{Journal, JournalConfig, ReplayReport, DEFAULT_CAPACITY};
 use crate::scheduler::{IdleFill, UnitPool};
 use crate::session::run_session;
 use crate::FlightTransport;
@@ -57,7 +56,11 @@ pub struct ServeConfig {
     /// reaped (and a checkpoint saved for RESUME). Falls back to
     /// `idle_timeout` when unset.
     pub step_timeout: Option<Duration>,
-    /// Round checkpoints held for interrupted sessions (0 disables RESUME).
+    /// Round checkpoints held, one window per session, least recently
+    /// saved evicted first. The one capacity of the checkpoint store: it
+    /// bounds the journal's live set too, and 0 disables RESUME and writes
+    /// no checkpoint. A session mid-job holds a slot as well, so size it
+    /// above the sessions expected in flight at once.
     pub resume_capacity: usize,
     /// Load-shedding breaker tuning.
     pub breaker: BreakerConfig,
@@ -88,7 +91,7 @@ pub struct ServeConfig {
     /// Durable checkpoint journal configuration. `None` (the default)
     /// serves memory-only: checkpoints survive dropped connections but not
     /// a dead process. With a journal, startup replays the directory into
-    /// the resume registry — see the [`crate::journal`] module docs.
+    /// the checkpoint store — see the [`crate::journal`] module docs.
     pub journal: Option<JournalConfig>,
     /// Byte budget for the prepared-model registry's stocked streams
     /// (`None` = unbounded). Enforced with LRU whole-model eviction.
@@ -114,7 +117,7 @@ impl ServeConfig {
             retry_after_ms: 10,
             idle_timeout: None,
             step_timeout: None,
-            resume_capacity: 64,
+            resume_capacity: DEFAULT_CAPACITY,
             breaker: BreakerConfig::default(),
             start_paused: false,
             deterministic_resume_tokens: false,
@@ -144,7 +147,7 @@ pub struct ServeStats {
     /// Model jobs served from a warm pre-garbled stream (OT-only online
     /// path — no garbling on the critical path).
     pub jobs_prepared: u64,
-    /// Round checkpoints deposited by dying sessions.
+    /// Jobs that sessions left mid-job with a checkpoint to resume from.
     pub checkpoints_saved: u64,
     /// Jobs ended by a transcript-digest mismatch (the v6 integrity
     /// check): the stream was refused rather than risk a silently wrong
@@ -166,9 +169,10 @@ pub(crate) struct ServiceShared {
     pub(crate) retry_after_ms: u32,
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) step_timeout: Option<Duration>,
-    pub(crate) resume: ResumeRegistry,
     pub(crate) registry: Arc<ModelRegistry>,
-    pub(crate) journal: Option<Arc<Journal>>,
+    /// The checkpoint store, writing segments only with a journal
+    /// directory.
+    pub(crate) journal: Arc<Journal>,
     /// What journal replay salvaged at boot (empty default when no journal).
     replay: ReplayReport,
     pub(crate) breaker: Breaker,
@@ -185,12 +189,18 @@ pub(crate) struct ServiceShared {
     pub(crate) jobs_resumed: AtomicU64,
     pub(crate) jobs_prepared: AtomicU64,
     pub(crate) checkpoints_saved: AtomicU64,
+    pub(crate) resume_evicted: AtomicU64,
     pub(crate) integrity_rejects: AtomicU64,
 }
 
 impl ServiceShared {
     pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
+    }
+
+    /// The checkpoint store when it writes a journal directory.
+    fn journal_file(&self) -> Option<&Arc<Journal>> {
+        self.journal.has_file().then_some(&self.journal)
     }
 
     /// Registers (or replaces) a prepared model and journals it so a
@@ -202,10 +212,8 @@ impl ServiceShared {
         weights: Vec<Vec<i64>>,
     ) -> Result<ModelStatus, RegisterError> {
         let (status, _replaced) = self.registry.register(model_id, weights)?;
-        if let Some(journal) = &self.journal {
-            if let Some((weights, _)) = self.registry.registration(model_id) {
-                let _ = journal.append_model_put(model_id, &weights);
-            }
+        if let Some((weights, _)) = self.registry.registration(model_id) {
+            let _ = self.journal.append_model_put(model_id, &weights);
         }
         Ok(status)
     }
@@ -214,9 +222,7 @@ impl ServiceShared {
     /// id is unknown.
     pub(crate) fn evict_model(&self, model_id: u64) -> Option<ModelStatus> {
         let (status, _eviction) = self.registry.evict(model_id)?;
-        if let Some(journal) = &self.journal {
-            let _ = journal.append_model_remove(model_id);
-        }
+        let _ = self.journal.append_model_remove(model_id);
         Some(status)
     }
 
@@ -257,6 +263,10 @@ impl ServiceShared {
                 JsonValue::UInt(self.checkpoints_saved.load(Ordering::Relaxed)),
             )
             .push(
+                "resume_evicted",
+                JsonValue::UInt(self.resume_evicted.load(Ordering::Relaxed)),
+            )
+            .push(
                 "integrity_rejects",
                 JsonValue::UInt(self.integrity_rejects.load(Ordering::Relaxed)),
             )
@@ -269,12 +279,12 @@ impl ServiceShared {
             .push("workers", JsonValue::UInt(self.pool.workers() as u64))
             .push(
                 "resume_checkpoints",
-                JsonValue::UInt(self.resume.len() as u64),
+                JsonValue::UInt(self.journal.live_sessions() as u64),
             )
             .push("breaker_open", JsonValue::Bool(self.breaker.is_open()))
             .push("draining", JsonValue::Bool(self.is_draining()));
 
-        let journal = match &self.journal {
+        let journal = match self.journal_file() {
             Some(journal) => {
                 let mut entry = JsonValue::object();
                 entry
@@ -375,11 +385,9 @@ impl ServiceShared {
 }
 
 /// Journals the tombstones of the models a fill step's deposit evicted.
-fn journal_evictions(journal: Option<&Journal>, report: &FillReport) {
-    if let Some(journal) = journal {
-        for eviction in &report.evicted {
-            let _ = journal.append_model_remove(eviction.model_id);
-        }
+fn journal_evictions(journal: &Journal, report: &FillReport) {
+    for eviction in &report.evicted {
+        let _ = journal.append_model_remove(eviction.model_id);
     }
 }
 
@@ -387,7 +395,7 @@ fn journal_evictions(journal: Option<&Journal>, report: &FillReport) {
 /// model by one stream. Returns whether the unit should immediately poll
 /// again (`false` = nothing to do, or the cache is saturated at its budget
 /// and more production would just ping-pong evictions).
-fn fill_once(registry: &ModelRegistry, journal: Option<&Journal>) -> bool {
+fn fill_once(registry: &ModelRegistry, journal: &Journal) -> bool {
     match registry.fill_step() {
         None => false,
         Some(Ok(report)) => {
@@ -443,32 +451,20 @@ impl GcService {
         }
         let weights = Arc::new(cfg.weights);
 
-        // Replay the durable journal (if configured) into the registries
-        // before the first connection can race a RESUME against it. A
-        // journal that cannot be *opened* is a host configuration error
+        // Replay the durable journal (if configured) into the checkpoint
+        // store before the first connection can race a RESUME against it.
+        // A journal that cannot be *opened* is a host configuration error
         // (like a bad model) and fails loudly; damaged journal *content*
-        // never does — it is quarantined inside `Journal::open`.
-        let resume = ResumeRegistry::new(cfg.resume_capacity);
-        let mut replay = ReplayReport::default();
-        let mut first_session = 0u64;
-        let journal = match cfg.journal {
-            Some(journal_cfg) => {
-                let (journal, report) = match Journal::open(journal_cfg) {
-                    Ok(opened) => opened,
-                    Err(err) => panic!("journal unusable: {err}"),
-                };
-                for checkpoint in journal.live_checkpoints() {
-                    // Restart must hand out session ids above every
-                    // replayed one, or a fresh session could silently
-                    // displace a recovering session's checkpoint.
-                    first_session = first_session.max(checkpoint.session_id + 1);
-                    resume.save(checkpoint);
-                }
-                replay = report;
-                Some(Arc::new(journal))
-            }
-            None => None,
+        // never does — it is quarantined inside `Journal::with_capacity`.
+        let (journal, replay) = match Journal::with_capacity(cfg.journal, cfg.resume_capacity) {
+            Ok(opened) => opened,
+            Err(err) => panic!("journal unusable: {err}"),
         };
+        let journal = Arc::new(journal);
+        // Restart must hand out session ids above every replayed one, or a
+        // fresh session could silently displace a recovering session's
+        // checkpoint.
+        let first_session = journal.highest_live_session().map_or(0, |id| id + 1);
 
         let registry = Arc::new(ModelRegistry::new(
             cfg.config.clone(),
@@ -478,21 +474,19 @@ impl GcService {
             },
             cfg.base_seed,
         ));
-        if let Some(journal) = &journal {
-            for (model_id, model_weights) in journal.live_models() {
-                // A replayed model that no longer validates (operand width
-                // shrank across restarts) is dropped with a tombstone
-                // rather than wedging boot.
-                if registry.register(model_id, model_weights).is_err() {
-                    let _ = journal.append_model_remove(model_id);
-                }
+        for (model_id, model_weights) in journal.live_models() {
+            // A replayed model that no longer validates (operand width
+            // shrank across restarts) is dropped with a tombstone rather
+            // than wedging boot.
+            if registry.register(model_id, model_weights).is_err() {
+                let _ = journal.append_model_remove(model_id);
             }
         }
 
         let idle_fill: IdleFill = {
             let registry = Arc::clone(&registry);
-            let journal = journal.clone();
-            Arc::new(move || fill_once(&registry, journal.as_deref()))
+            let journal = Arc::clone(&journal);
+            Arc::new(move || fill_once(&registry, &journal))
         };
         let pool = UnitPool::new(
             cfg.config.clone(),
@@ -518,7 +512,6 @@ impl GcService {
                 retry_after_ms: cfg.retry_after_ms,
                 idle_timeout: cfg.idle_timeout,
                 step_timeout: cfg.step_timeout,
-                resume,
                 registry,
                 journal,
                 replay,
@@ -536,6 +529,7 @@ impl GcService {
                 jobs_resumed: AtomicU64::new(0),
                 jobs_prepared: AtomicU64::new(0),
                 checkpoints_saved: AtomicU64::new(0),
+                resume_evicted: AtomicU64::new(0),
                 integrity_rejects: AtomicU64::new(0),
             }),
             session_threads: Arc::new(Mutex::new(Vec::new())),
@@ -655,14 +649,15 @@ impl GcService {
         self.shared.metrics_json()
     }
 
-    /// Round checkpoints currently held for interrupted sessions.
+    /// Round checkpoints currently held: the newest window of every
+    /// session that may still RESUME.
     pub fn resume_checkpoints(&self) -> usize {
-        self.shared.resume.len()
+        self.shared.journal.live_sessions()
     }
 
-    /// The durable checkpoint journal, when one is configured.
+    /// The durable checkpoint journal, when a directory is configured.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.shared.journal.as_ref()
+        self.shared.journal_file()
     }
 
     /// The prepared-model registry behind `MODEL_PUT`/`MODEL_INFO` frames.
@@ -768,10 +763,8 @@ impl GcService {
             let _ = handle.join();
         }
         self.shared.pool.shutdown();
-        if let Some(journal) = &self.shared.journal {
-            // Sessions are joined: no appends can race this final flush.
-            let _ = journal.sync();
-        }
+        // Sessions are joined: no appends can race this final flush.
+        let _ = self.shared.journal.sync();
         self.stats()
     }
 }

@@ -8,8 +8,8 @@
 //! rounds never occupies a garbling unit.
 //!
 //! A connection opens with either HELLO (fresh session) or RESUME
-//! (reconnect into an interrupted job, validated against the
-//! [`ResumeRegistry`](crate::resume::ResumeRegistry)). During the job's
+//! (reconnect into an interrupted job, validated against the checkpoint
+//! store, [`Journal`](crate::journal::Journal)). During the job's
 //! per-element EXT/CIPHER/ROUNDS exchange (the client sends each EXT one
 //! element ahead of its evaluation) the transport runs under the per-step
 //! deadline; between jobs it falls back to the idle timeout, and PING/PONG
@@ -17,13 +17,12 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use max_crypto::TranscriptDigest;
 use max_gc::Transport;
-use max_ot::iknp::{self, OtExtSender};
+use max_ot::iknp::{self, OtExtSender, OtSenderState};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
@@ -33,6 +32,7 @@ use maxelerator::remote::{
 };
 use maxelerator::AcceleratorError;
 
+use crate::journal::Durability;
 use crate::resume::SessionCheckpoint;
 use crate::scheduler::JobRequest;
 use crate::service::ServiceShared;
@@ -66,7 +66,7 @@ pub struct SessionSummary {
     /// Model jobs served from a warm pre-garbled stream on this connection
     /// (no garbling on the online path).
     pub jobs_prepared: u64,
-    /// Round checkpoints deposited when this connection died mid-job.
+    /// Jobs this connection left mid-job with a checkpoint to resume from.
     pub checkpoints_saved: u64,
     /// The session ended because the idle timeout fired.
     pub idle_reaped: bool,
@@ -161,14 +161,9 @@ fn send_busy<T: Transport>(
     )
 }
 
-/// Builds the checkpoint covering the current snapshot window — the value
-/// both the in-memory registry (on error) and the durable journal (every
-/// boundary) persist.
-fn window_checkpoint(
-    ctx: &SessionCtx<'_>,
-    job: &ResolvedJob,
-    snapshots: &VecDeque<(usize, OtExtSender, TranscriptDigest)>,
-) -> SessionCheckpoint {
+/// The empty checkpoint window of `job`: the session's identity and the
+/// job's, with no snapshot yet.
+fn job_window(ctx: &SessionCtx<'_>, job: &ResolvedJob) -> SessionCheckpoint<OtSenderState> {
     SessionCheckpoint {
         session_id: ctx.session_id,
         resume_token: checkpoint_token(ctx.resume_token, job.registration.as_ref()),
@@ -178,57 +173,42 @@ fn window_checkpoint(
         columns: job.columns,
         job_seed: job.job_seed,
         model_id: job.model_id,
-        snapshots: snapshots.iter().cloned().collect(),
+        snapshots: Vec::with_capacity(3),
     }
 }
 
-/// Journals the current window, if a journal is configured. The pre-READY
-/// floor (the window's newest boundary is the job's first) is an ordered
-/// record; every later boundary is a barrier, durable before the element's
-/// frames go out (see the [`crate::journal`] module docs). A failed append
-/// degrades durability, not availability: it is flight-logged, and the
-/// session keeps streaming from memory.
-fn journal_window(
+/// Saves the window in the checkpoint store. The pre-READY floor (the
+/// window's newest boundary is the job's first) is an ordered record; every
+/// later boundary is a barrier, durable before the element's frames go out
+/// (see the [`crate::journal`] module docs). A failed append degrades
+/// durability, not availability: it is flight-logged, and the session
+/// keeps streaming. A session the save evicted is counted and logged.
+fn save_window(
     shared: &ServiceShared,
     ctx: &SessionCtx<'_>,
-    job: &ResolvedJob,
-    snapshots: &VecDeque<(usize, OtExtSender, TranscriptDigest)>,
+    window: &SessionCheckpoint<OtSenderState>,
+    durability: Durability,
 ) {
-    let Some(journal) = &shared.journal else {
-        return;
-    };
-    let checkpoint = window_checkpoint(ctx, job, snapshots);
-    let pre_ready = snapshots
-        .back()
-        .is_some_and(|(next, _, _)| *next == job.start_element);
-    let appended = if pre_ready {
-        journal.append_checkpoint_ordered(&checkpoint)
-    } else {
-        journal.append_checkpoint(&checkpoint)
-    };
-    if let Err(err) = appended {
+    let (evicted, written) = shared.journal.save(window, durability);
+    if let Some(victim) = evicted {
+        shared.resume_evicted.fetch_add(1, Ordering::Relaxed);
+        if let Some(flight) = ctx.flight {
+            flight.log("resume.evicted", format!("session {victim}"), victim);
+        }
+    }
+    if let Err(err) = written {
         if let Some(flight) = ctx.flight {
             flight.log("journal.error", format!("{err}"), 0);
         }
     }
 }
 
-/// Appends a journal tombstone for `session_id` after its in-flight work
-/// stopped needing recovery (job done, clean BYE, or checkpoint evicted).
-/// The tombstone is ordered: it rides the next barrier's sync, so neither
-/// the post-STATS tombstone nor a BYE waits on the disk.
-fn journal_remove(shared: &ServiceShared, session_id: u64) {
-    if let Some(journal) = &shared.journal {
-        let _ = journal.append_remove(session_id);
-    }
-}
-
-/// Streams one job under the per-step deadline, snapshotting the OT sender
-/// at each element boundary; every boundary is journaled, each one after
-/// the pre-READY floor as a barrier, and on failure the final window is
-/// deposited in the in-memory registry, covering the client's two possible
-/// rollback points. A job whose source fails before READY passed no
-/// boundary: it fails with no checkpoint.
+/// Streams one job under the per-step deadline, saving the OT sender's
+/// cursor window — its last two element boundaries, covering the client's
+/// two possible rollback points — in the checkpoint store at each one. The
+/// job's completion removes the window; a failure leaves it for RESUME. A
+/// job whose source fails before READY passed no boundary: it fails with no
+/// checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     summary: &mut SessionSummary,
@@ -241,8 +221,7 @@ fn stream_job_checkpointed<T: Transport>(
         .recorder
         .as_ref()
         .map(|rec| rec.phase_span(ctx.trace, "server/stream"));
-    let mut snapshots: VecDeque<(usize, OtExtSender, TranscriptDigest)> =
-        VecDeque::with_capacity(3);
+    let mut window = job_window(ctx, job);
     let mut digest = job.digest.clone();
     if shared.step_timeout.is_some() {
         transport.set_idle_timeout(shared.step_timeout);
@@ -259,11 +238,18 @@ fn stream_job_checkpointed<T: Transport>(
         // crash anywhere in the exchange then has a floor to resume from.
         // It is an ordered record, durable with the first element's barrier.
         |next, sender, boundary_digest| {
-            snapshots.push_back((next, sender.clone(), boundary_digest.clone()));
-            if snapshots.len() > 2 {
-                snapshots.pop_front();
+            let durability = if next == job.start_element {
+                Durability::Ordered
+            } else {
+                Durability::Barrier
+            };
+            window
+                .snapshots
+                .push((next, sender.export_state(), boundary_digest.clone()));
+            if window.snapshots.len() > 2 {
+                window.snapshots.remove(0);
             }
-            journal_window(shared, ctx, job, &snapshots);
+            save_window(shared, ctx, &window, durability);
         },
     );
     transport.set_idle_timeout(shared.idle_timeout);
@@ -271,11 +257,11 @@ fn stream_job_checkpointed<T: Transport>(
         Ok(()) => {
             // The job finished on this connection: a restart must not
             // resurrect (and a reconnect must not replay) it.
-            journal_remove(shared, ctx.session_id);
+            let _ = shared.journal.remove(ctx.session_id);
             Ok(())
         }
-        // READY never went out: nothing to resume, nothing journaled.
-        Err(err) if snapshots.is_empty() => Err(err),
+        // READY never went out: nothing to resume.
+        Err(err) if window.snapshots.is_empty() => Err(err),
         Err(err) => {
             if matches!(err, AcceleratorError::Integrity { .. }) {
                 shared.integrity_rejects.fetch_add(1, Ordering::Relaxed);
@@ -290,8 +276,11 @@ fn stream_job_checkpointed<T: Transport>(
                     shared.registry.note_integrity_drop();
                 }
             }
-            let elements_kept = snapshots.back().map_or(0, |(next, _, _)| *next as u64);
-            let evicted = shared.resume.save(window_checkpoint(ctx, job, &snapshots));
+            // The window saved at the last boundary stays in the store.
+            let elements_kept = window
+                .snapshots
+                .last()
+                .map_or(0, |(next, _, _)| *next as u64);
             summary.checkpoints_saved += 1;
             shared.checkpoints_saved.fetch_add(1, Ordering::Relaxed);
             trace_instant(shared, ctx.trace, "server/checkpoint");
@@ -301,14 +290,6 @@ fn stream_job_checkpointed<T: Transport>(
                     format!("job {}", job.job_id),
                     elements_kept,
                 );
-                if let Some(victim) = evicted {
-                    flight.log("resume.evicted", format!("session {victim}"), victim);
-                }
-            }
-            if let Some(victim) = evicted {
-                // Keep disk and memory telling the same story: the evicted
-                // session can no longer resume, live or after a restart.
-                journal_remove(shared, victim);
             }
             Err(err)
         }
@@ -484,7 +465,7 @@ fn session_loop<T: Transport>(
             // model has none, and a re-PUT one fails the token check (see
             // `checkpoint_token`) — the same refusal as unknown state.
             let start_element = elements_done as usize;
-            let checkpoint = shared.resume.lookup(resumed_id);
+            let checkpoint = shared.journal.lookup(resumed_id);
             let registration = checkpoint.as_ref().and_then(|cp| match cp.model_id {
                 None => Some((Arc::clone(&shared.weights), None)),
                 Some(model_id) => shared
@@ -580,7 +561,6 @@ fn session_loop<T: Transport>(
         };
         stream_job_checkpointed(shared, summary, transport, &ctx, &mut ot_sender, &job)?;
         if job.resumed {
-            shared.resume.remove(ctx.session_id);
             summary.jobs_resumed += 1;
             shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
         }
@@ -825,10 +805,8 @@ fn next_job<T: Transport>(
             }
             Ok(ControlMsg::Bye) => {
                 // A clean goodbye retires any stale checkpoint this session
-                // id left behind on an earlier connection — in memory and
-                // on disk.
-                shared.resume.remove(ctx.session_id);
-                journal_remove(shared, ctx.session_id);
+                // id left behind on an earlier connection.
+                let _ = shared.journal.remove(ctx.session_id);
                 return Ok(None);
             }
             Err(AcceleratorError::Disconnected) => return Ok(None),

@@ -759,9 +759,8 @@ fn sigkill_mid_job_restarts_and_client_resumes() {
         (ys, stats)
     });
 
-    // Kill once the journal shows real mid-job progress: each checkpoint
-    // record is about 4.2 KiB (4 251 B; the one-snapshot pre-READY floor
-    // 2 161 B), so 20 KB is passed at element boundary 5 of 128 —
+    // Kill once the journal shows real mid-job progress: six records are
+    // the pre-READY floor and element boundaries 1..=5 of 128 —
     // comfortably mid-job, comfortably before the end (the first rotation
     // is at append 64, long after the kill lands).
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -770,11 +769,12 @@ fn sigkill_mid_job_restarts_and_client_resumes() {
             entries
                 .filter_map(|e| e.ok())
                 .filter(|e| e.path().extension().is_some_and(|x| x == "maxj"))
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
+                .filter_map(|e| std::fs::read(e.path()).ok())
+                .filter(|segment| segment.len() >= 8)
+                .map(|segment| records(&segment).len())
                 .max()
         });
-        if grown.is_some_and(|len| len > 20_000) {
+        if grown.is_some_and(|count| count >= 6) {
             break;
         }
         assert!(Instant::now() < deadline, "journal never grew mid-job");

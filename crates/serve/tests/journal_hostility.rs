@@ -16,7 +16,7 @@ use max_serve::{Journal, JournalConfig, SessionCheckpoint};
 use maxelerator::remote::derive_seed;
 use proptest::prelude::*;
 
-const MAGIC: &[u8; 8] = b"MAXJRNL1";
+const MAGIC: &[u8; 8] = b"MAXJRNL2";
 const KIND_CHECKPOINT: u8 = 1;
 const KIND_REMOVE: u8 = 2;
 

@@ -6,9 +6,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use max_gc::{FramedTcp, Transport};
+use max_gc::{FaultSpec, FaultTransport, FramedTcp, Transport};
 use max_serve::{
-    demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, RecordingTransport, ServeConfig,
+    demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, JournalConfig,
+    RecordingTransport, ServeConfig,
 };
 use maxelerator::remote::{
     recv_control, send_control, ControlMsg, PROTOCOL_VERSION, REJECT_VERSION,
@@ -410,4 +411,68 @@ fn idle_tcp_sessions_are_reaped() {
     let stats = handle.shutdown();
     assert_eq!(stats.sessions_started, 1);
     assert_eq!(stats.sessions_errored, 0, "idle reap is a clean close");
+}
+
+/// One capacity: `resume_capacity = 0` keeps no checkpoint, so with a
+/// journal directory it writes none either — no append and no fsync'd
+/// barrier for state nothing could resume.
+#[test]
+fn a_journaled_service_at_capacity_zero_writes_no_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("serve-e2e-cap0-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.resume_capacity = 0;
+        cfg.journal = Some(JournalConfig::new(&dir));
+    });
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let x = demo_vector(COLS, WIDTH, SEED ^ 9);
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let (y, _) = client.secure_matvec(&x).expect("job");
+    assert_eq!(y, plain_matvec(&weights, &x));
+    let journal = service.journal().expect("journal configured");
+    assert_eq!((journal.appends(), journal.barriers()), (0, 0));
+    assert_eq!(service.resume_checkpoints(), 0);
+    client.goodbye();
+    let stats = service.shutdown();
+    assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(journal.appends(), 0, "nor does a BYE write a tombstone");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One eviction order, reported by `save`: at capacity 1 another session's
+/// first boundary evicts a dead session's window, METRICS counts it as
+/// `resume_evicted`, and the dead session's RESUME is refused typed.
+#[test]
+fn an_evicted_window_is_counted_and_its_resume_refused() {
+    let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.resume_capacity = 1);
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let x = demo_vector(COLS, WIDTH, SEED ^ 5);
+    // HELLO, ACCEPT, JOB, READY, element 0's three frames, then element
+    // 1's EXT and CIPHER: the wire dies mid-element 1.
+    let cut = FaultSpec::none(SEED).with_cut_after(4 + 3 + 2);
+    let mut client =
+        RemoteClient::connect(FaultTransport::new(service.connect(), cut), WIDTH).expect("hello");
+    let mut progress = client
+        .start_job(std::slice::from_ref(&x))
+        .expect("job admitted");
+    client
+        .run_job(&mut progress)
+        .expect_err("the cut kills the run");
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    assert_eq!(service.resume_checkpoints(), 1, "the dead job's window");
+
+    let mut other = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let (y, _) = other.secure_matvec(&x).expect("job");
+    assert_eq!(y, plain_matvec(&weights, &x));
+    let body = other.metrics().expect("METRICS");
+    assert!(body.contains("\"resume_evicted\":1,"), "{body}");
+    other.goodbye();
+
+    let mut client = RemoteClient::reattach(service.connect(), state);
+    match client.resume_job(&mut progress) {
+        Err(AcceleratorError::Rejected { reason }) => assert_eq!(reason, "resume state not found"),
+        other => panic!("expected REJECT(resume), got {other:?}"),
+    }
+    service.shutdown();
 }
