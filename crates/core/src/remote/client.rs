@@ -96,13 +96,22 @@ impl SessionState {
     }
 }
 
+/// The client's state at one element boundary: what [`RemoteClient::run_job`]
+/// commits once an element has evaluated, and [`RemoteClient::resume_job`]
+/// rolls back to.
+#[derive(Clone)]
+struct Boundary {
+    receiver: OtExtReceiver,
+    transcript: MatvecTranscript,
+    digest: TranscriptDigest,
+}
+
 /// An in-flight (possibly interrupted) job on the client side.
 ///
 /// Progress advances one output element at a time; the embedded
-/// OT-receiver/transcript checkpoints always sit on the last completed
-/// element boundary, so after a mid-element failure
-/// [`RemoteClient::resume_job`] can roll the session back and replay the
-/// element bit-identically on a fresh connection.
+/// checkpoint always sits on the last completed element boundary, so after
+/// a mid-element failure [`RemoteClient::resume_job`] can roll the session
+/// back and replay the element bit-identically on a fresh connection.
 pub struct JobProgress {
     job_id: u64,
     x_columns: Vec<Vec<i64>>,
@@ -112,11 +121,10 @@ pub struct JobProgress {
     rows: usize,
     total_elements: usize,
     elements_done: usize,
-    receiver_checkpoint: OtExtReceiver,
     transcript: MatvecTranscript,
-    transcript_checkpoint: MatvecTranscript,
     digest: TranscriptDigest,
-    digest_checkpoint: TranscriptDigest,
+    /// The boundary at `elements_done`.
+    checkpoint: Boundary,
     done: bool,
 }
 
@@ -579,11 +587,13 @@ impl<T: Transport> RemoteClient<T> {
                 rows,
                 total_elements: x_columns.len() * rows,
                 elements_done: 0,
-                receiver_checkpoint: self.state.ot_receiver.clone(),
                 transcript: MatvecTranscript::default(),
-                transcript_checkpoint: MatvecTranscript::default(),
                 digest: TranscriptDigest::new(),
-                digest_checkpoint: TranscriptDigest::new(),
+                checkpoint: Boundary {
+                    receiver: self.state.ot_receiver.clone(),
+                    transcript: MatvecTranscript::default(),
+                    digest: TranscriptDigest::new(),
+                },
                 done: false,
             }),
             ControlMsg::Busy { retry_after_ms, .. } => {
@@ -624,9 +634,14 @@ impl<T: Transport> RemoteClient<T> {
             u32::try_from(progress.elements_done).map_err(|_| AcceleratorError::Protocol {
                 what: "job element count exceeds the wire format's u32 range",
             })?;
-        self.state.ot_receiver = progress.receiver_checkpoint.clone();
-        progress.transcript = progress.transcript_checkpoint;
-        progress.digest = progress.digest_checkpoint.clone();
+        let Boundary {
+            receiver,
+            transcript,
+            digest,
+        } = progress.checkpoint.clone();
+        self.state.ot_receiver = receiver;
+        progress.transcript = transcript;
+        progress.digest = digest;
         send_control(
             &mut self.transport,
             &ControlMsg::Resume {
@@ -691,9 +706,11 @@ impl<T: Transport> RemoteClient<T> {
             let digest = progress.digest.clone();
             let ahead = self.send_ext(progress, e + 1);
             self.evaluate_element(progress, e, rounds_frame, &labels)?;
-            progress.receiver_checkpoint = receiver;
-            progress.digest_checkpoint = digest;
-            progress.transcript_checkpoint = progress.transcript;
+            progress.checkpoint = Boundary {
+                receiver,
+                transcript: progress.transcript,
+                digest,
+            };
             progress.elements_done = e + 1;
             next = ahead?;
         }

@@ -32,6 +32,27 @@ pub fn derive_seed(base: u64, tweak: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The session's OT seed, published in ACCEPT: both parties run
+/// [`iknp::setup_pair`](max_ot::iknp::setup_pair) on it, and a checkpoint
+/// decode re-derives the sender from it.
+pub fn derive_ot_seed(session_seed: u64) -> u64 {
+    derive_seed(session_seed, 0x07)
+}
+
+/// The accelerator seed of the session's `job_id`-th session-default job
+/// (a RESUME re-garbles from it).
+pub fn derive_job_seed(session_seed: u64, job_id: u64) -> u64 {
+    derive_seed(session_seed, 0x100 + job_id)
+}
+
+/// A resume token derived from the seed chain, for servers whose ACCEPT
+/// must be reproducible (the test servers and transcript-parity tests).
+/// Forgeable — [`derive_seed`] is invertible and the OT seed is public —
+/// so a production server draws its tokens from OS entropy instead.
+pub fn deterministic_resume_token(session_seed: u64) -> u64 {
+    derive_seed(session_seed, 0x7e57)
+}
+
 /// The one job loop: garbles a matvec/matmul job on a fresh accelerator
 /// seeded with `seed` and hands each element to `sink` the moment it
 /// exists — pure compute, no I/O, safe to run on any worker thread.

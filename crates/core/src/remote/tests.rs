@@ -52,13 +52,13 @@ fn accept_session<T: Transport>(
         return Ok(None);
     }
     let session_seed = derive_seed(base_seed, session_id);
-    let ot_seed = derive_seed(session_seed, 0x07);
+    let ot_seed = derive_ot_seed(session_seed);
     send_control(
         transport,
         &ControlMsg::Accept {
             session_id,
             ot_seed,
-            resume_token: derive_seed(session_seed, 0x7e57),
+            resume_token: deterministic_resume_token(session_seed),
             rows: weights.len() as u32,
             cols: weights.first().map_or(0, Vec::len) as u32,
             bit_width: config.bit_width as u32,
@@ -110,7 +110,7 @@ pub(crate) fn serve_one_session<T: Transport>(
                 let job = fill_stream(
                     config,
                     weights,
-                    derive_seed(session_seed, 0x100 + job_id),
+                    derive_job_seed(session_seed, job_id),
                     columns,
                 )?;
                 stream_materialized_job_from(
@@ -350,7 +350,7 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
                     panic!("expected JOB");
                 };
                 let job =
-                    fill_stream(&config, &w, derive_seed(session_seed, 0x100), columns).unwrap();
+                    fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns).unwrap();
                 let (result, window) = stream_windowed(
                     &mut transport,
                     &job,

@@ -107,6 +107,7 @@ use std::sync::{Mutex, PoisonError};
 
 use max_crypto::crc32;
 use max_ot::iknp::OtSenderState;
+use maxelerator::remote::MAX_MODEL_ELEMENTS;
 
 use crate::resume::{
     decode_checkpoint, decode_cursors, encode_checkpoint, encode_cursors, CheckpointCodecError,
@@ -137,12 +138,6 @@ const KIND_CHECKPOINT: u8 = 1;
 const KIND_REMOVE: u8 = 2;
 const KIND_MODEL_PUT: u8 = 3;
 const KIND_MODEL_REMOVE: u8 = 4;
-
-/// Shape cap shared with the wire's `MODEL_PUT` validation — a replayed
-/// model record claiming more elements than the protocol admits is
-/// corruption. (64 Ki elements × 8 bytes = 512 KiB, under
-/// [`MAX_RECORD_LEN`].)
-const MAX_MODEL_ELEMENTS: u64 = 1 << 16;
 
 /// Serializes a registered model for its journal record: the header and
 /// weights, followed by a 16-byte [`TranscriptDigest`] trailer over them.
@@ -192,7 +187,10 @@ fn decode_model_payload(bytes: &[u8]) -> Result<(u64, Vec<Vec<i64>>), Checkpoint
     let model_id = u64::from_le_bytes(id);
     let rows = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as u64;
     let cols = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as u64;
-    if rows == 0 || cols == 0 || rows * cols > MAX_MODEL_ELEMENTS {
+    // The wire's `MODEL_PUT` cap: a record claiming more elements than the
+    // protocol admits is corruption (64 Ki elements × 8 bytes = 512 KiB,
+    // under `MAX_RECORD_LEN`).
+    if rows == 0 || cols == 0 || rows * cols > MAX_MODEL_ELEMENTS as u64 {
         return Err(CheckpointCodecError::Truncated {
             what: "model shape",
         });
@@ -738,19 +736,21 @@ impl Journal {
 
     /// Drops `session_id`'s checkpoint (its job completed, or a clean BYE)
     /// and appends a tombstone so a restart does not resurrect finished
-    /// work. The tombstone is an ordered record: it becomes durable at the
-    /// next barrier, rotation or [`Journal::sync`], and a power cut before
-    /// then only resurrects a window no client needs (see the module docs).
+    /// work. An id with no live window writes nothing: replay, under the
+    /// same capacity, holds no window for it either. The tombstone is an
+    /// ordered record: it becomes durable at the next barrier, rotation or
+    /// [`Journal::sync`], and a power cut before then only resurrects a
+    /// window no client needs (see the module docs).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write failure.
     pub fn remove(&self, session_id: u64) -> Result<(), JournalError> {
-        if self.capacity == 0 {
-            return Ok(());
-        }
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.live.retain(|(id, _)| *id != session_id);
+        let Some(at) = inner.live.iter().rposition(|(id, _)| *id == session_id) else {
+            return Ok(());
+        };
+        inner.live.remove(at);
         let record = encode_record(KIND_REMOVE, &session_id.to_le_bytes());
         self.append_locked(&mut inner, &record, Durability::Ordered)
     }
@@ -927,7 +927,7 @@ mod tests {
     use super::*;
     use crate::resume::SessionCheckpoint;
     use max_ot::iknp;
-    use maxelerator::remote::derive_seed;
+    use maxelerator::remote::{derive_ot_seed, derive_seed};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -941,7 +941,7 @@ mod tests {
 
     fn checkpoint(session_id: u64) -> SessionCheckpoint {
         let session_seed = derive_seed(77, session_id);
-        let (sender, _) = iknp::setup_pair(derive_seed(session_seed, 0x07));
+        let (sender, _) = iknp::setup_pair(derive_ot_seed(session_seed));
         let digest = max_crypto::TranscriptDigest::new();
         SessionCheckpoint {
             session_id,
@@ -1345,12 +1345,13 @@ mod tests {
 
         /// Saves, removes, capacity evictions, rotations and reopens in any
         /// order: the store matches a least-recently-saved model after
-        /// every step, and a replay of its segment equals the live store,
-        /// entry for entry and in order.
+        /// every step, a remove appends a tombstone only for a live window,
+        /// and a replay of its segment equals the live store, entry for
+        /// entry and in order.
         #[test]
         fn replayed_store_equals_the_live_one(
             capacity in 0usize..4,
-            ops in proptest::prelude::prop::collection::vec((0u8..6, 0u64..5), 1..40),
+            ops in proptest::prelude::prop::collection::vec((0u8..7, 0u64..5), 1..40),
         ) {
             let dir = temp_dir("prop");
             let mut cfg = config(&dir);
@@ -1360,9 +1361,14 @@ mod tests {
             let mut model: Vec<u64> = Vec::new();
             for (job, &(op, id)) in ops.iter().enumerate() {
                 match op {
-                    0 => {
+                    0 | 6 => {
+                        // Op 6 removes an id no save ever used.
+                        let id = if op == 6 { id + 5 } else { id };
+                        let appends = journal.appends();
+                        let was_live = model.contains(&id);
                         journal.remove(id).unwrap();
                         model.retain(|&live| live != id);
+                        proptest::prop_assert_eq!(journal.appends(), appends + u64::from(was_live));
                     }
                     1 => {
                         let before = live(&journal);

@@ -9,8 +9,8 @@
 //!        Transport (Duplex | FramedTcp over loopback/real TCP)
 //!                      │ handshake, jobs, OT, rounds
 //!                      ▼
-//!              session thread  ──── submit ───▶  FairQueue (bounded,
-//!              (one per client)                  round-robin per session)
+//!              session thread  ──── submit ───▶  JobQueue (bounded
+//!              (one per client)                  FIFO)
 //!                      ▲                                │
 //!                      │ each element as it is          ▼
 //!                      │ garbled, then cycles    UnitPool workers
@@ -25,7 +25,9 @@
 //! A job is served one way: resolve it to a source of elements — a stream
 //! popped warm from a model's stock, or a pool unit garbling a
 //! session-default job, a starved fallback or a RESUME, which hands over
-//! each element as it is produced — and stream that.
+//! each element as it is produced — and stream that. A session reads its
+//! next JOB only after the current job's STATS, so it has at most one job
+//! in flight, and the pool takes queued jobs in arrival order.
 //!
 //! Everything is deterministic given the base seed: jobs carry derived
 //! seeds, so the garbled transcript is bit-identical whichever unit runs
@@ -52,7 +54,7 @@ pub use journal::{Journal, JournalConfig, JournalError, ReplayReport};
 pub use resume::SessionCheckpoint;
 pub use scheduler::{IdleFill, JobRequest, QueueFull, UnitPool};
 pub use service::{listen_tcp, GcService, ServeConfig, ServeHandle, ServeStats};
-pub use session::{SessionSummary, MAX_JOB_COLUMNS};
+pub use session::MAX_JOB_COLUMNS;
 
 // The prepared-model registry the service embeds; re-exported so binaries
 // and tests reach its types without naming the crate twice.

@@ -39,16 +39,15 @@
 //! This module owns the checkpoint *codec*. A snapshot stores the OT
 //! sender's cursor, not the sender: `(session, counter)` (see
 //! [`OtSenderState`]). Decoding re-derives the sender once per record from
-//! the session's seed chain (`ot_seed = derive_seed(session_seed, 0x07)`,
-//! exactly the ACCEPT-path derivation) and imports each cursor into a copy
-//! of it — so AES round keys never touch disk, and a two-snapshot record is
-//! 174 bytes.
+//! the session's seed chain ([`derive_ot_seed`], exactly the ACCEPT-path
+//! derivation) and imports each cursor into a copy of it — so AES round
+//! keys never touch disk, and a two-snapshot record is 174 bytes.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use max_crypto::TranscriptDigest;
 use max_ot::iknp::{self, OtExtSender, OtSenderState};
-use maxelerator::remote::derive_seed;
+use maxelerator::remote::derive_ot_seed;
 
 /// Everything needed to resume one interrupted session on a brand-new
 /// connection.
@@ -101,10 +100,10 @@ impl<S> SessionCheckpoint<S> {
     }
 }
 
-/// Hard cap on snapshots a serialized checkpoint may carry. The serving
-/// layer keeps a window of two; anything larger in a decoded record is
-/// corruption, not a bigger window.
-const MAX_CODEC_SNAPSHOTS: u8 = 4;
+/// Hard cap on snapshots a serialized checkpoint may carry: the window of
+/// two a session keeps (see the module docs). Anything larger in a decoded
+/// record is corruption, not a bigger window.
+const MAX_CODEC_SNAPSHOTS: u8 = 2;
 
 /// Why a serialized checkpoint record failed to decode. Every variant is a
 /// typed refusal — hostile or bit-rotted bytes must never panic the codec.
@@ -265,7 +264,7 @@ fn encode_with<S>(
 /// bytes never panic.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, CheckpointCodecError> {
     let cursors = decode_cursors(bytes)?;
-    let ot_seed = derive_seed(cursors.session_seed, 0x07);
+    let ot_seed = derive_ot_seed(cursors.session_seed);
     let mut base: Option<OtExtSender> = None;
     let snapshots = cursors
         .snapshots
@@ -357,12 +356,13 @@ pub(crate) fn decode_cursors(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxelerator::remote::{derive_job_seed, derive_seed, deterministic_resume_token};
 
     /// A realistic checkpoint: seed chain as the HELLO path derives it, OT
     /// sender advanced through real exchanges before snapshotting.
     fn live_checkpoint(session_id: u64, warmup_elements: usize) -> SessionCheckpoint {
         let session_seed = derive_seed(0xBA5E, session_id);
-        let ot_seed = derive_seed(session_seed, 0x07);
+        let ot_seed = derive_ot_seed(session_seed);
         let (mut sender, mut receiver) = iknp::setup_pair(ot_seed);
         let mut digest = TranscriptDigest::new();
         let mut snapshots = Vec::new();
@@ -384,12 +384,12 @@ mod tests {
         snapshots.drain(..snapshots.len().saturating_sub(2));
         SessionCheckpoint {
             session_id,
-            resume_token: derive_seed(session_seed, 0x7e57),
+            resume_token: deterministic_resume_token(session_seed),
             session_seed,
             next_job: 3,
             job_id: 2,
             columns: 5,
-            job_seed: derive_seed(session_seed, 0x102),
+            job_seed: derive_job_seed(session_seed, 2),
             model_id: Some(derive_seed(session_seed, 0x4d0d)),
             snapshots,
         }
@@ -485,12 +485,15 @@ mod tests {
             Err(CheckpointCodecError::BadModelFlag { got: 2 })
         ));
 
-        // An absurd snapshot count is refused before any allocation work.
-        let mut hostile = bytes.clone();
-        hostile[61] = 0xFF; // snapshot-count byte (after the 9-byte model slot).
-        assert!(matches!(
-            decode_checkpoint(&hostile),
-            Err(CheckpointCodecError::SnapshotCount { got: 0xFF })
-        ));
+        // A snapshot count past the window is refused before any
+        // allocation work: one more than a session keeps, and an absurd one.
+        for count in [3, 0xFF] {
+            let mut hostile = bytes.clone();
+            hostile[61] = count; // snapshot-count byte (after the 9-byte model slot).
+            assert!(matches!(
+                decode_checkpoint(&hostile),
+                Err(CheckpointCodecError::SnapshotCount { got }) if got == count
+            ));
+        }
     }
 }

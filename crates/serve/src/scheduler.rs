@@ -1,14 +1,17 @@
-//! The unit-pool scheduler: a bounded, session-fair job queue feeding a
-//! fixed pool of garbling worker threads.
+//! The unit-pool scheduler: a bounded FIFO job queue feeding a fixed pool
+//! of garbling worker threads.
 //!
 //! This mirrors the FSM's one-gate-per-core-per-cycle discipline one level
 //! up: at any instant each *unit* (worker thread wrapping a modeled
-//! MAXelerator fabric) garbles exactly one job, and queued jobs from many
-//! sessions are admitted round-robin so a chatty session cannot starve the
-//! others. The queue is bounded; when it is full, submission fails with a
-//! typed [`QueueFull`] that the session layer turns into a BUSY
-//! (reject-with-retry-hint) frame — backpressure instead of unbounded
-//! memory growth.
+//! MAXelerator fabric) garbles exactly one job. Jobs are taken in arrival
+//! order. A session holds at most one job in flight — it reads its next
+//! JOB only after the current job's STATS, as the paper's host relays one
+//! client request at a time — so arrival order is already fair across
+//! sessions. (A dead connection's job can sit beside its own RESUME; it
+//! stops at its first element whichever runs first.) The queue is bounded;
+//! when it is full, submission fails with a typed [`QueueFull`] that the
+//! session layer turns into a BUSY (reject-with-retry-hint) frame —
+//! backpressure instead of unbounded memory growth.
 //!
 //! When the queue is *empty*, units do not just sleep: the
 //! [`IdleFill`] hook lets the service layer spend the idle capacity on
@@ -18,10 +21,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,10 +36,6 @@ use maxelerator::AcceleratorConfig;
 /// session is serving.
 #[derive(Clone, Debug)]
 pub struct JobRequest {
-    /// Session that submitted the job (fairness key).
-    pub session_id: u64,
-    /// Job id within the session.
-    pub job_id: u64,
     /// Matvec passes (1 = matvec, n = matmul of n columns).
     pub columns: u32,
     /// Accelerator seed for this job.
@@ -83,33 +82,27 @@ struct QueuedJob {
 }
 
 struct QueueState {
-    /// Per-session FIFO queues.
-    per_session: BTreeMap<u64, VecDeque<QueuedJob>>,
-    /// Round-robin rotation of sessions that have pending jobs.
-    rotation: VecDeque<u64>,
-    len: usize,
+    jobs: VecDeque<QueuedJob>,
     paused: bool,
     closed: bool,
-    /// Bumped by [`FairQueue::wake_idle`]: a unit that saw an older value
+    /// Bumped by [`JobQueue::wake_idle`]: a unit that saw an older value
     /// before its idle step goes straight back to idle work.
     idle_wakes: u64,
 }
 
-/// Bounded multi-session queue with round-robin fairness across sessions.
-struct FairQueue {
+/// Bounded FIFO of jobs waiting for a unit.
+struct JobQueue {
     capacity: usize,
     state: Mutex<QueueState>,
     ready: Condvar,
 }
 
-impl FairQueue {
-    fn new(capacity: usize, paused: bool) -> FairQueue {
-        FairQueue {
+impl JobQueue {
+    fn new(capacity: usize, paused: bool) -> JobQueue {
+        JobQueue {
             capacity: capacity.max(1),
             state: Mutex::new(QueueState {
-                per_session: BTreeMap::new(),
-                rotation: VecDeque::new(),
-                len: 0,
+                jobs: VecDeque::new(),
                 paused,
                 closed: false,
                 idle_wakes: 0,
@@ -118,64 +111,34 @@ impl FairQueue {
         }
     }
 
-    /// Admits a job or reports the queue full. Returns the depth after the
-    /// push.
-    fn push(&self, job: QueuedJob) -> Result<usize, QueueFull> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.closed || state.len >= self.capacity {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits a job at the back of the queue, or reports the queue full.
+    fn push(&self, job: QueuedJob) -> Result<(), QueueFull> {
+        let mut state = self.lock();
+        if state.closed || state.jobs.len() >= self.capacity {
             return Err(QueueFull {
-                queue_depth: state.len,
+                queue_depth: state.jobs.len(),
             });
         }
-        let session = job.request.session_id;
-        let queue = state.per_session.entry(session).or_default();
-        let newly_pending = queue.is_empty();
-        queue.push_back(job);
-        if newly_pending {
-            state.rotation.push_back(session);
-        }
-        state.len += 1;
-        let depth = state.len;
+        state.jobs.push_back(job);
         drop(state);
         self.ready.notify_one();
-        Ok(depth)
+        Ok(())
     }
 
-    /// Pops the next job in round-robin session order if one is available
-    /// right now (queue non-empty and not paused).
-    fn pop_locked(state: &mut QueueState) -> Option<QueuedJob> {
-        loop {
-            if state.len == 0 || state.paused {
-                return None;
-            }
-            let mut popped = None;
-            if let Some(session) = state.rotation.pop_front() {
-                if let Some(queue) = state.per_session.get_mut(&session) {
-                    popped = queue.pop_front();
-                    if queue.is_empty() {
-                        state.per_session.remove(&session);
-                    } else {
-                        state.rotation.push_back(session);
-                    }
-                }
-            }
-            if let Some(job) = popped {
-                state.len -= 1;
-                return Some(job);
-            }
-            // Bookkeeping skew is impossible by construction, but a
-            // worker must never panic while holding the queue: rebuild
-            // the rotation/len from the ground truth and retry.
-            state.len = state.per_session.values().map(VecDeque::len).sum();
-            state.rotation = state.per_session.keys().copied().collect();
-        }
-    }
-
-    /// Takes the next job in round-robin session order if one is ready;
-    /// otherwise says whether the queue is closed (and drained) or empty.
+    /// Takes the oldest job if one is ready (queued and not paused);
+    /// otherwise says whether the queue is closed or empty.
     fn try_pop(&self) -> Polled {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        match Self::pop_locked(&mut state) {
+        let mut state = self.lock();
+        let job = if state.paused {
+            None
+        } else {
+            state.jobs.pop_front()
+        };
+        match job {
             Some(job) => Polled::Job(Box::new(job)),
             None if state.closed => Polled::Closed,
             None => Polled::Empty(state.idle_wakes),
@@ -183,13 +146,16 @@ impl FairQueue {
     }
 
     /// Parks until a push/resume/close/idle-wake notification or `timeout`
-    /// elapses; returns at once if [`FairQueue::wake_idle`] ran since the
+    /// elapses; returns at once if [`JobQueue::wake_idle`] ran since the
     /// poll that saw `idle_wakes`. The timeout bounds how stale an idle
     /// unit's "nothing to precompute" view can get (new models can arrive
     /// without a queue notification).
     fn wait_for_work(&self, idle_wakes: u64, timeout: Duration) {
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if (state.len > 0 && !state.paused) || state.closed || state.idle_wakes != idle_wakes {
+        let state = self.lock();
+        if (!state.jobs.is_empty() && !state.paused)
+            || state.closed
+            || state.idle_wakes != idle_wakes
+        {
             return;
         }
         let _ = self
@@ -200,39 +166,27 @@ impl FairQueue {
 
     /// Sends every idle unit back to its idle work now.
     fn wake_idle(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .idle_wakes += 1;
+        self.lock().idle_wakes += 1;
         self.ready.notify_all();
     }
 
     fn resume(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .paused = false;
+        self.lock().paused = false;
         self.ready.notify_all();
     }
 
     /// Stops admissions; workers drain what is already queued, then exit.
     fn close(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 
     fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len
+        self.lock().jobs.len()
     }
 }
 
-/// A fixed pool of garbling units draining a `FairQueue`.
+/// A fixed pool of garbling units draining one bounded FIFO job queue.
 ///
 /// Each worker owns nothing but its thread: jobs carry their own seed, and
 /// [`produce_elements`] — the producer a registry fill step runs too —
@@ -254,7 +208,7 @@ impl FairQueue {
 /// unit would otherwise run on to the end of its slice first, and READY
 /// would wait out most of the job's garbling instead of one element's.
 pub struct UnitPool {
-    queue: Arc<FairQueue>,
+    queue: Arc<JobQueue>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     worker_count: usize,
 }
@@ -290,7 +244,7 @@ impl UnitPool {
         recorder: Option<Arc<Recorder>>,
         idle_fill: IdleFill,
     ) -> UnitPool {
-        let queue = Arc::new(FairQueue::new(queue_capacity, start_paused));
+        let queue = Arc::new(JobQueue::new(queue_capacity, start_paused));
         let worker_count = workers.max(1);
         let handles: Vec<JoinHandle<()>> = (0..worker_count)
             .filter_map(|w| {
@@ -429,12 +383,10 @@ mod tests {
     use super::*;
     use maxelerator::remote::{fill_stream, MaterializedElement};
 
-    fn request_for(weights: Vec<Vec<i64>>, session_id: u64, job_id: u64) -> JobRequest {
+    fn request_for(weights: Vec<Vec<i64>>, seed: u64) -> JobRequest {
         JobRequest {
-            session_id,
-            job_id,
             columns: 1,
-            seed: 1,
+            seed,
             weights: Arc::new(weights),
             start_element: 0,
             trace: TraceContext::none(),
@@ -458,68 +410,62 @@ mod tests {
         Arc::new(|| false)
     }
 
-    fn pop(queue: &FairQueue) -> Option<QueuedJob> {
+    fn pop(queue: &JobQueue) -> Option<QueuedJob> {
         match queue.try_pop() {
             Polled::Job(job) => Some(*job),
             Polled::Empty(_) | Polled::Closed => None,
         }
     }
 
-    fn request(session_id: u64, job_id: u64) -> JobRequest {
-        request_for(vec![vec![1i64]], session_id, job_id)
+    fn request(seed: u64) -> JobRequest {
+        request_for(vec![vec![1i64]], seed)
     }
 
-    fn push(queue: &FairQueue, session_id: u64, job_id: u64) -> Result<usize, QueueFull> {
+    /// Queues a job tagged by its seed; nothing reads its hand-off.
+    fn push(queue: &JobQueue, seed: u64) -> Result<(), QueueFull> {
         let (tx, _rx) = mpsc::channel();
-        // Keep the receiver alive via leak-free drop: send() failing is fine
-        // for these scheduling-order tests.
         queue.push(QueuedJob {
-            request: request(session_id, job_id),
+            request: request(seed),
             reply: tx,
             enqueued: Instant::now(),
         })
     }
 
     #[test]
-    fn round_robin_across_sessions() {
-        let queue = FairQueue::new(8, true);
-        // Session 1 floods first; session 2 arrives later with fewer jobs.
-        push(&queue, 1, 0).unwrap();
-        push(&queue, 1, 1).unwrap();
-        push(&queue, 1, 2).unwrap();
-        push(&queue, 2, 0).unwrap();
-        push(&queue, 2, 1).unwrap();
+    fn pops_in_arrival_order_across_sessions() {
+        let queue = JobQueue::new(8, true);
+        // Tag `session * 10 + job`: session 1 arrives first with three
+        // jobs, session 2 later with two.
+        for tag in [10, 11, 12, 20, 21] {
+            push(&queue, tag).unwrap();
+        }
         queue.resume();
-        let order: Vec<(u64, u64)> = (0..5)
-            .map(|_| {
-                let job = pop(&queue).unwrap();
-                (job.request.session_id, job.request.job_id)
-            })
-            .collect();
-        // Interleaved, not FIFO: the late session is served every other slot.
-        assert_eq!(order, vec![(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)]);
+        let order: Vec<u64> = (0..5).map(|_| pop(&queue).unwrap().request.seed).collect();
+        // Arrival order: session 2 waits behind all of session 1's jobs.
+        assert_eq!(order, [10, 11, 12, 20, 21]);
+        assert!(pop(&queue).is_none());
     }
 
     #[test]
     fn bounded_queue_rejects_with_depth() {
-        let queue = FairQueue::new(2, true);
-        push(&queue, 1, 0).unwrap();
-        push(&queue, 2, 0).unwrap();
-        assert_eq!(push(&queue, 3, 0), Err(QueueFull { queue_depth: 2 }));
+        let queue = JobQueue::new(2, true);
+        push(&queue, 10).unwrap();
+        push(&queue, 20).unwrap();
+        assert_eq!(push(&queue, 30), Err(QueueFull { queue_depth: 2 }));
         assert_eq!(queue.depth(), 2);
     }
 
     #[test]
     fn close_drains_then_ends() {
-        let queue = FairQueue::new(4, false);
-        push(&queue, 1, 0).unwrap();
-        push(&queue, 1, 1).unwrap();
+        let queue = JobQueue::new(4, false);
+        push(&queue, 10).unwrap();
+        push(&queue, 11).unwrap();
         queue.close();
         assert!(pop(&queue).is_some());
         assert!(pop(&queue).is_some());
         assert!(matches!(queue.try_pop(), Polled::Closed));
         // Closed queues admit nothing.
-        assert!(push(&queue, 1, 2).is_err());
+        assert!(push(&queue, 12).is_err());
     }
 
     #[test]
@@ -527,8 +473,8 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let weights = vec![vec![2i64, -3], vec![4, 5]];
         let pool = UnitPool::new(config, 2, 4, false, None, no_fill());
-        let rx_a = pool.submit(request_for(weights.clone(), 1, 0)).unwrap();
-        let rx_b = pool.submit(request_for(weights, 2, 0)).unwrap();
+        let rx_a = pool.submit(request_for(weights.clone(), 1)).unwrap();
+        let rx_b = pool.submit(request_for(weights, 1)).unwrap();
         let (elements_a, cycles_a) = collect(rx_a);
         let (elements_b, _) = collect(rx_b);
         assert_eq!(elements_a.len(), 2);
@@ -543,7 +489,7 @@ mod tests {
         let config = AcceleratorConfig::new(8);
         let pool = UnitPool::new(config.clone(), 1, 4, false, None, no_fill());
         let model = vec![vec![7i64, -2], vec![3, 4]];
-        let req = request_for(model.clone(), 1, 0);
+        let req = request_for(model.clone(), 1);
         let (elements, cycles) = collect(pool.submit(req).unwrap());
         let filled = fill_stream(&config, &model, 1, 1).unwrap();
         assert_eq!(elements, filled.elements);
@@ -571,7 +517,7 @@ mod tests {
         }
         assert!(fills.load(Ordering::SeqCst) >= 3, "idle hook never ran");
         // ...and still serves real jobs promptly.
-        let rx = pool.submit(request(1, 0)).unwrap();
+        let rx = pool.submit(request(1)).unwrap();
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(5)),
             Ok(JobPiece::Element(_))
@@ -585,7 +531,7 @@ mod tests {
     fn paused_pool_holds_jobs_until_resume() {
         let config = AcceleratorConfig::new(8);
         let pool = UnitPool::new(config, 1, 2, true, None, no_fill());
-        let rx = pool.submit(request(1, 0)).unwrap();
+        let rx = pool.submit(request(1)).unwrap();
         assert_eq!(pool.depth(), 1);
         assert!(rx
             .recv_timeout(std::time::Duration::from_millis(50))

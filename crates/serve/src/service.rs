@@ -570,12 +570,12 @@ impl GcService {
         let spawned = std::thread::Builder::new()
             .name(format!("gc-session-{session_id}"))
             .spawn(move || {
-                let (summary, outcome) = match &flight {
+                let (trace_id, outcome) = match &flight {
                     Some(fl) => run_session(
                         &shared,
                         FlightTransport::new(transport, Arc::clone(fl)),
                         session_id,
-                        Some(Arc::clone(fl)),
+                        Some(fl),
                     ),
                     None => run_session(&shared, transport, session_id, None),
                 };
@@ -592,7 +592,7 @@ impl GcService {
                         // session — injected fault, reaped deadline, or the
                         // protocol error itself.
                         fl.log("session.error", format!("{err:?}"), 0);
-                        shared.keep_flight_dump(fl.dump_json(summary.trace_id).render());
+                        shared.keep_flight_dump(fl.dump_json(trace_id).render());
                     }
                 }
             });

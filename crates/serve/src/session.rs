@@ -26,9 +26,10 @@ use max_ot::iknp::{self, OtExtSender, OtSenderState};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
-    derive_seed, recv_control, send_control, stream_materialized_job_from, ControlMsg, JobSource,
-    PROTOCOL_VERSION, REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME,
-    REJECT_VERSION, REJECT_WIDTH, STREAM_DIGEST_MISMATCH,
+    derive_job_seed, derive_ot_seed, derive_seed, deterministic_resume_token, recv_control,
+    send_control, stream_materialized_job_from, ControlMsg, JobSource, PROTOCOL_VERSION,
+    REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME, REJECT_VERSION, REJECT_WIDTH,
+    STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
 
@@ -50,32 +51,6 @@ fn fresh_resume_token() -> u64 {
     let mut buf = [0u8; 8];
     max_telemetry::os_entropy(&mut buf);
     u64::from_le_bytes(buf)
-}
-
-/// How one session ended, with its tallies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionSummary {
-    /// Server-assigned session id (the *resumed* id for reconnects).
-    pub session_id: u64,
-    /// Jobs garbled and streamed to completion.
-    pub jobs_completed: u64,
-    /// Jobs turned away with BUSY.
-    pub busy_rejections: u64,
-    /// Jobs continued from a round checkpoint on this connection.
-    pub jobs_resumed: u64,
-    /// Model jobs served from a warm pre-garbled stream on this connection
-    /// (no garbling on the online path).
-    pub jobs_prepared: u64,
-    /// Jobs this connection left mid-job with a checkpoint to resume from.
-    pub checkpoints_saved: u64,
-    /// The session ended because the idle timeout fired.
-    pub idle_reaped: bool,
-    /// The handshake was refused (draining / version / width / overload /
-    /// unknown resume).
-    pub rejected: bool,
-    /// Trace id the client put in its HELLO/RESUME (0 = untraced); tags
-    /// the flight-recorder dump of an error-ending session.
-    pub trace_id: u128,
 }
 
 /// Identity and seed material of a live session, common to the fresh and
@@ -145,12 +120,10 @@ fn checkpoint_token(resume_token: u64, registration: Option<&[u8; 16]>) -> u64 {
 /// Turns a job away with BUSY, counted; the session stays usable.
 fn send_busy<T: Transport>(
     shared: &ServiceShared,
-    summary: &mut SessionSummary,
     transport: &mut T,
     retry_after_ms: u32,
     queue_depth: usize,
 ) -> Result<(), AcceleratorError> {
-    summary.busy_rejections += 1;
     shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
     send_control(
         transport,
@@ -211,7 +184,6 @@ fn save_window(
 /// checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
-    summary: &mut SessionSummary,
     transport: &mut T,
     ctx: &SessionCtx<'_>,
     ot_sender: &mut OtExtSender,
@@ -281,7 +253,6 @@ fn stream_job_checkpointed<T: Transport>(
                 .snapshots
                 .last()
                 .map_or(0, |(next, _, _)| *next as u64);
-            summary.checkpoints_saved += 1;
             shared.checkpoints_saved.fetch_add(1, Ordering::Relaxed);
             trace_instant(shared, ctx.trace, "server/checkpoint");
             if let Some(flight) = ctx.flight {
@@ -296,38 +267,35 @@ fn stream_job_checkpointed<T: Transport>(
     }
 }
 
+/// Refuses a handshake or a model request with a typed REJECT.
+fn reject<T: Transport>(transport: &mut T, code: u8, detail: u32) -> Result<(), AcceleratorError> {
+    send_control(transport, &ControlMsg::Reject { code, detail })
+}
+
 /// Runs one session over `transport` until BYE, disconnect, idle timeout,
 /// or a protocol violation.
 ///
-/// Always returns the session's tallies — a session that dies mid-job is
-/// exactly the one whose checkpoint/jobs counters matter — alongside how it
-/// ended: `Ok` for clean closes (BYE, disconnect between jobs, idle
-/// timeout, handshake rejection), the killing error otherwise.
+/// Returns the trace id the client put in its HELLO/RESUME (0 = untraced),
+/// which tags the flight-recorder dump of an error-ending session, and how
+/// the session ended: `Ok` for clean closes (BYE, disconnect between jobs,
+/// idle timeout, handshake rejection), the killing error otherwise. Every
+/// tally lands on the service's shared counters as it happens.
 pub(crate) fn run_session<T: Transport>(
     shared: &ServiceShared,
     mut transport: T,
     session_id: u64,
-    flight: Option<Arc<FlightRecorder>>,
-) -> (SessionSummary, Result<(), AcceleratorError>) {
-    let mut summary = SessionSummary {
-        session_id,
-        ..SessionSummary::default()
-    };
-    let outcome = session_loop(
-        shared,
-        &mut transport,
-        session_id,
-        &mut summary,
-        flight.as_deref(),
-    );
-    (summary, outcome)
+    flight: Option<&FlightRecorder>,
+) -> (u128, Result<(), AcceleratorError>) {
+    let mut trace_id = 0;
+    let outcome = session_loop(shared, &mut transport, session_id, &mut trace_id, flight);
+    (trace_id, outcome)
 }
 
 fn session_loop<T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
     session_id: u64,
-    summary: &mut SessionSummary,
+    trace_id: &mut u128,
     flight: Option<&FlightRecorder>,
 ) -> Result<(), AcceleratorError> {
     transport.set_idle_timeout(shared.idle_timeout);
@@ -347,7 +315,6 @@ fn session_loop<T: Transport>(
             Ok(msg) => break msg,
             Err(AcceleratorError::Disconnected) => return Ok(()),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
-                summary.idle_reaped = true;
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "handshake", 0);
                 }
@@ -357,24 +324,15 @@ fn session_loop<T: Transport>(
         }
     };
 
-    let reject = |transport: &mut T,
-                  summary: &mut SessionSummary,
-                  code: u8,
-                  detail: u32|
-     -> Result<(), AcceleratorError> {
-        summary.rejected = true;
-        send_control(transport, &ControlMsg::Reject { code, detail })
-    };
-
     let (mut ctx, mut ot_sender, mut pending) = match first {
         ControlMsg::Hello {
             version,
             bit_width,
             trace,
         } => {
-            summary.trace_id = trace.trace_id;
+            *trace_id = trace.trace_id;
             if shared.is_draining() {
-                reject(transport, summary, REJECT_DRAINING, 0)?;
+                reject(transport, REJECT_DRAINING, 0)?;
                 return Ok(());
             }
             if shared.breaker.should_shed() {
@@ -387,36 +345,25 @@ fn session_loop<T: Transport>(
                 }
                 reject(
                     transport,
-                    summary,
                     REJECT_OVERLOAD,
                     shared.breaker.config().retry_after_ms,
                 )?;
                 return Ok(());
             }
             if version != PROTOCOL_VERSION {
-                reject(
-                    transport,
-                    summary,
-                    REJECT_VERSION,
-                    u32::from(PROTOCOL_VERSION),
-                )?;
+                reject(transport, REJECT_VERSION, u32::from(PROTOCOL_VERSION))?;
                 return Ok(());
             }
             if bit_width as usize != shared.config.bit_width {
-                reject(
-                    transport,
-                    summary,
-                    REJECT_WIDTH,
-                    shared.config.bit_width as u32,
-                )?;
+                reject(transport, REJECT_WIDTH, shared.config.bit_width as u32)?;
                 return Ok(());
             }
             let session_seed = derive_seed(shared.base_seed, session_id);
-            let ot_seed = derive_seed(session_seed, 0x07);
+            let ot_seed = derive_ot_seed(session_seed);
             let resume_token = if shared.deterministic_resume_tokens {
                 // Test-only reproducibility escape hatch — forgeable; see
                 // `ServeConfig::deterministic_resume_tokens`.
-                derive_seed(session_seed, 0x7e57)
+                deterministic_resume_token(session_seed)
             } else {
                 fresh_resume_token()
             };
@@ -457,7 +404,7 @@ fn session_loop<T: Transport>(
             elements_done,
             trace,
         } => {
-            summary.trace_id = trace.trace_id;
+            *trace_id = trace.trace_id;
             // Resumes finish work already admitted: allowed while draining
             // and while the breaker sheds new load. A model job re-garbles
             // from the registry's weights with the checkpoint's seed, so it
@@ -485,13 +432,10 @@ fn session_loop<T: Transport>(
                         Some((sender.clone(), digest.clone(), weights, registration, cp))
                     });
             let Some((sender, digest, weights, registration, checkpoint)) = resumable else {
-                reject(transport, summary, REJECT_RESUME, 0)?;
+                reject(transport, REJECT_RESUME, 0)?;
                 return Ok(());
             };
-            summary.session_id = resumed_id;
             let request = JobRequest {
-                session_id: resumed_id,
-                job_id,
                 columns,
                 seed: checkpoint.job_seed,
                 weights,
@@ -503,13 +447,7 @@ fn session_loop<T: Transport>(
                 Err(full) => {
                     // The checkpoint stays put; the client backs off and
                     // re-sends RESUME on its next connection.
-                    send_busy(
-                        shared,
-                        summary,
-                        transport,
-                        shared.retry_after_ms,
-                        full.queue_depth,
-                    )?;
+                    send_busy(shared, transport, shared.retry_after_ms, full.queue_depth)?;
                     return Ok(());
                 }
             };
@@ -554,17 +492,15 @@ fn session_loop<T: Transport>(
     loop {
         let job = match pending.take() {
             Some(job) => job,
-            None => match next_job(shared, summary, transport, &mut ctx)? {
+            None => match next_job(shared, transport, &mut ctx)? {
                 Some(job) => job,
                 None => break,
             },
         };
-        stream_job_checkpointed(shared, summary, transport, &ctx, &mut ot_sender, &job)?;
+        stream_job_checkpointed(shared, transport, &ctx, &mut ot_sender, &job)?;
         if job.resumed {
-            summary.jobs_resumed += 1;
             shared.jobs_resumed.fetch_add(1, Ordering::Relaxed);
         }
-        summary.jobs_completed += 1;
         shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
     }
     Ok(())
@@ -576,7 +512,6 @@ fn session_loop<T: Transport>(
 /// going: those are per-job refusals, not session errors.
 fn next_job<T: Transport>(
     shared: &ServiceShared,
-    summary: &mut SessionSummary,
     transport: &mut T,
     ctx: &mut SessionCtx<'_>,
 ) -> Result<Option<ResolvedJob>, AcceleratorError> {
@@ -598,13 +533,7 @@ fn next_job<T: Transport>(
                             if let Some(flight) = flight {
                                 flight.log("model.unknown", format!("model {id}"), id);
                             }
-                            send_control(
-                                transport,
-                                &ControlMsg::Reject {
-                                    code: REJECT_MODEL,
-                                    detail: 0,
-                                },
-                            )?;
+                            reject(transport, REJECT_MODEL, 0)?;
                             continue;
                         }
                         Some(Acquired::Prepared(stream)) => {
@@ -622,7 +551,6 @@ fn next_job<T: Transport>(
                             } = *stream;
                             let job_id = ctx.next_job;
                             ctx.next_job += 1;
-                            summary.jobs_prepared += 1;
                             shared.jobs_prepared.fetch_add(1, Ordering::Relaxed);
                             trace_instant(shared, ctx.trace, "server/prepared_serve");
                             if let Some(flight) = flight {
@@ -667,24 +595,16 @@ fn next_job<T: Transport>(
                     if let Some(flight) = flight {
                         flight.log("breaker.shed", "job", u64::from(retry_after_ms));
                     }
-                    send_busy(
-                        shared,
-                        summary,
-                        transport,
-                        retry_after_ms,
-                        shared.pool.depth(),
-                    )?;
+                    send_busy(shared, transport, retry_after_ms, shared.pool.depth())?;
                     continue;
                 }
                 let job_id = ctx.next_job;
                 let job_seed = ticket.as_ref().map_or_else(
-                    || derive_seed(ctx.session_seed, 0x100 + job_id),
+                    || derive_job_seed(ctx.session_seed, job_id),
                     |ticket| ticket.seed,
                 );
                 let registration = ticket.as_ref().map(|ticket| ticket.registration);
                 let request = JobRequest {
-                    session_id: ctx.session_id,
-                    job_id,
                     columns,
                     seed: job_seed,
                     weights: ticket.map_or_else(|| Arc::clone(&shared.weights), |t| t.weights),
@@ -714,13 +634,7 @@ fn next_job<T: Transport>(
                     }
                     Err(full) => {
                         shared.breaker.note_queue_full();
-                        send_busy(
-                            shared,
-                            summary,
-                            transport,
-                            shared.retry_after_ms,
-                            full.queue_depth,
-                        )?;
+                        send_busy(shared, transport, shared.retry_after_ms, full.queue_depth)?;
                     }
                 }
             }
@@ -757,25 +671,13 @@ fn next_job<T: Transport>(
                         if let Some(flight) = flight {
                             flight.log("model.put_rejected", format!("{err}"), u64::from(detail));
                         }
-                        send_control(
-                            transport,
-                            &ControlMsg::Reject {
-                                code: REJECT_MODEL,
-                                detail: u32::from(detail),
-                            },
-                        )?;
+                        reject(transport, REJECT_MODEL, u32::from(detail))?;
                     }
                 }
             }
             Ok(ControlMsg::ModelInfo { model_id }) => match shared.registry.status(model_id) {
                 Some(status) => send_control(transport, &ControlMsg::ModelStat { status })?,
-                None => send_control(
-                    transport,
-                    &ControlMsg::Reject {
-                        code: REJECT_MODEL,
-                        detail: 0,
-                    },
-                )?,
+                None => reject(transport, REJECT_MODEL, 0)?,
             },
             Ok(ControlMsg::ModelEvict { model_id }) => match shared.evict_model(model_id) {
                 Some(status) => {
@@ -784,13 +686,7 @@ fn next_job<T: Transport>(
                     }
                     send_control(transport, &ControlMsg::ModelStat { status })?;
                 }
-                None => send_control(
-                    transport,
-                    &ControlMsg::Reject {
-                        code: REJECT_MODEL,
-                        detail: 0,
-                    },
-                )?,
+                None => reject(transport, REJECT_MODEL, 0)?,
             },
             Ok(ControlMsg::Ping { nonce }) => {
                 send_control(transport, &ControlMsg::Pong { nonce })?;
@@ -811,7 +707,6 @@ fn next_job<T: Transport>(
             }
             Err(AcceleratorError::Disconnected) => return Ok(None),
             Err(AcceleratorError::Transport(max_gc::channel::TransportError::TimedOut)) => {
-                summary.idle_reaped = true;
                 if let Some(flight) = flight {
                     flight.log("deadline.reap", "idle", 0);
                 }
