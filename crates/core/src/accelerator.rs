@@ -248,9 +248,9 @@ impl Maxelerator {
     /// Garbles matrix row `row` as output element `elem`: the element's
     /// whole round sequence as one pipelined job with the decode bits
     /// released on the last round, plus its OT pairs in round order. This
-    /// is how both drivers — the in-process [`crate::CloudServer`] and the
-    /// served job producer — turn a row into an element, so they cannot
-    /// drift.
+    /// is how the one job loop turns a row into an element, on a pool unit,
+    /// a registry fill or a unit of the in-process [`crate::CloudServer`],
+    /// so they cannot drift.
     ///
     /// # Panics
     ///

@@ -28,6 +28,11 @@
 //! the strongest correctness check this reproduction has — and it passes for
 //! random matrices at every supported bit-width.
 //!
+//! The whole Figure-1 system runs in one process through [`connect`] and
+//! [`secure_matvec`]: a served session over an in-memory
+//! [`Duplex`](max_gc::channel::Duplex), with the same handshake, frames and
+//! streamer as the [`remote`] protocol over TCP.
+//!
 //! # Quick start
 //!
 //! ```

@@ -1,6 +1,7 @@
-//! The garbler's side of a job: the one loop that turns a weight matrix
-//! into stream elements, the materialized form that is stored and served,
-//! its at-rest digest, and the one streamer that puts it on a wire.
+//! The garbler's side of a session: the server's half of the handshake,
+//! the one loop that turns a weight matrix into stream elements, the
+//! materialized form that is stored and served, its at-rest digest, and
+//! the one streamer that puts it on a wire.
 
 use std::borrow::Cow;
 use std::ops::ControlFlow;
@@ -12,12 +13,12 @@ use max_gc::channel::{
     encode_block_pairs, is_sealed, open_frame, seal_frame, seal_mark, FrameKind, SEAL_BYTES,
 };
 use max_gc::Transport;
-use max_ot::iknp::OtExtSender;
+use max_ot::iknp::{self, OtExtSender};
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, REJECT_DETAIL_STOCK,
-    REJECT_INTEGRITY,
+    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, PROTOCOL_VERSION,
+    REJECT_DETAIL_STOCK, REJECT_INTEGRITY, REJECT_VERSION, REJECT_WIDTH,
 };
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
@@ -53,6 +54,65 @@ pub fn deterministic_resume_token(session_seed: u64) -> u64 {
     derive_seed(session_seed, 0x7e57)
 }
 
+/// The server's half of the handshake, written once for every server:
+/// `hello`'s version and bit width are checked against
+/// [`PROTOCOL_VERSION`] and `config`, and a mismatch is answered with its
+/// typed REJECT (`Ok(None)`; the session ends there). Otherwise ACCEPT goes
+/// out — session `session_id`, the `ot_seed` of `session_seed`,
+/// `resume_token`, the shape of `weights` and `config` — and the session's
+/// OT sender is returned: the server's half of the base OT, dealt from the
+/// `ot_seed` ACCEPT just published (see the module docs' "Seeds").
+///
+/// # Errors
+///
+/// [`AcceleratorError::Protocol`] if `hello` is not a HELLO; transport
+/// failures sending REJECT or ACCEPT.
+pub fn accept_hello<T: Transport + ?Sized>(
+    transport: &mut T,
+    hello: &ControlMsg,
+    config: &AcceleratorConfig,
+    weights: &[Vec<i64>],
+    session_id: u64,
+    session_seed: u64,
+    resume_token: u64,
+) -> Result<Option<OtExtSender>, AcceleratorError> {
+    let &ControlMsg::Hello {
+        version, bit_width, ..
+    } = hello
+    else {
+        return Err(AcceleratorError::Protocol {
+            what: "expected HELLO",
+        });
+    };
+    let refusal = if version != PROTOCOL_VERSION {
+        Some((REJECT_VERSION, u32::from(PROTOCOL_VERSION)))
+    } else if bit_width as usize != config.bit_width {
+        Some((REJECT_WIDTH, config.bit_width as u32))
+    } else {
+        None
+    };
+    if let Some((code, detail)) = refusal {
+        send_control(transport, &ControlMsg::Reject { code, detail })?;
+        return Ok(None);
+    }
+    let ot_seed = derive_ot_seed(session_seed);
+    send_control(
+        transport,
+        &ControlMsg::Accept {
+            session_id,
+            ot_seed,
+            resume_token,
+            rows: weights.len() as u32,
+            cols: weights.first().map_or(0, Vec::len) as u32,
+            bit_width: config.bit_width as u32,
+            acc_width: config.acc_width as u32,
+            signed: config.signed,
+            freq_mhz_bits: config.freq_mhz.to_bits(),
+        },
+    )?;
+    Ok(Some(iknp::setup_pair(ot_seed).0))
+}
+
 /// The one job loop: garbles a matvec/matmul job on a fresh accelerator
 /// seeded with `seed` and hands each element to `sink` the moment it
 /// exists — pure compute, no I/O, safe to run on any worker thread.
@@ -65,12 +125,6 @@ pub fn deterministic_resume_token(session_seed: u64) -> u64 {
 /// session is gone garbles no further for it); the cycles spent up to then
 /// are returned.
 ///
-/// # Errors
-///
-/// None: garbling cannot fail. The `Result` stays for the producers built
-/// on this loop and for [`garble_matvec_job`]'s outside callers (the
-/// benchmark's layer probes), which are written against it.
-///
 /// # Panics
 ///
 /// Panics if the model is empty or `columns` is zero (serving code
@@ -80,20 +134,36 @@ pub fn garble_elements(
     weights: &[Vec<i64>],
     seed: u64,
     columns: u32,
-    mut sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
-) -> Result<u64, AcceleratorError> {
+    sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
+) -> u64 {
     assert!(!weights.is_empty(), "job needs a non-empty model");
     assert!(columns > 0, "job needs at least one column");
+    garble_unit(config, weights, seed, columns, 0, 1, sink)
+        .report()
+        .cycles
+}
+
+/// [`garble_elements`]' loop as unit `unit` of `units` runs it: elements
+/// `unit, unit + units, …` of the job only, on the unit's own accelerator,
+/// which is returned with its report. An element's labels derive from the
+/// seed and its id alone, so its bytes do not depend on the unit.
+pub(crate) fn garble_unit(
+    config: &AcceleratorConfig,
+    weights: &[Vec<i64>],
+    seed: u64,
+    columns: u32,
+    unit: usize,
+    units: usize,
+    mut sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
+) -> Maxelerator {
     let mut accel = Maxelerator::new(config.clone(), seed);
-    let n_rows = weights.len();
-    'job: for pass in 0..columns as usize {
-        for (r, row) in weights.iter().enumerate() {
-            if sink(accel.garble_element((pass * n_rows + r) as u32, row)).is_break() {
-                break 'job;
-            }
+    for e in (unit..weights.len() * columns as usize).step_by(units) {
+        let row = &weights[e % weights.len()];
+        if sink(accel.garble_element(e as u32, row)).is_break() {
+            break;
         }
     }
-    Ok(accel.report().cycles)
+    accel
 }
 
 /// A fully garbled job with its round messages still in structured form —
@@ -108,7 +178,12 @@ pub struct GarbledJob {
 }
 
 /// Garbles a complete job and keeps every element's round messages.
-/// Errors and panics as [`garble_elements`].
+/// Panics as [`garble_elements`].
+///
+/// # Errors
+///
+/// None: garbling cannot fail. The `Result` stays for the outside callers
+/// written against it (the benchmark's layer probes).
 pub fn garble_matvec_job(
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
@@ -119,7 +194,7 @@ pub fn garble_matvec_job(
     let cycles = garble_elements(config, weights, seed, columns, |row| {
         rows.push(row);
         ControlFlow::Continue(())
-    })?;
+    });
     Ok(GarbledJob {
         rows,
         fabric_cycles: cycles,
@@ -232,8 +307,8 @@ pub fn materialize_job(job: &GarbledJob) -> MaterializedJob {
 /// `start_element` on rendered to its wire form and handed to `sink` the
 /// moment it exists, its round messages dropped. Elements before
 /// `start_element` (what a resumed client already holds) are garbled, so
-/// the fabric cycles stay the whole job's, but never materialized. Errors,
-/// panics and early stop as [`garble_elements`].
+/// the fabric cycles stay the whole job's, but never materialized. Panics
+/// and early stop as [`garble_elements`].
 pub fn produce_elements(
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
@@ -241,7 +316,7 @@ pub fn produce_elements(
     columns: u32,
     start_element: usize,
     mut sink: impl FnMut(MaterializedElement) -> ControlFlow<()>,
-) -> Result<u64, AcceleratorError> {
+) -> u64 {
     let mut produced = 0usize;
     garble_elements(config, weights, seed, columns, |row| {
         produced += 1;
@@ -253,33 +328,32 @@ pub fn produce_elements(
 }
 
 /// Garbles a whole job into the stream a prepared-model stock stores:
-/// [`produce_elements`] collected. Errors and panics as
-/// [`garble_elements`].
+/// [`produce_elements`] collected. Panics as [`garble_elements`].
 pub fn fill_stream(
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
     seed: u64,
     columns: u32,
-) -> Result<MaterializedJob, AcceleratorError> {
+) -> MaterializedJob {
     let mut elements = Vec::with_capacity(weights.len() * columns as usize);
-    let cycles = produce_elements(config, weights, seed, columns, 0, |elem| {
+    let fabric_cycles = produce_elements(config, weights, seed, columns, 0, |elem| {
         elements.push(elem);
         ControlFlow::Continue(())
-    })?;
-    Ok(MaterializedJob {
+    });
+    MaterializedJob {
         elements,
-        fabric_cycles: cycles,
-    })
+        fabric_cycles,
+    }
 }
 
 /// What a garbling unit sends down an inline job's hand-off: each element
-/// as it is produced, then the job's fabric cycles or the error.
+/// as it is produced, then the job's fabric cycles.
 #[derive(Debug)]
 pub enum JobPiece {
     /// The next element in serve order.
     Element(MaterializedElement),
-    /// The job is complete.
-    Done(Result<u64, AcceleratorError>),
+    /// The job is complete, with its fabric cycles.
+    Done(u64),
 }
 
 /// Where the streamer's elements come from.
@@ -317,7 +391,7 @@ impl JobSource {
                 })),
             JobSource::Garbling(pieces) => match pieces.recv() {
                 Ok(JobPiece::Element(elem)) => Ok(Next::Element(Cow::Owned(elem))),
-                Ok(JobPiece::Done(cycles)) => cycles.map(Next::Done),
+                Ok(JobPiece::Done(cycles)) => Ok(Next::Done(cycles)),
                 Err(_) => Err(AcceleratorError::Protocol {
                     what: "unit pool shut down mid-job",
                 }),
@@ -328,12 +402,13 @@ impl JobSource {
 
 /// Streams a job to the client: READY, then per element the EXT → CIPHER
 /// → ROUNDS exchange, then STATS. Runs on the session thread (the server
-/// side of [`RemoteClient::run_job`](super::RemoteClient::run_job)) and is
-/// the only streamer: warm stock and a job a pool unit is garbling right
-/// now go out through the same loop, which takes each element from the
-/// [`JobSource`] as it needs it, so an inline job's exchange overlaps its
-/// garbling. READY goes out once the first element to serve is in hand: a
-/// garbling error on it is still a typed error before READY. Every
+/// side of [`RemoteClient::run_job`](super::RemoteClient::run_job), in
+/// `max-serve` and in the in-process [`crate::CloudServer`]) and is the
+/// only streamer: warm stock and a job units are garbling right now go out
+/// through the same loop, which takes each element from the [`JobSource`]
+/// as it needs it, so an inline job's exchange overlaps its garbling.
+/// READY goes out once the first element to serve is in hand: a hand-off
+/// dropped before it is still a typed error before READY. Every
 /// element's ROUNDS frame was sealed when it was materialized, so the loop
 /// sends the stored frame as it is (a clone is a reference-count bump, not
 /// a copy) and folds that frame's seal mark; the only frame it seals is
@@ -370,8 +445,8 @@ impl JobSource {
 ///
 /// # Errors
 ///
-/// Propagates transport failures, protocol violations and the source's
-/// garbling errors; on any error the session should be torn down (the OT
+/// Propagates transport failures, protocol violations and a hand-off
+/// dropped mid-job; on any error the session should be torn down (the OT
 /// state is no longer aligned) or, if `on_element` was called, checkpointed
 /// for RESUME from its last snapshot.
 #[allow(clippy::too_many_arguments)]

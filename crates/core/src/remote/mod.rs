@@ -1,11 +1,13 @@
 //! Session-driven two-party protocol over any [`Transport`].
 //!
-//! The in-process [`connect`](crate::connect)/[`secure_matvec`](crate::secure_matvec)
-//! pair assumes both parties live in one address space. This module is the
-//! wire-facing equivalent: a [`RemoteClient`] (the evaluator) speaks a small
-//! framed protocol to a serving garbler — over the in-memory
-//! [`Duplex`](max_gc::channel::Duplex) or loopback/real TCP, identically —
-//! and recovers exact MAC results through the full OT-extension stack.
+//! A [`RemoteClient`] (the evaluator) speaks a small framed protocol to a
+//! serving garbler — over the in-memory [`Duplex`](max_gc::channel::Duplex)
+//! or loopback/real TCP, identically — and recovers exact MAC results
+//! through the full OT-extension stack. Every path runs it: `max-serve`,
+//! and the in-process [`connect`](crate::connect)/[`secure_matvec`](crate::secure_matvec)
+//! pair, which is a served session over a `Duplex` with the server on a
+//! thread of its own. The server's half of the handshake is written once,
+//! in [`accept_hello`].
 //!
 //! ## Protocol
 //!
@@ -42,8 +44,8 @@
 //! seed chain: [`derive_seed`] is an invertible bijection and `ot_seed`
 //! (also seed-derived) is published on the wire, so a seed-derived token
 //! would be forgeable by any client. `max-serve` draws tokens from the OS;
-//! the in-crate test servers derive them for reproducibility and make no
-//! authentication claim.
+//! the in-process server (which no other client can reach) derives them
+//! for reproducibility and makes no authentication claim.
 //!
 //! **Tracing.** Since v4 every HELLO/RESUME carries a [`TraceContext`]
 //! (128-bit trace id + root span id) minted by the client from OS entropy
@@ -82,9 +84,12 @@
 //!
 //! Seeds: the server derives one seed per session (see [`derive_seed`]) and
 //! publishes `ot_seed` in ACCEPT; both sides run
-//! [`iknp::setup_pair`]`(ot_seed)` and keep their half. This mirrors the
-//! repository's in-process trusted-dealer base-OT shortcut — the base phase
-//! is modeled, the extension is real.
+//! [`iknp::setup_pair`]`(ot_seed)` and keep their half. So no base-OT
+//! message crosses the wire, and this leaks the client's input: the
+//! server, or anyone who sees ACCEPT, can rebuild the client's receiver
+//! from `ot_seed` and read x's bits out of every EXT frame. Only the
+//! extension (EXT, CIPHER) is real. ROADMAP's v8 privacy item runs the base
+//! OT on the wire instead and takes `ot_seed` out of ACCEPT.
 //!
 //! **Integrity (v6, folded once per byte since v7).** Every protocol frame
 //! is sealed with a CRC32 prefix ([`max_gc::channel::seal_frame`]), so a

@@ -1,6 +1,7 @@
 use super::codec::{decode_ext, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY, TAG_MODEL_PUT};
 use super::job::stream_intact;
 use super::*;
+use crate::server::CloudServer;
 use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
@@ -9,137 +10,35 @@ use max_gc::{FaultSpec, FaultTransport, Transport};
 use max_ot::iknp;
 use max_telemetry::TraceContext;
 
-/// Answers HELLO with ACCEPT and sets the session's OT sender up — the
-/// handshake half of [`serve_one_session`]. Returns the session seed, the
-/// sender and the client's trace, or `None` after a typed REJECT.
-fn accept_session<T: Transport>(
-    transport: &mut T,
-    config: &AcceleratorConfig,
-    weights: &[Vec<i64>],
-    base_seed: u64,
-    session_id: u64,
-) -> Result<Option<(u64, iknp::OtExtSender, TraceContext)>, AcceleratorError> {
-    let hello = match recv_control(transport)? {
-        ControlMsg::Hello {
-            version,
-            bit_width,
-            trace,
-        } => (version, bit_width, trace),
-        _ => {
-            return Err(AcceleratorError::Protocol {
-                what: "expected HELLO",
-            })
-        }
-    };
-    if hello.0 != PROTOCOL_VERSION {
-        send_control(
-            transport,
-            &ControlMsg::Reject {
-                code: REJECT_VERSION,
-                detail: u32::from(PROTOCOL_VERSION),
-            },
-        )?;
-        return Ok(None);
-    }
-    if hello.1 as usize != config.bit_width {
-        send_control(
-            transport,
-            &ControlMsg::Reject {
-                code: REJECT_WIDTH,
-                detail: config.bit_width as u32,
-            },
-        )?;
-        return Ok(None);
-    }
-    let session_seed = derive_seed(base_seed, session_id);
-    let ot_seed = derive_ot_seed(session_seed);
-    send_control(
-        transport,
-        &ControlMsg::Accept {
-            session_id,
-            ot_seed,
-            resume_token: deterministic_resume_token(session_seed),
-            rows: weights.len() as u32,
-            cols: weights.first().map_or(0, Vec::len) as u32,
-            bit_width: config.bit_width as u32,
-            acc_width: config.acc_width as u32,
-            signed: config.signed,
-            freq_mhz_bits: config.freq_mhz.to_bits(),
-        },
-    )?;
-    let (ot_sender, _receiver) = iknp::setup_pair(ot_seed);
-    Ok(Some((session_seed, ot_sender, hello.2)))
-}
-
-/// Minimal single-session server loop over any transport, used by the
-/// tests here and in `resilient`, and mirrored (with scheduling) by
-/// `max-serve`. The first `busy_first` job requests are answered with
-/// `BUSY(busy_hint_ms)` before any is served.
-pub(crate) fn serve_one_session<T: Transport>(
+/// Serves one session on one unit until a REJECT, BYE or a disconnect:
+/// the in-process server's own loop, as session 0 of `base_seed`.
+fn serve<T: Transport>(
     mut transport: T,
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
     base_seed: u64,
-    session_id: u64,
-    mut busy_first: u32,
-    busy_hint_ms: u32,
 ) -> Result<(), AcceleratorError> {
-    let Some((session_seed, mut ot_sender, trace)) =
-        accept_session(&mut transport, config, weights, base_seed, session_id)?
-    else {
-        return Ok(());
+    let mut server = CloudServer::new(config, weights.to_vec(), base_seed);
+    while server.serve_next(&mut transport)? {}
+    Ok(())
+}
+
+/// Reads HELLO and answers it with the shared server half as session 0 of
+/// `base_seed`: the session seed, the OT sender and the client's trace.
+fn accept<T: Transport>(
+    transport: &mut T,
+    config: &AcceleratorConfig,
+    weights: &[Vec<i64>],
+    base_seed: u64,
+) -> (u64, iknp::OtExtSender, TraceContext) {
+    let hello = recv_control(transport).unwrap();
+    let ControlMsg::Hello { trace, .. } = hello else {
+        panic!("expected HELLO, got {hello:?}");
     };
-    let mut job_id = 0u64;
-    loop {
-        match recv_control(&mut transport) {
-            Ok(ControlMsg::JobRequest {
-                columns,
-                model_id: None,
-            }) => {
-                if busy_first > 0 {
-                    busy_first -= 1;
-                    send_control(
-                        &mut transport,
-                        &ControlMsg::Busy {
-                            retry_after_ms: busy_hint_ms,
-                            queue_depth: 1,
-                        },
-                    )?;
-                    continue;
-                }
-                let job = fill_stream(
-                    config,
-                    weights,
-                    derive_job_seed(session_seed, job_id),
-                    columns,
-                )?;
-                stream_materialized_job_from(
-                    &mut transport,
-                    &JobSource::Materialized {
-                        expected_digest: stream_digest(&job),
-                        job,
-                    },
-                    &mut ot_sender,
-                    &mut TranscriptDigest::new(),
-                    job_id,
-                    trace,
-                    0,
-                    |_, _, _| {},
-                )?;
-                job_id += 1;
-            }
-            Ok(ControlMsg::Ping { nonce }) => {
-                send_control(&mut transport, &ControlMsg::Pong { nonce })?;
-            }
-            Ok(ControlMsg::Bye) | Err(AcceleratorError::Disconnected) => return Ok(()),
-            Ok(_) => {
-                return Err(AcceleratorError::Protocol {
-                    what: "expected JOB or BYE",
-                })
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let seed = derive_seed(base_seed, 0);
+    let token = deterministic_resume_token(seed);
+    let sender = accept_hello(transport, &hello, config, weights, 0, seed, token).unwrap();
+    (seed, sender.expect("HELLO accepted"), trace)
 }
 
 fn plain_matvec(w: &[Vec<i64>], x: &[i64]) -> Vec<i64> {
@@ -158,7 +57,7 @@ fn remote_matvec_over_duplex_matches_plaintext() {
     let server = {
         let config = config.clone();
         let w = w.clone();
-        std::thread::spawn(move || serve_one_session(server_end, &config, &w, 42, 0, 0, 0))
+        std::thread::spawn(move || serve(server_end, &config, &w, 42))
     };
     let mut client = RemoteClient::connect(client_end, 8).unwrap();
     assert_eq!(client.rows(), 3);
@@ -190,7 +89,7 @@ fn remote_matmul_over_duplex_matches_plaintext() {
     let server = {
         let config = config.clone();
         let w = w.clone();
-        std::thread::spawn(move || serve_one_session(server_end, &config, &w, 7, 3, 0, 0))
+        std::thread::spawn(move || serve(server_end, &config, &w, 7))
     };
     let mut client = RemoteClient::connect(client_end, 8).unwrap();
     let (y, t) = client.secure_matmul(&cols).unwrap();
@@ -211,8 +110,7 @@ fn version_mismatch_is_rejected() {
         let config = AcceleratorConfig::new(8);
         let w = vec![vec![1i64]];
         let (server_end, mut client_end) = Duplex::pair();
-        let server =
-            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 1, 0, 0, 0));
+        let server = std::thread::spawn(move || serve(server_end, &config, &w, 1));
         send_control(
             &mut client_end,
             &ControlMsg::Hello {
@@ -239,7 +137,7 @@ fn width_mismatch_surfaces_as_rejected_error() {
     let config = AcceleratorConfig::new(8);
     let w = vec![vec![1i64]];
     let (server_end, client_end) = Duplex::pair();
-    let server = std::thread::spawn(move || serve_one_session(server_end, &config, &w, 1, 0, 0, 0));
+    let server = std::thread::spawn(move || serve(server_end, &config, &w, 1));
     let err = RemoteClient::connect(client_end, 16).unwrap_err();
     assert_eq!(
         err,
@@ -257,7 +155,7 @@ fn mid_job_disconnect_is_a_typed_error_server_side() {
     let (server_end, client_end) = Duplex::pair();
     let server = {
         let config = config.clone();
-        std::thread::spawn(move || serve_one_session(server_end, &config, &w, 9, 0, 0, 0))
+        std::thread::spawn(move || serve(server_end, &config, &w, 9))
     };
     let mut client = RemoteClient::connect(client_end, 8).unwrap();
     // Request a job, then vanish before sending EXT.
@@ -328,7 +226,7 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     let (server_end, client_end) = Duplex::pair();
     let server = {
         let (config, w) = (config.clone(), w.clone());
-        std::thread::spawn(move || serve_one_session(server_end, &config, &w, SEED, 0, 0, 0))
+        std::thread::spawn(move || serve(server_end, &config, &w, SEED))
     };
     let mut client = RemoteClient::connect(client_end, 8).unwrap();
     let (reference, ref_transcript) = client.secure_matmul(&xs).unwrap();
@@ -341,16 +239,12 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
             let (config, w) = (config.clone(), w.clone());
             std::thread::spawn(move || {
                 let mut transport = server_end;
-                let (session_seed, sender, trace) =
-                    accept_session(&mut transport, &config, &w, SEED, 0)
-                        .unwrap()
-                        .unwrap();
+                let (session_seed, sender, trace) = accept(&mut transport, &config, &w, SEED);
                 let ControlMsg::JobRequest { columns, .. } = recv_control(&mut transport).unwrap()
                 else {
                     panic!("expected JOB");
                 };
-                let job =
-                    fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns).unwrap();
+                let job = fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns);
                 let (result, window) = stream_windowed(
                     &mut transport,
                     &job,
@@ -695,8 +589,7 @@ fn a_breaking_sink_stops_the_job_at_that_element() {
     let cycles = garble_elements(&config, &w, 0xf00d, 2, |_| {
         calls += 1;
         std::ops::ControlFlow::Break(())
-    })
-    .unwrap();
+    });
     assert_eq!(calls, 1, "no element is garbled after the sink breaks");
     let whole = garble_matvec_job(&config, &w, 0xf00d, 2).unwrap();
     assert!(cycles > 0 && cycles < whole.fabric_cycles);
@@ -706,49 +599,42 @@ fn a_breaking_sink_stops_the_job_at_that_element() {
 fn a_resumed_producer_skips_the_prefix_but_not_its_cycles() {
     let config = AcceleratorConfig::new(8);
     let w = vec![vec![3i64, -1, 4], vec![1, 5, -9]];
-    let whole = fill_stream(&config, &w, 0xf00d, 2).unwrap();
+    let whole = fill_stream(&config, &w, 0xf00d, 2);
     let mut tail = Vec::new();
     let cycles = produce_elements(&config, &w, 0xf00d, 2, 3, |elem| {
         tail.push(elem);
         std::ops::ControlFlow::Continue(())
-    })
-    .unwrap();
+    });
     assert_eq!(tail, whole.elements[3..]);
     assert_eq!(cycles, whole.fabric_cycles);
 }
 
 #[test]
 fn a_source_that_fails_before_its_first_element_sends_no_ready() {
-    let (tx, failed) = std::sync::mpsc::channel();
-    tx.send(JobPiece::Done(Err(AcceleratorError::Protocol {
-        what: "garbling failed",
-    })))
-    .unwrap();
+    // Garbling cannot fail: a hand-off dropped before its first element
+    // (the unit gone) is the one failure a source has.
     let (_, gone) = std::sync::mpsc::channel();
-    for (source, what) in [
-        (failed, "garbling failed"),
-        (gone, "unit pool shut down mid-job"),
-    ] {
-        let (mut server, mut client) = Duplex::pair();
-        let (mut sender, _) = iknp::setup_pair(1);
-        let err = stream_materialized_job_from(
-            &mut server,
-            &JobSource::Garbling(source),
-            &mut sender,
-            &mut TranscriptDigest::new(),
-            0,
-            TraceContext::none(),
-            0,
-            |_, _, _| panic!("no boundary is passed before the first element"),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, AcceleratorError::Protocol { what: got } if got == what),
-            "{err:?}"
-        );
-        drop(server);
-        assert!(client.recv_frame().is_err(), "no READY went out");
-    }
+    let (mut server, mut client) = Duplex::pair();
+    let (mut sender, _) = iknp::setup_pair(1);
+    let err = stream_materialized_job_from(
+        &mut server,
+        &JobSource::Garbling(gone),
+        &mut sender,
+        &mut TranscriptDigest::new(),
+        0,
+        TraceContext::none(),
+        0,
+        |_, _, _| panic!("no boundary is passed before the first element"),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        AcceleratorError::Protocol {
+            what: "unit pool shut down mid-job"
+        }
+    );
+    drop(server);
+    assert!(client.recv_frame().is_err(), "no READY went out");
 }
 
 /// A small prepared stream: 2 columns × 2 rows × 3 rounds at b = 8.
@@ -807,7 +693,7 @@ fn garbled_bytes_are_pinned() {
             0x7429_7ebe_1981_93fc_31eb_4250_f16a_40ce,
         ),
     ] {
-        let job = fill_stream(&config, &weights(offset), 0x5eed, 2).unwrap();
+        let job = fill_stream(&config, &weights(offset), 0x5eed, 2);
         assert_eq!(job.fabric_cycles, cycles, "{config:?}");
         assert_eq!(
             u128::from_be_bytes(stream_digest(&job)),
@@ -918,8 +804,7 @@ fn serve_stock<T: Transport>(
     expected: [u8; 16],
 ) -> Result<(), AcceleratorError> {
     let config = AcceleratorConfig::new(8);
-    let (_, mut sender, trace) =
-        accept_session(&mut transport, &config, &small_weights(), 0x5eed, 0)?.unwrap();
+    let (_, mut sender, trace) = accept(&mut transport, &config, &small_weights(), 0x5eed);
     assert!(matches!(
         recv_control(&mut transport)?,
         ControlMsg::JobRequest { columns: 2, .. }

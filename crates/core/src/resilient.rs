@@ -540,19 +540,43 @@ where
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::remote::tests::serve_one_session;
+    use crate::remote::{recv_control, send_control, ControlMsg};
+    use crate::server::CloudServer;
     use max_gc::channel::Duplex;
+
+    /// Answers the first `busy` JOBs with `BUSY(hint_ms)`, then serves the
+    /// session with the in-process server's own loop.
+    fn serve_after_busy(
+        mut transport: Duplex,
+        weights: Vec<Vec<i64>>,
+        busy: u32,
+        hint_ms: u32,
+    ) -> Result<(), AcceleratorError> {
+        let mut server = CloudServer::new(&AcceleratorConfig::new(8), weights, 11);
+        assert!(server.serve_next(&mut transport)?, "HELLO accepted");
+        for _ in 0..busy {
+            let request = recv_control(&mut transport)?;
+            assert!(
+                matches!(request, ControlMsg::JobRequest { .. }),
+                "{request:?}"
+            );
+            send_control(
+                &mut transport,
+                &ControlMsg::Busy {
+                    retry_after_ms: hint_ms,
+                    queue_depth: 1,
+                },
+            )?;
+        }
+        while server.serve_next(&mut transport)? {}
+        Ok(())
+    }
 
     #[test]
     fn busy_hints_are_honored_with_backoff() {
-        let config = AcceleratorConfig::new(8);
         let w = vec![vec![2i64, -3], vec![4, 5]];
         let (server_end, client_end) = Duplex::pair();
-        let server = {
-            let config = config.clone();
-            let w = w.clone();
-            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 11, 0, 2, 1))
-        };
+        let server = std::thread::spawn(move || serve_after_busy(server_end, w, 2, 1));
         let mut ends = vec![client_end];
         let mut client = ResilientClient::new(
             move || {
@@ -581,16 +605,9 @@ mod tests {
         // (~49 days). Before the clamp this wedged the client thread; now
         // the honored hint is capped by the policy's max_backoff_ms and the
         // job still completes promptly.
-        let config = AcceleratorConfig::new(8);
         let w = vec![vec![2i64, -3], vec![4, 5]];
         let (server_end, client_end) = Duplex::pair();
-        let server = {
-            let config = config.clone();
-            let w = w.clone();
-            std::thread::spawn(move || {
-                serve_one_session(server_end, &config, &w, 11, 0, 2, u32::MAX)
-            })
-        };
+        let server = std::thread::spawn(move || serve_after_busy(server_end, w, 2, u32::MAX));
         let policy = RetryPolicy {
             base_backoff_ms: 1,
             max_backoff_ms: 20,
@@ -668,14 +685,9 @@ mod tests {
 
     #[test]
     fn recorder_captures_client_spans_under_the_fixed_trace() {
-        let config = AcceleratorConfig::new(8);
         let w = vec![vec![2i64, -3], vec![4, 5]];
         let (server_end, client_end) = Duplex::pair();
-        let server = {
-            let config = config.clone();
-            let w = w.clone();
-            std::thread::spawn(move || serve_one_session(server_end, &config, &w, 11, 0, 1, 1))
-        };
+        let server = std::thread::spawn(move || serve_after_busy(server_end, w, 1, 1));
         let recorder = std::sync::Arc::new(max_telemetry::Recorder::new());
         let ctx = max_telemetry::TraceContext::from_ids(0xfeed_beef, 0x1dea);
         let mut ends = vec![client_end];

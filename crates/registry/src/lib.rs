@@ -417,18 +417,13 @@ struct Counters {
     models_evicted_explicit: u64,
     models_replaced: u64,
     fabric_cycles_spent: u64,
-    /// Fill steps whose garbling failed.
-    fills_failed: u64,
 }
 
 impl Counters {
-    /// Fill steps that did not simply add stock: discarded, trimmed,
-    /// evicted for, or failed — where [`ModelRegistry::await_stock`] stops.
+    /// Fill steps that did not simply add stock: discarded, trimmed or
+    /// evicted for — where [`ModelRegistry::await_stock`] stops.
     fn unclean_fills(&self) -> u64 {
-        self.streams_discarded
-            + self.streams_trimmed
-            + self.models_evicted_budget
-            + self.fills_failed
+        self.streams_discarded + self.streams_trimmed + self.models_evicted_budget
     }
 }
 
@@ -682,12 +677,12 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates [`AcceleratorError`] from the garbling schedule (an
-    /// internal invariant violation, not peer input).
+    /// None: garbling cannot fail. The `Result` stays for the outside
+    /// callers written against it (the benchmark's layer probes).
     pub fn fill_step(&self) -> Option<Result<FillReport, AcceleratorError>> {
         let ticket = self.claim_fill()?;
         let garbled = fill_stream(&self.config, &ticket.weights, ticket.seed, 1);
-        Some(self.deposit(ticket, garbled))
+        Some(Ok(self.deposit(ticket, garbled)))
     }
 
     fn claim_fill(&self) -> Option<FillTicket> {
@@ -714,30 +709,16 @@ impl ModelRegistry {
         Some(ticket)
     }
 
-    fn deposit(
-        &self,
-        ticket: FillTicket,
-        garbled: Result<MaterializedJob, AcceleratorError>,
-    ) -> Result<FillReport, AcceleratorError> {
+    fn deposit(&self, ticket: FillTicket, job: MaterializedJob) -> FillReport {
         // Digest the fresh material before taking the lock: it is the
         // reference the acquire-time check verifies against.
-        let digest = match &garbled {
-            Ok(job) => stream_digest(job),
-            Err(_) => [0u8; 16],
-        };
+        let digest = stream_digest(&job);
         let mut inner = self.lock();
         inner.fills_in_flight -= 1;
         self.fill_done.notify_all();
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
             entry.filling = entry.filling.saturating_sub(1);
         }
-        let job = match garbled {
-            Ok(job) => job,
-            Err(err) => {
-                inner.counters.fills_failed += 1;
-                return Err(err);
-            }
-        };
         let cycles = job.fabric_cycles;
         inner.counters.streams_produced += 1;
         inner.counters.fabric_cycles_spent += cycles;
@@ -761,7 +742,7 @@ impl ModelRegistry {
         let oversized = self.reg.budget_bytes.is_some_and(|budget| bytes > budget);
         if !valid || oversized {
             inner.counters.streams_discarded += 1;
-            return Ok(report);
+            return report;
         }
         if let Some(entry) = inner.models.get_mut(&ticket.model_id) {
             entry.stock.push_back(StockedStream {
@@ -778,7 +759,7 @@ impl ModelRegistry {
         let (evicted, trimmed) = self.enforce_budget(&mut inner, ticket.model_id);
         report.evicted = evicted;
         report.streams_trimmed = trimmed;
-        Ok(report)
+        report
     }
 
     /// Evicts least-recently-acquired models (never `keep`, the one
@@ -828,9 +809,8 @@ impl ModelRegistry {
     /// service's idle units) stock every model, garbling nothing itself.
     /// Returns the streams stocked meanwhile once each model is at target
     /// with no fill in flight, or as soon as a fill was not clean (budget
-    /// pushback, a discarded stream, a garbling failure): filling on would
-    /// recycle stock, not add it. Blocks for as long as no other thread
-    /// fills.
+    /// pushback, a discarded stream): filling on would recycle stock, not
+    /// add it. Blocks for as long as no other thread fills.
     pub fn await_stock(&self) -> usize {
         let inner = self.lock();
         let start = inner.counters;
@@ -995,7 +975,7 @@ mod tests {
     #[test]
     fn await_stock_returns_at_target_or_budget_pushback() {
         let config = AcceleratorConfig::new(8);
-        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
+        let probe = fill_stream(&config, &demo_weights(), 1, 1);
         let tight = probe.stored_bytes() + probe.stored_bytes() / 2;
         for budget_bytes in [None, Some(tight)] {
             let reg = ModelRegistry::new(
@@ -1103,7 +1083,7 @@ mod tests {
         assert_eq!(reg.stats().served_fallback, 0);
         reg.note_fallback_served(ticket.model_id);
         // The fallback garble is the fill function at the ticket's seed.
-        let job = fill_stream(&config, &ticket.weights, ticket.seed, 1).unwrap();
+        let job = fill_stream(&config, &ticket.weights, ticket.seed, 1);
         let x = [1i64, -2, 3];
         assert_eq!(
             evaluate_stream(&config, &job, &x),
@@ -1124,7 +1104,7 @@ mod tests {
     #[test]
     fn stream_digest_is_stable_and_sensitive() {
         let config = AcceleratorConfig::new(8);
-        let job = fill_stream(&config, &demo_weights(), 7, 1).unwrap();
+        let job = fill_stream(&config, &demo_weights(), 7, 1);
         let d = stream_digest(&job);
         assert_eq!(d, stream_digest(&job), "digest must be deterministic");
         let mut rotted = job.clone();
@@ -1284,7 +1264,7 @@ mod tests {
     fn byte_budget_evicts_least_recently_acquired_models() {
         let config = AcceleratorConfig::new(8);
         // Size the budget from a real stream so exactly ~2 streams fit.
-        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
+        let probe = fill_stream(&config, &demo_weights(), 1, 1);
         let budget = probe.stored_bytes() * 2 + probe.stored_bytes() / 2;
         let reg = ModelRegistry::new(
             config.clone(),
@@ -1329,7 +1309,7 @@ mod tests {
     #[test]
     fn single_model_over_budget_trims_its_own_oldest_streams() {
         let config = AcceleratorConfig::new(8);
-        let probe = fill_stream(&config, &demo_weights(), 1, 1).unwrap();
+        let probe = fill_stream(&config, &demo_weights(), 1, 1);
         let budget = probe.stored_bytes() + probe.stored_bytes() / 2;
         let reg = ModelRegistry::new(
             config,

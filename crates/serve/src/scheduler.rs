@@ -195,12 +195,11 @@ impl JobQueue {
 /// tests rely on).
 ///
 /// A unit sends each element down the job's reply channel the moment it is
-/// produced, then the job's fabric cycles (or its error), so the session
-/// streams element `k` while the unit garbles element `k + 1` — the
-/// paper's Figure 1 pipeline. The hand-off is an unbounded `mpsc` channel
-/// on purpose: a client that stalls mid-job can never block a unit, so a
-/// slow client holds at most one job's elements in memory, never a
-/// garbling unit. A unit whose session is gone (the receiver dropped)
+/// produced, then the job's fabric cycles, so the session streams element
+/// `k` while the unit garbles element `k + 1` — the paper's Figure 1
+/// pipeline. The hand-off is an unbounded `mpsc` channel on purpose: a
+/// client that stalls mid-job can never block a unit, so a slow client
+/// holds at most one job's elements in memory, never a garbling unit. A unit whose session is gone (the receiver dropped)
 /// stops garbling at that element.
 ///
 /// After each hand-off the unit yields its time slice. The session thread
@@ -399,7 +398,7 @@ mod tests {
         for piece in pieces {
             match piece {
                 JobPiece::Element(elem) => elements.push(elem),
-                JobPiece::Done(cycles) => return (elements, cycles.unwrap()),
+                JobPiece::Done(cycles) => return (elements, cycles),
             }
         }
         panic!("the unit dropped its hand-off without a final piece");
@@ -491,7 +490,7 @@ mod tests {
         let model = vec![vec![7i64, -2], vec![3, 4]];
         let req = request_for(model.clone(), 1);
         let (elements, cycles) = collect(pool.submit(req).unwrap());
-        let filled = fill_stream(&config, &model, 1, 1).unwrap();
+        let filled = fill_stream(&config, &model, 1, 1);
         assert_eq!(elements, filled.elements);
         assert_eq!(cycles, filled.fabric_cycles);
         pool.shutdown();

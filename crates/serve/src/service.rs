@@ -76,7 +76,11 @@ pub struct ServeConfig {
     /// `ot_seed` (also seed-derived) is published in ACCEPT, so any client
     /// could walk back to `base_seed` and mint every other session's
     /// token. Production services must leave this off, and no `serve`
-    /// flag sets it.
+    /// flag sets it. Leaving it off keeps tokens secret, not inputs: both
+    /// base-OT halves are dealt from the published `ot_seed` and no
+    /// base-OT message crosses the wire, so the server, or anyone who sees
+    /// ACCEPT, can rebuild a client's OT receiver and read its x out of
+    /// EXT (the ROADMAP's v8 privacy item fixes this).
     #[doc(hidden)]
     pub deterministic_resume_tokens: bool,
     /// Server-side [`Recorder`]: every job's `server/queue_wait`,
@@ -396,16 +400,13 @@ fn journal_evictions(journal: &Journal, report: &FillReport) {
 /// again (`false` = nothing to do, or the cache is saturated at its budget
 /// and more production would just ping-pong evictions).
 fn fill_once(registry: &ModelRegistry, journal: &Journal) -> bool {
+    // A fill step's `Result` is never `Err`: garbling cannot fail.
     match registry.fill_step() {
-        None => false,
         Some(Ok(report)) => {
             journal_evictions(journal, &report);
             report.clean()
         }
-        // Garbling failed (host-level accelerator misconfiguration for
-        // this model). Back off rather than spin; the model's stock in
-        // METRICS stays visibly short.
-        Some(Err(_)) => false,
+        _ => false,
     }
 }
 
@@ -498,8 +499,8 @@ impl GcService {
         );
         if cfg.prefill {
             // Run the offline phase eagerly so the very first model job is
-            // a warm serve. Stops at saturation or on garbling failure —
-            // either way the idle-fill hook keeps the stocks topped up.
+            // a warm serve. Stops at saturation — the idle-fill hook keeps
+            // the stocks topped up.
             prefill(&pool, &registry);
         }
 
@@ -689,9 +690,8 @@ impl GcService {
     /// Fills every model's stock to target (the offline phase run eagerly,
     /// on the garbling units), journaling tombstones for any budget
     /// evictions, and returns the streams deposited once no fill is in
-    /// flight anywhere; stops early at saturation or on a garbling failure
-    /// (both observable via counters/stats). Blocks while every unit is
-    /// busy with jobs.
+    /// flight anywhere; stops early at saturation (observable via
+    /// counters/stats). Blocks while every unit is busy with jobs.
     pub fn prefill_models(&self) -> usize {
         prefill(&self.shared.pool, &self.shared.registry)
     }

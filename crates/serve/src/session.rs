@@ -22,14 +22,13 @@ use std::sync::Arc;
 
 use max_crypto::TranscriptDigest;
 use max_gc::Transport;
-use max_ot::iknp::{self, OtExtSender, OtSenderState};
+use max_ot::iknp::{OtExtSender, OtSenderState};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
-    derive_job_seed, derive_ot_seed, derive_seed, deterministic_resume_token, recv_control,
-    send_control, stream_materialized_job_from, ControlMsg, JobSource, PROTOCOL_VERSION,
-    REJECT_DRAINING, REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME, REJECT_VERSION, REJECT_WIDTH,
-    STREAM_DIGEST_MISMATCH,
+    accept_hello, derive_job_seed, derive_seed, deterministic_resume_token, recv_control,
+    send_control, stream_materialized_job_from, ControlMsg, JobSource, REJECT_DRAINING,
+    REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME, STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
 
@@ -325,11 +324,7 @@ fn session_loop<T: Transport>(
     };
 
     let (mut ctx, mut ot_sender, mut pending) = match first {
-        ControlMsg::Hello {
-            version,
-            bit_width,
-            trace,
-        } => {
+        ControlMsg::Hello { trace, .. } => {
             *trace_id = trace.trace_id;
             if shared.is_draining() {
                 reject(transport, REJECT_DRAINING, 0)?;
@@ -350,16 +345,7 @@ fn session_loop<T: Transport>(
                 )?;
                 return Ok(());
             }
-            if version != PROTOCOL_VERSION {
-                reject(transport, REJECT_VERSION, u32::from(PROTOCOL_VERSION))?;
-                return Ok(());
-            }
-            if bit_width as usize != shared.config.bit_width {
-                reject(transport, REJECT_WIDTH, shared.config.bit_width as u32)?;
-                return Ok(());
-            }
             let session_seed = derive_seed(shared.base_seed, session_id);
-            let ot_seed = derive_ot_seed(session_seed);
             let resume_token = if shared.deterministic_resume_tokens {
                 // Test-only reproducibility escape hatch — forgeable; see
                 // `ServeConfig::deterministic_resume_tokens`.
@@ -367,21 +353,18 @@ fn session_loop<T: Transport>(
             } else {
                 fresh_resume_token()
             };
-            send_control(
+            let Some(ot_sender) = accept_hello(
                 transport,
-                &ControlMsg::Accept {
-                    session_id,
-                    ot_seed,
-                    resume_token,
-                    rows: shared.weights.len() as u32,
-                    cols: shared.weights.first().map_or(0, Vec::len) as u32,
-                    bit_width: shared.config.bit_width as u32,
-                    acc_width: shared.config.acc_width as u32,
-                    signed: shared.config.signed,
-                    freq_mhz_bits: shared.config.freq_mhz.to_bits(),
-                },
-            )?;
-            let (ot_sender, _client_half) = iknp::setup_pair(ot_seed);
+                &first,
+                &shared.config,
+                &shared.weights,
+                session_id,
+                session_seed,
+                resume_token,
+            )?
+            else {
+                return Ok(());
+            };
             trace_instant(shared, trace, "server/handshake");
             (
                 SessionCtx {

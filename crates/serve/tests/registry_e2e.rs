@@ -308,8 +308,7 @@ fn tight_budget_evicts_lru_model_whole() {
     // model B (2 streams) must push model A's stock out entirely.
     let weights_a = model_weights(2, 2, 11);
     let weights_b = model_weights(2, 2, 13);
-    let probe =
-        fill_stream(&AcceleratorConfig::new(WIDTH), &weights_a, SEED, 1).expect("probe stream");
+    let probe = fill_stream(&AcceleratorConfig::new(WIDTH), &weights_a, SEED, 1);
     let budget = probe.stored_bytes() * 2 + probe.stored_bytes() / 2;
 
     let service = demo_service(ROWS, COLS, SEED, |cfg| {
@@ -679,9 +678,11 @@ proptest! {
         let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
 
         // Off the wire: the two forms of the producer, then the in-process
-        // server on one to three units, whose query q is pass q (its bytes
-        // are pinned by the core test `queries_garble_the_served_passes`).
-        let filled = fill_stream(&config, &weights, seed, columns).expect("fill");
+        // server on one to three units, whose query q is job q at its own
+        // job seed: its material is as large as pass q's (its elements are
+        // pinned to `fill_stream`'s by the core test
+        // `units_produce_the_filled_stream`).
+        let filled = fill_stream(&config, &weights, seed, columns);
         let collected = garble_matvec_job(&config, &weights, seed, columns).expect("garble");
         prop_assert_eq!(&materialize_job(&collected), &filled);
         let mut uploads = Vec::new();
@@ -715,7 +716,7 @@ proptest! {
         let (rounds, ys) = served_rounds(&default_service, None, &xs);
         default_service.shutdown();
         let job_seed = derive_seed(derive_seed(seed, 0), 0x100);
-        let reference = fill_stream(&config, &weights, job_seed, columns).expect("fill");
+        let reference = fill_stream(&config, &weights, job_seed, columns);
         prop_assert_eq!(rounds, sealed_rounds(&reference.elements));
         prop_assert_eq!(&ys, &expected);
 
@@ -725,7 +726,7 @@ proptest! {
         let Some(Acquired::Starved(ticket)) = probe.acquire(51, columns) else {
             panic!("an empty stock cuts a ticket");
         };
-        let reference = fill_stream(&config, &weights, ticket.seed, columns).expect("fill");
+        let reference = fill_stream(&config, &weights, ticket.seed, columns);
         // A stocked stream is one matvec, so the warm serve is the first pass.
         for (stock, xs) in [(0, &xs[..]), (1, &xs[..1])] {
             let default_model = demo_weights(ROWS, COLS, WIDTH, SEED);

@@ -6,6 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use max_gc::channel::Duplex;
 use max_gc::{FaultSpec, FaultTransport, FramedTcp, Transport};
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, JournalConfig,
@@ -14,7 +15,9 @@ use max_serve::{
 use maxelerator::remote::{
     recv_control, send_control, ControlMsg, PROTOCOL_VERSION, REJECT_VERSION,
 };
-use maxelerator::{AcceleratorConfig, AcceleratorError, RemoteClient};
+use maxelerator::{
+    connect, secure_matvec, AcceleratorConfig, AcceleratorError, MatvecTranscript, RemoteClient,
+};
 
 mod common;
 use common::{demo_service, wait_until, WIDTH};
@@ -83,6 +86,65 @@ fn tcp_and_duplex_transcripts_are_bit_identical() {
         duplex_rec.received_frames().len() >= 2 * (1 + COLS),
         "transcript suspiciously short"
     );
+}
+
+#[test]
+fn the_in_process_session_is_the_served_session() {
+    // `connect` + `secure_matvec` run the served exchange over a Duplex:
+    // against session 0 of a service with the same weights and base seed,
+    // two queries give the same results, the same STATS cycles (on three
+    // units, the busiest unit's share of them) and, in each direction, the
+    // same bytes in the same number of frames.
+    let config = AcceleratorConfig::new(WIDTH);
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let xs: Vec<Vec<i64>> = (0..2).map(|q| demo_vector(COLS, WIDTH, SEED ^ q)).collect();
+    let wire = |duplex: &Duplex| {
+        [
+            duplex.sent().bytes(),
+            duplex.sent().messages(),
+            duplex.received().bytes(),
+            duplex.received().messages(),
+        ]
+    };
+
+    let service = demo_service(ROWS, COLS, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    });
+    let mut remote = RemoteClient::connect_with_trace(
+        service.connect(),
+        WIDTH,
+        max_telemetry::TraceContext::none(),
+    )
+    .expect("handshake");
+    let served: Vec<(Vec<i64>, MatvecTranscript)> = xs
+        .iter()
+        .map(|x| remote.secure_matvec(x).expect("matvec"))
+        .collect();
+    let served_wire = wire(remote.transport());
+    remote.goodbye();
+    service.shutdown();
+
+    for units in [1, 3] {
+        let (server, mut client) = connect(&config, weights.clone(), SEED);
+        let mut server = server.with_units(units);
+        for (x, (y, stats)) in xs.iter().zip(&served) {
+            let (got, transcript) = secure_matvec(&mut server, &mut client, x);
+            assert_eq!(&got, y, "{units} units");
+            assert_eq!(got, plain_matvec(&weights, x));
+            assert_eq!(
+                transcript.fabric_cycles * ROWS as u64,
+                stats.fabric_cycles * ROWS.div_ceil(units) as u64,
+                "{units} units"
+            );
+            let volumes = MatvecTranscript {
+                fabric_cycles: stats.fabric_cycles,
+                fabric_seconds: stats.fabric_seconds,
+                ..transcript
+            };
+            assert_eq!(&volumes, stats, "{units} units");
+        }
+        assert_eq!(wire(client.transport()), served_wire, "{units} units");
+    }
 }
 
 #[test]
