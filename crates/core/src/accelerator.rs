@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_gc::{evaluate_levels, garble_levels, BatchScratch, Delta, GarbledTable};
+use max_gc::{evaluate_levels, garble_levels, AsTable, BatchScratch, Delta, GarbledTable};
 use max_netlist::{decode_signed, decode_unsigned, MacCircuit};
 use max_rng::LabelGenerator;
 
@@ -54,6 +54,49 @@ impl RoundMessage {
             + self.a_labels.len() * 16
             + self.init_acc_labels.as_ref().map_or(0, |l| l.len() * 16)
             + self.decode.as_ref().map_or(0, |d| d.len().div_ceil(8))
+    }
+}
+
+/// What [`ScheduledEvaluator`]'s one loop reads of a round: a decoded
+/// [`RoundMessage`], or a round lent from the ROUNDS frame it arrived in
+/// (`remote::codec::RoundView`), whose tables, labels and decode bits are
+/// decoded in registers as the loop reads them.
+pub(crate) trait EvalRound {
+    /// A table as the round holds it.
+    type Table: AsTable;
+    /// Sequential round (vector position): the tables' tweak.
+    fn round(&self) -> u32;
+    /// Garbled tables in netlist AND order.
+    fn tables(&self) -> &[Self::Table];
+    /// Active labels of the server's fresh inputs, then constants.
+    fn a_labels(&self) -> impl ExactSizeIterator<Item = Block>;
+    /// Round 0 only: active labels of the initial accumulator.
+    fn init_acc_labels(&self) -> Option<impl ExactSizeIterator<Item = Block>>;
+    /// Final round only: output decode bits.
+    fn decode(&self) -> Option<impl ExactSizeIterator<Item = bool>>;
+}
+
+impl EvalRound for RoundMessage {
+    type Table = GarbledTable;
+
+    fn round(&self) -> u32 {
+        self.round
+    }
+
+    fn tables(&self) -> &[GarbledTable] {
+        &self.tables
+    }
+
+    fn a_labels(&self) -> impl ExactSizeIterator<Item = Block> {
+        self.a_labels.iter().copied()
+    }
+
+    fn init_acc_labels(&self) -> Option<impl ExactSizeIterator<Item = Block>> {
+        self.init_acc_labels.as_ref().map(|l| l.iter().copied())
+    }
+
+    fn decode(&self) -> Option<impl ExactSizeIterator<Item = bool>> {
+        self.decode.as_ref().map(|d| d.iter().copied())
     }
 }
 
@@ -539,6 +582,11 @@ impl ScheduledEvaluator {
         }
     }
 
+    /// The operand width `b`: active labels per round of the client's input.
+    pub(crate) fn bit_width(&self) -> usize {
+        self.config.bit_width
+    }
+
     /// Starts a new output element.
     pub fn begin_element(&mut self, elem: u32) {
         self.elem = elem;
@@ -558,14 +606,26 @@ impl ScheduledEvaluator {
         msg: &RoundMessage,
         x_labels: &[Block],
     ) -> Result<Option<i64>, AcceleratorError> {
+        self.evaluate(msg, x_labels)
+    }
+
+    /// The one evaluation loop, over a decoded round or one lent from its
+    /// frame; errors as [`ScheduledEvaluator::evaluate_round`]. Every count
+    /// is checked against the netlist before anything is indexed.
+    pub(crate) fn evaluate(
+        &mut self,
+        msg: &impl EvalRound,
+        x_labels: &[Block],
+    ) -> Result<Option<i64>, AcceleratorError> {
         let netlist = self.mac.netlist();
         let state = self.config.state_range();
         let b = self.config.bit_width;
         let consts = netlist.constants().len();
-        if msg.a_labels.len() != b + consts {
+        let a_labels = msg.a_labels();
+        if a_labels.len() != b + consts {
             return Err(AcceleratorError::ALabelCount {
                 expected: b + consts,
-                got: msg.a_labels.len(),
+                got: a_labels.len(),
             });
         }
         if x_labels.len() != b {
@@ -574,27 +634,29 @@ impl ScheduledEvaluator {
                 got: x_labels.len(),
             });
         }
-        if msg.tables.len() != self.and_gates {
+        let tables = msg.tables();
+        if tables.len() != self.and_gates {
             return Err(AcceleratorError::TableCount {
                 expected: self.and_gates,
-                got: msg.tables.len(),
+                got: tables.len(),
             });
         }
         let acc_wires = &netlist.garbler_inputs()[state.clone()];
-        let acc_active: &[Block] = match (&self.carried, &msg.init_acc_labels) {
-            (_, Some(init)) => {
-                if init.len() != acc_wires.len() {
-                    return Err(AcceleratorError::AccLabelCount {
-                        expected: acc_wires.len(),
-                        got: init.len(),
-                    });
-                }
-                init
+        let init = msg.init_acc_labels();
+        match (&init, &self.carried) {
+            (Some(init), _) if init.len() != acc_wires.len() => {
+                return Err(AcceleratorError::AccLabelCount {
+                    expected: acc_wires.len(),
+                    got: init.len(),
+                })
             }
-            (Some(carried), None) => carried,
-            (None, None) => return Err(AcceleratorError::MissingAccumulator { round: msg.round }),
-        };
-        if let Some(decode) = &msg.decode {
+            (None, None) => {
+                return Err(AcceleratorError::MissingAccumulator { round: msg.round() })
+            }
+            _ => {}
+        }
+        let decode = msg.decode();
+        if let Some(decode) = &decode {
             if decode.len() != netlist.outputs().len() {
                 return Err(AcceleratorError::DecodeCount {
                     expected: netlist.outputs().len(),
@@ -613,21 +675,31 @@ impl ScheduledEvaluator {
             .filter(|(pos, _)| !state.contains(pos))
             .map(|(_, wire)| wire)
             .chain(netlist.constants().iter().map(|(wire, _)| wire));
-        for (wire, &label) in fresh_wires.zip(&msg.a_labels) {
+        for (wire, label) in fresh_wires.zip(a_labels) {
             active[wire.index()] = label;
         }
-        for (wire, &label) in acc_wires.iter().zip(acc_active) {
-            active[wire.index()] = label;
+        match (init, &self.carried) {
+            (Some(init), _) => {
+                for (wire, label) in acc_wires.iter().zip(init) {
+                    active[wire.index()] = label;
+                }
+            }
+            (None, carried) => {
+                for (wire, &label) in acc_wires.iter().zip(carried.iter().flatten()) {
+                    active[wire.index()] = label;
+                }
+            }
         }
         for (wire, &label) in netlist.evaluator_inputs().iter().zip(x_labels) {
             active[wire.index()] = label;
         }
 
+        let (elem, round) = (self.elem, msg.round());
         evaluate_levels(
             &self.hash,
             netlist,
-            &msg.tables,
-            |and| table_tweak(self.elem, msg.round, and.gate),
+            tables,
+            |and| table_tweak(elem, round, and.gate),
             active,
             &mut self.scratch,
         );
@@ -636,11 +708,11 @@ impl ScheduledEvaluator {
         outputs.clear();
         outputs.extend(netlist.outputs().iter().map(|w| active[w.index()]));
 
-        Ok(msg.decode.as_ref().map(|decode| {
+        Ok(decode.map(|decode| {
             let bits: Vec<bool> = outputs
                 .iter()
                 .zip(decode)
-                .map(|(label, &d)| label.lsb() ^ d)
+                .map(|(label, d)| label.lsb() ^ d)
                 .collect();
             if self.config.signed {
                 decode_signed(&bits)

@@ -9,7 +9,7 @@ use max_ot::iknp::{self, CipherMsg, OtExtReceiver};
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    decode_round_burst, encode_ext, recv_control, recv_marked, reject_reason, send_control,
+    encode_ext, lend_round_burst, recv_control, recv_marked, reject_reason, send_control,
     ControlMsg, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION,
     REJECT_DETAIL_STOCK, REJECT_INTEGRITY, TAG_REJECT,
 };
@@ -35,6 +35,38 @@ pub fn fetch_metrics<T: Transport + ?Sized>(transport: &mut T) -> Result<String,
             what: "expected METRICS reply",
         }),
     }
+}
+
+/// Evaluates output element `elem` from its opened ROUNDS burst where it
+/// arrived: [`lend_round_burst`] lends each of the `rounds` rounds from
+/// `burst` (no table byte is copied), the evaluator reads them in place
+/// under `labels` (the element's OT labels, `b` per round), and each
+/// round's material is counted into `transcript`. Returns the decoded MAC.
+///
+/// # Errors
+///
+/// Any malformed burst or round is a typed [`AcceleratorError`]; peer
+/// bytes never panic it.
+pub(crate) fn evaluate_burst(
+    evaluator: &mut ScheduledEvaluator,
+    elem: u32,
+    burst: &[u8],
+    rounds: usize,
+    labels: &[Block],
+    transcript: &mut MatvecTranscript,
+) -> Result<i64, AcceleratorError> {
+    let views = lend_round_burst(burst, rounds)?;
+    evaluator.begin_element(elem);
+    let mut decoded = None;
+    for (view, x_labels) in views.iter().zip(labels.chunks(evaluator.bit_width())) {
+        transcript.material_bytes += view.wire_bytes() as u64;
+        transcript.tables += view.tables.len() as u64;
+        transcript.rounds += 1;
+        decoded = evaluator.evaluate(view, x_labels)?;
+    }
+    decoded.ok_or(AcceleratorError::Protocol {
+        what: "final round carried no decode bits",
+    })
 }
 
 /// Everything a client must keep to re-enter its session on a brand-new
@@ -839,8 +871,9 @@ impl<T: Transport> RemoteClient<T> {
         Ok((labels, rounds_frame))
     }
 
-    /// Decodes element `e`'s ROUNDS burst and evaluates its rounds under
-    /// `labels`, appending the decoded MAC to the element's column.
+    /// Evaluates element `e`'s opened ROUNDS burst under `labels`
+    /// ([`evaluate_burst`]) and appends the decoded MAC to the element's
+    /// column.
     fn evaluate_element(
         &mut self,
         progress: &mut JobProgress,
@@ -848,23 +881,16 @@ impl<T: Transport> RemoteClient<T> {
         rounds_frame: Bytes,
         labels: &[Block],
     ) -> Result<(), AcceleratorError> {
-        let b = self.state.config.bit_width;
         let pass = e / progress.rows;
-        let msgs = decode_round_burst(rounds_frame, progress.x_columns[pass].len())?;
-        self.state.evaluator.begin_element(e as u32);
-        let mut decoded = None;
-        for (i, msg) in msgs.iter().enumerate() {
-            progress.transcript.material_bytes += msg.wire_bytes() as u64;
-            progress.transcript.tables += msg.tables.len() as u64;
-            progress.transcript.rounds += 1;
-            decoded = self
-                .state
-                .evaluator
-                .evaluate_round(msg, &labels[i * b..(i + 1) * b])?;
-        }
-        progress.y[pass].push(decoded.ok_or(AcceleratorError::Protocol {
-            what: "final round carried no decode bits",
-        })?);
+        let y = evaluate_burst(
+            &mut self.state.evaluator,
+            e as u32,
+            &rounds_frame,
+            progress.x_columns[pass].len(),
+            labels,
+            &mut progress.transcript,
+        )?;
+        progress.y[pass].push(y);
         progress.transcript.elements += 1;
         Ok(())
     }

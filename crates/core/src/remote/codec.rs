@@ -3,15 +3,16 @@
 //! value or typed error out — peer input never panics a decoder.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use max_crypto::Block;
 use max_gc::channel::{
-    get_bits, get_blocks, get_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
-    seal_mark, seal_with, FrameKind, SEAL_BYTES,
+    lend_bits, lend_blocks, lend_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
+    seal_mark, seal_with, FrameKind, PackedBits, SEAL_BYTES,
 };
 use max_gc::{GarbledTable, Transport};
 use max_ot::iknp::{ExtendMsg, KAPPA};
 use max_telemetry::TraceContext;
 
-use crate::accelerator::RoundMessage;
+use crate::accelerator::{EvalRound, RoundMessage};
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
 
@@ -838,40 +839,105 @@ fn put_round(buf: &mut BytesMut, msg: &RoundMessage) {
     }
 }
 
-fn get_round(mut body: Bytes) -> Result<RoundMessage, AcceleratorError> {
-    if body.remaining() < 9 {
+/// One round of a ROUNDS burst, lent from the frame it arrived in: the
+/// tables, labels and decode bits are the frame's own bytes, read (and
+/// decoded in registers) by [`ScheduledEvaluator`] where they lie.
+///
+/// [`ScheduledEvaluator`]: crate::ScheduledEvaluator
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundView<'a> {
+    pub(crate) elem: u32,
+    pub(crate) round: u32,
+    pub(crate) tables: &'a [[u8; GarbledTable::WIRE_BYTES]],
+    pub(crate) a_labels: &'a [[u8; 16]],
+    pub(crate) init_acc_labels: Option<&'a [[u8; 16]]>,
+    pub(crate) decode: Option<PackedBits<'a>>,
+}
+
+impl RoundView<'_> {
+    /// Bytes on the wire: [`RoundMessage::wire_bytes`] of the same round.
+    pub(crate) fn wire_bytes(&self) -> usize {
+        self.tables.len() * GarbledTable::WIRE_BYTES
+            + self.a_labels.len() * 16
+            + self.init_acc_labels.map_or(0, |l| l.len() * 16)
+            + self.decode.map_or(0, |d| d.len().div_ceil(8))
+    }
+
+    /// The round as an owned [`RoundMessage`].
+    fn to_message(self) -> RoundMessage {
+        let blocks = |labels: &[[u8; 16]]| labels.iter().map(|&b| Block::from_bytes(b)).collect();
+        RoundMessage {
+            elem: self.elem,
+            round: self.round,
+            tables: self
+                .tables
+                .iter()
+                .map(|&t| GarbledTable::from_bytes(t))
+                .collect(),
+            a_labels: blocks(self.a_labels),
+            init_acc_labels: self.init_acc_labels.map(blocks),
+            decode: self.decode.map(|d| d.iter().collect()),
+        }
+    }
+}
+
+impl EvalRound for RoundView<'_> {
+    type Table = [u8; GarbledTable::WIRE_BYTES];
+
+    fn round(&self) -> u32 {
+        self.round
+    }
+
+    fn tables(&self) -> &[Self::Table] {
+        self.tables
+    }
+
+    fn a_labels(&self) -> impl ExactSizeIterator<Item = Block> {
+        self.a_labels.iter().map(|&b| Block::from_bytes(b))
+    }
+
+    fn init_acc_labels(&self) -> Option<impl ExactSizeIterator<Item = Block>> {
+        self.init_acc_labels
+            .map(|l| l.iter().map(|&b| Block::from_bytes(b)))
+    }
+
+    fn decode(&self) -> Option<impl ExactSizeIterator<Item = bool>> {
+        self.decode.map(|d| d.iter())
+    }
+}
+
+fn lend_round(mut body: &[u8]) -> Result<RoundView<'_>, AcceleratorError> {
+    let Some((&[e0, e1, e2, e3, r0, r1, r2, r3, flags], rest)) = body.split_first_chunk() else {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS body header",
         });
-    }
-    let elem = body.get_u32();
-    let round = body.get_u32();
-    let flags = body.get_u8();
+    };
+    body = rest;
     if flags & !(FLAG_INIT | FLAG_DECODE) != 0 {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS body flags",
         });
     }
-    let tables = get_tables(&mut body)?;
-    let a_labels = get_blocks(&mut body)?;
+    let tables = lend_tables(&mut body)?;
+    let a_labels = lend_blocks(&mut body)?;
     let init_acc_labels = if flags & FLAG_INIT != 0 {
-        Some(get_blocks(&mut body)?)
+        Some(lend_blocks(&mut body)?)
     } else {
         None
     };
     let decode = if flags & FLAG_DECODE != 0 {
-        Some(get_bits(&mut body)?)
+        Some(lend_bits(&mut body)?)
     } else {
         None
     };
-    if body.remaining() != 0 {
+    if !body.is_empty() {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS body trailing bytes",
         });
     }
-    Ok(RoundMessage {
-        elem,
-        round,
+    Ok(RoundView {
+        elem: u32::from_be_bytes([e0, e1, e2, e3]),
+        round: u32::from_be_bytes([r0, r1, r2, r3]),
         tables,
         a_labels,
         init_acc_labels,
@@ -932,52 +998,74 @@ pub fn round_burst_bytes(config: &AcceleratorConfig, cols: usize) -> usize {
     SEAL_BYTES + 5 + cols.saturating_mul(4 + round) + ends
 }
 
-/// Decodes a ROUNDS burst frame, insisting on exactly `expect` rounds (the
-/// client knows the model width from ACCEPT, so any other count is a
-/// protocol violation rather than an allocation hint to honor).
+/// The one ROUNDS parser: checks a burst's header, insists on exactly
+/// `expect` rounds (the client knows the model width from ACCEPT, so any
+/// other count is a protocol violation rather than an allocation hint to
+/// honor), checks every round body, and lends each round from `frame`.
 ///
 /// # Errors
 ///
-/// [`AcceleratorError::Protocol`] on any malformed or mismatched frame.
-pub fn decode_round_burst(
-    mut frame: Bytes,
+/// [`AcceleratorError::Protocol`] (or the vector codecs' typed
+/// [`TransportError`](max_gc::channel::TransportError)) on any malformed or
+/// mismatched frame.
+pub(crate) fn lend_round_burst(
+    frame: &[u8],
     expect: usize,
-) -> Result<Vec<RoundMessage>, AcceleratorError> {
-    if frame.remaining() < 5 {
+) -> Result<Vec<RoundView<'_>>, AcceleratorError> {
+    let Some((&[tag, c0, c1, c2, c3], mut rest)) = frame.split_first_chunk() else {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS header",
         });
-    }
-    if frame.get_u8() != TAG_ROUNDS {
+    };
+    if tag != TAG_ROUNDS {
         return Err(AcceleratorError::Protocol {
             what: "expected ROUNDS frame",
         });
     }
-    let count = frame.get_u32() as usize;
-    if count != expect {
+    if u32::from_be_bytes([c0, c1, c2, c3]) as usize != expect {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS count does not match the model",
         });
     }
-    let mut msgs = Vec::with_capacity(count);
-    for _ in 0..count {
-        if frame.remaining() < 4 {
+    let mut rounds = Vec::with_capacity(expect);
+    for _ in 0..expect {
+        let Some((len, body)) = rest.split_first_chunk() else {
             return Err(AcceleratorError::Protocol {
                 what: "ROUNDS body header",
             });
-        }
-        let len = frame.get_u32() as usize;
-        if frame.remaining() < len {
+        };
+        let Some((body, next)) = body.split_at_checked(u32::from_be_bytes(*len) as usize) else {
             return Err(AcceleratorError::Protocol {
                 what: "ROUNDS body length",
             });
-        }
-        msgs.push(get_round(frame.split_to(len))?);
+        };
+        rounds.push(lend_round(body)?);
+        rest = next;
     }
-    if frame.remaining() != 0 {
+    if !rest.is_empty() {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS trailing bytes",
         });
     }
-    Ok(msgs)
+    Ok(rounds)
+}
+
+/// Decodes a ROUNDS burst frame into owned round messages, insisting on
+/// exactly `expect` rounds. It runs the parser the client evaluates
+/// through, which lends each round from the frame, and copies each round
+/// out: what it accepts and refuses is exactly what the client does.
+///
+/// # Errors
+///
+/// [`AcceleratorError::Protocol`] (or the vector codecs' typed
+/// [`TransportError`](max_gc::channel::TransportError)) on any malformed or
+/// mismatched frame.
+pub fn decode_round_burst(
+    frame: Bytes,
+    expect: usize,
+) -> Result<Vec<RoundMessage>, AcceleratorError> {
+    Ok(lend_round_burst(&frame, expect)?
+        .into_iter()
+        .map(RoundView::to_message)
+        .collect())
 }

@@ -10,7 +10,7 @@ use std::sync::mpsc;
 use bytes::Bytes;
 use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{
-    encode_block_pairs, is_sealed, open_frame, seal_frame, seal_mark, FrameKind, SEAL_BYTES,
+    crc32, encode_block_pairs, open_frame, seal_frame, seal_mark, FrameKind, SEAL_BYTES,
 };
 use max_gc::Transport;
 use max_ot::iknp::{self, OtExtSender};
@@ -246,35 +246,81 @@ impl MaterializedJob {
 /// registry's rot accounting.
 pub const STREAM_DIGEST_MISMATCH: &str = "prepared stream digest mismatch";
 
-/// Digest of a materialized stream's GC-critical bytes — every element's
-/// ROUNDS payload (its stored frame past the seal prefix) and OT label
-/// pairs, each folded in serve order as one
-/// [`TranscriptDigest::fold_wide`] message (eight interleaved AES lanes:
-/// the re-hash behind READY is throughput-, not latency-bound). Computed
-/// once when the stream is garbled and re-verified, with every element's
-/// stored seal, before the stream is served, so material that rots while
-/// cached (DRAM fault, disk rot) is detected before it reaches a wire.
-/// Accidental-corruption detection only: anything that can rewrite the
-/// cache can rewrite the digest beside it.
+/// Digest of a materialized stream's GC-critical bytes, computed once
+/// when the stream is garbled and re-verified (by the serve's own pass,
+/// beside every element's stored seal) before the stream is served, so
+/// material that rots while cached (DRAM fault, bit rot) is detected before
+/// it reaches a wire.
+///
+/// It folds one fixed 24-byte record per element, in serve order, through
+/// [`TranscriptDigest::fold`]: the element's index, the length of its
+/// sealed ROUNDS frame, the CRC32 of that frame's payload (recomputed, not
+/// read from the seal prefix), its OT pair count and the CRC32 of its
+/// pairs' canonical bytes ([`Block::to_bytes`], so every AES backend reads
+/// the same value). Each stored byte is read once, by the CRC; a swapped,
+/// dropped or truncated element changes a record.
+///
+/// Strength: the per-element checks are CRC32s, so every single-bit flip
+/// and every burst of up to 32 bits in a payload or in the pairs is
+/// caught, and a random error gets through with probability 2⁻³² per
+/// element — the per-frame strength of the wire itself. Accidental
+/// corruption only: anything that can rewrite the cache can rewrite the
+/// digest beside it.
 pub fn stream_digest(job: &MaterializedJob) -> [u8; 16] {
-    let mut digest = TranscriptDigest::new();
-    for elem in &job.elements {
-        digest.fold_wide([elem.sealed_rounds.get(SEAL_BYTES..).unwrap_or_default()]);
-        digest.fold_wide(
+    fold_records(element_records(job).map(|(record, _)| record))
+}
+
+/// Bytes of one element's [`stream_digest`] record: index (`u64`), sealed
+/// ROUNDS frame length, payload CRC32, pair count and pairs CRC32 (`u32`
+/// each), all big-endian.
+const RECORD_BYTES: usize = 24;
+
+/// Each element's [`stream_digest`] record, beside whether its stored seal
+/// prefix still matches the payload CRC the record carries: one CRC pass
+/// over each payload and each element's pairs.
+fn element_records(job: &MaterializedJob) -> impl Iterator<Item = ([u8; RECORD_BYTES], bool)> + '_ {
+    let mut pair_bytes = Vec::new();
+    job.elements.iter().enumerate().map(move |(idx, elem)| {
+        let frame = &elem.sealed_rounds;
+        let payload_crc = crc32(frame.get(SEAL_BYTES..).unwrap_or_default());
+        pair_bytes.clear();
+        pair_bytes.extend(
             elem.pairs
                 .iter()
-                .flat_map(|(zero, one)| [zero.to_bytes(), one.to_bytes()]),
+                .flat_map(|(zero, one)| [zero.to_bytes(), one.to_bytes()])
+                .flatten(),
         );
+        let mut record = [0u8; RECORD_BYTES];
+        record[..8].copy_from_slice(&(idx as u64).to_be_bytes());
+        record[8..12].copy_from_slice(&(frame.len() as u32).to_be_bytes());
+        record[12..16].copy_from_slice(&payload_crc.to_be_bytes());
+        record[16..20].copy_from_slice(&(elem.pairs.len() as u32).to_be_bytes());
+        record[20..].copy_from_slice(&crc32(&pair_bytes).to_be_bytes());
+        let sealed = frame.get(..SEAL_BYTES) == Some(&payload_crc.to_be_bytes()[..]);
+        (record, sealed)
+    })
+}
+
+/// The digest of a run of element records.
+fn fold_records(records: impl Iterator<Item = [u8; RECORD_BYTES]>) -> [u8; 16] {
+    let mut digest = TranscriptDigest::new();
+    for record in records {
+        digest.fold(&record);
     }
     digest.value()
 }
 
-/// Whether a stored stream is still what its fill produced: its
-/// [`stream_digest`] equals `expected` (the payloads and label pairs) and
-/// every element's seal prefix still matches its payload (the four bytes
-/// per element the digest does not cover).
+/// Whether a stored stream is still what its fill produced, in one pass per
+/// element: every element's seal prefix matches its payload's CRC, and the
+/// records those CRCs make fold to `expected`, its fill-time
+/// [`stream_digest`].
 pub(crate) fn stream_intact(job: &MaterializedJob, expected: &[u8; 16]) -> bool {
-    stream_digest(job) == *expected && job.elements.iter().all(|e| is_sealed(&e.sealed_rounds))
+    let mut sealed = true;
+    let digest = fold_records(element_records(job).map(|(record, ok)| {
+        sealed &= ok;
+        record
+    }));
+    sealed && digest == *expected
 }
 
 /// Renders one garbled element to its wire form: the ROUNDS burst encoded
@@ -434,12 +480,13 @@ impl JobSource {
 /// `start_element` (for a resume: the snapshots taken at that boundary —
 /// a fresh [`TranscriptDigest`] when starting at element zero).
 ///
-/// A [`JobSource::Materialized`] stream's `expected_digest` and every
-/// element's stored seal are re-verified *after* READY goes out but
-/// *before* any material frame does: the rehash scales with the stream
-/// while the admission window must not, so it is pipelined past READY
-/// (overlapping the client's first OT extension) — yet a rotted stream
-/// still never puts a byte of material on the wire, seal prefixes
+/// A [`JobSource::Materialized`] stream is checked against its
+/// `expected_digest` — one CRC pass per stored byte, every element's
+/// stored seal compared and its [`stream_digest`] record folded — *after*
+/// READY goes out but *before* any material frame does: the pass scales
+/// with the stream while the admission window must not, so it is pipelined
+/// past READY (overlapping the client's first OT extension) — yet a rotted
+/// stream still never puts a byte of material on the wire, seal prefixes
 /// included. A mismatch answers the client's first EXT with
 /// `REJECT(integrity)` and fails typed with [`STREAM_DIGEST_MISMATCH`].
 ///

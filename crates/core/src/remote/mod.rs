@@ -107,7 +107,9 @@
 //! sealed with ‖ its length) — the sender folds the mark of the frame it
 //! just sealed, the receiver the mark of the frame `open_frame` just
 //! verified, so a job's bulk bytes are walked by the CRC and by nothing
-//! else. v6 folded those payloads byte by byte on both sides; the digest
+//! else. Prepared stock at rest is checked the same way: [`stream_digest`]
+//! folds one record of CRC32s per element, so the check behind READY reads
+//! each stored byte once. v6 folded those payloads byte by byte on both sides; the digest
 //! *values* in EXT and STATS therefore differ, which is why this is v7 and
 //! a v6 peer is turned away at HELLO with `REJECT(VERSION)` rather than at
 //! its first EXT with `REJECT(INTEGRITY)`. Per-frame strength is the CRC's

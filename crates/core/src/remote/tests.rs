@@ -1,11 +1,14 @@
-use super::codec::{decode_ext, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY, TAG_MODEL_PUT};
+use super::client::evaluate_burst;
+use super::codec::{
+    decode_ext, lend_round_burst, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY, TAG_MODEL_PUT,
+};
 use super::job::stream_intact;
 use super::*;
 use crate::server::CloudServer;
 use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::{seal_frame, Duplex, SEAL_BYTES};
+use max_gc::channel::{open_frame, seal_frame, Duplex, SEAL_BYTES};
 use max_gc::{FaultSpec, FaultTransport, Transport};
 use max_ot::iknp;
 use max_telemetry::TraceContext;
@@ -651,19 +654,36 @@ fn small_stream() -> MaterializedJob {
 
 #[test]
 fn stream_digest_value_is_pinned() {
-    // Recorded once. `cargo test` under `MAX_AES_BACKEND=software`
-    // (CI's `simd` job) must read the same value: what one server
-    // digests at fill another build may re-verify from its journal.
+    // Recorded once. Stocks live only in memory, so nothing persists this
+    // value; the pin shows any change to the per-element record or to how
+    // it is folded. `cargo test` under `MAX_AES_BACKEND=software` (CI's
+    // `simd` job) must read the same value.
     assert_eq!(
         u128::from_be_bytes(stream_digest(&small_stream())),
-        0xc7dc_f5ef_0318_d9f2_87bb_8f01_3456_f9e6
+        0x38ef_ff2a_7769_8d13_9300_3562_5214_8353
     );
+}
+
+/// A stream's every garbled byte hashed by its bytes: each element's ROUNDS
+/// payload, then its OT pairs' canonical bytes, one wide fold each.
+fn garbled_bytes_digest(job: &MaterializedJob) -> u128 {
+    let mut digest = TranscriptDigest::new();
+    for elem in &job.elements {
+        digest.fold_wide([&elem.sealed_rounds[SEAL_BYTES..]]);
+        digest.fold_wide(
+            elem.pairs
+                .iter()
+                .flat_map(|(zero, one)| [zero.to_bytes(), one.to_bytes()]),
+        );
+    }
+    u128::from_be_bytes(digest.value())
 }
 
 #[test]
 fn garbled_bytes_are_pinned() {
     // Recorded from the schedule-walk garbler: any rewrite of how tables
     // are garbled must leave every table, label and fabric count as is.
+    // The digest reads every byte, not a CRC of it.
     let weights = |offset: i64| -> Vec<Vec<i64>> {
         (0..4i64)
             .map(|r| {
@@ -695,11 +715,7 @@ fn garbled_bytes_are_pinned() {
     ] {
         let job = fill_stream(&config, &weights(offset), 0x5eed, 2);
         assert_eq!(job.fabric_cycles, cycles, "{config:?}");
-        assert_eq!(
-            u128::from_be_bytes(stream_digest(&job)),
-            digest,
-            "{config:?}"
-        );
+        assert_eq!(garbled_bytes_digest(&job), digest, "{config:?}");
     }
 }
 
@@ -860,6 +876,147 @@ fn a_warm_serve_sends_the_stored_rounds_frames() {
     for (e, &at) in stored.iter().enumerate() {
         assert_eq!(received[3 + 2 * e], job.elements[e].sealed_rounds);
         assert_eq!(received[3 + 2 * e].as_ptr(), at, "element {e} was copied");
+    }
+}
+
+#[test]
+fn the_client_evaluates_each_rounds_frame_where_it_arrived() {
+    // The client-side twin of the test above: no user-space copy of a
+    // table byte on the client either. Every table a round view lends lies
+    // inside the opened ROUNDS frame's own allocation, and evaluating the
+    // views gives the plaintext MACs.
+    let job = small_stream();
+    let (server_end, client_end) = Duplex::pair();
+    let server = {
+        let (job, expected) = (job.clone(), stream_digest(&job));
+        std::thread::spawn(move || serve_stock(server_end, job, expected))
+    };
+    let tap = Tap {
+        inner: client_end,
+        received: Vec::new(),
+    };
+    let mut client = RemoteClient::connect_with_trace(tap, 8, TraceContext::none()).unwrap();
+    let (ys, _) = client.secure_matmul(&small_xs()).unwrap();
+    let received = client.goodbye().received;
+    server.join().unwrap().unwrap();
+    let rows = small_weights().len();
+    for (e, elem) in job.elements.iter().enumerate() {
+        let opened = open_frame(received[3 + 2 * e].clone()).unwrap();
+        let within = opened.as_ptr_range();
+        let views = lend_round_burst(&opened, 3).unwrap();
+        assert_eq!(views.len(), 3);
+        for view in &views {
+            let lent = view.tables.as_ptr_range();
+            assert!(
+                within.start <= lent.start.cast() && lent.end.cast() <= within.end,
+                "element {e} round {}: tables copied out of the frame",
+                view.round
+            );
+        }
+        // The frame the client opened is the stock's own bytes.
+        assert_eq!(within.start, elem.sealed_rounds[SEAL_BYTES..].as_ptr());
+        assert_eq!(
+            ys[e / rows][e % rows],
+            plain_matvec(&small_weights(), &small_xs()[e / rows])[e % rows]
+        );
+    }
+}
+
+/// Element 1 of [`small_weights`] garbled for one column: its ROUNDS burst,
+/// the client's OT labels for `small_xs()[0]`, and the plaintext MAC.
+fn served_element() -> (Vec<u8>, Vec<Block>, i64) {
+    static ELEMENT: std::sync::OnceLock<(Vec<u8>, Vec<Block>, i64)> = std::sync::OnceLock::new();
+    ELEMENT
+        .get_or_init(|| {
+            let config = AcceleratorConfig::new(8);
+            let job = garble_matvec_job(&config, &small_weights(), 0xf00d, 1).unwrap();
+            let row = &job.rows[1];
+            let x = &small_xs()[0];
+            let labels = row
+                .pairs
+                .iter()
+                .zip(config.encode_choices(x))
+                .map(|(&(zero, one), bit)| if bit { one } else { zero })
+                .collect();
+            let mac = plain_matvec(&small_weights(), x)[1];
+            (encode_round_burst(&row.messages).to_vec(), labels, mac)
+        })
+        .clone()
+}
+
+/// Offsets of every length and count field of a ROUNDS burst: the round
+/// count, then per round its body length and the counts of its tables,
+/// labels and optional initial accumulator and decode bits.
+fn count_fields(burst: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u32::from_be_bytes(burst[at..at + 4].try_into().unwrap()) as usize;
+    let mut fields = vec![1];
+    let mut at = 5;
+    while at < burst.len() {
+        fields.push(at);
+        let body = at + 4;
+        let flags = burst[body + 8];
+        let mut field = body + 9;
+        for (item, present) in [(32, true), (16, true), (16, flags & 1 != 0)] {
+            if present {
+                fields.push(field);
+                field += 4 + item * word(field);
+            }
+        }
+        if flags & 2 != 0 {
+            fields.push(field);
+        }
+        at = body + word(at);
+    }
+    fields
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn peer_bytes_never_panic_the_client(
+        kind in 0u8..4,
+        at in proptest::prelude::any::<usize>(),
+        delta in proptest::prelude::any::<u32>(),
+    ) {
+        // A valid burst, then one of: untouched, truncated, one bit
+        // flipped, or one length or count field rewritten. The client's
+        // parser and evaluator answer each with a typed error — or, for
+        // the untouched burst, the plaintext MAC — and never panic.
+        let (mut burst, labels, mac) = served_element();
+        let len = burst.len();
+        match kind {
+            1 => burst.truncate(at % len),
+            2 => burst[at % len] ^= 1 << (delta % 8),
+            3 => {
+                let fields = count_fields(&burst);
+                let field = fields[at % fields.len()];
+                let old = u32::from_be_bytes(burst[field..field + 4].try_into().unwrap());
+                // Off by a few half the time: a length that cuts or pads
+                // the last vector of a body by a byte or two.
+                let new = match delta % 16 {
+                    0..=3 => old.wrapping_add(delta % 4 + 1),
+                    4..=7 => old.wrapping_sub(delta % 4 + 1),
+                    _ => old ^ delta,
+                };
+                burst[field..field + 4].copy_from_slice(&new.to_be_bytes());
+            }
+            _ => {}
+        }
+        let mut evaluator = crate::ScheduledEvaluator::new(&AcceleratorConfig::new(8));
+        let outcome = evaluate_burst(
+            &mut evaluator,
+            1,
+            &burst,
+            3,
+            &labels,
+            &mut crate::MatvecTranscript::default(),
+        );
+        match kind {
+            0 => proptest::prop_assert_eq!(outcome, Ok(mac)),
+            1 | 3 => proptest::prop_assert!(outcome.is_err(), "kind {kind}: {outcome:?}"),
+            _ => {}
+        }
     }
 }
 

@@ -15,9 +15,12 @@
 //! already computed and verified. A replaced, reordered, duplicated,
 //! dropped or stale frame still has a different mark, so divergence
 //! detection at every boundary is unchanged; what a mark cannot add is
-//! strength beyond the CRC's 32 bits plus the length. Bulk material at rest
-//! (a prepared stream) is hashed by its bytes through
-//! [`TranscriptDigest::fold_wide`].
+//! strength beyond the CRC's 32 bits plus the length. Material at rest (a
+//! prepared stream) is checked the same way: its digest folds one small
+//! record per element that carries the CRC32s of the element's bytes, so
+//! the check behind READY reads each stored byte once, by the CRC.
+//! [`TranscriptDigest::fold_wide`] hashes bulk bytes themselves; the model
+//! registry names a weight matrix by it.
 //!
 //! # Construction
 //!

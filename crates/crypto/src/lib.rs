@@ -19,10 +19,14 @@
 //! * [`TranscriptDigest`] — a rolling Matyas–Meyer–Oseas digest over the
 //!   fixed-key AES permutation, used by the session protocol to detect
 //!   accidental transcript corruption end to end (a serial `fold` for
-//!   marks and small bodies, an eight-lane `fold_wide` for bulk material).
+//!   marks, small bodies and a prepared stream's per-element CRC records;
+//!   an eight-lane `fold_wide` for the bulk bytes the model registry
+//!   digests a weight matrix by).
 //! * [`crc32`] — the one CRC32 (IEEE; carry-less-multiply folding where the
-//!   CPU has `pclmulqdq`, slice-by-16 otherwise) sealing every wire frame
-//!   and guarding every journal record.
+//!   CPU has `pclmulqdq`, slice-by-16 otherwise) sealing every wire frame,
+//!   guarding every journal record and checking a prepared stream at rest:
+//!   every single-bit flip and every burst of up to 32 bits is caught, and
+//!   a random error gets through with probability 2⁻³² per checked run.
 //!
 //! # Security
 //!

@@ -168,25 +168,28 @@ impl From<std::io::Error> for TransportError {
 
 // ---------------------------------------------------------------------------
 // Vector codecs: a big-endian u32 element count, then the elements. The
-// `put_` functions append one vector to a buffer, the `get_` functions read
-// one from the front of a frame; they are the only encoding of tables,
-// labels and packed bits, and the frame-level functions below and the
-// session protocol's ROUNDS bodies are built on them. Decoding never panics
-// and never allocates beyond the actual frame: a declared count is checked
-// against both MAX_FRAME_BYTES and the remaining payload first.
+// `put_` functions append one vector to a buffer; the `lend_` functions read
+// one from the front of a byte slice and lend its items where they lie, and
+// the `get_` functions are the `lend_` ones converted to owned values. They
+// are the only encoding of tables, labels and packed bits, and the
+// frame-level functions below and the session protocol's ROUNDS bodies are
+// built on them. Decoding never panics and never allocates beyond the actual
+// frame: a declared count is checked against both MAX_FRAME_BYTES and the
+// remaining payload first.
 // ---------------------------------------------------------------------------
 
-/// Reads a vector's count and checks that its `item_bits`-bit items fit
-/// [`MAX_FRAME_BYTES`] and the rest of `frame`.
-fn checked_count(
-    frame: &mut Bytes,
+/// Reads a vector's count, checks that its `item_bits`-bit items fit
+/// [`MAX_FRAME_BYTES`] and the rest of `frame`, and lends the bytes holding
+/// them, advancing `frame` past the vector.
+fn take_vector<'a>(
+    frame: &mut &'a [u8],
     item_bits: usize,
     what: &'static str,
-) -> Result<usize, TransportError> {
-    if frame.remaining() < 4 {
-        return Err(TransportError::Malformed(what));
-    }
-    let count = frame.get_u32() as usize;
+) -> Result<(usize, &'a [u8]), TransportError> {
+    let (count, rest) = frame
+        .split_first_chunk()
+        .ok_or(TransportError::Malformed(what))?;
+    let count = u32::from_be_bytes(*count) as usize;
     let declared = count.saturating_mul(item_bits).div_ceil(8);
     if declared > MAX_FRAME_BYTES {
         return Err(TransportError::FrameTooLarge {
@@ -194,10 +197,24 @@ fn checked_count(
             max: MAX_FRAME_BYTES as u64,
         });
     }
-    if frame.remaining() < declared {
-        return Err(TransportError::Malformed(what));
-    }
-    Ok(count)
+    let (items, rest) = rest
+        .split_at_checked(declared)
+        .ok_or(TransportError::Malformed(what))?;
+    *frame = rest;
+    Ok((count, items))
+}
+
+/// Runs a `lend_` reader over the front of `frame` and advances `frame`
+/// past what it read.
+fn read_owned<T>(
+    frame: &mut Bytes,
+    lend: impl FnOnce(&mut &[u8]) -> Result<T, TransportError>,
+) -> Result<T, TransportError> {
+    let mut rest = &frame[..];
+    let value = lend(&mut rest)?;
+    let used = frame.len() - rest.len();
+    frame.advance(used);
+    Ok(value)
 }
 
 /// Appends a garbled-table vector: room for the whole vector is reserved
@@ -210,28 +227,35 @@ pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
     }
 }
 
-/// Reads a garbled-table vector: the count is checked first, then the
-/// whole run is converted straight from the frame and the frame advances
-/// once.
+/// Lends a garbled-table vector from the front of `frame`: each table's
+/// [`GarbledTable::WIRE_BYTES`] as they lie in the frame (read them with
+/// [`AsTable`](crate::AsTable)), and `frame` advanced past the vector.
 ///
 /// # Errors
 ///
 /// [`TransportError::FrameTooLarge`] for a count beyond
 /// [`MAX_FRAME_BYTES`], [`TransportError::Malformed`] for a count the
 /// frame does not hold.
+pub fn lend_tables<'a>(
+    frame: &mut &'a [u8],
+) -> Result<&'a [[u8; GarbledTable::WIRE_BYTES]], TransportError> {
+    let (_, run) = take_vector(frame, GarbledTable::WIRE_BYTES * 8, "table vector")?;
+    Ok(run.as_chunks().0)
+}
+
+/// Reads a garbled-table vector: [`lend_tables`], each table converted
+/// straight from the frame, and the frame advanced once.
+///
+/// # Errors
+///
+/// As [`lend_tables`].
 pub fn get_tables(frame: &mut Bytes) -> Result<Vec<GarbledTable>, TransportError> {
-    let count = checked_count(frame, GarbledTable::WIRE_BYTES * 8, "table vector")?;
-    let run = count * GarbledTable::WIRE_BYTES;
-    let tables = frame[..run]
-        .chunks_exact(GarbledTable::WIRE_BYTES)
-        .map(|wire| {
-            let mut table = [0u8; GarbledTable::WIRE_BYTES];
-            table.copy_from_slice(wire);
-            GarbledTable::from_bytes(table)
-        })
-        .collect();
-    frame.advance(run);
-    Ok(tables)
+    read_owned(frame, |rest| {
+        Ok(lend_tables(rest)?
+            .iter()
+            .map(|&wire| GarbledTable::from_bytes(wire))
+            .collect())
+    })
 }
 
 /// Appends a block vector.
@@ -249,25 +273,31 @@ fn put_block_vector<'a>(buf: &mut BytesMut, count: usize, blocks: impl Iterator<
     }
 }
 
+/// Lends a block vector from the front of `frame` as [`lend_tables`]
+/// does: each block's 16 bytes as they lie ([`Block::from_bytes`] reads
+/// one).
+///
+/// # Errors
+///
+/// As [`lend_tables`].
+pub fn lend_blocks<'a>(frame: &mut &'a [u8]) -> Result<&'a [[u8; 16]], TransportError> {
+    let (_, run) = take_vector(frame, 128, "block vector")?;
+    Ok(run.as_chunks().0)
+}
+
 /// Reads a block vector, converting the whole run in one pass as
 /// [`get_tables`] does.
 ///
 /// # Errors
 ///
-/// As [`get_tables`].
+/// As [`lend_tables`].
 pub fn get_blocks(frame: &mut Bytes) -> Result<Vec<Block>, TransportError> {
-    let count = checked_count(frame, 128, "block vector")?;
-    let run = count * 16;
-    let blocks = frame[..run]
-        .chunks_exact(16)
-        .map(|wire| {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(wire);
-            Block::from_bytes(block)
-        })
-        .collect();
-    frame.advance(run);
-    Ok(blocks)
+    read_owned(frame, |rest| {
+        Ok(lend_blocks(rest)?
+            .iter()
+            .map(|&wire| Block::from_bytes(wire))
+            .collect())
+    })
 }
 
 /// Appends a bit vector, packed eight to a byte, least significant first.
@@ -283,17 +313,50 @@ pub fn put_bits(buf: &mut BytesMut, bits: &[bool]) {
     }
 }
 
+/// A packed bit vector as it lies in a frame: [`PackedBits::len`] bits,
+/// eight to a byte, least significant first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PackedBits<'a> {
+    len: usize,
+    packed: &'a [u8],
+}
+
+impl<'a> PackedBits<'a> {
+    /// Bits in the vector.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the vector holds no bit.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bits in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = bool> + 'a {
+        let packed = self.packed;
+        (0..self.len).map(move |i| (packed[i / 8] >> (i % 8)) & 1 == 1)
+    }
+}
+
+/// Lends a packed bit vector from the front of `frame` as [`lend_tables`]
+/// does.
+///
+/// # Errors
+///
+/// As [`lend_tables`].
+pub fn lend_bits<'a>(frame: &mut &'a [u8]) -> Result<PackedBits<'a>, TransportError> {
+    let (len, packed) = take_vector(frame, 1, "bit vector")?;
+    Ok(PackedBits { len, packed })
+}
+
 /// Reads a packed bit vector.
 ///
 /// # Errors
 ///
-/// As [`get_tables`].
+/// As [`lend_tables`].
 pub fn get_bits(frame: &mut Bytes) -> Result<Vec<bool>, TransportError> {
-    let count = checked_count(frame, 1, "bit vector")?;
-    let packed = frame.split_to(count.div_ceil(8));
-    Ok((0..count)
-        .map(|i| (packed[i / 8] >> (i % 8)) & 1 == 1)
-        .collect())
+    read_owned(frame, |rest| Ok(lend_bits(rest)?.iter().collect()))
 }
 
 /// `value` if `frame` is used up, else trailing garbage.

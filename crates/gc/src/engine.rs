@@ -6,6 +6,8 @@
 //! invokes [`garble_and`] directly from its per-core pipeline model, so the
 //! simulated hardware emits *real* garbled tables.
 
+use std::hint::select_unpredictable;
+
 use max_crypto::{Block, FixedKeyHash, Tweak};
 use max_netlist::LevelAnd;
 
@@ -25,6 +27,7 @@ impl GarbledTable {
     pub const WIRE_BYTES: usize = 32;
 
     /// Serializes to 32 bytes.
+    #[inline]
     pub fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
         out[..16].copy_from_slice(&self.tg.to_bytes());
@@ -33,6 +36,7 @@ impl GarbledTable {
     }
 
     /// Deserializes from 32 bytes.
+    #[inline]
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
         let mut tg = [0u8; 16];
         let mut te = [0u8; 16];
@@ -42,6 +46,29 @@ impl GarbledTable {
             tg: Block::from_bytes(tg),
             te: Block::from_bytes(te),
         }
+    }
+}
+
+/// A garbled table as the evaluator reads it: decoded ([`GarbledTable`]),
+/// or its [`GarbledTable::WIRE_BYTES`] as they arrived in a frame
+/// (`tg ‖ te`, big-endian), decoded in registers when the gate is
+/// evaluated — so an evaluator can run straight off a received frame.
+pub trait AsTable {
+    /// The table.
+    fn table(&self) -> GarbledTable;
+}
+
+impl AsTable for GarbledTable {
+    #[inline]
+    fn table(&self) -> GarbledTable {
+        *self
+    }
+}
+
+impl AsTable for [u8; GarbledTable::WIRE_BYTES] {
+    #[inline]
+    fn table(&self) -> GarbledTable {
+        GarbledTable::from_bytes(*self)
     }
 }
 
@@ -127,17 +154,18 @@ pub struct BatchScratch {
 /// sweep, reading the active input labels from `active` and writing the
 /// outputs back.
 ///
-/// `tables` is indexed by AND ordinal and `tweak` names each gate's tweak;
-/// every output matches [`evaluate_and`] bit for bit.
+/// `tables` is indexed by AND ordinal, decoded or as received
+/// ([`AsTable`]), and `tweak` names each gate's tweak; every output matches
+/// [`evaluate_and`] bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if a gate's ordinal or wires fall outside `tables` / `active` —
 /// callers check peer-supplied counts against the netlist first.
-pub fn evaluate_and_batch(
+pub fn evaluate_and_batch<T: AsTable>(
     hash: &FixedKeyHash,
     ands: &[LevelAnd],
-    tables: &[GarbledTable],
+    tables: &[T],
     tweak: impl Fn(&LevelAnd) -> Tweak,
     active: &mut [Block],
     scratch: &mut BatchScratch,
@@ -153,16 +181,13 @@ pub fn evaluate_and_batch(
         &mut scratch.hashed,
     );
     for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(2)) {
-        let table = tables[and.ordinal as usize];
+        // Selected, not branched: the colour bits are a fresh coin per
+        // gate, so a branch on them would mispredict half the time.
+        let table = tables[and.ordinal as usize].table();
         let a = active[and.a.index()];
-        let mut wg = h[0];
-        if a.lsb() {
-            wg ^= table.tg;
-        }
-        let mut we = h[1];
-        if active[and.b.index()].lsb() {
-            we ^= table.te ^ a;
-        }
+        let wg = h[0] ^ select_unpredictable(a.lsb(), table.tg, Block::ZERO);
+        let b = active[and.b.index()];
+        let we = h[1] ^ select_unpredictable(b.lsb(), table.te ^ a, Block::ZERO);
         active[and.out.index()] = wg ^ we;
     }
 }

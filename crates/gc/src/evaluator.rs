@@ -3,23 +3,24 @@
 use max_crypto::{Block, FixedKeyHash, Tweak};
 use max_netlist::{GateKind, LevelAnd, Netlist};
 
-use crate::engine::{evaluate_and_batch, BatchScratch, GarbledTable};
+use crate::engine::{evaluate_and_batch, AsTable, BatchScratch};
 use crate::garbler::Material;
 
 /// Evaluates `netlist` over `active` (one label per wire, inputs already
 /// set) level by level: each level's free gates, then all of its AND gates
-/// with one [`evaluate_and_batch`] sweep. `tables` is indexed by AND ordinal
-/// and `tweak` names each AND gate's tweak, so every wire gets the label a
-/// gate-at-a-time walk in netlist order would give it.
+/// with one [`evaluate_and_batch`] sweep. `tables` is indexed by AND ordinal,
+/// decoded or as received ([`AsTable`]), and `tweak` names each AND gate's
+/// tweak, so every wire gets the label a gate-at-a-time walk in netlist
+/// order would give it.
 ///
 /// # Panics
 ///
 /// Panics if `tables` is shorter than the netlist's AND count or `active`
 /// than its wire count — callers check peer-supplied counts first.
-pub fn evaluate_levels(
+pub fn evaluate_levels<T: AsTable>(
     hash: &FixedKeyHash,
     netlist: &Netlist,
-    tables: &[GarbledTable],
+    tables: &[T],
     tweak: impl Fn(&LevelAnd) -> Tweak,
     active: &mut [Block],
     scratch: &mut BatchScratch,

@@ -66,7 +66,8 @@ mod sequential;
 pub mod transport;
 
 pub use engine::{
-    evaluate_and, evaluate_and_batch, garble_and, garble_and_level, BatchScratch, GarbledTable,
+    evaluate_and, evaluate_and_batch, garble_and, garble_and_level, AsTable, BatchScratch,
+    GarbledTable,
 };
 pub use evaluator::{evaluate_levels, Evaluator};
 pub use fault::{FaultSpec, FaultStats, FaultTransport};

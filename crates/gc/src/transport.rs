@@ -114,6 +114,11 @@ const HEADER_BYTES: usize = 5;
 /// buffer grows only as payload bytes actually arrive.
 const RECV_PREALLOC_BYTES: usize = 64 * 1024;
 
+/// Largest receive buffer a [`FramedTcp`] keeps for its next frame: one
+/// oversized frame (a big MODEL_PUT) does not pin its memory for the
+/// connection's life.
+const RECV_SPARE_BYTES: usize = 1 << 20;
+
 /// Length-prefixed framed transport over a blocking [`TcpStream`].
 ///
 /// One instance owns one direction-pair of a socket (TCP is full-duplex, so
@@ -125,6 +130,9 @@ pub struct FramedTcp {
     stream: TcpStream,
     sent: Counter,
     received: Counter,
+    /// The last frame received, kept so the next receive can reuse its
+    /// allocation once the reader has dropped every other handle to it.
+    spare: Option<Bytes>,
 }
 
 impl FramedTcp {
@@ -146,6 +154,7 @@ impl FramedTcp {
             stream,
             sent: Counter::default(),
             received: Counter::default(),
+            spare: None,
         }
     }
 
@@ -222,8 +231,18 @@ impl Transport for FramedTcp {
         // A 5-byte header commits at most the cap below, read in one piece
         // (`read_to_end` alone would take a ROUNDS burst in three reads);
         // past it the buffer grows with the bytes that arrive, not with
-        // what the header declares.
-        let mut payload = vec![0u8; len.min(RECV_PREALLOC_BYTES)];
+        // what the header declares. The buffer is the last frame's when its
+        // reader has let go of it (its stale bytes are overwritten), so a
+        // steady exchange neither frees nor allocates a buffer per frame —
+        // which the allocator would otherwise hand back to the kernel and
+        // fault in again.
+        let mut payload = self
+            .spare
+            .take()
+            .and_then(|last| last.try_into_mut().ok())
+            .map(Vec::from)
+            .unwrap_or_default();
+        payload.resize(len.min(RECV_PREALLOC_BYTES), 0);
         self.stream.read_exact(&mut payload)?;
         let rest = len - payload.len();
         if rest > 0 {
@@ -235,7 +254,10 @@ impl Transport for FramedTcp {
             }
         }
         self.received.record(len);
-        Ok(Bytes::from(payload))
+        let keep = payload.capacity() <= RECV_SPARE_BYTES;
+        let frame = Bytes::from(payload);
+        self.spare = keep.then(|| frame.clone());
+        Ok(frame)
     }
 
     fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
@@ -419,6 +441,32 @@ mod tests {
         });
         assert_eq!(server.recv_frame().unwrap(), expected);
         let _client = sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_released_frame_buffer_is_reused_for_the_next_frame() {
+        let (mut server, mut client) = loopback_pair();
+        let long: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+        for payload in [long.clone(), vec![9u8; 300], long.clone(), long] {
+            client
+                .send_frame(FrameKind::Raw, Bytes::from(payload))
+                .unwrap();
+        }
+        let first = server.recv_frame().unwrap();
+        let at = first.as_ptr();
+        drop(first);
+        // Dropped by its reader: the next frame lands in the same buffer,
+        // shorter or longer, with none of the old bytes showing.
+        let short = server.recv_frame().unwrap();
+        assert_eq!((short.as_ptr(), &short[..]), (at, &[9u8; 300][..]));
+        drop(short);
+        let held = server.recv_frame().unwrap();
+        assert_eq!(held.as_ptr(), at);
+        // Still held: the next frame gets a buffer of its own.
+        let next = server.recv_frame().unwrap();
+        assert_ne!(next.as_ptr(), at);
+        assert_eq!(held, next);
+        assert_eq!(held.len(), 50_000);
     }
 
     /// Accepts at most `step` bytes per call, then nothing at all once

@@ -631,7 +631,7 @@ impl ModelRegistry {
                 counters.served_prepared += 1;
                 // The fill-time digest rides along for the serving layer
                 // to re-verify before the first material frame leaves —
-                // the rehash scales with the stream, so it is pipelined
+                // the check scales with the stream, so it is pipelined
                 // past the admission window rather than paid under the
                 // registry lock. A mismatch is routed back through
                 // [`ModelRegistry::note_integrity_drop`].
