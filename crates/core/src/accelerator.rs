@@ -228,8 +228,14 @@ impl std::fmt::Debug for Maxelerator {
 impl Maxelerator {
     /// Builds an accelerator for `config`, seeding the label generator with
     /// `seed`.
+    ///
+    /// The MAC circuit and its level plan are the configuration's shared
+    /// ones (built once per process, like the paper's FSM that holds the
+    /// netlist fixed across jobs), so a cold job builds no netlist before
+    /// its first element: what it allocates is its per-job state (label
+    /// stream, wire buffer).
     pub fn new(config: AcceleratorConfig, seed: u64) -> Self {
-        let mac = config.mac_circuit();
+        let mac = config.shared_circuit();
         let cores = TimingModel {
             bit_width: config.bit_width,
             freq_mhz: config.freq_mhz,
@@ -243,7 +249,7 @@ impl Maxelerator {
             and_gates: mac.netlist().stats().and_gates,
             scratch: BatchScratch::default(),
             hash: FixedKeyHash::new(),
-            mac: Arc::new(mac),
+            mac,
             cores,
             base_seed: seed,
             labels,
@@ -555,7 +561,7 @@ impl Maxelerator {
 #[derive(Clone, Debug)]
 pub struct ScheduledEvaluator {
     config: AcceleratorConfig,
-    mac: MacCircuit,
+    mac: Arc<MacCircuit>,
     and_gates: usize,
     hash: FixedKeyHash,
     carried: Option<Vec<Block>>,
@@ -568,8 +574,12 @@ pub struct ScheduledEvaluator {
 
 impl ScheduledEvaluator {
     /// Creates a client evaluator for the same configuration as the server.
+    ///
+    /// It holds the configuration's shared MAC circuit (one per process,
+    /// levelized once), so neither this nor a `Clone` of the evaluator
+    /// builds or copies a netlist.
     pub fn new(config: &AcceleratorConfig) -> Self {
-        let mac = config.mac_circuit();
+        let mac = config.shared_circuit();
         ScheduledEvaluator {
             and_gates: mac.netlist().stats().and_gates,
             active: vec![Block::ZERO; mac.netlist().wire_count()],
@@ -793,6 +803,42 @@ mod tests {
             let labels = accel.ot_pairs_for_client(&config.encode_x(x));
             assert_eq!(client.evaluate_round(&msg, &labels).unwrap(), Some(want));
         }
+    }
+
+    #[test]
+    fn one_circuit_per_configuration() {
+        // A configuration no other test in this binary builds, so the
+        // fabric account below is a miss and the circuit list starts
+        // without it.
+        let config = AcceleratorConfig::new(12).with_acc_width(30).unsigned();
+        assert!(config.cached_circuit().is_none());
+        let cores = TimingModel::paper(12).cores();
+        FabricAccount::shared(&config, cores, 3);
+        let shared = config
+            .cached_circuit()
+            .expect("the account's miss path went through the shared list");
+
+        let first = Maxelerator::new(config.clone(), 1);
+        let second = Maxelerator::new(config.clone(), 2);
+        let client = ScheduledEvaluator::new(&config);
+        assert!(Arc::ptr_eq(&first.mac, &shared));
+        assert!(Arc::ptr_eq(&second.mac, &shared));
+        assert!(Arc::ptr_eq(&client.mac, &shared));
+        assert!(Arc::ptr_eq(&client.clone().mac, &shared));
+        assert!(Arc::ptr_eq(&config.shared_circuit(), &shared));
+        assert_eq!(
+            shared.netlist().gates(),
+            config.mac_circuit().netlist().gates()
+        );
+
+        // Another configuration gets a circuit of its own.
+        let signed = AcceleratorConfig::new(12).with_acc_width(30);
+        let other = Maxelerator::new(signed.clone(), 1);
+        assert!(!Arc::ptr_eq(&other.mac, &shared));
+        assert!(Arc::ptr_eq(
+            &other.mac,
+            &ScheduledEvaluator::new(&signed).mac
+        ));
     }
 
     #[test]

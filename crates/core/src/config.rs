@@ -1,6 +1,20 @@
 //! Accelerator configuration.
 
+use std::sync::Arc;
+
 use max_netlist::{encode_signed, MacCircuit, MultiplierKind, Sign};
+
+use crate::memo::Memo;
+
+/// Key of [`AcceleratorConfig::shared_circuit`] — everything
+/// [`AcceleratorConfig::mac_circuit`] reads: (operand width, accumulator
+/// width, signed).
+type CircuitKey = (usize, usize, bool);
+
+/// Most circuits [`AcceleratorConfig::shared_circuit`] keeps.
+const SHARED_CIRCUITS: usize = 32;
+
+static CIRCUITS: Memo<CircuitKey, Arc<MacCircuit>> = Memo::new(SHARED_CIRCUITS);
 
 /// Configuration of one MAXelerator MAC unit.
 ///
@@ -71,7 +85,12 @@ impl AcceleratorConfig {
     }
 
     /// Builds the MAC circuit this configuration garbles (tree multiplier,
-    /// per §4).
+    /// per §4): a fresh netlist on every call. [`Maxelerator::new`] and
+    /// [`ScheduledEvaluator::new`] instead share one circuit per
+    /// configuration per process, which this builds once.
+    ///
+    /// [`Maxelerator::new`]: crate::Maxelerator::new
+    /// [`ScheduledEvaluator::new`]: crate::ScheduledEvaluator::new
     pub fn mac_circuit(&self) -> MacCircuit {
         MacCircuit::build(
             self.bit_width,
@@ -83,6 +102,26 @@ impl AcceleratorConfig {
             },
             MultiplierKind::Tree,
         )
+    }
+
+    /// This configuration's MAC circuit, built and levelized once per
+    /// process and shared: the paper embeds the netlist in the fabric's FSM
+    /// once, and every job after that only streams labels and tables.
+    /// Peers choose widths (a client takes its config from ACCEPT), so the
+    /// list keeps [`SHARED_CIRCUITS`] entries, evicting the oldest.
+    pub(crate) fn shared_circuit(&self) -> Arc<MacCircuit> {
+        shared_circuit_in(&CIRCUITS, self)
+    }
+
+    /// The circuit [`shared_circuit`](Self::shared_circuit) holds for this
+    /// configuration now, without building one.
+    #[cfg(test)]
+    pub(crate) fn cached_circuit(&self) -> Option<Arc<MacCircuit>> {
+        CIRCUITS.get(&self.circuit_key())
+    }
+
+    fn circuit_key(&self) -> CircuitKey {
+        (self.bit_width, self.acc_width, self.signed)
     }
 
     /// Encodes a client vector element as evaluator input bits.
@@ -108,6 +147,19 @@ impl AcceleratorConfig {
     pub fn state_range(&self) -> std::ops::Range<usize> {
         self.bit_width..self.bit_width + self.acc_width
     }
+}
+
+/// [`AcceleratorConfig::shared_circuit`] over `memo`: a miss builds the
+/// circuit and forces its level plan before any job can see it.
+fn shared_circuit_in(
+    memo: &Memo<CircuitKey, Arc<MacCircuit>>,
+    config: &AcceleratorConfig,
+) -> Arc<MacCircuit> {
+    memo.get_or_insert_with(config.circuit_key(), || {
+        let mac = config.mac_circuit();
+        mac.netlist().levels();
+        Arc::new(mac)
+    })
 }
 
 #[cfg(test)]
@@ -141,6 +193,44 @@ mod tests {
         assert_eq!(mac.ports().bit_width, 8);
         assert_eq!(mac.ports().acc_width, 24);
         assert_eq!(c.state_range(), 8..32);
+    }
+
+    #[test]
+    fn shared_circuits_are_bounded_and_evict_oldest() {
+        // A client builds its evaluator from whatever widths ACCEPT names:
+        // cycle more of them than the list keeps (a list of its own, so the
+        // process-wide one other tests share is left alone).
+        let memo = Memo::new(SHARED_CIRCUITS);
+        let peer_configs = || {
+            [true, false].into_iter().flat_map(|signed| {
+                (4..=8).step_by(2).flat_map(move |b| {
+                    (2 * b..2 * b + 12).map(move |acc| {
+                        let config = AcceleratorConfig::new(b).with_acc_width(acc);
+                        if signed {
+                            config
+                        } else {
+                            config.unsigned()
+                        }
+                    })
+                })
+            })
+        };
+        assert!(peer_configs().count() > SHARED_CIRCUITS + 8);
+        let first = peer_configs().next().unwrap();
+        let kept = shared_circuit_in(&memo, &first);
+        for config in peer_configs() {
+            let mac = shared_circuit_in(&memo, &config);
+            assert_eq!(mac.ports().bit_width, config.bit_width);
+            assert_eq!(mac.ports().acc_width, config.acc_width);
+            assert!(memo.len() <= SHARED_CIRCUITS, "{} entries", memo.len());
+        }
+        // The first config was evicted: it rebuilds to an equal circuit,
+        // not the one an earlier job still holds.
+        assert!(memo.get(&first.circuit_key()).is_none());
+        let again = shared_circuit_in(&memo, &first);
+        assert!(!Arc::ptr_eq(&again, &kept));
+        assert_eq!(again.netlist().gates(), kept.netlist().gates());
+        assert_eq!(again.netlist().levels(), kept.netlist().levels());
     }
 
     #[test]

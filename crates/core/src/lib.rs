@@ -60,6 +60,7 @@
 mod accelerator;
 mod config;
 mod error;
+mod memo;
 pub mod remote;
 pub mod resilient;
 mod resources;

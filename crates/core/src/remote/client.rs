@@ -5,7 +5,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{decode_blocks, seal_frame, FrameKind};
 use max_gc::Transport;
-use max_ot::iknp::{self, CipherMsg, OtExtReceiver};
+use max_ot::iknp::{self, CipherMsg, OtCursor, OtExtReceiver};
 use max_telemetry::TraceContext;
 
 use super::codec::{
@@ -75,7 +75,9 @@ pub(crate) fn evaluate_burst(
 ///
 /// `Clone` is cheap relative to a job and deliberate: a retry loop clones
 /// the state per reconnect attempt so a failed attempt does not poison the
-/// next one ([`OtExtReceiver`]'s `Clone` is an exact state snapshot).
+/// next one ([`OtExtReceiver`]'s `Clone` is an exact state snapshot). The
+/// evaluator's MAC circuit is the configuration's shared one, so a clone
+/// copies a pointer to it, not the netlist.
 #[derive(Clone)]
 pub struct SessionState {
     session_id: u64,
@@ -131,9 +133,13 @@ impl SessionState {
 /// The client's state at one element boundary: what [`RemoteClient::run_job`]
 /// commits once an element has evaluated, and [`RemoteClient::resume_job`]
 /// rolls back to.
+///
+/// The OT receiver is kept as its [`OtCursor`]: the session's receiver
+/// already holds the keys (a pure function of the ACCEPT seed), so two
+/// words place it back where the boundary stood.
 #[derive(Clone)]
 struct Boundary {
-    receiver: OtExtReceiver,
+    receiver: OtCursor,
     transcript: MatvecTranscript,
     digest: TranscriptDigest,
 }
@@ -622,7 +628,7 @@ impl<T: Transport> RemoteClient<T> {
                 transcript: MatvecTranscript::default(),
                 digest: TranscriptDigest::new(),
                 checkpoint: Boundary {
-                    receiver: self.state.ot_receiver.clone(),
+                    receiver: self.state.ot_receiver.export_state(),
                     transcript: MatvecTranscript::default(),
                     digest: TranscriptDigest::new(),
                 },
@@ -671,7 +677,7 @@ impl<T: Transport> RemoteClient<T> {
             transcript,
             digest,
         } = progress.checkpoint.clone();
-        self.state.ot_receiver = receiver;
+        self.state.ot_receiver.import_state(&receiver);
         progress.transcript = transcript;
         progress.digest = digest;
         send_control(
@@ -713,11 +719,11 @@ impl<T: Transport> RemoteClient<T> {
     /// same frames, in the same order, with the same bytes as an exchange
     /// that waited for `e` to evaluate.
     ///
-    /// The boundary-(`e + 1`) checkpoint is the OT receiver, digest and
-    /// transcript as they stand *before* EXT(`e + 1`) is prepared, and it
-    /// is committed to `progress` only once `e` has evaluated; a failed
-    /// EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`) is in hand) before
-    /// the error returns. So on any error `progress` sits at the last
+    /// The boundary-(`e + 1`) checkpoint is the OT receiver's cursor, the
+    /// digest and the transcript as they stand *before* EXT(`e + 1`) is
+    /// prepared, and it is committed to `progress` only once `e` has
+    /// evaluated; a failed EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`)
+    /// is in hand) before the error returns. So on any error `progress` sits at the last
     /// evaluated element boundary, which (unless evaluating an element
     /// failed) is never more than one element behind the server's newest
     /// snapshot, and the caller can reconnect,
@@ -734,7 +740,7 @@ impl<T: Transport> RemoteClient<T> {
             let (labels, rounds_frame) = self.recv_element(progress, pending)?;
             // Boundary e + 1 as it stands before EXT(e + 1) is prepared;
             // committed only once e has evaluated.
-            let receiver = self.state.ot_receiver.clone();
+            let receiver = self.state.ot_receiver.export_state();
             let digest = progress.digest.clone();
             let ahead = self.send_ext(progress, e + 1);
             self.evaluate_element(progress, e, rounds_frame, &labels)?;

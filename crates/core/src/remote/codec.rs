@@ -986,7 +986,7 @@ fn put_round_burst(buf: &mut BytesMut, msgs: &[RoundMessage]) {
 /// materialized element stores. A model whose element exceeds
 /// [`MAX_FRAME_BYTES`](max_gc::channel::MAX_FRAME_BYTES) cannot be served.
 pub fn round_burst_bytes(config: &AcceleratorConfig, cols: usize) -> usize {
-    let mac = config.mac_circuit();
+    let mac = config.shared_circuit();
     let netlist = mac.netlist();
     let acc = config.state_range().len();
     let tables = netlist.stats().and_gates;

@@ -19,14 +19,14 @@
 //! MAC in steady state), pipeline latency, utilization and idle-core counts
 //! that §4.3 of the paper derives analytically.
 
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Mutex, PoisonError};
+use std::collections::BinaryHeap;
 
 use max_fpga::{MemorySystem, PcieLink};
 use max_gc::GarbledTable;
 use max_netlist::{GateKind, Netlist};
 
 use crate::config::AcceleratorConfig;
+use crate::memo::Memo;
 
 /// Gate-selection policy of the list scheduler — ablated by the
 /// `ablation_policy` bench.
@@ -146,17 +146,14 @@ type ScheduleKey = (usize, usize, bool, usize, usize);
 /// Most accounts [`FabricAccount::shared`] keeps.
 const SHARED_SCHEDULES: usize = 32;
 
-/// Insertion-ordered, oldest first; small enough to scan.
-type SharedAccounts = VecDeque<(ScheduleKey, FabricAccount)>;
-
-static SHARED: Mutex<SharedAccounts> = Mutex::new(VecDeque::new());
+static SHARED: Memo<ScheduleKey, FabricAccount> = Memo::new(SHARED_SCHEDULES);
 
 impl FabricAccount {
-    /// The account of `rounds` MAC rounds of `config.mac_circuit()` on
-    /// `cores` cores, compiled and walked once per process and shared: the
-    /// gate order is a compile-time artifact the fabric merely streams.
-    /// Peers choose round counts, so the map keeps [`SHARED_SCHEDULES`]
-    /// entries, evicting the oldest.
+    /// The account of `rounds` MAC rounds of `config`'s circuit on `cores`
+    /// cores, compiled and walked once per process and shared: the gate
+    /// order is a compile-time artifact the fabric merely streams. Peers
+    /// choose round counts, so the list keeps [`SHARED_SCHEDULES`] entries,
+    /// evicting the oldest.
     pub(crate) fn shared(config: &AcceleratorConfig, cores: usize, rounds: usize) -> Self {
         let key: ScheduleKey = (
             config.bit_width,
@@ -165,26 +162,16 @@ impl FabricAccount {
             cores,
             rounds,
         );
-        let lookup = |map: &SharedAccounts| map.iter().find(|(k, _)| *k == key).map(|(_, a)| *a);
-        if let Some(hit) = lookup(&SHARED.lock().unwrap_or_else(PoisonError::into_inner)) {
-            return hit;
-        }
-        // Compile and walk outside the lock; the slot list dies here.
-        let account = Schedule::compile(
-            config.mac_circuit().netlist(),
-            cores,
-            rounds,
-            config.state_range(),
-        )
-        .fabric_account();
-        let mut map = SHARED.lock().unwrap_or_else(PoisonError::into_inner);
-        if lookup(&map).is_none() {
-            map.push_back((key, account));
-            if map.len() > SHARED_SCHEDULES {
-                map.pop_front();
-            }
-        }
-        account
+        // Compiled and walked outside the lock; the slot list dies here.
+        SHARED.get_or_insert_with(key, || {
+            Schedule::compile(
+                config.shared_circuit().netlist(),
+                cores,
+                rounds,
+                config.state_range(),
+            )
+            .fabric_account()
+        })
     }
 }
 
@@ -935,8 +922,7 @@ mod tests {
         for rounds in 100..100 + SHARED_SCHEDULES + 8 {
             let shared = shared_for(4, rounds);
             assert_eq!(shared.schedule.rounds, rounds);
-            let map = SHARED.lock().unwrap();
-            assert!(map.len() <= SHARED_SCHEDULES, "{} entries", map.len());
+            assert!(SHARED.len() <= SHARED_SCHEDULES, "{} entries", SHARED.len());
         }
         // An evicted key recompiles to the same account.
         let again = shared_for(4, 100);

@@ -115,7 +115,9 @@ impl Netlist {
     /// The gates regrouped by AND-depth (see [`Level`]): walking the levels
     /// in order, each level's free gates and then its AND gates as one
     /// batch, computes the same wires as walking [`Netlist::gates`].
-    /// Computed once per netlist.
+    /// Computed once per netlist; the accelerator shares one netlist per
+    /// configuration per process and forces its levels when it builds it,
+    /// so on a job path they are computed once per configuration.
     pub fn levels(&self) -> &[Level] {
         self.levels.get_or_init(|| levelize(self))
     }

@@ -32,9 +32,9 @@ pub struct CipherMsg {
 /// Extension sender (holds the GC wire-label pairs).
 ///
 /// `Clone` snapshots the whole extension state (PRG counters and the
-/// session counter feeding the hash tweaks) — the primitive behind
-/// resumable sessions: both parties can roll back to a cloned snapshot and
-/// replay an exchange bit-identically.
+/// session counter feeding the hash tweaks): both parties can roll back to
+/// a cloned snapshot and replay an exchange bit-identically. Resumable
+/// sessions keep the same snapshot without the keys, an [`OtCursor`].
 #[derive(Clone, Debug)]
 pub struct OtExtSender {
     /// Secret choice bits `s` of the base OTs.
@@ -45,54 +45,66 @@ pub struct OtExtSender {
     session: u64,
 }
 
-/// Portable snapshot of an [`OtExtSender`]'s mutable state, relative to the
-/// seed its [`setup_pair`] ran from: the sender's cursor.
+/// Portable snapshot of an IKNP endpoint's mutable state, relative to the
+/// seed its [`setup_pair`] ran from: the endpoint's cursor. One type serves
+/// both ends ([`OtExtSender::export_state`], [`OtExtReceiver::export_state`]).
 ///
-/// Everything else in the sender — the secret `s` bits, the PRG keys, the
-/// fixed hash key — is a pure function of the setup seed, so
-/// `(setup seed, OtSenderState)` fully determines the sender: rebuild with
-/// [`setup_pair`] and [`OtExtSender::import_state`] and the wire output
+/// Everything else in an endpoint — the sender's secret `s` bits, the PRG
+/// keys of either side, the fixed hash key — is a pure function of the
+/// setup seed, so `(setup seed, OtCursor)` fully determines the endpoint:
+/// rebuild with [`setup_pair`] and `import_state` and the wire output
 /// continues bit-identically. This is what lets a serving layer persist OT
 /// checkpoints to disk (a crash-recovery journal) instead of only cloning
-/// them in memory.
+/// them in memory, and what lets a client keep an element boundary as two
+/// words instead of a clone of its [`2 * KAPPA`](KAPPA) expanded AES keys.
 ///
-/// One counter covers all [`KAPPA`] column PRGs: they start at the same
-/// stream offset, and every extension draws the same number of blocks from
-/// each, so they move in lock-step.
+/// One counter covers all of an endpoint's column PRGs: they start at the
+/// same stream offset, and every extension draws the same number of blocks
+/// from each, so they move in lock-step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OtSenderState {
+pub struct OtCursor {
     /// Extension rounds completed (feeds the per-round hash tweaks).
     pub session: u64,
     /// Absolute CTR counter shared by every column PRG.
     pub counter: u128,
 }
 
-impl OtExtSender {
-    /// Exports the sender's mutable state; see [`OtSenderState`].
-    pub fn export_state(&self) -> OtSenderState {
-        let counter = self.prgs.first().map_or(0, AesPrg::counter);
+impl OtCursor {
+    /// The cursor of an endpoint at `session` whose column PRGs are `prgs`.
+    fn of(session: u64, prgs: &[AesPrg]) -> OtCursor {
+        let counter = prgs.first().map_or(0, AesPrg::counter);
         debug_assert!(
-            self.prgs.iter().all(|prg| prg.counter() == counter),
+            prgs.iter().all(|prg| prg.counter() == counter),
             "column PRGs left lock-step"
         );
-        OtSenderState {
-            session: self.session,
-            counter,
+        OtCursor { session, counter }
+    }
+
+    /// Moves an endpoint at (`session`, `prgs`) to this cursor.
+    fn apply(&self, session: &mut u64, prgs: &mut [AesPrg]) {
+        for prg in prgs {
+            prg.set_counter(self.counter);
         }
+        *session = self.session;
+    }
+}
+
+impl OtExtSender {
+    /// Exports the sender's mutable state; see [`OtCursor`].
+    pub fn export_state(&self) -> OtCursor {
+        OtCursor::of(self.session, &self.prgs)
     }
 
     /// Restores a state exported from a sender with the same setup seed.
-    pub fn import_state(&mut self, state: &OtSenderState) {
-        for prg in &mut self.prgs {
-            prg.set_counter(state.counter);
-        }
-        self.session = state.session;
+    pub fn import_state(&mut self, state: &OtCursor) {
+        state.apply(&mut self.session, &mut self.prgs);
     }
 }
 
 /// Extension receiver (holds the choice bits).
 ///
-/// `Clone` snapshots the extension state; see [`OtExtSender`].
+/// `Clone` snapshots the extension state, and [`OtCursor`] the same state
+/// without the keys; see [`OtExtSender`].
 #[derive(Clone, Debug)]
 pub struct OtExtReceiver {
     /// PRGs from both base-OT seeds of each column, interleaved: `2i`
@@ -100,6 +112,18 @@ pub struct OtExtReceiver {
     prgs: Vec<AesPrg>,
     hash: FixedKeyHash,
     session: u64,
+}
+
+impl OtExtReceiver {
+    /// Exports the receiver's mutable state; see [`OtCursor`].
+    pub fn export_state(&self) -> OtCursor {
+        OtCursor::of(self.session, &self.prgs)
+    }
+
+    /// Restores a state exported from a receiver with the same setup seed.
+    pub fn import_state(&mut self, state: &OtCursor) {
+        state.apply(&mut self.session, &mut self.prgs);
+    }
 }
 
 /// Runs the 128 base OTs (in memory) and returns a connected sender/receiver
@@ -160,10 +184,9 @@ fn pack(bits: &[bool]) -> Vec<u64> {
 ///
 /// Each PRG consumes exactly the blocks the former one-call-per-column
 /// loop drew, so transcripts and resume snapshots stay bit-identical, and
-/// every PRG advances by the same count: this and
-/// [`OtExtSender::import_state`] are the only mutators of the sender's
-/// column PRGs, which keeps them in the lock-step [`OtSenderState`] relies
-/// on.
+/// every PRG advances by the same count: this and `import_state` are the
+/// only mutators of either endpoint's column PRGs, which keeps them in the
+/// lock-step [`OtCursor`] relies on.
 struct Columns {
     words: Vec<u64>,
     /// Words per PRG: two per block.
@@ -560,6 +583,44 @@ mod tests {
     }
 
     #[test]
+    fn exported_state_rebuilds_a_bit_identical_receiver() {
+        // The client's element boundary: a receiver rebuilt from
+        // setup_pair(seed) + import_state must send the same correction
+        // columns, derive the same keys and open the same labels as the
+        // receiver it was exported from.
+        let (mut sender, mut receiver) = setup_pair(47);
+        for round in 0..3 {
+            let n = 72 + round * 13;
+            let choices: Vec<bool> = (0..n).map(|i| (i + round) % 5 < 2).collect();
+            let (msg, keys) = receiver.prepare(&choices);
+            let cipher = sender.send(&msg, &msg_pairs(n));
+            let _ = receiver.receive(&cipher, &keys, &choices);
+        }
+        let state = receiver.export_state();
+        assert_eq!(state, sender.export_state(), "both ends share one cursor");
+
+        let (_, mut rebuilt) = setup_pair(47);
+        assert_ne!(rebuilt.export_state(), state, "warmup must advance state");
+        rebuilt.import_state(&state);
+        assert_eq!(rebuilt.export_state(), state);
+
+        let choices: Vec<bool> = (0..120).map(|i| i % 3 != 1).collect();
+        let pairs = msg_pairs(120);
+        let (want_msg, want_keys) = receiver.prepare(&choices);
+        let (got_msg, got_keys) = rebuilt.prepare(&choices);
+        assert_eq!(want_msg, got_msg, "rebuilt receiver diverged on the wire");
+        assert_eq!(want_keys, got_keys);
+        let cipher = sender.send(&got_msg, &pairs);
+        let want = receiver.receive(&cipher, &want_keys, &choices);
+        let got = rebuilt.receive(&cipher, &got_keys, &choices);
+        assert_eq!(want, got);
+        for ((g, p), &c) in got.iter().zip(&pairs).zip(&choices) {
+            assert_eq!(*g, if c { p.1 } else { p.0 });
+        }
+        assert_eq!(rebuilt.export_state(), receiver.export_state());
+    }
+
+    #[test]
     fn correction_columns_look_random() {
         // The u columns must not leak r directly: two different choice
         // vectors yield columns that differ in unpredictable positions.
@@ -580,9 +641,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Any run of extension sizes moves every column PRG by the same
-        /// count, so one counter is the sender's whole PRG position, and a
-        /// sender rebuilt from it stands exactly where the original does.
+        /// Any run of extension sizes moves every column PRG of either
+        /// endpoint by the same count, so one counter is an endpoint's whole
+        /// PRG position, and an endpoint rebuilt from it stands exactly
+        /// where the original does.
         #[test]
         fn column_counters_move_in_lock_step(
             seed in 0u64..1_000_000,
@@ -595,10 +657,16 @@ mod tests {
                 let _ = sender.send(&msg, &msg_pairs(m));
                 let state = sender.export_state();
                 prop_assert!(sender.prgs.iter().all(|prg| prg.counter() == state.counter));
+                let state = receiver.export_state();
+                prop_assert!(receiver.prgs.iter().all(|prg| prg.counter() == state.counter));
             }
-            let (mut rebuilt, _) = setup_pair(seed);
+            let (mut rebuilt, mut rebuilt_receiver) = setup_pair(seed);
             rebuilt.import_state(&sender.export_state());
             for (a, b) in rebuilt.prgs.iter().zip(&sender.prgs) {
+                prop_assert_eq!(a.counter(), b.counter());
+            }
+            rebuilt_receiver.import_state(&receiver.export_state());
+            for (a, b) in rebuilt_receiver.prgs.iter().zip(&receiver.prgs) {
                 prop_assert_eq!(a.counter(), b.counter());
             }
         }

@@ -106,7 +106,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use max_crypto::crc32;
-use max_ot::iknp::OtSenderState;
+use max_ot::iknp::OtCursor;
 use maxelerator::remote::MAX_MODEL_ELEMENTS;
 
 use crate::resume::{
@@ -701,7 +701,7 @@ impl Journal {
     /// error the live set is updated regardless).
     pub(crate) fn save(
         &self,
-        window: &SessionCheckpoint<OtSenderState>,
+        window: &SessionCheckpoint<OtCursor>,
         durability: Durability,
     ) -> (Option<u64>, Result<(), JournalError>) {
         self.put(window.session_id, encode_cursors(window), durability)
@@ -1228,9 +1228,9 @@ mod tests {
     }
 
     /// A session's window as the session keeps it: cursors, no senders.
-    fn window(session_id: u64, job_id: u64) -> SessionCheckpoint<OtSenderState> {
+    fn window(session_id: u64, job_id: u64) -> SessionCheckpoint<OtCursor> {
         let digest = max_crypto::TranscriptDigest::new();
-        let cursor = |counter| OtSenderState {
+        let cursor = |counter| OtCursor {
             session: job_id,
             counter,
         };

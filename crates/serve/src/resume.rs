@@ -38,7 +38,7 @@
 //!
 //! This module owns the checkpoint *codec*. A snapshot stores the OT
 //! sender's cursor, not the sender: `(session, counter)` (see
-//! [`OtSenderState`]). Decoding re-derives the sender once per record from
+//! [`OtCursor`]). Decoding re-derives the sender once per record from
 //! the session's seed chain ([`derive_ot_seed`], exactly the ACCEPT-path
 //! derivation) and imports each cursor into a copy of it — so AES round
 //! keys never touch disk, and a two-snapshot record is 174 bytes.
@@ -46,7 +46,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use max_crypto::TranscriptDigest;
-use max_ot::iknp::{self, OtExtSender, OtSenderState};
+use max_ot::iknp::{self, OtCursor, OtExtSender};
 use maxelerator::remote::derive_ot_seed;
 
 /// Everything needed to resume one interrupted session on a brand-new
@@ -54,7 +54,7 @@ use maxelerator::remote::derive_ot_seed;
 ///
 /// `S` is how a snapshot holds the OT sender: rebuilt senders (the default,
 /// what [`decode_checkpoint`] returns and a RESUME continues from), or the
-/// bare [`OtSenderState`] cursors a session keeps in its window.
+/// bare [`OtCursor`]s a session keeps in its window.
 #[derive(Clone, Debug)]
 pub struct SessionCheckpoint<S = OtExtSender> {
     /// The interrupted session's id (the store's key).
@@ -220,14 +220,11 @@ pub fn encode_checkpoint(checkpoint: &SessionCheckpoint) -> Vec<u8> {
 /// Serializes a window of cursors: the record a session saves at every
 /// element boundary, byte for byte what [`encode_checkpoint`] writes for
 /// the senders they came from.
-pub(crate) fn encode_cursors(checkpoint: &SessionCheckpoint<OtSenderState>) -> Vec<u8> {
+pub(crate) fn encode_cursors(checkpoint: &SessionCheckpoint<OtCursor>) -> Vec<u8> {
     encode_with(checkpoint, |cursor| *cursor)
 }
 
-fn encode_with<S>(
-    checkpoint: &SessionCheckpoint<S>,
-    cursor: impl Fn(&S) -> OtSenderState,
-) -> Vec<u8> {
+fn encode_with<S>(checkpoint: &SessionCheckpoint<S>, cursor: impl Fn(&S) -> OtCursor) -> Vec<u8> {
     let mut out = Vec::with_capacity(62 + checkpoint.snapshots.len() * SNAPSHOT_BYTES);
     out.extend_from_slice(&checkpoint.session_id.to_le_bytes());
     out.extend_from_slice(&checkpoint.resume_token.to_le_bytes());
@@ -299,7 +296,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, CheckpointCo
 /// of its base-OT cost (what journal replay validates records with).
 pub(crate) fn decode_cursors(
     bytes: &[u8],
-) -> Result<SessionCheckpoint<OtSenderState>, CheckpointCodecError> {
+) -> Result<SessionCheckpoint<OtCursor>, CheckpointCodecError> {
     let mut reader = Reader { bytes };
     let session_id = reader.u64("session_id")?;
     let resume_token = reader.u64("resume_token")?;
@@ -325,7 +322,7 @@ pub(crate) fn decode_cursors(
         let mut digest_state = [0u8; 16];
         digest_state.copy_from_slice(reader.take(16, "snapshot digest state")?);
         let digest_len = reader.u64("snapshot digest length")?;
-        let cursor = OtSenderState {
+        let cursor = OtCursor {
             session: reader.u64("snapshot OT session")?,
             counter: reader.u128("snapshot OT counter")?,
         };

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use max_crypto::TranscriptDigest;
 use max_gc::Transport;
-use max_ot::iknp::{OtExtSender, OtSenderState};
+use max_ot::iknp::{OtCursor, OtExtSender};
 use max_registry::{Acquired, PreparedStream, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
@@ -135,7 +135,7 @@ fn send_busy<T: Transport>(
 
 /// The empty checkpoint window of `job`: the session's identity and the
 /// job's, with no snapshot yet.
-fn job_window(ctx: &SessionCtx<'_>, job: &ResolvedJob) -> SessionCheckpoint<OtSenderState> {
+fn job_window(ctx: &SessionCtx<'_>, job: &ResolvedJob) -> SessionCheckpoint<OtCursor> {
     SessionCheckpoint {
         session_id: ctx.session_id,
         resume_token: checkpoint_token(ctx.resume_token, job.registration.as_ref()),
@@ -158,7 +158,7 @@ fn job_window(ctx: &SessionCtx<'_>, job: &ResolvedJob) -> SessionCheckpoint<OtSe
 fn save_window(
     shared: &ServiceShared,
     ctx: &SessionCtx<'_>,
-    window: &SessionCheckpoint<OtSenderState>,
+    window: &SessionCheckpoint<OtCursor>,
     durability: Durability,
 ) {
     let (evicted, written) = shared.journal.save(window, durability);
