@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 
 use max_bench::{row, rule};
 use max_gc::{FaultSpec, FaultStats, FaultTransport, FramedTcp};
-use max_serve::{
-    demo_vector, demo_weights, listen_tcp, plain_matvec, BreakerConfig, GcService, ServeConfig,
-};
+use max_serve::{demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, ServeConfig};
 use max_telemetry::report::JsonValue;
 use maxelerator::{AcceleratorConfig, AcceleratorError, ResilientClient, RetryPolicy};
 
@@ -185,7 +183,6 @@ fn run_mix(mix: &FaultMix, mix_seed: u64, jobs: u64) -> MixPoint {
     // checkpoint deposited) well before the client's RESUME arrives.
     cfg.step_timeout = Some(Duration::from_millis(100));
     cfg.idle_timeout = Some(Duration::from_secs(5));
-    cfg.breaker = BreakerConfig::default();
     let service = GcService::start(cfg);
     let handle = listen_tcp(service, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.addr();

@@ -20,8 +20,7 @@ use crate::error::AcceleratorError;
 use crate::server::MatvecTranscript;
 
 /// Fetches the server's live metrics snapshot over a bare transport — no
-/// handshake required, so it works even while the server is draining or
-/// shedding load.
+/// handshake required, so it works even while the server is draining.
 ///
 /// # Errors
 ///

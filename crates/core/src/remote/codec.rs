@@ -68,7 +68,10 @@ pub const REJECT_WIDTH: u8 = 2;
 pub const REJECT_DRAINING: u8 = 3;
 /// REJECT code: the server holds no checkpoint matching a RESUME.
 pub const REJECT_RESUME: u8 = 4;
-/// REJECT code: the load-shedding breaker is open; try again later.
+/// Reserved REJECT code, kept so code 5 is never reused: servers of this
+/// version answer overload only with BUSY and never send it. A peer's
+/// REJECT(5) still decodes, and surfaces as a typed, fatal
+/// [`Rejected`](crate::AcceleratorError::Rejected).
 pub const REJECT_OVERLOAD: u8 = 5;
 /// REJECT code: the named prepared model is unknown (never registered,
 /// already evicted, or refused at registration).

@@ -3,16 +3,15 @@
 //! [`ResilientClient`] wraps [`RemoteClient`] with the recovery policy a
 //! real deployment needs against a lossy network and a busy server:
 //!
-//! * `Busy{retry_after_ms}` → sleep the hinted backoff (plus jitter) and
-//!   retry on the *same* session — the server explicitly kept it open.
+//! * `Busy{retry_after_ms}` — the server's one overload answer, a full
+//!   unit queue — → sleep the hinted backoff (plus jitter) and retry on the
+//!   *same* session: the server explicitly kept it open.
 //! * Transport failures / disconnects / corrupted frames → tear the
 //!   connection down, dial a fresh one via the connect factory, and either
 //!   RESUME the in-flight job from the last completed element (when one
 //!   exists) or re-handshake a fresh session.
 //! * `REJECT(resume)` — the server lost its checkpoint — → restart the job
 //!   from scratch on a fresh session rather than failing the caller.
-//! * `REJECT(overload)` — the load-shedding breaker is open — → backoff
-//!   and retry like Busy.
 //! * Integrity failures (v6) → detect-and-heal under a separate bounded
 //!   `integrity_retries` budget: a per-frame CRC failure
 //!   (`TransportError::Checksum`) keeps the session state and heals via
@@ -52,7 +51,7 @@ use max_telemetry::{Recorder, TraceContext};
 use crate::error::AcceleratorError;
 use crate::remote::{
     reject_reason, JobProgress, ModelHandle, RemoteClient, SessionState, REJECT_INTEGRITY,
-    REJECT_OVERLOAD, REJECT_RESUME,
+    REJECT_RESUME,
 };
 use crate::server::MatvecTranscript;
 
@@ -102,7 +101,8 @@ pub struct ResilienceStats {
     pub reconnects: u64,
     /// Jobs re-entered mid-flight via RESUME.
     pub resumes: u64,
-    /// Backoffs taken on `Busy` or an open breaker.
+    /// Backoffs taken on `Busy` (a full unit queue), each sleeping the
+    /// server's retry hint plus jitter.
     pub busy_backoffs: u64,
     /// Jobs restarted from scratch after the server lost its checkpoint.
     pub restarts: u64,
@@ -248,7 +248,7 @@ where
     }
 
     /// Runs `Y = W·X` with the full recovery policy: bounded retries,
-    /// backoff on Busy/overload, reconnect + RESUME on connection loss,
+    /// backoff on Busy, reconnect + RESUME on connection loss,
     /// restart on a lost server checkpoint.
     ///
     /// # Errors
@@ -424,14 +424,6 @@ where
                 self.sleep_ms((hint + jitter).min(cap));
                 self.stats.busy_backoffs += 1;
             }
-            AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_OVERLOAD) => {
-                // Breaker open: the connection was refused, nothing to keep.
-                self.drop_session();
-                self.saved_state = None;
-                let backoff = self.next_backoff_ms();
-                self.sleep_ms(backoff);
-                self.stats.busy_backoffs += 1;
-            }
             AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_RESUME) => {
                 // Server lost the checkpoint: restart the job from scratch
                 // on a fresh session.
@@ -516,7 +508,6 @@ where
         match err {
             AcceleratorError::Rejected { reason } => {
                 *reason != reject_reason(REJECT_RESUME)
-                    && *reason != reject_reason(REJECT_OVERLOAD)
                     && *reason != reject_reason(REJECT_INTEGRITY)
             }
             AcceleratorError::RetriesExhausted { .. } => true,
@@ -540,7 +531,7 @@ where
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::remote::{recv_control, send_control, ControlMsg};
+    use crate::remote::{recv_control, send_control, ControlMsg, REJECT_OVERLOAD, REJECT_WIDTH};
     use crate::server::CloudServer;
     use max_gc::channel::Duplex;
 
@@ -660,27 +651,24 @@ mod tests {
 
     #[test]
     fn fatal_rejections_surface_unwrapped_after_one_attempt() {
-        let mut calls = 0u32;
-        let err = {
-            let mut client: ResilientClient<Duplex, _> = ResilientClient::new(
-                || {
-                    calls += 1;
-                    Err(AcceleratorError::Rejected {
-                        reason: "unsupported bit width",
-                    })
-                },
-                8,
-                RetryPolicy::default(),
-            );
-            client.secure_matvec(&[1]).unwrap_err()
-        };
-        assert_eq!(
-            err,
-            AcceleratorError::Rejected {
-                reason: "unsupported bit width"
-            }
-        );
-        assert_eq!(calls, 1);
+        // REJECT(overload) is reserved: no server sends it, and a v7 peer's
+        // is a plain rejection like any other.
+        for reason in [reject_reason(REJECT_WIDTH), reject_reason(REJECT_OVERLOAD)] {
+            let mut calls = 0u32;
+            let err = {
+                let mut client: ResilientClient<Duplex, _> = ResilientClient::new(
+                    || {
+                        calls += 1;
+                        Err(AcceleratorError::Rejected { reason })
+                    },
+                    8,
+                    RetryPolicy::default(),
+                );
+                client.secure_matvec(&[1]).unwrap_err()
+            };
+            assert_eq!(err, AcceleratorError::Rejected { reason });
+            assert_eq!(calls, 1, "{reason}");
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7700] [--width 8] [--rows 4] [--cols 4]
 //!       [--seed 42] [--workers 2] [--queue 16] [--idle-ms 30000]
-//!       [--step-ms 0] [--resume-cap 64] [--breaker-fulls 0]
-//!       [--breaker-open-ms 100] [--breaker-retry-ms 50]
+//!       [--step-ms 0] [--resume-cap 64]
 //!       [--flight-cap 64] [--no-recorder]
 //!       [--journal-dir DIR] [--no-fsync]
 //!       [--crash-after-appends N]
@@ -15,13 +14,13 @@
 //! from the same `(rows, cols, width, seed)` to verify every result.
 //!
 //! Resilience knobs: `--step-ms` bounds each protocol step mid-job (a
-//! wedged peer is reaped and its job checkpointed for RESUME),
+//! wedged peer is reaped and its job checkpointed for RESUME), and
 //! `--resume-cap` is the one capacity of the checkpoint store — sessions
 //! whose newest window it keeps, least recently saved evicted first; it
 //! bounds the journal's live set too, and `0` disables RESUME and writes no
-//! checkpoint — and the `--breaker-*`
-//! flags tune the load-shedding breaker (`--breaker-fulls 0` disables
-//! pressure tripping).
+//! checkpoint. Overload has one answer: a job that finds the `--queue`
+//! full gets BUSY with a fixed retry hint
+//! ([`max_serve::BUSY_RETRY_AFTER_MS`]) on a session that stays open.
 //!
 //! Durability: `--journal-dir` persists every round checkpoint to a
 //! CRC-checksummed write-ahead journal, replayed on the next start — a
@@ -51,8 +50,9 @@
 //! daemon pre-garbles single-use streams for them during pool idle time.
 //! `--registry-budget-bytes` caps the stream cache (0 = unbounded; LRU
 //! whole-model eviction beyond it), `--target-stock` sets the warm streams
-//! kept per model, and `--prefill` fills every stock synchronously at
-//! startup.
+//! kept per model, and `--prefill` fills every stock (the journal's
+//! replayed models included) on the garbling units before the listener
+//! binds.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -75,9 +75,6 @@ struct Args {
     idle_ms: u64,
     step_ms: u64,
     resume_cap: usize,
-    breaker_fulls: u32,
-    breaker_open_ms: u64,
-    breaker_retry_ms: u32,
     flight_cap: usize,
     recorder: bool,
     journal_dir: Option<String>,
@@ -110,9 +107,6 @@ fn parse_args() -> Args {
         idle_ms: 30_000,
         step_ms: 0,
         resume_cap: 64,
-        breaker_fulls: 0,
-        breaker_open_ms: 100,
-        breaker_retry_ms: 50,
         flight_cap: 64,
         recorder: true,
         journal_dir: None,
@@ -139,15 +133,6 @@ fn parse_args() -> Args {
             "--idle-ms" => args.idle_ms = parsed("--idle-ms", &value("--idle-ms")),
             "--step-ms" => args.step_ms = parsed("--step-ms", &value("--step-ms")),
             "--resume-cap" => args.resume_cap = parsed("--resume-cap", &value("--resume-cap")),
-            "--breaker-fulls" => {
-                args.breaker_fulls = parsed("--breaker-fulls", &value("--breaker-fulls"))
-            }
-            "--breaker-open-ms" => {
-                args.breaker_open_ms = parsed("--breaker-open-ms", &value("--breaker-open-ms"))
-            }
-            "--breaker-retry-ms" => {
-                args.breaker_retry_ms = parsed("--breaker-retry-ms", &value("--breaker-retry-ms"))
-            }
             "--flight-cap" => args.flight_cap = parsed("--flight-cap", &value("--flight-cap")),
             "--no-recorder" => args.recorder = false,
             "--journal-dir" => args.journal_dir = Some(value("--journal-dir")),
@@ -210,14 +195,10 @@ fn main() {
     serve_config.idle_timeout = (args.idle_ms > 0).then(|| Duration::from_millis(args.idle_ms));
     serve_config.step_timeout = (args.step_ms > 0).then(|| Duration::from_millis(args.step_ms));
     serve_config.resume_capacity = args.resume_cap;
-    serve_config.breaker.queue_full_trip = args.breaker_fulls;
-    serve_config.breaker.open_for = Duration::from_millis(args.breaker_open_ms.max(1));
-    serve_config.breaker.retry_after_ms = args.breaker_retry_ms;
     serve_config.flight_capacity = args.flight_cap;
     serve_config.registry_budget_bytes =
         (args.registry_budget_bytes > 0).then_some(args.registry_budget_bytes);
     serve_config.registry_target_stock = args.target_stock;
-    serve_config.prefill = args.prefill;
     if args.recorder {
         serve_config.recorder = Some(Arc::new(Recorder::new()));
     }
@@ -229,6 +210,9 @@ fn main() {
     }
     install_signal_handlers();
     let service = GcService::start(serve_config);
+    if args.prefill {
+        service.prefill_models();
+    }
     let replay = service.journal_replay().clone();
     let handle = match listen_tcp(service, &args.addr) {
         Ok(handle) => handle,

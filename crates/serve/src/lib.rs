@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod breaker;
 pub mod journal;
 pub mod resume;
 pub mod scheduler;
@@ -49,12 +48,11 @@ use max_gc::channel::{FrameKind, TransportError};
 use max_gc::Transport;
 use maxelerator::remote::derive_seed;
 
-pub use breaker::{Breaker, BreakerConfig};
 pub use journal::{Journal, JournalConfig, JournalError, ReplayReport};
 pub use resume::SessionCheckpoint;
 pub use scheduler::{IdleFill, JobRequest, QueueFull, UnitPool};
 pub use service::{listen_tcp, GcService, ServeConfig, ServeHandle, ServeStats};
-pub use session::MAX_JOB_COLUMNS;
+pub use session::{BUSY_RETRY_AFTER_MS, MAX_JOB_COLUMNS};
 
 // The prepared-model registry the service embeds; re-exported so binaries
 // and tests reach its types without naming the crate twice.

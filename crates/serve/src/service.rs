@@ -1,10 +1,17 @@
 //! The service: session manager + unit pool + transport listeners.
 //!
-//! [`GcService`] owns the model, the worker pool, every session thread,
-//! the [`Journal`] that stores round checkpoints, and the load-shedding
-//! [`Breaker`]. Clients reach it two ways — [`GcService::connect`] returns
-//! the client half of an in-memory [`Duplex`] wire, and [`listen_tcp`]
-//! accepts real sockets — and both run the exact same session protocol.
+//! [`GcService`] owns the model, the worker pool, every session thread and
+//! the [`Journal`] that stores round checkpoints. Clients reach it two ways
+//! — [`GcService::connect`] returns the client half of an in-memory
+//! [`Duplex`] wire, and [`listen_tcp`] accepts real sockets — and both run
+//! the exact same session protocol.
+//!
+//! Overload has one answer: a job (or RESUME) that finds the pool's
+//! bounded queue full gets BUSY with the
+//! [`BUSY_RETRY_AFTER_MS`](crate::BUSY_RETRY_AFTER_MS) hint, and the session
+//! stays open for the retry. A HELLO is never refused for load: besides a
+//! version or width mismatch, its one refusal is `REJECT(draining)` after
+//! [`GcService::drain`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -24,7 +31,6 @@ use max_telemetry::{FlightRecorder, Recorder};
 use maxelerator::remote::ModelStatus;
 use maxelerator::AcceleratorConfig;
 
-use crate::breaker::{Breaker, BreakerConfig};
 use crate::journal::{Journal, JournalConfig, ReplayReport, DEFAULT_CAPACITY};
 use crate::scheduler::{IdleFill, UnitPool};
 use crate::session::run_session;
@@ -46,8 +52,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded job-queue capacity; beyond it, jobs get BUSY.
     pub queue_capacity: usize,
-    /// Retry hint attached to BUSY rejections.
-    pub retry_after_ms: u32,
     /// Reap sessions idle longer than this (transports that support
     /// timeouts — TCP — only; the in-memory wire is always attended).
     pub idle_timeout: Option<Duration>,
@@ -62,8 +66,6 @@ pub struct ServeConfig {
     /// no checkpoint. A session mid-job holds a slot as well, so size it
     /// above the sessions expected in flight at once.
     pub resume_capacity: usize,
-    /// Load-shedding breaker tuning.
-    pub breaker: BreakerConfig,
     /// **Test-only.** Start with the unit pool paused, so backpressure
     /// tests can fill the queue deterministically; production leaves this
     /// off and no `serve` flag sets it.
@@ -100,17 +102,17 @@ pub struct ServeConfig {
     /// Byte budget for the prepared-model registry's stocked streams
     /// (`None` = unbounded). Enforced with LRU whole-model eviction.
     pub registry_budget_bytes: Option<u64>,
-    /// Warm single-use streams to keep per registered model.
+    /// Warm single-use streams to keep per registered model. Pool idle
+    /// time fills the stocks; [`GcService::prefill_models`] fills them
+    /// eagerly.
     pub registry_target_stock: usize,
-    /// Fill every model's stock to target at startup (and after journal
-    /// replay) before serving, instead of as pool idle time allows.
-    pub prefill: bool,
 }
 
 impl ServeConfig {
-    /// Sensible defaults: 2 units, queue of 16, 10 ms retry hint, no
-    /// timeouts, 64 resume checkpoints, breaker tripping only through
-    /// [`GcService::trip_breaker`].
+    /// Sensible defaults: 2 units, queue of 16, no timeouts, 64 resume
+    /// checkpoints, stock filled in pool idle time. A full queue answers
+    /// BUSY with the fixed [`BUSY_RETRY_AFTER_MS`](crate::BUSY_RETRY_AFTER_MS)
+    /// hint.
     pub fn new(config: AcceleratorConfig, weights: Vec<Vec<i64>>, base_seed: u64) -> ServeConfig {
         ServeConfig {
             config,
@@ -118,11 +120,9 @@ impl ServeConfig {
             base_seed,
             workers: 2,
             queue_capacity: 16,
-            retry_after_ms: 10,
             idle_timeout: None,
             step_timeout: None,
             resume_capacity: DEFAULT_CAPACITY,
-            breaker: BreakerConfig::default(),
             start_paused: false,
             deterministic_resume_tokens: false,
             recorder: None,
@@ -130,7 +130,6 @@ impl ServeConfig {
             journal: None,
             registry_budget_bytes: None,
             registry_target_stock: RegistryConfig::default().target_stock,
-            prefill: false,
         }
     }
 }
@@ -157,10 +156,6 @@ pub struct ServeStats {
     /// check): the stream was refused rather than risk a silently wrong
     /// plaintext, and the client restarts under its integrity budget.
     pub integrity_rejects: u64,
-    /// Times the load-shedding breaker tripped open.
-    pub breaker_trips: u64,
-    /// Sessions/jobs turned away by an open breaker.
-    pub shed: u64,
 }
 
 /// Shared state behind a [`GcService`] (one per service, `Arc`-shared with
@@ -170,7 +165,6 @@ pub(crate) struct ServiceShared {
     pub(crate) weights: Arc<Vec<Vec<i64>>>,
     pub(crate) base_seed: u64,
     pub(crate) pool: UnitPool,
-    pub(crate) retry_after_ms: u32,
     pub(crate) idle_timeout: Option<Duration>,
     pub(crate) step_timeout: Option<Duration>,
     pub(crate) registry: Arc<ModelRegistry>,
@@ -179,7 +173,6 @@ pub(crate) struct ServiceShared {
     pub(crate) journal: Arc<Journal>,
     /// What journal replay salvaged at boot (empty default when no journal).
     replay: ReplayReport,
-    pub(crate) breaker: Breaker,
     pub(crate) deterministic_resume_tokens: bool,
     pub(crate) recorder: Option<Arc<Recorder>>,
     flight_capacity: usize,
@@ -231,7 +224,7 @@ impl ServiceShared {
     }
 
     /// Renders the live METRICS body: schema, serving counters, queue and
-    /// breaker gauges, and p50/p95/p99 over every recorder histogram.
+    /// drain gauges, and p50/p95/p99 over every recorder histogram.
     /// Bounded by construction — trace events are neither included nor
     /// copied, so the reply stays far under the protocol's 1 MiB cap and
     /// never waits on a copy of the trace buffer.
@@ -273,9 +266,7 @@ impl ServiceShared {
             .push(
                 "integrity_rejects",
                 JsonValue::UInt(self.integrity_rejects.load(Ordering::Relaxed)),
-            )
-            .push("breaker_trips", JsonValue::UInt(self.breaker.trips()))
-            .push("shed", JsonValue::UInt(self.breaker.sheds()));
+            );
 
         let mut gauges = JsonValue::object();
         gauges
@@ -285,7 +276,6 @@ impl ServiceShared {
                 "resume_checkpoints",
                 JsonValue::UInt(self.journal.live_sessions() as u64),
             )
-            .push("breaker_open", JsonValue::Bool(self.breaker.is_open()))
             .push("draining", JsonValue::Bool(self.is_draining()));
 
         let journal = match self.journal_file() {
@@ -410,16 +400,6 @@ fn fill_once(registry: &ModelRegistry, journal: &Journal) -> bool {
     }
 }
 
-/// The offline phase run eagerly, on the garbling units: wakes them and
-/// waits for the stock they deposit (their idle-fill steps journal any
-/// budget evictions). The caller garbles nothing: stock made on a thread
-/// that never garbles again would be freed, once served, into memory the
-/// units' refills cannot reuse.
-fn prefill(pool: &UnitPool, registry: &ModelRegistry) -> usize {
-    pool.wake_idle();
-    registry.await_stock()
-}
-
 /// The multi-session GC-MAC service. Cheap to clone (shared handle).
 #[derive(Clone)]
 pub struct GcService {
@@ -497,12 +477,6 @@ impl GcService {
             cfg.recorder.clone(),
             idle_fill,
         );
-        if cfg.prefill {
-            // Run the offline phase eagerly so the very first model job is
-            // a warm serve. Stops at saturation — the idle-fill hook keeps
-            // the stocks topped up.
-            prefill(&pool, &registry);
-        }
 
         GcService {
             shared: Arc::new(ServiceShared {
@@ -510,13 +484,11 @@ impl GcService {
                 weights,
                 base_seed: cfg.base_seed,
                 pool,
-                retry_after_ms: cfg.retry_after_ms,
                 idle_timeout: cfg.idle_timeout,
                 step_timeout: cfg.step_timeout,
                 registry,
                 journal,
                 replay,
-                breaker: Breaker::new(cfg.breaker),
                 deterministic_resume_tokens: cfg.deterministic_resume_tokens,
                 recorder: cfg.recorder,
                 flight_capacity: cfg.flight_capacity,
@@ -692,8 +664,14 @@ impl GcService {
     /// evictions, and returns the streams deposited once no fill is in
     /// flight anywhere; stops early at saturation (observable via
     /// counters/stats). Blocks while every unit is busy with jobs.
+    ///
+    /// This thread garbles nothing: it wakes the units and waits for the
+    /// stock they deposit, because stock made on a thread that never
+    /// garbles again would be freed, once served, into memory the units'
+    /// refills cannot reuse.
     pub fn prefill_models(&self) -> usize {
-        prefill(&self.shared.pool, &self.shared.registry)
+        self.shared.pool.wake_idle();
+        self.shared.registry.await_stock()
     }
 
     /// What journal replay found at boot (all-zero when no journal).
@@ -717,22 +695,6 @@ impl GcService {
         self.shared.is_draining()
     }
 
-    /// Opens the load-shedding breaker for its configured window: new
-    /// sessions get `REJECT(overload)`, job requests get `BUSY`.
-    pub fn trip_breaker(&self) {
-        self.shared.breaker.trip();
-    }
-
-    /// Force-closes the breaker (operator override).
-    pub fn reset_breaker(&self) {
-        self.shared.breaker.reset();
-    }
-
-    /// Whether the breaker is currently shedding load.
-    pub fn breaker_open(&self) -> bool {
-        self.shared.breaker.is_open()
-    }
-
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
@@ -744,8 +706,6 @@ impl GcService {
             jobs_prepared: self.shared.jobs_prepared.load(Ordering::Relaxed),
             checkpoints_saved: self.shared.checkpoints_saved.load(Ordering::Relaxed),
             integrity_rejects: self.shared.integrity_rejects.load(Ordering::Relaxed),
-            breaker_trips: self.shared.breaker.trips(),
-            shed: self.shared.breaker.sheds(),
         }
     }
 

@@ -28,7 +28,7 @@ use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
     accept_hello, derive_job_seed, derive_seed, deterministic_resume_token, recv_control,
     send_control, stream_materialized_job_from, ControlMsg, JobSource, REJECT_DRAINING,
-    REJECT_MODEL, REJECT_OVERLOAD, REJECT_RESUME, STREAM_DIGEST_MISMATCH,
+    REJECT_MODEL, REJECT_RESUME, STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
 
@@ -39,6 +39,10 @@ use crate::service::ServiceShared;
 
 /// Largest matmul a single job request may ask for (columns).
 pub const MAX_JOB_COLUMNS: u32 = 64;
+
+/// Retry hint, in milliseconds, of every BUSY: a JOB or RESUME that finds
+/// the unit queue full. The session stays open for the retry.
+pub const BUSY_RETRY_AFTER_MS: u32 = 10;
 
 /// Draws an unguessable per-session resume token from OS entropy.
 ///
@@ -120,14 +124,13 @@ fn checkpoint_token(resume_token: u64, registration: Option<&[u8; 16]>) -> u64 {
 fn send_busy<T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
-    retry_after_ms: u32,
     queue_depth: usize,
 ) -> Result<(), AcceleratorError> {
     shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
     send_control(
         transport,
         &ControlMsg::Busy {
-            retry_after_ms,
+            retry_after_ms: BUSY_RETRY_AFTER_MS,
             queue_depth: queue_depth as u32,
         },
     )
@@ -330,21 +333,6 @@ fn session_loop<T: Transport>(
                 reject(transport, REJECT_DRAINING, 0)?;
                 return Ok(());
             }
-            if shared.breaker.should_shed() {
-                if let Some(flight) = flight {
-                    flight.log(
-                        "breaker.shed",
-                        "handshake",
-                        u64::from(shared.breaker.config().retry_after_ms),
-                    );
-                }
-                reject(
-                    transport,
-                    REJECT_OVERLOAD,
-                    shared.breaker.config().retry_after_ms,
-                )?;
-                return Ok(());
-            }
             let session_seed = derive_seed(shared.base_seed, session_id);
             let resume_token = if shared.deterministic_resume_tokens {
                 // Test-only reproducibility escape hatch — forgeable; see
@@ -388,8 +376,8 @@ fn session_loop<T: Transport>(
             trace,
         } => {
             *trace_id = trace.trace_id;
-            // Resumes finish work already admitted: allowed while draining
-            // and while the breaker sheds new load. A model job re-garbles
+            // Resumes finish work already admitted: allowed while draining.
+            // A model job re-garbles
             // from the registry's weights with the checkpoint's seed, so it
             // resumes only against the registration it ran on: an evicted
             // model has none, and a re-PUT one fails the token check (see
@@ -430,7 +418,7 @@ fn session_loop<T: Transport>(
                 Err(full) => {
                     // The checkpoint stays put; the client backs off and
                     // re-sends RESUME on its next connection.
-                    send_busy(shared, transport, shared.retry_after_ms, full.queue_depth)?;
+                    send_busy(shared, transport, full.queue_depth)?;
                     return Ok(());
                 }
             };
@@ -520,10 +508,9 @@ fn next_job<T: Transport>(
                             continue;
                         }
                         Some(Acquired::Prepared(stream)) => {
-                            // The warm path never touches the breaker or the
-                            // pool: the online phase is OT plus frame replay,
-                            // which is exactly the capacity the breaker is NOT
-                            // guarding.
+                            // The warm path never touches the pool: the
+                            // online phase is OT plus frame replay, so a full
+                            // queue cannot turn it away.
                             let PreparedStream {
                                 model_id,
                                 generation,
@@ -573,14 +560,6 @@ fn next_job<T: Transport>(
                         }
                     },
                 };
-                if shared.breaker.should_shed() {
-                    let retry_after_ms = shared.breaker.config().retry_after_ms;
-                    if let Some(flight) = flight {
-                        flight.log("breaker.shed", "job", u64::from(retry_after_ms));
-                    }
-                    send_busy(shared, transport, retry_after_ms, shared.pool.depth())?;
-                    continue;
-                }
                 let job_id = ctx.next_job;
                 let job_seed = ticket.as_ref().map_or_else(
                     || derive_job_seed(ctx.session_seed, job_id),
@@ -596,11 +575,10 @@ fn next_job<T: Transport>(
                 };
                 match shared.pool.submit(request) {
                     Ok(pieces) => {
-                        shared.breaker.note_ok();
                         ctx.next_job += 1;
                         if let Some(id) = model_id {
                             // Only now has the fallback served anything: a
-                            // ticket shed or queued out above got BUSY.
+                            // ticket the full queue turned away got BUSY.
                             shared.registry.note_fallback_served(id);
                         }
                         return Ok(Some(ResolvedJob {
@@ -615,10 +593,7 @@ fn next_job<T: Transport>(
                             resumed: false,
                         }));
                     }
-                    Err(full) => {
-                        shared.breaker.note_queue_full();
-                        send_busy(shared, transport, shared.retry_after_ms, full.queue_depth)?;
-                    }
+                    Err(full) => send_busy(shared, transport, full.queue_depth)?,
                 }
             }
             Ok(ControlMsg::ModelPut {

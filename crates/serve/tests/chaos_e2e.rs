@@ -1,7 +1,6 @@
 //! Chaos end-to-end tests: deterministic mid-job kills with RESUME
 //! stitching, the self-healing client riding through cuts and lost
-//! checkpoints, breaker-driven load shedding, heartbeats, and a seeded
-//! fault soak over real TCP.
+//! checkpoints, heartbeats, and a seeded fault soak over real TCP.
 //!
 //! The headline invariant: a job interrupted by a connection cut and
 //! continued over RESUME produces a stitched wire transcript that is
@@ -591,61 +590,6 @@ fn lost_checkpoint_falls_back_to_a_fresh_restart() {
     let stats = service.shutdown();
     assert_eq!(stats.jobs_resumed, 0);
     assert_eq!(stats.jobs_completed, 1);
-}
-
-#[test]
-fn tripped_breaker_sheds_typed_and_the_resilient_client_rides_it_out() {
-    let service = demo_service(ROWS, COLS, SEED, |cfg| {
-        cfg.breaker.open_for = Duration::from_millis(120);
-        cfg.breaker.retry_after_ms = 15;
-    });
-    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
-
-    // A session admitted before the trip stays alive but gets BUSY with
-    // the breaker's retry hint while the window is open.
-    let mut admitted = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
-    service.trip_breaker();
-    assert!(service.breaker_open());
-    let x = demo_vector(COLS, WIDTH, SEED ^ 4);
-    match admitted.secure_matvec(&x) {
-        Err(AcceleratorError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 15),
-        other => panic!("expected Busy from an open breaker, got {other:?}"),
-    }
-
-    // A brand-new handshake gets the typed overload rejection.
-    match RemoteClient::connect(service.connect(), WIDTH) {
-        Err(AcceleratorError::Rejected { reason }) => {
-            assert!(reason.contains("shedding"), "unexpected reason: {reason}")
-        }
-        other => panic!("expected Rejected, got {:?}", other.map(|_| "client")),
-    }
-
-    // The resilient client backs off until the window closes, then lands.
-    let svc = service.clone();
-    let mut resilient = ResilientClient::new(
-        move || Ok(svc.connect()),
-        WIDTH,
-        RetryPolicy {
-            max_attempts: 20,
-            base_backoff_ms: 20,
-            ..RetryPolicy::default()
-        },
-    );
-    let (y, _) = resilient.secure_matvec(&x).expect("rides out the breaker");
-    assert_eq!(y, plain_matvec(&weights, &x));
-    assert!(resilient.stats().busy_backoffs >= 1);
-    resilient.goodbye();
-
-    // The pre-trip session also recovers once the breaker closes.
-    wait_until("breaker to close", || !service.breaker_open());
-    let (y, _) = admitted.secure_matvec(&x).expect("post-window retry");
-    assert_eq!(y, plain_matvec(&weights, &x));
-    admitted.goodbye();
-
-    let stats = service.shutdown();
-    assert!(stats.breaker_trips >= 1);
-    assert!(stats.shed >= 2, "BUSY shed + handshake shed");
-    assert_eq!(stats.busy_rejections, 1);
 }
 
 #[test]

@@ -234,14 +234,12 @@ fn stock_exhausted_falls_back_inline_counted_never_an_error() {
 fn a_fallback_answered_with_busy_is_not_counted_as_served() {
     // One paused unit behind a one-slot queue: a session-default job takes
     // the slot, so a model job arriving next gets its fallback ticket cut
-    // and is then turned away — first by the full queue, then by the open
-    // breaker. Neither served anything.
+    // and is then turned away by the full queue. It served nothing.
     let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 1;
         cfg.queue_capacity = 1;
         cfg.start_paused = true;
         cfg.registry_target_stock = 0;
-        cfg.breaker.open_for = Duration::from_secs(60);
     });
     let weights = model_weights(2, 3, 29);
     let handle = service
@@ -277,15 +275,8 @@ fn a_fallback_answered_with_busy_is_not_counted_as_served() {
             Err(AcceleratorError::Busy { .. })
         ));
         assert_eq!(fallbacks(), 0, "queue-full BUSY served nothing");
-        service.trip_breaker();
-        assert!(matches!(
-            client.start_model_job(handle, xs),
-            Err(AcceleratorError::Busy { .. })
-        ));
-        assert_eq!(fallbacks(), 0, "breaker-shed BUSY served nothing");
 
         // The retry that is admitted is the one that counts.
-        service.reset_breaker();
         service.resume_workers();
         let (ys, _) = loop {
             match client.secure_matmul_model(handle, xs) {
@@ -299,7 +290,7 @@ fn a_fallback_answered_with_busy_is_not_counted_as_served() {
     });
     let stats = service.shutdown();
     assert_eq!(stats.sessions_errored, 0);
-    assert!(stats.busy_rejections >= 2);
+    assert!(stats.busy_rejections >= 1);
 }
 
 #[test]

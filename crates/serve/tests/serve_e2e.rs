@@ -10,13 +10,14 @@ use max_gc::channel::Duplex;
 use max_gc::{FaultSpec, FaultTransport, FramedTcp, Transport};
 use max_serve::{
     demo_vector, demo_weights, listen_tcp, plain_matvec, GcService, JournalConfig,
-    RecordingTransport, ServeConfig,
+    RecordingTransport, ServeConfig, BUSY_RETRY_AFTER_MS,
 };
 use maxelerator::remote::{
     recv_control, send_control, ControlMsg, PROTOCOL_VERSION, REJECT_VERSION,
 };
 use maxelerator::{
     connect, secure_matvec, AcceleratorConfig, AcceleratorError, MatvecTranscript, RemoteClient,
+    ResilientClient, RetryPolicy,
 };
 
 mod common;
@@ -213,7 +214,6 @@ fn overload_returns_typed_busy_and_recovers() {
     let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.workers = 1;
         cfg.queue_capacity = 2;
-        cfg.retry_after_ms = 7;
         cfg.start_paused = true;
     });
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
@@ -221,7 +221,7 @@ fn overload_returns_typed_busy_and_recovers() {
     // Two sessions fill the paused queue...
     let service_ref = &service;
     let weights_ref = &weights;
-    std::thread::scope(|scope| {
+    let resilient_backoffs = std::thread::scope(|scope| {
         for s in 0..2u64 {
             let transport = service_ref.connect();
             scope.spawn(move || {
@@ -234,27 +234,53 @@ fn overload_returns_typed_busy_and_recovers() {
         }
         wait_until("queue to fill", || service_ref.queue_depth() == 2);
 
-        // ...so the third gets a typed BUSY with the configured retry hint,
-        // not an OOM, panic, or hang.
+        // ...so the third gets a typed BUSY with the fixed retry hint, not
+        // an OOM, panic, or hang.
         let mut third = RemoteClient::connect(service_ref.connect(), WIDTH).expect("handshake");
         let x = demo_vector(COLS, WIDTH, SEED ^ 99);
         match third.secure_matvec(&x) {
-            Err(AcceleratorError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 7),
+            Err(AcceleratorError::Busy { retry_after_ms }) => {
+                assert_eq!(retry_after_ms, BUSY_RETRY_AFTER_MS)
+            }
             other => panic!("expected Busy, got {other:?}"),
         }
 
-        // After resuming the units, a retry on the same session succeeds
-        // (once the woken unit has taken a job off the full queue).
+        // A resilient client dialing the full, paused pool backs off on the
+        // hint until the units resume, then lands.
+        let resilient = scope.spawn(move || {
+            let mut client = ResilientClient::new(
+                || Ok(service_ref.connect()),
+                WIDTH,
+                RetryPolicy {
+                    max_attempts: 1_000,
+                    ..RetryPolicy::default()
+                },
+            );
+            let x = demo_vector(COLS, WIDTH, SEED ^ 98);
+            let (y, _) = client.secure_matvec(&x).expect("rides out the full queue");
+            assert_eq!(y, plain_matvec(weights_ref, &x));
+            let busy_backoffs = client.stats().busy_backoffs;
+            client.goodbye();
+            busy_backoffs
+        });
+        wait_until("the resilient client's BUSY", || {
+            service_ref.stats().busy_rejections >= 2
+        });
         service_ref.resume_workers();
-        wait_until("a queue slot to free", || service_ref.queue_depth() < 2);
+        let resilient_backoffs = resilient.join().expect("resilient client");
+        assert!(resilient_backoffs >= 1);
+
+        // Its job left the FIFO after both queued ones, so a retry on the
+        // same session now finds a free slot.
         let (y, _) = third.secure_matvec(&x).expect("retry after busy");
         assert_eq!(y, plain_matvec(weights_ref, &x));
         third.goodbye();
+        resilient_backoffs
     });
 
     let stats = service.shutdown();
-    assert_eq!(stats.busy_rejections, 1);
-    assert_eq!(stats.jobs_completed, 3);
+    assert_eq!(stats.busy_rejections, 1 + resilient_backoffs);
+    assert_eq!(stats.jobs_completed, 4);
     assert_eq!(stats.sessions_errored, 0);
 }
 

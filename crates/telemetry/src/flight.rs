@@ -1,6 +1,6 @@
 //! The flight recorder: a fixed-capacity ring buffer of structured events
-//! (frame sends/receives, injected faults, breaker transitions, checkpoint
-//! boundaries, deadline reaps) that `max-serve` attaches to every session.
+//! (frame sends/receives, injected faults, checkpoint boundaries, deadline
+//! reaps) that `max-serve` attaches to every session.
 //!
 //! When a session ends in an error the service dumps the last N events as
 //! JSON tagged with the session's trace id, so a chaos failure reads as a
@@ -23,8 +23,8 @@ pub struct FlightEvent {
     /// Nanoseconds since the recorder was created.
     pub at_ns: u64,
     /// Event kind, a stable dotted name: `frame.send`, `frame.recv`,
-    /// `fault.cut`, `breaker.shed`, `checkpoint.saved`, `deadline.reap`,
-    /// `session.error`, …
+    /// `fault.cut`, `checkpoint.saved`, `deadline.reap`, `session.error`,
+    /// …
     pub kind: &'static str,
     /// Freeform detail (frame kind, fault direction, error text). Rendered
     /// through the escaping JSON writer, so hostile bytes are safe here.

@@ -274,5 +274,4 @@ fn seeded_chaos_transport_cannot_panic_the_service() {
         stats.jobs_completed, 3,
         "honest traffic was never disturbed"
     );
-    assert_eq!(stats.breaker_trips, 0);
 }
