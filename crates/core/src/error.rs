@@ -157,6 +157,12 @@ impl std::error::Error for AcceleratorError {
     }
 }
 
+impl From<max_gc::channel::ReadError> for AcceleratorError {
+    fn from(err: max_gc::channel::ReadError) -> Self {
+        AcceleratorError::Protocol { what: err.what() }
+    }
+}
+
 impl From<max_gc::channel::TransportError> for AcceleratorError {
     fn from(err: max_gc::channel::TransportError) -> Self {
         match err {

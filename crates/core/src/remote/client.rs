@@ -11,7 +11,7 @@ use max_telemetry::TraceContext;
 use super::codec::{
     encode_ext, lend_round_burst, recv_control, recv_marked, reject_reason, send_control,
     ControlMsg, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION,
-    REJECT_DETAIL_STOCK, REJECT_INTEGRITY, TAG_REJECT,
+    REJECT_DETAIL_STOCK, REJECT_INTEGRITY,
 };
 use super::job::STREAM_DIGEST_MISMATCH;
 use crate::accelerator::ScheduledEvaluator;
@@ -66,6 +66,20 @@ pub(crate) fn evaluate_burst(
     decoded.ok_or(AcceleratorError::Protocol {
         what: "final round carried no decode bits",
     })
+}
+
+/// What a server's reply stands for when it is not the one a request
+/// waits for: a REJECT is [`AcceleratorError::Rejected`], a BUSY
+/// [`AcceleratorError::Busy`] (retry after the hint), and anything else a
+/// protocol violation naming the reply that was `expected`.
+fn refusal(reply: ControlMsg, expected: &'static str) -> AcceleratorError {
+    match reply {
+        ControlMsg::Reject { code, .. } => AcceleratorError::Rejected {
+            reason: reject_reason(code),
+        },
+        ControlMsg::Busy { retry_after_ms, .. } => AcceleratorError::Busy { retry_after_ms },
+        _ => AcceleratorError::Protocol { what: expected },
+    }
 }
 
 /// Everything a client must keep to re-enter its session on a brand-new
@@ -193,17 +207,12 @@ impl JobProgress {
         self.total_elements
     }
 
-    /// Whether the job ran to completion (STATS received).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Consumes a finished job into its per-column results and merged
     /// transcript.
     ///
     /// # Panics
     ///
-    /// Panics if the job is not [`done`](JobProgress::is_done) — an
+    /// Panics if the job has not run to completion (STATS received) — an
     /// interrupted job must be driven to completion via
     /// [`RemoteClient::resume_job`] + [`RemoteClient::run_job`] first.
     pub fn into_result(self) -> (Vec<Vec<i64>>, MatvecTranscript) {
@@ -325,12 +334,7 @@ impl<T: Transport> RemoteClient<T> {
                     },
                 })
             }
-            ControlMsg::Reject { code, .. } => Err(AcceleratorError::Rejected {
-                reason: reject_reason(code),
-            }),
-            _ => Err(AcceleratorError::Protocol {
-                what: "expected ACCEPT or REJECT",
-            }),
+            reply => Err(refusal(reply, "expected ACCEPT or REJECT")),
         }
     }
 
@@ -462,12 +466,7 @@ impl<T: Transport> RemoteClient<T> {
     fn recv_model_stat(&mut self) -> Result<ModelStatus, AcceleratorError> {
         match recv_control(&mut self.transport)? {
             ControlMsg::ModelStat { status } => Ok(status),
-            ControlMsg::Reject { code, .. } => Err(AcceleratorError::Rejected {
-                reason: reject_reason(code),
-            }),
-            _ => Err(AcceleratorError::Protocol {
-                what: "expected MODEL_STAT or REJECT",
-            }),
+            reply => Err(refusal(reply, "expected MODEL_STAT or REJECT")),
         }
     }
 
@@ -633,15 +632,7 @@ impl<T: Transport> RemoteClient<T> {
                 },
                 done: false,
             }),
-            ControlMsg::Busy { retry_after_ms, .. } => {
-                Err(AcceleratorError::Busy { retry_after_ms })
-            }
-            ControlMsg::Reject { code, .. } => Err(AcceleratorError::Rejected {
-                reason: reject_reason(code),
-            }),
-            _ => Err(AcceleratorError::Protocol {
-                what: "expected READY or BUSY",
-            }),
+            reply => Err(refusal(reply, "expected READY or BUSY")),
         }
     }
 
@@ -695,15 +686,7 @@ impl<T: Transport> RemoteClient<T> {
             ControlMsg::Ready { .. } => Err(AcceleratorError::Protocol {
                 what: "READY for a different job",
             }),
-            ControlMsg::Busy { retry_after_ms, .. } => {
-                Err(AcceleratorError::Busy { retry_after_ms })
-            }
-            ControlMsg::Reject { code, .. } => Err(AcceleratorError::Rejected {
-                reason: reject_reason(code),
-            }),
-            _ => Err(AcceleratorError::Protocol {
-                what: "expected READY, BUSY, or REJECT",
-            }),
+            reply => Err(refusal(reply, "expected READY, BUSY, or REJECT")),
         }
     }
 
@@ -832,28 +815,23 @@ impl<T: Transport> RemoteClient<T> {
     ) -> Result<(Vec<Block>, Bytes), AcceleratorError> {
         let (cipher_frame, cipher_mark) = recv_marked(&mut self.transport)?;
         // A server that spotted a digest divergence answers the EXT with a
-        // sealed REJECT instead of CIPHER blocks. The shapes cannot
-        // collide: an honest CIPHER frame is 4 + 32·pairs bytes and starts
-        // with the count's zero high byte, never with TAG_REJECT at 6
-        // bytes total.
-        if cipher_frame.len() == 6 && cipher_frame[0] == TAG_REJECT {
-            if let Ok(ControlMsg::Reject { code, detail }) =
-                ControlMsg::decode(cipher_frame.clone())
-            {
-                if code == REJECT_INTEGRITY {
-                    // The detail says whose bytes failed: the server's
-                    // stock, or the client's transcript digest.
-                    let what = if detail == REJECT_DETAIL_STOCK {
-                        STREAM_DIGEST_MISMATCH
-                    } else {
-                        "server rejected the client transcript digest"
-                    };
-                    return Err(AcceleratorError::Integrity { what });
-                }
-                return Err(AcceleratorError::Rejected {
-                    reason: reject_reason(code),
-                });
+        // sealed REJECT instead of CIPHER blocks. An honest CIPHER frame
+        // never decodes as one: it starts with its pair count's zero high
+        // byte, which is no control tag.
+        if let Ok(ControlMsg::Reject { code, detail }) = ControlMsg::decode(cipher_frame.clone()) {
+            if code == REJECT_INTEGRITY {
+                // The detail says whose bytes failed: the server's stock,
+                // or the client's transcript digest.
+                let what = if detail == REJECT_DETAIL_STOCK {
+                    STREAM_DIGEST_MISMATCH
+                } else {
+                    "server rejected the client transcript digest"
+                };
+                return Err(AcceleratorError::Integrity { what });
             }
+            return Err(AcceleratorError::Rejected {
+                reason: reject_reason(code),
+            });
         }
         progress.digest.fold(&cipher_mark);
         let flat = decode_blocks(cipher_frame)?;

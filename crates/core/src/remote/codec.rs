@@ -2,11 +2,11 @@
 //! EXT / ROUNDS data-frame codecs. Everything here is bytes in, typed
 //! value or typed error out — peer input never panics a decoder.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::Block;
 use max_gc::channel::{
     lend_bits, lend_blocks, lend_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
-    seal_mark, seal_with, FrameKind, PackedBits, SEAL_BYTES,
+    seal_mark, seal_with, FrameKind, PackedBits, ReadError, Reader, SEAL_BYTES,
 };
 use max_gc::{GarbledTable, Transport};
 use max_ot::iknp::{ExtendMsg, KAPPA};
@@ -333,25 +333,16 @@ pub enum ControlMsg {
     Bye,
 }
 
-fn put_trace_id(buf: &mut BytesMut, trace_id: u128) {
-    buf.put_u64((trace_id >> 64) as u64);
-    buf.put_u64(trace_id as u64);
-}
-
-fn get_trace_id(frame: &mut Bytes) -> u128 {
-    let hi = frame.get_u64();
-    let lo = frame.get_u64();
-    (u128::from(hi) << 64) | u128::from(lo)
-}
-
 fn put_trace(buf: &mut BytesMut, trace: TraceContext) {
-    put_trace_id(buf, trace.trace_id);
+    buf.put_slice(&trace.trace_id.to_be_bytes());
     buf.put_u64(trace.span_id);
 }
 
-fn get_trace(frame: &mut Bytes) -> TraceContext {
-    let trace_id = get_trace_id(frame);
-    TraceContext::from_ids(trace_id, frame.get_u64())
+fn get_trace(reader: &mut Reader<'_>, what: &'static str) -> Result<TraceContext, ReadError> {
+    Ok(TraceContext::from_ids(
+        reader.u128(what)?,
+        reader.u64(what)?,
+    ))
 }
 
 impl ControlMsg {
@@ -426,7 +417,7 @@ impl ControlMsg {
             } => {
                 buf.put_u8(TAG_STATS);
                 buf.put_u64(fabric_cycles);
-                put_trace_id(&mut buf, trace_id);
+                buf.put_slice(&trace_id.to_be_bytes());
                 buf.put_slice(&digest);
             }
             ControlMsg::Resume {
@@ -502,142 +493,108 @@ impl ControlMsg {
     ///
     /// # Errors
     ///
-    /// Returns [`AcceleratorError::Protocol`] for unknown tags or truncated
-    /// payloads — peer bytes never panic the decoder.
-    pub fn decode(mut frame: Bytes) -> Result<ControlMsg, AcceleratorError> {
-        fn need(frame: &Bytes, bytes: usize, what: &'static str) -> Result<(), AcceleratorError> {
-            if frame.remaining() < bytes {
-                return Err(AcceleratorError::Protocol { what });
-            }
-            Ok(())
-        }
-        need(&frame, 1, "empty control frame")?;
-        let tag = frame.get_u8();
-        let msg = match tag {
+    /// Returns [`AcceleratorError::Protocol`] for unknown tags, truncated
+    /// payloads, flag bytes other than 0 or 1 and trailing bytes — peer
+    /// bytes never panic the decoder.
+    pub fn decode(frame: Bytes) -> Result<ControlMsg, AcceleratorError> {
+        let mut r = Reader::new(&frame);
+        let msg = match r.u8("empty control frame")? {
             TAG_HELLO => {
-                need(&frame, 30, "HELLO payload")?;
+                let what = "HELLO payload";
                 ControlMsg::Hello {
-                    version: frame.get_u16(),
-                    bit_width: frame.get_u32(),
-                    trace: get_trace(&mut frame),
+                    version: r.u16(what)?,
+                    bit_width: r.u32(what)?,
+                    trace: get_trace(&mut r, what)?,
                 }
             }
             TAG_ACCEPT => {
-                need(&frame, 45, "ACCEPT payload")?;
+                let what = "ACCEPT payload";
                 ControlMsg::Accept {
-                    session_id: frame.get_u64(),
-                    ot_seed: frame.get_u64(),
-                    resume_token: frame.get_u64(),
-                    rows: frame.get_u32(),
-                    cols: frame.get_u32(),
-                    bit_width: frame.get_u32(),
-                    acc_width: frame.get_u32(),
-                    signed: frame.get_u8() != 0,
-                    freq_mhz_bits: frame.get_u64(),
+                    session_id: r.u64(what)?,
+                    ot_seed: r.u64(what)?,
+                    resume_token: r.u64(what)?,
+                    rows: r.u32(what)?,
+                    cols: r.u32(what)?,
+                    bit_width: r.u32(what)?,
+                    acc_width: r.u32(what)?,
+                    signed: r.flag("ACCEPT signed flag")?,
+                    freq_mhz_bits: r.u64(what)?,
                 }
             }
-            TAG_REJECT => {
-                need(&frame, 5, "REJECT payload")?;
-                ControlMsg::Reject {
-                    code: frame.get_u8(),
-                    detail: frame.get_u32(),
-                }
-            }
-            TAG_JOB => {
-                need(&frame, 5, "JOB payload")?;
-                let columns = frame.get_u32();
-                let model_id = match frame.get_u8() {
-                    0 => None,
-                    1 => {
-                        need(&frame, 8, "JOB model id")?;
-                        Some(frame.get_u64())
-                    }
-                    _ => {
-                        return Err(AcceleratorError::Protocol {
-                            what: "JOB model flag",
-                        })
-                    }
-                };
-                ControlMsg::JobRequest { columns, model_id }
-            }
-            TAG_BUSY => {
-                need(&frame, 8, "BUSY payload")?;
-                ControlMsg::Busy {
-                    retry_after_ms: frame.get_u32(),
-                    queue_depth: frame.get_u32(),
-                }
-            }
-            TAG_READY => {
-                need(&frame, 8, "READY payload")?;
-                ControlMsg::Ready {
-                    job_id: frame.get_u64(),
-                }
-            }
+            TAG_REJECT => ControlMsg::Reject {
+                code: r.u8("REJECT payload")?,
+                detail: r.u32("REJECT payload")?,
+            },
+            TAG_JOB => ControlMsg::JobRequest {
+                columns: r.u32("JOB payload")?,
+                model_id: if r.flag("JOB model flag")? {
+                    Some(r.u64("JOB model id")?)
+                } else {
+                    None
+                },
+            },
+            TAG_BUSY => ControlMsg::Busy {
+                retry_after_ms: r.u32("BUSY payload")?,
+                queue_depth: r.u32("BUSY payload")?,
+            },
+            TAG_READY => ControlMsg::Ready {
+                job_id: r.u64("READY payload")?,
+            },
             TAG_STATS => {
-                need(&frame, 40, "STATS payload")?;
-                let fabric_cycles = frame.get_u64();
-                let trace_id = get_trace_id(&mut frame);
-                let mut digest = [0u8; 16];
-                frame.copy_to_slice(&mut digest);
+                let what = "STATS payload";
                 ControlMsg::Stats {
-                    fabric_cycles,
-                    trace_id,
-                    digest,
+                    fabric_cycles: r.u64(what)?,
+                    trace_id: r.u128(what)?,
+                    digest: r.array(what)?,
                 }
             }
             TAG_RESUME => {
-                need(&frame, 56, "RESUME payload")?;
+                let what = "RESUME payload";
                 ControlMsg::Resume {
-                    session_id: frame.get_u64(),
-                    resume_token: frame.get_u64(),
-                    job_id: frame.get_u64(),
-                    columns: frame.get_u32(),
-                    elements_done: frame.get_u32(),
-                    trace: get_trace(&mut frame),
+                    session_id: r.u64(what)?,
+                    resume_token: r.u64(what)?,
+                    job_id: r.u64(what)?,
+                    columns: r.u32(what)?,
+                    elements_done: r.u32(what)?,
+                    trace: get_trace(&mut r, what)?,
                 }
             }
-            TAG_PING => {
-                need(&frame, 8, "PING payload")?;
-                ControlMsg::Ping {
-                    nonce: frame.get_u64(),
-                }
-            }
-            TAG_PONG => {
-                need(&frame, 8, "PONG payload")?;
-                ControlMsg::Pong {
-                    nonce: frame.get_u64(),
-                }
-            }
+            TAG_PING => ControlMsg::Ping {
+                nonce: r.u64("PING payload")?,
+            },
+            TAG_PONG => ControlMsg::Pong {
+                nonce: r.u64("PONG payload")?,
+            },
             TAG_METRICS => ControlMsg::MetricsRequest,
             TAG_METRICS_REPLY => {
-                need(&frame, 4, "METRICS reply header")?;
-                let len = frame.get_u32() as usize;
+                let len = r.u32("METRICS reply header")? as usize;
                 if len > MAX_METRICS_BYTES {
                     return Err(AcceleratorError::Protocol {
                         what: "METRICS reply too large",
                     });
                 }
-                need(&frame, len, "METRICS reply body")?;
-                let body = String::from_utf8(frame.split_to(len).to_vec()).map_err(|_| {
-                    AcceleratorError::Protocol {
+                let body = r.bytes(len, "METRICS reply body")?;
+                let body =
+                    String::from_utf8(body.to_vec()).map_err(|_| AcceleratorError::Protocol {
                         what: "METRICS reply is not UTF-8",
-                    }
-                })?;
+                    })?;
                 ControlMsg::MetricsReply { body }
             }
             TAG_MODEL_PUT => {
-                need(&frame, 16, "MODEL_PUT header")?;
-                let model_id = frame.get_u64();
-                let rows = frame.get_u32();
-                let cols = frame.get_u32();
+                let what = "MODEL_PUT header";
+                let model_id = r.u64(what)?;
+                let rows = r.u32(what)?;
+                let cols = r.u32(what)?;
                 let elements = (rows as usize).saturating_mul(cols as usize);
                 if rows == 0 || cols == 0 || elements > MAX_MODEL_ELEMENTS {
                     return Err(AcceleratorError::Protocol {
                         what: "MODEL_PUT shape",
                     });
                 }
-                need(&frame, elements * 8, "MODEL_PUT weights")?;
-                let weights = (0..elements).map(|_| frame.get_u64() as i64).collect();
+                // i64 in two's complement; the encoder casts the same way.
+                let weights = (0..elements)
+                    .map(|_| r.u64("MODEL_PUT weights").map(|w| w as i64))
+                    .collect::<Result<_, _>>()?;
                 ControlMsg::ModelPut {
                     model_id,
                     rows,
@@ -646,32 +603,26 @@ impl ControlMsg {
                 }
             }
             TAG_MODEL_STAT => {
-                need(&frame, 52, "MODEL_STAT payload")?;
+                let what = "MODEL_STAT payload";
                 ControlMsg::ModelStat {
                     status: ModelStatus {
-                        model_id: frame.get_u64(),
-                        rows: frame.get_u32(),
-                        cols: frame.get_u32(),
-                        stock: frame.get_u32(),
-                        stock_bytes: frame.get_u64(),
-                        served_prepared: frame.get_u64(),
-                        served_fallback: frame.get_u64(),
-                        generation: frame.get_u64(),
+                        model_id: r.u64(what)?,
+                        rows: r.u32(what)?,
+                        cols: r.u32(what)?,
+                        stock: r.u32(what)?,
+                        stock_bytes: r.u64(what)?,
+                        served_prepared: r.u64(what)?,
+                        served_fallback: r.u64(what)?,
+                        generation: r.u64(what)?,
                     },
                 }
             }
-            TAG_MODEL_INFO => {
-                need(&frame, 8, "MODEL_INFO payload")?;
-                ControlMsg::ModelInfo {
-                    model_id: frame.get_u64(),
-                }
-            }
-            TAG_MODEL_EVICT => {
-                need(&frame, 8, "MODEL_EVICT payload")?;
-                ControlMsg::ModelEvict {
-                    model_id: frame.get_u64(),
-                }
-            }
+            TAG_MODEL_INFO => ControlMsg::ModelInfo {
+                model_id: r.u64("MODEL_INFO payload")?,
+            },
+            TAG_MODEL_EVICT => ControlMsg::ModelEvict {
+                model_id: r.u64("MODEL_EVICT payload")?,
+            },
             TAG_BYE => ControlMsg::Bye,
             _ => {
                 return Err(AcceleratorError::Protocol {
@@ -679,11 +630,7 @@ impl ControlMsg {
                 })
             }
         };
-        if frame.remaining() != 0 {
-            return Err(AcceleratorError::Protocol {
-                what: "control frame trailing bytes",
-            });
-        }
+        r.end("control frame trailing bytes")?;
         Ok(msg)
     }
 }
@@ -740,43 +687,45 @@ pub(super) fn encode_ext(msg: &ExtendMsg) -> Bytes {
 
 /// Decodes an EXT frame into the extension message and the client's
 /// 16-byte transcript-digest trailer (v6).
-pub(super) fn decode_ext(mut frame: Bytes) -> Result<(ExtendMsg, [u8; 16]), AcceleratorError> {
-    if frame.remaining() < 1 {
-        return Err(AcceleratorError::Protocol { what: "EXT header" });
-    }
-    if frame[0] == TAG_BYE && frame.remaining() == 1 {
+pub(super) fn decode_ext(frame: Bytes) -> Result<(ExtendMsg, [u8; 16]), AcceleratorError> {
+    let mut r = Reader::new(&frame);
+    match r.u8("EXT header")? {
+        TAG_EXT => {}
         // A well-behaved client may close instead of sending a job's data.
-        return Err(AcceleratorError::Disconnected);
+        TAG_BYE => return Err(AcceleratorError::Disconnected),
+        _ => {
+            return Err(AcceleratorError::Protocol {
+                what: "expected EXT frame",
+            })
+        }
     }
-    if frame.remaining() < 9 {
-        return Err(AcceleratorError::Protocol { what: "EXT header" });
-    }
-    let tag = frame.get_u8();
-    if tag == TAG_BYE {
-        return Err(AcceleratorError::Disconnected);
-    }
-    if tag != TAG_EXT {
-        return Err(AcceleratorError::Protocol {
-            what: "expected EXT frame",
-        });
-    }
-    let count = frame.get_u32() as usize;
-    let words = frame.get_u32() as usize;
+    let count = r.u32("EXT header")? as usize;
+    let words = r.u32("EXT header")? as usize;
     if count > MAX_OT_BATCH || words != count.div_ceil(64) {
         return Err(AcceleratorError::Protocol {
             what: "EXT batch size",
         });
     }
-    if frame.remaining() != KAPPA * words * 8 + 16 {
-        return Err(AcceleratorError::Protocol {
-            what: "EXT payload length",
-        });
-    }
-    let columns = (0..KAPPA)
-        .map(|_| (0..words).map(|_| frame.get_u64()).collect())
-        .collect();
-    let mut mark = [0u8; 16];
-    frame.copy_to_slice(&mut mark);
+    let what = "EXT payload length";
+    let body = r.bytes(KAPPA * words * 8, what)?;
+    let mark = r.array(what)?;
+    r.end(what)?;
+    // KAPPA columns of `words` big-endian words each; an empty batch has
+    // empty columns.
+    let columns = match words {
+        0 => vec![Vec::new(); KAPPA],
+        _ => body
+            .chunks_exact(words * 8)
+            .map(|column| {
+                column
+                    .as_chunks()
+                    .0
+                    .iter()
+                    .map(|&word| u64::from_be_bytes(word))
+                    .collect()
+            })
+            .collect(),
+    };
     Ok((ExtendMsg { columns, count }, mark))
 }
 
@@ -909,38 +858,32 @@ impl EvalRound for RoundView<'_> {
     }
 }
 
-fn lend_round(mut body: &[u8]) -> Result<RoundView<'_>, AcceleratorError> {
-    let Some((&[e0, e1, e2, e3, r0, r1, r2, r3, flags], rest)) = body.split_first_chunk() else {
-        return Err(AcceleratorError::Protocol {
-            what: "ROUNDS body header",
-        });
-    };
-    body = rest;
+fn lend_round(body: &[u8]) -> Result<RoundView<'_>, AcceleratorError> {
+    let mut r = Reader::new(body);
+    let elem = r.u32("ROUNDS body header")?;
+    let round = r.u32("ROUNDS body header")?;
+    let flags = r.u8("ROUNDS body header")?;
     if flags & !(FLAG_INIT | FLAG_DECODE) != 0 {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS body flags",
         });
     }
-    let tables = lend_tables(&mut body)?;
-    let a_labels = lend_blocks(&mut body)?;
+    let tables = lend_tables(&mut r)?;
+    let a_labels = lend_blocks(&mut r)?;
     let init_acc_labels = if flags & FLAG_INIT != 0 {
-        Some(lend_blocks(&mut body)?)
+        Some(lend_blocks(&mut r)?)
     } else {
         None
     };
     let decode = if flags & FLAG_DECODE != 0 {
-        Some(lend_bits(&mut body)?)
+        Some(lend_bits(&mut r)?)
     } else {
         None
     };
-    if !body.is_empty() {
-        return Err(AcceleratorError::Protocol {
-            what: "ROUNDS body trailing bytes",
-        });
-    }
+    r.end("ROUNDS body trailing bytes")?;
     Ok(RoundView {
-        elem: u32::from_be_bytes([e0, e1, e2, e3]),
-        round: u32::from_be_bytes([r0, r1, r2, r3]),
+        elem,
+        round,
         tables,
         a_labels,
         init_acc_labels,
@@ -1015,41 +958,23 @@ pub(crate) fn lend_round_burst(
     frame: &[u8],
     expect: usize,
 ) -> Result<Vec<RoundView<'_>>, AcceleratorError> {
-    let Some((&[tag, c0, c1, c2, c3], mut rest)) = frame.split_first_chunk() else {
-        return Err(AcceleratorError::Protocol {
-            what: "ROUNDS header",
-        });
-    };
-    if tag != TAG_ROUNDS {
+    let mut r = Reader::new(frame);
+    if r.u8("ROUNDS header")? != TAG_ROUNDS {
         return Err(AcceleratorError::Protocol {
             what: "expected ROUNDS frame",
         });
     }
-    if u32::from_be_bytes([c0, c1, c2, c3]) as usize != expect {
+    if r.u32("ROUNDS header")? as usize != expect {
         return Err(AcceleratorError::Protocol {
             what: "ROUNDS count does not match the model",
         });
     }
     let mut rounds = Vec::with_capacity(expect);
     for _ in 0..expect {
-        let Some((len, body)) = rest.split_first_chunk() else {
-            return Err(AcceleratorError::Protocol {
-                what: "ROUNDS body header",
-            });
-        };
-        let Some((body, next)) = body.split_at_checked(u32::from_be_bytes(*len) as usize) else {
-            return Err(AcceleratorError::Protocol {
-                what: "ROUNDS body length",
-            });
-        };
-        rounds.push(lend_round(body)?);
-        rest = next;
+        let len = r.u32("ROUNDS body header")? as usize;
+        rounds.push(lend_round(r.bytes(len, "ROUNDS body length")?)?);
     }
-    if !rest.is_empty() {
-        return Err(AcceleratorError::Protocol {
-            what: "ROUNDS trailing bytes",
-        });
-    }
+    r.end("ROUNDS trailing bytes")?;
     Ok(rounds)
 }
 

@@ -119,6 +119,14 @@
 //! active adversary can tamper and re-seal — the honest-but-curious
 //! boundary of the stack is unchanged.
 //!
+//! **Hostile bytes.** Every decoder here (control frames, EXT, ROUNDS)
+//! reads peer bytes through [`max_gc::channel::Reader`]: a frame cut
+//! anywhere is a typed [`AcceleratorError::Protocol`] naming the field it
+//! cut, a flag byte is 0 or 1 or refused, and trailing bytes are refused.
+//! No decoder counts a frame's bytes ahead of its reads, and the vendored
+//! `bytes::Buf` has no getter, so no read can panic where the
+//! `unwrap_used` lint below cannot see it.
+//!
 //! [`Transport`]: max_gc::Transport
 //! [`TraceContext`]: max_telemetry::TraceContext
 //! [`TraceContext::none`]: max_telemetry::TraceContext::none
@@ -128,6 +136,7 @@
 //! [`iknp::setup_pair`]: max_ot::iknp::setup_pair
 //! [`TranscriptDigest`]: max_crypto::TranscriptDigest
 //! [`AcceleratorError::Integrity`]: crate::AcceleratorError::Integrity
+//! [`AcceleratorError::Protocol`]: crate::AcceleratorError::Protocol
 
 // Protocol paths must never panic on peer input; unwraps are confined to
 // tests.

@@ -1,6 +1,7 @@
 use super::client::evaluate_burst;
 use super::codec::{
-    decode_ext, lend_round_burst, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY, TAG_MODEL_PUT,
+    decode_ext, encode_ext, lend_round_burst, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY,
+    TAG_MODEL_PUT,
 };
 use super::job::stream_intact;
 use super::*;
@@ -311,9 +312,9 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     }
 }
 
-#[test]
-fn control_frames_round_trip() {
-    let msgs = [
+/// Every control message, JOB and METRICS reply in both of their shapes.
+fn sample_control_msgs() -> Vec<ControlMsg> {
+    vec![
         ControlMsg::Hello {
             version: PROTOCOL_VERSION,
             bit_width: 16,
@@ -390,10 +391,60 @@ fn control_frames_round_trip() {
             body: String::new(),
         },
         ControlMsg::Bye,
-    ];
-    for msg in &msgs {
+    ]
+}
+
+#[test]
+fn control_frames_round_trip() {
+    for msg in &sample_control_msgs() {
         assert_eq!(&ControlMsg::decode(msg.encode()).unwrap(), msg);
     }
+}
+
+#[test]
+fn every_proper_prefix_is_a_typed_error() {
+    // Each decoder reads its fields through the checked reader, so a frame
+    // cut anywhere is refused by the field it cut, never read past.
+    for msg in &sample_control_msgs() {
+        let frame = msg.encode();
+        for cut in 0..frame.len() {
+            let decoded = ControlMsg::decode(Bytes::from(&frame[..cut]));
+            assert!(
+                matches!(decoded, Err(AcceleratorError::Protocol { .. })),
+                "{msg:?} cut to {cut} of {} bytes: {decoded:?}",
+                frame.len()
+            );
+        }
+    }
+    let (_, mut receiver) = iknp::setup_pair(0x0e47);
+    let (ext, _) = receiver.prepare(&[true, false, true]);
+    let mut frame = encode_ext(&ext).to_vec();
+    frame.extend_from_slice(b"digest trailer!!");
+    assert_eq!(
+        decode_ext(Bytes::from(frame.clone())),
+        Ok((ext, *b"digest trailer!!"))
+    );
+    for cut in 0..frame.len() {
+        let decoded = decode_ext(Bytes::from(&frame[..cut]));
+        assert!(
+            matches!(decoded, Err(AcceleratorError::Protocol { .. })),
+            "EXT cut to {cut} of {} bytes: {decoded:?}",
+            frame.len()
+        );
+    }
+    // A flag byte is 0 or 1: ACCEPT's `signed` refuses 2.
+    let accept = sample_control_msgs()
+        .into_iter()
+        .find(|msg| matches!(msg, ControlMsg::Accept { .. }))
+        .unwrap();
+    let mut accept = accept.encode().to_vec();
+    accept[41] = 2; // tag, three u64 and four u32 fields, then `signed`.
+    assert_eq!(
+        ControlMsg::decode(Bytes::from(accept)),
+        Err(AcceleratorError::Protocol {
+            what: "ACCEPT signed flag"
+        })
+    );
 }
 
 #[test]

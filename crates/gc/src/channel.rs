@@ -1,5 +1,6 @@
 //! The frame layer: an in-process duplex wire with byte accounting, the
-//! frame error type, the vector codecs and the sealed-frame format.
+//! frame error type, the checked [`Reader`] every decoder of peer or disk
+//! bytes reads through, the vector codecs and the sealed-frame format.
 //!
 //! The garbler and evaluator run on real threads and exchange frames
 //! through [`Duplex`] endpoints, so protocol tests exercise true two-party
@@ -167,55 +168,212 @@ impl From<std::io::Error> for TransportError {
 }
 
 // ---------------------------------------------------------------------------
-// Vector codecs: a big-endian u32 element count, then the elements. The
-// `put_` functions append one vector to a buffer; the `lend_` functions read
-// one from the front of a byte slice and lend its items where they lie, and
-// the `get_` functions are the `lend_` ones converted to owned values. They
-// are the only encoding of tables, labels and packed bits, and the
-// frame-level functions below and the session protocol's ROUNDS bodies are
-// built on them. Decoding never panics and never allocates beyond the actual
-// frame: a declared count is checked against both MAX_FRAME_BYTES and the
-// remaining payload first.
+// The checked reader. Every decoder of bytes from outside the process — a
+// peer's frame, a record read back from disk — reads through a `Reader`, so a
+// field that runs past the end is a typed error naming the field, never a
+// panic, and a format's layout is written once by its encoder and once by its
+// reads, never a third time as a byte count checked ahead of them.
 // ---------------------------------------------------------------------------
 
-/// Reads a vector's count, checks that its `item_bits`-bit items fit
-/// [`MAX_FRAME_BYTES`] and the rest of `frame`, and lends the bytes holding
-/// them, advancing `frame` past the vector.
-fn take_vector<'a>(
-    frame: &mut &'a [u8],
-    item_bits: usize,
-    what: &'static str,
-) -> Result<(usize, &'a [u8]), TransportError> {
-    let (count, rest) = frame
-        .split_first_chunk()
-        .ok_or(TransportError::Malformed(what))?;
-    let count = u32::from_be_bytes(*count) as usize;
-    let declared = count.saturating_mul(item_bits).div_ceil(8);
-    if declared > MAX_FRAME_BYTES {
-        return Err(TransportError::FrameTooLarge {
-            len: declared as u64,
-            max: MAX_FRAME_BYTES as u64,
-        });
-    }
-    let (items, rest) = rest
-        .split_at_checked(declared)
-        .ok_or(TransportError::Malformed(what))?;
-    *frame = rest;
-    Ok((count, items))
+/// Why a [`Reader`] refused its bytes. Each decoder converts it into its own
+/// error type: [`TransportError::Malformed`] here, a protocol error in the
+/// session layer, a codec error for the journal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReadError {
+    /// The bytes ended inside the named field.
+    Short(&'static str),
+    /// The named flag byte was neither 0 nor 1.
+    Flag {
+        /// The flag's name.
+        what: &'static str,
+        /// The byte found.
+        got: u8,
+    },
+    /// Bytes were left after the last field of the named format.
+    Trailing {
+        /// The format's name.
+        what: &'static str,
+        /// How many bytes were left.
+        extra: usize,
+    },
 }
 
-/// Runs a `lend_` reader over the front of `frame` and advances `frame`
-/// past what it read.
-fn read_owned<T>(
-    frame: &mut Bytes,
-    lend: impl FnOnce(&mut &[u8]) -> Result<T, TransportError>,
-) -> Result<T, TransportError> {
-    let mut rest = &frame[..];
-    let value = lend(&mut rest)?;
-    let used = frame.len() - rest.len();
-    frame.advance(used);
-    Ok(value)
+impl ReadError {
+    /// The field or format the refusal names.
+    pub fn what(self) -> &'static str {
+        match self {
+            ReadError::Short(what)
+            | ReadError::Flag { what, .. }
+            | ReadError::Trailing { what, .. } => what,
+        }
+    }
 }
+
+impl From<ReadError> for TransportError {
+    fn from(err: ReadError) -> Self {
+        TransportError::Malformed(err.what())
+    }
+}
+
+/// A cursor over untrusted bytes. Each read takes one field off the front,
+/// named by its `what`; a read that runs past the end returns
+/// [`ReadError::Short`] naming that field and leaves the cursor where it
+/// was. Integers are big-endian (the wire's order) unless the method says
+/// `_le` (the journal's). The reads are `#[inline]`, as the `bytes` getters
+/// they replace were: decoders in other crates call them once per field.
+///
+/// # Example
+///
+/// ```
+/// use max_gc::channel::{ReadError, Reader};
+///
+/// let mut reader = Reader::new(&[0, 1, 1, 7]);
+/// assert_eq!(reader.u16("count"), Ok(1));
+/// assert_eq!(reader.flag("signed"), Ok(true));
+/// assert_eq!(reader.u32("id"), Err(ReadError::Short("id")));
+/// assert_eq!(reader.u8("tail"), Ok(7));
+/// assert_eq!(reader.end("frame"), Ok(()));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the front of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { rest: bytes }
+    }
+
+    /// The bytes not read yet.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Lends the next `n` bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ReadError> {
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(ReadError::Short(what))?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// Copies out the next `N` bytes.
+    #[inline]
+    pub fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ReadError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or(ReadError::Short(what))?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, ReadError> {
+        let [byte] = self.array(what)?;
+        Ok(byte)
+    }
+
+    /// Reads a flag byte: 0 is `false`, 1 is `true`, and any other byte is
+    /// [`ReadError::Flag`].
+    #[inline]
+    pub fn flag(&mut self, what: &'static str) -> Result<bool, ReadError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            got => Err(ReadError::Flag { what, got }),
+        }
+    }
+
+    /// Reads a big-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, ReadError> {
+        self.array(what).map(u16::from_be_bytes)
+    }
+
+    /// Reads a big-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, ReadError> {
+        self.array(what).map(u32::from_be_bytes)
+    }
+
+    /// Reads a big-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, ReadError> {
+        self.array(what).map(u64::from_be_bytes)
+    }
+
+    /// Reads a big-endian `u128`.
+    #[inline]
+    pub fn u128(&mut self, what: &'static str) -> Result<u128, ReadError> {
+        self.array(what).map(u128::from_be_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32_le(&mut self, what: &'static str) -> Result<u32, ReadError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self, what: &'static str) -> Result<u64, ReadError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u128`.
+    #[inline]
+    pub fn u128_le(&mut self, what: &'static str) -> Result<u128, ReadError> {
+        self.array(what).map(u128::from_le_bytes)
+    }
+
+    /// Checks that every byte has been read: any left is
+    /// [`ReadError::Trailing`] naming the format `what`.
+    #[inline]
+    pub fn end(self, what: &'static str) -> Result<(), ReadError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            extra => Err(ReadError::Trailing { what, extra }),
+        }
+    }
+
+    /// Reads a vector's count, checks that its `item_bits`-bit items fit
+    /// [`MAX_FRAME_BYTES`] and the bytes left, and lends the bytes holding
+    /// them.
+    fn vector(
+        &mut self,
+        item_bits: usize,
+        what: &'static str,
+    ) -> Result<(usize, &'a [u8]), TransportError> {
+        let count = self.u32(what)? as usize;
+        let declared = count.saturating_mul(item_bits).div_ceil(8);
+        if declared > MAX_FRAME_BYTES {
+            return Err(TransportError::FrameTooLarge {
+                len: declared as u64,
+                max: MAX_FRAME_BYTES as u64,
+            });
+        }
+        Ok((count, self.bytes(declared, what)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Vector codecs: a big-endian u32 element count, then the elements. The
+// `put_` functions append one vector to a buffer, and the `lend_` functions
+// read one off a `Reader` and lend its items where they lie. They are the
+// only encoding of tables, labels and packed bits, and the frame-level
+// functions below and the session protocol's ROUNDS bodies are built on
+// them. Decoding never panics and never allocates beyond the actual frame: a
+// declared count is checked against both MAX_FRAME_BYTES and the remaining
+// payload first.
+// ---------------------------------------------------------------------------
 
 /// Appends a garbled-table vector: room for the whole vector is reserved
 /// once, then every table is written in one pass.
@@ -227,7 +385,7 @@ pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
     }
 }
 
-/// Lends a garbled-table vector from the front of `frame`: each table's
+/// Lends a garbled-table vector off `frame`: each table's
 /// [`GarbledTable::WIRE_BYTES`] as they lie in the frame (read them with
 /// [`AsTable`](crate::AsTable)), and `frame` advanced past the vector.
 ///
@@ -237,25 +395,10 @@ pub fn put_tables(buf: &mut BytesMut, tables: &[GarbledTable]) {
 /// [`MAX_FRAME_BYTES`], [`TransportError::Malformed`] for a count the
 /// frame does not hold.
 pub fn lend_tables<'a>(
-    frame: &mut &'a [u8],
+    frame: &mut Reader<'a>,
 ) -> Result<&'a [[u8; GarbledTable::WIRE_BYTES]], TransportError> {
-    let (_, run) = take_vector(frame, GarbledTable::WIRE_BYTES * 8, "table vector")?;
+    let (_, run) = frame.vector(GarbledTable::WIRE_BYTES * 8, "table vector")?;
     Ok(run.as_chunks().0)
-}
-
-/// Reads a garbled-table vector: [`lend_tables`], each table converted
-/// straight from the frame, and the frame advanced once.
-///
-/// # Errors
-///
-/// As [`lend_tables`].
-pub fn get_tables(frame: &mut Bytes) -> Result<Vec<GarbledTable>, TransportError> {
-    read_owned(frame, |rest| {
-        Ok(lend_tables(rest)?
-            .iter()
-            .map(|&wire| GarbledTable::from_bytes(wire))
-            .collect())
-    })
 }
 
 /// Appends a block vector.
@@ -273,31 +416,15 @@ fn put_block_vector<'a>(buf: &mut BytesMut, count: usize, blocks: impl Iterator<
     }
 }
 
-/// Lends a block vector from the front of `frame` as [`lend_tables`]
-/// does: each block's 16 bytes as they lie ([`Block::from_bytes`] reads
-/// one).
+/// Lends a block vector off `frame` as [`lend_tables`] does: each block's
+/// 16 bytes as they lie ([`Block::from_bytes`] reads one).
 ///
 /// # Errors
 ///
 /// As [`lend_tables`].
-pub fn lend_blocks<'a>(frame: &mut &'a [u8]) -> Result<&'a [[u8; 16]], TransportError> {
-    let (_, run) = take_vector(frame, 128, "block vector")?;
+pub fn lend_blocks<'a>(frame: &mut Reader<'a>) -> Result<&'a [[u8; 16]], TransportError> {
+    let (_, run) = frame.vector(128, "block vector")?;
     Ok(run.as_chunks().0)
-}
-
-/// Reads a block vector, converting the whole run in one pass as
-/// [`get_tables`] does.
-///
-/// # Errors
-///
-/// As [`lend_tables`].
-pub fn get_blocks(frame: &mut Bytes) -> Result<Vec<Block>, TransportError> {
-    read_owned(frame, |rest| {
-        Ok(lend_blocks(rest)?
-            .iter()
-            .map(|&wire| Block::from_bytes(wire))
-            .collect())
-    })
 }
 
 /// Appends a bit vector, packed eight to a byte, least significant first.
@@ -339,32 +466,14 @@ impl<'a> PackedBits<'a> {
     }
 }
 
-/// Lends a packed bit vector from the front of `frame` as [`lend_tables`]
-/// does.
+/// Lends a packed bit vector off `frame` as [`lend_tables`] does.
 ///
 /// # Errors
 ///
 /// As [`lend_tables`].
-pub fn lend_bits<'a>(frame: &mut &'a [u8]) -> Result<PackedBits<'a>, TransportError> {
-    let (len, packed) = take_vector(frame, 1, "bit vector")?;
+pub fn lend_bits<'a>(frame: &mut Reader<'a>) -> Result<PackedBits<'a>, TransportError> {
+    let (len, packed) = frame.vector(1, "bit vector")?;
     Ok(PackedBits { len, packed })
-}
-
-/// Reads a packed bit vector.
-///
-/// # Errors
-///
-/// As [`lend_tables`].
-pub fn get_bits(frame: &mut Bytes) -> Result<Vec<bool>, TransportError> {
-    read_owned(frame, |rest| Ok(lend_bits(rest)?.iter().collect()))
-}
-
-/// `value` if `frame` is used up, else trailing garbage.
-fn whole<T>(frame: &Bytes, value: T, what: &'static str) -> Result<T, TransportError> {
-    if frame.remaining() != 0 {
-        return Err(TransportError::Malformed(what));
-    }
-    Ok(value)
 }
 
 /// Encodes a garbled-table vector as one frame payload.
@@ -374,14 +483,20 @@ pub fn encode_tables(tables: &[GarbledTable]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a frame holding exactly one garbled-table vector.
+/// Decodes a frame holding exactly one garbled-table vector, converting
+/// each table straight from the frame.
 ///
 /// # Errors
 ///
-/// As [`get_tables`], and [`TransportError::Malformed`] for trailing bytes.
-pub fn decode_tables(mut frame: Bytes) -> Result<Vec<GarbledTable>, TransportError> {
-    let tables = get_tables(&mut frame)?;
-    whole(&frame, tables, "table frame trailing bytes")
+/// As [`lend_tables`], and [`TransportError::Malformed`] for trailing bytes.
+pub fn decode_tables(frame: Bytes) -> Result<Vec<GarbledTable>, TransportError> {
+    let mut reader = Reader::new(&frame);
+    let tables = lend_tables(&mut reader)?
+        .iter()
+        .map(|&wire| GarbledTable::from_bytes(wire))
+        .collect();
+    reader.end("table frame trailing bytes")?;
+    Ok(tables)
 }
 
 /// Encodes block *pairs* as one block-vector frame, interleaved
@@ -395,14 +510,20 @@ pub fn encode_block_pairs(pairs: &[(Block, Block)]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a frame holding exactly one block vector.
+/// Decodes a frame holding exactly one block vector, converting the whole
+/// run in one pass as [`decode_tables`] does.
 ///
 /// # Errors
 ///
-/// As [`get_blocks`], and [`TransportError::Malformed`] for trailing bytes.
-pub fn decode_blocks(mut frame: Bytes) -> Result<Vec<Block>, TransportError> {
-    let blocks = get_blocks(&mut frame)?;
-    whole(&frame, blocks, "block frame trailing bytes")
+/// As [`lend_tables`], and [`TransportError::Malformed`] for trailing bytes.
+pub fn decode_blocks(frame: Bytes) -> Result<Vec<Block>, TransportError> {
+    let mut reader = Reader::new(&frame);
+    let blocks = lend_blocks(&mut reader)?
+        .iter()
+        .map(|&wire| Block::from_bytes(wire))
+        .collect();
+    reader.end("block frame trailing bytes")?;
+    Ok(blocks)
 }
 
 // ---------------------------------------------------------------------------
@@ -472,10 +593,8 @@ pub fn seal_mark(sealed: &[u8]) -> [u8; 8] {
 /// (a flipped bit anywhere in the frame — prefix included — lands here);
 /// [`TransportError::Malformed`] if the frame is too short to carry a seal.
 pub fn open_frame(mut frame: Bytes) -> Result<Bytes, TransportError> {
-    if frame.remaining() < SEAL_BYTES {
-        return Err(TransportError::Malformed("sealed frame header"));
-    }
-    let expected = frame.get_u32();
+    let expected = Reader::new(&frame).u32("sealed frame header")?;
+    frame.advance(SEAL_BYTES);
     let got = crc32(&frame);
     if got != expected {
         return Err(TransportError::Checksum { expected, got });
@@ -488,8 +607,10 @@ pub fn open_frame(mut frame: Bytes) -> Result<Bytes, TransportError> {
 /// whether the flip they are about to make will be *detected* at the
 /// receiver's [`open_frame`] or silently *delivered*.
 pub fn is_sealed(frame: &[u8]) -> bool {
-    frame.len() >= SEAL_BYTES
-        && u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) == crc32(&frame[4..])
+    let mut reader = Reader::new(frame);
+    reader
+        .u32("sealed frame header")
+        .is_ok_and(|crc| crc == crc32(reader.rest()))
 }
 
 /// One endpoint of an in-process duplex connection; it moves frames
@@ -615,9 +736,8 @@ mod tests {
     fn oracle_get(frame: &mut Bytes, n: usize) -> Vec<Block> {
         (0..n)
             .map(|_| {
-                let mut bytes = [0u8; 16];
-                frame.copy_to_slice(&mut bytes);
-                Block::from_bytes(bytes)
+                let bytes = frame.split_to(16);
+                Block::from_bytes(bytes[..].try_into().unwrap())
             })
             .collect()
     }
@@ -662,23 +782,29 @@ mod tests {
                 assert_eq!(bulk, oracle, "put, {declared} items, tables: {as_tables}");
                 oracle.advance(head.len() + 4);
                 let expected = oracle_get(&mut oracle, blocks.len());
-                let mut read = bulk;
-                read.advance(head.len());
-                let decoded = if as_tables {
-                    get_tables(&mut read)
+                let mut read = Reader::new(&bulk[head.len()..]);
+                let decoded: Vec<Block> = if as_tables {
+                    lend_tables(&mut read)
                         .unwrap()
-                        .into_iter()
-                        .flat_map(|table| [table.tg, table.te])
+                        .iter()
+                        .flat_map(|&wire| {
+                            let table = GarbledTable::from_bytes(wire);
+                            [table.tg, table.te]
+                        })
                         .collect()
                 } else {
-                    get_blocks(&mut read).unwrap()
+                    lend_blocks(&mut read)
+                        .unwrap()
+                        .iter()
+                        .map(|&wire| Block::from_bytes(wire))
+                        .collect()
                 };
                 assert_eq!(
                     decoded, expected,
-                    "get, {declared} items, tables: {as_tables}"
+                    "lend, {declared} items, tables: {as_tables}"
                 );
                 assert_eq!(
-                    read.chunk(),
+                    read.rest(),
                     &tail[..],
                     "the decoder advanced past its run only"
                 );
@@ -693,10 +819,12 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             a.send_frame(FrameKind::Bits, frame(|buf| put_bits(buf, &bits)))
                 .unwrap();
-            let mut got = b.recv_frame().unwrap();
+            let got = b.recv_frame().unwrap();
             assert_eq!(got.len(), 4 + n.div_ceil(8), "n = {n}");
-            assert_eq!(get_bits(&mut got).unwrap(), bits, "n = {n}");
-            assert!(got.is_empty(), "n = {n}");
+            let mut read = Reader::new(&got);
+            let lent = lend_bits(&mut read).unwrap();
+            assert_eq!(lent.iter().collect::<Vec<_>>(), bits, "n = {n}");
+            assert!(read.rest().is_empty(), "n = {n}");
         }
     }
 
@@ -779,15 +907,17 @@ mod tests {
         // 8 packed bytes declared, none supplied.
         a.send_frame(FrameKind::Bits, frame(|buf| buf.put_u32(64)))
             .unwrap();
+        let got = b.recv_frame().unwrap();
         assert_eq!(
-            get_bits(&mut b.recv_frame().unwrap()),
+            lend_bits(&mut Reader::new(&got)),
             Err(TransportError::Malformed("bit vector"))
         );
 
         a.send_frame(FrameKind::Bits, Bytes::from(Vec::new()))
             .unwrap();
+        let got = b.recv_frame().unwrap();
         assert_eq!(
-            get_bits(&mut b.recv_frame().unwrap()),
+            lend_bits(&mut Reader::new(&got)),
             Err(TransportError::Malformed("bit vector"))
         );
     }

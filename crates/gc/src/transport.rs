@@ -26,12 +26,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::channel::{Counter, Duplex, FrameKind, TransportError, MAX_FRAME_BYTES};
+use crate::channel::{Counter, Duplex, FrameKind, Reader, TransportError, MAX_FRAME_BYTES};
 
 /// A byte-framed, kind-tagged duplex wire between two protocol parties.
 ///
@@ -158,11 +158,6 @@ impl FramedTcp {
         }
     }
 
-    /// The peer's socket address, if the stream still knows it.
-    pub fn peer_addr(&self) -> Option<SocketAddr> {
-        self.stream.peer_addr().ok()
-    }
-
     /// Outbound tallies for this endpoint.
     pub fn sent(&self) -> &Counter {
         &self.sent
@@ -211,10 +206,11 @@ impl Transport for FramedTcp {
     fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
         let mut header = [0u8; HEADER_BYTES];
         self.stream.read_exact(&mut header)?;
-        if FrameKind::from_tag(header[0]).is_none() {
+        let mut fields = Reader::new(&header);
+        if FrameKind::from_tag(fields.u8("frame kind tag")?).is_none() {
             return Err(TransportError::Malformed("frame kind tag"));
         }
-        let wire_len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]);
+        let wire_len = fields.u32("frame length")?;
         // Checked, not `as`: the length field is attacker data, and on a
         // 16-bit-usize target a raw cast would silently wrap.
         let len = usize::try_from(wire_len).map_err(|_| TransportError::FrameTooLarge {
@@ -269,12 +265,20 @@ impl Transport for FramedTcp {
 mod tests {
     use super::*;
     use crate::channel::{
-        decode_blocks, decode_tables, encode_tables, get_bits, put_bits, put_blocks,
+        decode_blocks, decode_tables, encode_tables, lend_bits, put_bits, put_blocks, Reader,
     };
     use crate::GarbledTable;
     use bytes::BytesMut;
     use max_crypto::Block;
     use std::net::TcpListener;
+
+    /// The bits of a frame holding one bit vector.
+    fn bits_of(frame: Bytes) -> Vec<bool> {
+        lend_bits(&mut Reader::new(&frame))
+            .unwrap()
+            .iter()
+            .collect()
+    }
 
     fn frame(put: impl FnOnce(&mut BytesMut)) -> Bytes {
         let mut buf = BytesMut::with_capacity(0);
@@ -319,7 +323,7 @@ mod tests {
         client
             .send_frame(FrameKind::Bits, frame(|buf| put_bits(buf, &bits)))
             .unwrap();
-        assert_eq!(get_bits(&mut server.recv_frame().unwrap()).unwrap(), bits);
+        assert_eq!(bits_of(server.recv_frame().unwrap()), bits);
 
         client
             .send_frame(FrameKind::Raw, Bytes::from(b"hello".to_vec()))
@@ -601,16 +605,10 @@ mod tests {
         ends[0]
             .send_frame(FrameKind::Bits, bits(&[true, false]))
             .unwrap();
-        assert_eq!(
-            get_bits(&mut ends[1].recv_frame().unwrap()).unwrap(),
-            vec![true, false]
-        );
+        assert_eq!(bits_of(ends[1].recv_frame().unwrap()), vec![true, false]);
         ends[3]
             .send_frame(FrameKind::Bits, bits(&[false, true]))
             .unwrap();
-        assert_eq!(
-            get_bits(&mut ends[2].recv_frame().unwrap()).unwrap(),
-            vec![false, true]
-        );
+        assert_eq!(bits_of(ends[2].recv_frame().unwrap()), vec![false, true]);
     }
 }

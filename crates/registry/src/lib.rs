@@ -23,8 +23,8 @@
 //!
 //! Every stream production *and* every inline fallback consumes a distinct
 //! generation counter; the stream seed is `derive_seed(model_seed,
-//! generation)` and the model seed itself rotates on re-registration
-//! (epoch counter). Serving the same garbled material twice would let an
+//! generation)` and the model seed itself rotates when an id is
+//! re-registered with other weights (epoch counter). Serving the same garbled material twice would let an
 //! evaluator combine label pairs across executions and decode the
 //! garbler's inputs, so a stream leaves the stock exactly once and is
 //! dropped after its serve — the registry never clones a stocked stream.
@@ -33,9 +33,10 @@
 //!
 //! * **explicit** — [`ModelRegistry::evict`] (the wire's `MODEL_EVICT`):
 //!   the tenant is done; model and stock are dropped.
-//! * **replaced** — re-registering an existing id: the old matrix, stock,
-//!   and seed epoch are dropped atomically (stale streams must never serve
-//!   the new matrix).
+//! * **replaced** — re-registering an existing id with other weights: the
+//!   old matrix, stock, and seed epoch are dropped atomically (stale
+//!   streams must never serve the new matrix). Re-registering the weights
+//!   the id already holds keeps the registration and its stock.
 //! * **budget** — the stock cache exceeds
 //!   [`RegistryConfig::budget_bytes`]: whole least-recently-acquired
 //!   models are evicted first; the model currently depositing trims its
@@ -220,7 +221,8 @@ pub fn weights_digest(weights: &[Vec<i64>]) -> [u8; 16] {
 pub enum EvictionKind {
     /// [`ModelRegistry::evict`] / the wire's `MODEL_EVICT`.
     Explicit,
-    /// Re-registration of the same id replaced the matrix.
+    /// Re-registration of the same id with other weights replaced the
+    /// matrix.
     Replaced,
     /// LRU victim of the byte budget.
     Budget,
@@ -238,6 +240,18 @@ pub struct Eviction {
     pub streams_lost: usize,
     /// Cache bytes freed.
     pub bytes_freed: u64,
+}
+
+/// What [`ModelRegistry::register`] did with the id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Registered {
+    /// The id was free.
+    New,
+    /// The id already held these weights: its registration stands (epoch,
+    /// stock, generation and counters) and only its LRU position moved.
+    Kept,
+    /// The id held other weights, dropped with their stock.
+    Replaced(Eviction),
 }
 
 /// A single-use pre-garbled stream, popped from stock by
@@ -502,9 +516,11 @@ impl ModelRegistry {
     }
 
     /// Registers (or replaces) `weights` under `model_id`. Validation is
-    /// total — a hostile matrix is a typed error, never a panic. On
-    /// replacement the old stock and seed epoch are dropped atomically and
-    /// the eviction record is returned for journaling.
+    /// total — a hostile matrix is a typed error, never a panic. When the
+    /// id already holds these weights (the same [`weights_digest`]) the
+    /// registration is kept as it is and its LRU position refreshed; when it
+    /// holds other weights, the old stock and seed epoch are dropped
+    /// atomically and the eviction record is returned for journaling.
     ///
     /// # Errors
     ///
@@ -514,7 +530,7 @@ impl ModelRegistry {
         &self,
         model_id: u64,
         weights: Vec<Vec<i64>>,
-    ) -> Result<(ModelStatus, Option<Eviction>), RegisterError> {
+    ) -> Result<(ModelStatus, Registered), RegisterError> {
         let elements = weights
             .len()
             .saturating_mul(weights.first().map_or(0, Vec::len));
@@ -527,6 +543,12 @@ impl ModelRegistry {
         check_model(&self.config, &weights)?;
         let registration = weights_digest(&weights);
         let mut inner = self.lock();
+        inner.lru.retain(|&id| id != model_id);
+        inner.lru.push_back(model_id);
+        let held = inner.models.get(&model_id);
+        if let Some(held) = held.filter(|held| held.registration == registration) {
+            return Ok((held.status(model_id), Registered::Kept));
+        }
         let epoch = inner.epoch;
         inner.epoch += 1;
         let entry = ModelEntry {
@@ -542,19 +564,20 @@ impl ModelRegistry {
             served_fallback: 0,
         };
         let status = entry.status(model_id);
-        let replaced = inner.models.insert(model_id, entry).map(|old| {
-            inner.stock_bytes -= old.stock_bytes;
-            inner.counters.models_replaced += 1;
-            Eviction {
-                model_id,
-                kind: EvictionKind::Replaced,
-                streams_lost: old.stock.len(),
-                bytes_freed: old.stock_bytes,
+        let registered = match inner.models.insert(model_id, entry) {
+            Some(old) => {
+                inner.stock_bytes -= old.stock_bytes;
+                inner.counters.models_replaced += 1;
+                Registered::Replaced(Eviction {
+                    model_id,
+                    kind: EvictionKind::Replaced,
+                    streams_lost: old.stock.len(),
+                    bytes_freed: old.stock_bytes,
+                })
             }
-        });
-        inner.lru.retain(|&id| id != model_id);
-        inner.lru.push_back(model_id);
-        Ok((status, replaced))
+            None => Registered::New,
+        };
+        Ok((status, registered))
     }
 
     /// Whether `model_id` is registered.
@@ -1219,8 +1242,12 @@ mod tests {
             Acquired::Starved(t) => t,
             Acquired::Prepared(_) => panic!("matmul always falls back"),
         };
-        let (_, replaced) = reg.register(4, demo_weights()).unwrap();
-        let replaced = replaced.unwrap();
+        let mut other = demo_weights();
+        other[0][0] += 1;
+        let (_, registered) = reg.register(4, other).unwrap();
+        let Registered::Replaced(replaced) = registered else {
+            panic!("other weights replace the model, got {registered:?}");
+        };
         assert_eq!(replaced.kind, EvictionKind::Replaced);
         assert!(replaced.streams_lost > 0);
         assert_eq!(reg.status(4).unwrap().stock, 0);
@@ -1236,6 +1263,39 @@ mod tests {
     }
 
     #[test]
+    fn an_identical_reregistration_keeps_the_registration_and_its_stock() {
+        let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
+        assert_eq!(reg.register(4, demo_weights()).unwrap().1, Registered::New);
+        reg.register(9, demo_weights()).unwrap();
+        fill_to_target(&reg);
+        let Some(Acquired::Starved(first)) = reg.acquire(4, 2) else {
+            panic!("matmul always falls back");
+        };
+        reg.acquire(9, 2).unwrap();
+        let before = reg.status(4).unwrap();
+        assert!(before.stock > 0);
+        let epochs = |reg: &ModelRegistry| {
+            let inner = reg.lock();
+            (inner.epoch, inner.models[&4].epoch)
+        };
+        let epochs_before = epochs(&reg);
+
+        let (status, registered) = reg.register(4, demo_weights()).unwrap();
+        assert_eq!(registered, Registered::Kept);
+        // Stock, generation and counters stand, the epoch does not move,
+        // and the model is now the most recently used.
+        assert_eq!(status, before);
+        assert_eq!(reg.status(4).unwrap(), before);
+        assert_eq!(epochs(&reg), epochs_before);
+        assert_eq!(reg.stats().models_replaced, 0);
+        assert_eq!(reg.lock().lru, [9, 4]);
+        let Some(Acquired::Starved(next)) = reg.acquire(4, 2) else {
+            panic!("matmul always falls back");
+        };
+        assert_eq!(next.generation, first.generation + 1);
+    }
+
+    #[test]
     fn registration_digest_names_the_weights_not_the_epoch() {
         let reg = ModelRegistry::new(AcceleratorConfig::new(8), RegistryConfig::default(), 5);
         reg.register(4, demo_weights()).unwrap();
@@ -1245,8 +1305,8 @@ mod tests {
             panic!("matmul always falls back");
         };
         assert_eq!(ticket.registration, first);
-        // A re-PUT of the same matrix is the same registration to a
-        // checkpoint (new epoch, same digest); other weights are not.
+        // A re-PUT of the same matrix keeps the registration; other
+        // weights are a new one.
         reg.register(4, demo_weights()).unwrap();
         assert_eq!(reg.registration(4).unwrap().1, first);
         let mut other = demo_weights();

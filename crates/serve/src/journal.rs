@@ -106,6 +106,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use max_crypto::crc32;
+use max_gc::channel::{ReadError, Reader};
 use max_ot::iknp::OtCursor;
 use maxelerator::remote::MAX_MODEL_ELEMENTS;
 
@@ -167,52 +168,38 @@ fn encode_model_payload(model_id: u64, weights: &[Vec<i64>]) -> Vec<u8> {
 /// refusals (the replay path quarantines on them, never panics). The
 /// digest trailer is verified *before* the shape is trusted.
 fn decode_model_payload(bytes: &[u8]) -> Result<(u64, Vec<Vec<i64>>), CheckpointCodecError> {
-    // 16-byte header plus the 16-byte digest trailer is the minimum.
-    if bytes.len() < 32 {
+    let Some((digested, trailer)) = bytes.split_last_chunk::<16>() else {
         return Err(CheckpointCodecError::Truncated {
-            what: "model header",
+            what: "model digest",
         });
-    }
-    let (digested, trailer) = bytes.split_at(bytes.len() - 16);
+    };
     let mut digest = max_crypto::TranscriptDigest::new();
     digest.fold(digested);
-    if trailer != digest.value() {
+    if *trailer != digest.value() {
         return Err(CheckpointCodecError::DigestMismatch {
             what: "model weights",
         });
     }
-    let bytes = digested;
-    let mut id = [0u8; 8];
-    id.copy_from_slice(&bytes[..8]);
-    let model_id = u64::from_le_bytes(id);
-    let rows = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as u64;
-    let cols = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as u64;
+    let mut reader = Reader::new(digested);
+    let model_id = reader.u64_le("model header")?;
+    let rows = reader.u32_le("model header")? as usize;
+    let cols = reader.u32_le("model header")? as usize;
     // The wire's `MODEL_PUT` cap: a record claiming more elements than the
     // protocol admits is corruption (64 Ki elements × 8 bytes = 512 KiB,
     // under `MAX_RECORD_LEN`).
-    if rows == 0 || cols == 0 || rows * cols > MAX_MODEL_ELEMENTS as u64 {
+    if rows == 0 || cols == 0 || rows.saturating_mul(cols) > MAX_MODEL_ELEMENTS {
         return Err(CheckpointCodecError::Truncated {
             what: "model shape",
         });
     }
-    let body = &bytes[16..];
-    if body.len() as u64 != rows * cols * 8 {
-        return Err(CheckpointCodecError::Truncated {
-            what: "model weights",
-        });
-    }
-    let weights = (0..rows as usize)
-        .map(|r| {
-            (0..cols as usize)
-                .map(|c| {
-                    let at = (r * cols as usize + c) * 8;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(&body[at..at + 8]);
-                    i64::from_le_bytes(buf)
-                })
+    let weights = (0..rows)
+        .map(|_| {
+            (0..cols)
+                .map(|_| reader.u64_le("model weights").map(|w| w as i64))
                 .collect()
         })
-        .collect();
+        .collect::<Result<_, ReadError>>()?;
+    reader.end("model weights")?;
     Ok((model_id, weights))
 }
 
@@ -397,7 +384,8 @@ fn sync_dir(dir: &Path) -> Result<(), JournalError> {
 /// in-band so the caller can apply the valid prefix either way.
 fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut records = Vec::new();
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+    let mut reader = Reader::new(bytes);
+    if reader.array("segment magic") != Ok(*MAGIC) {
         // A wrong or half-written magic: an empty file is a torn segment
         // creation (recoverable); anything else is corruption.
         return SegmentScan {
@@ -405,45 +393,44 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
             damage: Some(bytes.is_empty()),
         };
     }
-    let mut rest = &bytes[MAGIC.len()..];
-    while !rest.is_empty() {
-        if rest.len() < 8 {
-            return SegmentScan {
-                records,
-                damage: Some(true),
-            };
+    // `Some(true)` for a record the end of the file cut short (a torn
+    // tail), `Some(false)` for corruption.
+    let damage = loop {
+        if reader.rest().is_empty() {
+            break None;
         }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+        let (Ok(len), Ok(crc)) = (
+            reader.u32_le("record length"),
+            reader.u32_le("record checksum"),
+        ) else {
+            break Some(true);
+        };
         if len == 0 || len > MAX_RECORD_LEN {
             // An impossible length prefix is corruption, not truncation —
             // trusting it could swallow the rest of the segment.
-            return SegmentScan {
-                records,
-                damage: Some(false),
-            };
+            break Some(false);
         }
-        let body_end = 8 + len as usize;
-        if rest.len() < body_end {
-            return SegmentScan {
-                records,
-                damage: Some(true),
-            };
-        }
-        let body = &rest[8..body_end];
+        let Ok(body) = reader.bytes(len as usize, "record body") else {
+            break Some(true);
+        };
         if crc32(body) != crc {
-            return SegmentScan {
-                records,
-                damage: Some(false),
-            };
+            break Some(false);
         }
-        records.push((body[0], body[1..].to_vec()));
-        rest = &rest[body_end..];
-    }
-    SegmentScan {
-        records,
-        damage: None,
-    }
+        let mut body = Reader::new(body);
+        let Ok(kind) = body.u8("record kind") else {
+            break Some(false);
+        };
+        records.push((kind, body.rest().to_vec()));
+    };
+    SegmentScan { records, damage }
+}
+
+/// The session or model id a tombstone record's payload holds.
+fn tombstone_id(payload: &[u8], what: &'static str) -> Result<u64, CheckpointCodecError> {
+    let mut reader = Reader::new(payload);
+    let id = reader.u64_le(what)?;
+    reader.end(what)?;
+    Ok(id)
 }
 
 /// Applies one scanned record to the live maps, exactly as the live store
@@ -462,14 +449,7 @@ fn apply_record(
             Ok(())
         }
         KIND_REMOVE => {
-            if payload.len() != 8 {
-                return Err(CheckpointCodecError::Truncated {
-                    what: "remove session id",
-                });
-            }
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(payload);
-            let session_id = u64::from_le_bytes(buf);
+            let session_id = tombstone_id(payload, "remove session id")?;
             live.retain(|(id, _)| *id != session_id);
             Ok(())
         }
@@ -482,14 +462,7 @@ fn apply_record(
             Ok(())
         }
         KIND_MODEL_REMOVE => {
-            if payload.len() != 8 {
-                return Err(CheckpointCodecError::Truncated {
-                    what: "model remove id",
-                });
-            }
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(payload);
-            live_models.remove(&u64::from_le_bytes(buf));
+            live_models.remove(&tombstone_id(payload, "model remove id")?);
             Ok(())
         }
         _ => Err(CheckpointCodecError::Truncated {

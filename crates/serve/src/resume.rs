@@ -46,6 +46,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use max_crypto::TranscriptDigest;
+use max_gc::channel::{ReadError, Reader};
 use max_ot::iknp::{self, OtCursor, OtExtSender};
 use maxelerator::remote::derive_ot_seed;
 
@@ -165,44 +166,13 @@ impl std::fmt::Display for CheckpointCodecError {
 
 impl std::error::Error for CheckpointCodecError {}
 
-/// Little-endian reader over a checkpoint record body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CheckpointCodecError> {
-        if self.bytes.len() < n {
-            return Err(CheckpointCodecError::Truncated { what });
+impl From<ReadError> for CheckpointCodecError {
+    fn from(err: ReadError) -> Self {
+        match err {
+            ReadError::Short(what) => CheckpointCodecError::Truncated { what },
+            ReadError::Flag { got, .. } => CheckpointCodecError::BadModelFlag { got },
+            ReadError::Trailing { extra, .. } => CheckpointCodecError::TrailingBytes { extra },
         }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, CheckpointCodecError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, CheckpointCodecError> {
-        let bytes = self.take(4, what)?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(bytes);
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, CheckpointCodecError> {
-        let bytes = self.take(8, what)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(bytes);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn u128(&mut self, what: &'static str) -> Result<u128, CheckpointCodecError> {
-        let bytes = self.take(16, what)?;
-        let mut buf = [0u8; 16];
-        buf.copy_from_slice(bytes);
-        Ok(u128::from_le_bytes(buf))
     }
 }
 
@@ -297,34 +267,29 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, CheckpointCo
 pub(crate) fn decode_cursors(
     bytes: &[u8],
 ) -> Result<SessionCheckpoint<OtCursor>, CheckpointCodecError> {
-    let mut reader = Reader { bytes };
-    let session_id = reader.u64("session_id")?;
-    let resume_token = reader.u64("resume_token")?;
-    let session_seed = reader.u64("session_seed")?;
-    let next_job = reader.u64("next_job")?;
-    let job_id = reader.u64("job_id")?;
-    let columns = reader.u32("columns")?;
-    let job_seed = reader.u64("job_seed")?;
-    let model_flag = reader.u8("model flag")?;
-    let model_raw = reader.u64("model id")?;
-    let model_id = match model_flag {
-        0 => None,
-        1 => Some(model_raw),
-        got => return Err(CheckpointCodecError::BadModelFlag { got }),
-    };
+    let mut reader = Reader::new(bytes);
+    let session_id = reader.u64_le("session_id")?;
+    let resume_token = reader.u64_le("resume_token")?;
+    let session_seed = reader.u64_le("session_seed")?;
+    let next_job = reader.u64_le("next_job")?;
+    let job_id = reader.u64_le("job_id")?;
+    let columns = reader.u32_le("columns")?;
+    let job_seed = reader.u64_le("job_seed")?;
+    // The model-id slot is fixed width: the id is there, flag set or not.
+    let has_model = reader.flag("model flag")?;
+    let model_id = has_model.then_some(reader.u64_le("model id")?);
     let count = reader.u8("snapshot count")?;
     if count > MAX_CODEC_SNAPSHOTS {
         return Err(CheckpointCodecError::SnapshotCount { got: count });
     }
     let mut snapshots = Vec::with_capacity(usize::from(count));
     for _ in 0..count {
-        let elements = reader.u64("snapshot boundary")?;
-        let mut digest_state = [0u8; 16];
-        digest_state.copy_from_slice(reader.take(16, "snapshot digest state")?);
-        let digest_len = reader.u64("snapshot digest length")?;
+        let elements = reader.u64_le("snapshot boundary")?;
+        let digest_state = reader.array("snapshot digest state")?;
+        let digest_len = reader.u64_le("snapshot digest length")?;
         let cursor = OtCursor {
-            session: reader.u64("snapshot OT session")?,
-            counter: reader.u128("snapshot OT counter")?,
+            session: reader.u64_le("snapshot OT session")?,
+            counter: reader.u128_le("snapshot OT counter")?,
         };
         snapshots.push((
             elements as usize,
@@ -332,11 +297,7 @@ pub(crate) fn decode_cursors(
             TranscriptDigest::import(digest_state, digest_len),
         ));
     }
-    if !reader.bytes.is_empty() {
-        return Err(CheckpointCodecError::TrailingBytes {
-            extra: reader.bytes.len(),
-        });
-    }
+    reader.end("checkpoint record")?;
     Ok(SessionCheckpoint {
         session_id,
         resume_token,

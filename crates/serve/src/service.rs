@@ -24,7 +24,8 @@ use std::time::Duration;
 use max_gc::channel::Duplex;
 use max_gc::{FramedTcp, Transport};
 use max_registry::{
-    check_model, FillReport, ModelRegistry, RegisterError, RegistryConfig, RegistryStats,
+    check_model, FillReport, ModelRegistry, RegisterError, Registered, RegistryConfig,
+    RegistryStats,
 };
 use max_telemetry::report::JsonValue;
 use max_telemetry::{FlightRecorder, Recorder};
@@ -201,16 +202,19 @@ impl ServiceShared {
     }
 
     /// Registers (or replaces) a prepared model and journals it so a
-    /// restart re-registers it before any client reconnects. Journal IO
-    /// failures degrade durability, not serving.
+    /// restart re-registers it before any client reconnects; a PUT of the
+    /// weights the id already holds changes nothing and journals nothing.
+    /// Journal IO failures degrade durability, not serving.
     pub(crate) fn put_model(
         &self,
         model_id: u64,
         weights: Vec<Vec<i64>>,
     ) -> Result<ModelStatus, RegisterError> {
-        let (status, _replaced) = self.registry.register(model_id, weights)?;
-        if let Some((weights, _)) = self.registry.registration(model_id) {
-            let _ = self.journal.append_model_put(model_id, &weights);
+        let (status, registered) = self.registry.register(model_id, weights)?;
+        if registered != Registered::Kept {
+            if let Some((weights, _)) = self.registry.registration(model_id) {
+                let _ = self.journal.append_model_put(model_id, &weights);
+            }
         }
         Ok(status)
     }

@@ -187,6 +187,37 @@ fn warm_stock_serves_prepared_and_verifies_plaintext() {
 }
 
 #[test]
+fn an_identical_re_put_keeps_the_prefilled_stock() {
+    let dir = temp_dir("same-put");
+    let service = journaled_service(&dir, |cfg| cfg.registry_target_stock = 2);
+    let weights = model_weights(4, 3, 23);
+    let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
+    let handle = client.put_model(13, &weights).expect("put").handle();
+    service.prefill_models();
+    let ready = service.registry().stats().streams_ready;
+    assert!(ready >= 1);
+    let appends = service.journal().expect("journaled").appends();
+
+    // The same matrix again: the registration and its stock stand, and
+    // nothing is journaled.
+    let status = client.put_model(13, &weights).expect("same put");
+    assert_eq!(status.stock as usize, ready);
+    let reg = service.registry().stats();
+    assert_eq!((reg.streams_ready, reg.models_replaced), (ready, 0));
+    assert_eq!(service.journal().expect("journaled").appends(), appends);
+
+    let x = demo_vector(3, WIDTH, SEED ^ 0x13);
+    let (ys, _) = client
+        .secure_matmul_model(handle, std::slice::from_ref(&x))
+        .expect("model job");
+    assert_eq!(ys[0], plain_matvec(&weights, &x));
+    client.goodbye();
+    let stats = service.shutdown();
+    assert_eq!(stats.jobs_prepared, 1, "the kept stock serves the job");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stock_exhausted_falls_back_inline_counted_never_an_error() {
     // target_stock = 0: the registry never garbles ahead, so every model
     // job takes the fallback path — and every one must still verify.

@@ -1,9 +1,8 @@
 //! Workspace-wide telemetry: the measurement substrate the paper's own
 //! evaluation (Tables 1–3, §4.3) is an exercise in — cycles per garbled
 //! table, communication volume, per-segment utilization — as one explicit
-//! [`Recorder`] with three primitives:
+//! [`Recorder`] with two primitives:
 //!
-//! * **Counters** — monotonic `u64` tallies (gates garbled, bytes moved).
 //! * **Histograms** — fixed log-linear buckets for value distributions
 //!   (per-job phase durations, frame sizes), read back as percentiles
 //!   within 6.25 % of the exact value.
@@ -25,10 +24,8 @@
 //! use max_telemetry::Recorder;
 //!
 //! let rec = Recorder::new();
-//! rec.add("gc.tables", 3);
 //! rec.record("frame_bytes", 96);
 //! let snap = rec.snapshot();
-//! assert_eq!(snap.counter("gc.tables"), 3);
 //! assert_eq!(snap.histogram("frame_bytes").unwrap().percentile(50.0), 96);
 //! ```
 
@@ -186,7 +183,6 @@ fn percentile_from_buckets(
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     /// The newest [`TRACE_EVENT_CAP`] trace events, oldest first.
     traces: VecDeque<TraceEvent>,
@@ -256,11 +252,6 @@ impl Recorder {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Adds `value` to counter `name`.
-    pub fn add(&self, name: &'static str, value: u64) {
-        *self.lock().counters.entry(name).or_insert(0) += value;
-    }
-
     /// Records one observation into histogram `name`.
     pub fn record(&self, name: &'static str, value: u64) {
         self.lock().record(name, value);
@@ -324,30 +315,17 @@ impl Recorder {
     }
 
     /// Point-in-time copy of everything recorded so far, deterministically
-    /// ordered (counters and histograms by name, trace events by trace id
-    /// then time).
+    /// ordered (histograms by name, trace events by trace id then time).
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
         let mut traces: Vec<TraceEvent> = inner.traces.iter().cloned().collect();
-        let counters = inner
-            .counters
-            .iter()
-            .map(|(&name, &value)| CounterSnapshot {
-                name: name.to_string(),
-                value,
-            })
-            .collect();
         let histograms = inner.histogram_snapshots();
         drop(inner);
         traces.sort_by(|a, b| {
             (a.trace_id, a.start_ns, a.end_ns, &a.name)
                 .cmp(&(b.trace_id, b.start_ns, b.end_ns, &b.name))
         });
-        Snapshot {
-            counters,
-            histograms,
-            traces,
-        }
+        Snapshot { histograms, traces }
     }
 }
 
@@ -373,15 +351,6 @@ impl Drop for TraceSpanGuard<'_> {
                 .record_trace_event(self.ctx, self.name, self.start_ns, end_ns);
         }
     }
-}
-
-/// One counter in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Counter name.
-    pub name: String,
-    /// Accumulated value.
-    pub value: u64,
 }
 
 /// One histogram in a [`Snapshot`].
@@ -417,8 +386,6 @@ impl HistogramSnapshot {
 /// Deterministic, value-comparable copy of a [`Recorder`]'s contents.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// All counters, sorted by name.
-    pub counters: Vec<CounterSnapshot>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
     /// The retained distributed-trace events, sorted by `(trace id, start,
@@ -427,14 +394,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Value of counter `name`, 0 if absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    }
-
     /// Histogram `name`, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
@@ -454,18 +413,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::sync::Arc;
-
-    #[test]
-    fn counters_accumulate() {
-        let rec = Recorder::new();
-        rec.add("a", 2);
-        rec.add("a", 3);
-        rec.add("b", 1);
-        let snap = rec.snapshot();
-        assert_eq!(snap.counter("a"), 5);
-        assert_eq!(snap.counter("b"), 1);
-        assert_eq!(snap.counter("missing"), 0);
-    }
 
     #[test]
     fn histogram_buckets_are_log_linear() {
@@ -668,7 +615,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic_across_threads() {
-        // 8 threads hammer the same counters and histograms; the final
+        // 8 threads hammer the same histogram; the final
         // snapshot must be the exact deterministic aggregate regardless of
         // interleaving.
         let rec = Arc::new(Recorder::new());
@@ -677,16 +624,12 @@ mod tests {
                 let rec = Arc::clone(&rec);
                 scope.spawn(move || {
                     for i in 0..500u64 {
-                        rec.add("thread.adds", 1);
-                        rec.add("thread.sum", i);
                         rec.record("thread.hist", i % 16);
                     }
                 });
             }
         });
         let snap = rec.snapshot();
-        assert_eq!(snap.counter("thread.adds"), 8 * 500);
-        assert_eq!(snap.counter("thread.sum"), 8 * (499 * 500 / 2));
         let h = snap.histogram("thread.hist").unwrap();
         assert_eq!(h.count, 8 * 500);
         let expected_sum: u64 = (0..500u64).map(|i| i % 16).sum::<u64>() * 8;

@@ -5,8 +5,8 @@
 use bytes::{Bytes, BytesMut};
 use max_crypto::Block;
 use max_gc::channel::{
-    decode_blocks, decode_tables, encode_block_pairs, encode_tables, get_bits, put_bits,
-    put_blocks, Duplex, FrameKind,
+    decode_blocks, decode_tables, encode_block_pairs, encode_tables, lend_bits, put_bits,
+    put_blocks, Duplex, FrameKind, Reader,
 };
 use max_gc::{Evaluator, Garbler, Material, PrgLabelSource, Transport};
 use max_netlist::{decode_unsigned, encode_unsigned, Builder};
@@ -48,9 +48,10 @@ fn frame(put: impl FnOnce(&mut BytesMut)) -> Bytes {
 }
 
 fn recv_bits(wire: &mut Duplex) -> Vec<bool> {
-    let mut frame = wire.recv_frame().expect("bits frame");
-    let bits = get_bits(&mut frame).expect("bits");
-    assert!(frame.is_empty(), "bit frame trailing bytes");
+    let frame = wire.recv_frame().expect("bits frame");
+    let mut read = Reader::new(&frame);
+    let bits = lend_bits(&mut read).expect("bits").iter().collect();
+    read.end("bit frame").expect("bit frame trailing bytes");
     bits
 }
 
