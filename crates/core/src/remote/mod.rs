@@ -13,12 +13,19 @@
 //!
 //! ```text
 //! client                                server
+//!   | -- METRICS ------------------------> |   admin poll: before HELLO
+//!   | <-- METRICS(json) ------------------ |   or between jobs
 //!   | -- HELLO(version, bit_width) ------> |   handshake
 //!   | <-- ACCEPT(session, ot_seed, token, |
 //!   |            rows, cols, config) ----- |   (or REJECT(reason))
+//!   |  or, reconnecting mid-job:           |
+//!   | -- RESUME(session, token, job, ..) > |   continue from a checkpoint
+//!   | <-- READY(job_id) ------------------ |   (or REJECT(resume), BUSY)
 //!   |                                      |
-//!   | -- JOB(columns) -------------------> |   enqueue on the unit pool
-//!   | <-- READY(job_id) ------------------ |   (or BUSY(retry_after_ms))
+//!   | -- MODEL_PUT / _INFO / _EVICT -----> |   prepared models (v5)
+//!   | <-- MODEL_STAT --------------------- |   (or REJECT(model))
+//!   | -- JOB(columns, model?) -----------> |   enqueue on the unit pool
+//!   | <-- READY(job_id) ------------------ |   (or BUSY, REJECT(model))
 //!   |    per output element:               |
 //!   | -- EXT(OT corrections) -----------> |
 //!   | <-- CIPHER(OT ciphertext blocks) --- |
@@ -31,21 +38,24 @@
 //!   | -- BYE ----------------------------> |   graceful close
 //! ```
 //!
-//! **Resumption.** A client that loses its connection mid-job reconnects
-//! and sends `RESUME(session, token, job, columns, elements_done)` instead
-//! of HELLO. The server re-derives the garbled job from the original seed,
-//! restores its OT-sender snapshot at the element boundary, and replies
-//! `READY(job)`; the exchange continues from `elements_done`. Both parties
-//! roll back to the start of the first incomplete element, so the stitched
-//! transcript is bit-identical to an uninterrupted run (the property the
-//! chaos e2e tests pin down). `resume_token` is an unguessable per-session
-//! secret from ACCEPT — possession proves the resumer is the original
-//! client. Servers must mint it from fresh OS entropy, never from the
-//! seed chain: [`derive_seed`] is an invertible bijection and `ot_seed`
-//! (also seed-derived) is published on the wire, so a seed-derived token
-//! would be forgeable by any client. `max-serve` draws tokens from the OS;
-//! the in-process server (which no other client can reach) derives them
-//! for reproducibility and makes no authentication claim.
+//! Any other frame ends the connection with a typed protocol error
+//! (`max-serve`'s session loop holds these orderings in one match).
+//!
+//! **Resumption.** A client that lost its connection mid-job sends
+//! `RESUME(session, token, job, columns, elements_done)`. The server
+//! re-derives the garbled job from the original seed, restores its
+//! OT-sender snapshot at the element boundary, and replies `READY(job)`;
+//! the exchange continues from `elements_done`. Both parties roll back to
+//! the start of the first incomplete element, so the stitched transcript is
+//! bit-identical to an uninterrupted run (the property the chaos e2e tests
+//! pin down). `resume_token` is an unguessable per-session secret from
+//! ACCEPT — possession proves the resumer is the original client. Servers
+//! must mint it from fresh OS entropy, never from the seed chain:
+//! [`derive_seed`] is an invertible bijection and `ot_seed` (also
+//! seed-derived) is published on the wire, so a seed-derived token would be
+//! forgeable by any client. `max-serve` draws tokens from the OS; the
+//! in-process server (which no other client can reach) derives them for
+//! reproducibility and makes no authentication claim.
 //!
 //! **Tracing.** Since v4 every HELLO/RESUME carries a [`TraceContext`]
 //! (128-bit trace id + root span id) minted by the client from OS entropy
@@ -56,16 +66,12 @@
 //! the OT/garbling byte stream. Deterministic transcript tests connect
 //! with [`TraceContext::none`] so HELLO frames stay bit-comparable.
 //!
-//! **Metrics.** An admin `METRICS` frame (v4) may be sent instead of — or
-//! between — jobs; the server answers with a JSON snapshot of its live
-//! counters/percentiles without touching the job state machine, so
-//! operators can poll tail latency from a running server even while it is
-//! draining.
+//! **Metrics.** `METRICS` (v4) answers with a JSON snapshot of the live
+//! counters and percentiles, draining or not, and touches no job state.
 //!
 //! **Prepared models (v5).** A client may register a weight matrix under a
 //! caller-chosen id (`MODEL_PUT`), inspect its precompute stock
-//! (`MODEL_INFO`), or drop it (`MODEL_EVICT`); the server answers each with
-//! a `MODEL_STAT` snapshot (or `REJECT(MODEL)`). A `JOB` may then name a
+//! (`MODEL_INFO`), or drop it (`MODEL_EVICT`). A `JOB` may then name a
 //! model id, and the server serves it from pre-garbled streams built during
 //! idle time — the paper's §3 offline/online split: the online exchange
 //! shrinks to OT plus replay of already-materialized frames. These frames
@@ -75,12 +81,12 @@
 //! OT choice bits. Every serve consumes a distinct generation of the
 //! model's seed schedule, so labels are never reused across serves.
 //!
-//! Control frames and ROUNDS bursts travel as [`FrameKind::Raw`] frames,
-//! OT ciphertexts as [`FrameKind::Blocks`] and EXT corrections as
+//! Control frames and ROUNDS bursts travel as [`FrameKind::Raw`] frames, OT
+//! ciphertexts as [`FrameKind::Blocks`] and EXT corrections as
 //! [`FrameKind::Bits`]; the kind is a transcript label, and every frame
-//! counts into the transport's one byte tally. The client's `x` never
-//! crosses the wire — only OT correction bits do, exactly as in the
-//! paper's Figure 1.
+//! counts into the transport's one byte tally. The client's `x` is never
+//! sent as such: it enters only as the choice bits behind EXT's OT
+//! corrections (the paper's Figure 1), and the seeding below leaks them.
 //!
 //! Seeds: the server derives one seed per session (see [`derive_seed`]) and
 //! publishes `ot_seed` in ACCEPT; both sides run

@@ -424,30 +424,18 @@ where
                 self.sleep_ms((hint + jitter).min(cap));
                 self.stats.busy_backoffs += 1;
             }
-            AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_RESUME) => {
-                // Server lost the checkpoint: restart the job from scratch
-                // on a fresh session.
-                self.drop_session();
-                self.saved_state = None;
-                *progress = None;
-                self.stats.restarts += 1;
-            }
-            AcceleratorError::Integrity { .. } => {
-                // Transcript digests diverged: every checkpoint past the
-                // last verified boundary is suspect, so heal by restarting
-                // the job from scratch on a fresh session.
-                self.stats.integrity_detected += 1;
-                self.drop_session();
-                self.saved_state = None;
-                *progress = None;
-                self.stats.restarts += 1;
-            }
-            AcceleratorError::Rejected { reason } if *reason == reject_reason(REJECT_INTEGRITY) => {
-                // The server's view of an integrity divergence (delivered
-                // as a REJECT, e.g. on a RESUME attempt): same healing as a
-                // locally detected digest mismatch.
-                self.stats.integrity_detected += 1;
-                self.drop_session();
+            AcceleratorError::Integrity { .. } | AcceleratorError::Rejected { .. }
+                if !Self::is_fatal(err) =>
+            {
+                // The server lost the checkpoint, or the transcript digests
+                // diverged (seen here, or by the server and delivered as a
+                // REJECT, e.g. on a RESUME attempt): every checkpoint past
+                // the last verified boundary is suspect, so restart the job
+                // from scratch on a fresh session.
+                if Self::is_integrity(err) {
+                    self.stats.integrity_detected += 1;
+                }
+                self.client = None;
                 self.saved_state = None;
                 *progress = None;
                 self.stats.restarts += 1;
@@ -476,10 +464,6 @@ where
                 self.sleep_ms(backoff);
             }
         }
-    }
-
-    fn drop_session(&mut self) {
-        self.client = None;
     }
 
     /// Exponential backoff with decorrelated jitter, deterministic under a

@@ -6,17 +6,18 @@
 //! [`Duplex`] wire, and [`listen_tcp`] accepts real sockets — and both run
 //! the exact same session protocol.
 //!
-//! Overload has one answer: a job (or RESUME) that finds the pool's
-//! bounded queue full gets BUSY with the
-//! [`BUSY_RETRY_AFTER_MS`](crate::BUSY_RETRY_AFTER_MS) hint, and the session
-//! stays open for the retry. A HELLO is never refused for load: besides a
-//! version or width mismatch, its one refusal is `REJECT(draining)` after
-//! [`GcService::drain`].
+//! Overload has one answer: a job (or RESUME) that finds the pool's bounded
+//! queue full gets BUSY with the
+//! [`BUSY_RETRY_AFTER_MS`](crate::BUSY_RETRY_AFTER_MS) hint; a JOB's session
+//! stays open for the retry, a RESUME's checkpoint for the next. A HELLO is
+//! never refused for load: besides a version or width mismatch, its one
+//! refusal is `REJECT(draining)` after [`GcService::drain`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{self, Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -135,7 +136,9 @@ impl ServeConfig {
     }
 }
 
-/// Aggregate service counters, snapshotted by [`GcService::stats`].
+/// Aggregate service counters, snapshotted by [`GcService::stats`]. The
+/// METRICS `stats` block renders the same snapshot, one key per field, in
+/// this order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Sessions accepted (threads spawned).
@@ -153,10 +156,47 @@ pub struct ServeStats {
     pub jobs_prepared: u64,
     /// Jobs that sessions left mid-job with a checkpoint to resume from.
     pub checkpoints_saved: u64,
+    /// Checkpoint windows evicted from the full store to make room for
+    /// another session's; the evicted session's RESUME is refused.
+    pub resume_evicted: u64,
     /// Jobs ended by a transcript-digest mismatch (the v6 integrity
     /// check): the stream was refused rather than risk a silently wrong
     /// plaintext, and the client restarts under its integrity budget.
     pub integrity_rejects: u64,
+}
+
+/// The live counters behind [`ServeStats`], bumped where each event
+/// happens, so METRICS is current even for long-lived sessions.
+#[derive(Debug, Default)]
+pub(crate) struct Tallies {
+    pub(crate) sessions_started: AtomicU64,
+    pub(crate) sessions_errored: AtomicU64,
+    pub(crate) jobs_completed: AtomicU64,
+    pub(crate) busy_rejections: AtomicU64,
+    pub(crate) jobs_resumed: AtomicU64,
+    pub(crate) jobs_prepared: AtomicU64,
+    pub(crate) checkpoints_saved: AtomicU64,
+    pub(crate) resume_evicted: AtomicU64,
+    pub(crate) integrity_rejects: AtomicU64,
+}
+
+impl Tallies {
+    /// Reads every counter (each on its own: the set is not one atomic
+    /// cut).
+    fn snapshot(&self) -> ServeStats {
+        let read = |tally: &AtomicU64| tally.load(Relaxed);
+        ServeStats {
+            sessions_started: read(&self.sessions_started),
+            sessions_errored: read(&self.sessions_errored),
+            jobs_completed: read(&self.jobs_completed),
+            busy_rejections: read(&self.busy_rejections),
+            jobs_resumed: read(&self.jobs_resumed),
+            jobs_prepared: read(&self.jobs_prepared),
+            checkpoints_saved: read(&self.checkpoints_saved),
+            resume_evicted: read(&self.resume_evicted),
+            integrity_rejects: read(&self.integrity_rejects),
+        }
+    }
 }
 
 /// Shared state behind a [`GcService`] (one per service, `Arc`-shared with
@@ -180,15 +220,7 @@ pub(crate) struct ServiceShared {
     flight_dumps: Mutex<Vec<String>>,
     draining: AtomicBool,
     next_session: AtomicU64,
-    sessions_started: AtomicU64,
-    sessions_errored: AtomicU64,
-    pub(crate) jobs_completed: AtomicU64,
-    pub(crate) busy_rejections: AtomicU64,
-    pub(crate) jobs_resumed: AtomicU64,
-    pub(crate) jobs_prepared: AtomicU64,
-    pub(crate) checkpoints_saved: AtomicU64,
-    pub(crate) resume_evicted: AtomicU64,
-    pub(crate) integrity_rejects: AtomicU64,
+    pub(crate) tallies: Tallies,
 }
 
 impl ServiceShared {
@@ -233,44 +265,21 @@ impl ServiceShared {
     /// copied, so the reply stays far under the protocol's 1 MiB cap and
     /// never waits on a copy of the trace buffer.
     pub(crate) fn metrics_json(&self) -> String {
+        let snap = self.tallies.snapshot();
         let mut stats = JsonValue::object();
-        stats
-            .push(
-                "sessions_started",
-                JsonValue::UInt(self.sessions_started.load(Ordering::Relaxed)),
-            )
-            .push(
-                "sessions_errored",
-                JsonValue::UInt(self.sessions_errored.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_completed",
-                JsonValue::UInt(self.jobs_completed.load(Ordering::Relaxed)),
-            )
-            .push(
-                "busy_rejections",
-                JsonValue::UInt(self.busy_rejections.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_resumed",
-                JsonValue::UInt(self.jobs_resumed.load(Ordering::Relaxed)),
-            )
-            .push(
-                "jobs_prepared",
-                JsonValue::UInt(self.jobs_prepared.load(Ordering::Relaxed)),
-            )
-            .push(
-                "checkpoints_saved",
-                JsonValue::UInt(self.checkpoints_saved.load(Ordering::Relaxed)),
-            )
-            .push(
-                "resume_evicted",
-                JsonValue::UInt(self.resume_evicted.load(Ordering::Relaxed)),
-            )
-            .push(
-                "integrity_rejects",
-                JsonValue::UInt(self.integrity_rejects.load(Ordering::Relaxed)),
-            );
+        for (key, value) in [
+            ("sessions_started", snap.sessions_started),
+            ("sessions_errored", snap.sessions_errored),
+            ("jobs_completed", snap.jobs_completed),
+            ("busy_rejections", snap.busy_rejections),
+            ("jobs_resumed", snap.jobs_resumed),
+            ("jobs_prepared", snap.jobs_prepared),
+            ("checkpoints_saved", snap.checkpoints_saved),
+            ("resume_evicted", snap.resume_evicted),
+            ("integrity_rejects", snap.integrity_rejects),
+        ] {
+            stats.push(key, JsonValue::UInt(value));
+        }
 
         let mut gauges = JsonValue::object();
         gauges
@@ -407,7 +416,7 @@ fn fill_once(registry: &ModelRegistry, journal: &Journal) -> bool {
 /// The multi-session GC-MAC service. Cheap to clone (shared handle).
 #[derive(Clone)]
 pub struct GcService {
-    shared: Arc<ServiceShared>,
+    pub(crate) shared: Arc<ServiceShared>,
     session_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -499,15 +508,7 @@ impl GcService {
                 flight_dumps: Mutex::new(Vec::new()),
                 draining: AtomicBool::new(false),
                 next_session: AtomicU64::new(first_session),
-                sessions_started: AtomicU64::new(0),
-                sessions_errored: AtomicU64::new(0),
-                jobs_completed: AtomicU64::new(0),
-                busy_rejections: AtomicU64::new(0),
-                jobs_resumed: AtomicU64::new(0),
-                jobs_prepared: AtomicU64::new(0),
-                checkpoints_saved: AtomicU64::new(0),
-                resume_evicted: AtomicU64::new(0),
-                integrity_rejects: AtomicU64::new(0),
+                tallies: Tallies::default(),
             }),
             session_threads: Arc::new(Mutex::new(Vec::new())),
         }
@@ -542,19 +543,18 @@ impl GcService {
         flight: Option<Arc<FlightRecorder>>,
     ) {
         let shared = Arc::clone(&self.shared);
-        let session_id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        shared.sessions_started.fetch_add(1, Ordering::Relaxed);
+        let session_id = shared.next_session.fetch_add(1, Relaxed);
+        shared.tallies.sessions_started.fetch_add(1, Relaxed);
         let spawned = std::thread::Builder::new()
             .name(format!("gc-session-{session_id}"))
             .spawn(move || {
-                let (trace_id, outcome) = match &flight {
-                    Some(fl) => run_session(
-                        &shared,
-                        FlightTransport::new(transport, Arc::clone(fl)),
-                        session_id,
-                        Some(fl),
-                    ),
-                    None => run_session(&shared, transport, session_id, None),
+                let mut trace_id = 0;
+                let outcome = match &flight {
+                    Some(fl) => {
+                        let transport = FlightTransport::new(transport, Arc::clone(fl));
+                        run_session(&shared, transport, session_id, Some(fl), &mut trace_id)
+                    }
+                    None => run_session(&shared, transport, session_id, None, &mut trace_id),
                 };
                 // Job/checkpoint tallies land on the shared counters at
                 // event time inside the session loop, so the METRICS frame
@@ -563,7 +563,7 @@ impl GcService {
                 if let Err(err) = &outcome {
                     // Hostile/broken peers are the session's problem, never
                     // the process's: account and move on.
-                    shared.sessions_errored.fetch_add(1, Ordering::Relaxed);
+                    shared.tallies.sessions_errored.fetch_add(1, Relaxed);
                     if let Some(fl) = &flight {
                         // The dump's last events name what killed the
                         // session — injected fault, reaped deadline, or the
@@ -582,7 +582,7 @@ impl GcService {
             Err(_) => {
                 // Thread exhaustion: drop the transport (the peer sees a
                 // disconnect) rather than taking the process down.
-                self.shared.sessions_errored.fetch_add(1, Ordering::Relaxed);
+                self.shared.tallies.sessions_errored.fetch_add(1, Relaxed);
             }
         }
     }
@@ -701,16 +701,7 @@ impl GcService {
 
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            sessions_started: self.shared.sessions_started.load(Ordering::Relaxed),
-            sessions_errored: self.shared.sessions_errored.load(Ordering::Relaxed),
-            jobs_completed: self.shared.jobs_completed.load(Ordering::Relaxed),
-            busy_rejections: self.shared.busy_rejections.load(Ordering::Relaxed),
-            jobs_resumed: self.shared.jobs_resumed.load(Ordering::Relaxed),
-            jobs_prepared: self.shared.jobs_prepared.load(Ordering::Relaxed),
-            checkpoints_saved: self.shared.checkpoints_saved.load(Ordering::Relaxed),
-            integrity_rejects: self.shared.integrity_rejects.load(Ordering::Relaxed),
-        }
+        self.shared.tallies.snapshot()
     }
 
     /// Graceful shutdown: drain, join every session thread, then drain and
