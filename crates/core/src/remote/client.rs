@@ -143,15 +143,16 @@ impl SessionState {
     }
 }
 
-/// The client's state at one element boundary: what [`RemoteClient::run_job`]
-/// commits once an element has evaluated, and [`RemoteClient::resume_job`]
-/// rolls back to.
+/// The client's state at element boundary `at`, as it stood before EXT(`at`)
+/// was prepared: what [`RemoteClient::run_job`] commits once an element has
+/// evaluated, and [`RemoteClient::resume_job`] rolls back to.
 ///
 /// The OT receiver is kept as its [`OtCursor`]: the session's receiver
 /// already holds the keys (a pure function of the ACCEPT seed), so two
 /// words place it back where the boundary stood.
 #[derive(Clone)]
 struct Boundary {
+    at: usize,
     receiver: OtCursor,
     transcript: MatvecTranscript,
     digest: TranscriptDigest,
@@ -160,9 +161,10 @@ struct Boundary {
 /// An in-flight (possibly interrupted) job on the client side.
 ///
 /// Progress advances one output element at a time; the embedded
-/// checkpoint always sits on the last completed element boundary, so after
-/// a mid-element failure [`RemoteClient::resume_job`] can roll the session
-/// back and replay the element bit-identically on a fresh connection.
+/// checkpoint sits on the boundary of the last evaluated element (the
+/// boundary before the newest, whose digest the server has verified), so
+/// after a failure [`RemoteClient::resume_job`] can roll the session back
+/// and replay from there bit-identically on a fresh connection.
 pub struct JobProgress {
     job_id: u64,
     x_columns: Vec<Vec<i64>>,
@@ -174,8 +176,13 @@ pub struct JobProgress {
     elements_done: usize,
     transcript: MatvecTranscript,
     digest: TranscriptDigest,
-    /// The boundary at `elements_done`.
+    /// The rollback point: the boundary of the last evaluated element
+    /// (`elements_done - 1`), or `elements_done` itself right after a
+    /// start or a resume.
     checkpoint: Boundary,
+    /// The boundary at `elements_done`, the rollback point once the next
+    /// element has evaluated.
+    newest: Boundary,
     done: bool,
 }
 
@@ -616,22 +623,27 @@ impl<T: Transport> RemoteClient<T> {
             &ControlMsg::JobRequest { columns, model_id },
         )?;
         match recv_control(&mut self.transport)? {
-            ControlMsg::Ready { job_id } => Ok(JobProgress {
-                job_id,
-                x_columns: x_columns.to_vec(),
-                y: vec![Vec::with_capacity(rows); x_columns.len()],
-                rows,
-                total_elements: x_columns.len() * rows,
-                elements_done: 0,
-                transcript: MatvecTranscript::default(),
-                digest: TranscriptDigest::new(),
-                checkpoint: Boundary {
+            ControlMsg::Ready { job_id } => {
+                let start = Boundary {
+                    at: 0,
                     receiver: self.state.ot_receiver.export_state(),
                     transcript: MatvecTranscript::default(),
                     digest: TranscriptDigest::new(),
-                },
-                done: false,
-            }),
+                };
+                Ok(JobProgress {
+                    job_id,
+                    x_columns: x_columns.to_vec(),
+                    y: vec![Vec::with_capacity(rows); x_columns.len()],
+                    rows,
+                    total_elements: x_columns.len() * rows,
+                    elements_done: 0,
+                    transcript: MatvecTranscript::default(),
+                    digest: TranscriptDigest::new(),
+                    checkpoint: start.clone(),
+                    newest: start,
+                    done: false,
+                })
+            }
             reply => Err(refusal(reply, "expected READY or BUSY")),
         }
     }
@@ -639,11 +651,12 @@ impl<T: Transport> RemoteClient<T> {
     /// Re-enters an interrupted job on a freshly
     /// [`reattach`](RemoteClient::reattach)ed connection.
     ///
-    /// Rolls the local OT receiver and transcript back to the last
-    /// completed element boundary, sends RESUME, and waits for the server's
-    /// READY. On success, continue with [`RemoteClient::run_job`] — the
-    /// remaining exchange is bit-identical to what the uninterrupted run
-    /// would have produced.
+    /// Rolls the local OT receiver, digest, transcript and results back to
+    /// the boundary of the last evaluated element — that element is
+    /// evaluated again — sends RESUME with that boundary and its digest,
+    /// and waits for the server's READY. On success, continue with
+    /// [`RemoteClient::run_job`] — the remaining exchange is bit-identical
+    /// to what the uninterrupted run would have produced.
     ///
     /// # Errors
     ///
@@ -652,24 +665,27 @@ impl<T: Transport> RemoteClient<T> {
     /// [`AcceleratorError::Busy`] if the queue cannot re-admit the job yet;
     /// transport/protocol errors otherwise.
     pub fn resume_job(&mut self, progress: &mut JobProgress) -> Result<(), AcceleratorError> {
+        // The boundary of the last evaluated element, whose digest the
+        // server verified: never the newest (see `run_job`).
+        let rollback = progress.checkpoint.clone();
         // Both fit u32 — start_job refuses oversized jobs — but never
-        // truncate silently: a wrapped count would probe the wrong snapshot.
+        // truncate silently: a wrapped count would name the wrong boundary.
         let columns =
             u32::try_from(progress.x_columns.len()).map_err(|_| AcceleratorError::Protocol {
                 what: "column count exceeds the wire format's u32 range",
             })?;
-        let elements_done =
-            u32::try_from(progress.elements_done).map_err(|_| AcceleratorError::Protocol {
-                what: "job element count exceeds the wire format's u32 range",
-            })?;
-        let Boundary {
-            receiver,
-            transcript,
-            digest,
-        } = progress.checkpoint.clone();
-        self.state.ot_receiver.import_state(&receiver);
-        progress.transcript = transcript;
-        progress.digest = digest;
+        let boundary = u32::try_from(rollback.at).map_err(|_| AcceleratorError::Protocol {
+            what: "job element count exceeds the wire format's u32 range",
+        })?;
+        self.state.ot_receiver.import_state(&rollback.receiver);
+        progress.transcript = rollback.transcript;
+        progress.digest = rollback.digest.clone();
+        progress.elements_done = rollback.at;
+        let rows = progress.rows;
+        for (pass, column) in progress.y.iter_mut().enumerate() {
+            column.truncate(rollback.at.saturating_sub(pass * rows).min(rows));
+        }
+        progress.newest = rollback;
         send_control(
             &mut self.transport,
             &ControlMsg::Resume {
@@ -677,7 +693,8 @@ impl<T: Transport> RemoteClient<T> {
                 resume_token: self.state.resume_token,
                 job_id: progress.job_id,
                 columns,
-                elements_done,
+                boundary,
+                digest: progress.digest.export(),
                 trace: self.state.trace,
             },
         )?;
@@ -701,16 +718,19 @@ impl<T: Transport> RemoteClient<T> {
     /// same frames, in the same order, with the same bytes as an exchange
     /// that waited for `e` to evaluate.
     ///
-    /// The boundary-(`e + 1`) checkpoint is the OT receiver's cursor, the
-    /// digest and the transcript as they stand *before* EXT(`e + 1`) is
-    /// prepared, and it is committed to `progress` only once `e` has
-    /// evaluated; a failed EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`)
-    /// is in hand) before the error returns. So on any error `progress` sits at the last
-    /// evaluated element boundary, which (unless evaluating an element
-    /// failed) is never more than one element behind the server's newest
-    /// snapshot, and the caller can reconnect,
-    /// [`resume_job`](RemoteClient::resume_job), and call `run_job` again
-    /// without losing completed elements.
+    /// The boundary-(`e + 1`) state is the OT receiver's cursor, the digest
+    /// and the transcript as they stand *before* EXT(`e + 1`) is prepared.
+    /// Once `e` has evaluated, the rollback point becomes boundary `e`, not
+    /// `e + 1`: the digest at `e` is one the server checked (it answered
+    /// EXT(`e`)'s mark with ROUNDS(`e`)), while the one at `e + 1` has
+    /// folded CIPHER(`e`) and ROUNDS(`e`), which nobody has checked yet. A
+    /// failed EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`) is in hand)
+    /// before the error returns. So on any error the rollback point
+    /// is the last evaluated element's boundary, which (unless evaluating an
+    /// element failed) is at most two elements behind the server's newest,
+    /// and the caller can reconnect,
+    /// [`resume_job`](RemoteClient::resume_job), and call `run_job` again,
+    /// evaluating that one element a second time.
     ///
     /// # Errors
     ///
@@ -721,16 +741,18 @@ impl<T: Transport> RemoteClient<T> {
             let e = progress.elements_done;
             let (labels, rounds_frame) = self.recv_element(progress, pending)?;
             // Boundary e + 1 as it stands before EXT(e + 1) is prepared;
-            // committed only once e has evaluated.
+            // the newest boundary once e has evaluated.
             let receiver = self.state.ot_receiver.export_state();
             let digest = progress.digest.clone();
             let ahead = self.send_ext(progress, e + 1);
             self.evaluate_element(progress, e, rounds_frame, &labels)?;
-            progress.checkpoint = Boundary {
+            let newest = Boundary {
+                at: e + 1,
                 receiver,
                 transcript: progress.transcript,
                 digest,
             };
+            progress.checkpoint = std::mem::replace(&mut progress.newest, newest);
             progress.elements_done = e + 1;
             next = ahead?;
         }

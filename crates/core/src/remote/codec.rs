@@ -46,7 +46,11 @@ use crate::error::AcceleratorError;
 /// (EXT bodies are still folded by bytes). The digest values riding in EXT
 /// trailers and STATS differ from v6's, so the version moved and a v6 peer
 /// is refused at HELLO.
-pub const PROTOCOL_VERSION: u16 = 7;
+/// v8 made a job's durable state one record: RESUME names the boundary of
+/// the client's last evaluated element (the one before its newest) and
+/// carries the client's transcript digest state there (24 bytes), which
+/// the server adopts instead of keeping a snapshot per element.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Largest METRICS reply body the decoder will allocate (1 MiB of JSON is
 /// far beyond any honest snapshot; a hostile length dies here, not in the
@@ -261,7 +265,7 @@ pub enum ControlMsg {
         digest: [u8; 16],
     },
     /// Client → server: reconnect into an interrupted session and continue
-    /// the in-flight job from the first incomplete element.
+    /// the in-flight job from the client's rollback boundary.
     Resume {
         /// The session being resumed (from ACCEPT).
         session_id: u64,
@@ -271,8 +275,16 @@ pub enum ControlMsg {
         job_id: u64,
         /// Column count of the interrupted job (consistency check).
         columns: u32,
-        /// Output elements the client has fully evaluated.
-        elements_done: u32,
+        /// The element the exchange restarts at: the client's last
+        /// evaluated element (0 when it evaluated none), which it
+        /// evaluates again.
+        boundary: u32,
+        /// The client's transcript digest state at `boundary`, before it
+        /// prepared that element's EXT (as
+        /// [`TranscriptDigest::export`](max_crypto::TranscriptDigest::export)
+        /// gives it): a state the server verified, since it answered that
+        /// EXT's mark (v8).
+        digest: ([u8; 16], u64),
         /// The session's trace context, re-sent so the replacement
         /// connection's server spans join the same trace.
         trace: TraceContext,
@@ -425,7 +437,8 @@ impl ControlMsg {
                 resume_token,
                 job_id,
                 columns,
-                elements_done,
+                boundary,
+                digest: (state, len),
                 trace,
             } => {
                 buf.put_u8(TAG_RESUME);
@@ -433,7 +446,9 @@ impl ControlMsg {
                 buf.put_u64(resume_token);
                 buf.put_u64(job_id);
                 buf.put_u32(columns);
-                buf.put_u32(elements_done);
+                buf.put_u32(boundary);
+                buf.put_slice(&state);
+                buf.put_u64(len);
                 put_trace(&mut buf, trace);
             }
             ControlMsg::Ping { nonce } => {
@@ -555,7 +570,8 @@ impl ControlMsg {
                     resume_token: r.u64(what)?,
                     job_id: r.u64(what)?,
                     columns: r.u32(what)?,
-                    elements_done: r.u32(what)?,
+                    boundary: r.u32(what)?,
+                    digest: (r.array(what)?, r.u64(what)?),
                     trace: get_trace(&mut r, what)?,
                 }
             }

@@ -462,23 +462,22 @@ impl JobSource {
 /// e, so the client's evaluation overlaps the server's OT and sending.
 ///
 /// The exchange starts at `start_element` (elements before it were already
-/// streamed on an earlier connection) and calls `on_element(next_element,
-/// ot_sender, digest)` at every element boundary it passes: once for
-/// `start_element` when the first piece is in hand, just before READY, and
-/// then once per element, after the OT and digest state advance but
-/// *before* the element's CIPHER/ROUNDS frames go out — the hook where a
-/// serving layer snapshots (and journals) the OT sender and the transcript
-/// digest for round checkpoints. The write-before-send ordering guarantees
-/// a journal is never behind the client's observed progress, whatever
-/// instant the process dies. Only the per-element calls guard material the
-/// client can evaluate, so a journal needs to make only those durable
-/// before returning; the pre-READY call's record may ride the next one. A
-/// source that fails before READY calls the hook never, so there is
-/// nothing to checkpoint.
+/// streamed on an earlier connection) and calls `on_boundary(boundary)` at
+/// every element boundary it reaches: once for `start_element` right after
+/// READY goes out, before anything else — the hook where a serving layer
+/// makes the job's one record durable, overlapping the client's
+/// preparation of its first EXT — and then once per element, after its EXT
+/// passed the digest check and the OT state advanced but *before* its
+/// CIPHER/ROUNDS frames go out (where a serving layer notes how far the
+/// job got). So no material the client can evaluate leaves before the
+/// first call returns. A source that fails before READY calls the hook
+/// never, so there is nothing to checkpoint.
 ///
 /// The caller must hand in an `ot_sender` and `digest` whose states match
-/// `start_element` (for a resume: the snapshots taken at that boundary —
-/// a fresh [`TranscriptDigest`] when starting at element zero).
+/// `start_element`: for a resume, the sender's cursor at that boundary
+/// ([`OtCursor::advanced`](max_ot::iknp::OtCursor::advanced) from the
+/// job's start) and the digest the client's RESUME carries; a fresh
+/// [`TranscriptDigest`] when starting at element zero.
 ///
 /// A [`JobSource::Materialized`] stream is checked against its
 /// `expected_digest` — one CRC pass per stored byte, every element's
@@ -494,8 +493,8 @@ impl JobSource {
 ///
 /// Propagates transport failures, protocol violations and a hand-off
 /// dropped mid-job; on any error the session should be torn down (the OT
-/// state is no longer aligned) or, if `on_element` was called, checkpointed
-/// for RESUME from its last snapshot.
+/// state is no longer aligned) or, if `on_boundary` was called, kept for a
+/// RESUME.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     transport: &mut T,
@@ -505,12 +504,12 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     job_id: u64,
     trace: TraceContext,
     start_element: usize,
-    mut on_element: impl FnMut(usize, &OtExtSender, &TranscriptDigest),
+    mut on_boundary: impl FnMut(usize),
 ) -> Result<(), AcceleratorError> {
     let mut idx = start_element;
     let mut next = source.next(idx)?;
-    on_element(idx, ot_sender, digest);
     send_control(transport, &ControlMsg::Ready { job_id })?;
+    on_boundary(idx);
     if let JobSource::Materialized {
         job,
         expected_digest,
@@ -543,8 +542,8 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         }
         // Fold the EXT body (sans its 16-byte trailer) and insist the
         // client's running digest matches ours before the OT state
-        // advances: a divergence detected here leaves every snapshot at or
-        // before this boundary verified, so RESUME stays sound.
+        // advances: a client digest at this boundary is then one the
+        // server verified, which is what a RESUME may carry back.
         digest.fold(&ext_frame[..ext_frame.len() - 16]);
         if client_mark != digest.value() {
             send_control(
@@ -562,19 +561,14 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         // Fold the seals: the CRC that frames each of the element's two
         // bulk frames (CIPHER's computed here, ROUNDS' at materialization)
         // is also its contribution to the digest (v7), folded CIPHER then
-        // ROUNDS after the EXT check and *before* the checkpoint hook
-        // fires, so a snapshot at boundary `idx + 1` matches the client's
-        // digest checkpoint at the same boundary.
+        // ROUNDS, as the client folds them on receipt.
         let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
         digest.fold(&seal_mark(&cipher_frame));
         digest.fold(&seal_mark(&elem.sealed_rounds));
-        // Checkpoint *before* delivering this element's CIPHER/ROUNDS frames:
-        // a durable journal hooked in here then always covers at least as much
-        // progress as the client has observed, so a crash between the journal
-        // write and the sends can only leave the server one element *ahead* —
-        // which the last-2 snapshot window resolves — never behind (which
-        // would force a REJECT on resume).
-        on_element(idx + 1, ot_sender, digest);
+        // Note the boundary *before* delivering this element's frames, so
+        // the server's high-water mark is never behind what the client
+        // has observed.
+        on_boundary(idx + 1);
         transport.send_frame(FrameKind::Blocks, cipher_frame)?;
         // One burst frame per element instead of one frame per round: the
         // per-frame overhead (and per-frame fault-injection surface) no

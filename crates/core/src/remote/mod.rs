@@ -19,7 +19,8 @@
 //!   | <-- ACCEPT(session, ot_seed, token, |
 //!   |            rows, cols, config) ----- |   (or REJECT(reason))
 //!   |  or, reconnecting mid-job:           |
-//!   | -- RESUME(session, token, job, ..) > |   continue from a checkpoint
+//!   | -- RESUME(session, token, job, ----> |   continue from the boundary
+//!   |           boundary, digest)          |   of the last evaluated element
 //!   | <-- READY(job_id) ------------------ |   (or REJECT(resume), BUSY)
 //!   |                                      |
 //!   | -- MODEL_PUT / _INFO / _EVICT -----> |   prepared models (v5)
@@ -42,13 +43,18 @@
 //! (`max-serve`'s session loop holds these orderings in one match).
 //!
 //! **Resumption.** A client that lost its connection mid-job sends
-//! `RESUME(session, token, job, columns, elements_done)`. The server
-//! re-derives the garbled job from the original seed, restores its
-//! OT-sender snapshot at the element boundary, and replies `READY(job)`;
-//! the exchange continues from `elements_done`. Both parties roll back to
-//! the start of the first incomplete element, so the stitched transcript is
-//! bit-identical to an uninterrupted run (the property the chaos e2e tests
-//! pin down). `resume_token` is an unguessable per-session secret from
+//! `RESUME(session, token, job, columns, boundary, digest)`: the boundary
+//! of its last evaluated element `e` (0 when it evaluated none) and its
+//! transcript digest there, as it stood before it prepared EXT(`e`) (v8).
+//! The server re-derives the garbled job from the original seed, derives
+//! its OT sender's cursor at that boundary from the job's start, adopts
+//! the digest — one it verified when it answered EXT(`e`) — and replies
+//! `READY(job)`; the exchange continues from element `e`, which the client
+//! evaluates again. Both parties roll back to that boundary, so the
+//! stitched transcript is bit-identical to an uninterrupted run (the
+//! property the chaos e2e tests pin down). The client's newer digest, which
+//! has folded CIPHER(`e`) and ROUNDS(`e`), is never adopted: nobody has
+//! checked those. `resume_token` is an unguessable per-session secret from
 //! ACCEPT — possession proves the resumer is the original client. Servers
 //! must mint it from fresh OS entropy, never from the seed chain:
 //! [`derive_seed`] is an invertible bijection and `ot_seed` (also
@@ -94,8 +100,9 @@
 //! message crosses the wire, and this leaks the client's input: the
 //! server, or anyone who sees ACCEPT, can rebuild the client's receiver
 //! from `ot_seed` and read x's bits out of every EXT frame. Only the
-//! extension (EXT, CIPHER) is real. ROADMAP's v8 privacy item runs the base
-//! OT on the wire instead and takes `ot_seed` out of ACCEPT.
+//! extension (EXT, CIPHER) is real. ROADMAP's privacy item, for the next
+//! protocol bump, runs the base OT on the wire instead and takes `ot_seed`
+//! out of ACCEPT.
 //!
 //! **Integrity (v6, folded once per byte since v7).** Every protocol frame
 //! is sealed with a CRC32 prefix ([`max_gc::channel::seal_frame`]), so a
@@ -120,7 +127,11 @@
 //! a v6 peer is turned away at HELLO with `REJECT(VERSION)` rather than at
 //! its first EXT with `REJECT(INTEGRITY)`. Per-frame strength is the CRC's
 //! 32 bits plus the length; the digest chains the marks, it does not add
-//! bits to any one of them. All of it detects **accidental** corruption
+//! bits to any one of them. Since v8 a RESUME carries the client's digest
+//! at its rollback boundary, which the server adopts: a digest the server
+//! verified when it answered that element's EXT, so the ladder holds
+//! across a restart that lost every per-element state (see
+//! `max-serve`'s `resume` module). All of it detects **accidental** corruption
 //! only: the CRC is unkeyed and the digest key is fixed and public, so an
 //! active adversary can tamper and re-seal — the honest-but-curious
 //! boundary of the stack is unchanged.

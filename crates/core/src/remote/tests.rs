@@ -179,20 +179,17 @@ fn mid_job_disconnect_is_a_typed_error_server_side() {
     assert_eq!(server.join().unwrap(), Err(AcceleratorError::Disconnected));
 }
 
-/// The server's last two boundary snapshots, as `max-serve` keeps them.
-type Window = std::collections::VecDeque<(usize, iknp::OtExtSender, TranscriptDigest)>;
-
-/// Streams `job` from `start` with the sender and digest of that boundary,
-/// keeping the last two boundary snapshots.
-fn stream_windowed<T: Transport>(
+/// Streams `job` from `start` with the sender and digest of that boundary;
+/// returns the outcome and the newest boundary the server reached.
+fn stream_from<T: Transport>(
     transport: &mut T,
     job: &MaterializedJob,
     mut sender: iknp::OtExtSender,
     mut digest: TranscriptDigest,
     trace: TraceContext,
     start: usize,
-) -> (Result<(), AcceleratorError>, Window) {
-    let mut window = Window::new();
+) -> (Result<(), AcceleratorError>, Option<usize>) {
+    let mut reached = None;
     let result = stream_materialized_job_from(
         transport,
         &JobSource::Materialized {
@@ -204,20 +201,17 @@ fn stream_windowed<T: Transport>(
         0,
         trace,
         start,
-        |next, sender, digest| {
-            window.push_back((next, sender.clone(), digest.clone()));
-            if window.len() > 2 {
-                window.pop_front();
-            }
-        },
+        |boundary| reached = Some(boundary),
     );
-    (result, window)
+    (result, reached)
 }
 
 /// The lookahead's failure path: when EXT(e + 1) cannot be sent, the client
 /// still evaluates element `e` (its ROUNDS is in hand) and reports the
-/// send error with boundary `e + 1` committed — inside the server's
-/// two-snapshot window, so a RESUME finishes with the uninterrupted result.
+/// send error. It resumes at boundary `e`, within the lookahead's reach of
+/// the server's newest boundary, with the digest the server verified there;
+/// the server derives its sender at `e` from the job's start cursor, and
+/// the RESUME finishes with the uninterrupted result.
 #[test]
 fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     const SEED: u64 = 0x100C;
@@ -226,6 +220,7 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     let xs = vec![vec![9i64, -10, 11], vec![3, 0, -7]];
     let rows = w.len();
     let total = xs.len() * rows;
+    let transfers = w[0].len() * config.bit_width;
 
     let (server_end, client_end) = Duplex::pair();
     let server = {
@@ -249,16 +244,17 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
                     panic!("expected JOB");
                 };
                 let job = fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns);
-                let (result, window) = stream_windowed(
+                let start = sender.export_state();
+                let (result, reached) = stream_from(
                     &mut transport,
                     &job,
-                    sender,
+                    sender.clone(),
                     TranscriptDigest::new(),
                     trace,
                     0,
                 );
                 assert_eq!(result, Err(AcceleratorError::Disconnected));
-                (job, trace, window)
+                (job, trace, sender, start, reached)
             })
         };
         // HELLO, ACCEPT, JOB, READY, then three frame events per element:
@@ -277,33 +273,33 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
         );
         let (dead, state) = client.into_parts();
         drop(dead);
-        let (job, trace, window) = server.join().unwrap();
+        let (job, trace, mut sender, start, reached) = server.join().unwrap();
 
         let (server_end, client_end) = Duplex::pair();
         let server = std::thread::spawn(move || {
             let mut transport = server_end;
-            let ControlMsg::Resume { elements_done, .. } = recv_control(&mut transport).unwrap()
+            let ControlMsg::Resume {
+                boundary, digest, ..
+            } = recv_control(&mut transport).unwrap()
             else {
                 panic!("expected RESUME");
             };
-            let (_, sender, digest) = window
-                .iter()
-                .find(|(next, ..)| *next == elements_done as usize)
-                .expect("the client's rollback point is inside the window")
-                .clone();
-            stream_windowed(
-                &mut transport,
-                &job,
-                sender,
-                digest,
-                trace,
-                elements_done as usize,
-            )
-            .0
-            .unwrap();
+            let (boundary, high_water) = (boundary as usize, reached.expect("READY went out"));
+            assert_eq!(boundary, e, "the last evaluated element's boundary");
+            assert!(boundary <= high_water && high_water <= boundary + 2);
+            sender.import_state(&start.advanced(boundary as u64, transfers));
+            let digest = TranscriptDigest::import(digest.0, digest.1);
+            stream_from(&mut transport, &job, sender, digest, trace, boundary)
+                .0
+                .unwrap();
         });
         let mut client = RemoteClient::reattach(client_end, state);
         client.resume_job(&mut progress).unwrap();
+        assert_eq!(
+            progress.elements_done(),
+            e,
+            "e={e}: element e is served again"
+        );
         client.run_job(&mut progress).unwrap();
         server.join().unwrap();
         let (ys, transcript) = progress.into_result();
@@ -340,7 +336,12 @@ fn sample_control_msgs() -> Vec<ControlMsg> {
             resume_token: 0x5eed_cafe,
             job_id: 2,
             columns: 4,
-            elements_done: 9,
+            boundary: 9,
+            digest: {
+                let mut digest = TranscriptDigest::new();
+                digest.fold(b"EXT(9)");
+                digest.export()
+            },
             trace: TraceContext::from_ids(u128::MAX, u64::MAX),
         },
         ControlMsg::Ping { nonce: 0xabad_1dea },
@@ -678,7 +679,7 @@ fn a_source_that_fails_before_its_first_element_sends_no_ready() {
         0,
         TraceContext::none(),
         0,
-        |_, _, _| panic!("no boundary is passed before the first element"),
+        |_| panic!("no boundary is passed before the first element"),
     )
     .unwrap_err();
     assert_eq!(
@@ -887,7 +888,7 @@ fn serve_stock<T: Transport>(
         0,
         trace,
         0,
-        |_, _, _| {},
+        |_| {},
     )
 }
 

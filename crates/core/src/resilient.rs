@@ -8,8 +8,8 @@
 //!   *same* session: the server explicitly kept it open.
 //! * Transport failures / disconnects / corrupted frames → tear the
 //!   connection down, dial a fresh one via the connect factory, and either
-//!   RESUME the in-flight job from the last completed element (when one
-//!   exists) or re-handshake a fresh session.
+//!   RESUME the in-flight job at its last evaluated element (when a job
+//!   is in flight) or re-handshake a fresh session.
 //! * `REJECT(resume)` — the server lost its checkpoint — → restart the job
 //!   from scratch on a fresh session rather than failing the caller.
 //! * Integrity failures (v6) → detect-and-heal under a separate bounded

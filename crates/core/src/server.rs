@@ -213,7 +213,7 @@ impl CloudServer {
                 self.next_job,
                 *trace,
                 0,
-                |_, _, _| {},
+                |_| {},
             );
             // A failed stream stops the units at their next element.
             drop(source);

@@ -87,6 +87,27 @@ impl OtCursor {
         }
         *session = self.session;
     }
+
+    /// The cursor `extensions` extensions of `transfers` OTs each past this
+    /// one: where a sender stands after that many `send`s, or a receiver
+    /// after that many `prepare` + `receive` rounds. Every extension moves
+    /// the session by one and the column PRGs by the same block count, so a
+    /// cursor at any later boundary of a fixed-shape job is arithmetic on
+    /// the cursor at its start.
+    pub fn advanced(self, extensions: u64, transfers: usize) -> OtCursor {
+        let blocks = u128::from(extensions) * blocks_per_extension(transfers) as u128;
+        OtCursor {
+            session: self.session.wrapping_add(extensions),
+            counter: self.counter.wrapping_add(blocks),
+        }
+    }
+}
+
+/// Blocks every column PRG of either endpoint draws for one extension of
+/// `transfers` OTs: `⌈⌈m/64⌉/2⌉`, one 64-bit word of the column per half
+/// block.
+fn blocks_per_extension(transfers: usize) -> usize {
+    transfers.div_ceil(64).div_ceil(2)
 }
 
 impl OtExtSender {
@@ -198,7 +219,7 @@ struct Columns {
 impl Columns {
     fn expand(prgs: &mut [AesPrg], m: usize) -> Columns {
         let want = m.div_ceil(64);
-        let per_prg = want.div_ceil(2);
+        let per_prg = blocks_per_extension(m);
         let mut blocks = vec![Block::ZERO; prgs.len() * per_prg];
         AesPrg::fill_each(prgs, per_prg, &mut blocks);
         let words = blocks
@@ -668,6 +689,40 @@ mod tests {
             rebuilt_receiver.import_state(&receiver.export_state());
             for (a, b) in rebuilt_receiver.prgs.iter().zip(&receiver.prgs) {
                 prop_assert_eq!(a.counter(), b.counter());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The derived cursor after n extensions of m transfers is where
+        /// real `prepare`/`send`/`receive` rounds leave both endpoints,
+        /// from any starting cursor: a job's boundary is arithmetic.
+        #[test]
+        fn derived_cursor_matches_real_extensions(
+            seed in 0u64..1_000_000,
+            extensions in 0u64..=300,
+            warmup in 0usize..200,
+        ) {
+            for m in [1, 63, 64, 65, 128, 129, 2048] {
+                let (mut sender, mut receiver) = setup_pair(seed);
+                // One extension of another size first: a nonzero start.
+                let choices: Vec<bool> = (0..warmup).map(|i| i % 5 == 0).collect();
+                let (msg, keys) = receiver.prepare(&choices);
+                let cipher = sender.send(&msg, &msg_pairs(warmup));
+                let _ = receiver.receive(&cipher, &keys, &choices);
+                let start = (sender.export_state(), receiver.export_state());
+
+                let choices: Vec<bool> = (0..m).map(|i| (i * 7 + m) % 3 == 0).collect();
+                let pairs = msg_pairs(m);
+                for _ in 0..extensions {
+                    let (msg, keys) = receiver.prepare(&choices);
+                    let cipher = sender.send(&msg, &pairs);
+                    let _ = receiver.receive(&cipher, &keys, &choices);
+                }
+                prop_assert_eq!(start.0.advanced(extensions, m), sender.export_state());
+                prop_assert_eq!(start.1.advanced(extensions, m), receiver.export_state());
             }
         }
     }

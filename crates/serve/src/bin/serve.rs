@@ -16,23 +16,24 @@
 //! Resilience knobs: `--step-ms` bounds each protocol step mid-job (a
 //! wedged peer is reaped and its job checkpointed for RESUME), and
 //! `--resume-cap` is the one capacity of the checkpoint store — sessions
-//! whose newest window it keeps, least recently saved evicted first; it
+//! whose job record it keeps, least recently saved evicted first; it
 //! bounds the journal's live set too, and `0` disables RESUME and writes no
 //! checkpoint. Overload has one answer: a job that finds the `--queue`
 //! full gets BUSY with a fixed retry hint
 //! ([`max_serve::BUSY_RETRY_AFTER_MS`]) on a session that stays open.
 //!
-//! Durability: `--journal-dir` persists every round checkpoint to a
+//! Durability: `--journal-dir` persists every job's one record to a
 //! CRC-checksummed write-ahead journal, replayed on the next start — a
 //! `kill -9` mid-job becomes a RESUME, not a restart. By default one fsync
-//! per element boundary makes each element durable before it goes out; the
-//! pre-READY checkpoint and the tombstones ride the next such sync.
-//! `--no-fsync` drops those syncs too, trading the last few appends'
-//! durability under power loss for latency. The daemon also handles
+//! per job, after READY and before element 0 goes out, makes the record
+//! durable; every later element boundary is derived from it, and the
+//! tombstones ride the next such sync. `--no-fsync` drops that sync too,
+//! trading the last few appends' durability under power loss for latency. The daemon also handles
 //! SIGTERM/SIGINT with a graceful drain: stop accepting, flush the
 //! journal, let sessions wind down, exit 0. `--crash-after-appends N`
 //! (test/bench harnesses only) aborts the process after the Nth journal
-//! append, simulating kill -9 at a deterministic crash point. Resume
+//! append — a job's record or a tombstone — simulating kill -9 at a
+//! deterministic crash point. Resume
 //! tokens always come from OS entropy.
 //!
 //! Observability: the daemon installs a [`Recorder`] by default, so the

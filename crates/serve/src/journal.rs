@@ -1,54 +1,43 @@
 //! The checkpoint store, and the write-ahead journal behind it.
 //!
-//! [`Journal`] holds the newest checkpoint window of every session that
-//! may still RESUME — the one store a RESUME is validated against. Each
-//! entry is its encoded record ([`encode_checkpoint`]'s bytes, 174 B for a
-//! two-snapshot window): the bytes a segment holds and compaction
-//! rewrites. A lookup decodes its entry once per RESUME. The store has one
-//! capacity (`ServeConfig::resume_capacity`; 0 keeps and writes nothing)
-//! and one eviction order, least recently saved first: a session still
-//! saving boundaries is never evicted while a dead session's window is
-//! held. `Journal::save` returns the session it evicted.
+//! [`Journal`] holds the checkpoint of every session that may still
+//! RESUME — the one store a RESUME is validated against: its job's one
+//! record ([`encode_checkpoint`]'s bytes), the bytes a segment holds and
+//! compaction rewrites, and beside it, in memory only, the job's
+//! high-water boundary (see [`crate::resume`]). The store has one capacity
+//! (`ServeConfig::resume_capacity`; 0 keeps and writes nothing) and one
+//! eviction order, least recently saved first. `Journal::save` returns the
+//! session it evicted.
 //!
 //! Without a [`JournalConfig`] the store runs the same code and writes
 //! nothing: checkpoints survive dropped *connections*. With one, they also
 //! survive dropped *processes*: every save is appended to a
-//! CRC-checksummed, length-prefixed record before the element's frames go
-//! out on the wire, so after a `kill -9` + restart, replaying the journal
-//! rebuilds exactly the live set a reconnecting client's RESUME validates
-//! against.
+//! CRC-checksummed, length-prefixed record before element 0's frames go
+//! out, so after a `kill -9` + restart, replay rebuilds exactly the live
+//! set a reconnecting client's RESUME validates against.
 //!
 //! # Barriers and ordered records
 //!
-//! An append is one of two kinds. A **barrier** is written and then, when
-//! [`JournalConfig::fsync`] is on, `sync_all`'d before the call returns.
-//! An **ordered** record is only written: a segment is append-only, so
-//! the next barrier's sync (or the next rotation, or [`Journal::sync`])
-//! makes it durable together with every earlier byte of the file.
-//! Barriers sit where the client can observe progress: every
-//! element-boundary checkpoint after the first, and every model PUT and
-//! model REMOVE. The pre-READY floor (a job's first checkpoint) and every
-//! session tombstone ([`Journal::remove`]: job done, BYE) are ordered. An
-//! R-element job thus costs R + 2 appends and R syncs, and READY waits on
+//! A **barrier** is written and then, when [`JournalConfig::fsync`] is on,
+//! `sync_all`'d before the call returns. An **ordered** record is only
+//! written: the segment is append-only, so the next barrier's sync (or
+//! rotation, or [`Journal::sync`]) makes it durable with every earlier
+//! byte. Barriers are every checkpoint (a fresh job's record, after READY
+//! and before element 0's CIPHER), model PUT and model REMOVE; session
+//! tombstones ([`Journal::remove`]: job done, BYE) are ordered. A fresh job
+//! costs 2 appends and 1 sync, a resumed one 1 append, and READY waits on
 //! none. Why that is safe:
 //!
-//! * **Process crash (`kill -9`).** Every record is still written with
-//!   write(2) before the frame that follows it, and the page cache
-//!   survives the death of the process, so every crash point replays
-//!   byte for byte as if every append were synced.
+//! * **Process crash (`kill -9`).** Every record is written with write(2)
+//!   before the frame that follows it, and the page cache outlives the
+//!   process, so every crash point replays as if every append were synced.
 //! * **Power loss, lost tombstone.** Replay resurrects a finished job's
-//!   final window. A client holding that job's STATS never resumes it; a
-//!   client whose STATS was lost resumes at the final boundary and gets
-//!   STATS again.
-//! * **Power loss, lost pre-READY floor.** That can only happen between
-//!   READY and element 0's barrier, when the client has evaluated
-//!   nothing. Its RESUME gets a typed `REJECT(resume)` — there is no
-//!   checkpoint, or the surviving one is an older job's and fails the
-//!   `job_id` check — and it restarts the job without losing an evaluated
-//!   element. A resumed job's floor repeats a snapshot that an earlier
-//!   barrier (or the replay's compaction) already made durable.
-//! * Every element the client can complete is covered by a barrier
-//!   before its ROUNDS frame leaves.
+//!   record. A client holding its STATS never resumes it; one whose STATS
+//!   was lost resumes at the last element and gets it and STATS again.
+//! * **Power loss during the record's sync,** between READY and element
+//!   0's CIPHER: the client has evaluated nothing. Its RESUME gets a typed
+//!   `REJECT(resume)` (no checkpoint, or an older job's that fails the
+//!   `job_id` check) and it restarts the job, losing no evaluated element.
 //!
 //! With `fsync` off no append syncs, barriers included.
 //!
@@ -71,10 +60,10 @@
 //! kind 4   := model remove (model_id:u64le)
 //! ```
 //!
-//! A two-snapshot checkpoint is 174 B of payload, 183 B on disk. A
-//! `MAXJRNL1` segment (whose snapshots carried all 128 IKNP column
-//! counters) fails the magic check and is quarantined like any other
-//! corruption, with its models: re-PUT them after an upgrade.
+//! A job's record is 118 B of payload, 127 B on disk; the two-snapshot
+//! windows earlier builds wrote (174 B) still replay. A `MAXJRNL1` segment
+//! fails the magic check and is quarantined like any other corruption,
+//! with its models: re-PUT them after an upgrade.
 //!
 //! The CRC covers the body. Replay applies records in order — a
 //! checkpoint is a save, a tombstone a remove, under the same capacity
@@ -95,7 +84,7 @@
 //! least recently saved first, into a fresh segment and old
 //! (non-quarantined) segments are deleted. Rotation does the same every
 //! `rotate_after` appends, so disk usage is bounded by the live sessions'
-//! last-2-snapshot window, not job length.
+//! records, not job length.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -129,9 +118,9 @@ const SEGMENT_SUFFIX: &str = ".maxj";
 /// Suffix a damaged segment is renamed under.
 const QUARANTINE_SUFFIX: &str = ".quarantine";
 
-/// Hard cap on one record body: a checkpoint is 175 bytes and the largest
-/// model record about 512 KiB; anything claiming more than this is
-/// corruption.
+/// Hard cap on one record body: a checkpoint is at most 175 bytes and the
+/// largest model record about 512 KiB; anything claiming more than this
+/// is corruption.
 const MAX_RECORD_LEN: u32 = 1 << 20;
 
 /// Record kinds.
@@ -298,30 +287,35 @@ struct SegmentScan {
 
 /// How an append reaches the disk (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Durability {
+enum Durability {
     /// Written, then synced when `fsync` is on.
     Barrier,
     /// Written only; durable at the next barrier, rotation or sync.
     Ordered,
 }
 
-/// Live checkpoint records keyed by session id, least recently saved
-/// first. Lookups are rare (one per RESUME) and a saving session is
-/// usually near the back, so a scan from the back beats an index.
-type Live = VecDeque<(u64, Vec<u8>)>;
+/// A live checkpoint: session id, record, and the job's high-water
+/// boundary, the newest it reached in this process (`None` when this
+/// process never saw it run, as after a replay).
+type Entry = (u64, Vec<u8>, Option<usize>);
 
-/// Saves `record` as `session_id`'s newest window and evicts the least
-/// recently saved sessions beyond `capacity`; returns the last one evicted.
-/// The live store and replay both go through here, so a replayed segment
+/// Live checkpoints, least recently saved first. Lookups are rare (one per
+/// RESUME) and a saving session is usually near the back, so a scan from
+/// the back beats an index.
+type Live = VecDeque<Entry>;
+
+/// Saves `entry` as its session's checkpoint and evicts the least recently
+/// saved sessions beyond `capacity`; returns the last one evicted. The
+/// live store and replay both go through here, so a replayed segment
 /// rebuilds the live set entry for entry and in order.
-fn put_live(live: &mut Live, capacity: usize, session_id: u64, record: Vec<u8>) -> Option<u64> {
-    if let Some(at) = live.iter().rposition(|(id, _)| *id == session_id) {
+fn put_live(live: &mut Live, capacity: usize, entry: Entry) -> Option<u64> {
+    if let Some(at) = live.iter().rposition(|(id, ..)| *id == entry.0) {
         live.remove(at);
     }
-    live.push_back((session_id, record));
+    live.push_back(entry);
     let mut evicted = None;
     while live.len() > capacity {
-        evicted = live.pop_front().map(|(id, _)| id);
+        evicted = live.pop_front().map(|(id, ..)| id);
     }
     evicted
 }
@@ -445,12 +439,12 @@ fn apply_record(
     match kind {
         KIND_CHECKPOINT => {
             let session_id = decode_cursors(payload)?.session_id;
-            put_live(live, capacity, session_id, payload.to_vec());
+            put_live(live, capacity, (session_id, payload.to_vec(), None));
             Ok(())
         }
         KIND_REMOVE => {
             let session_id = tombstone_id(payload, "remove session id")?;
-            live.retain(|(id, _)| *id != session_id);
+            live.retain(|(id, ..)| *id != session_id);
             Ok(())
         }
         KIND_MODEL_PUT => {
@@ -494,7 +488,7 @@ impl Journal {
     }
 
     /// Builds the checkpoint store, holding at most `capacity` sessions'
-    /// windows (0 keeps and writes none). Without a `file` it starts empty
+    /// checkpoints (0 keeps and writes none). Without a `file` it starts empty
     /// and never touches the disk. With one it opens (or creates) the
     /// journal in its directory, replays every segment into the live set
     /// under the same capacity, quarantines damaged segments, and compacts
@@ -627,7 +621,7 @@ impl Journal {
             file.write_all(&encode_record(KIND_MODEL_PUT, payload))
                 .map_err(io_err("compact write"))?;
         }
-        for (_, payload) in &inner.live {
+        for (_, payload, _) in &inner.live {
             file.write_all(&encode_record(KIND_CHECKPOINT, payload))
                 .map_err(io_err("compact write"))?;
         }
@@ -651,7 +645,7 @@ impl Journal {
 
     /// Saves a checkpoint as a barrier (fsync'd by default when a file is
     /// configured). The benchmark's and tests' entry point; sessions save
-    /// their window of cursors through `Journal::save`.
+    /// their job's record of cursors through `Journal::save`.
     ///
     /// # Errors
     ///
@@ -659,68 +653,70 @@ impl Journal {
     /// regardless so serving can continue degraded.
     pub fn append_checkpoint(&self, checkpoint: &SessionCheckpoint) -> Result<(), JournalError> {
         let payload = encode_checkpoint(checkpoint);
-        self.put(checkpoint.session_id, payload, Durability::Barrier)
-            .1
+        self.put((checkpoint.session_id, payload, None)).1
     }
 
-    /// Saves a session's window as its newest checkpoint, evicting the
-    /// least recently saved session beyond the capacity. Called at every
-    /// element boundary, *before* the element's frames are sent, so the
-    /// store never trails what the client can complete. Nothing is kept or
-    /// written at capacity 0.
-    ///
-    /// Returns the session evicted to make room, if any, and whether the
-    /// record reached the segment file (always `Ok` without one; on an
-    /// error the live set is updated regardless).
+    /// Saves a running job's record as a barrier, with its high-water
+    /// boundary at the record's newest snapshot, evicting the least
+    /// recently saved session beyond the capacity (nothing is kept or
+    /// written at capacity 0). Returns the session evicted, if any, and
+    /// whether the record reached the segment file (always `Ok` without
+    /// one; on an error the live set is updated regardless).
     pub(crate) fn save(
         &self,
-        window: &SessionCheckpoint<OtCursor>,
-        durability: Durability,
+        record: &SessionCheckpoint<OtCursor>,
     ) -> (Option<u64>, Result<(), JournalError>) {
-        self.put(window.session_id, encode_cursors(window), durability)
+        let newest = record.snapshots.last().map(|(at, ..)| *at);
+        self.put((record.session_id, encode_cursors(record), newest))
     }
 
-    fn put(
-        &self,
-        session_id: u64,
-        payload: Vec<u8>,
-        durability: Durability,
-    ) -> (Option<u64>, Result<(), JournalError>) {
+    fn put(&self, entry: Entry) -> (Option<u64>, Result<(), JournalError>) {
         if self.capacity == 0 {
             return (None, Ok(()));
         }
-        let record = encode_record(KIND_CHECKPOINT, &payload);
+        let record = encode_record(KIND_CHECKPOINT, &entry.1);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let evicted = put_live(&mut inner.live, self.capacity, session_id, payload);
-        (evicted, self.append_locked(&mut inner, &record, durability))
+        let evicted = put_live(&mut inner.live, self.capacity, entry);
+        let written = self.append_locked(&mut inner, &record, Durability::Barrier);
+        (evicted, written)
+    }
+
+    /// Moves `session_id`'s high-water boundary to `boundary`, in memory
+    /// only: no append, and the entry keeps its place in the eviction
+    /// order, so a replay still rebuilds the live set entry for entry. A
+    /// session with no live checkpoint has nothing to move.
+    pub(crate) fn advance(&self, session_id: u64, boundary: usize) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((.., high_water)) = inner.live.iter_mut().rfind(|(id, ..)| *id == session_id) {
+            *high_water = Some(boundary);
+        }
     }
 
     /// Clones `session_id`'s checkpoint, leaving it in place — a failed
-    /// resume attempt must not destroy the state a later attempt needs.
-    /// Decodes the stored record (one base OT).
-    pub fn lookup(&self, session_id: u64) -> Option<SessionCheckpoint> {
-        let payload = {
+    /// resume attempt must not destroy the state a later attempt needs —
+    /// with the job's high-water boundary when this process has seen the
+    /// job run. Decodes the stored record (one base OT).
+    pub fn lookup(&self, session_id: u64) -> Option<(SessionCheckpoint, Option<usize>)> {
+        let (payload, high_water) = {
             let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            let (_, payload) = inner.live.iter().rfind(|(id, _)| *id == session_id)?;
-            payload.clone()
+            let (_, payload, high_water) = inner.live.iter().rfind(|(id, ..)| *id == session_id)?;
+            (payload.clone(), *high_water)
         };
-        decode_checkpoint(&payload).ok()
+        Some((decode_checkpoint(&payload).ok()?, high_water))
     }
 
     /// Drops `session_id`'s checkpoint (its job completed, or a clean BYE)
     /// and appends a tombstone so a restart does not resurrect finished
-    /// work. An id with no live window writes nothing: replay, under the
-    /// same capacity, holds no window for it either. The tombstone is an
-    /// ordered record: it becomes durable at the next barrier, rotation or
-    /// [`Journal::sync`], and a power cut before then only resurrects a
-    /// window no client needs (see the module docs).
+    /// work; an id with no live checkpoint writes nothing, as replay holds
+    /// none for it either. The tombstone is an ordered record: a power cut
+    /// before the next sync only resurrects a record no client needs.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on write failure.
     pub fn remove(&self, session_id: u64) -> Result<(), JournalError> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(at) = inner.live.iter().rposition(|(id, _)| *id == session_id) else {
+        let Some(at) = inner.live.iter().rposition(|(id, ..)| *id == session_id) else {
             return Ok(());
         };
         inner.live.remove(at);
@@ -860,7 +856,7 @@ impl Journal {
             .unwrap_or_else(PoisonError::into_inner)
             .live
             .iter()
-            .map(|(id, _)| *id)
+            .map(|(id, ..)| *id)
             .max()
     }
 
@@ -872,7 +868,7 @@ impl Journal {
             .unwrap_or_else(PoisonError::into_inner)
             .live
             .iter()
-            .map(|(_, payload)| payload.clone())
+            .map(|(_, payload, _)| payload.clone())
             .collect();
         payloads
             .iter()
@@ -1200,7 +1196,8 @@ mod tests {
         }
     }
 
-    /// A session's window as the session keeps it: cursors, no senders.
+    /// A record of cursors as a session builds it, with the two snapshots
+    /// earlier builds saved at every boundary.
     fn window(session_id: u64, job_id: u64) -> SessionCheckpoint<OtCursor> {
         let digest = max_crypto::TranscriptDigest::new();
         let cursor = |counter| OtCursor {
@@ -1228,20 +1225,28 @@ mod tests {
             .collect()
     }
 
+    /// The live set's sessions and records; high-water marks are in
+    /// memory only, so a replay is compared without them.
     fn live(journal: &Journal) -> Vec<(u64, Vec<u8>)> {
-        journal.inner.lock().unwrap().live.iter().cloned().collect()
+        let inner = journal.inner.lock().unwrap();
+        inner
+            .live
+            .iter()
+            .map(|(id, record, _)| (*id, record.clone()))
+            .collect()
     }
 
     #[test]
     fn save_lookup_remove_round_trip() {
         let (store, _) = Journal::with_capacity(None, 4).unwrap();
         assert_eq!(store.live_sessions(), 0);
-        assert_eq!(store.save(&window(7, 0), Durability::Barrier).0, None);
-        let got = store.lookup(7).unwrap();
+        assert_eq!(store.save(&window(7, 0)).0, None);
+        let (got, _) = store.lookup(7).unwrap();
         assert_eq!(got.resume_token, 7 ^ 0xF00D);
-        let (sender, _) = got.snapshot_at(1).unwrap();
-        assert_eq!(sender.export_state(), window(7, 0).snapshots[1].1);
-        assert!(got.snapshot_at(2).is_none());
+        assert_eq!(
+            got.snapshots[1].1.export_state(),
+            window(7, 0).snapshots[1].1
+        );
         // Peek, not take: still present.
         assert!(store.lookup(7).is_some());
         store.remove(7).unwrap();
@@ -1251,22 +1256,44 @@ mod tests {
     }
 
     #[test]
+    fn a_high_water_moves_in_memory_only() {
+        let dir = temp_dir("high-water");
+        let (journal, _) = Journal::with_capacity(Some(config(&dir)), 4).unwrap();
+        journal.save(&window(1, 0)).1.unwrap();
+        journal.save(&window(2, 0)).1.unwrap();
+        // A save starts the mark at the record's newest snapshot.
+        assert_eq!(journal.lookup(1).unwrap().1, Some(1));
+        let (appends, before) = (journal.appends(), live(&journal));
+        journal.advance(1, 5);
+        journal.advance(9, 5); // no live record: nothing to move
+        assert_eq!(journal.lookup(1).unwrap().1, Some(5));
+        assert_eq!(journal.appends(), appends, "no append");
+        assert_eq!(live(&journal), before, "no reordering");
+        drop(journal);
+        // A replay never saw the job run.
+        let (journal, _) = Journal::with_capacity(Some(config(&dir)), 4).unwrap();
+        assert_eq!(journal.lookup(1).unwrap().1, None);
+        assert_eq!(live(&journal), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn capacity_evicts_least_recently_saved_and_zero_disables() {
         let (store, _) = Journal::with_capacity(None, 2).unwrap();
-        assert_eq!(store.save(&window(1, 0), Durability::Barrier).0, None);
-        assert_eq!(store.save(&window(2, 0), Durability::Barrier).0, None);
+        assert_eq!(store.save(&window(1, 0)).0, None);
+        assert_eq!(store.save(&window(2, 0)).0, None);
         // Session 1 saves again, so session 2 is now the least recently
         // saved, and the save names its victim.
-        assert_eq!(store.save(&window(1, 1), Durability::Barrier).0, None);
-        assert_eq!(store.save(&window(3, 0), Durability::Barrier).0, Some(2));
+        assert_eq!(store.save(&window(1, 1)).0, None);
+        assert_eq!(store.save(&window(3, 0)).0, Some(2));
         assert_eq!(ids(&store), [1, 3]);
         // Re-saving a session replaces, not duplicates.
-        store.save(&window(3, 1), Durability::Barrier).1.unwrap();
+        store.save(&window(3, 1)).1.unwrap();
         assert_eq!(ids(&store), [1, 3]);
 
         let dir = temp_dir("zero");
         let (disabled, _) = Journal::with_capacity(Some(config(&dir)), 0).unwrap();
-        assert_eq!(disabled.save(&window(1, 0), Durability::Barrier).0, None);
+        assert_eq!(disabled.save(&window(1, 0)).0, None);
         disabled.remove(1).unwrap();
         assert!(disabled.lookup(1).is_none());
         assert_eq!((disabled.appends(), disabled.barriers()), (0, 0));
@@ -1299,17 +1326,14 @@ mod tests {
         let open = || Journal::with_capacity(Some(config(&dir)), 2).unwrap();
         let (journal, _) = open();
         for (id, job) in [(2, 0), (1, 0), (3, 0), (1, 1)] {
-            journal
-                .save(&window(id, job), Durability::Barrier)
-                .1
-                .unwrap();
+            journal.save(&window(id, job)).1.unwrap();
         }
         assert_eq!(ids(&journal), [3, 1]);
         let before = live(&journal);
         drop(journal);
         let (journal, _) = open();
         assert_eq!(live(&journal), before, "replay rebuilds the same store");
-        assert_eq!(journal.lookup(1).unwrap().job_id, 1);
+        assert_eq!(journal.lookup(1).unwrap().0.job_id, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1350,8 +1374,7 @@ mod tests {
                         proptest::prop_assert_eq!(live(&journal), before);
                     }
                     _ => {
-                        let (evicted, written) =
-                            journal.save(&window(id, job as u64), Durability::Barrier);
+                        let (evicted, written) = journal.save(&window(id, job as u64));
                         written.unwrap();
                         let mut expected = None;
                         if capacity > 0 {

@@ -1,47 +1,51 @@
-//! Server-side round checkpoints for RESUME.
+//! Server-side job checkpoints for RESUME.
 //!
-//! At every element boundary a session saves a [`SessionCheckpoint`]: the
-//! session's seed material plus OT-sender snapshots at the last two element
-//! boundaries. When the session dies mid-job, that window stays behind for
-//! the client's reconnect (or survives a restart, with a journal). A
-//! reconnecting client's
-//! RESUME is validated against the checkpoint (token, job, shape, a
-//! snapshot at exactly the client's rollback point, and for a model job the
-//! registration it ran against); the job is then re-garbled from its
-//! original seed and streamed from that boundary, so the stitched
-//! transcript is bit-identical to an uninterrupted run.
+//! A job's durable state is one [`SessionCheckpoint`]: the session's seed
+//! material, the job's identity and one snapshot, the OT sender's cursor
+//! at element 0 with a fresh digest. A fresh job saves it once, after READY
+//! and before element 0's frames leave; a resumed job saves nothing. Every
+//! later boundary is derived: an element is one IKNP extension of
+//! `cols × b` transfers, so the cursor at boundary `k` is the record's
+//! [advanced](OtCursor::advanced) by `k` (`SessionCheckpoint::sender_at`),
+//! and elements re-garble from the job seed. The one value the server
+//! cannot derive, the transcript digest, the client brings.
 //!
-//! Two snapshots always suffice, with the client looking one element ahead.
-//! The server snapshots boundary `e + 1` once it has answered EXT(`e`),
-//! before CIPHER(`e`)/ROUNDS(`e`) go out. The client sends EXT(`e + 1`)
-//! after ROUNDS(`e`) passes its CRC but before it evaluates `e`; its
-//! boundary-(`e + 1`) checkpoint is its state before it prepared that EXT,
-//! committed only once `e` has evaluated, even when the EXT(`e + 1`) send
-//! failed. So a job that stops with the client's rollback point at `c` has
-//! sent at most EXT(`c`), the server's newest snapshot is `c` or `c + 1`,
-//! and the window `{c, c + 1}` holds the client's point. The one exception
-//! is a failure *while evaluating* `e`: the rollback point stays `e` while
-//! the server may be at `e + 2`, so the RESUME is refused and the client
-//! restarts — which takes a ROUNDS burst that passed its CRC and still
-//! failed to decode. A deeper lookahead would need one more snapshot per
-//! element of depth.
+//! **Which digest.** A client resumes at the boundary of its last evaluated
+//! element `e` (0 if none) with its digest from before it prepared
+//! EXT(`e`). The server verified that digest: the client holds `e`
+//! evaluated only after ROUNDS(`e`), which the server sends only after
+//! EXT(`e`)'s trailer — that digest folded with EXT(`e`)'s body — matched
+//! its own. So the server adopts it and serves `e` again. The client's
+//! newer digest has folded CIPHER(`e`) and ROUNDS(`e`), which nobody
+//! checked: adopting it after a validly sealed substitution and a power
+//! cut would carry a wrong element into a result every later check agrees
+//! with.
 //!
-//! A checkpoint is kept in one place: the [journal](crate::journal)'s
-//! live set, with or without a segment file behind it. It holds every
-//! session's newest window as its encoded record, bounded by one capacity
-//! (`ServeConfig::resume_capacity`) and evicting the least recently saved
-//! session. An eviction is reported to the session whose save caused it
-//! (a `resume.evicted` flight event) and counted in METRICS as
-//! `resume_evicted`, so a client whose later RESUME comes back
-//! `REJECT(resume)` can be attributed to capacity pressure rather than a
-//! mystery.
+//! **The replay window.** While a job runs, the store keeps its high-water
+//! boundary `h` in memory: the newest boundary whose EXT passed, noted
+//! before that element's frames leave, with no append. A client at `c` has
+//! evaluated `c`, so `h ≥ c + 1` (or `c = 0`). It sends EXT(`c + 1`) before
+//! evaluating `c`, and EXT(`c + 2`) only after ROUNDS(`c + 1`) arrived, when
+//! it evaluates `c + 1` and moves on unless that fails. So `h ≤ c + 2`: the
+//! lookahead reaches two elements, and a RESUME outside `h − 2 ≤ c ≤ h`
+//! gets `REJECT(resume)` (`resumable`). The one honest exception, an
+//! evaluation that fails after its successor's EXT passed, is refused and
+//! restarts the job. After a restart `h` is unknown and any boundary up to
+//! the job's element count is accepted. Under the honest-but-curious model
+//! that reveals nothing: an honest client resumes at its own rollback
+//! point with the choices it used before, so a replayed element repeats an
+//! extension at the same cursor with the same choices — the same EXT, the
+//! same CIPHER, labels the client already holds. Replaying with
+//! *different* choices would hand out a wire's other label; a malicious
+//! client could ask for that inside the in-memory window too, and refusing
+//! it is the next protocol bump's replay bar (ROADMAP), not the window's.
 //!
-//! This module owns the checkpoint *codec*. A snapshot stores the OT
-//! sender's cursor, not the sender: `(session, counter)` (see
-//! [`OtCursor`]). Decoding re-derives the sender once per record from
-//! the session's seed chain ([`derive_ot_seed`], exactly the ACCEPT-path
-//! derivation) and imports each cursor into a copy of it — so AES round
-//! keys never touch disk, and a two-snapshot record is 174 bytes.
+//! Checkpoints live in the [journal](crate::journal)'s store. A snapshot
+//! holds the sender's cursor, not the sender (see [`OtCursor`]): decoding
+//! re-derives the sender once per record from the seed chain
+//! ([`derive_ot_seed`], as ACCEPT does), so AES round keys never touch
+//! disk. A job's record is 118 bytes; the two-snapshot windows earlier
+//! builds wrote (174 bytes) still decode.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -55,7 +59,7 @@ use maxelerator::remote::derive_ot_seed;
 ///
 /// `S` is how a snapshot holds the OT sender: rebuilt senders (the default,
 /// what [`decode_checkpoint`] returns and a RESUME continues from), or the
-/// bare [`OtCursor`]s a session keeps in its window.
+/// bare [`OtCursor`]s a session saves in its job's record.
 #[derive(Clone, Debug)]
 pub struct SessionCheckpoint<S = OtExtSender> {
     /// The interrupted session's id (the store's key).
@@ -82,28 +86,36 @@ pub struct SessionCheckpoint<S = OtExtSender> {
     /// model was evicted or re-PUT with other weights since, the resume is
     /// refused with `REJECT(resume)` (see `resume_token`).
     pub model_id: Option<u64>,
-    /// `(elements_streamed, sender_state, transcript_digest)` snapshots at
-    /// the most recent element boundaries, oldest first (at most two). The
-    /// digest is the server's rolling transcript digest *at that boundary*,
-    /// so a resumed stream keeps folding from exactly where the client's
-    /// checkpointed digest stands.
+    /// `(element_boundary, sender_state, transcript_digest)` snapshots,
+    /// oldest first (at most two). A session's record holds one, element 0
+    /// with a fresh digest; later boundaries are derived from the oldest.
     pub snapshots: Vec<(usize, S, TranscriptDigest)>,
 }
 
-impl<S> SessionCheckpoint<S> {
-    /// The sender snapshot and transcript digest at exactly
-    /// `elements_done`, if held.
-    pub fn snapshot_at(&self, elements_done: usize) -> Option<(&S, &TranscriptDigest)> {
-        self.snapshots
-            .iter()
-            .find(|(at, _, _)| *at == elements_done)
-            .map(|(_, sender, digest)| (sender, digest))
+impl SessionCheckpoint {
+    /// The OT sender at element boundary `boundary`, derived from the
+    /// oldest snapshot: each element in between is one extension of
+    /// `transfers` OTs. `None` before that snapshot, or without one.
+    pub(crate) fn sender_at(&self, boundary: usize, transfers: usize) -> Option<OtExtSender> {
+        let (start, sender, _) = self.snapshots.first()?;
+        let extensions = boundary.checked_sub(*start)? as u64;
+        let mut sender = sender.clone();
+        sender.import_state(&sender.export_state().advanced(extensions, transfers));
+        Some(sender)
     }
 }
 
+/// Whether a RESUME at `boundary` of an `elements`-element job is inside
+/// the replay window: never past the job and, while this process knows the
+/// job's `high_water`, not ahead of it nor more than the client lookahead's
+/// reach, two elements, behind it (see the module docs).
+pub(crate) fn resumable(boundary: usize, elements: usize, high_water: Option<usize>) -> bool {
+    boundary <= elements && high_water.is_none_or(|h| boundary <= h && h <= boundary + 2)
+}
+
 /// Hard cap on snapshots a serialized checkpoint may carry: the window of
-/// two a session keeps (see the module docs). Anything larger in a decoded
-/// record is corruption, not a bigger window.
+/// two earlier builds saved at every boundary. Anything larger in a
+/// decoded record is corruption, not a bigger window.
 const MAX_CODEC_SNAPSHOTS: u8 = 2;
 
 /// Why a serialized checkpoint record failed to decode. Every variant is a
@@ -187,9 +199,9 @@ pub fn encode_checkpoint(checkpoint: &SessionCheckpoint) -> Vec<u8> {
     encode_with(checkpoint, OtExtSender::export_state)
 }
 
-/// Serializes a window of cursors: the record a session saves at every
-/// element boundary, byte for byte what [`encode_checkpoint`] writes for
-/// the senders they came from.
+/// Serializes a checkpoint of cursors: the record a session saves once per
+/// job, byte for byte what [`encode_checkpoint`] writes for the senders
+/// they came from.
 pub(crate) fn encode_cursors(checkpoint: &SessionCheckpoint<OtCursor>) -> Vec<u8> {
     encode_with(checkpoint, |cursor| *cursor)
 }
@@ -237,10 +249,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, CheckpointCo
         .snapshots
         .into_iter()
         .map(|(elements, cursor, digest)| {
-            // Same derivation the HELLO path used when the session was
-            // born, so the rebuilt sender's keyed state is bit-identical to
-            // the original's; derived once, then each cursor is imported
-            // into a copy.
+            // The HELLO path's derivation, run once: each cursor is
+            // imported into a copy of the bit-identical keyed sender.
             let mut sender = base
                 .get_or_insert_with(|| iknp::setup_pair(ot_seed).0)
                 .clone();

@@ -1,7 +1,7 @@
 //! The service: session manager + unit pool + transport listeners.
 //!
 //! [`GcService`] owns the model, the worker pool, every session thread and
-//! the [`Journal`] that stores round checkpoints. Clients reach it two ways
+//! the [`Journal`] that stores job checkpoints. Clients reach it two ways
 //! — [`GcService::connect`] returns the client half of an in-memory
 //! [`Duplex`] wire, and [`listen_tcp`] accepts real sockets — and both run
 //! the exact same session protocol.
@@ -62,7 +62,7 @@ pub struct ServeConfig {
     /// reaped (and a checkpoint saved for RESUME). Falls back to
     /// `idle_timeout` when unset.
     pub step_timeout: Option<Duration>,
-    /// Round checkpoints held, one window per session, least recently
+    /// Job checkpoints held, one record per session, least recently
     /// saved evicted first. The one capacity of the checkpoint store: it
     /// bounds the journal's live set too, and 0 disables RESUME and writes
     /// no checkpoint. A session mid-job holds a slot as well, so size it
@@ -84,7 +84,7 @@ pub struct ServeConfig {
     /// base-OT halves are dealt from the published `ot_seed` and no
     /// base-OT message crosses the wire, so the server, or anyone who sees
     /// ACCEPT, can rebuild a client's OT receiver and read its x out of
-    /// EXT (the ROADMAP's v8 privacy item fixes this).
+    /// EXT (the ROADMAP's privacy item fixes this).
     #[doc(hidden)]
     pub deterministic_resume_tokens: bool,
     /// Server-side [`Recorder`]: every job's `server/queue_wait`,
@@ -149,14 +149,14 @@ pub struct ServeStats {
     pub jobs_completed: u64,
     /// Jobs turned away with BUSY.
     pub busy_rejections: u64,
-    /// Jobs continued from a round checkpoint after a reconnect.
+    /// Jobs continued from a job checkpoint after a reconnect.
     pub jobs_resumed: u64,
     /// Model jobs served from a warm pre-garbled stream (OT-only online
     /// path — no garbling on the critical path).
     pub jobs_prepared: u64,
     /// Jobs that sessions left mid-job with a checkpoint to resume from.
     pub checkpoints_saved: u64,
-    /// Checkpoint windows evicted from the full store to make room for
+    /// Job checkpoints evicted from the full store to make room for
     /// another session's; the evicted session's RESUME is refused.
     pub resume_evicted: u64,
     /// Jobs ended by a transcript-digest mismatch (the v6 integrity
@@ -626,7 +626,7 @@ impl GcService {
         self.shared.metrics_json()
     }
 
-    /// Round checkpoints currently held: the newest window of every
+    /// Job checkpoints currently held: the record of every
     /// session that may still RESUME.
     pub fn resume_checkpoints(&self) -> usize {
         self.shared.journal.live_sessions()

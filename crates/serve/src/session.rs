@@ -1,5 +1,5 @@
 //! Per-session protocol loop: the server's legal frame orderings, job
-//! dispatch, round checkpoints, idle reaping. One session = one client
+//! dispatch, job checkpoints, idle reaping. One session = one client
 //! connection = one thread; garbling runs on the unit pool, which hands each
 //! element over as it is produced through an unbounded channel, so a slow
 //! client never occupies a garbling unit.
@@ -37,8 +37,7 @@ use maxelerator::remote::{
 };
 use maxelerator::AcceleratorError;
 
-use crate::journal::Durability;
-use crate::resume::SessionCheckpoint;
+use crate::resume::{resumable, SessionCheckpoint};
 use crate::scheduler::JobRequest;
 use crate::service::ServiceShared;
 
@@ -108,9 +107,9 @@ fn trace_instant(shared: &ServiceShared, trace: TraceContext, name: &str) {
 /// checkpoint — is built by [`ResolvedJob::new`] and served through the
 /// session loop's single [`stream_job_checkpointed`] call.
 struct ResolvedJob {
-    /// The checkpoint window that rebuilds the job after a disconnect: the
-    /// session's identity and the job's, with no snapshot yet.
-    window: SessionCheckpoint<OtCursor>,
+    /// The record that rebuilds the job after a disconnect: the session's
+    /// identity and the job's, with no snapshot yet.
+    record: SessionCheckpoint<OtCursor>,
     /// Warm stock with its fill-time digest, or the hand-off of the pool
     /// unit garbling the job right now.
     source: JobSource,
@@ -122,7 +121,7 @@ struct ResolvedJob {
 impl ResolvedJob {
     /// Job `job_id` of `ctx`'s session. `model` is the prepared model it
     /// runs against and its registration's weights digest (`None`: the
-    /// session default matrix); the window records the id, so a RESUME
+    /// session default matrix); the record keeps the id, so a RESUME
     /// re-garbles from the registry's weights, and binds the digest into
     /// its token.
     fn new(
@@ -136,7 +135,7 @@ impl ResolvedJob {
     ) -> ResolvedJob {
         let registration = model.as_ref().map(|(_, digest)| digest);
         ResolvedJob {
-            window: SessionCheckpoint {
+            record: SessionCheckpoint {
                 session_id: ctx.session_id,
                 resume_token: checkpoint_token(ctx.resume_token, registration),
                 session_seed: ctx.session_seed,
@@ -145,7 +144,7 @@ impl ResolvedJob {
                 columns,
                 job_seed,
                 model_id: model.map(|(model_id, _)| model_id),
-                snapshots: Vec::with_capacity(3),
+                snapshots: Vec::with_capacity(1),
             },
             source,
             resume_at,
@@ -188,34 +187,12 @@ fn submit_or_busy<T: Transport>(
     }
 }
 
-/// Saves the window in the checkpoint store. The pre-READY floor (the
-/// window's newest boundary is the job's first) is an ordered record; every
-/// later boundary is a barrier, durable before the element's frames go out
-/// (see the [`crate::journal`] module docs). A failed append degrades
-/// durability, not availability: it is flight-logged, and the session
-/// keeps streaming. A session the save evicted is counted and logged.
-fn save_window(
-    shared: &ServiceShared,
-    ctx: &SessionCtx<'_>,
-    window: &SessionCheckpoint<OtCursor>,
-    durability: Durability,
-) {
-    let (evicted, written) = shared.journal.save(window, durability);
-    if let Some(victim) = evicted {
-        shared.tallies.resume_evicted.fetch_add(1, Relaxed);
-        ctx.log("resume.evicted", format!("session {victim}"), victim);
-    }
-    if let Err(err) = written {
-        ctx.log("journal.error", format!("{err}"), 0);
-    }
-}
-
-/// Streams one job under the per-step deadline, saving the OT sender's
-/// cursor window — its last two element boundaries, covering the client's
-/// two possible rollback points — in the checkpoint store at each one. The
-/// job's completion removes the window; a failure leaves it for RESUME. A
-/// job whose source fails before READY passed no boundary: it fails with no
-/// checkpoint.
+/// Streams one job under the per-step deadline. A fresh job saves its one
+/// record, the OT sender's cursor at element 0, once READY has gone out
+/// (see [`crate::journal`]); later boundaries only move its high-water mark.
+/// A failed append is flight-logged and the job streams on; an eviction is
+/// counted and logged. Completion removes the record, a failure leaves it
+/// for RESUME; a source that fails before READY leaves no checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
@@ -227,12 +204,19 @@ fn stream_job_checkpointed<T: Transport>(
         .recorder
         .as_ref()
         .map(|rec| rec.phase_span(ctx.trace, "server/stream"));
-    let mut window = job.window;
-    let job_id = window.job_id;
+    let job_id = job.record.job_id;
+    // A resumed job's record already exists.
+    let record = job.resume_at.is_none().then(|| {
+        let mut record = job.record;
+        let start = (0, ot_sender.export_state(), TranscriptDigest::new());
+        record.snapshots.push(start);
+        record
+    });
     let (start_element, mut digest) = job.resume_at.unwrap_or_default();
     if shared.step_timeout.is_some() {
         transport.set_idle_timeout(shared.step_timeout);
     }
+    let mut reached = None;
     let result = stream_materialized_job_from(
         transport,
         &job.source,
@@ -241,22 +225,23 @@ fn stream_job_checkpointed<T: Transport>(
         job_id,
         ctx.trace,
         start_element,
-        // The first call is the pre-job boundary, before READY: a process
-        // crash anywhere in the exchange then has a floor to resume from.
-        // It is an ordered record, durable with the first element's barrier.
-        |next, sender, boundary_digest| {
-            let durability = if next == start_element {
-                Durability::Ordered
-            } else {
-                Durability::Barrier
-            };
-            window
-                .snapshots
-                .push((next, sender.export_state(), boundary_digest.clone()));
-            if window.snapshots.len() > 2 {
-                window.snapshots.remove(0);
+        // The first call comes right after READY, so the record's sync
+        // overlaps the client's first EXT.
+        |boundary| {
+            match (&record, reached) {
+                (Some(record), None) => {
+                    let (evicted, written) = shared.journal.save(record);
+                    if let Some(victim) = evicted {
+                        shared.tallies.resume_evicted.fetch_add(1, Relaxed);
+                        ctx.log("resume.evicted", format!("session {victim}"), victim);
+                    }
+                    if let Err(err) = written {
+                        ctx.log("journal.error", format!("{err}"), 0);
+                    }
+                }
+                _ => shared.journal.advance(ctx.session_id, boundary),
             }
-            save_window(shared, ctx, &window, durability);
+            reached = Some(boundary);
         },
     );
     transport.set_idle_timeout(shared.idle_timeout);
@@ -268,7 +253,7 @@ fn stream_job_checkpointed<T: Transport>(
             Ok(())
         }
         // READY never went out: nothing to resume.
-        Err(err) if window.snapshots.is_empty() => Err(err),
+        Err(err) if reached.is_none() => Err(err),
         Err(err) => {
             if matches!(err, AcceleratorError::Integrity { .. }) {
                 shared.tallies.integrity_rejects.fetch_add(1, Relaxed);
@@ -281,11 +266,8 @@ fn stream_job_checkpointed<T: Transport>(
                     shared.registry.note_integrity_drop();
                 }
             }
-            // The window saved at the last boundary stays in the store.
-            let elements_kept = window
-                .snapshots
-                .last()
-                .map_or(0, |(next, _, _)| *next as u64);
+            // The job's record stays in the store.
+            let elements_kept = reached.unwrap_or(0) as u64;
             shared.tallies.checkpoints_saved.fetch_add(1, Relaxed);
             trace_instant(shared, ctx.trace, "server/checkpoint");
             ctx.log("checkpoint.saved", format!("job {job_id}"), elements_kept);
@@ -301,11 +283,11 @@ fn reject<T: Transport>(transport: &mut T, code: u8, detail: u32) -> Result<(), 
 
 /// Validates a RESUME and resolves its job on the session it continues, or
 /// refuses it (`None`): REJECT(resume), or BUSY, which keeps the
-/// checkpoint. The checkpoint must hold the quoted token, job, columns and
-/// boundary; a model job re-garbles from the registry's weights with the
-/// checkpoint's seed, so it resumes only against the registration it ran
-/// on: an evicted model has none, and a re-PUT one fails the token check
-/// (see [`checkpoint_token`]) — the same refusal as unknown state.
+/// checkpoint. The checkpoint must hold the quoted token, job and columns,
+/// and the boundary be [`resumable`]; the sender is derived there and the
+/// client's digest adopted (see [`crate::resume`]). A model job resumes only
+/// against the registration it ran on: an evicted model has none, and a
+/// re-PUT one fails the token check ([`checkpoint_token`]).
 fn resume<'a, T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
@@ -317,27 +299,37 @@ fn resume<'a, T: Transport>(
         resume_token,
         job_id,
         columns,
-        elements_done,
+        boundary,
+        digest: (state, len),
         trace,
     } = resume
     else {
         return Err(AcceleratorError::Protocol { what: GREETING });
     };
-    let start = elements_done as usize;
-    let checkpoint = shared.journal.lookup(session_id).and_then(|cp| {
-        let (weights, registration) = match cp.model_id {
-            None => (Arc::clone(&shared.weights), None),
-            Some(id) => shared
-                .registry
-                .registration(id)
-                .map(|(weights, digest)| (weights, Some(digest)))?,
-        };
-        let valid = cp.resume_token == checkpoint_token(resume_token, registration.as_ref())
-            && (cp.job_id, cp.columns) == (job_id, columns);
-        let (sender, digest) = cp.snapshot_at(start).filter(|_| valid)?;
-        Some(((sender.clone(), digest.clone()), cp, weights, registration))
-    });
-    let Some(((ot_sender, digest), cp, weights, registration)) = checkpoint else {
+    let start = boundary as usize;
+    let checkpoint = shared
+        .journal
+        .lookup(session_id)
+        .and_then(|(cp, high_water)| {
+            let (weights, registration) = match cp.model_id {
+                None => (Arc::clone(&shared.weights), None),
+                Some(id) => shared
+                    .registry
+                    .registration(id)
+                    .map(|(weights, digest)| (weights, Some(digest)))?,
+            };
+            let elements = columns as usize * weights.len();
+            let valid = cp.resume_token == checkpoint_token(resume_token, registration.as_ref())
+                && (cp.job_id, cp.columns) == (job_id, columns)
+                && resumable(start, elements, high_water);
+            if !valid {
+                return None;
+            }
+            // Each element is one extension of the row's `cols × b` choices.
+            let transfers = weights.first().map_or(0, Vec::len) * shared.config.bit_width;
+            Some((cp.sender_at(start, transfers)?, cp, weights, registration))
+        });
+    let Some((ot_sender, cp, weights, registration)) = checkpoint else {
         reject(transport, REJECT_RESUME, 0)?;
         return Ok(None);
     };
@@ -362,7 +354,7 @@ fn resume<'a, T: Transport>(
     trace_instant(shared, trace, "server/resume_restore");
     ctx.log("resume.restored", format!("job {job_id}"), start as u64);
     let model = cp.model_id.zip(registration);
-    let resume_at = Some((start, digest));
+    let resume_at = Some((start, TranscriptDigest::import(state, len)));
     let job = ResolvedJob::new(&ctx, job_id, columns, cp.job_seed, model, source, resume_at);
     Ok(Some((ctx, ot_sender, job)))
 }
@@ -614,8 +606,8 @@ mod tests {
     use crate::{demo_weights, FlightTransport, GcService, ServeConfig};
 
     const WIDTH: usize = 8;
-    /// The checkpoint every case's store holds: session, token, job,
-    /// columns, and boundaries 0 and 1 of its two elements.
+    /// The checkpoint every case's store holds: session, token, job and
+    /// columns of a two-element job whose high-water boundary is 1.
     const CHECKPOINT: (u64, u64, u64, u32) = (41, 0xF00D, 3, 1);
 
     /// One frame of a case as the client puts it on the wire.
@@ -687,11 +679,12 @@ mod tests {
         (None, reap(if live { "idle" } else { "handshake" }))
     }
 
-    /// Whether a RESUME matches the stored checkpoint.
+    /// Whether a RESUME matches the stored checkpoint, at a boundary whose
+    /// high-water mark is in reach.
     fn resumable(msg: &ControlMsg) -> bool {
         let (session, token, job, columns) = CHECKPOINT;
-        matches!(*msg, ControlMsg::Resume { session_id, resume_token, job_id, columns: c, elements_done, .. }
-            if (session_id, resume_token, job_id, c) == (session, token, job, columns) && elements_done < 2)
+        matches!(*msg, ControlMsg::Resume { session_id, resume_token, job_id, columns: c, boundary, .. }
+            if (session_id, resume_token, job_id, c) == (session, token, job, columns) && boundary < 2)
     }
 
     /// Frame `kind` (mod 58) of the case, with its good and bad field
@@ -712,7 +705,8 @@ mod tests {
                 resume_token: pick(2, &[token, token, token, token ^ 1]),
                 job_id: pick(4, &[job, job, job, 4]),
                 columns: pick(6, &[u64::from(columns), u64::from(columns), 2]) as u32,
-                elements_done: pick(8, &[0, 1, 5]) as u32,
+                boundary: pick(8, &[0, 1, 5]) as u32,
+                digest: ([r as u8; 16], r >> 8),
                 trace,
             },
             7..=16 => ControlMsg::JobRequest {
@@ -861,11 +855,11 @@ mod tests {
             service.drain();
         }
         let (session, token, job, columns) = CHECKPOINT;
-        let cursor = |counter| OtCursor {
+        let start = OtCursor {
             session: job,
-            counter,
+            counter: 0,
         };
-        let window = SessionCheckpoint {
+        let record = SessionCheckpoint {
             session_id: session,
             resume_token: token,
             session_seed: derive_seed(7, session),
@@ -874,12 +868,10 @@ mod tests {
             columns,
             job_seed: 9,
             model_id: None,
-            snapshots: vec![
-                (0, cursor(0), TranscriptDigest::new()),
-                (1, cursor(8), TranscriptDigest::new()),
-            ],
+            snapshots: vec![(0, start, TranscriptDigest::new())],
         };
-        assert!(shared.journal.save(&window, Durability::Ordered).1.is_ok());
+        assert!(shared.journal.save(&record).1.is_ok());
+        shared.journal.advance(session, 1);
 
         let (server_end, mut client_end) = Duplex::pair();
         for frame in &case.frames {

@@ -5,7 +5,9 @@
 //! The headline invariant: a job interrupted by a connection cut and
 //! continued over RESUME produces a stitched wire transcript that is
 //! **bit-identical** to an uninterrupted run — same frames, same bytes,
-//! same order, minus only the rolled-back partial element.
+//! same order — once the first connection's frames are cut at the client's
+//! rollback point, the boundary of its last evaluated element, which the
+//! second connection serves again.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -120,42 +122,41 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     let conn2_recv = rec2.received_frames();
 
     // Stitch the two connections' transcripts and compare bit-for-bit.
+    // The client evaluated elements 0 and 1, so it resumes at boundary 1:
+    // element 1 is served again.
+    let rollback = 1;
     //
     // Down direction (server → client): conn1 carries ACCEPT, READY, and
     // the data of the two completed elements plus the CIPHER of the
-    // rolled-back partial element; conn2 carries READY and everything from
-    // the rollback point on.
+    // partial one; up to the rollback point that is the reference, and
+    // conn2 carries READY and everything from the rollback point on.
     assert_eq!(conn1_recv.len(), 2 + 2 * 2 + 1);
-    assert_eq!(conn1_recv[0], ref_recv[0], "ACCEPT diverged");
-    assert_eq!(conn1_recv[1], ref_recv[1], "READY diverged");
-    let completed = &conn1_recv[2..2 + 2 * 2];
-    assert_eq!(
-        completed,
-        &ref_recv[2..2 + 2 * 2],
-        "pre-cut element data diverged"
-    );
+    assert_eq!(conn1_recv[..2 + 2 * 2], ref_recv[..2 + 2 * 2]);
     assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
     assert_eq!(
         &conn2_recv[1..],
-        &ref_recv[2 + 2 * 2..],
-        "post-resume data (elements 2..6 + STATS) diverged"
+        &ref_recv[2 + 2 * rollback..],
+        "post-resume data (elements 1..6 + STATS) diverged"
     );
 
-    // Up direction (client → server): HELLO and JOB match, the stitched
-    // EXT stream (elements 0,1 from conn1, 2..6 from conn2) matches, and
-    // the replayed EXT of the rolled-back element is bit-identical to the
-    // one that died on the wire.
+    // Up direction (client → server): HELLO, JOB and EXT(0..3) on conn1
+    // match; conn2 replays EXT(1) and EXT(2) bit-identically and carries
+    // the rest of the reference's EXT stream.
     assert_eq!(conn1_sent.len(), 2 + 3, "HELLO, JOB, EXT x3");
-    assert_eq!(conn1_sent[0].1, ref_sent[0].1, "HELLO diverged");
-    assert_eq!(conn1_sent[1].1, ref_sent[1].1, "JOB diverged");
-    assert_eq!(conn1_sent[2].1, ref_sent[2].1);
-    assert_eq!(conn1_sent[3].1, ref_sent[3].1);
+    for (i, frame) in conn1_sent.iter().enumerate() {
+        assert_eq!(frame.1, ref_sent[i].1, "conn1 frame {i} diverged");
+    }
     assert_eq!(
-        conn2_sent[1].1, conn1_sent[4].1,
-        "rolled-back EXT must replay bit-identically"
+        (&conn2_sent[1].1, &conn2_sent[2].1),
+        (&conn1_sent[3].1, &conn1_sent[4].1),
+        "rolled-back EXTs must replay bit-identically"
     );
-    for (i, frame) in conn2_sent[1..1 + 4].iter().enumerate() {
-        assert_eq!(frame.1, ref_sent[4 + i].1, "stitched EXT {i} diverged");
+    for (i, frame) in conn2_sent[1..].iter().enumerate() {
+        assert_eq!(
+            frame.1,
+            ref_sent[2 + rollback + i].1,
+            "stitched frame {i} diverged"
+        );
     }
 
     let stats = service.shutdown();
@@ -232,7 +233,7 @@ impl<T: Transport> Transport for Tap<T> {
 /// The element boundary a logged RESUME frame asks for.
 fn resume_boundary(frame: &Bytes) -> u32 {
     match ControlMsg::decode(open_frame(frame.clone()).unwrap()).unwrap() {
-        ControlMsg::Resume { elements_done, .. } => elements_done,
+        ControlMsg::Resume { boundary, .. } => boundary,
         other => panic!("expected RESUME, got {other:?}"),
     }
 }
@@ -281,9 +282,11 @@ fn lookahead_client(
 
 /// The lookahead's own window: the client has received element `e`'s
 /// ROUNDS and sent EXT(e + 1), but not yet evaluated `e`, when the wire
-/// dies. The client must still finish `e` (it holds its ROUNDS), so the
-/// resilient client RESUMEs at boundary `e + 1`, and the stitched
-/// transcript equals the uninterrupted one frame by frame. The cut severs
+/// dies. The client must still finish `e` (it holds its ROUNDS), so `e` is
+/// its last evaluated element and the resilient client RESUMEs at boundary
+/// `e`, two behind the server's high-water mark (it answered EXT(e + 1)),
+/// and the stitched transcript equals the uninterrupted one frame by frame
+/// once element `e` is taken from the second connection. The cut severs
 /// both ends at the same frame event (the server's event sequence mirrors
 /// the client's), so the server cannot finish the job into a buffer the
 /// client will never read. After the last element, which has no
@@ -316,14 +319,13 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
     let reference = ref_wires.lock().unwrap()[0].clone();
 
     for e in 0..elements {
-        let boundary = e + 1;
         let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |cfg| {
             cfg.deterministic_resume_tokens = true
         });
         let wires = Wires::default();
         // Survive the handshake, elements 0..=e and EXT(e + 1); die on
         // CIPHER(e + 1) (or STATS after the last element).
-        let cut = HANDSHAKE_EVENTS + boundary * EVENTS_PER_ELEMENT + u64::from(boundary < elements);
+        let cut = HANDSHAKE_EVENTS + (e + 1) * EVENTS_PER_ELEMENT + u64::from(e + 1 < elements);
         let spec = FaultSpec::none(SEED).with_cut_after(cut);
         let mut client = lookahead_client(&service, &wires, trace, |svc, wires| {
             let (server_end, client_end) = Duplex::pair();
@@ -347,25 +349,30 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
         };
         assert_eq!(
             u64::from(resume_boundary(&conn2.sent[0])),
-            boundary,
-            "e={e}: RESUME must start at boundary e + 1"
+            e,
+            "e={e}: RESUME must start at boundary e, the last evaluated element"
         );
-        // Up: HELLO, JOB and EXT(0..=e) from conn1, then conn2's replay of
-        // EXT(e + 1) (bit-identical to the one that died) onward.
-        let done = 2 + boundary as usize;
-        if boundary < elements {
-            assert_eq!(conn1.sent.len(), done + 1, "e={e}: EXT(e + 1) left");
-            assert_eq!(conn1.sent[done], conn2.sent[1], "e={e}: EXT replay");
-        } else {
-            assert_eq!(conn1.sent.len(), done, "e={e}");
-        }
-        let up: Vec<&Bytes> = conn1.sent[..done].iter().chain(&conn2.sent[1..]).collect();
+        // Up: HELLO, JOB and EXT(0..e) from conn1, then conn2's replay of
+        // EXT(e) and EXT(e + 1) (bit-identical to the ones conn1 sent)
+        // onward.
+        let kept = 2 + e as usize;
+        let replayed = 1 + usize::from(e + 1 < elements);
+        assert_eq!(conn1.sent.len(), kept + replayed, "e={e}: EXT(e + 1) left");
+        assert_eq!(
+            conn1.sent[kept..],
+            conn2.sent[1..1 + replayed],
+            "e={e}: EXT replay"
+        );
+        let up: Vec<&Bytes> = conn1.sent[..kept].iter().chain(&conn2.sent[1..]).collect();
         assert_eq!(up, reference.sent.iter().collect::<Vec<_>>(), "e={e}: up");
-        // Down: ACCEPT, READY and the data of elements 0..=e from conn1,
-        // then everything after conn2's READY.
-        assert_eq!(conn1.received.len(), 2 + 2 * boundary as usize);
+        // Down: ACCEPT, READY and the data of elements 0..e from conn1,
+        // then everything after conn2's READY, element e's data first.
+        assert_eq!(conn1.received.len(), 2 + 2 * (e as usize + 1));
         assert_eq!(conn2.received[0], reference.received[1], "e={e}: READY");
-        let down: Vec<&Bytes> = conn1.received.iter().chain(&conn2.received[1..]).collect();
+        let down: Vec<&Bytes> = conn1.received[..2 + 2 * e as usize]
+            .iter()
+            .chain(&conn2.received[1..])
+            .collect();
         assert_eq!(
             down,
             reference.received.iter().collect::<Vec<_>>(),
@@ -376,8 +383,9 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
 
 /// EXT(e + 1) leaves only after ROUNDS(e) has passed its CRC — the rule
 /// the resilient client's checksum healing relies on: a corrupt ROUNDS(e)
-/// leaves the server's newest snapshot at e + 1, so boundary e is still
-/// resumable.
+/// leaves the server's high-water mark at e + 1, so the client's rollback
+/// point, the boundary of its last evaluated element e − 1 (0 for e = 0),
+/// is within reach.
 #[test]
 fn lookahead_ext_waits_for_the_rounds_crc() {
     let xs = vec![
@@ -436,17 +444,21 @@ fn lookahead_ext_waits_for_the_rounds_crc() {
         client.goodbye();
         service.shutdown();
         let log = wires.lock().unwrap();
-        assert_eq!(resume_boundary(&log[1].sent[0]), e as u32, "e={e}");
+        assert_eq!(
+            resume_boundary(&log[1].sent[0]),
+            e.saturating_sub(1) as u32,
+            "e={e}"
+        );
     }
 }
 
 /// Regression: a cut between the last element's data and STATS leaves
-/// `elements_done == total_elements` on the client while the server
-/// deposits a checkpoint whose snapshot window ends at the final boundary.
-/// The client's checkpoints must cover that boundary too — a stale
-/// checkpoint from the top of the last iteration would roll the OT
-/// receiver back one element while the server restores its sender at the
-/// end, silently desyncing every later job on the session.
+/// `elements_done == total_elements` on the client while the server's
+/// high-water mark stands at the final boundary. The client resumes at the
+/// last element, and the server must derive its sender there from the
+/// job's record — a sender left at the end while the client's receiver
+/// rolls back one element would silently desync every later job on the
+/// session.
 #[test]
 fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
     let xs = vec![

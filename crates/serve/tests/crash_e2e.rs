@@ -14,9 +14,12 @@
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use max_gc::{FaultSpec, FaultTransport, FramedTcp};
+use bytes::Bytes;
+use max_gc::channel::{FrameKind, TransportError};
+use max_gc::{FaultSpec, FaultTransport, FramedTcp, Transport};
 use max_serve::{
     demo_vector, demo_weights, plain_matvec, GcService, JournalConfig, RecordingTransport,
     ServeConfig,
@@ -24,7 +27,9 @@ use max_serve::{
 use maxelerator::{AcceleratorError, RemoteClient, ResilientClient, RetryPolicy};
 
 mod common;
+mod power_cut;
 use common::{demo_service, wait_until, WIDTH};
+use power_cut::{only_segment, power_cut_image, records, KIND_CHECKPOINT};
 
 const ROWS: usize = 3;
 const COLS: usize = 3;
@@ -41,36 +46,22 @@ fn cut_mid_element(element: u64) -> u64 {
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "crash-e2e-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    power_cut::temp_dir("crash-e2e", tag)
 }
 
 fn journaled_service(dir: &Path, mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
-    demo_service(ROWS, COLS, SEED, |cfg| {
+    journaled_model(ROWS, dir, mutate)
+}
+
+/// [`journaled_service`] on a `rows × COLS` model.
+fn journaled_model(rows: usize, dir: &Path, mutate: impl FnOnce(&mut ServeConfig)) -> GcService {
+    demo_service(rows, COLS, SEED, |cfg| {
         cfg.deterministic_resume_tokens = true;
         let mut journal = JournalConfig::new(dir);
         journal.fsync = false; // in-process tests exercise bytes, not disks
         cfg.journal = Some(journal);
         mutate(cfg);
     })
-}
-
-/// The only journal segment file in `dir` (panics if there is not exactly
-/// one — the tests keep windows small enough to never rotate mid-job).
-fn only_segment(dir: &Path) -> PathBuf {
-    let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("journal dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "maxj"))
-        .collect();
-    assert_eq!(segments.len(), 1, "expected exactly one segment");
-    segments.remove(0)
 }
 
 /// Kill-9 equivalence, deterministically: run a job against a journaled
@@ -129,17 +120,21 @@ fn journal_replay_after_process_loss_resumes_bit_identical() {
     let conn1_sent = rec1.sent_frames().to_vec();
     let conn1_recv = rec1.received_frames().to_vec();
     drop(rec1);
-    // The journal already holds every element boundary — written *before*
-    // the boundary's frames went out — so there is nothing to wait for.
-    // The dead instance is never shut down: no flush, no drain, no BYE.
+    // The journal already holds the job's one record — written *before*
+    // element 0's frames went out — so there is nothing to wait for. The
+    // dead instance is never shut down: no flush, no drain, no BYE.
     let journal = first_incarnation.journal().expect("journal configured");
-    assert!(journal.appends() >= 3, "boundaries 0..=2 journaled");
+    assert_eq!(
+        journal.appends(),
+        1,
+        "the job's record, and nothing per element"
+    );
     drop(first_incarnation);
 
     // Second incarnation: same directory, fresh process state.
     let second_incarnation = journaled_service(&dir, |_| {});
     let replay = second_incarnation.journal_replay();
-    assert!(replay.records_applied >= 3, "replayed the crash run");
+    assert_eq!(replay.records_applied, 1, "replayed the crash run");
     assert_eq!(replay.sessions, 1, "one interrupted session restored");
     assert!(replay.quarantined.is_empty());
     assert_eq!(second_incarnation.resume_checkpoints(), 1);
@@ -158,36 +153,36 @@ fn journal_replay_after_process_loss_resumes_bit_identical() {
     let conn2_sent = rec2.sent_frames();
     let conn2_recv = rec2.received_frames();
 
-    // Stitch and diff, frame by frame, against the uninterrupted run.
+    // Stitch and diff, frame by frame, against the uninterrupted run. The
+    // client evaluated elements 0 and 1, so it resumed at boundary 1 and
+    // element 1 was served again.
     // Down direction: ACCEPT + READY + two completed elements' data (+ the
-    // partial element's CIPHER) on conn1; READY + elements 2..6 + STATS on
+    // partial element's CIPHER) on conn1; READY + elements 1..6 + STATS on
     // conn2.
-    assert_eq!(conn1_recv[0], ref_recv[0], "ACCEPT diverged across restart");
-    assert_eq!(conn1_recv[1], ref_recv[1], "READY diverged");
     assert_eq!(
-        &conn1_recv[2..2 + 2 * 2],
-        &ref_recv[2..2 + 2 * 2],
-        "pre-crash element data diverged"
+        conn1_recv[..2 + 2 * 2],
+        ref_recv[..2 + 2 * 2],
+        "pre-crash frames diverged"
     );
     assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
     assert_eq!(
         &conn2_recv[1..],
-        &ref_recv[2 + 2 * 2..],
-        "post-restart data (elements 2..6 + STATS) diverged"
+        &ref_recv[2 + 2..],
+        "post-restart data (elements 1..6 + STATS) diverged"
     );
 
-    // Up direction: stitched EXT stream matches, and the rolled-back EXT
-    // replays bit-identically.
-    assert_eq!(conn1_sent[0].1, ref_sent[0].1, "HELLO diverged");
-    assert_eq!(conn1_sent[1].1, ref_sent[1].1, "JOB diverged");
-    assert_eq!(conn1_sent[2].1, ref_sent[2].1);
-    assert_eq!(conn1_sent[3].1, ref_sent[3].1);
+    // Up direction: HELLO, JOB and EXT(0..3) on conn1 match, the
+    // rolled-back EXTs replay bit-identically, and conn2 carries the rest.
+    for (i, frame) in conn1_sent.iter().enumerate() {
+        assert_eq!(frame.1, ref_sent[i].1, "conn1 frame {i} diverged");
+    }
     assert_eq!(
-        conn2_sent[1].1, conn1_sent[4].1,
-        "rolled-back EXT must replay bit-identically"
+        (&conn2_sent[1].1, &conn2_sent[2].1),
+        (&conn1_sent[3].1, &conn1_sent[4].1),
+        "rolled-back EXTs must replay bit-identically"
     );
-    for (i, frame) in conn2_sent[1..1 + 4].iter().enumerate() {
-        assert_eq!(frame.1, ref_sent[4 + i].1, "stitched EXT {i} diverged");
+    for (i, frame) in conn2_sent[1..].iter().enumerate() {
+        assert_eq!(frame.1, ref_sent[3 + i].1, "stitched frame {i} diverged");
     }
 
     let stats = second_incarnation.shutdown();
@@ -210,9 +205,9 @@ fn journal_replay_after_process_loss_resumes_bit_identical() {
 }
 
 /// A torn tail — the classic kill-9-mid-write artifact — replays to the
-/// last valid record. Because every append carries the full two-snapshot
-/// window, losing the *final* record still leaves a window covering the
-/// client's rollback point, and RESUME succeeds.
+/// last valid record. The crash tears another session's record mid-write;
+/// the interrupted job's record, written before it, replays intact, and
+/// RESUME succeeds.
 #[test]
 fn torn_journal_tail_still_resumes() {
     let xs = vec![
@@ -239,14 +234,18 @@ fn torn_journal_tail_still_resumes() {
     assert_eq!(progress.elements_done(), 2);
     let (dead, state) = client.into_parts();
     drop(dead);
-    wait_until("journal to cover the crash window", || {
-        first.journal().is_some_and(|j| j.appends() >= 4)
+    // Another session starts a job: its record is the segment's last.
+    let mut other = RemoteClient::connect(first.connect(), WIDTH).expect("handshake");
+    let _ready = other.start_job(&xs[..1]).expect("job admitted");
+    wait_until("the second job's record", || {
+        first.journal().is_some_and(|j| j.appends() == 2)
     });
     drop(first);
 
     // Tear the last record: chop bytes off the segment's end, mid-record.
     let segment = only_segment(&dir);
     let bytes = std::fs::read(&segment).expect("read segment");
+    assert_eq!(records(&bytes).len(), 2);
     std::fs::write(&segment, &bytes[..bytes.len() - 33]).expect("tear tail");
 
     let second = journaled_service(&dir, |_| {});
@@ -261,7 +260,7 @@ fn torn_journal_tail_still_resumes() {
     let mut client = RemoteClient::reattach(second.connect(), state);
     client
         .resume_job(&mut progress)
-        .expect("window in the second-to-last record still covers the rollback");
+        .expect("the interrupted job's record survives the tear");
     client.run_job(&mut progress).expect("resumed run");
     let (ys, _) = progress.into_result();
     assert_eq!(ys, expected);
@@ -300,9 +299,8 @@ fn corrupt_journal_quarantines_and_rejects_resume_typed() {
         .expect_err("cut kills the run");
     let (dead, state) = client.into_parts();
     drop(dead);
-    wait_until("journal to cover the crash window", || {
-        first.journal().is_some_and(|j| j.appends() >= 4)
-    });
+    // The job's record was written before element 0's frames went out.
+    assert_eq!(first.journal().map(|j| j.appends()), Some(1));
     drop(first);
 
     // Flip a bit in the *first* record: every record after it is
@@ -342,86 +340,43 @@ fn corrupt_journal_quarantines_and_rejects_resume_typed() {
 // Power cuts: what survives when only the synced bytes do.
 // ---------------------------------------------------------------------
 
-/// Journal record kinds, per the documented segment layout.
-const KIND_CHECKPOINT: u8 = 1;
+/// The tombstone record kind, per the documented segment layout.
 const KIND_REMOVE: u8 = 2;
 
-/// `(end offset, kind)` of every record in a journal segment: an 8-byte
-/// magic, then records of `[len: u32 LE][crc32: u32 LE][kind: u8 payload]`
-/// where `len` counts the kind byte and the payload.
-fn records(segment: &[u8]) -> Vec<(usize, u8)> {
-    let mut at = 8;
-    let mut out = Vec::new();
-    while at < segment.len() {
-        let len = u32::from_le_bytes(segment[at..at + 4].try_into().expect("4 bytes"));
-        let end = at + 8 + len as usize;
-        out.push((end, segment[at + 8]));
-        at = end;
-    }
-    assert_eq!(at, segment.len(), "the segment ends on a record boundary");
-    out
-}
-
-/// The image a power cut leaves of a fresh journal's segment that one
-/// session wrote: the bytes up to the end of its last barrier record, as no
-/// ordered record after it reached the disk. In one session's job stream
-/// the ordered records are every tombstone (17 bytes: the 8-byte header,
-/// the kind and a session id) and each job's pre-READY floor, the
-/// checkpoint that opens the segment or follows a tombstone; every other
-/// checkpoint is a barrier.
-fn power_cut_image(segment: &[u8]) -> &[u8] {
-    let mut durable = 8; // the magic, synced when the segment was created
-    let mut previous = KIND_REMOVE;
-    for (end, kind) in records(segment) {
-        if kind == KIND_CHECKPOINT && previous == KIND_CHECKPOINT {
-            durable = end;
-        }
-        previous = kind;
-    }
-    &segment[..durable]
-}
-
-/// A journaled R-element job costs R + 2 appends (the pre-READY floor, R
-/// element boundaries, the post-STATS tombstone) and exactly R barriers;
-/// a BYE after it appends nothing, the window being gone. METRICS reports
-/// both counts.
+/// A journaled job costs 2 appends (its one record, after READY, and the
+/// post-STATS tombstone) and exactly 1 barrier, however many elements it
+/// has; a BYE after it appends nothing, the record being gone. METRICS
+/// reports both counts.
 #[test]
-fn journaled_job_pays_one_barrier_per_element() {
+fn journaled_job_pays_one_barrier_per_job() {
     let dir = temp_dir("barriers");
     let service = journaled_service(&dir, |_| {});
     let mut client = RemoteClient::connect(service.connect(), WIDTH).expect("handshake");
     let xs: Vec<Vec<i64>> = (1..3).map(|i| demo_vector(COLS, WIDTH, SEED ^ i)).collect();
-    client.secure_matmul(&xs).expect("job");
-    let elements = (xs.len() * ROWS) as u64;
+    let jobs = 2u64;
+    for _ in 0..jobs {
+        client.secure_matmul(&xs).expect("job");
+    }
     // The session thread answers METRICS only after the job's tombstone.
     let body = client.metrics().expect("METRICS");
     assert!(
-        body.contains(&format!(
-            "\"appends\":{},\"barriers\":{elements},",
-            elements + 2
-        )),
+        body.contains(&format!("\"appends\":{},\"barriers\":{jobs},", 2 * jobs)),
         "{body}"
     );
     let journal = service.journal().expect("journal configured");
-    assert_eq!(
-        (journal.appends(), journal.barriers()),
-        (elements + 2, elements)
-    );
+    assert_eq!((journal.appends(), journal.barriers()), (2 * jobs, jobs));
     client.goodbye();
-    // The job's tombstone already removed the window: the BYE writes none.
+    // The job's tombstone already removed the record: the BYE writes none.
     service.shutdown();
-    assert_eq!(
-        (journal.appends(), journal.barriers()),
-        (elements + 2, elements)
-    );
+    assert_eq!((journal.appends(), journal.barriers()), (2 * jobs, jobs));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Power loss right after a job's READY: the previous job's tombstone and
-/// this job's pre-READY floor are ordered records, so the cut loses both.
-/// Replay then resurrects the previous job's final window; the interrupted
-/// job's RESUME gets a typed `REJECT(resume)`, never a resume against that
-/// window, and a fresh job still returns the plaintext `W·x`.
+/// Power loss while job 2's record is being synced, right after its READY:
+/// the record and job 1's tombstone, an ordered record, both miss the
+/// disk. Replay then resurrects job 1's record; the interrupted job's
+/// RESUME gets a typed `REJECT(resume)`, never a resume against that
+/// record, and a fresh job still returns the plaintext `W·x`.
 #[test]
 fn power_cut_after_ready_rejects_resume_typed() {
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
@@ -439,12 +394,10 @@ fn power_cut_after_ready_rejects_resume_typed() {
         .expect("job 2 admitted");
     let (dead, state) = client.into_parts();
     drop(dead);
-    // Every record job 2 caused was written before its READY went out.
+    // Job 2's record goes out right after its READY.
     let journal = first.journal().expect("journal configured");
-    assert_eq!(
-        (journal.appends(), journal.barriers()),
-        (ROWS as u64 + 3, ROWS as u64)
-    );
+    wait_until("job 2's record", || journal.appends() == 3);
+    assert_eq!(journal.barriers(), 2);
     drop(first);
 
     let segment = only_segment(&dir);
@@ -452,21 +405,24 @@ fn power_cut_after_ready_rejects_resume_typed() {
     let records = records(&bytes);
     let kinds: Vec<u8> = records.iter().map(|&(_, kind)| kind).collect();
     assert_eq!(
-        kinds[kinds.len() - 2..],
-        [KIND_REMOVE, KIND_CHECKPOINT],
-        "job 1's tombstone, then job 2's floor"
+        kinds,
+        [KIND_CHECKPOINT, KIND_REMOVE, KIND_CHECKPOINT],
+        "job 1's record and tombstone, then job 2's record"
     );
-    let image = power_cut_image(&bytes);
-    assert_eq!(image.len(), records[ROWS].0, "cut at job 1's last barrier");
+    // The segment as it stood when job 2's record began to sync, cut to
+    // what had reached the disk.
+    let image = power_cut_image(&bytes[..records[1].0]);
+    assert_eq!(image.len(), records[0].0, "cut at job 1's record");
     std::fs::write(&segment, image).expect("power cut");
 
     let second = journaled_service(&dir, |_| {});
     let replay = second.journal_replay();
     assert!(replay.quarantined.is_empty() && !replay.truncated_tail);
-    assert_eq!(replay.sessions, 1, "job 1's final window comes back");
+    assert_eq!(replay.sessions, 1, "job 1's record comes back");
     let live = second.journal().expect("journal").live_checkpoints();
     assert_eq!(live[0].job_id, 0);
-    assert_eq!(live[0].snapshots.last().map(|s| s.0), Some(ROWS));
+    assert_eq!(live[0].snapshots.len(), 1);
+    assert_eq!(live[0].snapshots[0].0, 0, "the job's start");
 
     let mut client = RemoteClient::reattach(second.connect(), state);
     match client.resume_job(&mut progress) {
@@ -483,8 +439,8 @@ fn power_cut_after_ready_rejects_resume_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Power loss mid-element 2: element 2's boundary was a barrier, synced
-/// before its CIPHER went out, so the power-cut image is the whole
+/// Power loss mid-element 2: the job's one record was a barrier, synced
+/// before element 0's CIPHER went out, so the power-cut image is the whole
 /// kill-9 image and RESUME stitches bit-identically to an uninterrupted
 /// run.
 #[test]
@@ -522,9 +478,9 @@ fn power_cut_mid_element_keeps_the_kill9_image_and_resumes_bit_identical() {
     assert_eq!(progress.elements_done(), 2);
     let (dead, state) = client.into_parts();
     drop(dead);
-    // The floor and boundaries 1..=3, written before element 2's CIPHER.
+    // The job's record, and nothing per element.
     let journal = first.journal().expect("journal configured");
-    assert_eq!((journal.appends(), journal.barriers()), (4, 3));
+    assert_eq!((journal.appends(), journal.barriers()), (1, 1));
     drop(first);
 
     let segment = only_segment(&dir);
@@ -548,11 +504,96 @@ fn power_cut_mid_element_keeps_the_kill9_image_and_resumes_bit_identical() {
     assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
     assert_eq!(
         conn2_recv[1..],
-        ref_recv[2 + 2 * 2..],
-        "post-restart data (elements 2..6 + STATS) diverged"
+        ref_recv[2 + 2..],
+        "post-restart data (elements 1..6 + STATS) diverged"
     );
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The keystone of the one-record journal: cut the wire mid-element `k` of
+/// a 2-column job, for every `k`, keep only the segment's synced bytes, and
+/// restart. The RESUME at the client's last evaluated element returns the
+/// plaintext `W·x`, and every frame of the second connection matches the
+/// uninterrupted run from that element on.
+#[test]
+fn a_power_cut_mid_any_element_resumes_bit_identical() {
+    const SWEEP_ROWS: usize = 4;
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 1),
+        demo_vector(COLS, WIDTH, SEED ^ 2),
+    ];
+    let weights = demo_weights(SWEEP_ROWS, COLS, WIDTH, SEED);
+    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    let elements = xs.len() * SWEEP_ROWS;
+    assert_eq!(elements, 8);
+    let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x3D);
+
+    let ref_dir = temp_dir("sweep-ref");
+    let ref_service = journaled_model(SWEEP_ROWS, &ref_dir, |_| {});
+    let mut ref_client = RemoteClient::connect_with_trace(
+        RecordingTransport::new(ref_service.connect()),
+        WIDTH,
+        trace,
+    )
+    .expect("reference handshake");
+    let (ref_ys, _) = ref_client.secure_matmul(&xs).expect("reference job");
+    assert_eq!(ref_ys, expected);
+    let ref_rec = ref_client.goodbye();
+    ref_service.shutdown();
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let (ref_sent, ref_recv) = (ref_rec.sent_frames(), ref_rec.received_frames());
+
+    for k in 0..elements {
+        let dir = temp_dir("sweep");
+        let first = journaled_model(SWEEP_ROWS, &dir, |_| {});
+        let fault = FaultTransport::new(
+            first.connect(),
+            FaultSpec::none(SEED).with_cut_after(cut_mid_element(k as u64)),
+        );
+        let mut client = RemoteClient::connect_with_trace(fault, WIDTH, trace).expect("handshake");
+        let mut progress = client.start_job(&xs).expect("job admitted");
+        client.run_job(&mut progress).expect_err("the cut");
+        assert_eq!(progress.elements_done(), k, "k={k}");
+        let (dead, state) = client.into_parts();
+        drop(dead);
+        // The server is done with the job: failed at the cut or, past the
+        // last element's frames, finished with its tombstone written.
+        wait_until("the first incarnation to end the job", || {
+            let stats = first.stats();
+            stats.checkpoints_saved + stats.jobs_completed == 1
+        });
+        drop(first);
+
+        let segment = only_segment(&dir);
+        let bytes = std::fs::read(&segment).expect("read segment");
+        std::fs::write(&segment, power_cut_image(&bytes)).expect("power cut");
+
+        let second = journaled_model(SWEEP_ROWS, &dir, |_| {});
+        assert_eq!(second.journal_replay().sessions, 1, "k={k}");
+        let mut client = RemoteClient::reattach(RecordingTransport::new(second.connect()), state);
+        client
+            .resume_job(&mut progress)
+            .expect("RESUME after the power cut");
+        let rollback = k.saturating_sub(1);
+        assert_eq!(progress.elements_done(), rollback, "k={k}");
+        client.run_job(&mut progress).expect("resumed run");
+        let (ys, _) = progress.into_result();
+        assert_eq!(ys, expected, "k={k}: W·x");
+        let rec = client.goodbye();
+        // Up: RESUME, then EXT(rollback..) and BYE as the reference sent
+        // them. Down: READY, then element `rollback` on and STATS.
+        let sent = rec.sent_frames();
+        assert_eq!(sent.len(), 1 + ref_sent.len() - (2 + rollback), "k={k}");
+        for (i, frame) in sent[1..].iter().enumerate() {
+            assert_eq!(frame.1, ref_sent[2 + rollback + i].1, "k={k}: up {i}");
+        }
+        let recv = rec.received_frames();
+        assert_eq!(recv[0], ref_recv[1], "k={k}: READY");
+        assert_eq!(recv[1..], ref_recv[2 + 2 * rollback..], "k={k}: down");
+        second.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -653,15 +694,15 @@ fn killed_server_process_restarts_and_client_resumes() {
     let dir = temp_dir("child-abort");
     let dir_str = dir.to_string_lossy().to_string();
 
-    // Crash right after journaling boundary 3: mid-job, two elements
-    // delivered to the client, the third's CIPHER never sent.
+    // Crash right after the first append, the job's record: its READY
+    // has gone out, element 0's CIPHER never does.
     let mut first = spawn_serve(&[
         "--addr",
         "127.0.0.1:0",
         "--journal-dir",
         &dir_str,
         "--crash-after-appends",
-        "4",
+        "1",
         "--seed",
         "42",
     ]);
@@ -720,8 +761,41 @@ fn killed_server_process_restarts_and_client_resumes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An actual `SIGKILL` delivered mid-job from outside, timed off the
-/// journal segment's growth rather than a sleep, then the same
+/// Passes frames through and, once, reports when the `at`-th inbound
+/// frame has arrived.
+struct Tripwire<T> {
+    inner: T,
+    received: usize,
+    trip: Option<(usize, mpsc::Sender<()>)>,
+}
+
+impl<T: Transport> Transport for Tripwire<T> {
+    fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
+        self.inner.send_frame(kind, frame)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        let frame = self.inner.recv_frame()?;
+        self.received += 1;
+        if self
+            .trip
+            .as_ref()
+            .is_some_and(|(at, _)| *at == self.received)
+        {
+            if let Some((_, tripped)) = self.trip.take() {
+                let _ = tripped.send(());
+            }
+        }
+        Ok(frame)
+    }
+
+    fn set_idle_timeout(&mut self, timeout: Option<Duration>) -> bool {
+        self.inner.set_idle_timeout(timeout)
+    }
+}
+
+/// An actual `SIGKILL` delivered mid-job from outside, once the client
+/// holds element data (so the job's record is on disk), then the same
 /// restart-and-resume contract.
 #[test]
 fn sigkill_mid_job_restarts_and_client_resumes() {
@@ -732,17 +806,27 @@ fn sigkill_mid_job_restarts_and_client_resumes() {
     let addr = first.addr.clone();
 
     let weights = demo_weights(4, 4, 8, 42);
-    // A long job — 32 columns × 4 rows = 128 elements, each fsync'd — so
-    // the kill window is wide.
+    // A long job — 32 columns × 4 rows = 128 elements — so the kill lands
+    // mid-job.
     let xs: Vec<Vec<i64>> = (0..32).map(|i| demo_vector(4, 8, 42 ^ (i + 1))).collect();
     let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
 
+    // The first connection trips once it holds ACCEPT, READY and five
+    // elements' CIPHER + ROUNDS: the record was synced before element 0.
+    let (tripped, mid_job) = mpsc::channel();
+    let mut trip = Some((2 + 2 * 5, tripped));
     // No step timeout — see killed_server_process_restarts_and_client_resumes.
     let client_addr = addr.clone();
     let client_xs = xs.clone();
     let client_thread = std::thread::spawn(move || {
         let mut client = ResilientClient::new(
-            move || FramedTcp::connect(&client_addr).map_err(AcceleratorError::from),
+            move || {
+                Ok(Tripwire {
+                    inner: FramedTcp::connect(&client_addr)?,
+                    received: 0,
+                    trip: trip.take(),
+                })
+            },
             8,
             RetryPolicy {
                 max_attempts: 60,
@@ -762,27 +846,11 @@ fn sigkill_mid_job_restarts_and_client_resumes() {
         (ys, stats)
     });
 
-    // Kill once the journal shows real mid-job progress: six records are
-    // the pre-READY floor and element boundaries 1..=5 of 128 —
-    // comfortably mid-job, comfortably before the end (the first rotation
-    // is at append 64, long after the kill lands).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let grown = std::fs::read_dir(&dir).ok().and_then(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().is_some_and(|x| x == "maxj"))
-                .filter_map(|e| std::fs::read(e.path()).ok())
-                .filter(|segment| segment.len() >= 8)
-                .map(|segment| records(&segment).len())
-                .max()
-        });
-        if grown.is_some_and(|count| count >= 6) {
-            break;
-        }
-        assert!(Instant::now() < deadline, "journal never grew mid-job");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // Kill once the client holds element 4's data: mid-job, and long
+    // before its end.
+    mid_job
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the job reached element 4");
     first.kill();
 
     let second = respawn_serve(&addr, &["--journal-dir", &dir_str]);

@@ -13,18 +13,24 @@
 //! Since v7 the digest folds a CIPHER/ROUNDS frame by its seal, not its
 //! bytes, so the second test here swaps in a *different, validly sealed*
 //! frame of the same length — the case a bit flip cannot reach — and
-//! insists it still never yields a result.
+//! insists it still never yields a result. The third follows that
+//! substitution with a power cut and a restart from the journal, where the
+//! server adopts the client's digest on RESUME (v8), and insists the
+//! outcome is still the plaintext.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use max_gc::channel::{FrameKind, TransportError};
 use max_gc::Transport;
-use max_serve::{demo_vector, demo_weights, plain_matvec, GcService, ServeConfig};
+use max_serve::{demo_vector, demo_weights, plain_matvec, GcService, JournalConfig, ServeConfig};
 use maxelerator::{
     AcceleratorConfig, AcceleratorError, RemoteClient, ResilientClient, RetryPolicy,
 };
 use proptest::prelude::*;
+
+mod power_cut;
+use power_cut::{only_segment, power_cut_image};
 
 const WIDTH: usize = 8;
 const ROWS: usize = 3;
@@ -170,21 +176,43 @@ fn anchor_flips_heal_in_both_directions() {
 }
 
 /// Replaces one inbound ROUNDS frame with the previous element's — a frame
-/// the server really sealed, of the same length, in the wrong place.
+/// the server really sealed, of the same length, in the wrong place — and,
+/// when `cut`, dies right after it: nothing more reaches either side.
 struct ReplayRounds<T> {
     inner: T,
     /// Output element whose ROUNDS frame is replaced (≥ 1).
     element: usize,
     received: usize,
     previous: Option<Bytes>,
+    cut: bool,
+    dead: bool,
+}
+
+impl<T> ReplayRounds<T> {
+    fn new(inner: T, element: usize, cut: bool) -> ReplayRounds<T> {
+        ReplayRounds {
+            inner,
+            element,
+            received: 0,
+            previous: None,
+            cut,
+            dead: false,
+        }
+    }
 }
 
 impl<T: Transport> Transport for ReplayRounds<T> {
     fn send_frame(&mut self, kind: FrameKind, frame: Bytes) -> Result<(), TransportError> {
+        if self.dead {
+            return Err(TransportError::Disconnected);
+        }
         self.inner.send_frame(kind, frame)
     }
 
     fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        if self.dead {
+            return Err(TransportError::Disconnected);
+        }
         let frame = self.inner.recv_frame()?;
         // Inbound: ACCEPT, READY, then CIPHER + ROUNDS per element.
         let index = self.received;
@@ -200,6 +228,7 @@ impl<T: Transport> Transport for ReplayRounds<T> {
             assert!(max_gc::channel::is_sealed(&stale));
             assert_eq!(stale.len(), frame.len());
             assert_ne!(stale, frame);
+            self.dead = self.cut;
             return Ok(stale);
         }
         Ok(frame)
@@ -220,12 +249,7 @@ fn validly_sealed_substituted_rounds_frame_never_yields_a_result() {
         let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
         let cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
         let service = GcService::start(cfg);
-        let wire = ReplayRounds {
-            inner: service.connect(),
-            element,
-            received: 0,
-            previous: None,
-        };
+        let wire = ReplayRounds::new(service.connect(), element, false);
         let mut client = RemoteClient::connect(wire, WIDTH).expect("handshake");
         let outcome = client.secure_matvec(&demo_vector(COLS, WIDTH, SEED ^ 7));
         assert!(
@@ -240,5 +264,61 @@ fn validly_sealed_substituted_rounds_frame_never_yields_a_result() {
             "element {element}"
         );
         assert_eq!(stats.jobs_completed, u64::from(!caught_by_server));
+    }
+}
+
+/// A substituted ROUNDS(e), then a power cut before EXT(e + 1) reaches the
+/// server: the client has evaluated `e` from the wrong frame, and the
+/// server restarts from what its journal had synced, the job's one record.
+/// The client resumes at boundary `e`, whose digest the server verified
+/// when it answered EXT(e), so `e` is served again from the job seed. The
+/// outcome is the plaintext `W·x`: never the number the substituted frame
+/// made, which a RESUME at the client's newest boundary, with its unchecked
+/// digest, would carry into a result every later check agrees with.
+#[test]
+fn substituted_rounds_then_a_power_cut_never_yields_a_wrong_result() {
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 7),
+        demo_vector(COLS, WIDTH, SEED ^ 8),
+    ];
+    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    let journaled = |dir: &std::path::Path| {
+        let mut cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights.clone(), SEED);
+        let mut journal = JournalConfig::new(dir);
+        journal.fsync = false; // the image below is what a sync would keep
+        cfg.journal = Some(journal);
+        GcService::start(cfg)
+    };
+    // Every element with a successor, so EXT(e + 1) is the frame the cut
+    // stops.
+    for element in 1..xs.len() * ROWS - 1 {
+        let dir = power_cut::temp_dir("integrity-e2e", "substituted");
+        let first = journaled(&dir);
+        let wire = ReplayRounds::new(first.connect(), element, true);
+        let mut client = RemoteClient::connect(wire, WIDTH).expect("handshake");
+        let mut progress = client.start_job(&xs).expect("job admitted");
+        client
+            .run_job(&mut progress)
+            .expect_err("the cut kills the run");
+        let (dead, state) = client.into_parts();
+        drop(dead);
+        drop(first);
+
+        let segment = only_segment(&dir);
+        let bytes = std::fs::read(&segment).expect("read segment");
+        std::fs::write(&segment, power_cut_image(&bytes)).expect("power cut");
+
+        let second = journaled(&dir);
+        let mut client = RemoteClient::reattach(second.connect(), state);
+        let outcome = client
+            .resume_job(&mut progress)
+            .and_then(|()| client.run_job(&mut progress));
+        assert_eq!(outcome, Ok(()), "element {element}");
+        let (ys, _) = progress.into_result();
+        assert_eq!(ys, expected, "element {element}: W·x, not another number");
+        client.goodbye();
+        second.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
