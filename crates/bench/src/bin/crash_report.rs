@@ -39,8 +39,9 @@ const SEED: u64 = 0xC4A5;
 
 /// Server-side frame events: recv HELLO, send ACCEPT, recv JOB, send READY.
 const HANDSHAKE_EVENTS: u64 = 4;
-/// Per element: recv EXT, send CIPHER, send ROUNDS.
-const EVENTS_PER_ELEMENT: u64 = 3;
+/// Per element: send CIPHER, send ROUNDS, after the batch's one recv EXT
+/// (the job's 8 elements of 32 OT transfers are one batch).
+const EVENTS_PER_ELEMENT: u64 = 2;
 
 #[derive(Clone, Copy)]
 enum CrashPoint {
@@ -65,8 +66,10 @@ impl CrashPoint {
     fn cut_after(self, elements: u64) -> u64 {
         match self {
             CrashPoint::PreJob => HANDSHAKE_EVENTS,
-            CrashPoint::MidElement => HANDSHAKE_EVENTS + (elements / 2) * EVENTS_PER_ELEMENT + 2,
-            CrashPoint::PreStats => HANDSHAKE_EVENTS + elements * EVENTS_PER_ELEMENT,
+            CrashPoint::MidElement => {
+                HANDSHAKE_EVENTS + 1 + (elements / 2) * EVENTS_PER_ELEMENT + 1
+            }
+            CrashPoint::PreStats => HANDSHAKE_EVENTS + 1 + elements * EVENTS_PER_ELEMENT,
         }
     }
 }

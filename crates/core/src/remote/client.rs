@@ -1,17 +1,17 @@
 //! The evaluator's side of a served session: the portable session state,
 //! resumable per-job progress, and the [`RemoteClient`] that drives both.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use max_crypto::{Block, TranscriptDigest};
-use max_gc::channel::{decode_blocks, seal_frame, FrameKind};
+use max_gc::channel::{decode_blocks, FrameKind};
 use max_gc::Transport;
-use max_ot::iknp::{self, CipherMsg, OtCursor, OtExtReceiver};
+use max_ot::iknp::{self, ExtensionKeys, OtCursor, OtExtReceiver, KAPPA};
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    encode_ext, lend_round_burst, recv_control, recv_marked, reject_reason, send_control,
-    ControlMsg, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION,
-    REJECT_DETAIL_STOCK, REJECT_INTEGRITY,
+    lend_round_burst, recv_control, recv_marked, reject_reason, seal_ext, send_control, ControlMsg,
+    JobShape, ModelHandle, ModelStatus, MAX_MODEL_ELEMENTS, PROTOCOL_VERSION, REJECT_DETAIL_STOCK,
+    REJECT_INTEGRITY,
 };
 use super::job::STREAM_DIGEST_MISMATCH;
 use crate::accelerator::ScheduledEvaluator;
@@ -143,9 +143,10 @@ impl SessionState {
     }
 }
 
-/// The client's state at element boundary `at`, as it stood before EXT(`at`)
-/// was prepared: what [`RemoteClient::run_job`] commits once an element has
-/// evaluated, and [`RemoteClient::resume_job`] rolls back to.
+/// The client's state at batch start `at`, as it stood before the batch's
+/// EXT was prepared: what [`RemoteClient::run_job`] commits once an
+/// element of the batch has evaluated, and [`RemoteClient::resume_job`]
+/// rolls back to.
 ///
 /// The OT receiver is kept as its [`OtCursor`]: the session's receiver
 /// already holds the keys (a pure function of the ACCEPT seed), so two
@@ -160,11 +161,12 @@ struct Boundary {
 
 /// An in-flight (possibly interrupted) job on the client side.
 ///
-/// Progress advances one output element at a time; the embedded
-/// checkpoint sits on the boundary of the last evaluated element (the
-/// boundary before the newest, whose digest the server has verified), so
-/// after a failure [`RemoteClient::resume_job`] can roll the session back
-/// and replay from there bit-identically on a fresh connection.
+/// Progress advances one output element at a time, one OT extension per
+/// batch of elements ([`JobShape`]); the embedded checkpoint sits on the
+/// start of the batch holding the last evaluated element (a batch whose
+/// EXT digest the server has verified), so after a failure
+/// [`RemoteClient::resume_job`] can roll the session back and replay from
+/// there bit-identically on a fresh connection.
 pub struct JobProgress {
     job_id: u64,
     x_columns: Vec<Vec<i64>>,
@@ -172,17 +174,20 @@ pub struct JobProgress {
     /// Output rows per pass — the session default's rows, or the prepared
     /// model's for a model-backed job (their shapes are independent).
     rows: usize,
-    total_elements: usize,
+    shape: JobShape,
     elements_done: usize,
     transcript: MatvecTranscript,
     digest: TranscriptDigest,
-    /// The rollback point: the boundary of the last evaluated element
-    /// (`elements_done - 1`), or `elements_done` itself right after a
-    /// start or a resume.
+    /// The rollback point: the start of the batch holding the last
+    /// evaluated element, or `elements_done` itself right after a start or
+    /// a resume.
     checkpoint: Boundary,
-    /// The boundary at `elements_done`, the rollback point once the next
-    /// element has evaluated.
+    /// The start of the newest batch whose EXT went out, the rollback
+    /// point once one of its elements has evaluated.
     newest: Boundary,
+    /// Batch 0's sealed EXT, prepared while the JOB was in flight and not
+    /// sent yet.
+    prepared: Option<(Bytes, PendingBatch)>,
     done: bool,
 }
 
@@ -192,7 +197,7 @@ impl std::fmt::Debug for JobProgress {
         f.debug_struct("JobProgress")
             .field("job_id", &self.job_id)
             .field("elements_done", &self.elements_done)
-            .field("total_elements", &self.total_elements)
+            .field("total_elements", &self.shape.elements())
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
@@ -211,7 +216,7 @@ impl JobProgress {
 
     /// Total output elements of the job (`columns * rows`).
     pub fn total_elements(&self) -> usize {
-        self.total_elements
+        self.shape.elements()
     }
 
     /// Consumes a finished job into its per-column results and merged
@@ -228,14 +233,18 @@ impl JobProgress {
     }
 }
 
-/// An element whose EXT is on the wire: what its CIPHER reply is opened
-/// with.
-struct PendingElement {
+/// A batch whose EXT is on the wire: what its elements' CIPHER replies are
+/// opened with.
+struct PendingBatch {
+    /// The batch's first element and its element count.
+    start: usize,
+    len: usize,
+    /// The choice bits of every element of the batch, in order.
     choices: Vec<bool>,
-    keys: Vec<Block>,
-    /// The EXT's correction bytes, charged to the transcript when the reply
-    /// arrives, so a checkpoint committed while this EXT is out excludes
-    /// them.
+    keys: ExtensionKeys,
+    /// The EXT's correction bytes, charged to the transcript when the
+    /// batch's first reply arrives, so a checkpoint committed while this
+    /// EXT is out excludes them.
     upload_bytes: u64,
 }
 
@@ -548,10 +557,14 @@ impl<T: Transport> RemoteClient<T> {
         Ok(progress.into_result())
     }
 
-    /// Submits a job and waits for the server to schedule it.
+    /// Submits a job and waits for the server to schedule it, preparing the
+    /// job's first OT extension (its first batch's EXT) while the JOB is in
+    /// flight.
     ///
     /// On READY, returns a [`JobProgress`] whose checkpoints sit at element
-    /// zero; drive it with [`RemoteClient::run_job`].
+    /// zero; drive it with [`RemoteClient::run_job`], which sends that EXT
+    /// first. A refusal rolls the OT receiver back, so the session's next
+    /// job extends from where this one started.
     ///
     /// # Errors
     ///
@@ -622,29 +635,41 @@ impl<T: Transport> RemoteClient<T> {
             &mut self.transport,
             &ControlMsg::JobRequest { columns, model_id },
         )?;
-        match recv_control(&mut self.transport)? {
-            ControlMsg::Ready { job_id } => {
-                let start = Boundary {
-                    at: 0,
-                    receiver: self.state.ot_receiver.export_state(),
-                    transcript: MatvecTranscript::default(),
-                    digest: TranscriptDigest::new(),
-                };
-                Ok(JobProgress {
-                    job_id,
-                    x_columns: x_columns.to_vec(),
-                    y: vec![Vec::with_capacity(rows); x_columns.len()],
-                    rows,
-                    total_elements: x_columns.len() * rows,
-                    elements_done: 0,
-                    transcript: MatvecTranscript::default(),
-                    digest: TranscriptDigest::new(),
-                    checkpoint: start.clone(),
-                    newest: start,
-                    done: false,
-                })
+        let start = Boundary {
+            at: 0,
+            receiver: self.state.ot_receiver.export_state(),
+            transcript: MatvecTranscript::default(),
+            digest: TranscriptDigest::new(),
+        };
+        let transfers = cols * self.state.config.bit_width;
+        let mut progress = JobProgress {
+            job_id: 0,
+            x_columns: x_columns.to_vec(),
+            y: vec![Vec::with_capacity(rows); x_columns.len()],
+            rows,
+            shape: JobShape::new(x_columns.len() * rows, transfers),
+            elements_done: 0,
+            transcript: MatvecTranscript::default(),
+            digest: TranscriptDigest::new(),
+            checkpoint: start.clone(),
+            newest: start,
+            prepared: None,
+            done: false,
+        };
+        // READY only names the job: batch 0's extension is prepared while
+        // the JOB is in flight, and a refusal rolls the receiver back.
+        progress.prepared = self.prepare_ext(&mut progress, 0);
+        match recv_control(&mut self.transport) {
+            Ok(ControlMsg::Ready { job_id }) => {
+                progress.job_id = job_id;
+                Ok(progress)
             }
-            reply => Err(refusal(reply, "expected READY or BUSY")),
+            reply => {
+                self.state
+                    .ot_receiver
+                    .import_state(&progress.newest.receiver);
+                Err(reply.map_or_else(|err| err, |reply| refusal(reply, "expected READY or BUSY")))
+            }
         }
     }
 
@@ -652,9 +677,9 @@ impl<T: Transport> RemoteClient<T> {
     /// [`reattach`](RemoteClient::reattach)ed connection.
     ///
     /// Rolls the local OT receiver, digest, transcript and results back to
-    /// the boundary of the last evaluated element — that element is
-    /// evaluated again — sends RESUME with that boundary and its digest,
-    /// and waits for the server's READY. On success, continue with
+    /// the start of the batch holding the last evaluated element — the
+    /// batch is evaluated again from its start — sends RESUME with that
+    /// boundary and its digest, and waits for the server's READY. On success, continue with
     /// [`RemoteClient::run_job`] — the remaining exchange is bit-identical
     /// to what the uninterrupted run would have produced.
     ///
@@ -665,8 +690,8 @@ impl<T: Transport> RemoteClient<T> {
     /// [`AcceleratorError::Busy`] if the queue cannot re-admit the job yet;
     /// transport/protocol errors otherwise.
     pub fn resume_job(&mut self, progress: &mut JobProgress) -> Result<(), AcceleratorError> {
-        // The boundary of the last evaluated element, whose digest the
-        // server verified: never the newest (see `run_job`).
+        // The start of the batch holding the last evaluated element, whose
+        // digest the server verified: never the newest (see `run_job`).
         let rollback = progress.checkpoint.clone();
         // Both fit u32 — start_job refuses oversized jobs — but never
         // truncate silently: a wrapped count would name the wrong boundary.
@@ -681,6 +706,7 @@ impl<T: Transport> RemoteClient<T> {
         progress.transcript = rollback.transcript;
         progress.digest = rollback.digest.clone();
         progress.elements_done = rollback.at;
+        progress.prepared = None;
         let rows = progress.rows;
         for (pass, column) in progress.y.iter_mut().enumerate() {
             column.truncate(rollback.at.saturating_sub(pass * rows).min(rows));
@@ -707,53 +733,73 @@ impl<T: Transport> RemoteClient<T> {
         }
     }
 
-    /// Drives a READY job to completion, element by element, from wherever
-    /// its progress currently stands.
+    /// Drives a READY job to completion, batch by batch, from wherever its
+    /// progress currently stands (a batch start).
     ///
-    /// The client looks one element ahead: as soon as element `e`'s ROUNDS
-    /// frame has passed its CRC and its seal mark is folded into the
-    /// digest, EXT(`e + 1`) goes out, and only then is `e` decoded and
-    /// evaluated — so the server's OT, sealing and sending for `e + 1`
-    /// overlap the client's evaluation of `e`. Each direction carries the
-    /// same frames, in the same order, with the same bytes as an exchange
-    /// that waited for `e` to evaluate.
+    /// Each batch is one EXT, answered by the batch's CIPHER/ROUNDS pairs,
+    /// which the server streams without waiting; the client opens and
+    /// evaluates each element as its frames arrive. It looks one batch
+    /// ahead: as soon as the batch's last ROUNDS frame has passed its CRC
+    /// and its seal mark is folded into the digest, the next batch's EXT
+    /// goes out, and only then is that last element decoded and evaluated
+    /// — so the server's OT, sealing and sending for the next batch overlap
+    /// the client's evaluation. Each direction carries the same frames, in
+    /// the same order, with the same bytes as an exchange that waited for
+    /// the element to evaluate.
     ///
-    /// The boundary-(`e + 1`) state is the OT receiver's cursor, the digest
-    /// and the transcript as they stand *before* EXT(`e + 1`) is prepared.
-    /// Once `e` has evaluated, the rollback point becomes boundary `e`, not
-    /// `e + 1`: the digest at `e` is one the server checked (it answered
-    /// EXT(`e`)'s mark with ROUNDS(`e`)), while the one at `e + 1` has
-    /// folded CIPHER(`e`) and ROUNDS(`e`), which nobody has checked yet. A
-    /// failed EXT(`e + 1`) send still finishes `e` (ROUNDS(`e`) is in hand)
-    /// before the error returns. So on any error the rollback point
-    /// is the last evaluated element's boundary, which (unless evaluating an
-    /// element failed) is at most two elements behind the server's newest,
-    /// and the caller can reconnect,
+    /// A batch's boundary state is the OT receiver's cursor, the digest and
+    /// the transcript as they stand *before* its EXT is prepared. Once an
+    /// element of batch `k` has evaluated, the rollback point is batch
+    /// `k`'s start, not batch `k + 1`'s: the digest at `k`'s start is one
+    /// the server checked (it answered EXT(`k`)'s mark), while the one at
+    /// `k + 1`'s start has folded batch `k`'s CIPHER and ROUNDS frames,
+    /// which nobody has checked yet. A failed EXT(`k + 1`) send still
+    /// finishes batch `k`'s last element (its ROUNDS is in hand) before the
+    /// error returns. So on any error the rollback point is the start of
+    /// the batch holding the last evaluated element, which (unless
+    /// evaluating an element failed) is at most two batches behind the
+    /// server's newest, and the caller can reconnect,
     /// [`resume_job`](RemoteClient::resume_job), and call `run_job` again,
-    /// evaluating that one element a second time.
+    /// evaluating that batch a second time.
     ///
     /// # Errors
     ///
     /// Transport/protocol errors; `progress` stays consistent for a resume.
     pub fn run_job(&mut self, progress: &mut JobProgress) -> Result<(), AcceleratorError> {
-        let mut next = self.send_ext(progress, progress.elements_done)?;
-        while let Some(pending) = next {
-            let e = progress.elements_done;
-            let (labels, rounds_frame) = self.recv_element(progress, pending)?;
-            // Boundary e + 1 as it stands before EXT(e + 1) is prepared;
-            // the newest boundary once e has evaluated.
+        let mut next = match progress.prepared.take() {
+            Some((frame, batch)) => {
+                self.transport.send_frame(FrameKind::Bits, frame)?;
+                Some(batch)
+            }
+            None => self.send_ext(progress, progress.elements_done)?,
+        };
+        while let Some(batch) = next {
+            // The batch's start as it stood before its EXT: the rollback
+            // point once one of its elements has evaluated.
+            let start = progress.newest.clone();
+            let last = batch.start + batch.len - 1;
+            for e in batch.start..last {
+                let (labels, rounds_frame) =
+                    self.recv_element(progress, &batch, e - batch.start)?;
+                self.evaluate_element(progress, e, rounds_frame, &labels)?;
+                progress.checkpoint = start.clone();
+                progress.elements_done = e + 1;
+            }
+            let (labels, rounds_frame) = self.recv_element(progress, &batch, last - batch.start)?;
+            // The next batch's start as it stands before its EXT is
+            // prepared; the newest boundary once `last` has evaluated.
             let receiver = self.state.ot_receiver.export_state();
             let digest = progress.digest.clone();
-            let ahead = self.send_ext(progress, e + 1);
-            self.evaluate_element(progress, e, rounds_frame, &labels)?;
-            let newest = Boundary {
-                at: e + 1,
+            let ahead = self.send_ext(progress, last + 1);
+            self.evaluate_element(progress, last, rounds_frame, &labels)?;
+            progress.checkpoint = start;
+            progress.elements_done = last + 1;
+            progress.newest = Boundary {
+                at: last + 1,
                 receiver,
                 transcript: progress.transcript,
                 digest,
             };
-            progress.checkpoint = std::mem::replace(&mut progress.newest, newest);
-            progress.elements_done = e + 1;
             next = ahead?;
         }
         match recv_control(&mut self.transport)? {
@@ -794,46 +840,70 @@ impl<T: Transport> RemoteClient<T> {
         Ok(())
     }
 
-    /// Prepares element `e`'s OT extension and sends it as EXT(`e`), the
-    /// running digest as its trailer; `None` once `e` is past the job.
+    /// [`prepare_ext`](RemoteClient::prepare_ext) and sends the EXT.
     fn send_ext(
         &mut self,
         progress: &mut JobProgress,
-        e: usize,
-    ) -> Result<Option<PendingElement>, AcceleratorError> {
-        if e == progress.total_elements {
+        start: usize,
+    ) -> Result<Option<PendingBatch>, AcceleratorError> {
+        let Some((frame, batch)) = self.prepare_ext(progress, start) else {
             return Ok(None);
-        }
-        let choices = self
-            .state
-            .config
-            .encode_choices(&progress.x_columns[e / progress.rows]);
-        let (ext, keys) = self.state.ot_receiver.prepare(&choices);
-        let upload_bytes = ext.columns.iter().map(|c| c.len() as u64 * 8).sum();
-        // Fold the EXT body into the running digest and append its value
-        // as the frame's trailer — the server verifies it before advancing
-        // its OT state (v6).
-        let ext_body = encode_ext(&ext);
-        progress.digest.fold(&ext_body);
-        let mut ext_frame = BytesMut::with_capacity(ext_body.len() + 16);
-        ext_frame.put_slice(&ext_body);
-        ext_frame.put_slice(&progress.digest.value());
-        self.transport
-            .send_frame(FrameKind::Bits, seal_frame(ext_frame.freeze()))?;
-        Ok(Some(PendingElement {
-            choices,
-            keys,
-            upload_bytes,
-        }))
+        };
+        self.transport.send_frame(FrameKind::Bits, frame)?;
+        Ok(Some(batch))
     }
 
-    /// Receives the CIPHER and ROUNDS frames answering `pending`'s EXT,
-    /// folds both seal marks into the digest and opens the OT labels.
-    /// Returns the labels and the still-encoded ROUNDS burst.
+    /// Prepares the OT extension of the batch starting at `start` as one
+    /// sealed EXT, written in place behind its seal with the running digest
+    /// as its trailer; `None` once `start` is past the job.
+    fn prepare_ext(
+        &mut self,
+        progress: &mut JobProgress,
+        start: usize,
+    ) -> Option<(Bytes, PendingBatch)> {
+        let len = progress.shape.batch_len(start);
+        if len == 0 {
+            return None;
+        }
+        let config = &self.state.config;
+        let choices: Vec<bool> = (start..start + len)
+            .flat_map(|e| config.encode_choices(&progress.x_columns[e / progress.rows]))
+            .collect();
+        let mut keys = None;
+        // The receiver writes its correction columns straight into the
+        // frame; the body is folded into the running digest and its value
+        // trails it — the server verifies it before advancing its OT state
+        // (v6).
+        let frame = seal_ext(
+            choices.len(),
+            |columns| keys = Some(self.state.ot_receiver.prepare_into(&choices, columns)),
+            |body| {
+                progress.digest.fold(body);
+                progress.digest.value()
+            },
+        );
+        let upload_bytes = (KAPPA * choices.len().div_ceil(64) * 8) as u64;
+        keys.map(|keys| {
+            let batch = PendingBatch {
+                start,
+                len,
+                choices,
+                keys,
+                upload_bytes,
+            };
+            (frame, batch)
+        })
+    }
+
+    /// Receives the CIPHER and ROUNDS frames of element `i` of `batch`,
+    /// folds both seal marks into the digest and opens the element's OT
+    /// labels from its range of the batch's extension. Returns the labels
+    /// and the still-encoded ROUNDS burst.
     fn recv_element(
         &mut self,
         progress: &mut JobProgress,
-        pending: PendingElement,
+        batch: &PendingBatch,
+        i: usize,
     ) -> Result<(Vec<Block>, Bytes), AcceleratorError> {
         let (cipher_frame, cipher_mark) = recv_marked(&mut self.transport)?;
         // A server that spotted a digest divergence answers the EXT with a
@@ -856,21 +926,23 @@ impl<T: Transport> RemoteClient<T> {
             });
         }
         progress.digest.fold(&cipher_mark);
+        let transfers = progress.shape.transfers();
         let flat = decode_blocks(cipher_frame)?;
-        if flat.len() != pending.choices.len() * 2 {
+        if flat.len() != transfers * 2 {
             return Err(AcceleratorError::Protocol {
                 what: "CIPHER pair count",
             });
         }
-        progress.transcript.ot_upload_bytes += pending.upload_bytes;
+        if i == 0 {
+            progress.transcript.ot_upload_bytes += batch.upload_bytes;
+        }
         progress.transcript.ot_bytes += (flat.len() * 16) as u64;
-        let cipher = CipherMsg {
-            pairs: flat.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
-        };
-        let labels = self
-            .state
-            .ot_receiver
-            .receive(&cipher, &pending.keys, &pending.choices);
+        let pairs: Vec<(Block, Block)> = flat.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        let range = i * transfers..(i + 1) * transfers;
+        let labels =
+            self.state
+                .ot_receiver
+                .open(&batch.keys, range.start, &pairs, &batch.choices[range]);
         let (rounds_frame, rounds_mark) = recv_marked(&mut self.transport)?;
         progress.digest.fold(&rounds_mark);
         Ok((labels, rounds_frame))

@@ -5,8 +5,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::Block;
 use max_gc::channel::{
-    lend_bits, lend_blocks, lend_tables, open_frame, put_bits, put_blocks, put_tables, seal_frame,
-    seal_mark, seal_with, FrameKind, PackedBits, ReadError, Reader, SEAL_BYTES,
+    crc32, lend_bits, lend_blocks, lend_tables, open_frame, put_bits, put_blocks, put_tables,
+    seal_frame, seal_mark, seal_with, FrameKind, PackedBits, ReadError, Reader, SEAL_BYTES,
 };
 use max_gc::{GarbledTable, Transport};
 use max_ot::iknp::{ExtendMsg, KAPPA};
@@ -50,7 +50,92 @@ use crate::error::AcceleratorError;
 /// the client's last evaluated element (the one before its newest) and
 /// carries the client's transcript digest state there (24 bytes), which
 /// the server adopts instead of keeping a snapshot per element.
-pub const PROTOCOL_VERSION: u16 = 8;
+/// v9 runs one OT extension per *batch* of elements
+/// ([`elements_per_extension`]): the client sends one EXT per batch, and
+/// the server answers it with the batch's CIPHER/ROUNDS pairs in element
+/// order without waiting for another frame. No frame's layout changed; an
+/// EXT now covers `n·cols·b` transfers, so its bytes, every CIPHER pad and
+/// the digests in EXT trailers and STATS differ from v8's, and a RESUME
+/// names a batch start.
+pub const PROTOCOL_VERSION: u16 = 9;
+
+/// Largest EXT correction body, in bytes, a batch is sized to fit
+/// ([`elements_per_extension`]): 128 columns of 64 words, 4096 transfers.
+pub const EXT_BUDGET_BYTES: usize = 64 * 1024;
+
+/// Output elements one OT extension covers for a model `cols` wide at
+/// operand width `bit_width` (v9): the largest `n ≥ 1` whose EXT body,
+/// `KAPPA × ⌈n·cols·b/64⌉ × 8` bytes, fits [`EXT_BUDGET_BYTES`]. A pure
+/// function of the shape both sides already hold (ACCEPT or the model
+/// handle), so it is never negotiated. An element wider than the budget
+/// gets an extension of its own.
+pub fn elements_per_extension(cols: usize, bit_width: usize) -> usize {
+    per_extension(cols * bit_width)
+}
+
+/// [`elements_per_extension`] of elements of `transfers` OTs each.
+fn per_extension(transfers: usize) -> usize {
+    let budget = EXT_BUDGET_BYTES / (KAPPA * 8) * 64;
+    (budget / transfers.max(1)).max(1)
+}
+
+/// A job's exchange shape (v9): its output elements, the OT transfers
+/// each one takes (`cols × b`, one per client input bit of its row), and
+/// so how they batch. Batches start at multiples of
+/// [`per_extension`](JobShape::per_extension); the last holds whatever is
+/// left. Client and server build the same shape from the same facts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobShape {
+    elements: usize,
+    transfers: usize,
+    per_extension: usize,
+}
+
+impl JobShape {
+    /// `elements` output elements of `transfers` OTs each: `cols × b` for
+    /// a model `cols` wide at operand width `b`.
+    pub fn new(elements: usize, transfers: usize) -> JobShape {
+        JobShape {
+            elements,
+            transfers,
+            per_extension: per_extension(transfers),
+        }
+    }
+
+    /// Output elements of the job.
+    pub fn elements(&self) -> usize {
+        self.elements
+    }
+
+    /// OT transfers per element.
+    pub fn transfers(&self) -> usize {
+        self.transfers
+    }
+
+    /// Elements per full batch.
+    pub fn per_extension(&self) -> usize {
+        self.per_extension
+    }
+
+    /// A `columns`-pass job on the weight matrix `weights` at operand
+    /// width `bit_width`: one element per row and pass, `cols × b`
+    /// transfers each.
+    pub fn of(weights: &[Vec<i64>], columns: u32, bit_width: usize) -> JobShape {
+        let cols = weights.first().map_or(0, Vec::len);
+        JobShape::new(columns as usize * weights.len(), cols * bit_width)
+    }
+
+    /// Elements of the batch that starts at `start` (0 at or past the end).
+    pub fn batch_len(&self, start: usize) -> usize {
+        self.per_extension.min(self.elements.saturating_sub(start))
+    }
+
+    /// Whether `boundary` is a batch start of the job (the job's end
+    /// included when it falls on one).
+    pub fn is_batch_start(&self, boundary: usize) -> bool {
+        boundary <= self.elements && boundary.is_multiple_of(self.per_extension)
+    }
+}
 
 /// Largest METRICS reply body the decoder will allocate (1 MiB of JSON is
 /// far beyond any honest snapshot; a hostile length dies here, not in the
@@ -59,7 +144,8 @@ pub const MAX_METRICS_BYTES: usize = 1 << 20;
 
 /// Largest OT batch (choice bits) a single EXT frame may declare.
 ///
-/// An honest batch is `cols * bit_width` (≤ 8192 for the paper's largest
+/// An honest batch is at most 4096 transfers, or one element's
+/// `cols * bit_width` when that is more (≤ 8192 for the paper's largest
 /// configuration); the cap leaves headroom for big models while keeping a
 /// hostile count from driving allocation.
 pub const MAX_OT_BATCH: usize = 1 << 20;
@@ -687,22 +773,35 @@ pub(super) fn recv_marked<T: Transport + ?Sized>(
     Ok((open_frame(sealed)?, mark))
 }
 
-pub(super) fn encode_ext(msg: &ExtendMsg) -> Bytes {
-    let words = msg.columns.first().map_or(0, Vec::len);
-    let mut buf = BytesMut::with_capacity(9 + KAPPA * words * 8);
-    buf.put_u8(TAG_EXT);
-    buf.put_u32(msg.count as u32);
-    buf.put_u32(words as u32);
-    for column in &msg.columns {
-        for &word in column {
-            buf.put_u64(word);
-        }
-    }
-    buf.freeze()
+/// Builds a sealed EXT frame for `count` transfers in one buffer, with no
+/// copy: the header, the `KAPPA` correction columns `put_columns` writes
+/// in place (each `⌈count/64⌉` big-endian words), then the 16-byte
+/// trailer `trailer` computes from the body before it (the client's
+/// running digest, v6), all behind the CRC seal filled in last.
+pub(super) fn seal_ext(
+    count: usize,
+    put_columns: impl FnOnce(&mut [u8]),
+    trailer: impl FnOnce(&[u8]) -> [u8; 16],
+) -> Bytes {
+    let columns = KAPPA * count.div_ceil(64) * 8;
+    let mut frame = Vec::with_capacity(SEAL_BYTES + 9 + columns + 16);
+    frame.extend_from_slice(&[0; SEAL_BYTES]);
+    frame.push(TAG_EXT);
+    frame.extend_from_slice(&(count as u32).to_be_bytes());
+    frame.extend_from_slice(&(count.div_ceil(64) as u32).to_be_bytes());
+    let body = frame.len();
+    frame.resize(body + columns, 0);
+    put_columns(&mut frame[body..]);
+    let mark = trailer(&frame[SEAL_BYTES..]);
+    frame.extend_from_slice(&mark);
+    let crc = crc32(&frame[SEAL_BYTES..]);
+    frame[..SEAL_BYTES].copy_from_slice(&crc.to_be_bytes());
+    Bytes::from(frame)
 }
 
 /// Decodes an EXT frame into the extension message and the client's
-/// 16-byte transcript-digest trailer (v6).
+/// 16-byte transcript-digest trailer (v6). The columns land in one flat
+/// buffer, allocated once.
 pub(super) fn decode_ext(frame: Bytes) -> Result<(ExtendMsg, [u8; 16]), AcceleratorError> {
     let mut r = Reader::new(&frame);
     match r.u8("EXT header")? {
@@ -723,26 +822,17 @@ pub(super) fn decode_ext(frame: Bytes) -> Result<(ExtendMsg, [u8; 16]), Accelera
         });
     }
     let what = "EXT payload length";
-    let body = r.bytes(KAPPA * words * 8, what)?;
+    // KAPPA columns of `words` big-endian words each, column after column.
+    let words = r
+        .bytes(KAPPA * words * 8, what)?
+        .as_chunks()
+        .0
+        .iter()
+        .map(|&word| u64::from_be_bytes(word))
+        .collect();
     let mark = r.array(what)?;
     r.end(what)?;
-    // KAPPA columns of `words` big-endian words each; an empty batch has
-    // empty columns.
-    let columns = match words {
-        0 => vec![Vec::new(); KAPPA],
-        _ => body
-            .chunks_exact(words * 8)
-            .map(|column| {
-                column
-                    .as_chunks()
-                    .0
-                    .iter()
-                    .map(|&word| u64::from_be_bytes(word))
-                    .collect()
-            })
-            .collect(),
-    };
-    Ok((ExtendMsg { columns, count }, mark))
+    Ok((ExtendMsg { words, count }, mark))
 }
 
 // ---------------------------------------------------------------------------

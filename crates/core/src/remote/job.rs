@@ -17,7 +17,7 @@ use max_ot::iknp::{self, OtExtSender};
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, PROTOCOL_VERSION,
+    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, JobShape, PROTOCOL_VERSION,
     REJECT_DETAIL_STOCK, REJECT_INTEGRITY, REJECT_VERSION, REJECT_WIDTH,
 };
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
@@ -414,7 +414,13 @@ pub enum JobSource {
     },
     /// The hand-off of the unit garbling the job right now: only the
     /// elements to be served, in order.
-    Garbling(mpsc::Receiver<JobPiece>),
+    Garbling {
+        /// The unit's hand-off.
+        pieces: mpsc::Receiver<JobPiece>,
+        /// The job's shape, which a hand-off cannot tell ahead of its
+        /// elements.
+        shape: JobShape,
+    },
 }
 
 /// One step through a [`JobSource`].
@@ -425,6 +431,19 @@ enum Next<'a> {
 }
 
 impl JobSource {
+    /// The job's exchange shape: stock's is its own (every element carries
+    /// the same `cols × b` OT pairs), a hand-off's the one it was built
+    /// with.
+    pub fn shape(&self) -> JobShape {
+        match self {
+            JobSource::Materialized { job, .. } => {
+                let transfers = job.elements.first().map_or(0, |elem| elem.pairs.len());
+                JobShape::new(job.elements.len(), transfers)
+            }
+            JobSource::Garbling { shape, .. } => *shape,
+        }
+    }
+
     /// Blocks until element `idx` is in hand (stock lends it, a hand-off
     /// delivers it, in order, so it ignores `idx`), or the job is done.
     fn next(&self, idx: usize) -> Result<Next<'_>, AcceleratorError> {
@@ -435,7 +454,7 @@ impl JobSource {
                 .map_or(Next::Done(job.fabric_cycles), |elem| {
                     Next::Element(Cow::Borrowed(elem))
                 })),
-            JobSource::Garbling(pieces) => match pieces.recv() {
+            JobSource::Garbling { pieces, .. } => match pieces.recv() {
                 Ok(JobPiece::Element(elem)) => Ok(Next::Element(Cow::Owned(elem))),
                 Ok(JobPiece::Done(cycles)) => Ok(Next::Done(cycles)),
                 Err(_) => Err(AcceleratorError::Protocol {
@@ -446,8 +465,9 @@ impl JobSource {
     }
 }
 
-/// Streams a job to the client: READY, then per element the EXT → CIPHER
-/// → ROUNDS exchange, then STATS. Runs on the session thread (the server
+/// Streams a job to the client: READY, then per batch of elements
+/// ([`JobShape`]) one EXT answered by the batch's CIPHER → ROUNDS pairs in
+/// element order, then STATS. Runs on the session thread (the server
 /// side of [`RemoteClient::run_job`](super::RemoteClient::run_job), in
 /// `max-serve` and in the in-process [`crate::CloudServer`]) and is the
 /// only streamer: warm stock and a job units are garbling right now go out
@@ -458,16 +478,20 @@ impl JobSource {
 /// element's ROUNDS frame was sealed when it was materialized, so the loop
 /// sends the stored frame as it is (a clone is a reference-count bump, not
 /// a copy) and folds that frame's seal mark; the only frame it seals is
-/// each element's CIPHER. The client sends EXT(e + 1) before it evaluates
-/// e, so the client's evaluation overlaps the server's OT and sending.
+/// each element's CIPHER. A batch's EXT is absorbed once and each element
+/// is encrypted over its own range of the extension as soon as it is in
+/// hand, so inside a batch the loop waits only on the source, never on the
+/// client. The client sends the next batch's EXT before it evaluates the
+/// batch's last element, so its evaluation overlaps the server's OT.
 ///
-/// The exchange starts at `start_element` (elements before it were already
-/// streamed on an earlier connection) and calls `on_boundary(boundary)` at
-/// every element boundary it reaches: once for `start_element` right after
-/// READY goes out, before anything else — the hook where a serving layer
-/// makes the job's one record durable, overlapping the client's
-/// preparation of its first EXT — and then once per element, after its EXT
-/// passed the digest check and the OT state advanced but *before* its
+/// The exchange starts at `start_element`, a batch start (elements before
+/// it were already streamed on an earlier connection), and calls
+/// `on_boundary(boundary)` at every batch start it reaches: once for
+/// `start_element` right after READY goes out, before anything else — the
+/// hook where a serving layer makes the job's one record durable,
+/// overlapping the client's preparation of its first EXT — and then once
+/// per batch with the next batch's start, after the batch's EXT passed the
+/// digest check and the OT state advanced but *before* any of its
 /// CIPHER/ROUNDS frames go out (where a serving layer notes how far the
 /// job got). So no material the client can evaluate leaves before the
 /// first call returns. A source that fails before READY calls the hook
@@ -476,8 +500,9 @@ impl JobSource {
 /// The caller must hand in an `ot_sender` and `digest` whose states match
 /// `start_element`: for a resume, the sender's cursor at that boundary
 /// ([`OtCursor::advanced`](max_ot::iknp::OtCursor::advanced) from the
-/// job's start) and the digest the client's RESUME carries; a fresh
-/// [`TranscriptDigest`] when starting at element zero.
+/// job's start, one extension per batch) and the digest the client's
+/// RESUME carries; a fresh [`TranscriptDigest`] when starting at element
+/// zero.
 ///
 /// A [`JobSource::Materialized`] stream is checked against its
 /// `expected_digest` — one CRC pass per stored byte, every element's
@@ -491,10 +516,11 @@ impl JobSource {
 ///
 /// # Errors
 ///
-/// Propagates transport failures, protocol violations and a hand-off
-/// dropped mid-job; on any error the session should be torn down (the OT
-/// state is no longer aligned) or, if `on_boundary` was called, kept for a
-/// RESUME.
+/// Propagates transport failures, protocol violations (an EXT whose count
+/// is not its batch's, a source whose elements do not fit the shape) and
+/// a hand-off dropped mid-job; on any error the session should be torn
+/// down (the OT state is no longer aligned) or, if `on_boundary` was
+/// called, kept for a RESUME.
 #[allow(clippy::too_many_arguments)]
 pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     transport: &mut T,
@@ -506,6 +532,7 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
     start_element: usize,
     mut on_boundary: impl FnMut(usize),
 ) -> Result<(), AcceleratorError> {
+    let shape = source.shape();
     let mut idx = start_element;
     let mut next = source.next(idx)?;
     send_control(transport, &ControlMsg::Ready { job_id })?;
@@ -529,20 +556,25 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
         }
     }
     let fabric_cycles = loop {
-        let elem = match next {
-            Next::Element(elem) => elem,
-            Next::Done(cycles) => break cycles,
-        };
+        if let Next::Done(cycles) = next {
+            break cycles;
+        }
+        let batch = shape.batch_len(idx);
+        if batch == 0 {
+            return Err(AcceleratorError::Protocol {
+                what: "job source does not fit the batch",
+            });
+        }
         let ext_frame = open_frame(transport.recv_frame()?)?;
         let (ext, client_mark) = decode_ext(ext_frame.clone())?;
-        if ext.count != elem.pairs.len() {
+        if ext.count != batch * shape.transfers() {
             return Err(AcceleratorError::Protocol {
-                what: "EXT count does not match the job's OT pairs",
+                what: "EXT count does not match the batch's OT pairs",
             });
         }
         // Fold the EXT body (sans its 16-byte trailer) and insist the
         // client's running digest matches ours before the OT state
-        // advances: a client digest at this boundary is then one the
+        // advances: a client digest at this batch start is then one the
         // server verified, which is what a RESUME may carry back.
         digest.fold(&ext_frame[..ext_frame.len() - 16]);
         if client_mark != digest.value() {
@@ -557,25 +589,37 @@ pub fn stream_materialized_job_from<T: Transport + ?Sized>(
                 what: "client transcript digest mismatch at EXT",
             });
         }
-        let cipher = ot_sender.send(&ext, &elem.pairs);
-        // Fold the seals: the CRC that frames each of the element's two
-        // bulk frames (CIPHER's computed here, ROUNDS' at materialization)
-        // is also its contribution to the digest (v7), folded CIPHER then
-        // ROUNDS, as the client folds them on receipt.
-        let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
-        digest.fold(&seal_mark(&cipher_frame));
-        digest.fold(&seal_mark(&elem.sealed_rounds));
-        // Note the boundary *before* delivering this element's frames, so
-        // the server's high-water mark is never behind what the client
-        // has observed.
-        on_boundary(idx + 1);
-        transport.send_frame(FrameKind::Blocks, cipher_frame)?;
-        // One burst frame per element instead of one frame per round: the
-        // per-frame overhead (and per-frame fault-injection surface) no
-        // longer scales with model width.
-        transport.send_frame(FrameKind::Raw, elem.sealed_rounds.clone())?;
-        idx += 1;
-        next = source.next(idx)?;
+        ot_sender.absorb(&ext);
+        // Note the next batch start *before* delivering this batch's
+        // frames, so the server's high-water mark is never behind what
+        // the client has observed.
+        on_boundary(idx + batch);
+        for i in 0..batch {
+            let elem = match next {
+                Next::Element(elem) if elem.pairs.len() == shape.transfers() => elem,
+                _ => {
+                    return Err(AcceleratorError::Protocol {
+                        what: "job source does not fit the batch",
+                    })
+                }
+            };
+            let cipher = ot_sender.encrypt(i * shape.transfers(), &elem.pairs);
+            // Fold the seals: the CRC that frames each of the element's
+            // two bulk frames (CIPHER's computed here, ROUNDS' at
+            // materialization) is also its contribution to the digest
+            // (v7), folded CIPHER then ROUNDS, as the client folds them on
+            // receipt.
+            let cipher_frame = seal_frame(encode_block_pairs(&cipher.pairs));
+            digest.fold(&seal_mark(&cipher_frame));
+            digest.fold(&seal_mark(&elem.sealed_rounds));
+            transport.send_frame(FrameKind::Blocks, cipher_frame)?;
+            // One burst frame per element instead of one frame per round:
+            // the per-frame overhead (and per-frame fault-injection
+            // surface) no longer scales with model width.
+            transport.send_frame(FrameKind::Raw, elem.sealed_rounds.clone())?;
+            idx += 1;
+            next = source.next(idx)?;
+        }
     };
     send_control(
         transport,

@@ -26,12 +26,16 @@
 //!   | -- MODEL_PUT / _INFO / _EVICT -----> |   prepared models (v5)
 //!   | <-- MODEL_STAT --------------------- |   (or REJECT(model))
 //!   | -- JOB(columns, model?) -----------> |   enqueue on the unit pool
-//!   | <-- READY(job_id) ------------------ |   (or BUSY, REJECT(model))
-//!   |    per output element:               |
-//!   | -- EXT(OT corrections) -----------> |
+//!   | <-- READY(job_id) ------------------ |   (or BUSY, REJECT(model));
+//!   |                                      |   batch 0's EXT is prepared
+//!   |                                      |   while the JOB is in flight
+//!   |    per batch of elements (v9):       |
+//!   | -- EXT(OT corrections, whole batch)> |   one IKNP extension
+//!   |    per element of the batch, unasked:|
 //!   | <-- CIPHER(OT ciphertext blocks) --- |
-//!   | <-- ROUNDS (all cols rounds, 1 frame)|   next EXT leaves before this
-//!   |                                      |   element is evaluated
+//!   | <-- ROUNDS (all cols rounds, 1 frame)|   next batch's EXT leaves before
+//!   |                                      |   the batch's last element is
+//!   |                                      |   evaluated
 //!   | <-- STATS(fabric cycles) ----------- |   job done
 //!   |            ... more jobs ...         |
 //!   | -- PING(nonce) --------------------> |   keep-alive between jobs
@@ -42,19 +46,31 @@
 //! Any other frame ends the connection with a typed protocol error
 //! (`max-serve`'s session loop holds these orderings in one match).
 //!
+//! **Batches (v9).** One OT extension covers a batch of output elements:
+//! [`elements_per_extension`]`(cols, b)` of them, the most whose EXT body
+//! fits [`EXT_BUDGET_BYTES`] (64 for an 8-column model at b = 8, one for
+//! 252 columns at b = 32), and the job's last batch holds what is left
+//! ([`JobShape`]). Both sides compute it from the shape ACCEPT or the model
+//! handle already carries; nothing negotiates it. The server absorbs a
+//! batch's EXT once and streams each element's CIPHER then ROUNDS as soon
+//! as the element is in hand, so inside a batch it waits on nothing but
+//! the element's source; a warm job of four 8 × 8 elements is JOB → READY
+//! → EXT → 4 × (CIPHER, ROUNDS) → STATS.
+//!
 //! **Resumption.** A client that lost its connection mid-job sends
-//! `RESUME(session, token, job, columns, boundary, digest)`: the boundary
-//! of its last evaluated element `e` (0 when it evaluated none) and its
-//! transcript digest there, as it stood before it prepared EXT(`e`) (v8).
-//! The server re-derives the garbled job from the original seed, derives
-//! its OT sender's cursor at that boundary from the job's start, adopts
-//! the digest — one it verified when it answered EXT(`e`) — and replies
-//! `READY(job)`; the exchange continues from element `e`, which the client
+//! `RESUME(session, token, job, columns, boundary, digest)`: the start of
+//! the batch holding its last evaluated element (0 when it evaluated none)
+//! and its transcript digest there, as it stood before it prepared that
+//! batch's EXT (v8; a batch start since v9, or `REJECT(resume)`). The
+//! server re-derives the garbled job from the original seed, derives its
+//! OT sender's cursor at that boundary from the job's start, adopts the
+//! digest — one it verified when it answered the batch's EXT — and replies
+//! `READY(job)`; the exchange continues from that batch, which the client
 //! evaluates again. Both parties roll back to that boundary, so the
 //! stitched transcript is bit-identical to an uninterrupted run (the
 //! property the chaos e2e tests pin down). The client's newer digest, which
-//! has folded CIPHER(`e`) and ROUNDS(`e`), is never adopted: nobody has
-//! checked those. `resume_token` is an unguessable per-session secret from
+//! has folded the batch's CIPHER and ROUNDS frames, is never adopted:
+//! nobody has checked those. `resume_token` is an unguessable per-session secret from
 //! ACCEPT — possession proves the resumer is the original client. Servers
 //! must mint it from fresh OS entropy, never from the seed chain:
 //! [`derive_seed`] is an invertible bijection and `ot_seed` (also
@@ -101,8 +117,8 @@
 //! server, or anyone who sees ACCEPT, can rebuild the client's receiver
 //! from `ot_seed` and read x's bits out of every EXT frame. Only the
 //! extension (EXT, CIPHER) is real. ROADMAP's privacy item, for the next
-//! protocol bump, runs the base OT on the wire instead and takes `ot_seed`
-//! out of ACCEPT.
+//! protocol bump (v10), runs the base OT on the wire instead and takes
+//! `ot_seed` out of ACCEPT.
 //!
 //! **Integrity (v6, folded once per byte since v7).** Every protocol frame
 //! is sealed with a CRC32 prefix ([`max_gc::channel::seal_frame`]), so a
@@ -114,8 +130,11 @@
 //! divergence — a replaced, reordered, duplicated, dropped or stale frame,
 //! a corrupted cache entry, journal bit rot — surfaces as
 //! `REJECT(INTEGRITY)` / [`AcceleratorError::Integrity`] within one
-//! element. What is folded: an **EXT body by its bytes** (1 KB, and its own
-//! mark trails it in the same frame), a **CIPHER or ROUNDS frame by its
+//! batch: at the next batch's EXT, or at STATS for the job's last batch
+//! (v9; within one element before, when a batch was one element). Either
+//! way a substituted frame ends in a typed error, never in a result. What
+//! is folded: an **EXT body by its bytes** (1 KB per 64 transfers, and its
+//! own mark trails it in the same frame), a **CIPHER or ROUNDS frame by its
 //! 8-byte seal mark** ([`max_gc::channel::seal_mark`]: the CRC32 it was
 //! sealed with ‖ its length) — the sender folds the mark of the frame it
 //! just sealed, the receiver the mark of the frame `open_frame` just
@@ -129,8 +148,8 @@
 //! 32 bits plus the length; the digest chains the marks, it does not add
 //! bits to any one of them. Since v8 a RESUME carries the client's digest
 //! at its rollback boundary, which the server adopts: a digest the server
-//! verified when it answered that element's EXT, so the ladder holds
-//! across a restart that lost every per-element state (see
+//! verified when it answered that batch's EXT, so the ladder holds
+//! across a restart that lost every per-batch state (see
 //! `max-serve`'s `resume` module). All of it detects **accidental** corruption
 //! only: the CRC is unkeyed and the digest key is fixed and public, so an
 //! active adversary can tamper and re-seal — the honest-but-curious

@@ -1,6 +1,6 @@
 use super::client::evaluate_burst;
 use super::codec::{
-    decode_ext, encode_ext, lend_round_burst, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY,
+    decode_ext, lend_round_burst, seal_ext, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY,
     TAG_MODEL_PUT,
 };
 use super::job::stream_intact;
@@ -206,21 +206,54 @@ fn stream_from<T: Transport>(
     (result, reached)
 }
 
-/// The lookahead's failure path: when EXT(e + 1) cannot be sent, the client
-/// still evaluates element `e` (its ROUNDS is in hand) and reports the
-/// send error. It resumes at boundary `e`, within the lookahead's reach of
-/// the server's newest boundary, with the digest the server verified there;
-/// the server derives its sender at `e` from the job's start cursor, and
-/// the RESUME finishes with the uninterrupted result.
+/// The batch size is a pure function of the element's `cols × b` OT
+/// transfers: as many elements as keep one EXT body within the budget, at
+/// least one.
+#[test]
+fn elements_per_extension_is_pinned() {
+    // The benchmark's shape, 8 × 8 at b = 8: a 4-element job is one batch.
+    assert_eq!(elements_per_extension(8, 8), 64);
+    // The paper's widest row, 252 columns at b = 32: today's exchange.
+    assert_eq!(elements_per_extension(252, 32), 1);
+    for bit_width in [4usize, 8, 16, 32] {
+        for cols in 1..=300 {
+            let n = elements_per_extension(cols, bit_width);
+            let body = |n: usize| iknp::KAPPA * (n * cols * bit_width).div_ceil(64) * 8;
+            assert!(n >= 1);
+            assert!(
+                n == 1 || body(n) <= EXT_BUDGET_BYTES,
+                "{cols} × {bit_width}"
+            );
+            assert!(
+                body(n + 1) > EXT_BUDGET_BYTES,
+                "{cols} × {bit_width}: not the largest"
+            );
+        }
+    }
+}
+
+/// The lookahead's failure path: when the next batch's EXT cannot be sent,
+/// the client still evaluates the batch's last element (its ROUNDS is in
+/// hand) and reports the send error. It resumes at the start of that
+/// batch, within the lookahead's reach of the server's newest boundary,
+/// with the digest the server verified there; the server derives its
+/// sender at that batch start from the job's start cursor, and the RESUME
+/// finishes with the uninterrupted result. An 8 × 8 model at b = 8 batches
+/// 64 elements, so ten columns make two batches, 64 and 16.
 #[test]
 fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     const SEED: u64 = 0x100C;
     let config = AcceleratorConfig::new(8);
-    let w = vec![vec![1i64, -2, 3], vec![-4, 5, 6]];
-    let xs = vec![vec![9i64, -10, 11], vec![3, 0, -7]];
+    let w: Vec<Vec<i64>> = (0..8i64)
+        .map(|r| (0..8i64).map(|c| (r * 8 + c) * 37 % 255 - 127).collect())
+        .collect();
+    let xs: Vec<Vec<i64>> = (0..10i64)
+        .map(|j| (0..8i64).map(|c| (j * 8 + c) * 53 % 255 - 127).collect())
+        .collect();
     let rows = w.len();
-    let total = xs.len() * rows;
-    let transfers = w[0].len() * config.bit_width;
+    let shape = JobShape::new(xs.len() * rows, w[0].len() * config.bit_width);
+    let batch = shape.per_extension();
+    assert_eq!((shape.elements(), batch), (80, 64));
 
     let (server_end, client_end) = Duplex::pair();
     let server = {
@@ -232,80 +265,83 @@ fn a_failed_lookahead_ext_send_finishes_the_element_and_resumes() {
     client.goodbye();
     server.join().unwrap().unwrap();
 
-    for e in 0..total - 1 {
-        let (server_end, client_end) = Duplex::pair();
-        let server = {
-            let (config, w) = (config.clone(), w.clone());
-            std::thread::spawn(move || {
-                let mut transport = server_end;
-                let (session_seed, sender, trace) = accept(&mut transport, &config, &w, SEED);
-                let ControlMsg::JobRequest { columns, .. } = recv_control(&mut transport).unwrap()
-                else {
-                    panic!("expected JOB");
-                };
-                let job = fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns);
-                let start = sender.export_state();
-                let (result, reached) = stream_from(
-                    &mut transport,
-                    &job,
-                    sender.clone(),
-                    TranscriptDigest::new(),
-                    trace,
-                    0,
-                );
-                assert_eq!(result, Err(AcceleratorError::Disconnected));
-                (job, trace, sender, start, reached)
-            })
-        };
-        // HELLO, ACCEPT, JOB, READY, then three frame events per element:
-        // the send of EXT(e + 1) is the first event past the cut.
-        let cut = 4 + 3 * (e as u64 + 1);
-        let wire = FaultTransport::new(client_end, FaultSpec::none(SEED).with_cut_after(cut));
-        let mut client = RemoteClient::connect(wire, 8).unwrap();
-        let mut progress = client.start_job(&xs).unwrap();
-        let err = client.run_job(&mut progress).unwrap_err();
-        assert_eq!(err, AcceleratorError::Disconnected, "e={e}");
-        assert_eq!(progress.elements_done(), e + 1, "e={e}");
-        assert_eq!(
-            progress.y[e / rows].last(),
-            Some(&reference[e / rows][e % rows]),
-            "e={e}: element e evaluated"
-        );
-        let (dead, state) = client.into_parts();
-        drop(dead);
-        let (job, trace, mut sender, start, reached) = server.join().unwrap();
-
-        let (server_end, client_end) = Duplex::pair();
-        let server = std::thread::spawn(move || {
+    let (server_end, client_end) = Duplex::pair();
+    let server = {
+        let (config, w) = (config.clone(), w.clone());
+        std::thread::spawn(move || {
             let mut transport = server_end;
-            let ControlMsg::Resume {
-                boundary, digest, ..
-            } = recv_control(&mut transport).unwrap()
+            let (session_seed, sender, trace) = accept(&mut transport, &config, &w, SEED);
+            let ControlMsg::JobRequest { columns, .. } = recv_control(&mut transport).unwrap()
             else {
-                panic!("expected RESUME");
+                panic!("expected JOB");
             };
-            let (boundary, high_water) = (boundary as usize, reached.expect("READY went out"));
-            assert_eq!(boundary, e, "the last evaluated element's boundary");
-            assert!(boundary <= high_water && high_water <= boundary + 2);
-            sender.import_state(&start.advanced(boundary as u64, transfers));
-            let digest = TranscriptDigest::import(digest.0, digest.1);
-            stream_from(&mut transport, &job, sender, digest, trace, boundary)
-                .0
-                .unwrap();
-        });
-        let mut client = RemoteClient::reattach(client_end, state);
-        client.resume_job(&mut progress).unwrap();
+            let job = fill_stream(&config, &w, derive_job_seed(session_seed, 0), columns);
+            let start = sender.export_state();
+            let (result, reached) = stream_from(
+                &mut transport,
+                &job,
+                sender.clone(),
+                TranscriptDigest::new(),
+                trace,
+                0,
+            );
+            assert_eq!(result, Err(AcceleratorError::Disconnected));
+            (job, trace, sender, start, reached)
+        })
+    };
+    // HELLO, ACCEPT, JOB, READY, EXT(0), then a CIPHER and a ROUNDS
+    // receive per element of batch 0: the send of EXT(1) is the first
+    // event past the cut.
+    let cut = 5 + 2 * batch as u64;
+    let wire = FaultTransport::new(client_end, FaultSpec::none(SEED).with_cut_after(cut));
+    let mut client = RemoteClient::connect(wire, 8).unwrap();
+    let mut progress = client.start_job(&xs).unwrap();
+    let err = client.run_job(&mut progress).unwrap_err();
+    assert_eq!(err, AcceleratorError::Disconnected);
+    assert_eq!(
+        progress.elements_done(),
+        batch,
+        "batch 0's last element evaluated"
+    );
+    assert_eq!(
+        progress.y[(batch - 1) / rows].last(),
+        Some(&reference[(batch - 1) / rows][(batch - 1) % rows]),
+    );
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    let (job, trace, mut sender, start, reached) = server.join().unwrap();
+
+    let (server_end, client_end) = Duplex::pair();
+    let server = std::thread::spawn(move || {
+        let mut transport = server_end;
+        let ControlMsg::Resume {
+            boundary, digest, ..
+        } = recv_control(&mut transport).unwrap()
+        else {
+            panic!("expected RESUME");
+        };
+        let (boundary, high_water) = (boundary as usize, reached.expect("READY went out"));
         assert_eq!(
-            progress.elements_done(),
-            e,
-            "e={e}: element e is served again"
+            boundary, 0,
+            "the start of the last evaluated element's batch"
         );
-        client.run_job(&mut progress).unwrap();
-        server.join().unwrap();
-        let (ys, transcript) = progress.into_result();
-        assert_eq!(ys, reference, "e={e}");
-        assert_eq!(transcript, ref_transcript, "e={e}");
-    }
+        assert_eq!(high_water, batch, "EXT(1) never reached the server");
+        assert!(boundary <= high_water && high_water <= boundary + 2 * batch);
+        let transfers = batch * shape.transfers();
+        sender.import_state(&start.advanced((boundary / batch) as u64, transfers));
+        let digest = TranscriptDigest::import(digest.0, digest.1);
+        stream_from(&mut transport, &job, sender, digest, trace, boundary)
+            .0
+            .unwrap();
+    });
+    let mut client = RemoteClient::reattach(client_end, state);
+    client.resume_job(&mut progress).unwrap();
+    assert_eq!(progress.elements_done(), 0, "batch 0 is served again");
+    client.run_job(&mut progress).unwrap();
+    server.join().unwrap();
+    let (ys, transcript) = progress.into_result();
+    assert_eq!(ys, reference);
+    assert_eq!(transcript, ref_transcript);
 }
 
 /// Every control message, JOB and METRICS reply in both of their shapes.
@@ -417,10 +453,19 @@ fn every_proper_prefix_is_a_typed_error() {
             );
         }
     }
+    // An EXT written in place behind its seal carries the message the
+    // receiver's `prepare` returns.
     let (_, mut receiver) = iknp::setup_pair(0x0e47);
-    let (ext, _) = receiver.prepare(&[true, false, true]);
-    let mut frame = encode_ext(&ext).to_vec();
-    frame.extend_from_slice(b"digest trailer!!");
+    let choices = [true, false, true];
+    let (ext, _) = receiver.clone().prepare(&choices);
+    let sealed = seal_ext(
+        choices.len(),
+        |columns| {
+            receiver.prepare_into(&choices, columns);
+        },
+        |_| *b"digest trailer!!",
+    );
+    let frame = open_frame(sealed).unwrap().to_vec();
     assert_eq!(
         decode_ext(Bytes::from(frame.clone())),
         Ok((ext, *b"digest trailer!!"))
@@ -673,7 +718,10 @@ fn a_source_that_fails_before_its_first_element_sends_no_ready() {
     let (mut sender, _) = iknp::setup_pair(1);
     let err = stream_materialized_job_from(
         &mut server,
-        &JobSource::Garbling(gone),
+        &JobSource::Garbling {
+            pieces: gone,
+            shape: JobShape::new(1, 8),
+        },
         &mut sender,
         &mut TranscriptDigest::new(),
         0,

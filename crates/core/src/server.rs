@@ -33,7 +33,7 @@ use crate::error::AcceleratorError;
 use crate::remote::{
     accept_hello, derive_job_seed, derive_seed, deterministic_resume_token, garble_unit,
     materialize_element, recv_control, send_control, stream_materialized_job_from, ControlMsg,
-    JobPiece, JobSource, RemoteClient,
+    JobPiece, JobShape, JobSource, RemoteClient,
 };
 
 /// Communication/computation accounting of one secure matrix-vector
@@ -201,7 +201,10 @@ impl CloudServer {
         let seed = derive_job_seed(self.session_seed, self.next_job);
         let (config, weights, units) = (&self.config, &self.weights, self.units);
         let (pieces, source) = mpsc::channel();
-        let source = JobSource::Garbling(source);
+        let source = JobSource::Garbling {
+            pieces: source,
+            shape: JobShape::of(weights, columns, config.bit_width),
+        };
         let (streamed, produced) = std::thread::scope(|scope| {
             let producer = scope
                 .spawn(move || produce_on_units(config, weights, seed, columns, units, pieces));

@@ -119,6 +119,13 @@ const RECV_PREALLOC_BYTES: usize = 64 * 1024;
 /// connection's life.
 const RECV_SPARE_BYTES: usize = 1 << 20;
 
+/// Bytes a [`FramedTcp`] asks the socket for per read. Frames that arrive
+/// back to back — a batch's CIPHER and ROUNDS frames streamed without a
+/// request between them — come out of one read instead of two per frame
+/// (header, then payload), and a frame up to this size is handed out only
+/// once all of it is in.
+const READ_AHEAD_BYTES: usize = 64 * 1024;
+
 /// Length-prefixed framed transport over a blocking [`TcpStream`].
 ///
 /// One instance owns one direction-pair of a socket (TCP is full-duplex, so
@@ -133,6 +140,11 @@ pub struct FramedTcp {
     /// The last frame received, kept so the next receive can reuse its
     /// allocation once the reader has dropped every other handle to it.
     spare: Option<Bytes>,
+    /// Bytes read but not yet handed out: `ahead[lo..hi]`
+    /// ([`READ_AHEAD_BYTES`], allocated at the first receive).
+    ahead: Box<[u8]>,
+    lo: usize,
+    hi: usize,
 }
 
 impl FramedTcp {
@@ -155,6 +167,9 @@ impl FramedTcp {
             sent: Counter::default(),
             received: Counter::default(),
             spare: None,
+            ahead: Box::default(),
+            lo: 0,
+            hi: 0,
         }
     }
 
@@ -166,6 +181,37 @@ impl FramedTcp {
     /// Inbound tallies for this endpoint.
     pub fn received(&self) -> &Counter {
         &self.received
+    }
+
+    /// Reads until at least `need` (≤ [`READ_AHEAD_BYTES`]) bytes are
+    /// buffered, taking whatever the socket has per read. End of stream
+    /// before that is [`io::ErrorKind::UnexpectedEof`]; on any error the
+    /// bytes already buffered stay for the next call.
+    fn fill(&mut self, need: usize) -> io::Result<()> {
+        if self.hi - self.lo >= need {
+            return Ok(());
+        }
+        if self.ahead.is_empty() {
+            self.ahead = vec![0; READ_AHEAD_BYTES].into_boxed_slice();
+        }
+        self.ahead.copy_within(self.lo..self.hi, 0);
+        (self.lo, self.hi) = (0, self.hi - self.lo);
+        while self.hi < need {
+            match self.stream.read(&mut self.ahead[self.hi..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(read) => self.hi += read,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands out up to `n` buffered bytes.
+    fn take(&mut self, n: usize) -> &[u8] {
+        let n = n.min(self.hi - self.lo);
+        self.lo += n;
+        &self.ahead[self.lo - n..self.lo]
     }
 }
 
@@ -204,8 +250,9 @@ impl Transport for FramedTcp {
     }
 
     fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        self.fill(HEADER_BYTES)?;
         let mut header = [0u8; HEADER_BYTES];
-        self.stream.read_exact(&mut header)?;
+        header.copy_from_slice(&self.ahead[self.lo..][..HEADER_BYTES]);
         let mut fields = Reader::new(&header);
         if FrameKind::from_tag(fields.u8("frame kind tag")?).is_none() {
             return Err(TransportError::Malformed("frame kind tag"));
@@ -224,22 +271,36 @@ impl Transport for FramedTcp {
                 max: MAX_FRAME_BYTES as u64,
             });
         }
-        // A 5-byte header commits at most the cap below, read in one piece
-        // (`read_to_end` alone would take a ROUNDS burst in three reads);
-        // past it the buffer grows with the bytes that arrive, not with
-        // what the header declares. The buffer is the last frame's when its
-        // reader has let go of it (its stale bytes are overwritten), so a
-        // steady exchange neither frees nor allocates a buffer per frame —
-        // which the allocator would otherwise hand back to the kernel and
-        // fault in again.
+        // A frame that fits the read-ahead is taken whole from it once all
+        // of it is in, header included, so a receive that fails (a
+        // deadline) consumes nothing. A longer one takes what is buffered,
+        // then reads the rest straight into its buffer: the 5-byte header
+        // commits at most the cap below, read in one piece (`read_to_end`
+        // alone would take a ROUNDS burst in three reads); past it the
+        // buffer grows with the bytes that arrive, not with what the header
+        // declares. The buffer is the last frame's when its reader has let
+        // go of it (its stale bytes are overwritten), so a steady exchange
+        // neither frees nor allocates a buffer per frame — which the
+        // allocator would otherwise hand back to the kernel and fault in
+        // again.
         let mut payload = self
             .spare
             .take()
             .and_then(|last| last.try_into_mut().ok())
             .map(Vec::from)
             .unwrap_or_default();
-        payload.resize(len.min(RECV_PREALLOC_BYTES), 0);
-        self.stream.read_exact(&mut payload)?;
+        payload.clear();
+        if HEADER_BYTES + len <= READ_AHEAD_BYTES {
+            self.fill(HEADER_BYTES + len)?;
+            self.take(HEADER_BYTES);
+            payload.extend_from_slice(self.take(len));
+        } else {
+            self.take(HEADER_BYTES);
+            payload.extend_from_slice(self.take(len));
+            let at = payload.len();
+            payload.resize(at + (len - at).min(RECV_PREALLOC_BYTES), 0);
+            self.stream.read_exact(&mut payload[at..])?;
+        }
         let rest = len - payload.len();
         if rest > 0 {
             let got = Read::by_ref(&mut self.stream)
@@ -562,6 +623,41 @@ mod tests {
             &mut a,
             Some(Duration::from_millis(1))
         ));
+    }
+
+    #[test]
+    fn a_frame_cut_by_a_deadline_is_received_whole_afterwards() {
+        // Frames up to the read-ahead are handed out only once complete:
+        // a receive that times out halfway through one consumes nothing,
+        // and the next receive returns it whole, then the frames behind it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let (server_stream, _) = listener.accept().unwrap();
+        let mut server = FramedTcp::from_stream(server_stream);
+        let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = vec![FrameKind::Raw.tag()];
+        wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        wire.extend_from_slice(&payload);
+        raw.write_all(&wire[..1500]).unwrap();
+        assert!(server.set_idle_timeout(Some(Duration::from_millis(30))));
+        assert_eq!(server.recv_frame(), Err(TransportError::TimedOut));
+        // The rest, and two more frames back to back, one past the
+        // read-ahead.
+        let long: Vec<u8> = (0..(READ_AHEAD_BYTES as u32 + 7))
+            .map(|i| i as u8)
+            .collect();
+        raw.write_all(&wire[1500..]).unwrap();
+        for frame in [&[7u8; 9][..], &long] {
+            raw.write_all(&[FrameKind::Blocks.tag()]).unwrap();
+            raw.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+            raw.write_all(frame).unwrap();
+        }
+        assert!(server.set_idle_timeout(None));
+        assert_eq!(server.recv_frame().unwrap()[..], payload[..]);
+        assert_eq!(server.recv_frame().unwrap()[..], [7u8; 9]);
+        assert_eq!(server.recv_frame().unwrap()[..], long[..]);
+        assert_eq!(server.received().messages(), 3);
     }
 
     #[test]

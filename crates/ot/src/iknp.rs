@@ -4,6 +4,13 @@
 //! Column/row convention: the receiver builds a `m × 128` bit matrix `T`
 //! column by column from PRG-expanded base-OT seeds; the sender reconstructs
 //! `Q` with `q_j = t_j ⊕ r_j·s`. Each row is one 128-bit [`Block`].
+//!
+//! One extension may serve several consumers in turn: the sender
+//! [absorbs](OtExtSender::absorb) it once and [encrypts](OtExtSender::encrypt)
+//! any range of its transfers as the messages for that range come to hand;
+//! the receiver prepares it once and [opens](OtExtReceiver::open) the same
+//! ranges. [`OtExtSender::send`] and [`OtExtReceiver::receive`] are the
+//! whole-range forms.
 
 use max_crypto::{AesPrg, Block, FixedKeyHash, Tweak};
 
@@ -13,13 +20,32 @@ use crate::base::{BaseOtReceiver, BaseOtSender};
 pub const KAPPA: usize = 128;
 
 /// Receiver → sender correction message: one packed `m`-bit column per base
-/// OT.
+/// OT, all in one buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtendMsg {
-    /// `u_i = G(k_i^0) ⊕ G(k_i^1) ⊕ r`, bit-packed into u64 words.
-    pub columns: Vec<Vec<u64>>,
+    /// `u_i = G(k_i^0) ⊕ G(k_i^1) ⊕ r`, bit-packed into u64 words, column
+    /// after column: column `i` is `words[i * w..(i + 1) * w]` with
+    /// `w = ⌈count/64⌉` ([`ExtendMsg::column`]).
+    pub words: Vec<u64>,
     /// Number of transfers this message covers.
     pub count: usize,
+}
+
+impl ExtendMsg {
+    /// Words per column: `⌈count/64⌉`.
+    pub fn words_per_column(&self) -> usize {
+        self.count.div_ceil(64)
+    }
+
+    /// The packed bits of column `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the message holds no column `i`.
+    pub fn column(&self, i: usize) -> &[u64] {
+        let w = self.words_per_column();
+        &self.words[i * w..(i + 1) * w]
+    }
 }
 
 /// Sender → receiver ciphertexts: one pair per transfer.
@@ -27,6 +53,26 @@ pub struct ExtendMsg {
 pub struct CipherMsg {
     /// `(y_j^0, y_j^1)` per transfer.
     pub pairs: Vec<(Block, Block)>,
+}
+
+/// The receiver's half of one extension: the rows `t_j` of `T` that open
+/// its transfers, and the extension's session, which tweaks their hashes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExtensionKeys {
+    session: u64,
+    rows: Vec<Block>,
+}
+
+impl ExtensionKeys {
+    /// Transfers the extension covers.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the extension covers no transfer.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
 }
 
 /// Extension sender (holds the GC wire-label pairs).
@@ -43,6 +89,21 @@ pub struct OtExtSender {
     prgs: Vec<AesPrg>,
     hash: FixedKeyHash,
     session: u64,
+    /// The last absorbed extension: its session and its rows `q_j`, which
+    /// [`encrypt`](OtExtSender::encrypt) reads.
+    absorbed: Absorbed,
+    /// Column scratch, kept for the endpoint's lifetime.
+    columns: Columns,
+    /// Hash scratch of `encrypt`.
+    hashes: Vec<Block>,
+}
+
+/// The sender's last absorbed extension.
+#[derive(Clone, Debug, Default)]
+struct Absorbed {
+    session: u64,
+    /// The rows `q_j` of `Q`.
+    rows: Vec<Block>,
 }
 
 /// Portable snapshot of an IKNP endpoint's mutable state, relative to the
@@ -89,9 +150,9 @@ impl OtCursor {
     }
 
     /// The cursor `extensions` extensions of `transfers` OTs each past this
-    /// one: where a sender stands after that many `send`s, or a receiver
-    /// after that many `prepare` + `receive` rounds. Every extension moves
-    /// the session by one and the column PRGs by the same block count, so a
+    /// one: where a sender stands after that many absorbed extensions, or a
+    /// receiver after that many `prepare`s. Every extension moves the
+    /// session by one and the column PRGs by the same block count, so a
     /// cursor at any later boundary of a fixed-shape job is arithmetic on
     /// the cursor at its start.
     pub fn advanced(self, extensions: u64, transfers: usize) -> OtCursor {
@@ -133,6 +194,8 @@ pub struct OtExtReceiver {
     prgs: Vec<AesPrg>,
     hash: FixedKeyHash,
     session: u64,
+    /// Column scratch, kept for the endpoint's lifetime.
+    columns: Columns,
 }
 
 impl OtExtReceiver {
@@ -177,6 +240,9 @@ pub fn setup_pair(seed: u64) -> (OtExtSender, OtExtReceiver) {
             .collect(),
         hash: FixedKeyHash::new(),
         session: 0,
+        absorbed: Absorbed::default(),
+        columns: Columns::default(),
+        hashes: Vec::new(),
     };
     let receiver = OtExtReceiver {
         prgs: seed_pairs
@@ -186,6 +252,7 @@ pub fn setup_pair(seed: u64) -> (OtExtSender, OtExtReceiver) {
             .collect(),
         hash: FixedKeyHash::new(),
         session: 0,
+        columns: Columns::default(),
     };
     (sender, receiver)
 }
@@ -201,14 +268,18 @@ fn pack(bits: &[bool]) -> Vec<u64> {
 
 /// The PRG columns of one extension of `m` transfers: `⌈⌈m/64⌉/2⌉` blocks
 /// from each PRG, drawn by one multi-key AES sweep
-/// ([`AesPrg::fill_each`]) and kept as packed 64-bit words.
+/// ([`AesPrg::fill_each`]) and kept as packed 64-bit words. An endpoint
+/// keeps one `Columns` and expands every extension into it, so its buffers
+/// are allocated once per shape, not once per extension.
 ///
 /// Each PRG consumes exactly the blocks the former one-call-per-column
 /// loop drew, so transcripts and resume snapshots stay bit-identical, and
 /// every PRG advances by the same count: this and `import_state` are the
 /// only mutators of either endpoint's column PRGs, which keeps them in the
 /// lock-step [`OtCursor`] relies on.
+#[derive(Clone, Default)]
 struct Columns {
+    blocks: Vec<Block>,
     words: Vec<u64>,
     /// Words per PRG: two per block.
     stride: usize,
@@ -216,24 +287,29 @@ struct Columns {
     want: usize,
 }
 
+impl std::fmt::Debug for Columns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Scratch: its shape says all there is to say.
+        f.debug_struct("Columns")
+            .field("stride", &self.stride)
+            .field("want", &self.want)
+            .finish_non_exhaustive()
+    }
+}
+
 impl Columns {
-    fn expand(prgs: &mut [AesPrg], m: usize) -> Columns {
-        let want = m.div_ceil(64);
+    fn expand(&mut self, prgs: &mut [AesPrg], m: usize) {
         let per_prg = blocks_per_extension(m);
-        let mut blocks = vec![Block::ZERO; prgs.len() * per_prg];
-        AesPrg::fill_each(prgs, per_prg, &mut blocks);
-        let words = blocks
-            .iter()
-            .flat_map(|block| {
-                let bits = block.bits();
-                [bits as u64, (bits >> 64) as u64]
-            })
-            .collect();
-        Columns {
-            words,
-            stride: 2 * per_prg,
-            want,
-        }
+        self.blocks.clear();
+        self.blocks.resize(prgs.len() * per_prg, Block::ZERO);
+        AesPrg::fill_each(prgs, per_prg, &mut self.blocks);
+        self.words.clear();
+        self.words.extend(self.blocks.iter().flat_map(|block| {
+            let bits = block.bits();
+            [bits as u64, (bits >> 64) as u64]
+        }));
+        self.stride = 2 * per_prg;
+        self.want = m.div_ceil(64);
     }
 
     /// The packed bits of PRG `i`'s column.
@@ -265,13 +341,14 @@ fn transpose64(a: &mut [u64; 64]) {
 }
 
 /// Transposes the KAPPA packed bit-columns `column(0..KAPPA)` into `m`
-/// 128-bit rows.
+/// 128-bit rows, replacing what `rows` held.
 ///
 /// Works 64×64 blocks at a time with word-wise swaps — one transpose per
-/// job — replacing the former per-row, per-column `column_bit` probing
-/// (O(m·128) shift-and-mask operations).
-fn columns_to_rows<'c>(column: impl Fn(usize) -> &'c [u64], m: usize) -> Vec<Block> {
-    let mut rows = Vec::with_capacity(m);
+/// extension — replacing the former per-row, per-column `column_bit`
+/// probing (O(m·128) shift-and-mask operations).
+fn columns_to_rows<'c>(column: impl Fn(usize) -> &'c [u64], m: usize, rows: &mut Vec<Block>) {
+    rows.clear();
+    rows.reserve(m);
     let mut lo = [0u64; 64];
     let mut hi = [0u64; 64];
     for chunk in 0..m.div_ceil(64) {
@@ -286,119 +363,205 @@ fn columns_to_rows<'c>(column: impl Fn(usize) -> &'c [u64], m: usize) -> Vec<Blo
             rows.push(Block::new(lo[j] as u128 | (hi[j] as u128) << 64));
         }
     }
-    rows
 }
 
-/// The OT-session hash tweak for transfer `j` (domain-separated from GC
-/// gate tweaks by bit 62).
+/// The OT-session hash tweak for transfer `j` of an extension (domain-
+/// separated from GC gate tweaks by bit 62).
 fn session_tweak(session: u64, j: usize) -> Tweak {
     Tweak::from_gate_index((session << 40) | j as u64 | 1 << 62)
 }
 
 impl OtExtReceiver {
     /// Expands the seed PRGs for `choices.len()` transfers and produces the
-    /// correction message plus the decryption keys `t_j` (rows of `T`).
-    pub fn prepare(&mut self, choices: &[bool]) -> (ExtendMsg, Vec<Block>) {
-        let m = choices.len();
-        let r = pack(choices);
-        // t_i = G(k_i^0) is column 2i, G(k_i^1) column 2i + 1.
-        let columns = Columns::expand(&mut self.prgs, m);
-        let u_columns = (0..KAPPA)
-            .map(|i| {
-                let (t, g1) = (columns.column(2 * i), columns.column(2 * i + 1));
-                t.iter()
-                    .zip(g1)
-                    .zip(&r)
-                    .map(|((&ti, &gi), &ri)| ti ^ gi ^ ri)
-                    .collect()
-            })
+    /// correction message plus the decryption keys (rows of `T`). Moves the
+    /// receiver one extension on.
+    pub fn prepare(&mut self, choices: &[bool]) -> (ExtendMsg, ExtensionKeys) {
+        let keys = self.extend(choices);
+        let columns = &self.columns;
+        let words = (0..KAPPA)
+            .flat_map(|i| columns.column(2 * i + 1))
+            .copied()
             .collect();
-        // Transpose T's columns into per-transfer rows (one word-wise
-        // transpose for the whole batch).
-        let keys = columns_to_rows(|i| columns.column(2 * i), m);
-        (
-            ExtendMsg {
-                columns: u_columns,
-                count: m,
-            },
-            keys,
-        )
+        let msg = ExtendMsg {
+            words,
+            count: choices.len(),
+        };
+        (msg, keys)
     }
 
-    /// Decrypts the chosen message of each pair.
+    /// [`prepare`](OtExtReceiver::prepare) with the correction message
+    /// written straight into `out` instead: column after column, each
+    /// `⌈m/64⌉` big-endian words — the body of a wire frame, filled in
+    /// place.
     ///
     /// # Panics
     ///
-    /// Panics if lengths are inconsistent.
-    pub fn receive(&mut self, cipher: &CipherMsg, keys: &[Block], choices: &[bool]) -> Vec<Block> {
-        assert_eq!(cipher.pairs.len(), keys.len(), "cipher count mismatch");
-        assert_eq!(choices.len(), keys.len(), "choice count mismatch");
+    /// Panics if `out` is not `KAPPA × ⌈m/64⌉ × 8` bytes long.
+    pub fn prepare_into(&mut self, choices: &[bool], out: &mut [u8]) -> ExtensionKeys {
+        let words = choices.len().div_ceil(64);
+        assert_eq!(out.len(), KAPPA * words * 8, "correction buffer size");
+        let keys = self.extend(choices);
+        let columns = (0..KAPPA).flat_map(|i| self.columns.column(2 * i + 1));
+        for (slot, word) in out.as_chunks_mut::<8>().0.iter_mut().zip(columns) {
+            *slot = word.to_be_bytes();
+        }
+        keys
+    }
+
+    /// One extension of `choices.len()` transfers: the keys, with the
+    /// correction columns `u_i` left in the odd scratch columns.
+    fn extend(&mut self, choices: &[bool]) -> ExtensionKeys {
+        let m = choices.len();
+        let r = pack(choices);
+        // t_i = G(k_i^0) is column 2i, G(k_i^1) column 2i + 1.
+        self.columns.expand(&mut self.prgs, m);
+        // Transpose T's columns into per-transfer rows (one word-wise
+        // transpose for the whole extension), then fold t_i and r into
+        // column 2i + 1 in place: u_i.
+        let mut rows = Vec::new();
+        columns_to_rows(|i| self.columns.column(2 * i), m, &mut rows);
+        let Columns {
+            words,
+            stride,
+            want,
+            ..
+        } = &mut self.columns;
+        for i in 0..KAPPA {
+            let (even, odd) = words.split_at_mut((2 * i + 1) * *stride);
+            let t = &even[2 * i * *stride..][..*want];
+            for ((u, &ti), &ri) in odd[..*want].iter_mut().zip(t).zip(&r) {
+                *u ^= ti ^ ri;
+            }
+        }
         let session = self.session;
         self.session += 1;
-        let mut masks = Vec::with_capacity(keys.len());
+        ExtensionKeys { session, rows }
+    }
+
+    /// Opens transfers `offset..offset + pairs.len()` of the extension
+    /// `keys` came from: the chosen message of each pair, `choices` being
+    /// the range's choice bits. Ranges of one extension open in any order,
+    /// each once or again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choices` and `pairs` differ in length or the range runs
+    /// past the extension.
+    pub fn open(
+        &self,
+        keys: &ExtensionKeys,
+        offset: usize,
+        pairs: &[(Block, Block)],
+        choices: &[bool],
+    ) -> Vec<Block> {
+        assert_eq!(choices.len(), pairs.len(), "choice count mismatch");
+        let rows = &keys.rows[offset..offset + pairs.len()];
+        let mut masks = Vec::with_capacity(rows.len());
         self.hash.hash_into(
-            keys.iter()
+            rows.iter()
                 .enumerate()
-                .map(|(j, &t)| (t, session_tweak(session, j))),
+                .map(|(j, &t)| (t, session_tweak(keys.session, offset + j))),
             &mut masks,
         );
-        cipher
-            .pairs
+        pairs
             .iter()
             .zip(masks)
             .zip(choices)
             .map(|((&(y0, y1), mask), &c)| if c { y1 ^ mask } else { y0 ^ mask })
             .collect()
     }
+
+    /// Decrypts the chosen message of each pair: the whole-range
+    /// [`open`](OtExtReceiver::open).
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths are inconsistent.
+    pub fn receive(
+        &self,
+        cipher: &CipherMsg,
+        keys: &ExtensionKeys,
+        choices: &[bool],
+    ) -> Vec<Block> {
+        assert_eq!(cipher.pairs.len(), keys.len(), "cipher count mismatch");
+        self.open(keys, 0, &cipher.pairs, choices)
+    }
 }
 
 impl OtExtSender {
-    /// Encrypts `pairs` against the receiver's correction message.
+    /// Absorbs the receiver's correction message: expands the PRG columns,
+    /// folds in `s_i·u_i` and transposes `Q` to rows, once, for
+    /// [`encrypt`](OtExtSender::encrypt) to read. Moves the sender one
+    /// extension on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the message is malformed (not `KAPPA` columns of
+    /// `⌈count/64⌉` words).
+    pub fn absorb(&mut self, msg: &ExtendMsg) {
+        let m = msg.count;
+        assert_eq!(
+            msg.words.len(),
+            KAPPA * msg.words_per_column(),
+            "malformed extension message"
+        );
+        // q_i = G(k_i^{s_i}) ⊕ s_i·u_i per column.
+        self.columns.expand(&mut self.prgs, m);
+        for (i, &si) in self.s.iter().enumerate() {
+            if si {
+                for (q, &ui) in self.columns.column_mut(i).iter_mut().zip(msg.column(i)) {
+                    *q ^= ui;
+                }
+            }
+        }
+        let columns = &self.columns;
+        columns_to_rows(|i| columns.column(i), m, &mut self.absorbed.rows);
+        self.absorbed.session = self.session;
+        self.session += 1;
+    }
+
+    /// Encrypts `pairs` as transfers `offset..offset + pairs.len()` of the
+    /// last absorbed extension. Ranges may be encrypted in any order; the
+    /// hash tweak of a transfer is its position in the extension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the absorbed extension.
+    pub fn encrypt(&mut self, offset: usize, pairs: &[(Block, Block)]) -> CipherMsg {
+        let rows = &self.absorbed.rows[offset..offset + pairs.len()];
+        let s_block = Block::new(
+            self.s
+                .iter()
+                .enumerate()
+                .fold(0u128, |bits, (i, &si)| bits | (si as u128) << i),
+        );
+        let session = self.absorbed.session;
+        self.hash.hash_into(
+            rows.iter().enumerate().flat_map(|(j, &q)| {
+                let tweak = session_tweak(session, offset + j);
+                [(q, tweak), (q ^ s_block, tweak)]
+            }),
+            &mut self.hashes,
+        );
+        let out = pairs
+            .iter()
+            .zip(self.hashes.as_chunks::<2>().0)
+            .map(|(&(p0, p1), &[h0, h1])| (p0 ^ h0, p1 ^ h1))
+            .collect();
+        CipherMsg { pairs: out }
+    }
+
+    /// Encrypts `pairs` against the receiver's correction message: the
+    /// whole-range [`absorb`](OtExtSender::absorb) +
+    /// [`encrypt`](OtExtSender::encrypt).
     ///
     /// # Panics
     ///
     /// Panics if `pairs.len() != msg.count` or the message is malformed.
     pub fn send(&mut self, msg: &ExtendMsg, pairs: &[(Block, Block)]) -> CipherMsg {
         assert_eq!(pairs.len(), msg.count, "pair count mismatch");
-        assert_eq!(msg.columns.len(), KAPPA, "malformed extension message");
-        let m = msg.count;
-        // q_i = G(k_i^{s_i}) ⊕ s_i·u_i per column.
-        assert!(
-            msg.columns.iter().all(|u| u.len() == m.div_ceil(64)),
-            "malformed column"
-        );
-        let mut q_columns = Columns::expand(&mut self.prgs, m);
-        for (i, (&si, u)) in self.s.iter().zip(&msg.columns).enumerate() {
-            if si {
-                for (q, &ui) in q_columns.column_mut(i).iter_mut().zip(u) {
-                    *q ^= ui;
-                }
-            }
-        }
-        let s_block = {
-            let mut bits = 0u128;
-            for (i, &si) in self.s.iter().enumerate() {
-                bits |= (si as u128) << i;
-            }
-            Block::new(bits)
-        };
-        let session = self.session;
-        self.session += 1;
-        let rows = columns_to_rows(|i| q_columns.column(i), m);
-        let mut hashes = Vec::with_capacity(2 * m);
-        self.hash.hash_into(
-            rows.iter().enumerate().flat_map(|(j, &q)| {
-                let tweak = session_tweak(session, j);
-                [(q, tweak), (q ^ s_block, tweak)]
-            }),
-            &mut hashes,
-        );
-        let out = pairs
-            .iter()
-            .enumerate()
-            .map(|(j, &(p0, p1))| (p0 ^ hashes[2 * j], p1 ^ hashes[2 * j + 1]))
-            .collect();
-        CipherMsg { pairs: out }
+        self.absorb(msg);
+        self.encrypt(0, pairs)
     }
 }
 
@@ -448,8 +611,10 @@ mod tests {
             let mut prgs: Vec<AesPrg> = (0..KAPPA)
                 .map(|i| AesPrg::new(Block::new((m * KAPPA + i) as u128)))
                 .collect();
-            let columns = Columns::expand(&mut prgs, m);
-            let rows = columns_to_rows(|i| columns.column(i), m);
+            let mut columns = Columns::default();
+            columns.expand(&mut prgs, m);
+            let mut rows = vec![Block::ZERO; 3];
+            columns_to_rows(|i| columns.column(i), m, &mut rows);
             assert_eq!(rows.len(), m);
             for (j, row) in rows.iter().enumerate() {
                 let mut want = 0u128;
@@ -468,7 +633,8 @@ mod tests {
         for m in [0usize, 1, 63, 64, 65, 127, 128, 129, 500] {
             let mut batched = AesPrg::new(Block::new(0xc01));
             let mut scalar = AesPrg::new(Block::new(0xc01));
-            let columns = Columns::expand(std::slice::from_mut(&mut batched), m);
+            let mut columns = Columns::default();
+            columns.expand(std::slice::from_mut(&mut batched), m);
             let words = columns.column(0).to_vec();
             let want = m.div_ceil(64);
             assert_eq!(words.len(), want);
@@ -648,19 +814,90 @@ mod tests {
         let (_, mut receiver) = setup_pair(23);
         let choices: Vec<bool> = (0..128).map(|i| i % 2 == 0).collect();
         let (msg, _) = receiver.prepare(&choices);
-        let ones: u32 = msg
-            .columns
-            .iter()
-            .flat_map(|c| c.iter())
-            .map(|w| w.count_ones())
-            .sum();
+        let ones: u32 = msg.words.iter().map(|w| w.count_ones()).sum();
         let total = (KAPPA * 128) as f64;
         let ratio = ones as f64 / total;
         assert!((ratio - 0.5).abs() < 0.05, "bias {ratio}");
     }
 
+    #[test]
+    fn prepare_into_writes_the_message_prepare_returns() {
+        for m in [0usize, 1, 64, 100, 4096] {
+            let (_, mut receiver) = setup_pair(29 + m as u64);
+            let mut twin = receiver.clone();
+            let choices: Vec<bool> = (0..m).map(|i| i % 7 < 3).collect();
+            let (msg, keys) = receiver.prepare(&choices);
+            let mut body = vec![0u8; KAPPA * m.div_ceil(64) * 8];
+            let twin_keys = twin.prepare_into(&choices, &mut body);
+            assert_eq!(twin_keys, keys, "m={m}");
+            let words: Vec<u64> = body
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .map(|&w| u64::from_be_bytes(w))
+                .collect();
+            assert_eq!(words, msg.words, "m={m}");
+            assert_eq!(twin.export_state(), receiver.export_state(), "m={m}");
+        }
+    }
+
+    /// One extension of `choices.len()` transfers, absorbed once and opened
+    /// element by element (`m_e` transfers each, in order); returns the
+    /// labels and the ciphertexts.
+    fn batch_round(
+        sender: &mut OtExtSender,
+        receiver: &mut OtExtReceiver,
+        choices: &[bool],
+        m_e: usize,
+    ) -> (Vec<Block>, Vec<(Block, Block)>) {
+        let pairs = msg_pairs(choices.len());
+        let (msg, keys) = receiver.prepare(choices);
+        sender.absorb(&msg);
+        let (mut labels, mut ciphers) = (Vec::new(), Vec::new());
+        for start in (0..choices.len()).step_by(m_e) {
+            let range = start..start + m_e;
+            let cipher = sender.encrypt(start, &pairs[range.clone()]);
+            labels.extend(receiver.open(&keys, start, &cipher.pairs, &choices[range]));
+            ciphers.extend(cipher.pairs);
+        }
+        (labels, ciphers)
+    }
+
+    fn batch_choices(transfers: usize, round: usize) -> Vec<bool> {
+        (0..transfers)
+            .map(|i| (i * 5 + round).is_multiple_of(3))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One extension covers a batch of elements: the sender absorbs it
+        /// once and encrypts element by element, the receiver prepares it
+        /// once and opens element by element, and every chosen label comes
+        /// back — the very ciphertexts and labels of the whole-range
+        /// `send`/`receive` on the same extension.
+        #[test]
+        fn one_extension_opens_element_by_element(
+            seed in 0u64..1_000_000,
+            n in 1usize..6,
+            m_e in 1usize..150,
+        ) {
+            let (mut sender, mut receiver) = setup_pair(seed);
+            let (mut whole_sender, mut whole_receiver) = (sender.clone(), receiver.clone());
+            let choices = batch_choices(n * m_e, 0);
+            let pairs = msg_pairs(n * m_e);
+            let (labels, ciphers) = batch_round(&mut sender, &mut receiver, &choices, m_e);
+            for ((got, pair), &c) in labels.iter().zip(&pairs).zip(&choices) {
+                prop_assert_eq!(*got, if c { pair.1 } else { pair.0 });
+            }
+            let (msg, keys) = whole_receiver.prepare(&choices);
+            let cipher = whole_sender.send(&msg, &pairs);
+            prop_assert_eq!(&cipher.pairs, &ciphers);
+            prop_assert_eq!(whole_receiver.receive(&cipher, &keys, &choices), labels);
+            prop_assert_eq!(sender.export_state(), whole_sender.export_state());
+            prop_assert_eq!(receiver.export_state(), whole_receiver.export_state());
+        }
 
         /// Any run of extension sizes moves every column PRG of either
         /// endpoint by the same count, so one counter is an endpoint's whole
@@ -723,6 +960,19 @@ mod tests {
                 }
                 prop_assert_eq!(start.0.advanced(extensions, m), sender.export_state());
                 prop_assert_eq!(start.1.advanced(extensions, m), receiver.export_state());
+            }
+            // Batches: each extension covers n elements of m_e transfers,
+            // absorbed once and opened element by element.
+            for (n, m_e) in [(1, 24), (3, 64), (64, 64), (5, 100)] {
+                let (mut sender, mut receiver) = setup_pair(seed);
+                let start = (sender.export_state(), receiver.export_state());
+                let batches = extensions % 8;
+                for round in 0..batches as usize {
+                    let choices = batch_choices(n * m_e, round);
+                    let _ = batch_round(&mut sender, &mut receiver, &choices, m_e);
+                }
+                prop_assert_eq!(start.0.advanced(batches, n * m_e), sender.export_state());
+                prop_assert_eq!(start.1.advanced(batches, n * m_e), receiver.export_state());
             }
         }
     }

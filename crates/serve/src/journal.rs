@@ -24,16 +24,20 @@
 //! rotation, or [`Journal::sync`]) makes it durable with every earlier
 //! byte. Barriers are every checkpoint (a fresh job's record, after READY
 //! and before element 0's CIPHER), model PUT and model REMOVE; session
-//! tombstones ([`Journal::remove`]: job done, BYE) are ordered. A fresh job
+//! tombstones ([`Journal::remove`]) are ordered. A finished job's
+//! tombstone waits for the client's next frame, which shows its STATS
+//! arrived: a next JOB writes it after that job's READY, just before that
+//! job's record; PING, METRICS, a model frame or BYE at once. A fresh job
 //! costs 2 appends and 1 sync, a resumed one 1 append, and READY waits on
 //! none. Why that is safe:
 //!
 //! * **Process crash (`kill -9`).** Every record is written with write(2)
 //!   before the frame that follows it, and the page cache outlives the
 //!   process, so every crash point replays as if every append were synced.
-//! * **Power loss, lost tombstone.** Replay resurrects a finished job's
-//!   record. A client holding its STATS never resumes it; one whose STATS
-//!   was lost resumes at the last element and gets it and STATS again.
+//! * **Lost STATS, or power loss and a lost tombstone.** The finished
+//!   job's record stands. A client holding its STATS never resumes it; one
+//!   whose STATS was lost resumes at its last batch's start and gets that
+//!   batch and STATS again.
 //! * **Power loss during the record's sync,** between READY and element
 //!   0's CIPHER: the client has evaluated nothing. Its RESUME gets a typed
 //!   `REJECT(resume)` (no checkpoint, or an older job's that fails the

@@ -4,41 +4,49 @@
 //! material, the job's identity and one snapshot, the OT sender's cursor
 //! at element 0 with a fresh digest. A fresh job saves it once, after READY
 //! and before element 0's frames leave; a resumed job saves nothing. Every
-//! later boundary is derived: an element is one IKNP extension of
-//! `cols × b` transfers, so the cursor at boundary `k` is the record's
+//! later boundary is derived: a batch of `n` elements
+//! ([`JobShape`]) is one IKNP extension of `n × cols × b` transfers, so
+//! the cursor at batch start `k·n` is the record's
 //! [advanced](OtCursor::advanced) by `k` (`SessionCheckpoint::sender_at`),
 //! and elements re-garble from the job seed. The one value the server
-//! cannot derive, the transcript digest, the client brings.
+//! cannot derive, the transcript digest, the client brings. A RESUME that
+//! names no batch start is refused.
 //!
-//! **Which digest.** A client resumes at the boundary of its last evaluated
-//! element `e` (0 if none) with its digest from before it prepared
-//! EXT(`e`). The server verified that digest: the client holds `e`
-//! evaluated only after ROUNDS(`e`), which the server sends only after
-//! EXT(`e`)'s trailer — that digest folded with EXT(`e`)'s body — matched
-//! its own. So the server adopts it and serves `e` again. The client's
-//! newer digest has folded CIPHER(`e`) and ROUNDS(`e`), which nobody
-//! checked: adopting it after a validly sealed substitution and a power
-//! cut would carry a wrong element into a result every later check agrees
-//! with.
+//! **Which digest.** A client resumes at the start `s` of the batch
+//! holding its last evaluated element (0 if none) with its digest from
+//! before it prepared that batch's EXT. The server verified that digest:
+//! the client holds an element of the batch evaluated only after its
+//! ROUNDS, which the server sends only after the batch's EXT trailer —
+//! that digest folded with the EXT's body — matched its own. So the
+//! server adopts it and serves the batch again. The client's newer digest
+//! has folded the batch's CIPHER and ROUNDS frames, which nobody checked:
+//! adopting it after a validly sealed substitution and a power cut would
+//! carry a wrong element into a result every later check agrees with.
 //!
 //! **The replay window.** While a job runs, the store keeps its high-water
-//! boundary `h` in memory: the newest boundary whose EXT passed, noted
-//! before that element's frames leave, with no append. A client at `c` has
-//! evaluated `c`, so `h ≥ c + 1` (or `c = 0`). It sends EXT(`c + 1`) before
-//! evaluating `c`, and EXT(`c + 2`) only after ROUNDS(`c + 1`) arrived, when
-//! it evaluates `c + 1` and moves on unless that fails. So `h ≤ c + 2`: the
-//! lookahead reaches two elements, and a RESUME outside `h − 2 ≤ c ≤ h`
-//! gets `REJECT(resume)` (`resumable`). The one honest exception, an
-//! evaluation that fails after its successor's EXT passed, is refused and
-//! restarts the job. After a restart `h` is unknown and any boundary up to
-//! the job's element count is accepted. Under the honest-but-curious model
-//! that reveals nothing: an honest client resumes at its own rollback
-//! point with the choices it used before, so a replayed element repeats an
-//! extension at the same cursor with the same choices — the same EXT, the
-//! same CIPHER, labels the client already holds. Replaying with
-//! *different* choices would hand out a wire's other label; a malicious
-//! client could ask for that inside the in-memory window too, and refusing
-//! it is the next protocol bump's replay bar (ROADMAP), not the window's.
+//! boundary `h` in memory: the next batch start after the newest batch
+//! whose EXT passed, noted before that batch's frames leave, with no
+//! append. A client at `s` has evaluated an element of that batch, so
+//! `h ≥ s + 1` (or `s = 0`). It sends a batch's EXT only after the
+//! previous batch's last ROUNDS arrived, and then evaluates that last
+//! element and moves on unless that fails; so once the EXT of the batch at
+//! `s + 2n` has passed, the client has evaluated an element of the batch
+//! at `s + n` and would resume there. Hence `h ≤ s + 2n`: the lookahead
+//! reaches two batches, and a RESUME
+//! outside `h − 2n ≤ s ≤ h` gets `REJECT(resume)` (`resumable`). The one
+//! honest exception, an evaluation that fails after its successor's EXT
+//! passed, is refused and restarts the job. After a restart `h` is unknown
+//! and any batch start up to the job's element count is accepted. A
+//! finished job's record stays until the client's next frame shows STATS
+//! arrived, so a lost STATS resumes the last batch too. Under the
+//! honest-but-curious model that reveals nothing: an honest client resumes
+//! at its own rollback point with the choices it used before, so a
+//! replayed batch repeats an extension at the same cursor with the same
+//! choices — the same EXT, the same CIPHER, labels the client already
+//! holds. Replaying with *different* choices would hand out a wire's other
+//! label; a malicious client could ask for that inside the in-memory
+//! window too, and refusing it is a later protocol bump's replay bar
+//! (ROADMAP), not the window's.
 //!
 //! Checkpoints live in the [journal](crate::journal)'s store. A snapshot
 //! holds the sender's cursor, not the sender (see [`OtCursor`]): decoding
@@ -52,7 +60,7 @@
 use max_crypto::TranscriptDigest;
 use max_gc::channel::{ReadError, Reader};
 use max_ot::iknp::{self, OtCursor, OtExtSender};
-use maxelerator::remote::derive_ot_seed;
+use maxelerator::remote::{derive_ot_seed, JobShape};
 
 /// Everything needed to resume one interrupted session on a brand-new
 /// connection.
@@ -93,24 +101,32 @@ pub struct SessionCheckpoint<S = OtExtSender> {
 }
 
 impl SessionCheckpoint {
-    /// The OT sender at element boundary `boundary`, derived from the
-    /// oldest snapshot: each element in between is one extension of
-    /// `transfers` OTs. `None` before that snapshot, or without one.
-    pub(crate) fn sender_at(&self, boundary: usize, transfers: usize) -> Option<OtExtSender> {
+    /// The OT sender at batch start `boundary` of a job of `shape`,
+    /// derived from the oldest snapshot: each batch in between is one
+    /// extension of a full batch's transfers. `None` before that snapshot,
+    /// without one, or when either is not a batch start.
+    pub(crate) fn sender_at(&self, boundary: usize, shape: JobShape) -> Option<OtExtSender> {
         let (start, sender, _) = self.snapshots.first()?;
-        let extensions = boundary.checked_sub(*start)? as u64;
+        let n = shape.per_extension();
+        if !(shape.is_batch_start(*start) && shape.is_batch_start(boundary)) {
+            return None;
+        }
+        let extensions = (boundary.checked_sub(*start)? / n) as u64;
+        let transfers = n * shape.transfers();
         let mut sender = sender.clone();
         sender.import_state(&sender.export_state().advanced(extensions, transfers));
         Some(sender)
     }
 }
 
-/// Whether a RESUME at `boundary` of an `elements`-element job is inside
-/// the replay window: never past the job and, while this process knows the
-/// job's `high_water`, not ahead of it nor more than the client lookahead's
-/// reach, two elements, behind it (see the module docs).
-pub(crate) fn resumable(boundary: usize, elements: usize, high_water: Option<usize>) -> bool {
-    boundary <= elements && high_water.is_none_or(|h| boundary <= h && h <= boundary + 2)
+/// Whether a RESUME at `boundary` of a job of `shape` is inside the replay
+/// window: a batch start, never past the job and, while this process knows
+/// the job's `high_water`, not ahead of it nor more than the client
+/// lookahead's reach, two batches, behind it (see the module docs).
+pub(crate) fn resumable(boundary: usize, shape: JobShape, high_water: Option<usize>) -> bool {
+    let reach = 2 * shape.per_extension();
+    shape.is_batch_start(boundary)
+        && high_water.is_none_or(|h| boundary <= h && h <= boundary + reach)
 }
 
 /// Hard cap on snapshots a serialized checkpoint may carry: the window of
@@ -361,6 +377,57 @@ mod tests {
             model_id: Some(derive_seed(session_seed, 0x4d0d)),
             snapshots,
         }
+    }
+
+    #[test]
+    fn the_replay_window_is_two_batches() {
+        // 80 elements of 64 transfers: batches start at 0 and 64.
+        let shape = JobShape::new(80, 64);
+        assert_eq!(shape.per_extension(), 64);
+        for boundary in [0, 64] {
+            assert!(
+                resumable(boundary, shape, None),
+                "{boundary} after a restart"
+            );
+            assert!(
+                resumable(boundary, shape, Some(80)),
+                "{boundary} at the end"
+            );
+        }
+        for boundary in [1, 63, 65, 80, 128] {
+            assert!(
+                !resumable(boundary, shape, None),
+                "{boundary}: no batch start"
+            );
+        }
+        // Never ahead of the high-water mark, never two batches behind it.
+        assert!(resumable(0, shape, Some(0)));
+        assert!(!resumable(64, shape, Some(0)));
+        let one = JobShape::new(10, 4096);
+        assert_eq!(one.per_extension(), 1);
+        assert!(resumable(3, one, Some(5)));
+        assert!(!resumable(3, one, Some(6)));
+    }
+
+    #[test]
+    fn the_sender_at_a_batch_start_is_the_one_real_batches_leave() {
+        let session_seed = derive_seed(0xBA5E, 3);
+        let (mut sender, mut receiver) = iknp::setup_pair(derive_ot_seed(session_seed));
+        let shape = JobShape::new(10, 48);
+        let n = shape.per_extension();
+        let mut checkpoint = live_checkpoint(3, 0);
+        checkpoint.snapshots = vec![(0, sender.clone(), TranscriptDigest::new())];
+        for batch in 0..=10usize.div_ceil(n) {
+            let boundary = batch * n;
+            if boundary <= shape.elements() {
+                let derived = checkpoint.sender_at(boundary, shape).unwrap();
+                assert_eq!(derived.export_state(), sender.export_state(), "{boundary}");
+            }
+            let choices = vec![true; shape.batch_len(boundary) * shape.transfers()];
+            let (msg, _) = receiver.prepare(&choices);
+            sender.absorb(&msg);
+        }
+        assert!(checkpoint.sender_at(1, shape).is_none(), "no batch start");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use max_registry::{Acquired, RegisterError};
 use max_telemetry::{FlightRecorder, TraceContext};
 use maxelerator::remote::{
     accept_hello, derive_job_seed, derive_seed, deterministic_resume_token, recv_control,
-    send_control, stream_materialized_job_from, ControlMsg, JobSource, REJECT_DRAINING,
+    send_control, stream_materialized_job_from, ControlMsg, JobShape, JobSource, REJECT_DRAINING,
     REJECT_MODEL, REJECT_RESUME, STREAM_DIGEST_MISMATCH,
 };
 use maxelerator::AcceleratorError;
@@ -173,8 +173,9 @@ fn submit_or_busy<T: Transport>(
     transport: &mut T,
     request: JobRequest,
 ) -> Result<Option<JobSource>, AcceleratorError> {
+    let shape = JobShape::of(&request.weights, request.columns, shared.config.bit_width);
     match shared.pool.submit(request) {
-        Ok(pieces) => Ok(Some(JobSource::Garbling(pieces))),
+        Ok(pieces) => Ok(Some(JobSource::Garbling { pieces, shape })),
         Err(full) => {
             shared.tallies.busy_rejections.fetch_add(1, Relaxed);
             let busy = ControlMsg::Busy {
@@ -189,16 +190,22 @@ fn submit_or_busy<T: Transport>(
 
 /// Streams one job under the per-step deadline. A fresh job saves its one
 /// record, the OT sender's cursor at element 0, once READY has gone out
-/// (see [`crate::journal`]); later boundaries only move its high-water mark.
-/// A failed append is flight-logged and the job streams on; an eviction is
-/// counted and logged. Completion removes the record, a failure leaves it
-/// for RESUME; a source that fails before READY leaves no checkpoint.
+/// (see [`crate::journal`]); later batch starts only move its high-water
+/// mark. A failed append is flight-logged and the job streams on; an
+/// eviction is counted and logged. The record outlives the job: STATS may
+/// still be lost in flight, and a client that lost it resumes the last
+/// batch. The session removes it when the client's next frame shows STATS
+/// arrived; when that frame is this JOB (`retire`), the tombstone goes out
+/// after READY, just before this job's record, so the READY path writes
+/// nothing. A failure leaves the job's record for RESUME; a source that
+/// fails before READY leaves no checkpoint.
 fn stream_job_checkpointed<T: Transport>(
     shared: &ServiceShared,
     transport: &mut T,
     ctx: &SessionCtx<'_>,
     ot_sender: &mut OtExtSender,
     job: ResolvedJob,
+    retire: bool,
 ) -> Result<(), AcceleratorError> {
     let _stream_phase = shared
         .recorder
@@ -230,6 +237,9 @@ fn stream_job_checkpointed<T: Transport>(
         |boundary| {
             match (&record, reached) {
                 (Some(record), None) => {
+                    if retire {
+                        let _ = shared.journal.remove(ctx.session_id);
+                    }
                     let (evicted, written) = shared.journal.save(record);
                     if let Some(victim) = evicted {
                         shared.tallies.resume_evicted.fetch_add(1, Relaxed);
@@ -246,12 +256,7 @@ fn stream_job_checkpointed<T: Transport>(
     );
     transport.set_idle_timeout(shared.idle_timeout);
     match result {
-        Ok(()) => {
-            // The job finished on this connection: a restart must not
-            // resurrect (and a reconnect must not replay) it.
-            let _ = shared.journal.remove(ctx.session_id);
-            Ok(())
-        }
+        Ok(()) => Ok(()),
         // READY never went out: nothing to resume.
         Err(err) if reached.is_none() => Err(err),
         Err(err) => {
@@ -284,8 +289,8 @@ fn reject<T: Transport>(transport: &mut T, code: u8, detail: u32) -> Result<(), 
 /// Validates a RESUME and resolves its job on the session it continues, or
 /// refuses it (`None`): REJECT(resume), or BUSY, which keeps the
 /// checkpoint. The checkpoint must hold the quoted token, job and columns,
-/// and the boundary be [`resumable`]; the sender is derived there and the
-/// client's digest adopted (see [`crate::resume`]). A model job resumes only
+/// and the boundary be a [`resumable`] batch start; the sender is derived
+/// there and the client's digest adopted (see [`crate::resume`]). A model job resumes only
 /// against the registration it ran on: an evicted model has none, and a
 /// re-PUT one fails the token check ([`checkpoint_token`]).
 fn resume<'a, T: Transport>(
@@ -318,16 +323,14 @@ fn resume<'a, T: Transport>(
                     .registration(id)
                     .map(|(weights, digest)| (weights, Some(digest)))?,
             };
-            let elements = columns as usize * weights.len();
+            let shape = JobShape::of(&weights, columns, shared.config.bit_width);
             let valid = cp.resume_token == checkpoint_token(resume_token, registration.as_ref())
                 && (cp.job_id, cp.columns) == (job_id, columns)
-                && resumable(start, elements, high_water);
+                && resumable(start, shape, high_water);
             if !valid {
                 return None;
             }
-            // Each element is one extension of the row's `cols × b` choices.
-            let transfers = weights.first().map_or(0, Vec::len) * shared.config.bit_width;
-            Some((cp.sender_at(start, transfers)?, cp, weights, registration))
+            Some((cp.sender_at(start, shape)?, cp, weights, registration))
         });
     let Some((ot_sender, cp, weights, registration)) = checkpoint else {
         reject(transport, REJECT_RESUME, 0)?;
@@ -450,6 +453,8 @@ pub(crate) fn run_session<T: Transport>(
     let transport = &mut transport;
     transport.set_idle_timeout(shared.idle_timeout);
     let mut live: Option<(SessionCtx<'_>, OtExtSender)> = None;
+    // A job finished on this connection whose record still stands.
+    let mut finished = false;
     loop {
         let msg = match recv_control(transport) {
             Ok(msg) => msg,
@@ -463,6 +468,17 @@ pub(crate) fn run_session<T: Transport>(
             }
             Err(err) => return Err(err),
         };
+        // Any frame after a job's STATS shows the client holds it: a
+        // restart must not resurrect (and a reconnect must not replay) the
+        // job, so its record goes — at once, or for a JOB that streams,
+        // beside that job's own record after its READY, so the READY path
+        // writes nothing.
+        if finished && !matches!(msg, ControlMsg::JobRequest { .. }) {
+            finished = false;
+            if let Some((ctx, _)) = &live {
+                let _ = shared.journal.remove(ctx.session_id);
+            }
+        }
         let job = match (&mut live, msg) {
             // Operators poll METRICS without becoming a session.
             (_, ControlMsg::MetricsRequest) => {
@@ -581,7 +597,9 @@ pub(crate) fn run_session<T: Transport>(
         // through the same checkpointed streamer and the same counters.
         if let (Some(job), Some((ctx, ot_sender))) = (job, live.as_mut()) {
             let resumed = job.resume_at.is_some();
-            stream_job_checkpointed(shared, transport, ctx, ot_sender, job)?;
+            let retire = std::mem::take(&mut finished);
+            stream_job_checkpointed(shared, transport, ctx, ot_sender, job, retire)?;
+            finished = true;
             if resumed {
                 shared.tallies.jobs_resumed.fetch_add(1, Relaxed);
             }
@@ -607,7 +625,8 @@ mod tests {
 
     const WIDTH: usize = 8;
     /// The checkpoint every case's store holds: session, token, job and
-    /// columns of a two-element job whose high-water boundary is 1.
+    /// columns of a two-element job, one batch (2 × 8 transfers per
+    /// element), whose high-water boundary is 2, its batch's end.
     const CHECKPOINT: (u64, u64, u64, u32) = (41, 0xF00D, 3, 1);
 
     /// One frame of a case as the client puts it on the wire.
@@ -679,12 +698,12 @@ mod tests {
         (None, reap(if live { "idle" } else { "handshake" }))
     }
 
-    /// Whether a RESUME matches the stored checkpoint, at a boundary whose
-    /// high-water mark is in reach.
+    /// Whether a RESUME matches the stored checkpoint, at a batch start
+    /// whose high-water mark is in reach: the one batch's start, 0.
     fn resumable(msg: &ControlMsg) -> bool {
         let (session, token, job, columns) = CHECKPOINT;
         matches!(*msg, ControlMsg::Resume { session_id, resume_token, job_id, columns: c, boundary, .. }
-            if (session_id, resume_token, job_id, c) == (session, token, job, columns) && boundary < 2)
+            if (session_id, resume_token, job_id, c) == (session, token, job, columns) && boundary == 0)
     }
 
     /// Frame `kind` (mod 58) of the case, with its good and bad field
@@ -705,7 +724,7 @@ mod tests {
                 resume_token: pick(2, &[token, token, token, token ^ 1]),
                 job_id: pick(4, &[job, job, job, 4]),
                 columns: pick(6, &[u64::from(columns), u64::from(columns), 2]) as u32,
-                boundary: pick(8, &[0, 1, 5]) as u32,
+                boundary: pick(8, &[0, 0, 1, 2, 5]) as u32,
                 digest: ([r as u8; 16], r >> 8),
                 trace,
             },
@@ -871,7 +890,7 @@ mod tests {
             snapshots: vec![(0, start, TranscriptDigest::new())],
         };
         assert!(shared.journal.save(&record).1.is_ok());
-        shared.journal.advance(session, 1);
+        shared.journal.advance(session, 2);
 
         let (server_end, mut client_end) = Duplex::pair();
         for frame in &case.frames {

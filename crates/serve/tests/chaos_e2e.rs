@@ -6,8 +6,8 @@
 //! continued over RESUME produces a stitched wire transcript that is
 //! **bit-identical** to an uninterrupted run — same frames, same bytes,
 //! same order — once the first connection's frames are cut at the client's
-//! rollback point, the boundary of its last evaluated element, which the
-//! second connection serves again.
+//! rollback point, the start of the batch holding its last evaluated
+//! element, which the second connection serves again.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -28,17 +28,41 @@ const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0xC4A0;
 
-/// Client-side frame events per streamed element: 1 EXT send, 1 CIPHER
-/// receive, 1 ROUNDS-burst receive (v3 coalesces all rounds into it).
-const EVENTS_PER_ELEMENT: u64 = 3;
+/// Client-side frame events per streamed element: 1 CIPHER receive, 1
+/// ROUNDS-burst receive (v3 coalesces all rounds into it). Each batch of
+/// elements adds its one EXT send (v9).
+const EVENTS_PER_ELEMENT: u64 = 2;
 /// Handshake + job admission: HELLO send, ACCEPT recv, JOB send, READY recv.
 const HANDSHAKE_EVENTS: u64 = 4;
 
-/// A deterministic cut that dies partway through element `element`: the
-/// client survives the handshake, `element` full elements, and the EXT +
-/// CIPHER of the next one, then loses the connection on the ROUNDS receive.
+/// Client-side frame events through element `e`'s ROUNDS receive in a job
+/// whose batches hold `per_batch` elements: the handshake, one EXT per
+/// batch begun, two receives per element.
+fn events_through(e: u64, per_batch: u64) -> u64 {
+    HANDSHAKE_EVENTS + (e / per_batch + 1) + (e + 1) * EVENTS_PER_ELEMENT
+}
+
+/// A deterministic cut that dies partway through element `element` of a
+/// one-batch job: the client survives the handshake, the batch's EXT,
+/// `element` full elements and the CIPHER of the next one, then loses the
+/// connection on the ROUNDS receive.
 fn cut_mid_element(element: u64) -> u64 {
-    HANDSHAKE_EVENTS + element * EVENTS_PER_ELEMENT + 2
+    HANDSHAKE_EVENTS + 1 + element * EVENTS_PER_ELEMENT + 1
+}
+
+/// A session on `service` whose wire dies after `cut` frame events at
+/// both ends (the server's event sequence mirrors the client's), so the
+/// server cannot stream the rest of the job into a buffer the client
+/// will never read; `wrap` dresses the client's end.
+fn mirrored_cut<T: Transport>(
+    service: &GcService,
+    cut: u64,
+    wrap: impl FnOnce(Duplex) -> T,
+) -> FaultTransport<T> {
+    let spec = FaultSpec::none(SEED).with_cut_after(cut);
+    let (server_end, client_end) = Duplex::pair();
+    service.serve_transport(FaultTransport::new(server_end, spec));
+    FaultTransport::new(wrap(client_end), spec)
 }
 
 #[test]
@@ -72,20 +96,18 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     ref_service.shutdown();
     let ref_sent = ref_rec.sent_frames();
     let ref_recv = ref_rec.received_frames();
-    // HELLO, JOB, one EXT per element, BYE / ACCEPT, READY, (CIPHER +
+    // HELLO, JOB, the one batch's EXT, BYE / ACCEPT, READY, (CIPHER +
     // ROUNDS burst) per element, STATS.
     let elements = xs.len() * ROWS;
-    assert_eq!(ref_sent.len(), 2 + elements + 1);
+    assert_eq!(ref_sent.len(), 2 + 1 + 1);
     assert_eq!(ref_recv.len(), 2 + elements * 2 + 1);
 
-    // Chaos run: the wire dies partway through element 2 of 6.
+    // Chaos run: the wire dies partway through element 2 of 6, at both
+    // ends.
     let service = demo_service(ROWS, COLS, SEED, |cfg| {
         cfg.deterministic_resume_tokens = true
     });
-    let fault = FaultTransport::new(
-        RecordingTransport::new(service.connect()),
-        FaultSpec::none(SEED).with_cut_after(cut_mid_element(2)),
-    );
+    let fault = mirrored_cut(&service, cut_mid_element(2), RecordingTransport::new);
     let mut client =
         RemoteClient::connect_with_trace(fault, WIDTH, trace).expect("chaos handshake");
     let mut progress = client.start_job(&xs).expect("job admitted");
@@ -122,9 +144,9 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     let conn2_recv = rec2.received_frames();
 
     // Stitch the two connections' transcripts and compare bit-for-bit.
-    // The client evaluated elements 0 and 1, so it resumes at boundary 1:
-    // element 1 is served again.
-    let rollback = 1;
+    // The client evaluated elements 0 and 1, both in the job's one batch,
+    // so it resumes at that batch's start: the batch is served again.
+    let rollback = 0;
     //
     // Down direction (server → client): conn1 carries ACCEPT, READY, and
     // the data of the two completed elements plus the CIPHER of the
@@ -136,27 +158,22 @@ fn killed_mid_job_resumes_bit_identical_to_uninterrupted_run() {
     assert_eq!(
         &conn2_recv[1..],
         &ref_recv[2 + 2 * rollback..],
-        "post-resume data (elements 1..6 + STATS) diverged"
+        "post-resume data (elements 0..6 + STATS) diverged"
     );
 
-    // Up direction (client → server): HELLO, JOB and EXT(0..3) on conn1
-    // match; conn2 replays EXT(1) and EXT(2) bit-identically and carries
-    // the rest of the reference's EXT stream.
-    assert_eq!(conn1_sent.len(), 2 + 3, "HELLO, JOB, EXT x3");
+    // Up direction (client → server): HELLO, JOB and EXT on conn1 match;
+    // conn2 replays the EXT bit-identically and carries the rest of the
+    // reference's stream.
+    assert_eq!(conn1_sent.len(), 2 + 1, "HELLO, JOB, EXT");
     for (i, frame) in conn1_sent.iter().enumerate() {
         assert_eq!(frame.1, ref_sent[i].1, "conn1 frame {i} diverged");
     }
     assert_eq!(
-        (&conn2_sent[1].1, &conn2_sent[2].1),
-        (&conn1_sent[3].1, &conn1_sent[4].1),
-        "rolled-back EXTs must replay bit-identically"
+        conn2_sent[1].1, conn1_sent[2].1,
+        "the rolled-back EXT must replay bit-identically"
     );
     for (i, frame) in conn2_sent[1..].iter().enumerate() {
-        assert_eq!(
-            frame.1,
-            ref_sent[2 + rollback + i].1,
-            "stitched frame {i} diverged"
-        );
+        assert_eq!(frame.1, ref_sent[2 + i].1, "stitched frame {i} diverged");
     }
 
     let stats = service.shutdown();
@@ -238,16 +255,38 @@ fn resume_boundary(frame: &Bytes) -> u32 {
     }
 }
 
-/// Rows of the lookahead tests' model: two passes of two rows make a
-/// four-element job whose lookahead crosses a pass boundary.
-const LOOKAHEAD_ROWS: usize = 2;
+/// The multi-batch model: an 8 × 8 matrix at b = 8 takes 64 OT transfers
+/// per element, so one extension covers 64 elements and a ten-column job,
+/// 80 elements, is two batches of 64 and 16.
+const BATCH_DIM: usize = 8;
+const BATCH_COLUMNS: usize = 10;
+const PER_BATCH: u64 = 64;
+
+/// The multi-batch job's client vectors and their plaintext products.
+fn batch_job() -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
+    let weights = demo_weights(BATCH_DIM, BATCH_DIM, WIDTH, SEED);
+    let xs: Vec<Vec<i64>> = (0..BATCH_COLUMNS as u64)
+        .map(|i| demo_vector(BATCH_DIM, WIDTH, SEED ^ (i + 1)))
+        .collect();
+    let expected = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    (xs, expected)
+}
+
+/// A service on the multi-batch model with reproducible ACCEPT frames.
+fn batch_service() -> GcService {
+    demo_service(BATCH_DIM, BATCH_DIM, SEED, |cfg| {
+        cfg.deterministic_resume_tokens = true
+    })
+}
 
 /// One dial of the lookahead tests: faults outside, the frame log inside.
 type TappedWire = FaultTransport<Tap<Duplex>>;
 
 /// A `ResilientClient` whose first dial goes through `first` and whose
-/// later dials wait for the server's checkpoint, so the RESUME never races
-/// the dead session's bookkeeping. Every dial is logged into `wires`.
+/// later dials wait for the first session to end the job — failed with its
+/// checkpoint, or streamed to the end with its record kept for the client
+/// — so the RESUME never races the dead session's bookkeeping. Every dial
+/// is logged into `wires`.
 fn lookahead_client(
     service: &GcService,
     wires: &Wires,
@@ -263,8 +302,9 @@ fn lookahead_client(
             if dials == 1 {
                 return Ok(first(&svc, &wires));
             }
-            wait_until("checkpoint to be saved", || {
-                svc.stats().checkpoints_saved >= 1
+            wait_until("the first session to end the job", || {
+                let stats = svc.stats();
+                stats.checkpoints_saved + stats.jobs_completed >= 1
             });
             Ok(FaultTransport::new(
                 Tap::new(svc.connect(), &wires, None),
@@ -280,31 +320,24 @@ fn lookahead_client(
     .with_trace(trace)
 }
 
-/// The lookahead's own window: the client has received element `e`'s
-/// ROUNDS and sent EXT(e + 1), but not yet evaluated `e`, when the wire
-/// dies. The client must still finish `e` (it holds its ROUNDS), so `e` is
-/// its last evaluated element and the resilient client RESUMEs at boundary
-/// `e`, two behind the server's high-water mark (it answered EXT(e + 1)),
-/// and the stitched transcript equals the uninterrupted one frame by frame
-/// once element `e` is taken from the second connection. The cut severs
-/// both ends at the same frame event (the server's event sequence mirrors
-/// the client's), so the server cannot finish the job into a buffer the
-/// client will never read. After the last element, which has no
-/// successor, the cut lands on STATS.
+/// The lookahead's own window: the client has received the last ROUNDS of
+/// batch 0 and sent the EXT of batch 1, but not yet evaluated element 63,
+/// when the wire dies. The client must still finish 63 (it holds its
+/// ROUNDS), so its last evaluated element is in batch 0 and the resilient
+/// client RESUMEs at that batch's start, two batches behind the server's
+/// high-water mark (it answered EXT(1)), and the stitched transcript
+/// equals the uninterrupted one frame by frame once batch 0 is taken from
+/// the second connection. The cut severs both ends at the same frame
+/// event, so the server cannot finish the job into a buffer the client
+/// will never read. After the last element, which has no successor
+/// batch, the cut lands on STATS and the client resumes batch 1.
 #[test]
 fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
-    let xs = vec![
-        demo_vector(COLS, WIDTH, SEED ^ 1),
-        demo_vector(COLS, WIDTH, SEED ^ 2),
-    ];
-    let weights = demo_weights(LOOKAHEAD_ROWS, COLS, WIDTH, SEED);
-    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
-    let elements = (xs.len() * LOOKAHEAD_ROWS) as u64;
+    let (xs, expected) = batch_job();
+    let elements = expected.len() as u64 * BATCH_DIM as u64;
     let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x1D);
 
-    let ref_service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |cfg| {
-        cfg.deterministic_resume_tokens = true
-    });
+    let ref_service = batch_service();
     let ref_wires = Wires::default();
     let mut ref_client = RemoteClient::connect_with_trace(
         Tap::new(ref_service.connect(), &ref_wires, None),
@@ -317,15 +350,15 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
     ref_client.goodbye();
     ref_service.shutdown();
     let reference = ref_wires.lock().unwrap()[0].clone();
+    // HELLO, JOB, one EXT per batch, BYE.
+    assert_eq!(reference.sent.len(), 2 + 2 + 1);
 
-    for e in 0..elements {
-        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |cfg| {
-            cfg.deterministic_resume_tokens = true
-        });
+    for e in [PER_BATCH - 1, elements - 1] {
+        let service = batch_service();
         let wires = Wires::default();
-        // Survive the handshake, elements 0..=e and EXT(e + 1); die on
-        // CIPHER(e + 1) (or STATS after the last element).
-        let cut = HANDSHAKE_EVENTS + (e + 1) * EVENTS_PER_ELEMENT + u64::from(e + 1 < elements);
+        // Survive the handshake, elements 0..=e and the next batch's EXT;
+        // die on its first CIPHER (or STATS after the last element).
+        let cut = events_through(e, PER_BATCH) + u64::from(e + 1 < elements);
         let spec = FaultSpec::none(SEED).with_cut_after(cut);
         let mut client = lookahead_client(&service, &wires, trace, |svc, wires| {
             let (server_end, client_end) = Duplex::pair();
@@ -347,17 +380,18 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
         let [conn1, conn2] = &log[..] else {
             panic!("e={e}: expected two dials, got {}", log.len());
         };
+        let rollback = e - e % PER_BATCH;
         assert_eq!(
             u64::from(resume_boundary(&conn2.sent[0])),
-            e,
-            "e={e}: RESUME must start at boundary e, the last evaluated element"
+            rollback,
+            "e={e}: RESUME must start at the last evaluated element's batch"
         );
-        // Up: HELLO, JOB and EXT(0..e) from conn1, then conn2's replay of
-        // EXT(e) and EXT(e + 1) (bit-identical to the ones conn1 sent)
-        // onward.
-        let kept = 2 + e as usize;
-        let replayed = 1 + usize::from(e + 1 < elements);
-        assert_eq!(conn1.sent.len(), kept + replayed, "e={e}: EXT(e + 1) left");
+        // Up: HELLO, JOB and the EXTs of the batches before the rollback
+        // from conn1, then conn2's replay of every EXT conn1 sent from the
+        // rollback on (bit-identical) onward.
+        let kept = 2 + (rollback / PER_BATCH) as usize;
+        assert_eq!(conn1.sent.len(), 2 + 2, "e={e}: EXT(1) left");
+        let replayed = conn1.sent.len() - kept;
         assert_eq!(
             conn1.sent[kept..],
             conn2.sent[1..1 + replayed],
@@ -365,11 +399,11 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
         );
         let up: Vec<&Bytes> = conn1.sent[..kept].iter().chain(&conn2.sent[1..]).collect();
         assert_eq!(up, reference.sent.iter().collect::<Vec<_>>(), "e={e}: up");
-        // Down: ACCEPT, READY and the data of elements 0..e from conn1,
-        // then everything after conn2's READY, element e's data first.
+        // Down: ACCEPT, READY and the data of elements before the rollback
+        // from conn1, then everything after conn2's READY.
         assert_eq!(conn1.received.len(), 2 + 2 * (e as usize + 1));
         assert_eq!(conn2.received[0], reference.received[1], "e={e}: READY");
-        let down: Vec<&Bytes> = conn1.received[..2 + 2 * e as usize]
+        let down: Vec<&Bytes> = conn1.received[..2 + 2 * rollback as usize]
             .iter()
             .chain(&conn2.received[1..])
             .collect();
@@ -381,28 +415,24 @@ fn cut_right_after_the_lookahead_ext_resumes_bit_identical() {
     }
 }
 
-/// EXT(e + 1) leaves only after ROUNDS(e) has passed its CRC — the rule
-/// the resilient client's checksum healing relies on: a corrupt ROUNDS(e)
-/// leaves the server's high-water mark at e + 1, so the client's rollback
-/// point, the boundary of its last evaluated element e − 1 (0 for e = 0),
-/// is within reach.
+/// The next batch's EXT leaves only after the batch's last ROUNDS has
+/// passed its CRC — the rule the resilient client's checksum healing
+/// relies on: a corrupt ROUNDS(e) leaves the server's high-water mark at
+/// the end of the batch holding `e` (or the next, when `e` opens one),
+/// so the client's rollback point, the start of the batch holding its
+/// last evaluated element e − 1 (0 for e = 0), is within reach.
 #[test]
 fn lookahead_ext_waits_for_the_rounds_crc() {
-    let xs = vec![
-        demo_vector(COLS, WIDTH, SEED ^ 1),
-        demo_vector(COLS, WIDTH, SEED ^ 2),
-    ];
-    let weights = demo_weights(LOOKAHEAD_ROWS, COLS, WIDTH, SEED);
-    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
-    let elements = xs.len() * LOOKAHEAD_ROWS;
+    let (xs, expected) = batch_job();
     let trace = max_telemetry::TraceContext::from_ids(0xC2C, 0x1D);
-    // Every element with a successor: after the last ROUNDS the server
-    // sends STATS and finishes the job, so there is nothing to resume.
-    for e in 0..elements - 1 {
+    // Both batch ends and both batch starts; after the last ROUNDS the
+    // server sends STATS and finishes the job, so there is nothing to
+    // resume.
+    for e in [0, 1, PER_BATCH - 1, PER_BATCH, PER_BATCH + 1, 78] {
         // Inbound: ACCEPT, READY, then CIPHER + ROUNDS per element.
-        let rounds = 3 + 2 * e;
+        let rounds = 3 + 2 * e as usize;
 
-        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |_| {});
+        let service = batch_service();
         let wires = Wires::default();
         let mut client =
             RemoteClient::connect(Tap::new(service.connect(), &wires, Some(rounds)), WIDTH)
@@ -416,22 +446,19 @@ fn lookahead_ext_waits_for_the_rounds_crc() {
             ),
             "e={e}: {err:?}"
         );
-        assert_eq!(progress.elements_done(), e);
+        assert_eq!(progress.elements_done() as u64, e);
         assert_eq!(
             client.transport().inner.sent().messages(),
-            2 + e as u64 + 1,
-            "e={e}: HELLO, JOB and EXT(0..=e) only; no EXT(e + 1)"
+            2 + e / PER_BATCH + 1,
+            "e={e}: HELLO, JOB and the EXT of every batch through e's only"
         );
         drop(client);
         service.shutdown();
 
-        let service = demo_service(LOOKAHEAD_ROWS, COLS, SEED, |_| {});
+        let service = batch_service();
         let wires = Wires::default();
         let mut client = lookahead_client(&service, &wires, trace, |svc, wires| {
-            FaultTransport::new(
-                Tap::new(svc.connect(), wires, Some(rounds)),
-                FaultSpec::none(SEED),
-            )
+            mirrored_cut(svc, u64::MAX, |wire| Tap::new(wire, wires, Some(rounds)))
         });
         let (ys, _) = client.secure_matmul(&xs).expect("checksum heals");
         assert_eq!(ys, expected, "e={e}: W·x");
@@ -444,12 +471,128 @@ fn lookahead_ext_waits_for_the_rounds_crc() {
         client.goodbye();
         service.shutdown();
         let log = wires.lock().unwrap();
+        let last_evaluated = e.saturating_sub(1);
         assert_eq!(
-            resume_boundary(&log[1].sent[0]),
-            e.saturating_sub(1) as u32,
+            u64::from(resume_boundary(&log[1].sent[0])),
+            last_evaluated - last_evaluated % PER_BATCH,
             "e={e}"
         );
     }
+}
+
+/// A multi-batch job, end to end: its transcript is bit-identical over
+/// `Duplex` and TCP; a RESUME at the second batch start stitches
+/// bit-identically with the uninterrupted run; and a RESUME at a boundary
+/// that is no batch start gets `REJECT(resume)` and leaves the checkpoint
+/// to the honest one.
+#[test]
+fn a_two_batch_job_is_one_transcript_on_any_transport_and_resumes_at_a_batch_start() {
+    let (xs, expected) = batch_job();
+    let trace = max_telemetry::TraceContext::from_ids(0xB17, 0x2B);
+    let run = |transport: Box<dyn Transport>| {
+        let mut client =
+            RemoteClient::connect_with_trace(RecordingTransport::new(transport), WIDTH, trace)
+                .expect("handshake");
+        let (ys, _) = client.secure_matmul(&xs).expect("job");
+        assert_eq!(ys, expected);
+        let rec = client.goodbye();
+        let sent: Vec<Bytes> = rec.sent_frames().iter().map(|(_, f)| f.clone()).collect();
+        (sent, rec.received_frames().to_vec())
+    };
+    let service = batch_service();
+    let duplex = run(Box::new(service.connect()));
+    service.shutdown();
+    let handle = listen_tcp(batch_service(), "127.0.0.1:0").expect("bind");
+    let tcp = run(Box::new(
+        FramedTcp::connect(handle.addr()).expect("connect"),
+    ));
+    handle.shutdown();
+    assert_eq!(
+        tcp, duplex,
+        "the transcript does not depend on the transport"
+    );
+    let (ref_sent, ref_recv) = duplex;
+    // HELLO, JOB, EXT(0), EXT(1), BYE / ACCEPT, READY, 80 × (CIPHER,
+    // ROUNDS), STATS.
+    assert_eq!((ref_sent.len(), ref_recv.len()), (5, 2 + 2 * 80 + 1));
+
+    // Cut both ends mid element 70: the client evaluated 0..70, so its
+    // rollback point is batch 1's start.
+    let service = batch_service();
+    let fault = mirrored_cut(
+        &service,
+        events_through(69, PER_BATCH) + 1,
+        RecordingTransport::new,
+    );
+    let mut client = RemoteClient::connect_with_trace(fault, WIDTH, trace).expect("handshake");
+    let mut progress = client.start_job(&xs).expect("job admitted");
+    client.run_job(&mut progress).expect_err("the cut");
+    assert_eq!(progress.elements_done(), 70);
+    let (dead, state) = client.into_parts();
+    let rec1 = dead.into_inner();
+    let (conn1_sent, conn1_recv) = (rec1.sent_frames().to_vec(), rec1.received_frames().to_vec());
+    drop(rec1);
+    wait_until("checkpoint to be saved", || {
+        service.stats().checkpoints_saved >= 1
+    });
+
+    // A RESUME that names no batch start is refused, whatever its digest.
+    let ControlMsg::Accept {
+        session_id,
+        resume_token,
+        ..
+    } = ControlMsg::decode(open_frame(conn1_recv[0].clone()).unwrap()).unwrap()
+    else {
+        panic!("expected ACCEPT");
+    };
+    for boundary in [65, 70, 1] {
+        let mut wire = service.connect();
+        let resume = ControlMsg::Resume {
+            session_id,
+            resume_token,
+            job_id: progress.job_id(),
+            columns: BATCH_COLUMNS as u32,
+            boundary,
+            digest: ([0; 16], 0),
+            trace,
+        };
+        maxelerator::remote::send_control(&mut wire, &resume).unwrap();
+        assert_eq!(
+            maxelerator::remote::recv_control(&mut wire).unwrap(),
+            ControlMsg::Reject {
+                code: maxelerator::remote::REJECT_RESUME,
+                detail: 0
+            },
+            "boundary {boundary}"
+        );
+    }
+
+    // The honest RESUME, at batch 1's start, stitches bit-identically.
+    let mut client = RemoteClient::reattach(RecordingTransport::new(service.connect()), state);
+    client.resume_job(&mut progress).expect("RESUME accepted");
+    assert_eq!(progress.elements_done() as u64, PER_BATCH);
+    client.run_job(&mut progress).expect("resumed run");
+    let (ys, _) = progress.into_result();
+    assert_eq!(ys, expected);
+    let rec2 = client.goodbye();
+    let conn2_sent: Vec<&Bytes> = rec2.sent_frames().iter().map(|(_, f)| f).collect();
+    let conn2_recv = rec2.received_frames();
+    assert_eq!(resume_boundary(conn2_sent[0]), PER_BATCH as u32);
+    // Up: HELLO, JOB, EXT(0) from conn1; conn2 replays EXT(1) and says BYE.
+    assert_eq!(conn1_sent.len(), 4);
+    let up: Vec<&Bytes> = conn1_sent[..3]
+        .iter()
+        .map(|(_, f)| f)
+        .chain(conn2_sent[1..].iter().copied())
+        .collect();
+    assert_eq!(up, ref_sent.iter().collect::<Vec<_>>(), "up");
+    // Down: ACCEPT, READY and batch 0 from conn1, then conn2 from batch 1.
+    let kept = 2 + 2 * PER_BATCH as usize;
+    assert_eq!(conn1_recv[..kept], ref_recv[..kept]);
+    assert_eq!(conn2_recv[0], ref_recv[1], "READY");
+    assert_eq!(conn2_recv[1..], ref_recv[kept..], "down");
+    let stats = service.shutdown();
+    assert_eq!((stats.jobs_resumed, stats.jobs_completed), (1, 1));
 }
 
 /// Regression: a cut between the last element's data and STATS leaves
@@ -470,8 +613,8 @@ fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
     let elements = (xs.len() * ROWS) as u64;
 
     // Fault the *server's* transport: its event sequence mirrors the
-    // client's (recv HELLO, send ACCEPT, recv JOB, send READY, then
-    // EXT/CIPHER/ROUNDs per element), so after the handshake plus every
+    // client's (recv HELLO, send ACCEPT, recv JOB, send READY, recv EXT,
+    // then CIPHER/ROUNDS per element), so after the handshake plus every
     // element's data the next event — the STATS send — hits the cut. The
     // failed send makes the server checkpoint at the final boundary while
     // the client, which already has all its data, errors waiting on STATS.
@@ -479,7 +622,7 @@ fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
     let (server_end, client_end) = Duplex::pair();
     service.serve_transport(FaultTransport::new(
         server_end,
-        FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + elements * EVENTS_PER_ELEMENT),
+        FaultSpec::none(SEED).with_cut_after(events_through(elements - 1, elements)),
     ));
     let mut client = RemoteClient::connect(client_end, WIDTH).expect("handshake");
     let mut progress = client.start_job(&xs).expect("job admitted");
@@ -497,7 +640,8 @@ fn killed_before_stats_resumes_and_keeps_session_ot_synced() {
         service.stats().checkpoints_saved >= 1
     });
 
-    // Reconnect and resume: only READY + STATS remain to exchange.
+    // Reconnect and resume: the client evaluated the job's one batch, so
+    // it rolls back to the batch's start and the batch is served again.
     let mut client = RemoteClient::reattach(service.connect(), state);
     client.resume_job(&mut progress).expect("RESUME accepted");
     client.run_job(&mut progress).expect("resumed run");
@@ -534,13 +678,13 @@ fn resilient_client_rides_through_a_mid_job_cut() {
     let mut client = ResilientClient::new(
         move || {
             dials += 1;
-            let spec = if dials == 1 {
-                // First connection dies partway through element 1 of 3.
-                FaultSpec::none(SEED).with_cut_after(cut_mid_element(1))
+            // First connection dies partway through element 1 of 3.
+            let cut = if dials == 1 {
+                cut_mid_element(1)
             } else {
-                FaultSpec::none(SEED)
+                u64::MAX
             };
-            Ok(FaultTransport::new(svc.connect(), spec))
+            Ok(mirrored_cut(&svc, cut, |wire| wire))
         },
         WIDTH,
         RetryPolicy {
@@ -579,12 +723,12 @@ fn lost_checkpoint_falls_back_to_a_fresh_restart() {
     let mut client = ResilientClient::new(
         move || {
             dials += 1;
-            let spec = if dials == 1 {
-                FaultSpec::none(SEED).with_cut_after(cut_mid_element(1))
+            let cut = if dials == 1 {
+                cut_mid_element(1)
             } else {
-                FaultSpec::none(SEED)
+                u64::MAX
             };
-            Ok(FaultTransport::new(svc.connect(), spec))
+            Ok(mirrored_cut(&svc, cut, |wire| wire))
         },
         WIDTH,
         RetryPolicy {

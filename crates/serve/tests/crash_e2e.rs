@@ -35,14 +35,15 @@ const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0xC4A0;
 
-/// Client-side frame events per streamed element (EXT, CIPHER, ROUNDS) and
-/// for the handshake (HELLO, ACCEPT, JOB, READY) — same accounting as
-/// chaos_e2e.
-const EVENTS_PER_ELEMENT: u64 = 3;
+/// Client-side frame events per streamed element (CIPHER, ROUNDS), per
+/// batch (its one EXT) and for the handshake (HELLO, ACCEPT, JOB, READY)
+/// — same accounting as chaos_e2e. Every job here is one batch.
+const EVENTS_PER_ELEMENT: u64 = 2;
 const HANDSHAKE_EVENTS: u64 = 4;
 
+/// Dies on element `element`'s ROUNDS receive, its CIPHER in hand.
 fn cut_mid_element(element: u64) -> u64 {
-    HANDSHAKE_EVENTS + element * EVENTS_PER_ELEMENT + 2
+    HANDSHAKE_EVENTS + 1 + element * EVENTS_PER_ELEMENT + 1
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -154,10 +155,10 @@ fn journal_replay_after_process_loss_resumes_bit_identical() {
     let conn2_recv = rec2.received_frames();
 
     // Stitch and diff, frame by frame, against the uninterrupted run. The
-    // client evaluated elements 0 and 1, so it resumed at boundary 1 and
-    // element 1 was served again.
+    // client evaluated elements 0 and 1 of the job's one batch, so it
+    // resumed at the batch's start and the batch was served again.
     // Down direction: ACCEPT + READY + two completed elements' data (+ the
-    // partial element's CIPHER) on conn1; READY + elements 1..6 + STATS on
+    // partial element's CIPHER) on conn1; READY + elements 0..6 + STATS on
     // conn2.
     assert_eq!(
         conn1_recv[..2 + 2 * 2],
@@ -167,22 +168,22 @@ fn journal_replay_after_process_loss_resumes_bit_identical() {
     assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
     assert_eq!(
         &conn2_recv[1..],
-        &ref_recv[2 + 2..],
-        "post-restart data (elements 1..6 + STATS) diverged"
+        &ref_recv[2..],
+        "post-restart data (elements 0..6 + STATS) diverged"
     );
 
-    // Up direction: HELLO, JOB and EXT(0..3) on conn1 match, the
-    // rolled-back EXTs replay bit-identically, and conn2 carries the rest.
+    // Up direction: HELLO, JOB and the EXT on conn1 match, the rolled-back
+    // EXT replays bit-identically, and conn2 carries the rest.
+    assert_eq!(conn1_sent.len(), 3, "HELLO, JOB, EXT");
     for (i, frame) in conn1_sent.iter().enumerate() {
         assert_eq!(frame.1, ref_sent[i].1, "conn1 frame {i} diverged");
     }
     assert_eq!(
-        (&conn2_sent[1].1, &conn2_sent[2].1),
-        (&conn1_sent[3].1, &conn1_sent[4].1),
-        "rolled-back EXTs must replay bit-identically"
+        conn2_sent[1].1, conn1_sent[2].1,
+        "the rolled-back EXT must replay bit-identically"
     );
     for (i, frame) in conn2_sent[1..].iter().enumerate() {
-        assert_eq!(frame.1, ref_sent[3 + i].1, "stitched frame {i} diverged");
+        assert_eq!(frame.1, ref_sent[2 + i].1, "stitched frame {i} diverged");
     }
 
     let stats = second_incarnation.shutdown();
@@ -336,6 +337,57 @@ fn corrupt_journal_quarantines_and_rejects_resume_typed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// STATS lost in flight: the server wrote it and finished the job, but the
+/// client never read it. A job's record outlives its last frames — only the
+/// client's next frame retires it — so the client's RESUME at the start of
+/// its last batch is accepted, serves that batch and STATS again, and
+/// returns the plaintext `W·x` instead of restarting the job.
+#[test]
+fn a_lost_stats_resumes_from_the_kept_record() {
+    let xs = vec![
+        demo_vector(COLS, WIDTH, SEED ^ 1),
+        demo_vector(COLS, WIDTH, SEED ^ 2),
+    ];
+    let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    let expected: Vec<Vec<i64>> = xs.iter().map(|x| plain_matvec(&weights, x)).collect();
+    let elements = (xs.len() * ROWS) as u64;
+
+    let dir = temp_dir("lost-stats");
+    let service = journaled_service(&dir, |_| {});
+    // The client survives the handshake, the EXT and every element's
+    // frames, then dies on the STATS receive; the server's wire is whole.
+    let cut = HANDSHAKE_EVENTS + 1 + elements * EVENTS_PER_ELEMENT;
+    let fault = FaultTransport::new(service.connect(), FaultSpec::none(SEED).with_cut_after(cut));
+    let mut client = RemoteClient::connect(fault, WIDTH).expect("handshake");
+    let mut progress = client.start_job(&xs).expect("job admitted");
+    client
+        .run_job(&mut progress)
+        .expect_err("the cut must kill the STATS wait");
+    assert_eq!(progress.elements_done() as u64, elements);
+    let (dead, state) = client.into_parts();
+    drop(dead);
+    wait_until("the server to finish the job", || {
+        service.stats().jobs_completed == 1
+    });
+    let journal = service.journal().expect("journal configured");
+    assert_eq!(journal.appends(), 1, "the record, and no tombstone yet");
+
+    let mut client = RemoteClient::reattach(service.connect(), state);
+    client
+        .resume_job(&mut progress)
+        .expect("RESUME accepted after a lost STATS");
+    assert_eq!(progress.elements_done(), 0, "the last batch's start");
+    client.run_job(&mut progress).expect("resumed run");
+    let (ys, _) = progress.into_result();
+    assert_eq!(ys, expected);
+    client.goodbye();
+    let stats = service.shutdown();
+    assert_eq!((stats.jobs_completed, stats.jobs_resumed), (2, 1));
+    assert_eq!(journal.appends(), 2, "the BYE retired the record");
+    assert_eq!(journal.live_sessions(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Power cuts: what survives when only the synced bytes do.
 // ---------------------------------------------------------------------
@@ -344,9 +396,9 @@ fn corrupt_journal_quarantines_and_rejects_resume_typed() {
 const KIND_REMOVE: u8 = 2;
 
 /// A journaled job costs 2 appends (its one record, after READY, and the
-/// post-STATS tombstone) and exactly 1 barrier, however many elements it
-/// has; a BYE after it appends nothing, the record being gone. METRICS
-/// reports both counts.
+/// tombstone the client's next frame after STATS writes) and exactly 1
+/// barrier, however many elements it has; a BYE after a METRICS poll
+/// appends nothing, the record being gone. METRICS reports both counts.
 #[test]
 fn journaled_job_pays_one_barrier_per_job() {
     let dir = temp_dir("barriers");
@@ -357,7 +409,7 @@ fn journaled_job_pays_one_barrier_per_job() {
     for _ in 0..jobs {
         client.secure_matmul(&xs).expect("job");
     }
-    // The session thread answers METRICS only after the job's tombstone.
+    // The METRICS frame retires the last job's record before its answer.
     let body = client.metrics().expect("METRICS");
     assert!(
         body.contains(&format!("\"appends\":{},\"barriers\":{jobs},", 2 * jobs)),
@@ -504,8 +556,8 @@ fn power_cut_mid_element_keeps_the_kill9_image_and_resumes_bit_identical() {
     assert_eq!(conn2_recv[0], ref_recv[1], "resumed READY diverged");
     assert_eq!(
         conn2_recv[1..],
-        ref_recv[2 + 2..],
-        "post-restart data (elements 1..6 + STATS) diverged"
+        ref_recv[2..],
+        "post-restart data (the whole batch + STATS) diverged"
     );
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -513,9 +565,9 @@ fn power_cut_mid_element_keeps_the_kill9_image_and_resumes_bit_identical() {
 
 /// The keystone of the one-record journal: cut the wire mid-element `k` of
 /// a 2-column job, for every `k`, keep only the segment's synced bytes, and
-/// restart. The RESUME at the client's last evaluated element returns the
-/// plaintext `W·x`, and every frame of the second connection matches the
-/// uninterrupted run from that element on.
+/// restart. The RESUME at the start of the batch holding the client's last
+/// evaluated element returns the plaintext `W·x`, and every frame of the
+/// second connection matches the uninterrupted run from that batch on.
 #[test]
 fn a_power_cut_mid_any_element_resumes_bit_identical() {
     const SWEEP_ROWS: usize = 4;
@@ -557,8 +609,9 @@ fn a_power_cut_mid_any_element_resumes_bit_identical() {
         assert_eq!(progress.elements_done(), k, "k={k}");
         let (dead, state) = client.into_parts();
         drop(dead);
-        // The server is done with the job: failed at the cut or, past the
-        // last element's frames, finished with its tombstone written.
+        // The server is done with the job: failed at the cut or streamed
+        // to the end, its record kept either way (no frame of the client's
+        // followed STATS).
         wait_until("the first incarnation to end the job", || {
             let stats = first.stats();
             stats.checkpoints_saved + stats.jobs_completed == 1
@@ -575,18 +628,20 @@ fn a_power_cut_mid_any_element_resumes_bit_identical() {
         client
             .resume_job(&mut progress)
             .expect("RESUME after the power cut");
-        let rollback = k.saturating_sub(1);
+        // The job is one batch (3 × 8 transfers per element): its start
+        // is every element's rollback point.
+        let rollback = 0;
         assert_eq!(progress.elements_done(), rollback, "k={k}");
         client.run_job(&mut progress).expect("resumed run");
         let (ys, _) = progress.into_result();
         assert_eq!(ys, expected, "k={k}: W·x");
         let rec = client.goodbye();
-        // Up: RESUME, then EXT(rollback..) and BYE as the reference sent
+        // Up: RESUME, then the batch's EXT and BYE as the reference sent
         // them. Down: READY, then element `rollback` on and STATS.
         let sent = rec.sent_frames();
-        assert_eq!(sent.len(), 1 + ref_sent.len() - (2 + rollback), "k={k}");
+        assert_eq!(sent.len(), 1 + ref_sent.len() - 2, "k={k}");
         for (i, frame) in sent[1..].iter().enumerate() {
-            assert_eq!(frame.1, ref_sent[2 + rollback + i].1, "k={k}: up {i}");
+            assert_eq!(frame.1, ref_sent[2 + i].1, "k={k}: up {i}");
         }
         let recv = rec.received_frames();
         assert_eq!(recv[0], ref_recv[1], "k={k}: READY");

@@ -240,18 +240,30 @@ impl<T: Transport> Transport for ReplayRounds<T> {
 }
 
 /// A substituted frame passes the CRC, so only the transcript digest can
-/// see it: mid-job the server's check of the next EXT mark refuses it,
-/// on the last element the client's check of the STATS digest does.
-/// Either way the job ends typed `Integrity`, never in a result.
+/// see it: inside a batch that is not the job's last, the server's check
+/// of the next batch's EXT mark refuses it; in the last batch the client's
+/// check of the STATS digest does. Either way the job ends typed
+/// `Integrity`, never in a result. The 8 × 8 model at b = 8 with ten
+/// columns is two batches, elements 0..64 and 64..80; the 3 × 3 one-column
+/// job is one.
 #[test]
 fn validly_sealed_substituted_rounds_frame_never_yields_a_result() {
-    for (element, caught_by_server) in [(1, true), (ROWS - 1, false)] {
-        let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
+    const BATCHED: (usize, usize, usize) = (8, 8, 10);
+    for ((rows, cols, columns), element, caught_by_server) in [
+        (BATCHED, 1, true),
+        (BATCHED, 63, true),
+        (BATCHED, 70, false),
+        ((ROWS, COLS, 1), ROWS - 1, false),
+    ] {
+        let weights = demo_weights(rows, cols, WIDTH, SEED);
         let cfg = ServeConfig::new(AcceleratorConfig::new(WIDTH), weights, SEED);
         let service = GcService::start(cfg);
         let wire = ReplayRounds::new(service.connect(), element, false);
         let mut client = RemoteClient::connect(wire, WIDTH).expect("handshake");
-        let outcome = client.secure_matvec(&demo_vector(COLS, WIDTH, SEED ^ 7));
+        let xs: Vec<Vec<i64>> = (0..columns as u64)
+            .map(|i| demo_vector(cols, WIDTH, SEED ^ (7 + i)))
+            .collect();
+        let outcome = client.secure_matmul(&xs);
         assert!(
             matches!(outcome, Err(AcceleratorError::Integrity { .. })),
             "element {element}: expected a typed integrity error, got {outcome:?}"
@@ -267,14 +279,14 @@ fn validly_sealed_substituted_rounds_frame_never_yields_a_result() {
     }
 }
 
-/// A substituted ROUNDS(e), then a power cut before EXT(e + 1) reaches the
-/// server: the client has evaluated `e` from the wrong frame, and the
-/// server restarts from what its journal had synced, the job's one record.
-/// The client resumes at boundary `e`, whose digest the server verified
-/// when it answered EXT(e), so `e` is served again from the job seed. The
+/// A substituted ROUNDS(e), then a power cut: the client has evaluated `e`
+/// from the wrong frame, and the server restarts from what its journal
+/// had synced, the job's one record. The client resumes at the start of
+/// `e`'s batch, whose digest the server verified when it answered that
+/// batch's EXT, so the batch is served again from the job seed. The
 /// outcome is the plaintext `W·x`: never the number the substituted frame
-/// made, which a RESUME at the client's newest boundary, with its unchecked
-/// digest, would carry into a result every later check agrees with.
+/// made, which a RESUME with the client's newest digest, unchecked, would
+/// carry into a result every later check agrees with.
 #[test]
 fn substituted_rounds_then_a_power_cut_never_yields_a_wrong_result() {
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
@@ -290,9 +302,10 @@ fn substituted_rounds_then_a_power_cut_never_yields_a_wrong_result() {
         cfg.journal = Some(journal);
         GcService::start(cfg)
     };
-    // Every element with a successor, so EXT(e + 1) is the frame the cut
-    // stops.
-    for element in 1..xs.len() * ROWS - 1 {
+    // Every element with a predecessor to substitute, the job's last
+    // included: the cut stops everything after the substitution, STATS
+    // too.
+    for element in 1..xs.len() * ROWS {
         let dir = power_cut::temp_dir("integrity-e2e", "substituted");
         let first = journaled(&dir);
         let wire = ReplayRounds::new(first.connect(), element, true);

@@ -550,24 +550,27 @@ fn models_replay_from_journal_across_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Handshake + job admission (HELLO, ACCEPT, JOB, READY) and the frame
-/// events of one element (EXT, CIPHER, ROUNDS), as the client counts them.
+/// Handshake + job admission (HELLO, ACCEPT, JOB, READY), the batch's one
+/// EXT, and the frame events of one element (CIPHER, ROUNDS), as the client
+/// counts them.
 const HANDSHAKE_EVENTS: u64 = 4;
-const EVENTS_PER_ELEMENT: u64 = 3;
+const EVENTS_PER_ELEMENT: u64 = 2;
 
-/// Starts a one-column job against `handle` and cuts its connection partway
-/// through element 2 (EXT and CIPHER delivered, ROUNDS lost), then waits
-/// for the server to checkpoint it. Returns the interrupted session and job.
+/// Starts a one-column job against `handle` and cuts its connection at
+/// both ends partway through element 2 (CIPHER delivered, ROUNDS lost),
+/// then waits for the server to checkpoint it. Returns the interrupted
+/// session and job.
 fn cut_model_job_at_element_2(
     service: &GcService,
     handle: ModelHandle,
     x: &[i64],
 ) -> (maxelerator::SessionState, maxelerator::JobProgress) {
     let before = service.stats().checkpoints_saved;
-    let fault = FaultTransport::new(
-        service.connect(),
-        FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + 2 * EVENTS_PER_ELEMENT + 2),
-    );
+    let spec =
+        FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + 1 + 2 * EVENTS_PER_ELEMENT + 1);
+    let (server_end, client_end) = max_gc::channel::Duplex::pair();
+    service.serve_transport(FaultTransport::new(server_end, spec));
+    let fault = FaultTransport::new(client_end, spec);
     let mut client = RemoteClient::connect(fault, WIDTH).expect("handshake");
     let mut progress = client
         .start_model_job(handle, &[x.to_vec()])

@@ -535,9 +535,9 @@ fn an_evicted_window_is_counted_and_its_resume_refused() {
     let service = demo_service(ROWS, COLS, SEED, |cfg| cfg.resume_capacity = 1);
     let weights = demo_weights(ROWS, COLS, WIDTH, SEED);
     let x = demo_vector(COLS, WIDTH, SEED ^ 5);
-    // HELLO, ACCEPT, JOB, READY, element 0's three frames, then element
-    // 1's EXT and CIPHER: the wire dies mid-element 1.
-    let cut = FaultSpec::none(SEED).with_cut_after(4 + 3 + 2);
+    // HELLO, ACCEPT, JOB, READY, the batch's EXT, element 0's two frames,
+    // then element 1's CIPHER: the wire dies mid-element 1.
+    let cut = FaultSpec::none(SEED).with_cut_after(4 + 1 + 2 + 1);
     let mut client =
         RemoteClient::connect(FaultTransport::new(service.connect(), cut), WIDTH).expect("hello");
     let mut progress = client

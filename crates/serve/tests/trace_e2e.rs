@@ -17,9 +17,10 @@ const ROWS: usize = 3;
 const COLS: usize = 3;
 const SEED: u64 = 0x0B5E;
 
-/// Client-side frame events per streamed element: EXT send, CIPHER recv,
-/// ROUNDS-burst recv. The server's event sequence mirrors it.
-const EVENTS_PER_ELEMENT: u64 = 3;
+/// Client-side frame events per streamed element: CIPHER recv,
+/// ROUNDS-burst recv, after the batch's one EXT send. The server's event
+/// sequence mirrors it.
+const EVENTS_PER_ELEMENT: u64 = 2;
 /// Handshake + job admission: HELLO, ACCEPT, JOB, READY.
 const HANDSHAKE_EVENTS: u64 = 4;
 
@@ -45,12 +46,15 @@ fn stitched_trace_spans_both_sides_of_a_chaos_recovery() {
         move || {
             dials += 1;
             let spec = if dials == 1 {
-                // First connection dies partway through element 1 of 3.
-                FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + EVENTS_PER_ELEMENT + 2)
+                // First connection dies partway through element 1 of 3, at
+                // both ends.
+                FaultSpec::none(SEED).with_cut_after(HANDSHAKE_EVENTS + 1 + EVENTS_PER_ELEMENT + 1)
             } else {
                 FaultSpec::none(SEED)
             };
-            Ok(FaultTransport::new(svc.connect(), spec))
+            let (server_end, client_end) = Duplex::pair();
+            svc.serve_transport(FaultTransport::new(server_end, spec));
+            Ok(FaultTransport::new(client_end, spec))
         },
         WIDTH,
         RetryPolicy {

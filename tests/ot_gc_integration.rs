@@ -92,20 +92,14 @@ fn two_party_protocol_over_threads() {
         }
         // OT sender side: receive the (choice-hiding) correction columns,
         // reply with the ciphertext pairs.
-        let mut ext_columns = Vec::with_capacity(iknp::KAPPA);
+        let mut words = Vec::with_capacity(iknp::KAPPA);
         for _ in 0..iknp::KAPPA {
             let column = decode_blocks(wire_s.recv_frame().expect("ot column")).expect("blocks");
-            ext_columns.push(column.iter().map(|b| b.bits() as u64).collect::<Vec<u64>>());
+            words.extend(column.iter().map(|b| b.bits() as u64));
         }
         let count = recv_bits(&mut wire_s).len();
         let pairs: Vec<(Block, Block)> = (0..4).map(|i| garbled.evaluator_label_pair(i)).collect();
-        let cipher = ot_sender.send(
-            &iknp::ExtendMsg {
-                columns: ext_columns,
-                count,
-            },
-            &pairs,
-        );
+        let cipher = ot_sender.send(&iknp::ExtendMsg { words, count }, &pairs);
         wire_s
             .send_frame(FrameKind::Blocks, encode_block_pairs(&cipher.pairs))
             .expect("send");
@@ -120,8 +114,12 @@ fn two_party_protocol_over_threads() {
         // OT receiver side: send correction columns, get ciphertexts back.
         let choices = encode_unsigned(e_value, 4);
         let (ext, keys) = ot_receiver.prepare(&choices);
-        for column in &ext.columns {
-            let blocks: Vec<Block> = column.iter().map(|&w| Block::new(w as u128)).collect();
+        for i in 0..iknp::KAPPA {
+            let blocks: Vec<Block> = ext
+                .column(i)
+                .iter()
+                .map(|&w| Block::new(w as u128))
+                .collect();
             wire_c
                 .send_frame(FrameKind::Blocks, frame(|buf| put_blocks(buf, &blocks)))
                 .expect("send");
