@@ -8,18 +8,26 @@
 //! drawn — a table is a pure function of its labels, Δ and tweak, so the
 //! order of garbling cannot change a byte — and cycle counts come from the
 //! job shape's [`FabricAccount`], computed once per shape, plus the label
-//! pool's integer arithmetic.
+//! pool's integer arithmetic. The garbler writes each round straight into
+//! the element's sealed ROUNDS frame — labels, tables in wire order,
+//! decode bits — as the paper's engine streams its tables to the host: the
+//! frame is what a served element is, and the [`RoundMessage`] forms the
+//! job API returns are read back out of it.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use max_crypto::{Block, FixedKeyHash, Tweak};
+use max_gc::channel::SEAL_BYTES;
 use max_gc::{evaluate_levels, garble_levels, AsTable, BatchScratch, Delta, GarbledTable};
 use max_netlist::{decode_signed, decode_unsigned, MacCircuit};
 use max_rng::LabelGenerator;
 
 use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
-use crate::remote::derive_seed;
+use crate::remote::{
+    derive_seed, lend_round_burst, BurstWriter, MaterializedElement, RoundShape, RoundView,
+};
 use crate::schedule::FabricAccount;
 use crate::timing::TimingModel;
 
@@ -100,8 +108,9 @@ impl EvalRound for RoundMessage {
     }
 }
 
-/// One garbled output element: its round messages and the OT label pairs
-/// (bit-width pairs per round, concatenated in round order).
+/// One garbled output element in structured form: its round messages, as
+/// read back from its ROUNDS frame, and the OT label pairs (bit-width pairs
+/// per round, concatenated in round order).
 #[derive(Clone, Debug)]
 pub struct GarbledRow {
     /// Round messages in round order.
@@ -205,12 +214,16 @@ pub struct Maxelerator {
     carried_zero: Option<Vec<Block>>,
     round: u32,
     elem: u32,
-    /// OT pairs per absolute round of the current element.
-    eval_pairs: std::collections::HashMap<u32, Vec<(Block, Block)>>,
+    /// OT pairs of the current element's evaluator inputs, `b` per round
+    /// in round order from round `pairs_from`.
+    pairs: Vec<(Block, Block)>,
+    /// The first round `pairs` holds: 0, or the round after the ones a
+    /// [`Maxelerator::garble_element`] moved out.
+    pairs_from: u32,
     /// Zero-label per wire, reused across rounds: every wire is an input
     /// (rewritten each round) or a gate output (written before it is read).
     wires: Vec<Block>,
-    and_gates: usize,
+    shape: RoundShape,
     scratch: BatchScratch,
     report: AcceleratorReport,
 }
@@ -246,7 +259,7 @@ impl Maxelerator {
         let delta = Delta::from_block(labels.next_label());
         Maxelerator {
             wires: vec![Block::ZERO; mac.netlist().wire_count()],
-            and_gates: mac.netlist().stats().and_gates,
+            shape: RoundShape::of(&config, mac.netlist()),
             scratch: BatchScratch::default(),
             hash: FixedKeyHash::new(),
             mac,
@@ -259,7 +272,8 @@ impl Maxelerator {
             carried_zero: None,
             round: 0,
             elem: 0,
-            eval_pairs: std::collections::HashMap::new(),
+            pairs: Vec::new(),
+            pairs_from: 0,
             report: AcceleratorReport::default(),
         }
     }
@@ -291,27 +305,30 @@ impl Maxelerator {
         self.elem = elem;
         self.round = 0;
         self.carried_zero = None;
-        self.eval_pairs.clear();
+        self.pairs.clear();
+        self.pairs_from = 0;
     }
 
     /// Garbles matrix row `row` as output element `elem`: the element's
     /// whole round sequence as one pipelined job with the decode bits
-    /// released on the last round, plus its OT pairs in round order. This
-    /// is how the one job loop turns a row into an element, on a pool unit,
-    /// a registry fill or a unit of the in-process [`crate::CloudServer`],
-    /// so they cannot drift.
+    /// released on the last round, written straight into its sealed
+    /// ROUNDS frame, plus its OT pairs in round order. This is how the one
+    /// job loop turns a row into an element, on a pool unit, a registry
+    /// fill or a unit of the in-process [`crate::CloudServer`], so they
+    /// cannot drift. The pairs move into the element, so
+    /// [`Maxelerator::ot_pairs`] knows no round of it afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `row` is empty or a weight does not fit the bit-width.
-    pub fn garble_element(&mut self, elem: u32, row: &[i64]) -> GarbledRow {
+    pub fn garble_element(&mut self, elem: u32, row: &[i64]) -> MaterializedElement {
         self.begin_element(elem);
-        let messages = self.garble_job(row, true);
-        let pairs = messages
-            .iter()
-            .flat_map(|msg| self.eval_pairs[&msg.round].iter().copied())
-            .collect();
-        GarbledRow { messages, pairs }
+        let sealed_rounds = self.garble_burst(row, true);
+        self.pairs_from = self.round;
+        MaterializedElement {
+            pairs: std::mem::take(&mut self.pairs),
+            sealed_rounds,
+        }
     }
 
     /// Garbles one MAC round for server input `a`.
@@ -326,7 +343,8 @@ impl Maxelerator {
         self.garble_job(&[a], last).pop().expect("one round")
     }
 
-    /// Garbles `a_elems.len()` consecutive MAC rounds as one pipelined job.
+    /// Garbles `a_elems.len()` consecutive MAC rounds as one pipelined job,
+    /// read back out of the ROUNDS frame the garbler writes.
     ///
     /// Rounds continue the current element's accumulator; set `last` to
     /// release the decode bits with the final round.
@@ -336,6 +354,21 @@ impl Maxelerator {
     /// Panics if `a_elems` is empty or any element does not fit the
     /// configured bit-width (caller errors, not peer input).
     pub fn garble_job(&mut self, a_elems: &[i64], last: bool) -> Vec<RoundMessage> {
+        let frame = self.garble_burst(a_elems, last);
+        lend_round_burst(&frame[SEAL_BYTES..], a_elems.len())
+            .expect("the garbler's own frame parses")
+            .into_iter()
+            .map(RoundView::to_message)
+            .collect()
+    }
+
+    /// The one garbling loop: `a_elems.len()` consecutive MAC rounds as one
+    /// pipelined job, each round written into one sealed ROUNDS frame as it
+    /// is garbled — its header, `a` and constant labels, the initial
+    /// accumulator labels (element start only), its tables in wire order,
+    /// and the decode bits (on the last round, when `last`). The round's
+    /// evaluator-input label pairs join the element's OT pairs.
+    fn garble_burst(&mut self, a_elems: &[i64], last: bool) -> Bytes {
         assert!(!a_elems.is_empty(), "job needs at least one round");
         let rounds = a_elems.len();
         let mac = Arc::clone(&self.mac);
@@ -365,7 +398,8 @@ impl Maxelerator {
         // inputs. The accumulator inputs of a later round are the previous
         // round's output labels — the shift-register carry.
         let state = self.config.state_range();
-        let mut messages = Vec::with_capacity(rounds);
+        let delta = self.delta;
+        let mut frame = BurstWriter::new(self.shape, rounds, init_acc > 0, last);
         for (r, &a) in a_elems.iter().enumerate() {
             let abs_round = first_round_abs + r as u32;
             let a_bits = if self.config.signed {
@@ -373,82 +407,72 @@ impl Maxelerator {
             } else {
                 max_netlist::encode_unsigned(a as u64, b)
             };
+            let decode = last && r + 1 == rounds;
+            let mut slots = frame.round(self.elem, abs_round, self.carried_zero.is_none(), decode);
             let mut fresh = || drawn.next().expect("a job draws every label it consumes");
-            let mut sent = Vec::with_capacity(b + consts);
+            let active = |z: Block, bit: bool| if bit { delta.one_label(z) } else { z };
+            let mut sent = slots.a_labels.iter_mut();
+            let mut send = |label: Block| {
+                *sent.next().expect("the round's shape counts its labels") = label.to_bytes();
+            };
             for (pos, wire) in netlist.garbler_inputs().iter().enumerate() {
                 if state.contains(&pos) {
                     continue;
                 }
                 let z = fresh();
                 self.wires[wire.index()] = z;
-                let bit = a_bits[pos];
-                sent.push(if bit { self.delta.one_label(z) } else { z });
+                send(active(z, a_bits[pos]));
             }
             let acc_wires = &netlist.garbler_inputs()[state.clone()];
-            let init_acc_labels = match &self.carried_zero {
+            match &self.carried_zero {
                 Some(carried) => {
                     for (wire, &label) in acc_wires.iter().zip(carried) {
                         self.wires[wire.index()] = label;
                     }
-                    None
                 }
                 None => {
                     // Fresh labels; initial value 0 ⇒ active = zero-label.
-                    let mut init = Vec::with_capacity(acc_wires.len());
-                    for wire in acc_wires {
+                    for (wire, slot) in acc_wires.iter().zip(slots.init_acc_labels.iter_mut()) {
                         let z = fresh();
                         self.wires[wire.index()] = z;
-                        init.push(z);
+                        *slot = z.to_bytes();
                     }
-                    Some(init)
                 }
-            };
+            }
             // Constants: garbler-known bits.
             for &(wire, value) in netlist.constants() {
                 let z = fresh();
                 self.wires[wire.index()] = z;
-                sent.push(if value { self.delta.one_label(z) } else { z });
+                send(active(z, value));
             }
             // Evaluator (`x`) labels: fresh pair per bit, delivered via OT.
-            let mut pairs = Vec::with_capacity(b);
             for wire in netlist.evaluator_inputs() {
                 let z = fresh();
                 self.wires[wire.index()] = z;
-                pairs.push((z, self.delta.one_label(z)));
+                self.pairs.push((z, delta.one_label(z)));
             }
-            self.eval_pairs.insert(abs_round, pairs);
 
-            let mut tables = vec![GarbledTable::default(); self.and_gates];
             let elem = self.elem;
             garble_levels(
                 &self.hash,
-                self.delta,
+                delta,
                 netlist,
                 |and| table_tweak(elem, abs_round, and.gate),
                 &mut self.wires,
-                &mut tables,
+                &mut *slots.tables,
                 &mut self.scratch,
             );
             let carried = self.carried_zero.get_or_insert_with(Vec::new);
             carried.clear();
             carried.extend(netlist.outputs().iter().map(|w| self.wires[w.index()]));
-            messages.push(RoundMessage {
-                elem,
-                round: abs_round,
-                tables,
-                a_labels: sent,
-                init_acc_labels,
-                decode: None,
-            });
+            if decode {
+                slots.set_decode(carried.iter().map(|z| z.lsb()));
+            }
         }
         debug_assert!(
             drawn.next().is_none(),
             "a job consumes every label it draws"
         );
-        if last {
-            let carried = self.carried_zero.as_ref().expect("a round was garbled");
-            messages[rounds - 1].decode = Some(carried.iter().map(|z| z.lsb()).collect());
-        }
 
         // ------------------------------------------------------------------
         // Fabric accounting: the label pool's arithmetic, then the shape's
@@ -469,9 +493,10 @@ impl Maxelerator {
             generated,
         );
 
+        let and_gates = netlist.gate_plan().tables();
         self.round = first_round_abs + rounds as u32;
         self.report.rounds += rounds as u64;
-        self.report.tables += (rounds * self.and_gates) as u64;
+        self.report.tables += (rounds * and_gates) as u64;
         self.report.labels_generated += generated;
         self.report.cycles += pool.prefill + pool.misses + fabric.io_cycles;
         self.report.last_job_ii = fabric.schedule.steady_state_ii;
@@ -494,7 +519,7 @@ impl Maxelerator {
             pcie_bytes: self.report.pcie_pushed_bytes,
             cycles: self.report.cycles,
         };
-        messages
+        frame.seal()
     }
 
     /// [`Maxelerator::garble_job`] in the `Result` form outside callers
@@ -526,9 +551,13 @@ impl Maxelerator {
     /// been garbled in the current element — e.g. a peer requesting labels
     /// for a round id it invented.
     pub fn ot_pairs(&self, round: u32) -> Result<&[(Block, Block)], AcceleratorError> {
-        self.eval_pairs
-            .get(&round)
-            .map(Vec::as_slice)
+        let b = self.config.bit_width;
+        round
+            .checked_sub(self.pairs_from)
+            .and_then(|held| {
+                let start = (held as usize).checked_mul(b)?;
+                self.pairs.get(start..start.checked_add(b)?)
+            })
             .ok_or(AcceleratorError::UnknownRound { round })
     }
 
@@ -556,7 +585,7 @@ impl Maxelerator {
 }
 
 /// The client: evaluates the accelerator's round messages level by level
-/// (see [`max_netlist::Netlist::levels`]) with the matching tweaks, carrying
+/// (see [`max_netlist::Netlist::gate_plan`]) with the matching tweaks, carrying
 /// the accumulator between rounds.
 #[derive(Clone, Debug)]
 pub struct ScheduledEvaluator {
@@ -839,6 +868,69 @@ mod tests {
             &other.mac,
             &ScheduledEvaluator::new(&signed).mac
         ));
+    }
+
+    #[test]
+    fn the_garblers_frame_is_the_codecs_frame() {
+        // The frame `garble_element` writes in place is byte for byte the
+        // codec's encoding of the round messages `garble_job` reads back for
+        // the same seed, its OT pairs are `ot_pairs`' rounds in order, and its
+        // length is the one `round_burst_bytes` sizes.
+        for b in [4, 8, 16, 32] {
+            for signed in [true, false] {
+                let config = if signed {
+                    AcceleratorConfig::new(b)
+                } else {
+                    AcceleratorConfig::new(b).unsigned()
+                };
+                for rounds in 1..=9usize {
+                    let row: Vec<i64> = (0..rounds as i64).map(|r| (r * 5 + 3) % 7).collect();
+                    for elem in [0u32, 1, 63, 1 << 20] {
+                        let seed = 0x0f1e_2d3c ^ u64::from(elem) ^ (rounds as u64) << 32;
+                        let element =
+                            Maxelerator::new(config.clone(), seed).garble_element(elem, &row);
+                        let mut accel = Maxelerator::new(config.clone(), seed);
+                        accel.begin_element(elem);
+                        let messages = accel.garble_job(&row, true);
+                        let what =
+                            format!("b = {b}, signed = {signed}, {rounds} rounds, elem {elem}");
+                        assert_eq!(
+                            element.sealed_rounds,
+                            crate::remote::encode_sealed_round_burst(&messages),
+                            "{what}"
+                        );
+                        let pairs: Vec<(Block, Block)> = messages
+                            .iter()
+                            .flat_map(|msg| accel.ot_pairs(msg.round).unwrap().iter().copied())
+                            .collect();
+                        assert_eq!(element.pairs, pairs, "{what}");
+                        assert_eq!(
+                            element.sealed_rounds.len(),
+                            crate::remote::round_burst_bytes(&config, rounds),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ot_pairs_name_only_rounds_the_accelerator_still_holds() {
+        // An element's pairs move out with it; a job that continues the
+        // element afterwards reports its own rounds under their own ids.
+        let config = AcceleratorConfig::new(8);
+        let mut accel = Maxelerator::new(config, 11);
+        let element = accel.garble_element(3, &[1, 2]);
+        assert_eq!(element.pairs.len(), 2 * 8);
+        assert_eq!(
+            accel.ot_pairs(0),
+            Err(AcceleratorError::UnknownRound { round: 0 })
+        );
+        let msg = accel.garble_round(5, true);
+        assert_eq!(msg.round, 2);
+        assert_eq!(accel.ot_pairs(2).map(<[_]>::len), Ok(8));
+        assert!(accel.ot_pairs(0).is_err() && accel.ot_pairs(3).is_err());
     }
 
     #[test]

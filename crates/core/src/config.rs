@@ -157,7 +157,7 @@ fn shared_circuit_in(
 ) -> Arc<MacCircuit> {
     memo.get_or_insert_with(config.circuit_key(), || {
         let mac = config.mac_circuit();
-        mac.netlist().levels();
+        mac.netlist().gate_plan();
         Arc::new(mac)
     })
 }
@@ -230,7 +230,7 @@ mod tests {
         let again = shared_circuit_in(&memo, &first);
         assert!(!Arc::ptr_eq(&again, &kept));
         assert_eq!(again.netlist().gates(), kept.netlist().gates());
-        assert_eq!(again.netlist().levels(), kept.netlist().levels());
+        assert_eq!(again.netlist().gate_plan(), kept.netlist().gate_plan());
     }
 
     #[test]

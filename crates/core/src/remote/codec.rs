@@ -922,7 +922,7 @@ impl RoundView<'_> {
     }
 
     /// The round as an owned [`RoundMessage`].
-    fn to_message(self) -> RoundMessage {
+    pub(crate) fn to_message(self) -> RoundMessage {
         let blocks = |labels: &[[u8; 16]]| labels.iter().map(|&b| Block::from_bytes(b)).collect();
         RoundMessage {
             elem: self.elem,
@@ -1038,16 +1038,164 @@ fn put_round_burst(buf: &mut BytesMut, msgs: &[RoundMessage]) {
 /// materialized element stores. A model whose element exceeds
 /// [`MAX_FRAME_BYTES`](max_gc::channel::MAX_FRAME_BYTES) cannot be served.
 pub fn round_burst_bytes(config: &AcceleratorConfig, cols: usize) -> usize {
-    let mac = config.shared_circuit();
-    let netlist = mac.netlist();
-    let acc = config.state_range().len();
-    let tables = netlist.stats().and_gates;
-    let a_labels = netlist.garbler_inputs().len() - acc + netlist.constants().len();
+    let shape = RoundShape::of(config, config.shared_circuit().netlist());
     // Every round carries its tables and labels; the first adds the
     // initial accumulator, the last the decode bits.
-    let round = round_body_bytes(tables, a_labels, None, None);
-    let ends = round_body_bytes(tables, a_labels, Some(acc), Some(netlist.outputs().len())) - round;
+    let round = shape.body_bytes(false, false);
+    let ends = shape.body_bytes(true, true) - round;
     SEAL_BYTES + 5 + cols.saturating_mul(4 + round) + ends
+}
+
+/// The vector counts of one round of a configuration's ROUNDS frames.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundShape {
+    tables: usize,
+    a_labels: usize,
+    acc: usize,
+    outputs: usize,
+}
+
+impl RoundShape {
+    /// The shape of `config`'s rounds over its MAC `netlist`.
+    pub(crate) fn of(config: &AcceleratorConfig, netlist: &max_netlist::Netlist) -> RoundShape {
+        let acc = config.state_range().len();
+        RoundShape {
+            tables: netlist.gate_plan().tables(),
+            a_labels: netlist.garbler_inputs().len() - acc + netlist.constants().len(),
+            acc,
+            outputs: netlist.outputs().len(),
+        }
+    }
+
+    /// Bytes of a round body, with or without the initial accumulator and
+    /// the decode bits.
+    fn body_bytes(&self, init: bool, decode: bool) -> usize {
+        round_body_bytes(
+            self.tables,
+            self.a_labels,
+            init.then_some(self.acc),
+            decode.then_some(self.outputs),
+        )
+    }
+}
+
+/// One element's ROUNDS frame written where it will be sent: sized once,
+/// each round's header and vector counts written as the round starts, its
+/// tables, labels and decode bits written by the garbler straight into
+/// the slots [`BurstWriter::round`] lends, and sealed with one CRC pass.
+/// Byte for byte [`encode_sealed_round_burst`] of the same rounds.
+pub(crate) struct BurstWriter {
+    frame: Vec<u8>,
+    at: usize,
+    shape: RoundShape,
+}
+
+/// The slots of one round in a [`BurstWriter`]'s frame; the vectors a
+/// round does not carry are empty.
+pub(crate) struct RoundSlots<'a> {
+    /// Garbled tables in wire order, at their AND ordinals.
+    pub(crate) tables: &'a mut [[u8; GarbledTable::WIRE_BYTES]],
+    /// Active labels of the server's fresh inputs, then constants.
+    pub(crate) a_labels: &'a mut [[u8; 16]],
+    /// Round 0 only: active labels of the initial accumulator.
+    pub(crate) init_acc_labels: &'a mut [[u8; 16]],
+    decode: &'a mut [u8],
+}
+
+impl RoundSlots<'_> {
+    /// Packs the decode bits, eight to a byte and least significant first,
+    /// as [`put_bits`] does. Only a round started with decode bits has
+    /// room for them.
+    pub(crate) fn set_decode(&mut self, bits: impl IntoIterator<Item = bool>) {
+        self.decode.fill(0);
+        for (i, bit) in bits.into_iter().enumerate() {
+            self.decode[i / 8] |= u8::from(bit) << (i % 8);
+        }
+    }
+}
+
+impl BurstWriter {
+    /// A frame of `rounds` rounds of `shape`, the first carrying the
+    /// initial accumulator when `init_first`, the last the decode bits when
+    /// `decode_last`.
+    pub(crate) fn new(
+        shape: RoundShape,
+        rounds: usize,
+        init_first: bool,
+        decode_last: bool,
+    ) -> BurstWriter {
+        let bodies = rounds * (4 + shape.body_bytes(false, false))
+            + (shape.body_bytes(init_first, decode_last) - shape.body_bytes(false, false));
+        let mut frame = vec![0u8; SEAL_BYTES + 5 + bodies];
+        frame[SEAL_BYTES] = TAG_ROUNDS;
+        frame[SEAL_BYTES + 1..SEAL_BYTES + 5].copy_from_slice(&(rounds as u32).to_be_bytes());
+        BurstWriter {
+            frame,
+            at: SEAL_BYTES + 5,
+            shape,
+        }
+    }
+
+    /// Starts the next round: writes its length, header and vector counts,
+    /// and lends its slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the round does not fit the frame [`BurstWriter::new`]
+    /// sized: more rounds, or an accumulator or decode bits where none were
+    /// sized.
+    pub(crate) fn round(
+        &mut self,
+        elem: u32,
+        round: u32,
+        init: bool,
+        decode: bool,
+    ) -> RoundSlots<'_> {
+        let shape = self.shape;
+        let body = shape.body_bytes(init, decode);
+        let flags = if init { FLAG_INIT } else { 0 } | if decode { FLAG_DECODE } else { 0 };
+        let (_, rest) = self.frame.split_at_mut(self.at);
+        let (round_bytes, _) = rest.split_at_mut(4 + body);
+        self.at += 4 + body;
+        let (header, rest) = round_bytes.split_at_mut(17);
+        header[..4].copy_from_slice(&(body as u32).to_be_bytes());
+        header[4..8].copy_from_slice(&elem.to_be_bytes());
+        header[8..12].copy_from_slice(&round.to_be_bytes());
+        header[12] = flags;
+        header[13..].copy_from_slice(&(shape.tables as u32).to_be_bytes());
+        let (tables, rest) = rest.split_at_mut(shape.tables * GarbledTable::WIRE_BYTES);
+        let (count, rest) = rest.split_at_mut(4);
+        count.copy_from_slice(&(shape.a_labels as u32).to_be_bytes());
+        let (a_labels, rest) = rest.split_at_mut(shape.a_labels * 16);
+        let (init_acc_labels, rest) = if init {
+            let (count, rest) = rest.split_at_mut(4);
+            count.copy_from_slice(&(shape.acc as u32).to_be_bytes());
+            rest.split_at_mut(shape.acc * 16)
+        } else {
+            rest.split_at_mut(0)
+        };
+        let decode = if decode {
+            let (count, rest) = rest.split_at_mut(4);
+            count.copy_from_slice(&(shape.outputs as u32).to_be_bytes());
+            rest
+        } else {
+            rest
+        };
+        RoundSlots {
+            tables: tables.as_chunks_mut().0,
+            a_labels: a_labels.as_chunks_mut().0,
+            init_acc_labels: init_acc_labels.as_chunks_mut().0,
+            decode,
+        }
+    }
+
+    /// Seals the frame: its CRC32 over the payload, in place.
+    pub(crate) fn seal(mut self) -> Bytes {
+        debug_assert_eq!(self.at, self.frame.len(), "every sized round was written");
+        let crc = crc32(&self.frame[SEAL_BYTES..]);
+        self.frame[..SEAL_BYTES].copy_from_slice(&crc.to_be_bytes());
+        Bytes::from(self.frame)
+    }
 }
 
 /// The one ROUNDS parser: checks a burst's header, insists on exactly

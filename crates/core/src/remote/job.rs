@@ -17,8 +17,8 @@ use max_ot::iknp::{self, OtExtSender};
 use max_telemetry::TraceContext;
 
 use super::codec::{
-    decode_ext, encode_sealed_round_burst, send_control, ControlMsg, JobShape, PROTOCOL_VERSION,
-    REJECT_DETAIL_STOCK, REJECT_INTEGRITY, REJECT_VERSION, REJECT_WIDTH,
+    decode_ext, decode_round_burst, encode_sealed_round_burst, send_control, ControlMsg, JobShape,
+    PROTOCOL_VERSION, REJECT_DETAIL_STOCK, REJECT_INTEGRITY, REJECT_VERSION, REJECT_WIDTH,
 };
 use crate::accelerator::{GarbledRow, Maxelerator, RoundMessage};
 use crate::config::AcceleratorConfig;
@@ -115,7 +115,8 @@ pub fn accept_hello<T: Transport + ?Sized>(
 
 /// The one job loop: garbles a matvec/matmul job on a fresh accelerator
 /// seeded with `seed` and hands each element to `sink` the moment it
-/// exists — pure compute, no I/O, safe to run on any worker thread.
+/// exists, in its wire form (garbled straight into its sealed ROUNDS
+/// frame) — pure compute, no I/O, safe to run on any worker thread.
 ///
 /// Elements come pass-major: matrix row `r` of pass `p` is stream element
 /// `p * rows + r` ([`Maxelerator::garble_element`]), so element ids advance
@@ -134,7 +135,7 @@ pub fn garble_elements(
     weights: &[Vec<i64>],
     seed: u64,
     columns: u32,
-    sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
+    sink: impl FnMut(MaterializedElement) -> ControlFlow<()>,
 ) -> u64 {
     assert!(!weights.is_empty(), "job needs a non-empty model");
     assert!(columns > 0, "job needs at least one column");
@@ -154,7 +155,7 @@ pub(crate) fn garble_unit(
     columns: u32,
     unit: usize,
     units: usize,
-    mut sink: impl FnMut(GarbledRow) -> ControlFlow<()>,
+    mut sink: impl FnMut(MaterializedElement) -> ControlFlow<()>,
 ) -> Maxelerator {
     let mut accel = Maxelerator::new(config.clone(), seed);
     for e in (unit..weights.len() * columns as usize).step_by(units) {
@@ -166,8 +167,9 @@ pub(crate) fn garble_unit(
     accel
 }
 
-/// A fully garbled job with its round messages still in structured form —
-/// [`garble_elements`] collected. The server never builds one (it runs
+/// A fully garbled job with its round messages in structured form —
+/// [`garble_elements`] collected, each element's rounds read back out of
+/// its ROUNDS frame. The server never builds one (it runs
 /// [`produce_elements`]); this is the form measurements and tests inspect.
 #[derive(Clone, Debug)]
 pub struct GarbledJob {
@@ -177,27 +179,36 @@ pub struct GarbledJob {
     pub fabric_cycles: u64,
 }
 
-/// Garbles a complete job and keeps every element's round messages.
-/// Panics as [`garble_elements`].
+/// Garbles a complete job and keeps every element's round messages, read
+/// back out of the ROUNDS frames the garbler wrote ([`fill_stream`]'s
+/// elements, decoded). Panics as [`garble_elements`].
 ///
 /// # Errors
 ///
-/// None: garbling cannot fail. The `Result` stays for the outside callers
-/// written against it (the benchmark's layer probes).
+/// None in practice: the frames are the garbler's own, so the parser
+/// accepts them. The `Result` stays for the outside callers written
+/// against it (the benchmark's layer probes).
 pub fn garble_matvec_job(
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
     seed: u64,
     columns: u32,
 ) -> Result<GarbledJob, AcceleratorError> {
-    let mut rows = Vec::with_capacity(weights.len() * columns as usize);
-    let cycles = garble_elements(config, weights, seed, columns, |row| {
-        rows.push(row);
-        ControlFlow::Continue(())
-    });
+    let cols = weights.first().map_or(0, Vec::len);
+    let stream = fill_stream(config, weights, seed, columns);
+    let rows = stream
+        .elements
+        .into_iter()
+        .map(|elem| {
+            Ok(GarbledRow {
+                messages: decode_round_burst(open_frame(elem.sealed_rounds)?, cols)?,
+                pairs: elem.pairs,
+            })
+        })
+        .collect::<Result<_, AcceleratorError>>()?;
     Ok(GarbledJob {
         rows,
-        fabric_cycles: cycles,
+        fabric_cycles: stream.fabric_cycles,
     })
 }
 
@@ -323,8 +334,10 @@ pub(crate) fn stream_intact(job: &MaterializedJob, expected: &[u8; 16]) -> bool 
     sealed && digest == *expected
 }
 
-/// Renders one garbled element to its wire form: the ROUNDS burst encoded
-/// and sealed once, in one buffer, and the OT pairs kept as they are.
+/// Renders one element's round messages to its wire form: the ROUNDS
+/// burst encoded and sealed once, in one buffer, and the OT pairs kept as
+/// they are — byte for byte the element the garbler writes
+/// ([`Maxelerator::garble_element`]), from its structured form.
 pub fn materialize_element(
     messages: &[RoundMessage],
     pairs: Vec<(Block, Block)>,
@@ -350,11 +363,11 @@ pub fn materialize_job(job: &GarbledJob) -> MaterializedJob {
 
 /// The one element producer, run by pool units and (as [`fill_stream`]) by
 /// registry fills: [`garble_elements`] with each element from
-/// `start_element` on rendered to its wire form and handed to `sink` the
-/// moment it exists, its round messages dropped. Elements before
-/// `start_element` (what a resumed client already holds) are garbled, so
-/// the fabric cycles stay the whole job's, but never materialized. Panics
-/// and early stop as [`garble_elements`].
+/// `start_element` on handed to `sink` the moment it exists, in the wire
+/// form the garbler wrote it in. Elements before `start_element` (what a
+/// resumed client already holds) are garbled, so the fabric cycles stay
+/// the whole job's, but never handed on. Panics and early stop as
+/// [`garble_elements`].
 pub fn produce_elements(
     config: &AcceleratorConfig,
     weights: &[Vec<i64>],
@@ -364,12 +377,12 @@ pub fn produce_elements(
     mut sink: impl FnMut(MaterializedElement) -> ControlFlow<()>,
 ) -> u64 {
     let mut produced = 0usize;
-    garble_elements(config, weights, seed, columns, |row| {
+    garble_elements(config, weights, seed, columns, |elem| {
         produced += 1;
         if produced <= start_element {
             return ControlFlow::Continue(());
         }
-        sink(materialize_element(&row.messages, row.pairs))
+        sink(elem)
     })
 }
 

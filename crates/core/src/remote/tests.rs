@@ -1,7 +1,7 @@
 use super::client::evaluate_burst;
 use super::codec::{
-    decode_ext, lend_round_burst, seal_ext, TAG_EXT, TAG_HELLO, TAG_JOB, TAG_METRICS_REPLY,
-    TAG_MODEL_PUT,
+    decode_ext, lend_round_burst, seal_ext, BurstWriter, RoundShape, TAG_EXT, TAG_HELLO, TAG_JOB,
+    TAG_METRICS_REPLY, TAG_MODEL_PUT,
 };
 use super::job::stream_intact;
 use super::*;
@@ -10,7 +10,7 @@ use crate::{AcceleratorConfig, AcceleratorError};
 use bytes::{BufMut, Bytes, BytesMut};
 use max_crypto::{Block, TranscriptDigest};
 use max_gc::channel::{open_frame, seal_frame, Duplex, SEAL_BYTES};
-use max_gc::{FaultSpec, FaultTransport, Transport};
+use max_gc::{FaultSpec, FaultTransport, GarbledTable, Transport};
 use max_ot::iknp;
 use max_telemetry::TraceContext;
 
@@ -1117,6 +1117,83 @@ proptest::proptest! {
             1 | 3 => proptest::prop_assert!(outcome.is_err(), "kind {kind}: {outcome:?}"),
             _ => {}
         }
+    }
+}
+
+/// A ROUNDS frame of the right shape for `rounds` rounds at operand width
+/// `b` whose tables, labels and decode bits are arbitrary bytes drawn from
+/// `seed`, and as many arbitrary `x` labels.
+fn arbitrary_element(b: usize, rounds: usize, seed: u64) -> (Bytes, Vec<Block>) {
+    let config = AcceleratorConfig::new(b);
+    let mac = config.mac_circuit();
+    let mut bytes = max_crypto::AesPrg::new(Block::new(u128::from(seed)));
+    let mut frame = BurstWriter::new(RoundShape::of(&config, mac.netlist()), rounds, true, true);
+    for round in 0..rounds {
+        let last = round + 1 == rounds;
+        let mut slots = frame.round(7, round as u32, round == 0, last);
+        bytes.fill_bytes(slots.tables.as_flattened_mut());
+        bytes.fill_bytes(slots.a_labels.as_flattened_mut());
+        bytes.fill_bytes(slots.init_acc_labels.as_flattened_mut());
+        if last {
+            let coins = bytes.next_block();
+            slots.set_decode((0..mac.netlist().outputs().len()).map(|i| coins.bit(i % 128)));
+        }
+    }
+    let labels = (0..rounds * b).map(|_| bytes.next_block()).collect();
+    (open_frame(frame.seal()).unwrap(), labels)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn peer_table_and_label_bytes_never_steer_the_kernel(
+        wide in proptest::prelude::any::<bool>(),
+        rounds in 1usize..5,
+        seed in proptest::prelude::any::<u64>(),
+        count in 0usize..6,
+        longer in proptest::prelude::any::<bool>(),
+    ) {
+        // Any bytes in the right places evaluate to some number: the
+        // kernel indexes by the level plan only, never by peer bytes.
+        let b = if wide { 16 } else { 8 };
+        let (frame, labels) = arbitrary_element(b, rounds, seed);
+        let mut evaluator = crate::ScheduledEvaluator::new(&AcceleratorConfig::new(b));
+        let mut transcript = crate::MatvecTranscript::default();
+        let outcome = evaluate_burst(&mut evaluator, 7, &frame, rounds, &labels, &mut transcript);
+        proptest::prop_assert!(outcome.is_ok(), "{outcome:?}");
+
+        // One vector count off by one — tables, garbler labels, initial
+        // accumulator, decode bits or the client's own labels — is a typed
+        // count error from the checks the kernel runs behind.
+        let mut messages = decode_round_burst(frame, rounds).unwrap();
+        let mut labels = labels;
+        let round = &mut messages[seed as usize % rounds];
+        let resize = |len: usize| if longer { len + 1 } else { len - 1 };
+        match count {
+            0 => round.tables.resize(resize(round.tables.len()), GarbledTable::default()),
+            1 => round.a_labels.resize(resize(round.a_labels.len()), Block::ZERO),
+            2 => {
+                let init = messages[0].init_acc_labels.as_mut().unwrap();
+                init.resize(resize(init.len()), Block::ZERO);
+            }
+            3 => {
+                let decode = messages[rounds - 1].decode.as_mut().unwrap();
+                decode.resize(resize(decode.len()), false);
+            }
+            _ => labels.truncate(labels.len() - 1),
+        }
+        let burst = encode_round_burst(&messages);
+        let outcome = evaluate_burst(&mut evaluator, 7, &burst, rounds, &labels, &mut transcript);
+        let typed = matches!(
+            outcome,
+            Err(AcceleratorError::TableCount { .. }
+                | AcceleratorError::ALabelCount { .. }
+                | AcceleratorError::AccLabelCount { .. }
+                | AcceleratorError::DecodeCount { .. }
+                | AcceleratorError::XLabelCount { .. })
+        );
+        proptest::prop_assert!(typed, "count {count}: {outcome:?}");
     }
 }
 

@@ -32,8 +32,8 @@ use crate::config::AcceleratorConfig;
 use crate::error::AcceleratorError;
 use crate::remote::{
     accept_hello, derive_job_seed, derive_seed, deterministic_resume_token, garble_unit,
-    materialize_element, recv_control, send_control, stream_materialized_job_from, ControlMsg,
-    JobPiece, JobShape, JobSource, RemoteClient,
+    recv_control, send_control, stream_materialized_job_from, ControlMsg, JobPiece, JobShape,
+    JobSource, RemoteClient,
 };
 
 /// Communication/computation accounting of one secure matrix-vector
@@ -279,8 +279,8 @@ impl CloudServer {
 
 /// The n-unit producer: unit `u` of `units` garbles elements
 /// `u, u + units, …` of a job at `seed` ([`garble_unit`]) on its own thread,
-/// and the elements go down `pieces` in element order, rendered to their
-/// wire form — [`fill_stream`](crate::remote::fill_stream)'s elements for
+/// and the elements go down `pieces` in element order, in the wire form
+/// the garbler wrote them in — [`fill_stream`](crate::remote::fill_stream)'s elements for
 /// any unit count, none for an empty model — then the busiest unit's
 /// fabric cycles (the units run in parallel). Returns unit 0's report. A
 /// hand-off dropped mid-job stops every unit at its next element; a unit's
@@ -299,9 +299,9 @@ pub(crate) fn produce_on_units(
             .map(|u| {
                 let (tx, feed) = mpsc::channel();
                 let garbler = scope.spawn(move || {
-                    let unit = garble_unit(config, weights, seed, columns, u, units, |row| {
-                        let sent = tx.send(materialize_element(&row.messages, row.pairs));
-                        sent.map_or(ControlFlow::Break(()), ControlFlow::Continue)
+                    let unit = garble_unit(config, weights, seed, columns, u, units, |elem| {
+                        tx.send(elem)
+                            .map_or(ControlFlow::Break(()), ControlFlow::Continue)
                     });
                     unit.report().clone()
                 });

@@ -118,6 +118,11 @@ impl Aes128 {
         Aes128 { round_keys }
     }
 
+    /// The expanded round keys, for the SIMD arms' kernels.
+    pub(crate) fn round_keys(&self) -> &RoundKeys {
+        &self.round_keys
+    }
+
     /// Encrypts one block, dispatching to the active backend (the 128-bit
     /// arm on a VAES host: one block fills no wide register).
     pub fn encrypt(&self, plaintext: Block) -> Block {

@@ -14,20 +14,26 @@
 //! sixteen XMM registers, so the compiler reads some of them straight from
 //! memory, which costs a load, not a stall.
 //!
+//! The half-gates level kernels (`halfgates_ni`) build on the GF doubling
+//! ([`gf_double`]) and the fixed-key hash's feed-forward sweep
+//! ([`hash_lanes`]) defined here.
+//!
 //! # Safety
 //!
 //! Every function here is `unsafe` because it requires the `aes` and
-//! `ssse3` target features. The only callers are `Aes128`'s dispatch layer,
-//! which gates every call behind `AesBackend::active()` (a successful
-//! runtime detection of both features), and the parity tests, which check
-//! `AesBackend::aesni_available()` first. All pointer accesses are
-//! unaligned loads and stores inside caller-owned slices, at indices below
-//! the slice length.
+//! `ssse3` target features. The only callers are `Aes128`'s dispatch
+//! layer, which gates every call behind `AesBackend::active()` (a
+//! successful runtime detection of both features), the half-gates arm,
+//! which runs only after `AesBackend::aesni_available()`, and the parity
+//! tests, which check `AesBackend::aesni_available()` first. All pointer
+//! accesses are unaligned loads and stores inside caller-owned slices, at
+//! indices below the slice length.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_set_epi8,
-    _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_and_si128, _mm_loadu_si128,
+    _mm_set_epi64x, _mm_set_epi8, _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_epi64,
+    _mm_srai_epi32, _mm_storeu_si128, _mm_xor_si128,
 };
 
 use crate::aes::RoundKeys;
@@ -39,18 +45,65 @@ const PIPELINE_WIDTH: usize = 8;
 /// The `PSHUFB` mask that reverses the sixteen bytes of a register.
 #[inline]
 #[target_feature(enable = "aes,ssse3")]
-unsafe fn byte_reverse() -> __m128i {
+pub(crate) unsafe fn byte_reverse() -> __m128i {
     _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
 }
 
 #[inline]
 #[target_feature(enable = "aes,ssse3")]
-unsafe fn load_round_keys(round_keys: &RoundKeys) -> [__m128i; 11] {
+pub(crate) unsafe fn load_round_keys(round_keys: &RoundKeys) -> [__m128i; 11] {
     let mut keys = [byte_reverse(); 11];
     for (key, round_key) in keys.iter_mut().zip(round_keys) {
         *key = _mm_loadu_si128(round_key.as_ptr().cast());
     }
     keys
+}
+
+/// [`Block::gf_double`] of a block held natively (the `u128`'s low half
+/// in the register's low lane): each 64-bit lane shifts left by one, the
+/// low lane's top bit carries into the high lane, and the block's top bit
+/// folds back as `0x87`.
+#[inline]
+#[target_feature(enable = "aes,ssse3")]
+pub(crate) unsafe fn gf_double(x: __m128i) -> __m128i {
+    // Dwords 3, 3, 1, 1 of the per-dword sign masks: the low lane is all
+    // ones when bit 127 is set, the high lane when bit 63 is.
+    let tops = _mm_shuffle_epi32(_mm_srai_epi32(x, 31), 0b01_01_11_11);
+    let carry = _mm_and_si128(tops, _mm_set_epi64x(1, 0x87));
+    _mm_xor_si128(_mm_slli_epi64(x, 1), carry)
+}
+
+/// The fixed-key hash's feed-forward sweep over `N` masked inputs held
+/// natively: `π(m) ⊕ m` per lane, with one `PSHUFB` into FIPS-197 byte
+/// order before the rounds and one back after them.
+#[inline]
+#[target_feature(enable = "aes,ssse3")]
+pub(crate) unsafe fn hash_lanes<const N: usize>(
+    keys: &[__m128i; 11],
+    swap: __m128i,
+    masked: [__m128i; N],
+) -> [__m128i; N] {
+    let mut states = masked;
+    for state in &mut states {
+        *state = _mm_xor_si128(_mm_shuffle_epi8(*state, swap), keys[0]);
+    }
+    for key in &keys[1..10] {
+        for state in &mut states {
+            *state = _mm_aesenc_si128(*state, *key);
+        }
+    }
+    for (state, input) in states.iter_mut().zip(masked) {
+        let out = _mm_shuffle_epi8(_mm_aesenclast_si128(*state, keys[10]), swap);
+        *state = _mm_xor_si128(out, input);
+    }
+    states
+}
+
+/// A block into a register, natively (SSE2, the x86-64 baseline).
+#[inline]
+pub(crate) unsafe fn load_block(block: Block) -> __m128i {
+    let bits = block.bits();
+    _mm_set_epi64x((bits >> 64) as i64, bits as i64)
 }
 
 /// Encrypts one block with the AES-NI round instructions.

@@ -18,13 +18,21 @@
 //! pure throughput; the parity tests in `aes.rs` call each arm the CPU has
 //! directly and pin it against the software core.
 //!
+//! The same choice picks the arm of the half-gates level kernels
+//! ([`GatePlan::garble`](crate::GatePlan::garble) and
+//! [`GatePlan::evaluate`](crate::GatePlan::evaluate)): on **VAES** and
+//! **AES-NI** one gate per SSE register, and on **software** the scalar
+//! masking pass, AES sweep and combine that the vector arm is pinned
+//! against.
+//!
 //! Selection order:
 //!
 //! 1. The `MAX_AES_BACKEND` environment variable (read once per process)
 //!    overrides detection: `software` forces the portable core and `aesni`
 //!    forces the 128-bit arm even on a VAES host (it falls back to software
-//!    on a CPU without AES-NI). CI runs the crypto, gc and ot suites under
-//!    both values to keep the arms that detection would skip covered.
+//!    on a CPU without AES-NI). CI runs the crypto, gc, ot and accelerator
+//!    suites under both values to keep the arms that detection would skip
+//!    covered.
 //! 2. Otherwise runtime detection picks the widest arm the CPU has.
 
 use std::sync::OnceLock;

@@ -120,7 +120,7 @@ impl FixedKeyHash {
     /// that hash many batches: `out` is cleared first and keeps its
     /// capacity. One pass writes the masked inputs `2X ⊕ T` into `out`; one
     /// AES sweep then encrypts them in place and feeds each input forward
-    /// in registers.
+    /// in registers. The software arm of the half-gates level kernels.
     pub fn hash_into(
         &self,
         inputs: impl IntoIterator<Item = (Block, Tweak)>,
@@ -129,6 +129,11 @@ impl FixedKeyHash {
         out.clear();
         out.extend(inputs.into_iter().map(|(x, t)| x.gf_double() ^ t.0));
         self.cipher.encrypt_blocks_feed_forward(out);
+    }
+
+    /// The cipher `π`, for the half-gates kernels' SIMD arm.
+    pub(crate) fn cipher(&self) -> &Aes128 {
+        &self.cipher
     }
 
     /// Dual-key hash `H(A, B, T) = π(2A ⊕ 4B ⊕ T) ⊕ (2A ⊕ 4B ⊕ T)` — the

@@ -14,6 +14,12 @@
 //!   `H(X, T) = π(2X ⊕ T) ⊕ 2X ⊕ T` of Bellare et al. ("Efficient Garbling
 //!   from a Fixed-Key Blockcipher", S&P 2013) used by JustGarble, TinyGarble
 //!   and MAXelerator's GC engine.
+//! * [`GatePlan`] — a netlist's gates in dependency levels, checked once,
+//!   and the half-gates level kernels that garble and evaluate it, on a
+//!   vector arm that keeps every label in a register from load to store or
+//!   on the scalar software arm, behind the same backend dispatch as
+//!   [`Aes128`]; each [`GarbledTable`] is written and read where it lies,
+//!   decoded or in its wire bytes.
 //! * [`AesPrg`] — an AES-CTR pseudo-random generator used wherever the
 //!   protocol needs expanded randomness (e.g. IKNP OT extension).
 //! * [`TranscriptDigest`] — a rolling Matyas–Meyer–Oseas digest over the
@@ -48,10 +54,10 @@
 //! assert_eq!(ct.to_bytes()[0], 0x39);
 //! ```
 
-// `deny`, not `forbid`: the SIMD arms — the `aesni` and `vaes` modules,
-// `crc`'s CLMUL module and the dispatch calls into them — opt back in with
-// a scoped `allow(unsafe_code)` and a documented safety contract; everything
-// else in the crate remains unsafe-free.
+// `deny`, not `forbid`: the SIMD arms — the `aesni`, `vaes` and
+// `halfgates_ni` modules, `crc`'s CLMUL module and the dispatch calls into
+// them — opt back in with a scoped `allow(unsafe_code)` and a documented
+// safety contract; everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
@@ -63,6 +69,9 @@ mod backend;
 mod block;
 mod crc;
 mod digest;
+mod halfgates;
+#[cfg(target_arch = "x86_64")]
+mod halfgates_ni;
 mod hash;
 mod prg;
 #[cfg(target_arch = "x86_64")]
@@ -73,5 +82,6 @@ pub use backend::AesBackend;
 pub use block::Block;
 pub use crc::crc32;
 pub use digest::TranscriptDigest;
+pub use halfgates::{AndGate, AsTable, BatchScratch, FreeGate, GarbledTable, GatePlan};
 pub use hash::{FixedKeyHash, Tweak};
 pub use prg::AesPrg;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use max_crypto::Block;
 
-use crate::engine::GarbledTable;
+use crate::GarbledTable;
 
 /// The tag a frame travels under: [`FramedTcp`](crate::FramedTcp) writes
 /// it as its header byte, and the recording and flight-log wrappers keep

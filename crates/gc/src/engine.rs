@@ -2,75 +2,14 @@
 //!
 //! This is the exact computation MAXelerator's hardware GC engine performs
 //! once per clock cycle (§5.1): four fixed-key AES hashes on the garbler
-//! side produce one two-ciphertext garbled table. The accelerator simulator
-//! invokes [`garble_and`] directly from its per-core pipeline model, so the
-//! simulated hardware emits *real* garbled tables.
+//! side produce one two-ciphertext garbled table. Whole netlists run the
+//! same construction a level at a time through `max_crypto`'s half-gates
+//! kernels ([`GatePlan`](max_crypto::GatePlan)); these single-gate forms
+//! are their reference.
 
-use std::hint::select_unpredictable;
-
-use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_netlist::LevelAnd;
+use max_crypto::{Block, FixedKeyHash, GarbledTable, Tweak};
 
 use crate::label::Delta;
-
-/// One garbled AND gate under half-gates: two ciphertexts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GarbledTable {
-    /// Garbler-half ciphertext.
-    pub tg: Block,
-    /// Evaluator-half ciphertext.
-    pub te: Block,
-}
-
-impl GarbledTable {
-    /// Size on the wire in bytes (2 × 16).
-    pub const WIRE_BYTES: usize = 32;
-
-    /// Serializes to 32 bytes.
-    #[inline]
-    pub fn to_bytes(self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        out[..16].copy_from_slice(&self.tg.to_bytes());
-        out[16..].copy_from_slice(&self.te.to_bytes());
-        out
-    }
-
-    /// Deserializes from 32 bytes.
-    #[inline]
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        let mut tg = [0u8; 16];
-        let mut te = [0u8; 16];
-        tg.copy_from_slice(&bytes[..16]);
-        te.copy_from_slice(&bytes[16..]);
-        GarbledTable {
-            tg: Block::from_bytes(tg),
-            te: Block::from_bytes(te),
-        }
-    }
-}
-
-/// A garbled table as the evaluator reads it: decoded ([`GarbledTable`]),
-/// or its [`GarbledTable::WIRE_BYTES`] as they arrived in a frame
-/// (`tg ‖ te`, big-endian), decoded in registers when the gate is
-/// evaluated — so an evaluator can run straight off a received frame.
-pub trait AsTable {
-    /// The table.
-    fn table(&self) -> GarbledTable;
-}
-
-impl AsTable for GarbledTable {
-    #[inline]
-    fn table(&self) -> GarbledTable {
-        *self
-    }
-}
-
-impl AsTable for [u8; GarbledTable::WIRE_BYTES] {
-    #[inline]
-    fn table(&self) -> GarbledTable {
-        GarbledTable::from_bytes(*self)
-    }
-}
 
 /// Garbles one AND gate.
 ///
@@ -141,99 +80,10 @@ pub fn evaluate_and(
     wg ^ we
 }
 
-/// The reusable hash buffer of [`evaluate_and_batch`] and
-/// [`garble_and_level`]; a caller that keeps one across batches allocates
-/// nothing per batch.
-#[derive(Clone, Debug, Default)]
-pub struct BatchScratch {
-    hashed: Vec<Block>,
-}
-
-/// Evaluates a batch of independent garbled AND gates — one level of
-/// [`Netlist::levels`](max_netlist::Netlist::levels) — with one wide AES
-/// sweep, reading the active input labels from `active` and writing the
-/// outputs back.
-///
-/// `tables` is indexed by AND ordinal, decoded or as received
-/// ([`AsTable`]), and `tweak` names each gate's tweak; every output matches
-/// [`evaluate_and`] bit for bit.
-///
-/// # Panics
-///
-/// Panics if a gate's ordinal or wires fall outside `tables` / `active` —
-/// callers check peer-supplied counts against the netlist first.
-pub fn evaluate_and_batch<T: AsTable>(
-    hash: &FixedKeyHash,
-    ands: &[LevelAnd],
-    tables: &[T],
-    tweak: impl Fn(&LevelAnd) -> Tweak,
-    active: &mut [Block],
-    scratch: &mut BatchScratch,
-) {
-    hash.hash_into(
-        ands.iter().flat_map(|and| {
-            let t = tweak(and);
-            [
-                (active[and.a.index()], t),
-                (active[and.b.index()], t.sibling()),
-            ]
-        }),
-        &mut scratch.hashed,
-    );
-    for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(2)) {
-        // Selected, not branched: the colour bits are a fresh coin per
-        // gate, so a branch on them would mispredict half the time.
-        let table = tables[and.ordinal as usize].table();
-        let a = active[and.a.index()];
-        let wg = h[0] ^ select_unpredictable(a.lsb(), table.tg, Block::ZERO);
-        let b = active[and.b.index()];
-        let we = h[1] ^ select_unpredictable(b.lsb(), table.te ^ a, Block::ZERO);
-        active[and.out.index()] = wg ^ we;
-    }
-}
-
-/// Garbles one level of independent AND gates — [`evaluate_and_batch`]'s
-/// garbler twin — with one wide AES sweep (four hashes per gate), reading
-/// the input zero-labels from `zero` and writing the output zero-labels
-/// back.
-///
-/// Each table lands in `tables` at its AND ordinal, and `tweak` names each
-/// gate's tweak; every output matches [`garble_and`] bit for bit.
-///
-/// # Panics
-///
-/// Panics if a gate's ordinal or wires fall outside `tables` / `zero`.
-pub fn garble_and_level(
-    hash: &FixedKeyHash,
-    delta: Delta,
-    ands: &[LevelAnd],
-    tweak: impl Fn(&LevelAnd) -> Tweak,
-    zero: &mut [Block],
-    tables: &mut [GarbledTable],
-    scratch: &mut BatchScratch,
-) {
-    let d = delta.block();
-    hash.hash_into(
-        ands.iter().flat_map(|and| {
-            let t = tweak(and);
-            let t2 = t.sibling();
-            let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
-            [(a0, t), (a0 ^ d, t), (b0, t2), (b0 ^ d, t2)]
-        }),
-        &mut scratch.hashed,
-    );
-    for (and, h) in ands.iter().zip(scratch.hashed.chunks_exact(4)) {
-        let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
-        let (c0, table) = combine_garbled(d, a0, b0, [h[0], h[1], h[2], h[3]]);
-        zero[and.out.index()] = c0;
-        tables[and.ordinal as usize] = table;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use max_crypto::AesPrg;
+    use max_crypto::{AesBackend, AesPrg, AndGate, BatchScratch, GatePlan};
 
     fn setup() -> (FixedKeyHash, Delta, AesPrg) {
         (
@@ -282,81 +132,96 @@ mod tests {
         assert_ne!(c0.lsb(), delta.one_label(c0).lsb());
     }
 
+    /// The arms this CPU can run: the software arm, and the vector arm
+    /// where the CPU has AES-NI.
+    fn arms() -> Vec<AesBackend> {
+        let mut arms = vec![AesBackend::Software];
+        if AesBackend::aesni_available() {
+            arms.push(AesBackend::AesNi);
+        }
+        arms
+    }
+
+    /// One level of `n` AND gates: gate `i` reads wires 2i, 2i + 1, writes
+    /// wire 2n + i and lands at ordinal n − 1 − i, so ordinals need not
+    /// follow level order.
+    fn level(n: u32) -> GatePlan {
+        let ands = (0..n).map(|i| AndGate {
+            a: 2 * i,
+            b: 2 * i + 1,
+            out: 2 * n + i,
+            gate: 5 * i,
+            ordinal: n - 1 - i,
+        });
+        GatePlan::new(3 * n as usize, [(Vec::new(), ands)])
+    }
+
     #[test]
     fn level_garble_matches_scalar() {
-        use max_netlist::WireId;
         let (hash, delta, mut prg) = setup();
-        let tweak = |and: &LevelAnd| Tweak::from_gate_index(1000 + u64::from(and.gate));
+        let tweak = |and: &AndGate| Tweak::from_gate_index(1000 + u64::from(and.gate));
         let mut scratch = BatchScratch::default();
-        for n in [0u32, 1, 3, 8, 17] {
-            // Gate `i` reads wires 2i, 2i + 1, writes wire 2n + i and lands
-            // at ordinal n - 1 - i, so ordinals need not follow level order.
-            let mut zero: Vec<Block> = (0..2 * n).map(|_| prg.next_block()).collect();
-            zero.resize(3 * n as usize, Block::ZERO);
-            let ands: Vec<LevelAnd> = (0..n)
-                .map(|i| LevelAnd {
-                    a: WireId(2 * i),
-                    b: WireId(2 * i + 1),
-                    out: WireId(2 * n + i),
-                    gate: 5 * i,
-                    ordinal: n - 1 - i,
-                })
-                .collect();
-            let mut tables = vec![GarbledTable::default(); n as usize];
-            garble_and_level(
-                &hash,
-                delta,
-                &ands,
-                tweak,
-                &mut zero,
-                &mut tables,
-                &mut scratch,
-            );
-            for and in &ands {
-                let (a0, b0) = (zero[and.a.index()], zero[and.b.index()]);
-                assert_eq!(
-                    (zero[and.out.index()], tables[and.ordinal as usize]),
-                    garble_and(&hash, delta, a0, b0, tweak(and))
+        for arm in arms() {
+            for n in [0u32, 1, 3, 8, 17] {
+                let plan = level(n);
+                let mut zero: Vec<Block> = (0..2 * n).map(|_| prg.next_block()).collect();
+                zero.resize(3 * n as usize, Block::ZERO);
+                let mut tables = vec![GarbledTable::default(); n as usize];
+                plan.garble_on(
+                    arm,
+                    &hash,
+                    delta.block(),
+                    tweak,
+                    &mut zero,
+                    &mut tables,
+                    &mut scratch,
                 );
+                for (_, ands) in plan.levels() {
+                    for and in ands {
+                        let (a0, b0) = (zero[and.a as usize], zero[and.b as usize]);
+                        assert_eq!(
+                            (zero[and.out as usize], tables[and.ordinal as usize]),
+                            garble_and(&hash, delta, a0, b0, tweak(and)),
+                            "{arm:?}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn batch_evaluate_matches_scalar() {
-        use max_netlist::WireId;
         let (hash, delta, mut prg) = setup();
-        // Gate `i` reads wires 2i, 2i + 1 and writes wire 26 + i.
-        let mut active = vec![Block::ZERO; 39];
-        let mut ands = Vec::new();
-        let mut tables = Vec::new();
-        let mut expected = Vec::new();
-        let tweak = |and: &LevelAnd| Tweak::from_gate_index(2000 + u64::from(and.gate));
-        for i in 0..13u32 {
-            let and = LevelAnd {
-                a: WireId(2 * i),
-                b: WireId(2 * i + 1),
-                out: WireId(26 + i),
-                gate: 7 * i,
-                ordinal: i,
-            };
-            let a0 = prg.next_block();
-            let b0 = prg.next_block();
-            let (_, table) = garble_and(&hash, delta, a0, b0, tweak(&and));
-            let a = if i % 2 == 0 { a0 } else { delta.one_label(a0) };
-            let b = if i % 3 == 0 { b0 } else { delta.one_label(b0) };
-            expected.push(evaluate_and(&hash, table, a, b, tweak(&and)));
-            active[and.a.index()] = a;
-            active[and.b.index()] = b;
-            ands.push(and);
-            tables.push(table);
+        let plan = level(13);
+        let tweak = |and: &AndGate| Tweak::from_gate_index(2000 + u64::from(and.gate));
+        let mut active = vec![Block::ZERO; plan.wires()];
+        let mut tables = vec![GarbledTable::default(); plan.tables()];
+        let mut expected = vec![Block::ZERO; 13];
+        for (_, ands) in plan.levels() {
+            for (i, and) in ands.iter().enumerate() {
+                let a0 = prg.next_block();
+                let b0 = prg.next_block();
+                let (_, table) = garble_and(&hash, delta, a0, b0, tweak(and));
+                let a = if i % 2 == 0 { a0 } else { delta.one_label(a0) };
+                let b = if i % 3 == 0 { b0 } else { delta.one_label(b0) };
+                expected[i] = evaluate_and(&hash, table, a, b, tweak(and));
+                active[and.a as usize] = a;
+                active[and.b as usize] = b;
+                tables[and.ordinal as usize] = table;
+            }
         }
+        let wire: Vec<[u8; 32]> = tables.iter().map(|t| t.to_bytes()).collect();
         let mut scratch = BatchScratch::default();
-        evaluate_and_batch(&hash, &ands, &tables, tweak, &mut active, &mut scratch);
-        assert_eq!(&active[26..], &expected[..]);
-        // An empty batch is a no-op, and the scratch is reusable.
-        evaluate_and_batch(&hash, &[], &tables, tweak, &mut active, &mut scratch);
-        assert_eq!(&active[26..], &expected[..]);
+        for arm in arms() {
+            // Decoded tables and the same tables as wire bytes.
+            let mut decoded = active.clone();
+            plan.evaluate_on(arm, &hash, &tables, tweak, &mut decoded, &mut scratch);
+            assert_eq!(&decoded[26..], &expected[..], "{arm:?}");
+            let mut framed = active.clone();
+            plan.evaluate_on(arm, &hash, &wire, tweak, &mut framed, &mut scratch);
+            assert_eq!(&framed[26..], &expected[..], "{arm:?}");
+        }
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Whole-netlist evaluation with active labels.
 
-use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_netlist::{GateKind, LevelAnd, Netlist};
+use max_crypto::{AndGate, AsTable, BatchScratch, Block, FixedKeyHash, Tweak};
+use max_netlist::Netlist;
 
-use crate::engine::{evaluate_and_batch, AsTable, BatchScratch};
 use crate::garbler::Material;
 
 /// Evaluates `netlist` over `active` (one label per wire, inputs already
-/// set) level by level: each level's free gates, then all of its AND gates
-/// with one [`evaluate_and_batch`] sweep. `tables` is indexed by AND ordinal,
-/// decoded or as received ([`AsTable`]), and `tweak` names each AND gate's
-/// tweak, so every wire gets the label a gate-at-a-time walk in netlist
-/// order would give it.
+/// set) level by level through the half-gates kernel of the active arm
+/// ([`GatePlan::evaluate`](max_crypto::GatePlan::evaluate) over the
+/// netlist's [`gate_plan`](Netlist::gate_plan)): each level's free gates,
+/// then all of its AND gates in one sweep. `tables` is indexed by AND
+/// ordinal, decoded or as received ([`AsTable`]), and `tweak` names each
+/// AND gate's tweak, so every wire gets the label a gate-at-a-time walk in
+/// netlist order would give it.
 ///
 /// # Panics
 ///
@@ -21,20 +22,13 @@ pub fn evaluate_levels<T: AsTable>(
     hash: &FixedKeyHash,
     netlist: &Netlist,
     tables: &[T],
-    tweak: impl Fn(&LevelAnd) -> Tweak,
+    tweak: impl Fn(&AndGate) -> Tweak,
     active: &mut [Block],
     scratch: &mut BatchScratch,
 ) {
-    for level in netlist.levels() {
-        for gate in &level.free {
-            let a = active[gate.a.index()];
-            active[gate.out.index()] = match gate.kind {
-                GateKind::Not => a,
-                _ => a ^ active[gate.b.index()],
-            };
-        }
-        evaluate_and_batch(hash, &level.ands, tables, &tweak, active, scratch);
-    }
+    netlist
+        .gate_plan()
+        .evaluate(hash, tables, tweak, active, scratch);
 }
 
 /// Evaluates garbled netlists level by level.
@@ -107,8 +101,11 @@ impl Evaluator {
             active[wire.index()] = label;
         }
 
-        let and_gates: usize = netlist.levels().iter().map(|l| l.ands.len()).sum();
-        assert_eq!(and_gates, material.tables.len(), "table count mismatch");
+        assert_eq!(
+            netlist.gate_plan().tables(),
+            material.tables.len(),
+            "table count mismatch"
+        );
         evaluate_levels(
             &self.hash,
             netlist,
@@ -128,9 +125,9 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::GarbledTable;
     use crate::garbler::Garbler;
     use crate::label::PrgLabelSource;
+    use max_crypto::GarbledTable;
     use max_netlist::{decode_signed, encode_signed, Builder, MacCircuit, MultiplierKind, Sign};
 
     fn garble_eval(netlist: &Netlist, g_bits: &[bool], e_bits: &[bool]) -> Vec<bool> {

@@ -1,42 +1,35 @@
 //! Whole-netlist garbling.
 
-use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_netlist::{GateKind, LevelAnd, Netlist};
+use max_crypto::{AndGate, AsTable, BatchScratch, Block, FixedKeyHash, GarbledTable, Tweak};
+use max_netlist::Netlist;
 
-use crate::engine::{garble_and_level, BatchScratch, GarbledTable};
 use crate::label::{Delta, LabelSource};
 
 /// Garbles `netlist` over `zero` (one zero-label per wire, inputs already
 /// set) level by level — [`evaluate_levels`](crate::evaluate_levels)'s
-/// twin: each level's free gates, then all of its AND gates with one
-/// [`garble_and_level`] sweep. Tables land in `tables` at their AND ordinal
-/// under `tweak`, so the material is bit-identical to gate-at-a-time
-/// garbling in netlist order.
+/// twin — through the half-gates kernel of the active arm
+/// ([`GatePlan::garble`](max_crypto::GatePlan::garble) over the netlist's
+/// [`gate_plan`](Netlist::gate_plan)): each level's free gates, then all
+/// of its AND gates in one sweep. Tables land in `tables` at their AND
+/// ordinal under `tweak`, decoded or as wire bytes ([`AsTable`]), so the
+/// material is bit-identical to gate-at-a-time garbling in netlist order.
 ///
 /// # Panics
 ///
 /// Panics if `tables` is shorter than the netlist's AND count or `zero`
 /// than its wire count.
-pub fn garble_levels(
+pub fn garble_levels<T: AsTable>(
     hash: &FixedKeyHash,
     delta: Delta,
     netlist: &Netlist,
-    tweak: impl Fn(&LevelAnd) -> Tweak,
+    tweak: impl Fn(&AndGate) -> Tweak,
     zero: &mut [Block],
-    tables: &mut [GarbledTable],
+    tables: &mut [T],
     scratch: &mut BatchScratch,
 ) {
-    for level in netlist.levels() {
-        for gate in &level.free {
-            let a0 = zero[gate.a.index()];
-            zero[gate.out.index()] = match gate.kind {
-                // NOT swaps label roles: zero-label of out = one-label of in.
-                GateKind::Not => a0 ^ delta.block(),
-                _ => a0 ^ zero[gate.b.index()],
-            };
-        }
-        garble_and_level(hash, delta, &level.ands, &tweak, zero, tables, scratch);
-    }
+    netlist
+        .gate_plan()
+        .garble(hash, delta.block(), tweak, zero, tables, scratch);
 }
 
 /// The public garbled material sent to the evaluator: tables plus output
@@ -138,8 +131,7 @@ impl<'a, S: LabelSource> Garbler<'a, S> {
             zero_labels[wire.index()] = label;
         }
 
-        let and_gates = netlist.levels().iter().map(|l| l.ands.len()).sum();
-        let mut tables = vec![GarbledTable::default(); and_gates];
+        let mut tables = vec![GarbledTable::default(); netlist.gate_plan().tables()];
         garble_levels(
             &self.hash,
             self.delta,

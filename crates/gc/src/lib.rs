@@ -17,7 +17,8 @@
 //!    exactly the operation MAXelerator's hardware GC engine performs once
 //!    per clock cycle; [`garble_levels`] / [`evaluate_levels`] run it a
 //!    whole level of independent AND gates at a time, as the accelerator
-//!    simulator does.
+//!    simulator does, through `max_crypto`'s half-gates kernels (a vector
+//!    arm that keeps every label in a register, or the software arm).
 //! 2. [`Garbler`] / [`Evaluator`] — whole-netlist garbling in topological
 //!    order (the software execution model of TinyGarble and friends).
 //! 3. [`SequentialGarbler`] / [`SequentialEvaluator`] — the sequential-GC
@@ -65,13 +66,11 @@ mod label;
 mod sequential;
 pub mod transport;
 
-pub use engine::{
-    evaluate_and, evaluate_and_batch, garble_and, garble_and_level, AsTable, BatchScratch,
-    GarbledTable,
-};
+pub use engine::{evaluate_and, garble_and};
 pub use evaluator::{evaluate_levels, Evaluator};
 pub use fault::{FaultSpec, FaultStats, FaultTransport};
 pub use garbler::{garble_levels, GarbledCircuit, Garbler, Material};
 pub use label::{Delta, LabelSource, PrgLabelSource};
+pub use max_crypto::{AsTable, BatchScratch, GarbledTable};
 pub use sequential::{SequentialEvaluator, SequentialGarbler, SequentialRound};
 pub use transport::{FramedTcp, Transport};

@@ -41,7 +41,7 @@ pub struct SequentialRound {
 impl SequentialRound {
     /// Bytes this round occupies on the wire (tables + labels + decode).
     pub fn wire_bytes(&self) -> usize {
-        self.material.tables.len() * crate::engine::GarbledTable::WIRE_BYTES
+        self.material.tables.len() * crate::GarbledTable::WIRE_BYTES
             + self.garbler_labels.len() * 16
             + self
                 .initial_state_labels
@@ -495,8 +495,7 @@ mod tests {
         // Round 0 carries initial state labels, so it is strictly larger.
         assert!(r0.wire_bytes() > r1.wire_bytes());
         assert!(
-            r1.wire_bytes()
-                >= mac.netlist().stats().and_gates * crate::engine::GarbledTable::WIRE_BYTES
+            r1.wire_bytes() >= mac.netlist().stats().and_gates * crate::GarbledTable::WIRE_BYTES
         );
     }
 }

@@ -1,15 +1,19 @@
 //! Cross-backend GC transcript parity.
 //!
-//! The AES backend (AES-NI vs the portable software core) is chosen once
-//! per process, so comparing the two requires two processes: the main test
-//! digests a garbled circuit under the detected backend, then re-runs this
-//! test binary with `MAX_AES_BACKEND=software` and asserts the digests are
+//! The AES backend — and with it the arm of the half-gates level kernels
+//! (vector or software) — is chosen once per process, so comparing the two
+//! requires two processes: the main test digests a garbled circuit and one
+//! served b = 8 element under the detected backend, then re-runs this test
+//! binary with `MAX_AES_BACKEND=software` and asserts the digests are
 //! bit-identical. On hardware without AES-NI both runs take the software
 //! path and the assertion is trivially (and correctly) true.
 
 use max_crypto::Block;
+use max_gc::channel::open_frame;
 use max_gc::{Evaluator, Garbler, PrgLabelSource};
 use max_netlist::{Builder, Netlist};
+use maxelerator::remote::{decode_round_burst, fill_stream};
+use maxelerator::{AcceleratorConfig, ScheduledEvaluator};
 
 /// A small but representative mix: AND chains (batched garbling), free
 /// XORs, NOTs, and AND gates whose inputs are other ANDs' outputs (which
@@ -65,6 +69,42 @@ fn transcript_digest() -> u128 {
     for &l in g_labels.iter().chain(&e_labels).chain(&out) {
         fold(l);
     }
+
+    // One served b = 8 element of three columns: its sealed ROUNDS frame as
+    // the garbler wrote it, its OT pairs, and the MAC the client decodes
+    // from the frame's tables with the labels its choice bits pick.
+    let config = AcceleratorConfig::new(8);
+    let weights = vec![vec![-7i64, 100, 3], vec![127, -128, 0]];
+    let x = [5i64, -3, 77];
+    let stream = fill_stream(&config, &weights, 0x5e7e, 1);
+    let element = &stream.elements[1];
+    for chunk in element.sealed_rounds.chunks(16) {
+        let mut block = [0u8; 16];
+        block[..chunk.len()].copy_from_slice(chunk);
+        fold(Block::from_bytes(block));
+    }
+    for &(zero, one) in &element.pairs {
+        fold(zero);
+        fold(one);
+    }
+    let frame = open_frame(element.sealed_rounds.clone()).expect("a sealed frame");
+    let rounds = decode_round_burst(frame, x.len()).expect("the garbler's frame");
+    let mut client = ScheduledEvaluator::new(&config);
+    client.begin_element(1);
+    let mut mac = None;
+    for ((round, pairs), &xi) in rounds.iter().zip(element.pairs.chunks(8)).zip(&x) {
+        let labels: Vec<Block> = pairs
+            .iter()
+            .zip(config.encode_x(xi))
+            .map(|(&(zero, one), bit)| if bit { one } else { zero })
+            .collect();
+        mac = client
+            .evaluate_round(round, &labels)
+            .expect("an honest round");
+    }
+    let mac = mac.expect("the last round decodes");
+    assert_eq!(mac, 127 * 5 + 128 * 3);
+    fold(Block::new(mac as u128));
     digest
 }
 

@@ -1,9 +1,11 @@
 //! Property tests: garbled evaluation must agree with plaintext evaluation
 //! on randomly generated circuits and inputs.
 
-use max_crypto::{Block, FixedKeyHash, Tweak};
-use max_gc::{evaluate_and, garble_and, Evaluator, GarbledCircuit, Garbler, PrgLabelSource};
-use max_netlist::{Builder, GateKind, Netlist, WireId};
+use max_crypto::{AesBackend, AesPrg, AndGate, BatchScratch, Block, FixedKeyHash, Tweak};
+use max_gc::{
+    evaluate_and, garble_and, Evaluator, GarbledCircuit, GarbledTable, Garbler, PrgLabelSource,
+};
+use max_netlist::{Builder, GateKind, MacCircuit, MultiplierKind, Netlist, Sign, WireId};
 use proptest::prelude::*;
 
 /// A recipe for one random gate.
@@ -139,8 +141,130 @@ fn reference_walk(
     (tables, outputs(&zero), outputs(&active))
 }
 
+/// A netlist of `layers` levels of AND gates, each AND reading two wires of
+/// the layer before (so AND-of-AND chains run the whole depth), with one
+/// XOR and one NOT between layers; at most 300 gates.
+fn layered(inputs: usize, layers: &[(usize, u64)]) -> Netlist {
+    let mut b = Builder::new();
+    let mut last: Vec<WireId> = (0..inputs)
+        .map(|i| {
+            if i % 2 == 0 {
+                b.garbler_input()
+            } else {
+                b.evaluator_input()
+            }
+        })
+        .collect();
+    let mut gates = 0;
+    for &(width, seed) in layers {
+        let mut picks = AesPrg::new(Block::new(u128::from(seed)));
+        let mut pick = |pool: &[WireId]| pool[picks.next_block().bits() as usize % pool.len()];
+        let mixed = b.xor(pick(&last), pick(&last));
+        let flipped = b.not(pick(&last));
+        last.extend([mixed, flipped]);
+        let mut next = Vec::with_capacity(width);
+        for _ in 0..width.min(298usize.saturating_sub(gates)) {
+            next.push(b.and(pick(&last), pick(&last)));
+        }
+        gates += 2 + next.len();
+        if next.is_empty() {
+            break;
+        }
+        last = next;
+    }
+    b.build(last)
+}
+
+/// Garbles `netlist` on every arm this CPU has, into decoded and wire-order
+/// tables, and evaluates it from both on inputs picked by `seed`; every
+/// arm's tables, zero-labels and active labels must be the software arm's.
+fn arms_agree(netlist: &Netlist, seed: u64) {
+    let hash = FixedKeyHash::new();
+    let plan = netlist.gate_plan();
+    let mut prg = AesPrg::new(Block::new(u128::from(seed)));
+    let delta = prg.next_block().with_lsb(true);
+    let (elem, round) = (seed as u32, (seed >> 32) as u32);
+    let tweak = |and: &AndGate| Tweak::new(elem, round, 0, and.gate, 0);
+    let inputs: Vec<usize> = netlist
+        .garbler_inputs()
+        .iter()
+        .chain(netlist.evaluator_inputs())
+        .chain(netlist.constants().iter().map(|(w, _)| w))
+        .map(|w| w.index())
+        .collect();
+    let mut zero = vec![Block::ZERO; plan.wires()];
+    let mut active = vec![Block::ZERO; plan.wires()];
+    for &wire in &inputs {
+        zero[wire] = prg.next_block();
+        active[wire] = if prg.next_block().lsb() {
+            zero[wire] ^ delta
+        } else {
+            zero[wire]
+        };
+    }
+    let mut scratch = BatchScratch::default();
+    let mut reference = None;
+    let mut arms = vec![AesBackend::Software];
+    if AesBackend::aesni_available() {
+        arms.push(AesBackend::AesNi);
+    }
+    for arm in arms {
+        let (mut z, mut z_wire) = (zero.clone(), zero.clone());
+        let mut decoded = vec![GarbledTable::default(); plan.tables()];
+        let mut wire = vec![[0u8; 32]; plan.tables()];
+        plan.garble_on(arm, &hash, delta, tweak, &mut z, &mut decoded, &mut scratch);
+        plan.garble_on(
+            arm,
+            &hash,
+            delta,
+            tweak,
+            &mut z_wire,
+            &mut wire,
+            &mut scratch,
+        );
+        prop_assert_eq!(&z, &z_wire);
+        prop_assert!(decoded.iter().zip(&wire).all(|(d, w)| d.to_bytes() == *w));
+        let (mut a, mut a_wire) = (active.clone(), active.clone());
+        plan.evaluate_on(arm, &hash, &decoded, tweak, &mut a, &mut scratch);
+        plan.evaluate_on(arm, &hash, &wire, tweak, &mut a_wire, &mut scratch);
+        prop_assert_eq!(&a, &a_wire);
+        // Honest evaluation lands on one of each output's two labels.
+        for w in netlist.outputs() {
+            prop_assert!(a[w.index()] == z[w.index()] || a[w.index()] == z[w.index()] ^ delta);
+        }
+        let run = (z, decoded, a);
+        match &reference {
+            None => reference = Some(run),
+            Some(software) => prop_assert!(&run == software, "{:?} differs from software", arm),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_arm_matches_the_software_arm_on_random_levels(
+        inputs in 2usize..17,
+        layers in prop::collection::vec((1usize..65, any::<u64>()), 1..8),
+        recipes in prop::collection::vec(gate_recipe(), 1..300),
+        seed: u64,
+    ) {
+        arms_agree(&layered(inputs, &layers), seed);
+        arms_agree(&build_random(3, 3, &recipes, 4), seed);
+    }
+
+    #[test]
+    fn every_arm_matches_the_software_arm_on_the_mac(
+        width in 0usize..4,
+        signed: bool,
+        seed: u64,
+    ) {
+        let b = [4, 8, 16, 32][width];
+        let sign = if signed { Sign::Signed } else { Sign::Unsigned };
+        let mac = MacCircuit::build(b, 2 * b + 8, sign, MultiplierKind::Tree);
+        arms_agree(mac.netlist(), seed);
+    }
 
     #[test]
     fn levelized_walks_match_a_gate_at_a_time_reference(
@@ -181,21 +305,21 @@ proptest! {
             written[wire.index()] = true;
         }
         let mut gates = 0;
-        for level in netlist.levels() {
-            for gate in &level.free {
-                prop_assert!(written[gate.a.index()] && written[gate.b.index()]);
-                prop_assert!(!std::mem::replace(&mut written[gate.out.index()], true));
+        for (free, ands) in netlist.gate_plan().levels() {
+            for gate in free {
+                prop_assert!(written[gate.a as usize] && written[gate.b as usize]);
+                prop_assert!(!std::mem::replace(&mut written[gate.out as usize], true));
             }
             // Every read of the batch is checked before any of its outputs
             // is marked: no AND reads an AND output of its own level.
-            for and in &level.ands {
-                prop_assert!(written[and.a.index()] && written[and.b.index()]);
-                prop_assert_eq!(netlist.gates()[and.gate as usize].out, and.out);
+            for and in ands {
+                prop_assert!(written[and.a as usize] && written[and.b as usize]);
+                prop_assert_eq!(netlist.gates()[and.gate as usize].out.0, and.out);
             }
-            for and in &level.ands {
-                prop_assert!(!std::mem::replace(&mut written[and.out.index()], true));
+            for and in ands {
+                prop_assert!(!std::mem::replace(&mut written[and.out as usize], true));
             }
-            gates += level.free.len() + level.ands.len();
+            gates += free.len() + ands.len();
         }
         prop_assert_eq!(gates, netlist.gates().len());
     }

@@ -268,7 +268,7 @@ impl Builder {
             constants: self.constants,
             gates: self.gates,
             outputs,
-            levels: Default::default(),
+            gate_plan: Default::default(),
         };
         if let Err(e) = netlist.validate() {
             panic!("builder produced invalid netlist: {e}");
@@ -417,7 +417,7 @@ mod tests {
                 out: WireId(0),
             }],
             outputs: vec![WireId(0)],
-            levels: Default::default(),
+            gate_plan: Default::default(),
         };
         assert!(netlist.validate().is_err());
     }

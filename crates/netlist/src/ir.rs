@@ -3,7 +3,9 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::levels::{levelize, Level};
+use max_crypto::GatePlan;
+
+use crate::levels::levelize;
 
 /// Identifier of one wire in a [`Netlist`].
 ///
@@ -64,9 +66,9 @@ pub struct Netlist {
     pub(crate) constants: Vec<(WireId, bool)>,
     pub(crate) gates: Vec<Gate>,
     pub(crate) outputs: Vec<WireId>,
-    /// [`Netlist::levels`], computed on first use. A pure function of the
-    /// fields above, so it takes no part in equality.
-    pub(crate) levels: OnceLock<Vec<Level>>,
+    /// [`Netlist::gate_plan`], computed on first use. A pure function of
+    /// the fields above, so it takes no part in equality.
+    pub(crate) gate_plan: OnceLock<GatePlan>,
 }
 
 impl PartialEq for Netlist {
@@ -112,14 +114,16 @@ impl Netlist {
         &self.outputs
     }
 
-    /// The gates regrouped by AND-depth (see [`Level`]): walking the levels
-    /// in order, each level's free gates and then its AND gates as one
-    /// batch, computes the same wires as walking [`Netlist::gates`].
+    /// The gates regrouped by AND-depth, as the half-gates kernels read
+    /// them: walking the plan's levels in order, each level's free gates
+    /// and then its AND gates as one batch, computes the same wires as
+    /// walking [`Netlist::gates`], and every wire index and table ordinal
+    /// was checked against this netlist once, when the plan was built.
     /// Computed once per netlist; the accelerator shares one netlist per
-    /// configuration per process and forces its levels when it builds it,
-    /// so on a job path they are computed once per configuration.
-    pub fn levels(&self) -> &[Level] {
-        self.levels.get_or_init(|| levelize(self))
+    /// configuration per process and forces its plan when it builds it,
+    /// so on a job path it is computed once per configuration.
+    pub fn gate_plan(&self) -> &GatePlan {
+        self.gate_plan.get_or_init(|| levelize(self))
     }
 
     /// Evaluates the circuit in plaintext.

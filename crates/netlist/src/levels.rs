@@ -9,65 +9,49 @@
 //! work* changes: each AND keeps its netlist gate index and its ordinal among
 //! the AND gates, so table positions and tweaks are those of netlist order.
 
-use crate::ir::{Gate, GateKind, Netlist, WireId};
+use max_crypto::{AndGate, FreeGate, GatePlan};
 
-/// One AND gate of a [`Level`], with the two positions garbling schemes
-/// number it by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LevelAnd {
-    /// First input wire.
-    pub a: WireId,
-    /// Second input wire.
-    pub b: WireId,
-    /// Output wire.
-    pub out: WireId,
-    /// Index of the gate in [`Netlist::gates`].
-    pub gate: u32,
-    /// Ordinal among the netlist's AND gates — its garbled table's position.
-    pub ordinal: u32,
-}
+use crate::ir::{GateKind, Netlist};
 
-/// One dependency level: wires of AND-depth `k` are complete once `free` has
-/// run, and `ands` then reads only such wires.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Level {
-    /// XOR/NOT gates whose output has AND-depth `k`, in netlist order (they
-    /// may read one another, and the AND outputs of level `k - 1`).
-    pub free: Vec<Gate>,
-    /// AND gates whose deepest input has AND-depth `k`, in netlist order;
-    /// mutually independent.
-    pub ands: Vec<LevelAnd>,
-}
-
-/// Groups `netlist`'s gates by AND-depth. Every gate lands in exactly one
-/// level; walking levels in order, `free` before `ands`, respects every
+/// Groups `netlist`'s gates by AND-depth into a [`GatePlan`], checked
+/// against its wire count. Every gate lands in exactly one level: a
+/// level's free gates are the XOR/NOT gates whose output has AND-depth
+/// `k`, in netlist order (they may read one another, and the AND outputs
+/// of level `k − 1`); its AND gates are those whose deepest input has
+/// AND-depth `k`, in netlist order and mutually independent. Walking the
+/// levels in order, free gates before AND gates, respects every
 /// dependency.
-pub(crate) fn levelize(netlist: &Netlist) -> Vec<Level> {
+pub(crate) fn levelize(netlist: &Netlist) -> GatePlan {
     let mut depth = vec![0u32; netlist.wire_count()];
-    let mut levels: Vec<Level> = Vec::new();
+    let mut levels: Vec<(Vec<FreeGate>, Vec<AndGate>)> = Vec::new();
     let mut ordinal = 0u32;
     for (index, gate) in netlist.gates().iter().enumerate() {
         let d = depth[gate.a.index()].max(depth[gate.b.index()]);
         if levels.len() <= d as usize {
-            levels.resize_with(d as usize + 1, Level::default);
+            levels.resize_with(d as usize + 1, Default::default);
         }
-        let level = &mut levels[d as usize];
+        let (free, ands) = &mut levels[d as usize];
         if gate.kind == GateKind::And {
-            level.ands.push(LevelAnd {
-                a: gate.a,
-                b: gate.b,
-                out: gate.out,
+            ands.push(AndGate {
+                a: gate.a.0,
+                b: gate.b.0,
+                out: gate.out.0,
                 gate: index as u32,
                 ordinal,
             });
             ordinal += 1;
             depth[gate.out.index()] = d + 1;
         } else {
-            level.free.push(*gate);
+            free.push(FreeGate {
+                a: gate.a.0,
+                b: gate.b.0,
+                out: gate.out.0,
+                not: gate.kind == GateKind::Not,
+            });
             depth[gate.out.index()] = d;
         }
     }
-    levels
+    GatePlan::new(netlist.wire_count(), levels)
 }
 
 #[cfg(test)]
@@ -89,26 +73,36 @@ mod tests {
         }
         let mut seen = vec![false; netlist.gates().len()];
         let mut ordinals = Vec::new();
-        for level in netlist.levels() {
-            for gate in &level.free {
-                assert_ne!(gate.kind, GateKind::And);
-                assert!(ready[gate.a.index()] && ready[gate.b.index()]);
-                ready[gate.out.index()] = true;
-                let index = netlist.gates().iter().position(|g| g == gate).unwrap();
+        for (free, ands) in netlist.gate_plan().levels() {
+            for gate in free {
+                assert!(ready[gate.a as usize] && ready[gate.b as usize]);
+                ready[gate.out as usize] = true;
+                let index = netlist
+                    .gates()
+                    .iter()
+                    .position(|g| g.out.0 == gate.out)
+                    .unwrap();
+                let g = netlist.gates()[index];
+                let kind = if gate.not {
+                    GateKind::Not
+                } else {
+                    GateKind::Xor
+                };
+                assert_eq!((g.kind, g.a.0, g.b.0), (kind, gate.a, gate.b));
                 assert!(!std::mem::replace(&mut seen[index], true));
             }
             // Reads are checked for the whole level before any of its
             // outputs is marked: no AND of a level reads another's output.
-            for and in &level.ands {
-                assert!(ready[and.a.index()] && ready[and.b.index()]);
+            for and in ands {
+                assert!(ready[and.a as usize] && ready[and.b as usize]);
             }
-            for and in &level.ands {
+            for and in ands {
                 let gate = netlist.gates()[and.gate as usize];
                 assert_eq!(
-                    (gate.kind, gate.a, gate.b, gate.out),
+                    (gate.kind, gate.a.0, gate.b.0, gate.out.0),
                     (GateKind::And, and.a, and.b, and.out)
                 );
-                ready[and.out.index()] = true;
+                ready[and.out as usize] = true;
                 assert!(!std::mem::replace(&mut seen[and.gate as usize], true));
                 ordinals.push((and.gate, and.ordinal));
             }
@@ -133,10 +127,10 @@ mod tests {
     #[test]
     fn mac_b8_plan_shape_is_pinned() {
         let mac = MacCircuit::build(8, 24, Sign::Signed, MultiplierKind::Tree);
-        let levels = mac.netlist().levels();
-        let and_levels = levels.iter().filter(|l| !l.ands.is_empty()).count();
-        let ands: usize = levels.iter().map(|l| l.ands.len()).sum();
-        assert_eq!((and_levels, ands), (25, 182));
+        let plan = mac.netlist().gate_plan();
+        let and_levels = plan.levels().filter(|(_, ands)| !ands.is_empty()).count();
+        assert_eq!((and_levels, plan.tables()), (25, 182));
+        assert_eq!(plan.wires(), mac.netlist().wire_count());
     }
 
     #[test]
@@ -144,6 +138,6 @@ mod tests {
         let mut b = Builder::new();
         let x = b.garbler_input();
         let netlist = b.build(vec![x]);
-        assert!(netlist.levels().is_empty());
+        assert_eq!(netlist.gate_plan().levels().len(), 0);
     }
 }

@@ -49,6 +49,5 @@ pub use encoding::{
     decode_signed, decode_unsigned, encode_signed, encode_unsigned, signed_fits, unsigned_fits,
 };
 pub use ir::{Gate, GateKind, Netlist, NetlistStats, WireId};
-pub use levels::{Level, LevelAnd};
 pub use mac::{MacCircuit, MacPorts, Sign};
 pub use mult::MultiplierKind;
